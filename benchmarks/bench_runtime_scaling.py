@@ -8,7 +8,7 @@ photosynthesis problem:
   expensive model, ~0.3 s per design) executed serially versus fanned out
   over a 4-worker :class:`~repro.runtime.ProcessPoolEvaluator`;
 * **determinism** — the pooled batch must be bitwise identical to serial;
-* **cache hit-rate** — a seeded PMO2 run with ``cache_evaluations=True``,
+* **cache hit-rate** — a seeded PMO2 run with ``solve(..., cache=True)``,
   reporting the fraction of lookups answered from the memoization cache.
 
 The speedup assertion only applies where the hardware can deliver it
@@ -66,11 +66,10 @@ def _measure_runtime_scaling(seed: int):
     cached_result = solve(
         PhotosynthesisProblem(REFERENCE_CONDITION),
         algorithm="pmo2",
-        config=PMO2Config(
-            island_population_size=24, migration_interval=5, cache_evaluations=True
-        ),
+        config=PMO2Config(island_population_size=24, migration_interval=5),
         seed=seed,
         termination=MaxGenerations(30),
+        cache=True,
     )
 
     return {

@@ -28,7 +28,7 @@ from repro.geobacter import (
     build_geobacter_model,
     representative_points,
 )
-from repro.moo import NSGA2, NSGA2Config
+from repro.solve import solve
 
 
 def main(population: int = 40, generations: int = 20) -> None:
@@ -58,9 +58,14 @@ def main(population: int = 40, generations: int = 20) -> None:
     # Multi-objective flux design.
     problem = GeobacterDesignProblem(model=model)
     rng = np.random.default_rng(7)
-    optimizer = NSGA2(problem, NSGA2Config(population_size=population), seed=7)
-    optimizer.initialize(problem.seeded_population(population, rng))
-    result = optimizer.run(generations)
+    result = solve(
+        problem,
+        "nsga2",
+        population_size=population,
+        seed=7,
+        termination=generations,
+        initial_population=problem.seeded_population(population, rng),
+    )
 
     front = result.front
     production = problem.production_front(front.objective_matrix())

@@ -20,7 +20,7 @@ generations for a quicker look.
 
 from __future__ import annotations
 
-from repro.moo import PMO2, PMO2Config
+from repro.moo import PMO2Config
 from repro.photosynthesis import (
     CalvinCycleModel,
     PhotosynthesisProblem,
@@ -29,6 +29,7 @@ from repro.photosynthesis import (
     condition,
     enzyme_ratio_profile,
 )
+from repro.solve import solve
 
 
 def main(population: int = 32, generations: int = 60) -> None:
@@ -44,7 +45,7 @@ def main(population: int = 32, generations: int = 60) -> None:
         migration_interval=max(5, generations // 4),
         migration_rate=0.5,
     )
-    result = PMO2(problem, config=config, seed=2011).run(generations)
+    result = solve(problem, "pmo2", config=config, seed=2011, termination=generations)
     front = problem.reported_front(result.front_objectives())
     decisions = result.front_decisions()
     print("PMO2: %d evaluations, %d Pareto-optimal enzyme partitions"

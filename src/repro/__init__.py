@@ -14,8 +14,8 @@ The library is organised in these sub-packages:
   streaming run events, the single ``SolveResult`` type; see
   docs/solving.md);
 * :mod:`repro.runtime` — the execution runtime: serial / process-pool /
-  memoizing evaluators behind every optimizer's ``evaluator`` knob (and
-  ``PMO2Config(n_workers=...)``), the evaluation-budget ledger, and
+  memoizing evaluators behind ``solve()``'s ``evaluator`` / ``n_workers`` /
+  ``cache`` knobs, the evaluation-budget ledger, and
   checkpoint/resume for long runs.  Parallelism, caching and resuming never
   change results: a pooled or restored run is bitwise identical to a serial
   uninterrupted run of the same seed;
@@ -36,6 +36,6 @@ The library is organised in these sub-packages:
   describe, run, resume and export registered experiments (see docs/cli.md).
 """
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = ["__version__"]

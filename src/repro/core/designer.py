@@ -17,10 +17,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.moo.mining import closest_to_ideal, equally_spaced_selection, shadow_minima
 from repro.moo.pmo2 import PMO2Config
-from repro.moo.problem import Problem
 from repro.moo.robustness import RobustnessSettings, front_yields, uptake_yield
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.evaluator import Evaluator, build_evaluator
+from repro.problems.base import Problem
 from repro.runtime.ledger import EvaluationLedger
 from repro.solve import MaxGenerations, SolveResult, solve
 
@@ -96,7 +96,7 @@ class RobustPathwayDesigner:
     ----------
     problem:
         The design problem (photosynthesis, Geobacter, or any
-        :class:`~repro.moo.problem.Problem`).
+        :class:`~repro.problems.Problem`).
     pmo2_config:
         PMO2 configuration; defaults to the paper's adopted configuration with
         a migration interval scaled to the run length used here.

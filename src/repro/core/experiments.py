@@ -64,7 +64,7 @@ _PAPER_MIGRATION_INTERVAL = 200
 
 
 def _pmo2_config(
-    population: int, migration_interval: int, n_workers: int = 1, cache: bool = False
+    population: int, migration_interval: int, topology: str = "all-to-all"
 ) -> PMO2Config:
     """PMO2 configuration following the paper, with a scaled migration interval."""
     return PMO2Config(
@@ -72,9 +72,7 @@ def _pmo2_config(
         island_population_size=population,
         migration_interval=migration_interval,
         migration_rate=0.5,
-        topology="all-to-all",
-        n_workers=n_workers,
-        cache_evaluations=cache,
+        topology=topology,
     )
 
 
@@ -118,8 +116,8 @@ def run_table1(
     the relative coverage Rp, the global coverage Gp and the hypervolume Vp.
 
     The evaluation budgets are matched through the optimizers' own counters
-    (not a :class:`CountingProblem` wrapper), so they stay exact when the
-    evaluations fan out over ``n_workers`` processes.
+    (not a :class:`~repro.problems.BudgetCounting` wrapper), so they stay
+    exact when the evaluations fan out over ``n_workers`` processes.
     """
     base_problem = problem or PhotosynthesisProblem(REFERENCE_CONDITION)
 
@@ -127,9 +125,11 @@ def run_table1(
     pmo2_result = solve(
         base_problem,
         algorithm="pmo2",
-        config=_pmo2_config(population, migration_interval, n_workers, cache),
+        config=_pmo2_config(population, migration_interval),
         seed=seed,
         termination=MaxGenerations(generations),
+        n_workers=n_workers,
+        cache=cache,
     )
     pmo2_front = pmo2_result.front_objectives()
     pmo2_decisions = pmo2_result.front_decisions()
@@ -286,9 +286,11 @@ def run_figure1(
         result = solve(
             problem,
             algorithm="pmo2",
-            config=_pmo2_config(population, migration_interval, n_workers, cache),
+            config=_pmo2_config(population, migration_interval),
             seed=seed + offset,
             termination=MaxGenerations(generations),
+            n_workers=n_workers,
+            cache=cache,
         )
         raw_front = result.front_objectives()
         front = problem.reported_front(raw_front)
@@ -423,9 +425,11 @@ def run_figure3(
     result = solve(
         problem,
         algorithm="pmo2",
-        config=_pmo2_config(population, migration_interval, n_workers, cache),
+        config=_pmo2_config(population, migration_interval),
         seed=seed,
         termination=MaxGenerations(generations),
+        n_workers=n_workers,
+        cache=cache,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
     )
@@ -563,35 +567,17 @@ def run_migration_ablation(
     """Compare PMO2's broadcast migration against isolated islands."""
     problem = PhotosynthesisProblem(REFERENCE_CONDITION)
     interval = max(1, generations // 4)
-    with_migration = solve(
-        problem,
-        algorithm="pmo2",
-        config=PMO2Config(
-            n_islands=2,
-            island_population_size=population,
-            migration_interval=interval,
-            migration_rate=0.5,
-            topology="all-to-all",
+    with_migration, without_migration = (
+        solve(
+            problem,
+            algorithm="pmo2",
+            config=_pmo2_config(population, interval, topology),
+            seed=seed,
+            termination=MaxGenerations(generations),
             n_workers=n_workers,
-            cache_evaluations=cache,
-        ),
-        seed=seed,
-        termination=MaxGenerations(generations),
-    )
-    without_migration = solve(
-        problem,
-        algorithm="pmo2",
-        config=PMO2Config(
-            n_islands=2,
-            island_population_size=population,
-            migration_interval=interval,
-            migration_rate=0.5,
-            topology="isolated",
-            n_workers=n_workers,
-            cache_evaluations=cache,
-        ),
-        seed=seed,
-        termination=MaxGenerations(generations),
+            cache=cache,
+        )
+        for topology in ("all-to-all", "isolated")
     )
     report = coverage_report(
         {

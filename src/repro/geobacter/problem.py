@@ -32,8 +32,8 @@ from repro.exceptions import ConfigurationError
 from repro.fba.model import StoichiometricModel
 from repro.fba.solver import optimize_combination
 from repro.moo.individual import Individual, Population
-from repro.moo.problem import EvaluationResult, Problem
-from repro.problems.batch import BatchEvaluation
+from repro.problems.base import Problem
+from repro.problems.batch import BatchEvaluation, EvaluationResult
 from repro.geobacter.model_builder import (
     ATP_MAINTENANCE_FLUX,
     ATP_MAINTENANCE_ID,

@@ -10,9 +10,10 @@ by :func:`PMO2.paper_configuration` — is:
 * migration every 200 generations,
 * migration probability 0.5.
 
-This module exposes a convenience class that assembles that archipelago,
-runs it for a requested budget (generations or objective evaluations), and
-returns the merged non-dominated front together with run statistics.
+This module exposes a convenience class that assembles that archipelago
+behind the :class:`repro.solve.Solver` protocol; run it with
+``solve(problem, "pmo2", termination=...)``, which returns the merged
+non-dominated front together with run statistics.
 """
 
 from __future__ import annotations
@@ -22,19 +23,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.deprecation import deprecated_result_alias
-from repro.exceptions import ConfigurationError
 from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
 from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.problem import Problem
 from repro.moo.topology import topology_from_name
 from repro.moo.validation import check_at_least, check_even
-from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.evaluator import Evaluator, build_evaluator
-from repro.runtime.ledger import EvaluationLedger
+from repro.problems.base import Problem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.evaluator import Evaluator
     from repro.solve.result import SolveResult
 
 __all__ = ["PMO2Config", "PMO2"]
@@ -46,7 +43,9 @@ class PMO2Config:
 
     The defaults reproduce the paper's adopted configuration; the extra knobs
     (number of islands, topology, per-island NSGA-II settings) expose the rest
-    of the framework the paper describes.
+    of the framework the paper describes.  How evaluations execute (worker
+    processes, caching) is not configured here: :func:`repro.solve.solve`
+    decides it through its ``n_workers`` / ``cache`` / ``evaluator`` knobs.
     """
 
     n_islands: int = 2
@@ -57,19 +56,12 @@ class PMO2Config:
     topology: str = "all-to-all"
     nsga2: NSGA2Config = field(default_factory=NSGA2Config)
     archive_capacity: int | None = None
-    #: Worker processes evaluating each island's generation batch (1 = serial).
-    n_workers: int = 1
-    #: Memoize evaluations on a quantized decision-vector hash.
-    cache_evaluations: bool = False
-    #: Decimals the cache key is rounded to (see CachedEvaluator).
-    cache_decimals: int = 12
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent settings."""
         check_at_least("n_islands", self.n_islands, 1)
         check_at_least("island_population_size", self.island_population_size, 4)
         check_even("island_population_size", self.island_population_size)
-        check_at_least("n_workers", self.n_workers, 1)
         MigrationPolicy(
             interval=self.migration_interval,
             rate=self.migration_rate,
@@ -85,14 +77,12 @@ class PMO2:
     problem:
         Problem to minimize.
     config:
-        PMO2 configuration; ``None`` uses the paper's adopted configuration
-        (scaled migration interval aside, see :meth:`run_evaluations`).
+        PMO2 configuration; ``None`` uses the paper's adopted configuration.
     seed:
         Master seed; island seeds are derived from it deterministically.
     evaluator:
-        Optional explicit :class:`~repro.runtime.evaluator.Evaluator` shared
-        by every island; when ``None`` one is assembled from the config's
-        ``n_workers`` / ``cache_evaluations`` knobs.  Evaluator choice never
+        Optional :class:`~repro.runtime.evaluator.Evaluator` shared by every
+        island (``None`` evaluates in-process).  Evaluator choice never
         changes results — a pooled run is bitwise identical to a serial run
         of the same seed.
     """
@@ -102,20 +92,14 @@ class PMO2:
         problem: Problem,
         config: PMO2Config | None = None,
         seed: int | None = None,
-        evaluator: Evaluator | None = None,
+        evaluator: "Evaluator | None" = None,
     ) -> None:
         self.problem = problem
         self.config = config or PMO2Config()
         self.config.validate()
         self.seed = seed
-        self.evaluator = evaluator if evaluator is not None else build_evaluator(
-            n_workers=self.config.n_workers,
-            cache=self.config.cache_evaluations,
-            decimals=self.config.cache_decimals,
-            ledger=EvaluationLedger(),
-        )
         self._seed_sequence = np.random.SeedSequence(seed)
-        self.archipelago = self._build_archipelago()
+        self.archipelago = self._build_archipelago(evaluator)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -132,7 +116,7 @@ class PMO2:
         )
         return cls(problem, config=config, seed=seed)
 
-    def _build_archipelago(self) -> Archipelago:
+    def _build_archipelago(self, evaluator: "Evaluator | None") -> Archipelago:
         seeds = self._seed_sequence.spawn(self.config.n_islands + 1)
         islands = []
         for i in range(self.config.n_islands):
@@ -146,7 +130,7 @@ class PMO2:
                 self.problem,
                 config=nsga_config,
                 seed=island_seed,
-                evaluator=self.evaluator,
+                evaluator=evaluator,
             )
             islands.append(Island(optimizer, name="nsga2-%d" % i))
         topology = topology_from_name(self.config.topology, self.config.n_islands)
@@ -157,78 +141,6 @@ class PMO2:
         )
         driver_seed = int(seeds[-1].generate_state(1)[0])
         return Archipelago(islands, topology=topology, policy=policy, seed=driver_seed)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        generations: int,
-        checkpoint: CheckpointManager | None = None,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 10,
-    ) -> "SolveResult":
-        """Run every island for ``generations`` generations.
-
-        With checkpointing (an explicit manager, or a ``checkpoint_dir`` from
-        which one is built), ``generations`` is the *total* target: the
-        latest checkpoint is restored first and only the missing generations
-        are run.  See :meth:`Archipelago.run`.
-        """
-        if checkpoint is None and checkpoint_dir is not None:
-            checkpoint = CheckpointManager(checkpoint_dir, interval=checkpoint_interval)
-        if checkpoint is not None:
-            # Restore before grabbing the ledger, so the phase timing lands on
-            # the ledger that travelled with the checkpointed evaluator.  The
-            # restore below leaves Archipelago.run's own (generation-guarded)
-            # restore with nothing to do.
-            checkpoint.restore(self.archipelago)
-        ledger = self._ledger()
-        if ledger is not None:
-            with ledger.phase("optimize", only_if_idle=True):
-                result = self.archipelago.run(generations, checkpoint=checkpoint)
-        else:
-            result = self.archipelago.run(generations, checkpoint=checkpoint)
-        return self._package(result)
-
-    def run_evaluations(self, max_evaluations: int) -> "SolveResult":
-        """Run until the archipelago has consumed ``max_evaluations`` evaluations.
-
-        The paper compares algorithms at equal evaluation budgets; this method
-        is the positional-argument equivalent of solving with a
-        :class:`repro.solve.MaxEvaluations` termination.  The loop stops at
-        the first generation boundary at which the budget is met or exceeded.
-        """
-        if max_evaluations <= 0:
-            raise ConfigurationError("max_evaluations must be positive")
-        ledger = self._ledger()
-        if ledger is not None:
-            with ledger.phase("optimize", only_if_idle=True):
-                self.archipelago.initialize()
-                while self.archipelago.total_evaluations < max_evaluations:
-                    self.archipelago.step()
-        else:
-            self.archipelago.initialize()
-            while self.archipelago.total_evaluations < max_evaluations:
-                self.archipelago.step()
-        return self._package(self.archipelago.result())
-
-    def _ledger(self) -> EvaluationLedger | None:
-        """Ledger of the evaluator actually installed on the islands.
-
-        After a checkpoint restore the islands carry the evaluator (and
-        ledger) that travelled with the checkpoint, which is the one whose
-        accounting describes the run.
-        """
-        for island in self.archipelago.islands:
-            evaluator = getattr(island.optimizer, "evaluator", None)
-            if evaluator is not None and evaluator.ledger is not None:
-                return evaluator.ledger
-        return getattr(self.evaluator, "ledger", None)
-
-    def _package(self, result: "SolveResult") -> "SolveResult":
-        """Re-label an archipelago result as PMO2's, attaching the ledger."""
-        result.algorithm = "pmo2"
-        result.ledger = self._ledger()
-        return result
 
     # ------------------------------------------------------------------
     # Solver protocol (see repro.solve.api)
@@ -259,9 +171,9 @@ class PMO2:
         return self.archipelago
 
     @property
-    def ledger(self) -> EvaluationLedger | None:
-        """Evaluation-budget ledger of the evaluator driving the islands."""
-        return self._ledger()
+    def evaluator(self) -> "Evaluator | None":
+        """Evaluator the islands share (after a restore, the one restored with them)."""
+        return self.archipelago.evaluator
 
     def initialize(self) -> None:
         """Initialize every island."""
@@ -276,31 +188,13 @@ class PMO2:
         return self.archipelago.pareto_front()
 
     def result(self) -> "SolveResult":
-        """Package the archipelago's current state as a :class:`SolveResult`."""
-        return self._package(self.archipelago.result())
-
-    def close(self) -> None:
-        """Release evaluator resources (worker pools); idempotent."""
-        for island in self.archipelago.islands:
-            evaluator = getattr(island.optimizer, "evaluator", None)
-            if evaluator is not None:
-                evaluator.close()
-        if self.evaluator is not None:
-            self.evaluator.close()
-
-    def __enter__(self) -> "PMO2":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Package the archipelago's current state as PMO2's :class:`SolveResult`."""
+        result = self.archipelago.result()
+        result.algorithm = "pmo2"
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "PMO2(islands=%d, topology=%s)" % (
             self.config.n_islands,
             self.config.topology,
         )
-
-
-def __getattr__(name: str):
-    """Deprecated alias: ``PMO2Result`` is :class:`repro.solve.SolveResult`."""
-    return deprecated_result_alias(__name__, name, "PMO2Result")

@@ -7,7 +7,7 @@ activities for two conflicting objectives:
 * minimize the total protein nitrogen invested in the enzymes.
 
 :class:`PhotosynthesisProblem` expresses that task as a
-:class:`~repro.moo.problem.Problem` (minimization convention: the uptake is
+:class:`~repro.problems.Problem` (minimization convention: the uptake is
 negated).  :class:`RobustPhotosynthesisProblem` adds the robustness yield
 ``Γ`` as a third objective, which is the formulation behind the
 three-dimensional Pareto surface of Figure 3.
@@ -18,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.moo.problem import EvaluationResult, Problem
 from repro.moo.robustness import RobustnessSettings, _robust_count, uptake_yield
 from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
 from repro.photosynthesis.enzymes import ENZYME_NAMES, ENZYMES, natural_activities
 from repro.photosynthesis.nitrogen import total_nitrogen, total_nitrogen_batch
 from repro.photosynthesis.steady_state import EnzymeLimitedModel
-from repro.problems.batch import BatchEvaluation
+from repro.problems.base import Problem
+from repro.problems.batch import BatchEvaluation, EvaluationResult
 
 __all__ = ["PhotosynthesisProblem", "RobustPhotosynthesisProblem"]
 

@@ -12,9 +12,7 @@ objects with four pillars:
 * :mod:`~repro.problems.base` — the **batch-first contract**:
   :meth:`Problem.evaluate_matrix` maps an ``(n, n_var)`` decision matrix to
   a :class:`BatchEvaluation` of columnar objectives and constraint
-  violations; the old scalar ``evaluate()`` / list-shaped
-  ``evaluate_batch()`` entry points survive one release as deprecated
-  shims;
+  violations;
 * :mod:`~repro.problems.transforms` — composable wrappers (:class:`Noisy`,
   :class:`Normalized`, :class:`ObjectiveSubset`,
   :class:`ConstraintAsPenalty`, :class:`BudgetCounting`, :class:`Throttled`,
@@ -36,8 +34,8 @@ Build, transform and evaluate by name::
     >>> batch.F.shape, batch.n_con
     ((4, 2), 0)
 
-See ``docs/problems.md`` for the full guide and the migration notes from the
-scalar-first API.
+See ``docs/problems.md`` for the full guide and the table of entry points
+removed in 2.0.
 """
 
 from repro.problems.base import FunctionalProblem, Problem
@@ -64,7 +62,6 @@ from repro.problems.space import (
 from repro.problems.transforms import (
     BudgetCounting,
     ConstraintAsPenalty,
-    CountingProblem,
     FailAfter,
     Noisy,
     Normalized,
@@ -99,7 +96,6 @@ __all__ = [
     "ObjectiveSubset",
     "ConstraintAsPenalty",
     "BudgetCounting",
-    "CountingProblem",
     "Throttled",
     "FailAfter",
 ]

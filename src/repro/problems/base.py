@@ -11,17 +11,13 @@ vectorized kernels of :mod:`repro.moo.kernels` consume end to end.
 
 Implementing a problem
 ----------------------
-Subclasses provide exactly one of three hooks (checked in this order):
+Subclasses provide one of two hooks:
 
 * ``_evaluate_matrix(X) -> BatchEvaluation`` — the vectorized path; the
   right choice whenever the objectives are expressible as numpy column
   operations (all the synthetic test problems are);
 * ``_evaluate_row(x) -> EvaluationResult`` — per-design physics (one ODE
-  solve per candidate); the base class loops rows into a batch;
-* legacy ``evaluate(x) -> EvaluationResult`` — pre-redesign subclasses that
-  overrode the old public scalar method keep working unchanged for one
-  release; the base class treats the override exactly like
-  ``_evaluate_row``.
+  solve per candidate); the base class loops rows into a batch.
 
 Conventions
 -----------
@@ -34,13 +30,6 @@ Conventions
   box space automatically.
 * Constraints are expressed as violation values, where ``<= 0`` means
   satisfied; the aggregate violation is the sum of the positive entries.
-
-Deprecated compatibility shims
-------------------------------
-The old public entry points — scalar ``problem.evaluate(x)`` and
-``problem.evaluate_batch(vectors) -> list[EvaluationResult]`` — survive one
-release as thin wrappers over :meth:`evaluate_matrix` that emit a
-:class:`DeprecationWarning`.
 
 Example
 -------
@@ -65,7 +54,6 @@ A vectorized problem in a dozen lines::
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,17 +164,14 @@ class Problem:
             s not in (-1, 1) for s in self.objective_senses
         ):
             raise ConfigurationError("objective_senses must be +/-1 per objective")
-        # Fail at construction, not at first evaluation, when no hook exists
-        # (the old ABC raised here too, via the abstract evaluate()).
+        # Fail at construction, not at first evaluation, when no hook exists.
         if (
             type(self)._evaluate_matrix is Problem._evaluate_matrix
             and type(self)._evaluate_row is Problem._evaluate_row
-            and type(self).evaluate is Problem.evaluate
-            and type(self).evaluate_batch is Problem.evaluate_batch
         ):
             raise TypeError(
-                "%s implements none of _evaluate_matrix, _evaluate_row or the "
-                "legacy evaluate()/evaluate_batch()" % type(self).__name__
+                "%s implements neither _evaluate_matrix nor _evaluate_row"
+                % type(self).__name__
             )
 
     # ------------------------------------------------------------------
@@ -214,71 +199,12 @@ class Problem:
         return self._evaluate_matrix(X)
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        """Default matrix hook: legacy batch override, else the per-design loop."""
-        legacy_batch = type(self).evaluate_batch
-        if legacy_batch is not Problem.evaluate_batch:
-            # Pre-redesign subclass with a vectorized `evaluate_batch`
-            # override (the old documented extension point): it *is* the
-            # batch implementation, so route through it warning-free instead
-            # of silently degrading to the scalar loop.
-            return BatchEvaluation.from_results(legacy_batch(self, list(X)))
-        row = self._row_hook()
-        return BatchEvaluation.from_results([row(x) for x in X])
+        """Default matrix hook: loop :meth:`_evaluate_row` over the rows."""
+        return BatchEvaluation.from_results([self._evaluate_row(x) for x in X])
 
     def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
         """Per-design hook for problems whose physics is inherently scalar."""
         raise NotImplementedError
-
-    def _row_hook(self) -> Callable[[np.ndarray], EvaluationResult]:
-        """Resolve the per-design evaluation hook (new-style or legacy)."""
-        if type(self)._evaluate_row is not Problem._evaluate_row:
-            return self._evaluate_row
-        if type(self).evaluate is not Problem.evaluate:
-            # Pre-redesign subclass: its `evaluate` override *is* the
-            # implementation, so calling it directly stays warning-free.
-            return self.evaluate
-        raise TypeError(
-            "%s implements none of _evaluate_matrix, _evaluate_row or the "
-            "legacy evaluate()" % type(self).__name__
-        )
-
-    # ------------------------------------------------------------------
-    # Deprecated compatibility shims (one release)
-    # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray) -> EvaluationResult:
-        """Evaluate one decision vector.  Deprecated scalar shim.
-
-        .. deprecated::
-            Use :meth:`evaluate_matrix` with a one-row matrix; this wrapper
-            (and the per-row :class:`EvaluationResult` shape it returns)
-            survives one release.
-        """
-        warnings.warn(
-            "Problem.evaluate(x) is deprecated; use "
-            "evaluate_matrix(x[None, :]) and read the batch columns",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate_matrix(self.validate(x)[None, :]).result(0)
-
-    def evaluate_batch(self, vectors: Sequence[np.ndarray]) -> list[EvaluationResult]:
-        """Evaluate several decision vectors.  Deprecated list-shaped shim.
-
-        .. deprecated::
-            Use :meth:`evaluate_matrix`; this wrapper stacks ``vectors`` into
-            a matrix and shreds the columnar result back into a list of
-            :class:`EvaluationResult`, and survives one release.
-        """
-        warnings.warn(
-            "Problem.evaluate_batch(vectors) is deprecated; use "
-            "evaluate_matrix(X) and read the batch columns",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        vectors = list(vectors)
-        if not vectors:
-            return []
-        return self.evaluate_matrix(np.asarray(vectors, dtype=float)).results()
 
     # ------------------------------------------------------------------
     # Helpers shared by all problems

@@ -6,11 +6,11 @@ dominate wall-clock time.  This sub-package is the layer that makes every
 engine, problem and benchmark fast at once:
 
 * :mod:`repro.runtime.evaluator` — the :class:`~repro.runtime.Evaluator`
-  strategy with serial, process-pool and memoizing implementations.  Attach
-  one to any optimizer (``NSGA2(..., evaluator=...)``,
-  ``PMO2Config(n_workers=4)``) to fan evaluation batches out over worker
-  processes without changing results: pooled runs are bitwise identical to
-  serial runs of the same seed;
+  strategy with serial, process-pool and memoizing implementations.
+  :func:`repro.solve.solve` builds one for every run (``solve(...,
+  n_workers=4, cache=True)``, or pass ``evaluator=``) to fan evaluation
+  batches out over worker processes without changing results: pooled runs
+  are bitwise identical to serial runs of the same seed;
 * :mod:`repro.runtime.diskcache` — the persistent content-addressed
   evaluation cache: a disk-backed store shared across runs, processes and
   the serve worker pool, layered as an L2 behind the in-memory cache by

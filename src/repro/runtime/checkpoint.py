@@ -9,9 +9,11 @@ the uninterrupted run bit for bit.
 Typical use::
 
     checkpoint = CheckpointManager("runs/photo", interval=25)
-    PMO2(problem, config, seed=7).run(500, checkpoint=checkpoint)
+    solve(problem, "pmo2", config=config, seed=7, termination=500,
+          checkpoint=checkpoint)
     # ... the process is killed at generation 310 ...
-    PMO2(problem, config, seed=7).run(500, checkpoint=checkpoint)
+    solve(problem, "pmo2", config=config, seed=7, termination=500,
+          checkpoint=checkpoint)
     # resumes from generation 300 and finishes the remaining 200 generations
 
 Checkpointed state is NOT validated against the resuming run's configuration
@@ -78,6 +80,10 @@ class CheckpointManager:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                # On disk before the rename: a crash just after os.replace
+                # must not leave a truncated "latest" checkpoint behind.
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp_name, target)
         except BaseException:
             if os.path.exists(temp_name):

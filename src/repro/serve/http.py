@@ -52,11 +52,20 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
 #: Largest accepted request body (submit payloads are tiny).
 _MAX_BODY = 1 << 20
+
+
+class _RejectedRequest(Exception):
+    """A request refused while parsing, with the status it earns."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class HttpServer:
@@ -117,6 +126,11 @@ class HttpServer:
                 return
             method, path, body = request
             await self._route(writer, method, path, body)
+        except _RejectedRequest as error:
+            try:
+                await self._send_json(writer, error.status, {"error": str(error)})
+            except (ConnectionResetError, BrokenPipeError):
+                pass
         except (ConnectionResetError, BrokenPipeError):
             pass
         except Exception as error:  # pragma: no cover - defensive
@@ -134,7 +148,12 @@ class HttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "tuple[str, str, bytes] | None":
-        """Parse one request: request line, headers, Content-Length body."""
+        """Parse one request: request line, headers, Content-Length body.
+
+        A Content-Length that is not a non-negative integer is refused with
+        400, and one above :data:`_MAX_BODY` with 413 before any of the body
+        is read.
+        """
         line = await reader.readline()
         if not line.strip():
             return None
@@ -150,10 +169,19 @@ class HttpServer:
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 try:
-                    content_length = int(value.strip())
+                    content_length = int(value)
                 except ValueError:
-                    content_length = 0
-        content_length = min(content_length, _MAX_BODY)
+                    content_length = -1
+                if content_length < 0:
+                    raise _RejectedRequest(
+                        400, "invalid Content-Length %r" % value.strip()
+                    )
+        if content_length > _MAX_BODY:
+            raise _RejectedRequest(
+                413,
+                "request body of %d bytes exceeds the %d-byte limit"
+                % (content_length, _MAX_BODY),
+            )
         body = await reader.readexactly(content_length) if content_length else b""
         path = target.split("?", 1)[0]
         return method, path, body

@@ -2,16 +2,16 @@
 
 Every optimization engine in this library — NSGA-II, MOEA/D, PMO2 and the
 generic archipelago — runs through the single generic loop in this module.
-The loop owns everything the engines used to duplicate in their ``run()``
-methods: checkpoint restore/save, termination, evaluator assembly and
+The loop owns checkpoint restore/save, termination, evaluator assembly and
 tear-down, ledger phases, per-generation history, and the streaming of
 :mod:`repro.solve.events` to observers.  Engines only provide the
 :class:`Solver` protocol surface (``initialize`` / ``step`` / counters /
 front snapshots).
 
-Determinism: the loop performs exactly the same ``initialize()`` +
-``step() x N`` sequence as the engines' own ``run()`` methods, so a
-``solve(...)`` run is bitwise identical to the engine run of the same seed.
+Determinism: the loop performs ``initialize()`` followed by ``step()`` until
+the termination fires, and every engine's random state travels inside its
+checkpoints, so a run is a pure function of its seed whether it is serial,
+pooled, cached or resumed.
 
 Example
 -------
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
@@ -49,7 +50,7 @@ from repro.solve.termination import Termination, as_termination
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.moo.individual import Population
-    from repro.moo.problem import Problem
+    from repro.problems.base import Problem
     from repro.runtime.evaluator import Evaluator
 
 __all__ = ["Solver", "solve"]
@@ -89,29 +90,6 @@ class Solver(Protocol):
     def result(self) -> SolveResult:
         """Package the solver's current state as a :class:`SolveResult`."""
         ...
-
-
-def _ledger_of(engine: Any, evaluator: "Evaluator | None") -> EvaluationLedger | None:
-    """Ledger actually accounting for ``engine``'s evaluations, if any.
-
-    Checked in order: an explicit ``ledger`` property on the engine (PMO2
-    exposes the islands' post-restore ledger there), the engine's own
-    evaluator, island evaluators, and finally the evaluator handed to
-    :func:`solve`.
-    """
-    ledger = getattr(engine, "ledger", None)
-    if isinstance(ledger, EvaluationLedger):
-        return ledger
-    own = getattr(engine, "evaluator", None)
-    if own is not None and getattr(own, "ledger", None) is not None:
-        return own.ledger
-    for island in getattr(engine, "islands", ()) or ():
-        island_evaluator = getattr(island.optimizer, "evaluator", None)
-        if island_evaluator is not None and island_evaluator.ledger is not None:
-            return island_evaluator.ledger
-    if evaluator is not None:
-        return evaluator.ledger
-    return None
 
 
 def _initialize(engine: Any, initial_population: Any) -> None:
@@ -284,7 +262,7 @@ def solve(
     Parameters
     ----------
     problem:
-        The :class:`~repro.moo.problem.Problem` to minimize.
+        The :class:`~repro.problems.Problem` to minimize.
     algorithm:
         Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``,
         ``"archipelago"``) or a :class:`~repro.solve.registry.SolverSpec`.
@@ -305,8 +283,10 @@ def solve(
         Explicit :class:`~repro.runtime.evaluator.Evaluator`; overrides the
         ``n_workers`` / ``cache`` knobs.  Caller-owned (never closed here).
     n_workers, cache:
-        Convenience knobs assembling a process-pool and/or memoizing
-        evaluator when no explicit one is given.
+        Without an explicit evaluator, :func:`solve` always builds one with
+        :func:`~repro.runtime.evaluator.build_evaluator` — a process pool
+        when ``n_workers > 1``, memoizing with ``cache=True`` — so every
+        result carries an evaluation ledger.
     checkpoint, checkpoint_dir, checkpoint_interval:
         Kill-safe resume: an explicit
         :class:`~repro.runtime.checkpoint.CheckpointManager`, or a directory
@@ -351,12 +331,8 @@ def solve(
             "pass either warm_start or initial_population, not both"
         )
     user_evaluator = evaluator
-    built_evaluator: "Evaluator | None" = None
-    if evaluator is None and (n_workers > 1 or cache or cache_dir is not None):
-        built_evaluator = build_evaluator(
-            n_workers=n_workers, cache=cache, cache_dir=cache_dir
-        )
-        evaluator = built_evaluator
+    if evaluator is None:
+        evaluator = build_evaluator(n_workers=n_workers, cache=cache, cache_dir=cache_dir)
     engine = spec.build(
         problem, config=config, seed=seed, evaluator=evaluator, **config_overrides
     )
@@ -391,20 +367,14 @@ def solve(
                         getattr(engine, "config", None), "population_size", None
                     ),
                 )
-            ledger = _ledger_of(engine, evaluator)
-            if ledger is not None:
-                with ledger.phase("optimize", only_if_idle=True):
-                    history = _drive(
-                        engine,
-                        stopping,
-                        observers,
-                        checkpoint,
-                        target,
-                        info,
-                        ledger,
-                        initial_population,
-                    )
-            else:
+            # Read after the restore: a resumed engine evaluates through the
+            # evaluator, and so the ledger, that travelled in its checkpoint.
+            ledger = getattr(getattr(engine, "evaluator", None), "ledger", None)
+            with (
+                ledger.phase("optimize", only_if_idle=True)
+                if ledger is not None
+                else nullcontext()
+            ):
                 history = _drive(
                     engine,
                     stopping,
@@ -424,9 +394,8 @@ def solve(
             result.ledger = ledger
         return result
     finally:
-        if user_evaluator is None:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
-            if built_evaluator is not None:
-                built_evaluator.close()
+        # The built evaluator and any evaluator a restore brought back are
+        # owned here; a caller's evaluator is left open.
+        for owned in (evaluator, getattr(engine, "evaluator", None)):
+            if owned is not None and owned is not user_evaluator:
+                owned.close()

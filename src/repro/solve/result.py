@@ -8,11 +8,7 @@ four shapes.  :class:`SolveResult` replaces all of them: one object carrying
 the final population, the non-dominated archive (and therefore the front),
 run counters, the evaluation-budget ledger, checkpoint information and a
 free-form ``extras`` dictionary for per-solver by-products (PMO2's island
-fronts, for example).
-
-The old names are kept for one release as deprecated aliases of this class;
-importing them emits a :class:`DeprecationWarning` (see
-:mod:`repro.moo.nsga2` & friends).
+fronts, for example).  The old names were removed in 2.0.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Tests for the island-model archipelago driver."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -9,12 +8,18 @@ from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.testproblems import Schaffer
 from repro.moo.topology import AllToAllTopology, IsolatedTopology
+from tests.helpers import solve_engine
 
 
 def make_island(seed, population_size=12):
     return Island(
         NSGA2(Schaffer(), NSGA2Config(population_size=population_size), seed=seed)
     )
+
+
+def run(archipelago, generations):
+    """Drive a hand-built archipelago through ``solve()``."""
+    return solve_engine(Schaffer(), archipelago, generations)
 
 
 class TestMigrationPolicy:
@@ -49,7 +54,7 @@ class TestArchipelagoRun:
         archipelago = Archipelago(
             islands, policy=MigrationPolicy(interval=5, rate=1.0, count=2), seed=3
         )
-        result = archipelago.run(10)
+        result = run(archipelago, 10)
         assert result.generations == 10
         assert result.evaluations == sum(island.evaluations for island in islands)
         assert len(result.front) > 0
@@ -60,7 +65,7 @@ class TestArchipelagoRun:
         archipelago = Archipelago(
             islands, policy=MigrationPolicy(interval=3, rate=1.0, count=2), seed=3
         )
-        archipelago.run(9)
+        run(archipelago, 9)
         assert archipelago.migrations == 3
         assert all(island.received_migrants > 0 for island in islands)
 
@@ -72,7 +77,7 @@ class TestArchipelagoRun:
             policy=MigrationPolicy(interval=2, rate=1.0, count=2),
             seed=3,
         )
-        archipelago.run(6)
+        run(archipelago, 6)
         assert all(island.received_migrants == 0 for island in islands)
 
     def test_zero_migration_rate_sends_nothing(self):
@@ -80,13 +85,13 @@ class TestArchipelagoRun:
         archipelago = Archipelago(
             islands, policy=MigrationPolicy(interval=2, rate=0.0, count=2), seed=3
         )
-        archipelago.run(6)
+        run(archipelago, 6)
         assert all(island.received_migrants == 0 for island in islands)
 
     def test_negative_generations_rejected(self):
         archipelago = Archipelago([make_island(0)])
         with pytest.raises(ConfigurationError):
-            archipelago.run(-1)
+            run(archipelago, -1)
 
     def test_merged_archive_is_non_dominated(self):
         from repro.moo.dominance import dominates
@@ -96,7 +101,7 @@ class TestArchipelagoRun:
             policy=MigrationPolicy(interval=4, rate=0.5, count=2),
             seed=9,
         )
-        result = archipelago.run(8)
+        result = run(archipelago, 8)
         matrix = result.archive.objective_matrix()
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[0]):
@@ -115,12 +120,12 @@ class TestArchipelagoRun:
             policy=MigrationPolicy(interval=3, rate=1.0, count=2),
             seed=2,
         )
-        result = archipelago.run(6)
+        result = run(archipelago, 6)
         assert len(result.front) > 0
         assert moead_island.received_migrants > 0
 
     def test_history_is_recorded(self):
         archipelago = Archipelago([make_island(0)], topology=IsolatedTopology(1), seed=0)
-        result = archipelago.run(4)
+        result = run(archipelago, 4)
         assert len(result.history) == 4
         assert result.history[-1]["generation"] == 4

@@ -13,7 +13,7 @@ from repro.moo.dominance import (
     non_dominated_front_indices,
 )
 from repro.moo.individual import Individual, Population
-from repro.moo.problem import EvaluationResult
+from repro.problems import EvaluationResult
 
 
 def make_individual(objectives, violation=0.0):

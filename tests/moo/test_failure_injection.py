@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EvaluationError
-from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.pmo2 import PMO2, PMO2Config
-from repro.moo.problem import CountingProblem, EvaluationResult, Problem
+from repro.moo.pmo2 import PMO2Config
+from repro.problems import BudgetCounting, EvaluationResult, Problem
+from repro.solve import solve
 
 
 class FlakyProblem(Problem):
@@ -20,7 +19,7 @@ class FlakyProblem(Problem):
         self.fail_after = fail_after
         self.calls = 0
 
-    def evaluate(self, x):
+    def _evaluate_row(self, x):
         self.calls += 1
         if self.calls > self.fail_after:
             raise EvaluationError("synthetic evaluator failure")
@@ -36,7 +35,7 @@ class CliffProblem(Problem):
             n_var=2, n_obj=2, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0]
         )
 
-    def evaluate(self, x):
+    def _evaluate_row(self, x):
         arr = self.validate(x)
         scale = 1e12 if arr[0] > 0.99 else 1.0
         return EvaluationResult(objectives=np.array([arr[0] * scale, (1 - arr[0]) * scale]))
@@ -44,28 +43,24 @@ class CliffProblem(Problem):
 
 class TestEvaluatorFailures:
     def test_nsga2_propagates_evaluation_errors(self):
-        problem = FlakyProblem(fail_after=30)
-        optimizer = NSGA2(problem, NSGA2Config(population_size=16), seed=0)
         with pytest.raises(EvaluationError):
-            optimizer.run(10)
+            solve(FlakyProblem(fail_after=30), "nsga2", population_size=16, seed=0,
+                  termination=10)
 
     def test_moead_propagates_evaluation_errors(self):
-        problem = FlakyProblem(fail_after=30)
-        optimizer = MOEAD(problem, MOEADConfig(population_size=16, neighborhood_size=4), seed=0)
         with pytest.raises(EvaluationError):
-            optimizer.run(10)
+            solve(FlakyProblem(fail_after=30), "moead", population_size=16,
+                  neighborhood_size=4, seed=0, termination=10)
 
     def test_pmo2_propagates_evaluation_errors(self):
-        problem = FlakyProblem(fail_after=60)
-        pmo2 = PMO2(problem, PMO2Config(island_population_size=16, migration_interval=5), seed=0)
+        config = PMO2Config(island_population_size=16, migration_interval=5)
         with pytest.raises(EvaluationError):
-            pmo2.run(10)
+            solve(FlakyProblem(fail_after=60), "pmo2", config=config, seed=0, termination=10)
 
     def test_no_work_is_lost_before_the_failure(self):
-        problem = CountingProblem(FlakyProblem(fail_after=30))
-        optimizer = NSGA2(problem, NSGA2Config(population_size=16), seed=0)
+        problem = BudgetCounting(FlakyProblem(fail_after=30))
         with pytest.raises(EvaluationError):
-            optimizer.run(10)
+            solve(problem, "nsga2", population_size=16, seed=0, termination=10)
         # The batch-first counter ticks per *submitted* matrix: the initial
         # 16-row batch plus the offspring batch whose 15th row fails — every
         # evaluation performed is accounted for (never undercounted).
@@ -75,16 +70,14 @@ class TestEvaluatorFailures:
 
 class TestExtremeObjectives:
     def test_huge_objective_values_do_not_break_the_run(self):
-        optimizer = NSGA2(CliffProblem(), NSGA2Config(population_size=16), seed=1)
-        result = optimizer.run(5)
+        result = solve(CliffProblem(), "nsga2", population_size=16, seed=1, termination=5)
         front = result.archive.objective_matrix()
         assert np.all(np.isfinite(front))
 
     def test_archive_still_non_dominated_with_extreme_scales(self):
         from repro.moo.dominance import dominates
 
-        optimizer = NSGA2(CliffProblem(), NSGA2Config(population_size=16), seed=2)
-        result = optimizer.run(5)
+        result = solve(CliffProblem(), "nsga2", population_size=16, seed=2, termination=5)
         matrix = result.archive.objective_matrix()
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[0]):

@@ -301,12 +301,13 @@ class TestMOEADIncumbentColumns:
         warm instance (leaving old arrays behind) cannot corrupt results."""
         from repro.moo.moead import MOEAD, MOEADConfig
         from repro.moo.testproblems import ZDT1
+        from tests.helpers import solve_engine
 
-        config = MOEADConfig(population_size=10)
-        baseline = MOEAD(ZDT1(n_var=4), config=config, seed=5)
-        baseline.run(3)
-        stale = MOEAD(ZDT1(n_var=4), config=config, seed=5)
-        stale.run(2)
+        problem, config = ZDT1(n_var=4), MOEADConfig(population_size=10)
+        baseline = MOEAD(problem, config=config, seed=5)
+        solve_engine(problem, baseline, 3)
+        stale = MOEAD(problem, config=config, seed=5)
+        solve_engine(problem, stale, 2)
         stale._incumbent_F = np.full_like(stale._incumbent_F, 1e9)  # corrupt
         stale._incumbent_CV = np.full_like(stale._incumbent_CV, 1e9)
         stale.step()

@@ -7,6 +7,8 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.moead import MOEAD, MOEADConfig, uniform_weight_vectors
 from repro.moo.testproblems import DTLZ2, Schaffer, ZDT1
+from repro.solve import CallbackObserver, solve
+from tests.helpers import solve_engine
 
 
 class TestWeightVectors:
@@ -49,74 +51,69 @@ class TestConfigValidation:
             MOEADConfig(**kwargs).validate()
 
 
+def _moead(problem, generations, seed, **config):
+    """``solve()`` MOEA/D on ``problem`` with the given config fields."""
+    return solve(problem, "moead", seed=seed, termination=generations, **config)
+
+
 class TestMOEADRun:
     def test_population_size_and_generations(self):
-        optimizer = MOEAD(Schaffer(), MOEADConfig(population_size=20, neighborhood_size=5), seed=0)
-        result = optimizer.run(5)
+        result = _moead(Schaffer(), 5, 0, population_size=20, neighborhood_size=5)
         assert len(result.population) == 20
         assert result.generations == 5
 
     def test_evaluation_budget(self):
-        optimizer = MOEAD(Schaffer(), MOEADConfig(population_size=20, neighborhood_size=5), seed=0)
-        result = optimizer.run(5)
+        result = _moead(Schaffer(), 5, 0, population_size=20, neighborhood_size=5)
         # Initialization + one offspring per sub-problem per generation.
         assert result.evaluations == 20 + 20 * 5
 
     def test_negative_generations_rejected(self):
-        optimizer = MOEAD(Schaffer(), seed=0)
         with pytest.raises(ConfigurationError):
-            optimizer.run(-2)
+            _moead(Schaffer(), -2, 0)
 
     def test_ideal_point_tracks_minimum(self):
-        optimizer = MOEAD(Schaffer(), MOEADConfig(population_size=16, neighborhood_size=4), seed=1)
-        optimizer.run(5)
+        problem = Schaffer()
+        optimizer = MOEAD(problem, MOEADConfig(population_size=16, neighborhood_size=4), seed=1)
+        solve_engine(problem, optimizer, 5)
         matrix = optimizer.archive.objective_matrix()
         assert optimizer.ideal[0] <= matrix[:, 0].min() + 1e-9
         assert optimizer.ideal[1] <= matrix[:, 1].min() + 1e-9
 
     def test_converges_on_schaffer(self):
         problem = Schaffer()
-        optimizer = MOEAD(problem, MOEADConfig(population_size=30, neighborhood_size=8), seed=2)
-        result = optimizer.run(40)
+        result = _moead(problem, 40, 2, population_size=30, neighborhood_size=8)
         igd = inverted_generational_distance(
             result.archive.objective_matrix(), problem.true_front()
         )
         assert igd < 0.3
 
     def test_sbx_variation_mode_runs(self):
-        config = MOEADConfig(population_size=12, neighborhood_size=4, variation="sbx")
-        optimizer = MOEAD(ZDT1(n_var=6), config, seed=3)
-        result = optimizer.run(3)
+        result = _moead(
+            ZDT1(n_var=6), 3, 3, population_size=12, neighborhood_size=4, variation="sbx"
+        )
         assert len(result.front) > 0
 
     def test_three_objective_problem_runs(self):
-        optimizer = MOEAD(
-            DTLZ2(n_obj=3, n_var=7),
-            MOEADConfig(population_size=21, neighborhood_size=5),
-            seed=4,
-        )
-        result = optimizer.run(5)
+        result = _moead(DTLZ2(n_obj=3, n_var=7), 5, 4, population_size=21, neighborhood_size=5)
         assert result.archive.objective_matrix().shape[1] == 3
 
     def test_seed_reproducibility(self):
-        fronts = []
-        for _ in range(2):
-            optimizer = MOEAD(
-                Schaffer(), MOEADConfig(population_size=12, neighborhood_size=4), seed=11
-            )
-            fronts.append(optimizer.run(5).archive.objective_matrix())
+        fronts = [
+            _moead(Schaffer(), 5, 11, population_size=12, neighborhood_size=4)
+            .archive.objective_matrix()
+            for _ in range(2)
+        ]
         assert np.allclose(fronts[0], fronts[1])
 
 
 class TestMOEADCheckpointParity:
-    """MOEA/D now has the checkpoint/resume support the other engines had."""
+    """MOEA/D has the same checkpoint/resume support as the other engines."""
 
     def test_run_accepts_checkpoint_and_saves_on_interval(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointManager
 
         manager = CheckpointManager(tmp_path, interval=2)
-        config = MOEADConfig(population_size=12, neighborhood_size=4)
-        MOEAD(Schaffer(), config, seed=5).run(6, checkpoint=manager)
+        _moead(Schaffer(), 6, 5, population_size=12, neighborhood_size=4, checkpoint=manager)
         assert [path.name for path in manager.checkpoints()] == [
             "checkpoint-00000002.pkl",
             "checkpoint-00000004.pkl",
@@ -126,14 +123,12 @@ class TestMOEADCheckpointParity:
     def test_resume_is_bitwise_identical(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointManager
 
-        def config():
-            return MOEADConfig(population_size=12, neighborhood_size=4)
-
-        uninterrupted = MOEAD(Schaffer(), config(), seed=5).run(8)
+        config = dict(population_size=12, neighborhood_size=4)
+        uninterrupted = _moead(Schaffer(), 8, 5, **config)
 
         manager = CheckpointManager(tmp_path, interval=3)
-        MOEAD(Schaffer(), config(), seed=5).run(5, checkpoint=manager)
-        resumed = MOEAD(Schaffer(), config(), seed=5).run(8, checkpoint=manager)
+        _moead(Schaffer(), 5, 5, checkpoint=manager, **config)
+        resumed = _moead(Schaffer(), 8, 5, checkpoint=manager, **config)
 
         assert resumed.generations == 8
         assert resumed.evaluations == uninterrupted.evaluations
@@ -148,9 +143,9 @@ class TestMOEADCheckpointParity:
 
     def test_callback_runs_every_generation(self):
         generations = []
-        config = MOEADConfig(population_size=12, neighborhood_size=4)
-        MOEAD(Schaffer(), config, seed=5).run(
-            4, callback=lambda engine: generations.append(engine.generation)
+        _moead(
+            Schaffer(), 4, 5, population_size=12, neighborhood_size=4,
+            observers=[CallbackObserver(on_generation=lambda e: generations.append(e.generation))],
         )
         assert generations == [1, 2, 3, 4]
 
@@ -163,7 +158,7 @@ class TestAdaptiveNeighborhoodDefault:
         assert MOEADConfig(population_size=8).resolved_neighborhood_size() == 4
         # The programmatic API works at small populations without an explicit
         # neighborhood_size, exactly like the CLI.
-        result = MOEAD(Schaffer(), MOEADConfig(population_size=8), seed=0).run(2)
+        result = _moead(Schaffer(), 2, 0, population_size=8)
         assert result.generations == 2
 
     def test_explicit_oversized_neighborhood_still_rejected(self):

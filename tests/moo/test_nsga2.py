@@ -7,6 +7,8 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.testproblems import ConstrainedBNH, Schaffer, ZDT1
+from repro.solve import CallbackObserver, solve
+from tests.helpers import solve_engine
 
 
 class TestConfigValidation:
@@ -30,27 +32,23 @@ class TestConfigValidation:
 
 class TestNSGA2Run:
     def test_population_size_is_preserved(self):
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=20), seed=0)
-        result = optimizer.run(5)
+        result = solve(Schaffer(), "nsga2", population_size=20, seed=0, termination=5)
         assert len(result.population) == 20
         assert result.generations == 5
 
     def test_evaluation_count_matches_budget(self):
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=20), seed=0)
-        result = optimizer.run(5)
+        result = solve(Schaffer(), "nsga2", population_size=20, seed=0, termination=5)
         # Initial population + one offspring population per generation.
         assert result.evaluations == 20 * (5 + 1)
 
     def test_negative_generations_rejected(self):
-        optimizer = NSGA2(Schaffer(), seed=0)
         with pytest.raises(ConfigurationError):
-            optimizer.run(-1)
+            solve(Schaffer(), "nsga2", seed=0, termination=-1)
 
     def test_archive_members_are_non_dominated(self):
         from repro.moo.dominance import dominates
 
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=1)
-        result = optimizer.run(10)
+        result = solve(Schaffer(), "nsga2", population_size=16, seed=1, termination=10)
         matrix = result.archive.objective_matrix()
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[0]):
@@ -59,74 +57,76 @@ class TestNSGA2Run:
 
     def test_converges_towards_schaffer_front(self):
         problem = Schaffer()
-        optimizer = NSGA2(problem, NSGA2Config(population_size=40), seed=2)
-        result = optimizer.run(40)
+        result = solve(problem, "nsga2", population_size=40, seed=2, termination=40)
         front = result.archive.objective_matrix()
         igd = inverted_generational_distance(front, problem.true_front())
         assert igd < 0.2
 
     def test_seed_reproducibility(self):
-        results = []
-        for _ in range(2):
-            optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=42)
-            results.append(optimizer.run(8).archive.objective_matrix())
+        results = [
+            solve(Schaffer(), "nsga2", population_size=16, seed=42, termination=8)
+            .archive.objective_matrix()
+            for _ in range(2)
+        ]
         assert np.allclose(results[0], results[1])
 
     def test_different_seeds_differ(self):
-        a = NSGA2(ZDT1(n_var=6), NSGA2Config(population_size=16), seed=1).run(5)
-        b = NSGA2(ZDT1(n_var=6), NSGA2Config(population_size=16), seed=2).run(5)
+        a = solve(ZDT1(n_var=6), "nsga2", population_size=16, seed=1, termination=5)
+        b = solve(ZDT1(n_var=6), "nsga2", population_size=16, seed=2, termination=5)
         assert not np.allclose(
             a.population.decision_matrix(), b.population.decision_matrix()
         )
 
     def test_history_records_every_generation(self):
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=3)
-        result = optimizer.run(7)
+        result = solve(Schaffer(), "nsga2", population_size=16, seed=3, termination=7)
         assert len(result.history) == 7
         assert result.history[-1]["generation"] == 7
 
     def test_callback_invoked_each_generation(self):
         calls = []
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=3)
-        optimizer.run(4, callback=lambda opt: calls.append(opt.generation))
+        solve(
+            Schaffer(), "nsga2", population_size=16, seed=3, termination=4,
+            observers=[CallbackObserver(on_generation=lambda e: calls.append(e.generation))],
+        )
         assert calls == [1, 2, 3, 4]
 
     def test_zero_generations_returns_initial_population(self):
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=3)
-        result = optimizer.run(0)
+        result = solve(Schaffer(), "nsga2", population_size=16, seed=3, termination=0)
         assert result.generations == 0
         assert len(result.population) == 16
 
 
 class TestConstrainedOptimization:
     def test_population_becomes_mostly_feasible(self):
-        optimizer = NSGA2(ConstrainedBNH(), NSGA2Config(population_size=30), seed=4)
-        result = optimizer.run(20)
+        result = solve(ConstrainedBNH(), "nsga2", population_size=30, seed=4, termination=20)
         feasible_fraction = len(result.population.feasible()) / len(result.population)
         assert feasible_fraction > 0.8
 
 
+def _nsga2(seed, generations):
+    """A 16-individual NSGA-II on Schaffer, run for ``generations``."""
+    problem = Schaffer()
+    optimizer = NSGA2(problem, NSGA2Config(population_size=16), seed=seed)
+    solve_engine(problem, optimizer, generations)
+    return optimizer
+
+
 class TestMigrationHooks:
     def test_emigrants_are_copies_of_best(self):
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=5)
-        optimizer.run(3)
-        migrants = optimizer.emigrants(3)
+        migrants = _nsga2(5, 3).emigrants(3)
         assert len(migrants) == 3
         for migrant in migrants:
             assert migrant.rank == 0
 
     def test_immigrate_keeps_population_size_and_absorbs_migrants(self):
-        donor = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=6)
-        receiver = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=7)
-        donor.run(5)
-        receiver.run(1)
+        donor = _nsga2(6, 5)
+        receiver = _nsga2(7, 1)
         migrants = donor.emigrants(4)
         receiver.immigrate(migrants)
         assert len(receiver.population) == 16
 
     def test_immigrate_with_empty_list_is_noop(self):
-        optimizer = NSGA2(Schaffer(), NSGA2Config(population_size=16), seed=8)
-        optimizer.run(1)
+        optimizer = _nsga2(8, 1)
         before = optimizer.population.decision_matrix().copy()
         optimizer.immigrate([])
         assert np.allclose(before, optimizer.population.decision_matrix())

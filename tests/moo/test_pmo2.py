@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.pmo2 import PMO2, PMO2Config
 from repro.moo.testproblems import Schaffer, ZDT1
+from repro.solve import MaxEvaluations, solve
 
 
 class TestConfig:
@@ -42,54 +43,56 @@ class TestPaperConfiguration:
         assert pmo2.archipelago.policy.rate == pytest.approx(0.5)
 
 
+def _pmo2(problem, termination, seed, **config):
+    """``solve()`` PMO2 on ``problem`` with the given config fields."""
+    return solve(problem, "pmo2", config=PMO2Config(**config), seed=seed, termination=termination)
+
+
 class TestRun:
     def test_run_returns_merged_front(self):
-        config = PMO2Config(island_population_size=12, migration_interval=5)
-        result = PMO2(Schaffer(), config, seed=1).run(10)
+        result = _pmo2(Schaffer(), 10, 1, island_population_size=12, migration_interval=5)
         assert len(result.front) > 0
         assert result.generations == 10
         assert result.evaluations == 2 * 12 * 11  # two islands, init + 10 offspring rounds
         assert len(result.island_fronts) == 2
 
     def test_front_matrices_are_consistent(self):
-        config = PMO2Config(island_population_size=12, migration_interval=5)
-        result = PMO2(Schaffer(), config, seed=1).run(5)
+        result = _pmo2(Schaffer(), 5, 1, island_population_size=12, migration_interval=5)
         objectives = result.front_objectives()
         decisions = result.front_decisions()
         assert objectives.shape[0] == decisions.shape[0]
         assert objectives.shape[1] == 2
 
     def test_run_evaluations_budget(self):
-        config = PMO2Config(island_population_size=12, migration_interval=5)
-        result = PMO2(Schaffer(), config, seed=2).run_evaluations(500)
+        result = _pmo2(
+            Schaffer(), MaxEvaluations(500), 2, island_population_size=12, migration_interval=5
+        )
         assert result.evaluations >= 500
         # The overshoot is bounded by one generation of both islands.
         assert result.evaluations <= 500 + 2 * 2 * 12
 
     def test_run_evaluations_requires_positive_budget(self):
         with pytest.raises(ConfigurationError):
-            PMO2(Schaffer(), PMO2Config(island_population_size=12), seed=0).run_evaluations(0)
+            _pmo2(Schaffer(), MaxEvaluations(0), 0, island_population_size=12)
 
     def test_migrations_are_counted(self):
-        config = PMO2Config(island_population_size=12, migration_interval=4)
-        pmo2 = PMO2(Schaffer(), config, seed=3)
-        pmo2.run(12)
-        assert pmo2.archipelago.migrations == 3
+        result = _pmo2(Schaffer(), 12, 3, island_population_size=12, migration_interval=4)
+        assert result.migrations == 3
 
     def test_seed_reproducibility(self):
-        config = PMO2Config(island_population_size=12, migration_interval=4)
-        a = PMO2(Schaffer(), config, seed=7).run(6).front_objectives()
-        b = PMO2(Schaffer(), config, seed=7).run(6).front_objectives()
+        config = dict(island_population_size=12, migration_interval=4)
+        a = _pmo2(Schaffer(), 6, 7, **config).front_objectives()
+        b = _pmo2(Schaffer(), 6, 7, **config).front_objectives()
         assert np.allclose(np.sort(a, axis=0), np.sort(b, axis=0))
 
     def test_converges_on_zdt1(self):
         problem = ZDT1(n_var=8)
-        config = PMO2Config(island_population_size=20, migration_interval=10)
-        result = PMO2(problem, config, seed=4).run(40)
+        result = _pmo2(problem, 40, 4, island_population_size=20, migration_interval=10)
         igd = inverted_generational_distance(result.front_objectives(), problem.true_front())
         assert igd < 0.25
 
     def test_more_islands_supported(self):
-        config = PMO2Config(n_islands=3, island_population_size=10, migration_interval=5)
-        result = PMO2(Schaffer(), config, seed=5).run(5)
+        result = _pmo2(
+            Schaffer(), 5, 5, n_islands=3, island_population_size=10, migration_interval=5
+        )
         assert len(result.island_fronts) == 3

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.photosynthesis.conditions import REFERENCE_CONDITION, condition
 from repro.photosynthesis.enzymes import natural_activities
 from repro.photosynthesis.nitrogen import NATURAL_NITROGEN
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
+from repro.solve import solve
 
 
 @pytest.fixture
@@ -54,8 +54,8 @@ class TestProblemDefinition:
 
     def test_more_nitrogen_is_needed_for_more_uptake_on_the_front(self, problem):
         """A short optimization exposes the conflicting-objectives structure."""
-        optimizer = NSGA2(problem, NSGA2Config(population_size=24), seed=0)
-        front = optimizer.run(15).archive.objective_matrix()
+        result = solve(problem, "nsga2", population_size=24, seed=0, termination=15)
+        front = result.archive.objective_matrix()
         assert front.shape[0] >= 5
         reported = problem.reported_front(front)
         order = np.argsort(reported[:, 0])

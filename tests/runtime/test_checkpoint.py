@@ -1,13 +1,15 @@
 """Tests for checkpoint/resume: manager mechanics and optimizer equivalence."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.pmo2 import PMO2Config
 from repro.moo.testproblems import ZDT1
 from repro.runtime import CheckpointManager
+from repro.solve import solve
 
 
 class TestManager:
@@ -56,22 +58,42 @@ class TestManager:
         with pytest.raises(ConfigurationError):
             CheckpointManager(tmp_path, keep=0)
 
+    def test_save_fsyncs_the_payload_before_the_rename(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-def _pmo2(seed=7):
+        def fsync(descriptor):
+            calls.append(("fsync", os.fstat(descriptor).st_size))
+            real_fsync(descriptor)
+
+        def replace(source, target):
+            calls.append(("replace", os.path.basename(target)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        CheckpointManager(tmp_path).save({"answer": 42}, generation=3)
+        assert [name for name, _ in calls] == ["fsync", "replace"]
+        assert calls[0][1] > 0  # the whole pickle was written when it was synced
+        assert calls[1][1] == "checkpoint-00000003.pkl"
+
+
+def _pmo2(generations, **kwargs):
     config = PMO2Config(island_population_size=8, migration_interval=3)
-    return PMO2(ZDT1(n_var=6), config, seed=seed)
+    return solve(ZDT1(n_var=6), "pmo2", config=config, seed=7, termination=generations,
+                 **kwargs)
 
 
 class TestPMO2Resume:
     def test_killed_run_resumes_to_identical_archive(self, tmp_path):
-        baseline = _pmo2().run(12)
+        baseline = _pmo2(12)
 
         # Simulate a run killed at generation 7 (checkpoints land at 4).
         manager = CheckpointManager(tmp_path, interval=4)
-        _pmo2().run(7, checkpoint=manager)
+        _pmo2(7, checkpoint=manager)
         assert manager.latest() is not None
 
-        resumed = _pmo2().run(12, checkpoint=manager)
+        resumed = _pmo2(12, checkpoint=manager)
         assert resumed.generations == 12
         assert np.array_equal(
             baseline.front_objectives(), resumed.front_objectives()
@@ -81,20 +103,20 @@ class TestPMO2Resume:
 
     def test_completed_run_does_not_rerun(self, tmp_path):
         manager = CheckpointManager(tmp_path, interval=4)
-        first = _pmo2().run(8, checkpoint=manager)
-        again = _pmo2().run(8, checkpoint=manager)
+        first = _pmo2(8, checkpoint=manager)
+        again = _pmo2(8, checkpoint=manager)
         assert again.generations == 8
         assert np.array_equal(first.front_objectives(), again.front_objectives())
 
     def test_checkpoint_dir_convenience_knob(self, tmp_path):
-        result = _pmo2().run(6, checkpoint_dir=str(tmp_path), checkpoint_interval=3)
+        result = _pmo2(6, checkpoint_dir=str(tmp_path), checkpoint_interval=3)
         assert result.generations == 6
         assert any(path.name.startswith("checkpoint-") for path in tmp_path.iterdir())
 
     def test_resumed_ledger_keeps_counting(self, tmp_path):
         manager = CheckpointManager(tmp_path, interval=3)
-        partial = _pmo2().run(3, checkpoint=manager)
-        resumed = _pmo2().run(6, checkpoint=manager)
+        partial = _pmo2(3, checkpoint=manager)
+        resumed = _pmo2(6, checkpoint=manager)
         assert resumed.ledger is not None
         assert resumed.ledger.total_evaluations > partial.ledger.total_evaluations
 
@@ -102,12 +124,15 @@ class TestPMO2Resume:
 class TestNSGA2Resume:
     def test_killed_run_resumes_to_identical_archive(self, tmp_path):
         problem = ZDT1(n_var=6)
-        config = NSGA2Config(population_size=8)
-        baseline = NSGA2(problem, config, seed=3).run(10)
 
+        def nsga2(generations, **kwargs):
+            return solve(problem, "nsga2", population_size=8, seed=3,
+                         termination=generations, **kwargs)
+
+        baseline = nsga2(10)
         manager = CheckpointManager(tmp_path, interval=4)
-        NSGA2(problem, config, seed=3).run(6, checkpoint=manager)
-        resumed = NSGA2(problem, config, seed=3).run(10, checkpoint=manager)
+        nsga2(6, checkpoint=manager)
+        resumed = nsga2(10, checkpoint=manager)
 
         assert resumed.generations == 10
         assert np.array_equal(

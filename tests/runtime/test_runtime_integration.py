@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.designer import RobustPathwayDesigner
-from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.pmo2 import PMO2Config
 from repro.moo.robustness import (
     RobustnessSettings,
     front_yields,
@@ -15,6 +13,7 @@ from repro.moo.robustness import (
 )
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime import ProcessPoolEvaluator, build_evaluator
+from repro.solve import solve
 
 
 def _zdt1_f1(x):
@@ -49,51 +48,50 @@ def test_runtime_imports_standalone():
         assert completed.returncode == 0, completed.stderr
 
 
+def _pmo2(problem, seed, generations, **kwargs):
+    config = PMO2Config(island_population_size=8, migration_interval=3)
+    return solve(problem, "pmo2", config=config, seed=seed, termination=generations, **kwargs)
+
+
 class TestPooledDeterminism:
     def test_pmo2_pool_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
-        config = dict(island_population_size=8, migration_interval=3)
-        serial = PMO2(problem, PMO2Config(**config), seed=11).run(6)
-        with PMO2(problem, PMO2Config(**config, n_workers=2), seed=11) as pooled_pmo2:
-            pooled = pooled_pmo2.run(6)
+        serial = _pmo2(problem, 11, 6)
+        pooled = _pmo2(problem, 11, 6, n_workers=2)
         assert np.array_equal(serial.front_objectives(), pooled.front_objectives())
         assert np.array_equal(serial.front_decisions(), pooled.front_decisions())
         assert serial.evaluations == pooled.evaluations
 
     def test_pmo2_cache_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
-        config = dict(island_population_size=8, migration_interval=3)
-        serial = PMO2(problem, PMO2Config(**config), seed=11).run(6)
-        cached = PMO2(
-            problem, PMO2Config(**config, cache_evaluations=True), seed=11
-        ).run(6)
+        serial = _pmo2(problem, 11, 6)
+        cached = _pmo2(problem, 11, 6, cache=True)
         assert np.array_equal(serial.front_objectives(), cached.front_objectives())
         assert cached.ledger.total_cache_hits > 0
 
     def test_nsga2_pool_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
-        config = NSGA2Config(population_size=8)
-        serial = NSGA2(problem, config, seed=5).run(6)
+        serial = solve(problem, "nsga2", population_size=8, seed=5, termination=6)
         with build_evaluator(n_workers=2) as evaluator:
-            pooled = NSGA2(problem, config, seed=5, evaluator=evaluator).run(6)
+            pooled = solve(problem, "nsga2", population_size=8, seed=5, termination=6,
+                           evaluator=evaluator)
         assert np.array_equal(
             serial.archive.objective_matrix(), pooled.archive.objective_matrix()
         )
 
     def test_moead_pool_matches_serial_bitwise(self):
         problem = ZDT1(n_var=6)
-        config = MOEADConfig(population_size=8, neighborhood_size=4)
-        serial = MOEAD(problem, config, seed=5).run(4)
+        config = dict(population_size=8, neighborhood_size=4)
+        serial = solve(problem, "moead", seed=5, termination=4, **config)
         with ProcessPoolEvaluator(n_workers=2) as evaluator:
-            pooled = MOEAD(problem, config, seed=5, evaluator=evaluator).run(4)
+            pooled = solve(problem, "moead", seed=5, termination=4, evaluator=evaluator,
+                           **config)
         assert np.array_equal(
             serial.archive.objective_matrix(), pooled.archive.objective_matrix()
         )
 
     def test_pmo2_result_carries_ledger(self):
-        result = PMO2(
-            Schaffer(), PMO2Config(island_population_size=8, migration_interval=3), seed=1
-        ).run(4)
+        result = _pmo2(Schaffer(), 1, 4)
         assert result.ledger is not None
         assert result.ledger.total_evaluations == result.evaluations
         assert result.ledger.phases["optimize"].wall_clock > 0.0

@@ -107,6 +107,19 @@ class TestErrorMapping:
             list(service.stream("000999-nope"))
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [("abc", 400), ("-5", 400), (str((1 << 20) + 1), 413)],
+    )
+    def test_bad_content_length_is_refused(self, service, content_length, status):
+        import socket
+
+        head = "POST /jobs HTTP/1.1\r\nContent-Length: %s\r\n\r\n" % content_length
+        with socket.create_connection((service.host, service.port), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1"))
+            status_line = sock.makefile("rb").readline().decode("latin-1")
+        assert status_line.split()[1] == str(status)
+
 
 class TestDurability:
     def test_submitted_jobs_survive_into_a_new_server(self, tmp_path):

@@ -1,21 +1,19 @@
 """Tests of the generic ``solve()`` driver, solver registry and run events.
 
-The acceptance contract of the solver-API redesign: all four engines run
-through one code path, return a :class:`SolveResult`, stay bitwise identical
-to the engines' own ``run()`` loops, stream events to observers, and share
-uniform checkpoint/evaluator support (MOEA/D included).
+The acceptance contract of the solver API: all four engines run through one
+code path, return a :class:`SolveResult` with an evaluation ledger, stream
+events to observers, and share uniform checkpoint/evaluator support (MOEA/D
+included).
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.archipelago import Archipelago, ArchipelagoConfig
 from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.nsga2 import NSGA2Config
 from repro.moo.testproblems import Schaffer, ZDT1
-from repro.runtime.evaluator import build_evaluator
+from repro.runtime.evaluator import ProcessPoolEvaluator, build_evaluator
 from repro.solve import (
     CallbackObserver,
     MaxEvaluations,
@@ -107,49 +105,7 @@ class TestOneCodePath:
 
 
 class TestEngineParity:
-    """solve() is bitwise identical to the engines' own run() loops."""
-
-    def test_nsga2_parity(self):
-        engine = NSGA2(Schaffer(), NSGA2Config(population_size=8), seed=3).run(5)
-        unified = solve(Schaffer(), "nsga2", seed=3, population_size=8,
-                        termination=MaxGenerations(5))
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
-
-    def test_moead_parity(self):
-        config = MOEADConfig(population_size=8, neighborhood_size=4)
-        engine = MOEAD(Schaffer(), config, seed=3).run(5)
-        unified = solve(
-            Schaffer(), "moead", seed=3,
-            config=MOEADConfig(population_size=8, neighborhood_size=4),
-            termination=MaxGenerations(5),
-        )
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
-
-    def test_pmo2_parity(self):
-        def config():
-            return PMO2Config(island_population_size=8, migration_interval=2)
-
-        engine = PMO2(Schaffer(), config(), seed=3).run(5)
-        unified = solve(Schaffer(), "pmo2", seed=3, config=config(),
-                        termination=MaxGenerations(5))
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
-        assert unified.migrations == engine.migrations
-
-    def test_archipelago_parity(self):
-        def build():
-            return Archipelago.from_config(
-                Schaffer(),
-                ArchipelagoConfig(island_population_size=8, migration_interval=2),
-                seed=3,
-            )
-
-        engine = build().run(5)
-        unified = solve(
-            Schaffer(), "archipelago", seed=3,
-            config=ArchipelagoConfig(island_population_size=8, migration_interval=2),
-            termination=MaxGenerations(5),
-        )
-        assert np.array_equal(engine.front_objectives(), unified.front_objectives())
+    """solve() performs exactly the engine's initialize-and-step sequence."""
 
     def test_max_evaluations_matches_manual_budget_loop(self):
         config = MOEADConfig(population_size=8, neighborhood_size=4)
@@ -182,6 +138,35 @@ class TestSolveResult:
                        island_population_size=8, migration_interval=2)
         assert result.ledger is not None
         assert result.ledger.total_evaluations == result.evaluations
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_engine_returns_a_ledger_fresh_and_resumed(self, algorithm, tmp_path):
+        overrides = ALGORITHMS[algorithm]
+        fresh = solve(Schaffer(), algorithm, seed=9, termination=5, **overrides)
+        assert fresh.ledger.total_evaluations == fresh.evaluations
+        solve(Schaffer(), algorithm, seed=9, termination=5,
+              checkpoint_dir=tmp_path, checkpoint_interval=2, **overrides)
+        resumed = solve(Schaffer(), algorithm, seed=9, termination=8,
+                        checkpoint_dir=tmp_path, checkpoint_interval=2, **overrides)
+        assert resumed.checkpoint.restored_generation == 4
+        assert resumed.ledger.total_evaluations == resumed.evaluations
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_no_worker_pool_survives_the_solve(self, algorithm, tmp_path, monkeypatch):
+        used = []
+        ensure_pool = ProcessPoolEvaluator._ensure_pool
+
+        def tracking(evaluator, problem):
+            used.append(evaluator)
+            return ensure_pool(evaluator, problem)
+
+        monkeypatch.setattr(ProcessPoolEvaluator, "_ensure_pool", tracking)
+        overrides = ALGORITHMS[algorithm]
+        for generations in (4, 6):  # the second solve resumes from generation 4
+            solve(Schaffer(), algorithm, seed=9, termination=generations, n_workers=2,
+                  checkpoint_dir=tmp_path, checkpoint_interval=2, **overrides)
+        assert used
+        assert all(evaluator._pool is None for evaluator in used)
 
     def test_history_records_every_generation(self):
         result = solve(Schaffer(), "nsga2", seed=1, population_size=8, termination=4)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.solve import (
     AllOf,
@@ -174,7 +173,7 @@ class TestHypervolumeStagnation:
 
     def test_fronts_at_stop_are_deterministic(self):
         """Same seed, same criterion: the early-stopped front is bitwise stable,
-        and identical to the plain engine run of the same length."""
+        and identical to the fixed-budget run of the same length."""
         def run_once():
             stagnation = HypervolumeStagnation(patience=10, tolerance=1e-3)
             return solve(
@@ -185,13 +184,12 @@ class TestHypervolumeStagnation:
         first, second = run_once(), run_once()
         assert first.generations == second.generations
         assert np.array_equal(first.front_objectives(), second.front_objectives())
-        # The stopped run equals the fixed-budget engine run of that length.
-        engine_result = NSGA2(
-            ZDT1(n_var=6), NSGA2Config(population_size=16), seed=0
-        ).run(first.generations)
-        assert np.array_equal(
-            first.front_objectives(), engine_result.front_objectives()
+        # The stopped run equals the fixed-budget run of that length.
+        fixed = solve(
+            ZDT1(n_var=6), "nsga2", seed=0, population_size=16,
+            termination=MaxGenerations(first.generations),
         )
+        assert np.array_equal(first.front_objectives(), fixed.front_objectives())
 
     def test_reset_forgets_tracked_state(self):
         stagnation = HypervolumeStagnation(patience=2, tolerance=0.5)
