@@ -797,9 +797,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if front.size:
             rows.append(["hypervolume", hypervolume(front)])
         print(format_table(["quantity", "value"], rows))
-        if result.ledger is not None:
-            print()
-            print(result.ledger.summary(timing=args.timing))
+        print()
+        print(result.ledger.summary(timing=args.timing))
     if args.front_json is not None:
         payload = front_payload(
             result.front_objectives(),
@@ -971,19 +970,20 @@ def _downsample(rows: list, limit: int) -> list:
     return [rows[index] for index in indices]
 
 
-def _cache_rate_rows(counters: dict) -> list:
-    """Derive per-level cache hit-rate table rows from recorded counters.
+def _cache_rate_rows(ledger: dict) -> list:
+    """Derive per-level cache hit-rate table rows from a ``ledger.json`` dict.
 
     Returns one row per cache level (in-memory, then disk) for which the run
     recorded any lookups, and an empty list when evaluation caching was off.
     """
+    phases = ledger.get("phases", {}).values()
     rows = []
     for label, hits_key, misses_key in (
-        ("memory", "evaluator.cache_hits", "evaluator.cache_misses"),
-        ("disk", "evaluator.disk_hits", "evaluator.disk_misses"),
+        ("memory", "cache_hits", "cache_misses"),
+        ("disk", "disk_hits", "disk_misses"),
     ):
-        hits = int(counters.get(hits_key, 0))
-        misses = int(counters.get(misses_key, 0))
+        hits = sum(int(phase.get(hits_key, 0)) for phase in phases)
+        misses = sum(int(phase.get(misses_key, 0)) for phase in phases)
         if hits or misses:
             rows.append([label, hits, misses, "%.1f %%" % (100.0 * hits / (hits + misses))])
     return rows
@@ -1042,6 +1042,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             dumps_json(
                 {
                     "metrics": data.metrics,
+                    "ledger": data.ledger,
                     "timeseries": _downsample(data.timeseries, args.series),
                 }
             )
@@ -1079,7 +1080,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(format_table(["histogram", "count", "mean"], rows))
     if not (counters or gauges or histograms):
         print("no metrics recorded")
-    cache_rows = _cache_rate_rows(counters)
+    cache_rows = _cache_rate_rows(data.ledger)
     if cache_rows:
         print()
         print("cache:")

@@ -37,6 +37,7 @@ from repro.moo.topology import AllToAllTopology, Topology, topology_from_name
 from repro.moo.validation import check_at_least, check_choice, check_probability
 from repro.obs.trace import get_tracer
 from repro.problems.base import Problem
+from repro.runtime.evaluator import SerialEvaluator
 
 __all__ = [
     "MigrationPolicy",
@@ -190,10 +191,11 @@ class Archipelago:
     seed:
         Seed of the generator that draws the per-edge migration coin flips.
     evaluator:
-        Optional shared :class:`~repro.runtime.evaluator.Evaluator` installed
-        on every island optimizer that accepts one, so the whole archipelago
-        fans its evaluation batches out over one worker pool (and shares one
-        memoization cache).
+        Shared :class:`~repro.runtime.evaluator.Evaluator` installed on every
+        island optimizer (a fresh
+        :class:`~repro.runtime.evaluator.SerialEvaluator` by default), so the
+        whole archipelago fans its evaluation batches out over one worker
+        pool, shares one memoization cache and counts into one ledger.
     """
 
     def __init__(
@@ -207,10 +209,9 @@ class Archipelago:
         if not islands:
             raise ConfigurationError("an archipelago needs at least one island")
         self.islands = list(islands)
-        if evaluator is not None:
-            for island in self.islands:
-                if hasattr(island.optimizer, "evaluator"):
-                    island.optimizer.evaluator = evaluator
+        evaluator = evaluator if evaluator is not None else SerialEvaluator()
+        for island in self.islands:
+            island.optimizer.evaluator = evaluator
         self.topology = topology or AllToAllTopology(len(self.islands))
         if self.topology.n_islands != len(self.islands):
             raise ConfigurationError(
@@ -254,7 +255,6 @@ class Archipelago:
                         archive_capacity=config.archive_capacity,
                     ),
                     seed=island_seed,
-                    evaluator=evaluator,
                 )
             else:
                 optimizer = MOEAD(
@@ -264,7 +264,6 @@ class Archipelago:
                         archive_capacity=config.archive_capacity,
                     ),
                     seed=island_seed,
-                    evaluator=evaluator,
                 )
             islands.append(Island(optimizer, name="%s-%d" % (config.island_engine, i)))
         topology = topology_from_name(config.topology, config.n_islands)
@@ -274,7 +273,9 @@ class Archipelago:
             count=config.migration_count,
         )
         driver_seed = int(seeds[-1].generate_state(1)[0])
-        return cls(islands, topology=topology, policy=policy, seed=driver_seed)
+        return cls(
+            islands, topology=topology, policy=policy, seed=driver_seed, evaluator=evaluator
+        )
 
     # ------------------------------------------------------------------
     def initialize(self) -> None:
@@ -327,9 +328,9 @@ class Archipelago:
         return self._initialized
 
     @property
-    def evaluator(self) -> "Evaluator | None":
+    def evaluator(self) -> "Evaluator":
         """Evaluator the islands share (after a restore, the one restored with them)."""
-        return getattr(self.islands[0].optimizer, "evaluator", None)
+        return self.islands[0].optimizer.evaluator
 
     @property
     def evaluations(self) -> int:

@@ -303,14 +303,13 @@ class Population:
     # ------------------------------------------------------------------
     # Evaluation and views
     # ------------------------------------------------------------------
-    def evaluate(self, problem: Problem, evaluator: "Evaluator | None" = None) -> int:
+    def evaluate(self, problem: Problem, evaluator: "Evaluator") -> int:
         """Evaluate every not-yet-evaluated individual.
 
         The pending individuals are stacked into one ``(n, n_var)`` decision
-        matrix and evaluated columnar — through the given
-        :class:`~repro.runtime.evaluator.Evaluator` when provided (which may
-        fan the matrix out over worker processes or answer rows from a
-        cache), otherwise through :meth:`Problem.evaluate_matrix` in-process.
+        matrix and evaluated columnar through ``evaluator`` (which may fan
+        the matrix out over worker processes or answer rows from a cache)
+        and counted in its ledger.
 
         Returns the number of problem evaluations performed, which the
         optimizers use to track their budget.
@@ -319,10 +318,7 @@ class Population:
         if not pending:
             return 0
         X = np.vstack([individual.x for individual in pending])
-        if evaluator is None:
-            batch = problem.evaluate_matrix(X)
-        else:
-            batch = evaluator.evaluate_matrix(problem, X)
+        batch = evaluator.evaluate_matrix(problem, X)
         for index, individual in enumerate(pending):
             individual.set_evaluation(batch.result(index))
         self.invalidate_views()

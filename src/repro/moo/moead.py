@@ -32,6 +32,7 @@ from repro.moo.individual import (
 from repro.moo.operators import differential_variation, polynomial_mutation, sbx_crossover
 from repro.moo.validation import check, check_at_least, check_choice, check_probability
 from repro.problems.base import Problem
+from repro.runtime.evaluator import SerialEvaluator
 
 __all__ = ["MOEADConfig", "MOEAD", "uniform_weight_vectors"]
 
@@ -125,9 +126,10 @@ class MOEADConfig:
 class MOEAD:
     """Decomposition-based multi-objective optimizer (Tchebycheff).
 
-    ``evaluator`` optionally routes objective evaluations through a
-    :class:`~repro.runtime.evaluator.Evaluator` (process pool, cache, ...);
-    the initial population is evaluated as one batch, offspring one by one
+    ``evaluator`` routes objective evaluations through a
+    :class:`~repro.runtime.evaluator.Evaluator` (process pool, cache, ...;
+    a :class:`~repro.runtime.evaluator.SerialEvaluator` by default); the
+    initial population is evaluated as one batch, offspring one by one
     (MOEA/D's replacement is inherently sequential).
     """
 
@@ -141,7 +143,7 @@ class MOEAD:
         self.problem = problem
         self.config = config or MOEADConfig()
         self.config.validate()
-        self.evaluator = evaluator
+        self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
         self.rng = np.random.default_rng(seed)
         self.weights = uniform_weight_vectors(problem.n_obj, self.config.population_size)
         self.neighbors = self._build_neighborhoods()
@@ -207,11 +209,7 @@ class MOEAD:
 
     # ------------------------------------------------------------------
     def _evaluate(self, individual: Individual) -> None:
-        X = individual.x[None, :]
-        if self.evaluator is None:
-            batch = self.problem.evaluate_matrix(X)
-        else:
-            batch = self.evaluator.evaluate_matrix(self.problem, X)
+        batch = self.evaluator.evaluate_matrix(self.problem, individual.x[None, :])
         individual.set_evaluation(batch.result(0))
         self.evaluations += 1
 
@@ -225,10 +223,7 @@ class MOEAD:
             for _ in range(self.config.population_size)
         ]
         X = np.vstack([individual.x for individual in individuals])
-        if self.evaluator is None:
-            batch = self.problem.evaluate_matrix(X)
-        else:
-            batch = self.evaluator.evaluate_matrix(self.problem, X)
+        batch = self.evaluator.evaluate_matrix(self.problem, X)
         self.population = []
         for index, individual in enumerate(individuals):
             individual.set_evaluation(batch.result(index))

@@ -31,6 +31,7 @@ from repro.moo.operators import (
 )
 from repro.moo.validation import check_at_least, check_choice, check_even, check_probability
 from repro.problems.base import Problem
+from repro.runtime.evaluator import SerialEvaluator
 
 __all__ = ["NSGA2Config", "NSGA2"]
 
@@ -84,8 +85,9 @@ class NSGA2:
         Seed of the private random generator.
     evaluator:
         Optional :class:`~repro.runtime.evaluator.Evaluator` executing the
-        per-generation evaluation batches (process pool, cache, ...);
-        ``None`` evaluates in-process.  Results are identical either way.
+        per-generation evaluation batches (process pool, cache, ...); a
+        :class:`~repro.runtime.evaluator.SerialEvaluator` by default.
+        Results are identical either way.
     """
 
     def __init__(
@@ -98,7 +100,7 @@ class NSGA2:
         self.problem = problem
         self.config = config or NSGA2Config()
         self.config.validate()
-        self.evaluator = evaluator
+        self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
         self.rng = np.random.default_rng(seed)
         self.population: Population | None = None
         self.archive = ParetoArchive(capacity=self.config.archive_capacity)

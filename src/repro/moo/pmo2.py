@@ -82,9 +82,9 @@ class PMO2:
         Master seed; island seeds are derived from it deterministically.
     evaluator:
         Optional :class:`~repro.runtime.evaluator.Evaluator` shared by every
-        island (``None`` evaluates in-process).  Evaluator choice never
-        changes results — a pooled run is bitwise identical to a serial run
-        of the same seed.
+        island (a :class:`~repro.runtime.evaluator.SerialEvaluator` by
+        default).  Evaluator choice never changes results — a pooled run is
+        bitwise identical to a serial run of the same seed.
     """
 
     def __init__(
@@ -126,12 +126,7 @@ class PMO2:
                 archive_capacity=self.config.archive_capacity,
             )
             island_seed = int(seeds[i].generate_state(1)[0])
-            optimizer = NSGA2(
-                self.problem,
-                config=nsga_config,
-                seed=island_seed,
-                evaluator=evaluator,
-            )
+            optimizer = NSGA2(self.problem, config=nsga_config, seed=island_seed)
             islands.append(Island(optimizer, name="nsga2-%d" % i))
         topology = topology_from_name(self.config.topology, self.config.n_islands)
         policy = MigrationPolicy(
@@ -140,7 +135,9 @@ class PMO2:
             count=self.config.migration_count,
         )
         driver_seed = int(seeds[-1].generate_state(1)[0])
-        return Archipelago(islands, topology=topology, policy=policy, seed=driver_seed)
+        return Archipelago(
+            islands, topology=topology, policy=policy, seed=driver_seed, evaluator=evaluator
+        )
 
     # ------------------------------------------------------------------
     # Solver protocol (see repro.solve.api)
@@ -171,7 +168,7 @@ class PMO2:
         return self.archipelago
 
     @property
-    def evaluator(self) -> "Evaluator | None":
+    def evaluator(self) -> "Evaluator":
         """Evaluator the islands share (after a restore, the one restored with them)."""
         return self.archipelago.evaluator
 

@@ -54,8 +54,8 @@ from repro.obs.trace import (
     use_tracer,
 )
 # The telemetry layer sits *above* repro.solve (it observes solve events),
-# while trace/metrics sit *below* repro.runtime (the evaluators emit into
-# them).  Loading telemetry lazily keeps `repro.obs` importable from the
+# while trace/metrics sit *below* repro.runtime (the evaluators emit trace
+# spans).  Loading telemetry lazily keeps `repro.obs` importable from the
 # low-level instrumentation points without creating an import cycle.
 _TELEMETRY_NAMES = (
     "TRACE_NAME",

@@ -2,11 +2,12 @@
 
 The :class:`MetricsRegistry` is the numeric side of the observability layer:
 where :mod:`repro.obs.trace` answers *where did the time go*, the registry
-answers *how much work happened* — evaluations, cache hits, batch sizes,
-per-phase wall-clock.  Three metric kinds cover every signal the solve stack
-produces:
+answers *how far did the run get* — generations, migrations, checkpoints,
+front size, run rates.  Evaluations and cache hits are counted once, in the
+evaluators' :class:`~repro.runtime.ledger.EvaluationLedger`, not here.
+Three metric kinds cover every signal the solve stack produces:
 
-* :class:`Counter` — monotonically increasing totals (evaluations, batches);
+* :class:`Counter` — monotonically increasing totals (generations, migrations);
 * :class:`Gauge` — last-written values (front size, generation index);
 * :class:`Histogram` — fixed bucket boundaries chosen at creation, so two
   histograms of the same metric are mergeable bucket by bucket (batch sizes,
@@ -36,12 +37,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.ledger import EvaluationLedger
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -225,7 +223,7 @@ class MetricsRegistry:
 
     Metric getters are get-or-create, so instrumentation points never need a
     registration step; names are dotted lowercase by convention
-    (``evaluator.evaluations``, ``solve.generations``).
+    (``solve.generations``, ``solve.front_size``).
 
     Example
     -------
@@ -303,47 +301,6 @@ class MetricsRegistry:
             self.histogram(name, histogram.buckets).merge(histogram)
         return self
 
-    def record_ledger(self, ledger: "EvaluationLedger") -> "MetricsRegistry":
-        """Project an evaluation ledger's phase stats into this registry.
-
-        One counter per ledger total (``ledger.evaluations``,
-        ``ledger.cache_hits``, ``ledger.cache_misses``, ``ledger.disk_hits``,
-        ``ledger.disk_misses``, ``ledger.batches``), one gauge per phase
-        wall-clock (``ledger.phase.<name>.wall_clock``) plus per-phase
-        evaluation counters — so ``metrics.json`` subsumes ``ledger.json``
-        and downstream consumers need only one file.
-        """
-        totals = {
-            "evaluations": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "disk_hits": 0,
-            "disk_misses": 0,
-            "batches": 0,
-        }
-        for name, stats in ledger.phases.items():
-            prefix = "ledger.phase.%s" % name
-            self.counter(prefix + ".evaluations").inc(stats.evaluations)
-            self.counter(prefix + ".cache_hits").inc(stats.cache_hits)
-            self.counter(prefix + ".cache_misses").inc(stats.cache_misses)
-            self.counter(prefix + ".batches").inc(stats.batches)
-            if stats.disk_hits or stats.disk_misses:
-                self.counter(prefix + ".disk_hits").inc(stats.disk_hits)
-                self.counter(prefix + ".disk_misses").inc(stats.disk_misses)
-            self.gauge(prefix + ".wall_clock").set(stats.wall_clock)
-            for key in totals:
-                totals[key] += getattr(stats, key)
-        for key, value in totals.items():
-            if key in ("disk_hits", "disk_misses") and not (
-                totals["disk_hits"] or totals["disk_misses"]
-            ):
-                continue  # no disk level attached: keep the snapshot lean
-            self.counter("ledger." + key).inc(value)
-        self.gauge("ledger.cache_hit_rate").set(ledger.cache_hit_rate)
-        if totals["disk_hits"] or totals["disk_misses"]:
-            self.gauge("ledger.disk_hit_rate").set(ledger.disk_hit_rate)
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "MetricsRegistry(counters=%d, gauges=%d, histograms=%d)" % (
             len(self.counters),
@@ -391,9 +348,10 @@ def get_metrics() -> MetricsRegistry:
 
     A default registry is always present (counters are cheap enough to keep
     on), and :class:`repro.obs.telemetry.RunTelemetry` installs its own for
-    the duration of a recorded run so the run's ``metrics.json`` captures the
-    evaluator-level signals (batch sizes, raw counters) alongside the solve
-    event counters.
+    the duration of a recorded run so the run's ``metrics.json`` also
+    captures ``solve.observer_errors``.  Evaluations are not counted here:
+    the evaluators' :class:`~repro.runtime.ledger.EvaluationLedger` is the
+    one evaluation counter.
     """
     return _METRICS
 

@@ -3,7 +3,7 @@
 :class:`RunTelemetry` is a standard :class:`~repro.solve.events.Observer`
 that turns the solve event stream plus the tracer/metrics instrumentation
 into three files inside a run-artifact directory, next to ``manifest.json``
-and ``ledger.json``:
+and ``ledger.json`` (the run's one evaluation count):
 
 ``trace.jsonl``
     One JSON object per finished span (see :mod:`repro.obs.trace`), written
@@ -17,13 +17,13 @@ and ``ledger.json``:
     run keeps everything up to its last generation.
 ``metrics.json``
     Snapshot of the run's :class:`~repro.obs.metrics.MetricsRegistry`
-    (counters, gauges, histograms) including the projection of the
-    evaluation ledger's per-phase stats, written by :meth:`RunTelemetry.finalize`.
+    (counters, gauges, histograms), written by :meth:`RunTelemetry.finalize`.
 
 Resumed runs either *append* to the three files (the default — one run, one
 trace) or *rotate* them (``trace-1.jsonl``, ...) so each segment stands
-alone.  :func:`load_telemetry` re-hydrates a recorded directory for post-hoc
-analysis; ``repro trace`` and ``repro stats`` are CLI renderers over it.
+alone.  :func:`load_telemetry` re-hydrates a recorded directory (and its
+``ledger.json``) for post-hoc analysis; ``repro trace`` and ``repro stats``
+are CLI renderers over it.
 
 Example
 -------
@@ -83,6 +83,9 @@ TRACE_NAME = "trace.jsonl"
 METRICS_NAME = "metrics.json"
 #: File name of the per-generation convergence series artifact.
 TIMESERIES_NAME = "timeseries.csv"
+#: File name of the evaluation ledger (written by
+#: :func:`repro.core.artifacts.record_solve_run`, read back here).
+_LEDGER_NAME = "ledger.json"
 
 #: Column order of ``timeseries.csv``.
 TIMESERIES_COLUMNS = (
@@ -154,7 +157,7 @@ class RunTelemetry(Observer):
         with telemetry:
             result = solve(problem, algorithm="nsga2", seed=0,
                            termination=50, observers=[telemetry])
-            telemetry.finalize(result)   # ledger projection + run summary
+            telemetry.finalize(result)   # run summary gauges
         data = load_telemetry("runs/telemetry-demo")
     """
 
@@ -208,9 +211,8 @@ class RunTelemetry(Observer):
         if self._trace_enabled:
             self._tracer = Tracer(JsonlSink(self.directory / TRACE_NAME))
             self._previous_tracer = set_tracer(self._tracer)
-        # Install the run's registry globally so the evaluator-level
-        # instrumentation (batch counters, cache hits) lands in the same
-        # metrics.json as the solve event counters.
+        # Install the run's registry globally so solve.observer_errors, the
+        # one metric recorded outside this observer, lands in metrics.json.
         self._previous_metrics = set_metrics(self.registry)
         timeseries = self.directory / TIMESERIES_NAME
         fresh = not timeseries.exists() or timeseries.stat().st_size == 0
@@ -224,10 +226,9 @@ class RunTelemetry(Observer):
     def finalize(self, result: "SolveResult | None" = None) -> dict:
         """Write ``metrics.json`` (merging prior segments in append mode).
 
-        When ``result`` is given, its ledger's per-phase stats are projected
-        into the registry (``ledger.*`` metrics) and the run-summary gauges
-        (``run.generations``, ``run.evaluations_per_second``, ...) are set.
-        Returns the written snapshot dictionary.
+        When ``result`` is given, the run-summary gauges (``run.generations``,
+        ``run.evaluations_per_second``, ...) are set first.  Returns the
+        written snapshot dictionary.
         """
         self._finalized = True
         if result is not None:
@@ -238,27 +239,11 @@ class RunTelemetry(Observer):
                 self.registry.gauge("run.evaluations_per_second").set(
                     float(result.evaluations) / self._last_elapsed
                 )
-            if result.ledger is not None:
-                ledger_registry = MetricsRegistry().record_ledger(result.ledger)
-            else:
-                ledger_registry = None
-        else:
-            ledger_registry = None
         merged = MetricsRegistry()
         metrics_path = self.directory / METRICS_NAME
         if self.resume == "append" and metrics_path.exists():
-            previous = json.loads(metrics_path.read_text(encoding="utf-8"))
-            # The ledger travels inside checkpoints, so a resumed run's final
-            # ledger already covers earlier segments: drop the stale ledger.*
-            # projection and re-record it from the authoritative result.
-            for section in ("counters", "gauges", "histograms"):
-                entries = previous.get(section, {})
-                for name in [key for key in entries if key.startswith("ledger.")]:
-                    del entries[name]
-            merged.merge(previous)
+            merged.merge(json.loads(metrics_path.read_text(encoding="utf-8")))
         merged.merge(self.registry)
-        if ledger_registry is not None:
-            merged.merge(ledger_registry)
         snapshot = merged.snapshot()
         metrics_path.write_text(
             json.dumps(snapshot, sort_keys=True, indent=2, default=float) + "\n",
@@ -270,7 +255,7 @@ class RunTelemetry(Observer):
         """Flush files, restore the previous tracer; idempotent.
 
         Writes ``metrics.json`` if :meth:`finalize` was never called, so an
-        interrupted run still leaves a readable (if ledger-less) snapshot.
+        interrupted run still leaves a readable (if gauge-less) snapshot.
         """
         if self._closed or not self._started:
             self._closed = True
@@ -308,11 +293,6 @@ class RunTelemetry(Observer):
             self.start()
         registry = self.registry
         registry.counter("solve.generations").inc(1)
-        registry.counter("solve.evaluations").inc(int(event.evaluations_delta))
-        registry.counter("solve.cache_hits").inc(int(event.cache_hits_delta))
-        registry.histogram("solve.generation_evaluations").observe(
-            event.evaluations_delta
-        )
         self._last_elapsed = event.elapsed
         row: dict[str, Any] = {
             "generation": event.generation,
@@ -461,12 +441,17 @@ class TelemetryData:
         ``metrics.json`` snapshot dictionary (empty when absent).
     timeseries:
         ``timeseries.csv`` rows as typed dictionaries — ints for counters,
-        floats for measures, ``None`` for blank cells.
+        floats for measures, ``None`` for blank cells.  Rows a resumed
+        segment replayed appear once, from the resumed segment.
+    ledger:
+        The run's ``ledger.json`` (empty when absent): the evaluation counts
+        every reader derives from.
     """
 
     spans: list[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     timeseries: list[dict] = field(default_factory=list)
+    ledger: dict = field(default_factory=dict)
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -516,6 +501,9 @@ def load_telemetry(run_dir: str | os.PathLike) -> TelemetryData:
                     data.spans.append(json.loads(line))
     if metrics_path.exists():
         data.metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
+    ledger_path = directory / _LEDGER_NAME
+    if ledger_path.exists():
+        data.ledger = json.loads(ledger_path.read_text(encoding="utf-8"))
     if timeseries_path.exists():
         with open(timeseries_path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -527,10 +515,16 @@ def load_telemetry(run_dir: str | os.PathLike) -> TelemetryData:
                     header = cells  # a fresh header (rotated/merged segments)
                     continue
                 columns = header or list(TIMESERIES_COLUMNS)
-                data.timeseries.append(
-                    {
-                        column: _parse_cell(column, cell)
-                        for column, cell in zip(columns, cells)
-                    }
-                )
+                row = {
+                    column: _parse_cell(column, cell)
+                    for column, cell in zip(columns, cells)
+                }
+                # A resumed segment replays the generations after its
+                # checkpoint; its rows supersede the interrupted segment's.
+                while (
+                    data.timeseries
+                    and data.timeseries[-1]["generation"] >= row["generation"]
+                ):
+                    data.timeseries.pop()
+                data.timeseries.append(row)
     return data

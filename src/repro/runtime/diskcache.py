@@ -412,12 +412,11 @@ class PersistentCachedEvaluator(CachedEvaluator):
     warm-started re-solves and every worker of the serve pool pointing at the
     same cache directory short-circuit each other's work.
 
-    Accounting: ``hits``/``misses`` count the L1 exactly as in
+    Accounting, all in the evaluator's ledger: ``cache_hits`` /
+    ``cache_misses`` count the L1 exactly as in
     :class:`~repro.runtime.evaluator.CachedEvaluator`, while ``disk_hits`` /
     ``disk_misses`` count how many L1 misses the disk store resolved versus
-    forwarded to the inner evaluator.  Both pairs land in the ledger and in
-    the :mod:`repro.obs` metrics registry (``evaluator.disk_hits`` /
-    ``evaluator.disk_misses``).
+    forwarded to the inner evaluator.
 
     Parameters
     ----------
@@ -438,7 +437,7 @@ class PersistentCachedEvaluator(CachedEvaluator):
     >>> _ = first.evaluate_matrix(ZDT1(n_var=4), np.full((2, 4), 0.5))
     >>> second = PersistentCachedEvaluator(directory)  # fresh process, say
     >>> _ = second.evaluate_matrix(ZDT1(n_var=4), np.full((2, 4), 0.5))
-    >>> (second.disk_hits, second.disk_misses)
+    >>> (second.ledger.total_disk_hits, second.ledger.total_disk_misses)
     (1, 0)
     """
 
@@ -470,17 +469,13 @@ class PersistentCachedEvaluator(CachedEvaluator):
         )
 
     def stats(self) -> dict:
-        """L1 counters plus disk hit/miss counters and store statistics."""
+        """Ledger L1 and disk hit/miss counters plus store statistics."""
         combined = super().stats()
         combined.update(
             {
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-                "disk_hit_rate": (
-                    self.disk_hits / (self.disk_hits + self.disk_misses)
-                    if (self.disk_hits + self.disk_misses)
-                    else 0.0
-                ),
+                "disk_hits": self.ledger.total_disk_hits,
+                "disk_misses": self.ledger.total_disk_misses,
+                "disk_hit_rate": self.ledger.disk_hit_rate,
                 "store": self.store.stats(),
             }
         )
@@ -492,8 +487,7 @@ class PersistentCachedEvaluator(CachedEvaluator):
         self.store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "PersistentCachedEvaluator(store=%r, hits=%d, disk_hits=%d)" % (
+        return "PersistentCachedEvaluator(store=%r, inner=%r)" % (
             str(self.store.directory),
-            self.hits,
-            self.disk_hits,
+            self.inner,
         )

@@ -15,6 +15,10 @@ an :class:`Evaluator`, which decides *how* the batch is executed:
 * :class:`CachedEvaluator` — memoization on a quantized decision-vector hash
   in front of any inner evaluator, with hit/miss accounting.
 
+Every evaluator owns an :class:`~repro.runtime.ledger.EvaluationLedger`, the
+one place evaluations, batches and cache hits are counted; results, solve
+events, ``ledger.json`` and ``repro stats`` all read it.
+
 All evaluators preserve row order, so a pooled run is bitwise identical to
 a serial run of the same seed (the evaluations are pure functions of the
 decision matrix).  Evaluators are picklable — pools are dropped on pickling
@@ -33,7 +37,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.obs.metrics import BATCH_SIZE_BUCKETS, get_metrics
 from repro.obs.trace import get_tracer
 from repro.runtime import cachekeys
 from repro.runtime.ledger import EvaluationLedger
@@ -63,33 +66,16 @@ class Evaluator(abc.ABC):
     Parameters
     ----------
     ledger:
-        Optional :class:`~repro.runtime.ledger.EvaluationLedger` receiving
-        evaluation counts and cache statistics.
+        :class:`~repro.runtime.ledger.EvaluationLedger` receiving evaluation
+        counts and cache statistics; a fresh one when omitted.
     """
 
     def __init__(self, ledger: EvaluationLedger | None = None) -> None:
-        self.ledger = ledger
+        self.ledger = ledger if ledger is not None else EvaluationLedger()
 
     @abc.abstractmethod
     def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
         """Evaluate an ``(n, n_var)`` decision matrix, preserving row order."""
-
-    # ------------------------------------------------------------------
-    def _record(self, **counters) -> None:
-        if self.ledger is not None:
-            self.ledger.record(**counters)
-
-    def _observe_batch(self, rows: int) -> None:
-        """Mirror one evaluated batch into the process-global metrics registry.
-
-        The registry complements the ledger with signals the ledger does not
-        carry (a batch-size histogram); during a telemetry-recorded run the
-        registry is the one ``metrics.json`` snapshots.
-        """
-        metrics = get_metrics()
-        metrics.counter("evaluator.evaluations").inc(rows)
-        metrics.counter("evaluator.batches").inc(1)
-        metrics.histogram("evaluator.batch_size", BATCH_SIZE_BUCKETS).observe(rows)
 
     def close(self) -> None:
         """Release any held resources (worker pools); idempotent."""
@@ -109,8 +95,7 @@ class SerialEvaluator(Evaluator):
         with get_tracer().span("evaluator.batch", evaluator="serial") as span:
             batch = problem.evaluate_matrix(X)
             span.set(rows=len(batch))
-        self._record(evaluations=len(batch), batches=1)
-        self._observe_batch(len(batch))
+        self.ledger.record(evaluations=len(batch), batches=1)
         return batch
 
 
@@ -153,7 +138,7 @@ class ProcessPoolEvaluator(Evaluator):
         ``multiprocessing`` start method; defaults to ``"fork"`` where
         available (cheapest on Linux) and the platform default elsewhere.
     ledger:
-        Optional shared ledger.
+        Optional shared ledger (a fresh one by default).
 
     Notes
     -----
@@ -246,8 +231,7 @@ class ProcessPoolEvaluator(Evaluator):
         with get_tracer().span("evaluator.batch", evaluator="pool-serial-fallback") as span:
             batch = problem.evaluate_matrix(X)
             span.set(rows=len(batch))
-        self._record(evaluations=len(batch), batches=1)
-        self._observe_batch(len(batch))
+        self.ledger.record(evaluations=len(batch), batches=1)
         return batch
 
     def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
@@ -278,8 +262,7 @@ class ProcessPoolEvaluator(Evaluator):
                 return self._serial(problem, X)
             batch = BatchEvaluation.concat(chunk_batches)
             span.set(rows=len(batch))
-        self._record(evaluations=len(batch), batches=1)
-        self._observe_batch(len(batch))
+        self.ledger.record(evaluations=len(batch), batches=1)
         return batch
 
     # ------------------------------------------------------------------
@@ -366,10 +349,6 @@ class CachedEvaluator(Evaluator):
             raise ConfigurationError("max_entries must be positive")
         self.decimals = int(decimals)
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
         #: key -> (objectives row, violations row, info dict) per-row entry.
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, dict]] = {}
         self._problem: "Problem | None" = None
@@ -393,8 +372,8 @@ class CachedEvaluator(Evaluator):
         """L2 lookup hook: entries found behind the in-memory cache.
 
         The base evaluator has no second layer and returns ``None`` (which
-        also keeps the ``disk_*`` counters untouched — distinct from ``{}``,
-        an L2 that was consulted and missed everything).
+        also keeps the ledger's ``disk_*`` counters untouched — distinct from
+        ``{}``, an L2 that was consulted and missed everything).
         """
         return None
 
@@ -474,22 +453,12 @@ class CachedEvaluator(Evaluator):
             self._disk_store(fresh_entries)
         if pending:
             self._evict()
-        self.hits += hits
-        self.misses += len(pending)
-        self.disk_hits += disk_hits
-        self.disk_misses += disk_misses
-        self._record(
+        self.ledger.record(
             cache_hits=hits,
             cache_misses=len(pending),
             disk_hits=disk_hits,
             disk_misses=disk_misses,
         )
-        metrics = get_metrics()
-        metrics.counter("evaluator.cache_hits").inc(hits)
-        metrics.counter("evaluator.cache_misses").inc(len(pending))
-        if disk_hits or disk_misses:
-            metrics.counter("evaluator.disk_hits").inc(disk_hits)
-            metrics.counter("evaluator.disk_misses").inc(disk_misses)
         # Stacking copies the cached rows, so the returned batch is isolated.
         F = np.vstack([entry[0] for entry in rows])  # type: ignore[index]
         G = np.vstack([entry[1] for entry in rows])  # type: ignore[index]
@@ -501,18 +470,12 @@ class CachedEvaluator(Evaluator):
         return BatchEvaluation(F=F, G=G, info=info)
 
     # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
     def stats(self) -> dict:
-        """Hit/miss counters in a plain dictionary."""
+        """The ledger's hit/miss counters and the entry count in a plain dictionary."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
+            "hits": self.ledger.total_cache_hits,
+            "misses": self.ledger.total_cache_misses,
+            "hit_rate": self.ledger.cache_hit_rate,
             "entries": len(self._cache),
         }
 
@@ -524,11 +487,7 @@ class CachedEvaluator(Evaluator):
         self.inner.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "CachedEvaluator(hits=%d, misses=%d, inner=%r)" % (
-            self.hits,
-            self.misses,
-            self.inner,
-        )
+        return "CachedEvaluator(entries=%d, inner=%r)" % (len(self._cache), self.inner)
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,15 @@ class EvaluationLedger:
         return sum(stats.cache_hits for stats in self.phases.values())
 
     @property
+    def total_cache_misses(self) -> int:
+        """Memoization misses across every phase."""
+        return sum(stats.cache_misses for stats in self.phases.values())
+
+    @property
     def cache_hit_rate(self) -> float:
         """Hits over cache lookups (0.0 when nothing went through a cache)."""
-        hits = self.total_cache_hits
-        lookups = hits + sum(stats.cache_misses for stats in self.phases.values())
-        return hits / lookups if lookups else 0.0
+        lookups = self.total_cache_hits + self.total_cache_misses
+        return self.total_cache_hits / lookups if lookups else 0.0
 
     @property
     def total_disk_hits(self) -> int:
@@ -165,11 +169,15 @@ class EvaluationLedger:
         return sum(stats.disk_hits for stats in self.phases.values())
 
     @property
+    def total_disk_misses(self) -> int:
+        """Persistent-cache misses across every phase."""
+        return sum(stats.disk_misses for stats in self.phases.values())
+
+    @property
     def disk_hit_rate(self) -> float:
         """Disk hits over disk lookups (0.0 when no persistent cache ran)."""
-        hits = self.total_disk_hits
-        lookups = hits + sum(stats.disk_misses for stats in self.phases.values())
-        return hits / lookups if lookups else 0.0
+        lookups = self.total_disk_hits + self.total_disk_misses
+        return self.total_disk_hits / lookups if lookups else 0.0
 
     def as_dict(self) -> dict:
         """Nested plain-dictionary view of every phase plus totals."""
@@ -222,7 +230,7 @@ class EvaluationLedger:
             "total",
             self.total_evaluations,
             self.total_cache_hits,
-            sum(stats.cache_misses for stats in self.phases.values()),
+            self.total_cache_misses,
         )
         if timing:
             total += " %10s" % "-"
@@ -230,10 +238,7 @@ class EvaluationLedger:
         lines.append("cache hit rate: %.1f %%" % (100.0 * self.cache_hit_rate))
         # The disk line only appears when a persistent cache actually ran, so
         # the (pinned) plain-run rendering above stays byte-stable.
-        disk_lookups = self.total_disk_hits + sum(
-            stats.disk_misses for stats in self.phases.values()
-        )
-        if disk_lookups:
+        if self.total_disk_hits or self.total_disk_misses:
             lines.append("disk hit rate: %.1f %%" % (100.0 * self.disk_hit_rate))
         return "\n".join(lines)
 

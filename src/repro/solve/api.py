@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
@@ -60,15 +59,16 @@ __all__ = ["Solver", "solve"]
 class Solver(Protocol):
     """Structural contract every engine satisfies (duck-typed, checkable).
 
-    The generic :func:`solve` loop only ever touches this surface; anything
-    engine-specific (island fronts, ledgers) is returned through
-    :meth:`result`'s ``extras``.  ``isinstance(engine, Solver)`` performs a
-    structural check, so third-party optimizers plug in without inheriting
-    from anything.
+    The generic :func:`solve` loop only ever touches this surface; the run's
+    ledger is read from ``evaluator``, and anything engine-specific (island
+    fronts) is returned through :meth:`result`'s ``extras``.
+    ``isinstance(engine, Solver)`` performs a structural check, so
+    third-party optimizers plug in without inheriting from anything.
     """
 
     generation: int
     evaluations: int
+    evaluator: "Evaluator"
 
     @property
     def is_initialized(self) -> bool:
@@ -146,7 +146,7 @@ def _drive(
     checkpoint: CheckpointManager | None,
     target: Any,
     info: CheckpointInfo | None,
-    ledger: EvaluationLedger | None,
+    ledger: EvaluationLedger,
     initial_population: Any,
 ) -> list[dict]:
     """The generic initialize-and-step loop; returns the per-generation history.
@@ -177,7 +177,7 @@ def _drive(
         if termination.should_stop(progress):
             break
         evaluations_before = engine.evaluations
-        hits_before = ledger.total_cache_hits if ledger is not None else 0
+        hits_before = ledger.total_cache_hits
         migrations_before = getattr(engine, "migrations", 0)
         with tracer.span("solve.generation") as span:
             engine.step()
@@ -192,9 +192,7 @@ def _drive(
             elapsed=elapsed,
             front_factory=engine.pareto_front,
             evaluations_delta=engine.evaluations - evaluations_before,
-            cache_hits_delta=(
-                ledger.total_cache_hits - hits_before if ledger is not None else 0
-            ),
+            cache_hits_delta=ledger.total_cache_hits - hits_before,
         )
         history.append(
             {
@@ -369,12 +367,8 @@ def solve(
                 )
             # Read after the restore: a resumed engine evaluates through the
             # evaluator, and so the ledger, that travelled in its checkpoint.
-            ledger = getattr(getattr(engine, "evaluator", None), "ledger", None)
-            with (
-                ledger.phase("optimize", only_if_idle=True)
-                if ledger is not None
-                else nullcontext()
-            ):
+            ledger = engine.evaluator.ledger
+            with ledger.phase("optimize", only_if_idle=True):
                 history = _drive(
                     engine,
                     stopping,
@@ -390,12 +384,11 @@ def solve(
         result.history = history
         result.checkpoint = info
         result.design_space = problem.space.as_dict()
-        if result.ledger is None:
-            result.ledger = ledger
+        result.ledger = ledger
         return result
     finally:
         # The built evaluator and any evaluator a restore brought back are
         # owned here; a caller's evaluator is left open.
-        for owned in (evaluator, getattr(engine, "evaluator", None)):
-            if owned is not None and owned is not user_evaluator:
+        for owned in (evaluator, engine.evaluator):
+            if owned is not user_evaluator:
                 owned.close()

@@ -185,4 +185,5 @@ class TestConstantParity:
 
         assert artifacts._TRACE_NAME == telemetry.TRACE_NAME
         assert artifacts._METRICS_NAME == telemetry.METRICS_NAME
+        assert artifacts._LEDGER_NAME == telemetry._LEDGER_NAME
         assert artifacts._TIMESERIES_NAME == telemetry.TIMESERIES_NAME

@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.individual import Individual, Population
 from repro.problems import EvaluationResult
 from repro.moo.testproblems import Schaffer
+from repro.runtime.evaluator import SerialEvaluator
 
 
 class TestIndividual:
@@ -61,8 +62,10 @@ class TestPopulation:
     def test_evaluate_only_touches_unevaluated(self):
         problem = Schaffer()
         population = Population.random(problem, 4, np.random.default_rng(0))
-        assert population.evaluate(problem) == 4
-        assert population.evaluate(problem) == 0
+        evaluator = SerialEvaluator()
+        assert population.evaluate(problem, evaluator) == 4
+        assert population.evaluate(problem, evaluator) == 0
+        assert evaluator.ledger.total_evaluations == 4
 
     def test_objective_matrix_requires_evaluation(self):
         population = Population.from_vectors([np.array([0.5])])
@@ -72,7 +75,7 @@ class TestPopulation:
     def test_matrices_have_expected_shapes(self):
         problem = Schaffer()
         population = Population.random(problem, 6, np.random.default_rng(1))
-        population.evaluate(problem)
+        population.evaluate(problem, SerialEvaluator())
         assert population.objective_matrix().shape == (6, 2)
         assert population.decision_matrix().shape == (6, 1)
         assert population.violations().shape == (6,)
@@ -99,7 +102,7 @@ class TestPopulation:
     def test_best_by_objective(self):
         problem = Schaffer()
         population = Population.random(problem, 12, np.random.default_rng(2))
-        population.evaluate(problem)
+        population.evaluate(problem, SerialEvaluator())
         best = population.best_by_objective(0)
         values = population.objective_matrix()[:, 0]
         assert best.objectives[0] == pytest.approx(values.min())

@@ -15,6 +15,7 @@ from repro.moo.operators import (
     uniform_initialization,
 )
 from repro.moo.testproblems import ZDT1, Schaffer
+from repro.runtime.evaluator import SerialEvaluator
 
 LOWER = np.zeros(5)
 UPPER = np.ones(5)
@@ -105,7 +106,7 @@ class TestTournament:
         problem = Schaffer()
         rng = np.random.default_rng(0)
         population = Population.random(problem, 16, rng)
-        population.evaluate(problem)
+        population.evaluate(problem, SerialEvaluator())
         assign_ranks_and_crowding(population)
         winners = [binary_tournament(population, rng) for _ in range(100)]
         mean_winner_rank = np.mean([w.rank for w in winners])
@@ -116,7 +117,7 @@ class TestTournament:
         problem = Schaffer()
         rng = np.random.default_rng(0)
         population = Population.random(problem, 4, rng)
-        population.evaluate(problem)
+        population.evaluate(problem, SerialEvaluator())
         with pytest.raises(ConfigurationError):
             binary_tournament(population, rng)
 

@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     registry_from_snapshot,
     use_metrics,
 )
-from repro.runtime.ledger import EvaluationLedger
 
 
 class TestMetricKinds:
@@ -120,22 +119,6 @@ class TestSnapshots:
         assert clone.snapshot() == registry.snapshot()
 
 
-class TestLedgerProjection:
-    def test_record_ledger_projects_phases_and_totals(self):
-        ledger = EvaluationLedger()
-        with ledger.phase("optimize"):
-            ledger.record(evaluations=20, cache_hits=5, cache_misses=15, batches=2)
-        with ledger.phase("robustness"):
-            ledger.record(evaluations=10, batches=1)
-        registry = MetricsRegistry().record_ledger(ledger)
-        assert registry.counter("ledger.evaluations").value == 30
-        assert registry.counter("ledger.cache_hits").value == 5
-        assert registry.counter("ledger.phase.optimize.evaluations").value == 20
-        assert registry.counter("ledger.phase.robustness.batches").value == 1
-        assert registry.gauge("ledger.cache_hit_rate").value == pytest.approx(0.25)
-        assert registry.gauge("ledger.phase.optimize.wall_clock").value >= 0.0
-
-
 class TestGlobalRegistry:
     def test_use_metrics_installs_and_restores(self):
         registry = MetricsRegistry()
@@ -144,18 +127,3 @@ class TestGlobalRegistry:
             get_metrics().counter("scoped").inc()
         assert get_metrics() is before
         assert registry.counter("scoped").value == 1
-
-    def test_evaluators_record_into_the_installed_registry(self):
-        from repro.moo.testproblems import Schaffer
-        from repro.runtime.evaluator import CachedEvaluator
-        import numpy as np
-
-        registry = MetricsRegistry()
-        problem = Schaffer()
-        X = np.array([[0.5], [0.5], [1.5]])
-        with use_metrics(registry):
-            CachedEvaluator().evaluate_matrix(problem, X)
-        assert registry.counter("evaluator.evaluations").value == 2  # deduplicated
-        assert registry.counter("evaluator.cache_hits").value == 1
-        assert registry.counter("evaluator.cache_misses").value == 2
-        assert registry.histogram("evaluator.batch_size").count == 1

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.artifacts import record_solve_run
 from repro.exceptions import ConfigurationError
 from repro.moo.testproblems import Schaffer
 from repro.obs.metrics import get_metrics
@@ -17,7 +18,7 @@ from repro.obs.telemetry import (
     load_telemetry,
 )
 from repro.obs.trace import get_tracer
-from repro.solve import solve
+from repro.solve import Observer, solve
 
 
 def _solve_with_telemetry(directory, generations, resume="append", **kwargs):
@@ -38,13 +39,15 @@ def _solve_with_telemetry(directory, generations, resume="append", **kwargs):
 
 class TestArtifacts:
     def test_recorded_run_writes_the_three_files(self, tmp_path):
-        _solve_with_telemetry(tmp_path, 4, cache=True)
+        result = _solve_with_telemetry(tmp_path, 4, cache=True)
         for name in (TRACE_NAME, METRICS_NAME, TIMESERIES_NAME):
             assert (tmp_path / name).is_file(), name
+        assert load_telemetry(tmp_path).ledger == {}  # no ledger.json yet
+        record_solve_run(tmp_path, Schaffer(), result, {})
         data = load_telemetry(tmp_path)
         assert data.metrics["counters"]["solve.generations"] == 4
-        assert data.metrics["counters"]["evaluator.evaluations"] > 0
-        assert "ledger.evaluations" in data.metrics["counters"]
+        assert data.ledger["total_evaluations"] == result.ledger.total_evaluations > 0
+        assert data.ledger["total_cache_hits"] == result.ledger.total_cache_hits
         assert [row["generation"] for row in data.timeseries] == [1, 2, 3, 4]
         assert {span["name"] for span in data.spans} >= {
             "solve.run",
@@ -118,17 +121,52 @@ class TestResume:
                            population_size=8, cache=True, observers=[telemetry],
                            checkpoint_dir=str(checkpoints), checkpoint_interval=1)
             telemetry.finalize(result)
+        record_solve_run(run_dir, Schaffer(), result, {})
         data = load_telemetry(run_dir)
         assert [row["generation"] for row in data.timeseries] == [1, 2, 3, 4, 5, 6]
         assert data.metrics["counters"]["solve.generations"] == 6
-        # The ledger travels inside checkpoints (cumulative), so the resumed
-        # segment's projection replaces the stale one instead of adding to it.
-        assert (
-            data.metrics["counters"]["ledger.evaluations"]
-            == result.ledger.total_evaluations
-        )
+        # The ledger travels inside checkpoints (cumulative), so the recorded
+        # ledger.json covers both segments exactly once.
+        assert data.ledger["total_evaluations"] == result.ledger.total_evaluations
         # One continuous trace: both segments' spans in one file.
         assert sum(1 for s in data.spans if s["name"] == "solve.run") == 2
+
+    def test_interrupted_run_resumed_in_append_mode_counts_once(self, tmp_path):
+        # An interrupt after the generation-2 checkpoint replays generation 3
+        # on resume; evaluations and timeseries rows must not count it twice.
+        class InterruptAt(Observer):
+            def on_generation(self, event):
+                if event.generation == 3:
+                    raise KeyboardInterrupt  # not caught by observer dispatch
+
+        checkpoints = tmp_path / "checkpoints"
+        run_dir = tmp_path / "telemetry"
+        kwargs = dict(population_size=8, cache=True,
+                      checkpoint_dir=str(checkpoints), checkpoint_interval=2)
+        telemetry = RunTelemetry(run_dir)
+        with pytest.raises(KeyboardInterrupt), telemetry:
+            solve(Schaffer(), "nsga2", seed=5, termination=6,
+                  observers=[telemetry, InterruptAt()], **kwargs)
+        telemetry = RunTelemetry(run_dir)  # same directory, append mode
+        with telemetry:
+            result = solve(Schaffer(), "nsga2", seed=5, termination=6,
+                           observers=[telemetry], **kwargs)
+            telemetry.finalize(result)
+        record_solve_run(run_dir, Schaffer(), result, {})
+        assert result.checkpoint.restored_generation == 2
+        data = load_telemetry(run_dir)
+        assert data.ledger["total_evaluations"] == result.ledger.total_evaluations
+        assert [row["generation"] for row in data.timeseries] == [1, 2, 3, 4, 5, 6]
+        names = [
+            name
+            for section in ("counters", "gauges", "histograms")
+            for name in json.loads((run_dir / METRICS_NAME).read_text())[section]
+        ]
+        assert not [
+            name
+            for name in names
+            if name.startswith(("evaluator.", "ledger.")) or name == "solve.evaluations"
+        ]
 
     def test_rotate_moves_the_previous_segment_aside(self, tmp_path):
         _solve_with_telemetry(tmp_path, 2)

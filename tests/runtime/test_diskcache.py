@@ -238,8 +238,8 @@ class TestPersistentCachedEvaluator:
         reference = first.evaluate_matrix(problem, X)
         second = PersistentCachedEvaluator(tmp_path)
         replayed = second.evaluate_matrix(problem, X)
-        assert second.disk_hits == 6
-        assert second.disk_misses == 0
+        assert second.ledger.total_disk_hits == 6
+        assert second.ledger.total_disk_misses == 0
         assert replayed.F.tobytes() == reference.F.tobytes()
 
     def test_results_bitwise_match_serial_evaluation(self, tmp_path):
@@ -258,9 +258,10 @@ class TestPersistentCachedEvaluator:
         evaluator.evaluate_matrix(problem, X)
         evaluator.evaluate_matrix(problem, X)
         # the repeat is answered by the in-memory L1: no further disk lookups
-        assert evaluator.disk_hits == 0
-        assert evaluator.disk_misses == 4
-        assert evaluator.hits == 4
+        stats = evaluator.stats()
+        assert stats["disk_hits"] == 0
+        assert stats["disk_misses"] == 4
+        assert stats["hits"] == 4
 
     def test_disk_counters_reach_the_ledger(self, tmp_path):
         problem = ZDT1(n_var=4)
@@ -283,7 +284,7 @@ class TestPersistentCachedEvaluator:
         )
         other = PersistentCachedEvaluator(tmp_path)
         result = other.evaluate_matrix(build_problem("zdt2?n_var=4"), X)
-        assert other.disk_hits == 0
+        assert other.ledger.total_disk_hits == 0
         direct = build_problem("zdt2?n_var=4").evaluate_matrix(X)
         assert result.F.tobytes() == direct.F.tobytes()
 
@@ -327,8 +328,8 @@ class TestPersistentCachedEvaluator:
         X = np.random.default_rng(7).random((3, 3))
         evaluator = CachedEvaluator()
         evaluator.evaluate_matrix(problem, X)
-        assert evaluator.disk_hits == 0
-        assert evaluator.disk_misses == 0
+        assert evaluator.ledger.total_disk_hits == 0
+        assert evaluator.ledger.total_disk_misses == 0
         assert "disk_hits" not in evaluator.stats()
 
 

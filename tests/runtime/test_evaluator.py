@@ -7,10 +7,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.testproblems import ZDT1, FonsecaFleming, Schaffer
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.problems import BudgetCounting, EvaluationResult, FunctionalProblem, Problem
 from repro.runtime import (
     CachedEvaluator,
     EvaluationLedger,
+    PersistentCachedEvaluator,
     ProcessPoolEvaluator,
     SerialEvaluator,
     build_evaluator,
@@ -148,8 +150,9 @@ class TestCachedEvaluator:
         first = cached.evaluate_matrix(counting, X)
         again = cached.evaluate_matrix(counting, X)
         assert counting.evaluations == 4  # second pass fully memoized
-        assert cached.hits == 4 and cached.misses == 4
-        assert cached.hit_rate == pytest.approx(0.5)
+        stats = cached.stats()
+        assert stats["hits"] == 4 and stats["misses"] == 4
+        assert stats["hit_rate"] == pytest.approx(0.5)
         assert ledger.total_cache_hits == 4
         assert ledger.total_evaluations == 4
         assert np.array_equal(first.F, again.F)
@@ -160,7 +163,8 @@ class TestCachedEvaluator:
         X = np.array([[0.5], [0.5], [0.5]])
         batch = cached.evaluate_matrix(counting, X)
         assert counting.evaluations == 1
-        assert cached.hits == 2 and cached.misses == 1
+        assert cached.ledger.total_cache_hits == 2
+        assert cached.ledger.total_cache_misses == 1
         assert np.array_equal(batch.F[0], batch.F[1])
         assert np.array_equal(batch.F[0], batch.F[2])
 
@@ -169,7 +173,7 @@ class TestCachedEvaluator:
         cached = CachedEvaluator(decimals=6)
         cached.evaluate_matrix(counting, np.array([[0.5]]))
         cached.evaluate_matrix(counting, np.array([[0.5 + 1e-9]]))
-        assert counting.evaluations == 1 and cached.hits == 1
+        assert counting.evaluations == 1 and cached.ledger.total_cache_hits == 1
 
     def test_results_are_isolated_copies(self):
         cached = CachedEvaluator()
@@ -213,9 +217,9 @@ class TestCachedEvaluator:
         X = np.full((1, 4), 0.5)
         cached.evaluate_matrix(zdt1, X)
         cached.evaluate_matrix(zdt2, X)
-        hits = cached.hits
+        hits = cached.ledger.total_cache_hits
         cached.evaluate_matrix(zdt1, X)
-        assert cached.hits == hits + 1
+        assert cached.ledger.total_cache_hits == hits + 1
 
     def test_equal_content_problems_share_entries(self):
         # Two instances describing the same task (same registry spec) share
@@ -241,6 +245,47 @@ class TestCachedEvaluator:
         assert first.n_con == 2
         assert np.array_equal(first.G, again.G)
         assert np.array_equal(first.G, problem.evaluate_matrix(X).G)
+
+
+class TestCountedOnce:
+    """The ledger is the one evaluation counter, written once per layer and batch."""
+
+    @pytest.mark.parametrize(
+        "make, caching",
+        [
+            (lambda directory: SerialEvaluator(), False),
+            (lambda directory: ProcessPoolEvaluator(n_workers=2), False),
+            (lambda directory: CachedEvaluator(), True),
+            (lambda directory: PersistentCachedEvaluator(directory), True),
+        ],
+        ids=["serial", "pool", "cached", "persistent"],
+    )
+    def test_each_evaluation_is_counted_once(self, make, caching, tmp_path, monkeypatch):
+        records = []
+        record = EvaluationLedger.record
+
+        def counted_record(ledger, **counters):
+            records.append(counters)
+            record(ledger, **counters)
+
+        monkeypatch.setattr(EvaluationLedger, "record", counted_record)
+        counting = BudgetCounting(Schaffer())
+        X = np.array([[0.5], [1.5], [0.5]])  # one duplicate row
+        registry = MetricsRegistry()
+        with make(tmp_path) as evaluator, use_metrics(registry):
+            evaluator.evaluate_matrix(counting, X)
+        ledger = evaluator.ledger
+        assert registry.snapshot() == MetricsRegistry().snapshot()
+        if isinstance(evaluator, ProcessPoolEvaluator):
+            # Workers count their own problem copies; count in-process too.
+            counting.evaluate_matrix(X)
+        assert ledger.total_evaluations == counting.evaluations
+        if caching:
+            assert ledger.total_cache_hits + ledger.total_cache_misses == len(X)
+            assert len(records) == 2  # the cache layer and its inner evaluator
+        else:
+            assert ledger.total_evaluations == len(X)
+            assert len(records) == 1
 
 
 class TestBuildEvaluator:
