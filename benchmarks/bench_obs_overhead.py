@@ -6,15 +6,14 @@ every instrumentation point costs a single attribute check.  This benchmark
 measures that claim on a real run (zdt1 + NSGA-II) in three modes:
 
 ``off``
-    The shipped default — no tracer installed, the process-global metrics
-    registry absorbing the always-on counters.
+    The shipped default — no tracer installed.
 ``null``
     A :class:`~repro.obs.trace.NullSink` tracer explicitly installed (the
-    disabled path again, via the null sink) plus a fresh metrics registry —
-    what a run looks like the moment before real telemetry is attached.
+    disabled path again, via the null sink) — what a run looks like the
+    moment before real telemetry is attached.
 ``jsonl``
-    Full :class:`~repro.obs.RunTelemetry`: JSONL span trace, per-generation
-    timeseries with convergence metrics, final ``metrics.json``.
+    Full :class:`~repro.obs.RunTelemetry`: JSONL span trace and the
+    per-generation timeseries with convergence metrics.
 
 The ``null`` mode must stay within 2% of ``off`` (that is the acceptance
 floor asserted here); the ``jsonl`` overhead is reported for the record —
@@ -42,14 +41,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.obs import (  # noqa: E402
-    MetricsRegistry,
-    NullSink,
-    RunTelemetry,
-    Tracer,
-    use_metrics,
-    use_tracer,
-)
+from repro.obs import NullSink, RunTelemetry, Tracer, use_tracer  # noqa: E402
 from repro.solve import build_problem, solve  # noqa: E402
 
 #: (population, generations, best-of repeats) per mode.
@@ -79,15 +71,14 @@ def _run_off(population: int, generations: int) -> None:
 
 
 def _run_null(population: int, generations: int) -> None:
-    with use_tracer(Tracer(NullSink())), use_metrics(MetricsRegistry()):
+    with use_tracer(Tracer(NullSink())):
         _solve_once(population, generations)
 
 
 def _run_jsonl(population: int, generations: int) -> None:
     with tempfile.TemporaryDirectory() as base:
-        telemetry = RunTelemetry(base)
-        with telemetry:
-            result = solve(
+        with RunTelemetry(base) as telemetry:
+            solve(
                 build_problem("zdt1"),
                 algorithm="nsga2",
                 seed=7,
@@ -96,7 +87,6 @@ def _run_jsonl(population: int, generations: int) -> None:
                 cache=True,
                 observers=[telemetry],
             )
-            telemetry.finalize(result)
 
 
 _MODES = (("off", _run_off), ("null", _run_null), ("jsonl", _run_jsonl))

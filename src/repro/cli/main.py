@@ -19,8 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.artifacts import (
     RunManifest,
@@ -44,6 +45,9 @@ from repro.core.registry import (
 from repro.core.report import format_table
 from repro.exceptions import ConfigurationError
 from repro.solve.registry import UnknownSolverError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.telemetry import TelemetryData
 
 __all__ = ["main", "build_parser"]
 
@@ -231,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="record trace.jsonl / metrics.json / timeseries.csv into a fresh "
-        "run directory (see `repro trace` / `repro stats`)",
+        help="record trace.jsonl / timeseries.csv into a fresh run directory "
+        "(see `repro trace` / `repro stats`)",
     )
     solve_parser.add_argument(
         "--telemetry-dir",
@@ -377,10 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_parser = subparsers.add_parser(
         "stats",
-        help="render the metrics and convergence series of a recorded run",
+        help="render the run summary and convergence series of a recorded run",
         description=(
-            "Renders metrics.json (counters, gauges, histograms) as tables "
-            "and the per-generation convergence series from timeseries.csv."
+            "Derives a run summary from the recorded files: generation, "
+            "evaluations and front quality from the last timeseries.csv row, "
+            "wall time from the root spans of trace.jsonl, cache hit rates "
+            "from ledger.json; then renders the per-generation convergence "
+            "series."
         ),
     )
     stats_parser.add_argument("run_dir", help="telemetry-recorded run directory")
@@ -724,13 +731,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem = build_problem(args.problem)
     if args.checkpoint_dir is not None:
         _solve_checkpoint_guard(args, spec.name)
-    overrides: dict[str, Any] = {}
-    if args.population is not None:
-        fields = spec.config_cls.__dataclass_fields__
-        size_field = (
-            "population_size" if "population_size" in fields else "island_population_size"
-        )
-        overrides[size_field] = args.population
     observers = []
     if args.stream:
         observers.append(
@@ -751,17 +751,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.obs import LiveProgress
 
         observers.append(LiveProgress())
-    telemetry = None
     run_dir: Path | None = None
-    if args.telemetry or args.telemetry_dir is not None:
-        from repro.obs import RunTelemetry
+    with ExitStack() as stack:
+        if args.telemetry or args.telemetry_dir is not None:
+            from repro.obs import RunTelemetry
 
-        run_dir = _solve_run_dir(args)
-        telemetry = RunTelemetry(run_dir)
-        observers.append(telemetry)
-    try:
-        if telemetry is not None:
-            telemetry.start()
+            run_dir = _solve_run_dir(args)
+            observers.append(stack.enter_context(RunTelemetry(run_dir)))
         result = solve(
             problem,
             algorithm=spec,
@@ -774,13 +770,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             warm_start=args.warm_start,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_interval=args.checkpoint_interval,
-            **overrides,
+            **spec.population_overrides(args.population),
         )
-        if telemetry is not None:
-            telemetry.finalize(result)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
     if run_dir is not None:
         _record_solve_run(run_dir, args, spec.name, problem, result)
         print("artifacts: %s" % run_dir)
@@ -910,13 +901,23 @@ def _span_aggregate(spans: Sequence[dict]) -> list[dict]:
     return sorted(groups.values(), key=lambda entry: -entry["total"])
 
 
+def _root_spans(spans: Sequence[dict]) -> list[dict]:
+    """The spans without a parent; their durations add up to the run's wall time."""
+    return [span for span in spans if span.get("parent_id") is None]
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Summarize a recorded span trace (`repro trace`)."""
-    from repro.core.artifacts import load_trace
+    from repro.obs.telemetry import TRACE_NAME, load_telemetry
 
-    spans = load_trace(args.run_dir)
+    if not (Path(args.run_dir) / TRACE_NAME).is_file():
+        raise FileNotFoundError(
+            "%s has no %s — was the run recorded with telemetry?"
+            % (args.run_dir, TRACE_NAME)
+        )
+    spans = load_telemetry(args.run_dir).spans
     aggregated = _span_aggregate(spans)
-    roots = [span for span in spans if span.get("parent_id") is None]
+    roots = _root_spans(spans)
     wall = sum(span["duration"] for span in roots)
     slowest = sorted(spans, key=lambda span: -span["duration"])[: max(args.top, 0)]
     if args.json:
@@ -1032,54 +1033,63 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         store.close()
 
 
+#: ``repro stats`` run-table rows read from the last timeseries row:
+#: (``--json`` key, table label).
+_RUN_ROW_COLUMNS = (
+    ("generation", "generation"),
+    ("evaluations", "evaluations"),
+    ("front_size", "front size"),
+    ("feasible_fraction", "feasible fraction"),
+    ("hypervolume", "hypervolume"),
+    ("igd", "igd"),
+)
+
+
+def _run_summary(data: "TelemetryData") -> dict:
+    """Derive the ``repro stats`` run summary from the recorded files.
+
+    Generation, evaluations and front quality come from the last timeseries
+    row (after the replay drop of a resumed run); ``wall_s`` is the summed
+    duration of the root spans, the figure ``repro trace`` prints; and
+    ``evaluations_per_s`` divides the one by the other.  Values the record
+    does not hold are ``None``.
+    """
+    last = data.timeseries[-1] if data.timeseries else {}
+    summary = {key: last.get(key) for key, _ in _RUN_ROW_COLUMNS}
+    wall = sum(span["duration"] for span in _root_spans(data.spans))
+    summary["wall_s"] = wall if data.spans else None
+    evaluations = summary["evaluations"]
+    summary["evaluations_per_s"] = (
+        evaluations / wall if evaluations is not None and wall > 0 else None
+    )
+    return summary
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    """Render recorded metrics and the convergence series (`repro stats`)."""
+    """Render the derived run summary and the convergence series (`repro stats`)."""
     from repro.obs import load_telemetry
 
     data = load_telemetry(args.run_dir)
+    summary = _run_summary(data)
     if args.json:
         print(
             dumps_json(
                 {
-                    "metrics": data.metrics,
+                    "run": summary,
                     "ledger": data.ledger,
                     "timeseries": _downsample(data.timeseries, args.series),
                 }
             )
         )
         return 0
-    counters = data.metrics.get("counters", {})
-    if counters:
-        print("counters:")
-        print(
-            format_table(
-                ["counter", "value"],
-                [[name, counters[name]] for name in sorted(counters)],
-            )
-        )
-    gauges = data.metrics.get("gauges", {})
-    if gauges:
-        print()
-        print("gauges:")
-        print(
-            format_table(
-                ["gauge", "value"],
-                [[name, "%.6g" % gauges[name]] for name in sorted(gauges)],
-            )
-        )
-    histograms = data.metrics.get("histograms", {})
-    if histograms:
-        print()
-        print("histograms:")
-        rows = []
-        for name in sorted(histograms):
-            histogram = histograms[name]
-            count = histogram.get("count", 0)
-            mean = histogram.get("sum", 0.0) / count if count else 0.0
-            rows.append([name, count, "%.6g" % mean])
-        print(format_table(["histogram", "count", "mean"], rows))
-    if not (counters or gauges or histograms):
-        print("no metrics recorded")
+    labels = dict(_RUN_ROW_COLUMNS, wall_s="wall s", evaluations_per_s="evaluations/s")
+    rows = [
+        [labels[key], value if isinstance(value, int) else "%.6g" % value]
+        for key, value in summary.items()
+        if value is not None
+    ]
+    print("run:")
+    print(format_table(["quantity", "value"], rows))
     cache_rows = _cache_rate_rows(data.ledger)
     if cache_rows:
         print()

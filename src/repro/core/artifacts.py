@@ -10,7 +10,6 @@ timestamped directory::
         result.json     # experiment-specific payload (table rows, yields, ...)
         ledger.json     # evaluation-budget ledger, when the result carries one
         trace.jsonl     # span trace, when recorded with telemetry (repro.obs)
-        metrics.json    # metrics-registry snapshot, when recorded
         timeseries.csv  # per-generation convergence series, when recorded
 
 ``front.json`` is a pure function of the experiment result — no timestamps,
@@ -75,9 +74,6 @@ __all__ = [
     "load_front_payload",
     "load_front",
     "load_result",
-    "load_trace",
-    "load_metrics",
-    "load_timeseries",
     "telemetry_artifacts",
     "list_runs",
 ]
@@ -96,9 +92,8 @@ _LEDGER_NAME = "ledger.json"
 # Kept literal here so the artifact layer never imports the solve stack
 # (the test-suite pins the two sets of constants together).
 _TRACE_NAME = "trace.jsonl"
-_METRICS_NAME = "metrics.json"
 _TIMESERIES_NAME = "timeseries.csv"
-_TELEMETRY_NAMES = (_TRACE_NAME, _METRICS_NAME, _TIMESERIES_NAME)
+_TELEMETRY_NAMES = (_TRACE_NAME, _TIMESERIES_NAME)
 
 
 # ---------------------------------------------------------------------------
@@ -534,51 +529,13 @@ def load_result(run_dir: str | os.PathLike) -> dict:
 def telemetry_artifacts(run_dir: str | os.PathLike) -> list[str]:
     """Telemetry artifact file names present in ``run_dir`` (possibly empty).
 
-    A run recorded with :class:`repro.obs.RunTelemetry` carries up to three
-    extra artifacts — ``trace.jsonl``, ``metrics.json``, ``timeseries.csv`` —
-    next to the manifest; this lists whichever exist, in that order.
+    A run recorded with :class:`repro.obs.RunTelemetry` carries up to two
+    extra artifacts — ``trace.jsonl`` and ``timeseries.csv`` — next to the
+    manifest; this lists whichever exist, in that order.  Read them with
+    :func:`repro.obs.load_telemetry`.
     """
     directory = Path(run_dir)
     return [name for name in _TELEMETRY_NAMES if (directory / name).is_file()]
-
-
-def load_trace(run_dir: str | os.PathLike) -> list[dict]:
-    """Load the span records of a telemetry-recorded run (``trace.jsonl``).
-
-    Example
-    -------
-    Total time spent in evaluator batches of a recorded run::
-
-        spans = load_trace("runs/solve-zdt1/20260808-101500-seed7")
-        print(sum(s["duration"] for s in spans if s["name"] == "evaluator.batch"))
-    """
-    path = _resolve(run_dir, _TRACE_NAME)
-    spans: list[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
-
-
-def load_metrics(run_dir: str | os.PathLike) -> dict:
-    """Load the ``metrics.json`` snapshot of a telemetry-recorded run."""
-    return load_json(_resolve(run_dir, _METRICS_NAME))
-
-
-def load_timeseries(run_dir: str | os.PathLike) -> list[dict]:
-    """Load the per-generation convergence series of a recorded run.
-
-    Rows come back as typed dictionaries (ints for counters, floats for
-    measures, ``None`` for blank cells) via
-    :func:`repro.obs.telemetry.load_telemetry`, which also tolerates the
-    repeated headers of rotated/merged segments.
-    """
-    _resolve(run_dir, _TIMESERIES_NAME)  # fail early with the uniform message
-    from repro.obs.telemetry import load_telemetry
-
-    return load_telemetry(run_dir).timeseries
 
 
 def list_runs(base_dir: str | os.PathLike, experiment: str | None = None) -> list[Path]:

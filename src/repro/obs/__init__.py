@@ -1,20 +1,21 @@
-"""Observability: tracing, metrics and run telemetry for the solve stack.
+"""Observability: tracing and run telemetry for the solve stack.
 
-Three layers, each usable alone:
+Two layers, each usable alone:
 
 * :mod:`repro.obs.trace` — span-based tracing with pluggable sinks (null by
   default, in-memory, JSONL file); the library's instrumentation points
   (evaluator batches, kernel calls, generation steps, checkpoint writes,
-  migration exchanges) emit through the process-global tracer.
-* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms in
-  a :class:`MetricsRegistry` with ledger-style snapshot merging, so pooled
-  per-worker stats aggregate the same way
-  :class:`~repro.runtime.ledger.EvaluationLedger` phases do.
+  migration exchanges, observer errors) emit through the process-global
+  tracer.
 * :mod:`repro.obs.telemetry` — :class:`RunTelemetry`, a standard solve
-  :class:`~repro.solve.events.Observer` writing ``trace.jsonl`` /
-  ``metrics.json`` / ``timeseries.csv`` into a run-artifact directory, plus
+  :class:`~repro.solve.events.Observer` writing ``trace.jsonl`` and
+  ``timeseries.csv`` into a run-artifact directory, plus
   :func:`load_telemetry` for post-hoc analysis and :class:`LiveProgress`
   behind ``repro solve --live``.
+
+Counts are read from those records, never kept beside them: evaluations
+from the run's ``ledger.json``, generations and convergence from the
+timeseries, migrations, checkpoints and observer errors from span counts.
 
 Example
 -------
@@ -26,22 +27,9 @@ Record and inspect a solve run::
     with RunTelemetry("runs/demo") as telemetry:
         result = solve(problem, algorithm="nsga2", termination=50, seed=7,
                        observers=[telemetry])
-        telemetry.finalize(result)
-    print(load_telemetry("runs/demo").metrics["counters"])
+    print(load_telemetry("runs/demo").timeseries[-1])
 """
 
-from repro.obs.metrics import (
-    BATCH_SIZE_BUCKETS,
-    DURATION_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    registry_from_snapshot,
-    set_metrics,
-    use_metrics,
-)
 from repro.obs.trace import (
     InMemorySink,
     JsonlSink,
@@ -54,12 +42,11 @@ from repro.obs.trace import (
     use_tracer,
 )
 # The telemetry layer sits *above* repro.solve (it observes solve events),
-# while trace/metrics sit *below* repro.runtime (the evaluators emit trace
+# while trace sits *below* repro.runtime (the evaluators emit trace
 # spans).  Loading telemetry lazily keeps `repro.obs` importable from the
 # low-level instrumentation points without creating an import cycle.
 _TELEMETRY_NAMES = (
     "TRACE_NAME",
-    "METRICS_NAME",
     "TIMESERIES_NAME",
     "TIMESERIES_COLUMNS",
     "RunTelemetry",
@@ -89,20 +76,8 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    # metrics
-    "BATCH_SIZE_BUCKETS",
-    "DURATION_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry_from_snapshot",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
     # telemetry
     "TRACE_NAME",
-    "METRICS_NAME",
     "TIMESERIES_NAME",
     "TIMESERIES_COLUMNS",
     "RunTelemetry",

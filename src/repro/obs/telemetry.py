@@ -1,29 +1,26 @@
-"""Run telemetry: durable trace/metrics/timeseries artifacts of a solve run.
+"""Run telemetry: durable trace and timeseries artifacts of a solve run.
 
 :class:`RunTelemetry` is a standard :class:`~repro.solve.events.Observer`
-that turns the solve event stream plus the tracer/metrics instrumentation
-into three files inside a run-artifact directory, next to ``manifest.json``
-and ``ledger.json`` (the run's one evaluation count):
+that turns the solve event stream plus the tracer instrumentation into two
+files inside a run-artifact directory, next to ``manifest.json`` and
+``ledger.json`` (the run's one evaluation count):
 
 ``trace.jsonl``
     One JSON object per finished span (see :mod:`repro.obs.trace`), written
     by a :class:`~repro.obs.trace.JsonlSink` the telemetry installs as the
     process-global tracer for the duration of the run.
 ``timeseries.csv``
-    One row per generation: counters plus the convergence series
+    One row per generation: evaluation counts plus the convergence series
     (hypervolume, IGD against an optional reference front, front size,
     feasible fraction) computed lazily from the event's front snapshot via
     :mod:`repro.moo.metrics`.  Rows are appended as they happen, so a killed
     run keeps everything up to its last generation.
-``metrics.json``
-    Snapshot of the run's :class:`~repro.obs.metrics.MetricsRegistry`
-    (counters, gauges, histograms), written by :meth:`RunTelemetry.finalize`.
 
-Resumed runs either *append* to the three files (the default — one run, one
-trace) or *rotate* them (``trace-1.jsonl``, ...) so each segment stands
-alone.  :func:`load_telemetry` re-hydrates a recorded directory (and its
-``ledger.json``) for post-hoc analysis; ``repro trace`` and ``repro stats``
-are CLI renderers over it.
+These files and the ledger are the whole record of a run; every summary
+(``repro stats``, ``repro trace``) is derived from them when it is read.
+A resumed run appends to both files, so one run is one record.
+:func:`load_telemetry` re-hydrates a recorded directory (and its
+``ledger.json``) for post-hoc analysis.
 
 Example
 -------
@@ -32,13 +29,11 @@ Record a run and read it back::
     from repro.obs import RunTelemetry, load_telemetry
     from repro.solve import solve
 
-    telemetry = RunTelemetry("runs/demo")
-    with telemetry:
+    with RunTelemetry("runs/demo") as telemetry:
         result = solve(problem, algorithm="nsga2", termination=50, seed=7,
                        observers=[telemetry])
-        telemetry.finalize(result)
     data = load_telemetry("runs/demo")
-    print(len(data.spans), data.metrics["counters"]["solve.generations"])
+    print(len(data.spans), data.timeseries[-1]["generation"])
 """
 
 from __future__ import annotations
@@ -49,12 +44,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, TextIO
+from typing import Any, TextIO
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.obs.metrics import MetricsRegistry, registry_from_snapshot, set_metrics
 from repro.obs.trace import JsonlSink, Tracer, set_tracer
 from repro.solve.events import (
     CheckpointEvent,
@@ -63,12 +57,8 @@ from repro.solve.events import (
     Observer,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.solve.result import SolveResult
-
 __all__ = [
     "TRACE_NAME",
-    "METRICS_NAME",
     "TIMESERIES_NAME",
     "TIMESERIES_COLUMNS",
     "RunTelemetry",
@@ -79,8 +69,6 @@ __all__ = [
 
 #: File name of the span trace artifact.
 TRACE_NAME = "trace.jsonl"
-#: File name of the metrics-snapshot artifact.
-METRICS_NAME = "metrics.json"
 #: File name of the per-generation convergence series artifact.
 TIMESERIES_NAME = "timeseries.csv"
 #: File name of the evaluation ledger (written by
@@ -105,32 +93,15 @@ _INT_COLUMNS = frozenset(
 )
 
 
-def _rotate(path: Path) -> None:
-    """Move ``path`` aside to the first free ``<stem>-<n><suffix>`` slot."""
-    if not path.exists():
-        return
-    index = 1
-    while True:
-        candidate = path.with_name("%s-%d%s" % (path.stem, index, path.suffix))
-        if not candidate.exists():
-            path.rename(candidate)
-            return
-        index += 1
-
-
 class RunTelemetry(Observer):
-    """Solve observer recording trace, metrics and convergence artifacts.
+    """Solve observer recording the trace and convergence artifacts of a run.
 
     Parameters
     ----------
     directory:
-        Run-artifact directory the three files are written into (created if
-        missing).
-    resume:
-        ``"append"`` (default) extends existing telemetry files — the mode
-        for checkpoint-resumed runs, producing one continuous record —
-        while ``"rotate"`` moves them aside (``trace-1.jsonl``, ...) so the
-        new segment starts fresh.
+        Run-artifact directory the two files are written into (created if
+        missing).  Existing files are appended to, so a checkpoint-resumed
+        run extends the record of the segment it resumes.
     convergence:
         When ``True`` (default) each generation's front snapshot is
         materialized to compute hypervolume / front size / feasible fraction.
@@ -138,26 +109,17 @@ class RunTelemetry(Observer):
     reference_front:
         Optional ``(n, m)`` matrix of the problem's true Pareto front; when
         given, the timeseries gains an IGD column.
-    registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` to record into;
-        a fresh one is created by default.
-    trace:
-        When ``True`` (default) a :class:`~repro.obs.trace.JsonlSink` tracer
-        is installed globally between :meth:`start` and :meth:`close`, so the
-        library's instrumentation points stream into ``trace.jsonl``.
 
-    The observer is also a context manager: entering calls :meth:`start`
-    (rotation, tracer install, timeseries header), exiting calls
-    :meth:`close` (final ``metrics.json``, tracer restore) — so telemetry
-    files are complete even when the solve raises.
+    Use it as a context manager: entering installs a
+    :class:`~repro.obs.trace.JsonlSink` tracer and opens the timeseries,
+    exiting flushes both and restores the previous tracer — so the files are
+    complete even when the solve raises.
 
     Usage::
 
-        telemetry = RunTelemetry("runs/telemetry-demo")
-        with telemetry:
+        with RunTelemetry("runs/telemetry-demo") as telemetry:
             result = solve(problem, algorithm="nsga2", seed=0,
                            termination=50, observers=[telemetry])
-            telemetry.finalize(result)   # run summary gauges
         data = load_telemetry("runs/telemetry-demo")
     """
 
@@ -165,55 +127,31 @@ class RunTelemetry(Observer):
         self,
         directory: str | os.PathLike,
         *,
-        resume: str = "append",
         convergence: bool = True,
         reference_front: "np.ndarray | None" = None,
-        registry: MetricsRegistry | None = None,
-        trace: bool = True,
     ) -> None:
-        if resume not in ("append", "rotate"):
-            raise ConfigurationError(
-                "resume must be 'append' or 'rotate', not %r" % (resume,)
-            )
         self.directory = Path(directory)
-        self.resume = resume
         self.convergence = bool(convergence)
         self.reference_front = (
             np.asarray(reference_front, dtype=float)
             if reference_front is not None
             else None
         )
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._trace_enabled = bool(trace)
-        self._started = False
-        self._closed = False
-        self._finalized = False
-        self._previous_tracer: Tracer | None = None
         self._tracer: Tracer | None = None
-        self._previous_metrics: MetricsRegistry | None = None
+        self._previous_tracer: Tracer | None = None
         self._timeseries_handle: TextIO | None = None
         self._writer: Any = None
-        self._last_elapsed = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "RunTelemetry":
         """Prepare the directory, install the tracer, open the timeseries."""
-        if self._started:
+        if self._tracer is not None:
             return self
-        self._started = True
-        self._closed = False
         self.directory.mkdir(parents=True, exist_ok=True)
-        if self.resume == "rotate":
-            for name in (TRACE_NAME, METRICS_NAME, TIMESERIES_NAME):
-                _rotate(self.directory / name)
-        if self._trace_enabled:
-            self._tracer = Tracer(JsonlSink(self.directory / TRACE_NAME))
-            self._previous_tracer = set_tracer(self._tracer)
-        # Install the run's registry globally so solve.observer_errors, the
-        # one metric recorded outside this observer, lands in metrics.json.
-        self._previous_metrics = set_metrics(self.registry)
+        self._tracer = Tracer(JsonlSink(self.directory / TRACE_NAME))
+        self._previous_tracer = set_tracer(self._tracer)
         timeseries = self.directory / TIMESERIES_NAME
         fresh = not timeseries.exists() or timeseries.stat().st_size == 0
         self._timeseries_handle = open(timeseries, "a", newline="", encoding="utf-8")
@@ -223,60 +161,17 @@ class RunTelemetry(Observer):
             self._timeseries_handle.flush()
         return self
 
-    def finalize(self, result: "SolveResult | None" = None) -> dict:
-        """Write ``metrics.json`` (merging prior segments in append mode).
-
-        When ``result`` is given, the run-summary gauges (``run.generations``,
-        ``run.evaluations_per_second``, ...) are set first.  Returns the
-        written snapshot dictionary.
-        """
-        self._finalized = True
-        if result is not None:
-            self.registry.gauge("run.generations").set(float(result.generations))
-            self.registry.gauge("run.evaluations").set(float(result.evaluations))
-            self.registry.gauge("run.migrations").set(float(result.migrations))
-            if self._last_elapsed > 0:
-                self.registry.gauge("run.evaluations_per_second").set(
-                    float(result.evaluations) / self._last_elapsed
-                )
-        merged = MetricsRegistry()
-        metrics_path = self.directory / METRICS_NAME
-        if self.resume == "append" and metrics_path.exists():
-            merged.merge(json.loads(metrics_path.read_text(encoding="utf-8")))
-        merged.merge(self.registry)
-        snapshot = merged.snapshot()
-        metrics_path.write_text(
-            json.dumps(snapshot, sort_keys=True, indent=2, default=float) + "\n",
-            encoding="utf-8",
-        )
-        return snapshot
-
     def close(self) -> None:
-        """Flush files, restore the previous tracer; idempotent.
-
-        Writes ``metrics.json`` if :meth:`finalize` was never called, so an
-        interrupted run still leaves a readable (if gauge-less) snapshot.
-        """
-        if self._closed or not self._started:
-            self._closed = True
+        """Close both files and restore the previous tracer; idempotent."""
+        if self._tracer is None:
             return
-        self._closed = True
-        if not self._finalized:
-            self.finalize()
-        if self._timeseries_handle is not None:
-            self._timeseries_handle.close()
-            self._timeseries_handle = None
-            self._writer = None
-        if self._trace_enabled:
-            set_tracer(self._previous_tracer)
-            if self._tracer is not None:
-                self._tracer.close()
-            self._tracer = None
-            self._previous_tracer = None
-        if self._previous_metrics is not None:
-            set_metrics(self._previous_metrics)
-            self._previous_metrics = None
-        self._started = False
+        self._timeseries_handle.close()
+        self._timeseries_handle = None
+        self._writer = None
+        set_tracer(self._previous_tracer)
+        self._tracer.close()
+        self._tracer = None
+        self._previous_tracer = None
 
     def __enter__(self) -> "RunTelemetry":
         return self.start()
@@ -288,12 +183,8 @@ class RunTelemetry(Observer):
     # Observer hooks
     # ------------------------------------------------------------------
     def on_generation(self, event: GenerationEvent) -> None:
-        """Record counters and append one timeseries row for the generation."""
-        if not self._started:
-            self.start()
-        registry = self.registry
-        registry.counter("solve.generations").inc(1)
-        self._last_elapsed = event.elapsed
+        """Append one timeseries row for the generation."""
+        self.start()
         row: dict[str, Any] = {
             "generation": event.generation,
             "evaluations": event.evaluations,
@@ -309,38 +200,21 @@ class RunTelemetry(Observer):
             front = event.front
             objectives = front.objective_matrix()
             row["front_size"] = len(front)
-            registry.gauge("solve.front_size").set(float(len(front)))
             if objectives.size:
-                violations = front.CV
-                feasible = float(np.mean(violations == 0.0))
-                row["feasible_fraction"] = repr(feasible)
-                registry.gauge("solve.feasible_fraction").set(feasible)
+                row["feasible_fraction"] = repr(float(np.mean(front.CV == 0.0)))
                 hv = _safe_hypervolume(objectives)
                 if hv is not None:
                     row["hypervolume"] = repr(hv)
-                    registry.gauge("solve.hypervolume").set(hv)
                 if self.reference_front is not None:
                     from repro.moo.metrics import inverted_generational_distance
 
-                    igd = float(
-                        inverted_generational_distance(objectives, self.reference_front)
-                    )
-                    row["igd"] = repr(igd)
-                    registry.gauge("solve.igd").set(igd)
-        if self._writer is not None:
-            self._writer.writerow([row[column] for column in TIMESERIES_COLUMNS])
-            self._timeseries_handle.flush()
-
-    def on_migration(self, event: MigrationEvent) -> None:
-        """Count one migration exchange."""
-        self.registry.counter("solve.migrations").inc(1)
-
-    def on_checkpoint(self, event: CheckpointEvent) -> None:
-        """Count one checkpoint write."""
-        self.registry.counter("solve.checkpoints").inc(1)
+                    igd = inverted_generational_distance(objectives, self.reference_front)
+                    row["igd"] = repr(float(igd))
+        self._writer.writerow([row[column] for column in TIMESERIES_COLUMNS])
+        self._timeseries_handle.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "RunTelemetry(%s, resume=%r)" % (self.directory, self.resume)
+        return "RunTelemetry(%s)" % (self.directory,)
 
 
 def _safe_hypervolume(objectives: np.ndarray) -> float | None:
@@ -437,8 +311,6 @@ class TelemetryData:
     ----------
     spans:
         Span records from ``trace.jsonl`` (empty when absent).
-    metrics:
-        ``metrics.json`` snapshot dictionary (empty when absent).
     timeseries:
         ``timeseries.csv`` rows as typed dictionaries — ints for counters,
         floats for measures, ``None`` for blank cells.  Rows a resumed
@@ -449,14 +321,8 @@ class TelemetryData:
     """
 
     spans: list[dict] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     timeseries: list[dict] = field(default_factory=list)
     ledger: dict = field(default_factory=dict)
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics snapshot re-hydrated into a mergeable registry."""
-        return registry_from_snapshot(self.metrics)
 
 
 def _parse_cell(column: str, cell: str) -> Any:
@@ -478,19 +344,18 @@ def load_telemetry(run_dir: str | os.PathLike) -> TelemetryData:
     -------
     >>> import tempfile
     >>> with tempfile.TemporaryDirectory() as base:
-    ...     _ = Path(base, "metrics.json").write_text('{"counters": {"n": 1}}')
-    ...     load_telemetry(base).metrics["counters"]
-    {'n': 1}
+    ...     _ = Path(base, "timeseries.csv").write_text("generation,evaluations\\n1,8\\n")
+    ...     load_telemetry(base).timeseries
+    [{'generation': 1, 'evaluations': 8}]
     """
     directory = Path(run_dir)
     trace_path = directory / TRACE_NAME
-    metrics_path = directory / METRICS_NAME
     timeseries_path = directory / TIMESERIES_NAME
-    if not any(path.exists() for path in (trace_path, metrics_path, timeseries_path)):
+    if not (trace_path.exists() or timeseries_path.exists()):
         raise FileNotFoundError(
-            "%s holds no telemetry artifacts (%s, %s or %s) — was the run "
+            "%s holds no telemetry artifacts (%s or %s) — was the run "
             "recorded with telemetry enabled?"
-            % (directory, TRACE_NAME, METRICS_NAME, TIMESERIES_NAME)
+            % (directory, TRACE_NAME, TIMESERIES_NAME)
         )
     data = TelemetryData()
     if trace_path.exists():
@@ -499,8 +364,6 @@ def load_telemetry(run_dir: str | os.PathLike) -> TelemetryData:
                 line = line.strip()
                 if line:
                     data.spans.append(json.loads(line))
-    if metrics_path.exists():
-        data.metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
     ledger_path = directory / _LEDGER_NAME
     if ledger_path.exists():
         data.ledger = json.loads(ledger_path.read_text(encoding="utf-8"))
@@ -512,7 +375,7 @@ def load_telemetry(run_dir: str | os.PathLike) -> TelemetryData:
                 if not cells:
                     continue
                 if cells[0] == "generation":
-                    header = cells  # a fresh header (rotated/merged segments)
+                    header = cells  # a fresh header (merged segments)
                     continue
                 columns = header or list(TIMESERIES_COLUMNS)
                 row = {

@@ -123,9 +123,8 @@ class EvaluationLedger:
         Phases present in both ledgers add their counters field by field;
         phases unique to ``other`` are copied in.  This is the aggregation
         primitive for pooled workers: each worker accumulates into a private
-        ledger snapshot, and the parent merges the snapshots after the batch —
-        the same semantics :meth:`repro.obs.metrics.MetricsRegistry.merge`
-        applies to counters.  ``other`` is left untouched.
+        ledger snapshot, and the parent merges the snapshots after the batch.
+        ``other`` is left untouched.
 
         Example
         -------

@@ -141,8 +141,9 @@ class JobSpec:
     checkpoint_interval:
         Generations between resumable checkpoints inside the job directory.
     telemetry:
-        Record ``trace.jsonl`` / ``metrics.json`` / ``timeseries.csv`` into
-        the job directory (readable with ``repro trace`` / ``repro stats``).
+        Record ``trace.jsonl`` and ``timeseries.csv`` into the job
+        directory, next to its ``ledger.json`` (readable with ``repro
+        trace`` / ``repro stats``).
 
     Example
     -------

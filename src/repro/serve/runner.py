@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import ExitStack, closing
 from pathlib import Path
 from typing import Any, Sequence, TextIO
 
@@ -122,15 +123,6 @@ class EventLogObserver(Observer):
             self._handle.close()
 
 
-def _population_overrides(solver_spec: Any, population: int | None) -> dict:
-    """Map a generic population knob onto the solver's config field name."""
-    if population is None:
-        return {}
-    fields = solver_spec.config_cls.__dataclass_fields__
-    name = "population_size" if "population_size" in fields else "island_population_size"
-    return {name: population}
-
-
 def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     """Execute one stored job to completion inside this process.
 
@@ -164,16 +156,14 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     spec = record.spec
     problem = build_problem(spec.problem)
     solver_spec = get_solver(spec.algorithm)
-    observers: list[Observer] = [EventLogObserver(job_dir / EVENTS_NAME)]
-    telemetry = None
-    if spec.telemetry:
-        from repro.obs import RunTelemetry
+    with ExitStack() as stack:
+        observers: list[Observer] = [
+            stack.enter_context(closing(EventLogObserver(job_dir / EVENTS_NAME)))
+        ]
+        if spec.telemetry:
+            from repro.obs import RunTelemetry
 
-        telemetry = RunTelemetry(job_dir, resume="append")
-        observers.append(telemetry)
-    try:
-        if telemetry is not None:
-            telemetry.start()
+            observers.append(stack.enter_context(RunTelemetry(job_dir)))
         result = solve(
             problem,
             algorithm=solver_spec,
@@ -183,14 +173,8 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
             cache_dir=cache_dir,
             checkpoint_dir=str(job_dir / CHECKPOINTS_DIR),
             checkpoint_interval=spec.checkpoint_interval,
-            **_population_overrides(solver_spec, spec.population),
+            **solver_spec.population_overrides(spec.population),
         )
-        if telemetry is not None:
-            telemetry.finalize(result)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-        observers[0].close()
     record_solve_run(job_dir, problem, result, parameters=spec.as_dict())
     return 0
 

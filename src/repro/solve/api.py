@@ -120,12 +120,10 @@ def _dispatch(observers: "tuple[Observer, ...]", method: str, event: Any) -> Non
 
     Observers are best-effort consumers (progress bars, telemetry, event
     logs): a raising observer must never kill the solve it is watching.
-    The exception is logged with its traceback, counted on the
-    ``solve.observer_errors`` metric, and dispatch continues with the next
-    observer.
+    The exception is logged with its traceback, recorded as one
+    ``solve.observer_error`` span on the process tracer, and dispatch
+    continues with the next observer.
     """
-    from repro.obs.metrics import get_metrics
-
     for observer in observers:
         try:
             getattr(observer, method)(event)
@@ -136,7 +134,10 @@ def _dispatch(observers: "tuple[Observer, ...]", method: str, event: Any) -> Non
                 method,
                 getattr(event, "generation", "?"),
             )
-            get_metrics().counter("solve.observer_errors").inc(1)
+            with get_tracer().span(
+                "solve.observer_error", observer=type(observer).__name__, method=method
+            ):
+                pass
 
 
 def _drive(

@@ -116,6 +116,22 @@ class SolverSpec:
             config = self.config_cls(**overrides)
         return self.factory(problem, config, seed, evaluator)
 
+    def population_overrides(self, population: int | None) -> dict:
+        """Map a generic population knob onto this solver's config field.
+
+        Island solvers size each island (``island_population_size``); the
+        others size their one population (``population_size``).  ``None``
+        keeps the configuration default.
+
+        >>> get_solver("pmo2").population_overrides(16)
+        {'island_population_size': 16}
+        """
+        if population is None:
+            return {}
+        fields = self.config_cls.__dataclass_fields__
+        name = "population_size" if "population_size" in fields else "island_population_size"
+        return {name: population}
+
 
 _SOLVERS: dict[str, SolverSpec] = {}
 

@@ -5,14 +5,8 @@ import json
 import pytest
 
 from repro.cli.main import main
-from repro.core.artifacts import (
-    load_front,
-    load_manifest,
-    load_metrics,
-    load_timeseries,
-    load_trace,
-    telemetry_artifacts,
-)
+from repro.core.artifacts import load_front, load_manifest, telemetry_artifacts
+from repro.obs import load_telemetry
 
 
 def _solve_with_telemetry(tmp_path, capsys, extra=()):
@@ -34,24 +28,23 @@ class TestSolveTelemetry:
     def test_telemetry_records_a_complete_run_directory(self, tmp_path, capsys):
         run_dir, captured = _solve_with_telemetry(tmp_path, capsys)
         assert "artifacts: %s" % run_dir in captured.out
-        assert telemetry_artifacts(run_dir) == [
-            "trace.jsonl", "metrics.json", "timeseries.csv",
-        ]
+        assert telemetry_artifacts(run_dir) == ["trace.jsonl", "timeseries.csv"]
+        assert not (run_dir / "metrics.json").exists()
         manifest = load_manifest(run_dir)
         assert manifest.experiment == "solve"
         assert manifest.parameters["problem"] == "zdt1"
         assert set(manifest.artifacts) >= {
-            "front.json", "front.csv", "trace.jsonl", "metrics.json",
-            "timeseries.csv",
+            "front.json", "front.csv", "ledger.json", "trace.jsonl", "timeseries.csv",
         }
+        assert "metrics.json" not in manifest.artifacts
         assert len(load_front(run_dir)) >= 1
 
     def test_artifact_loaders_read_the_telemetry_kinds(self, tmp_path, capsys):
         run_dir, _ = _solve_with_telemetry(tmp_path, capsys)
-        spans = load_trace(run_dir)
-        assert any(span["name"] == "solve.run" for span in spans)
-        assert load_metrics(run_dir)["counters"]["solve.generations"] == 3
-        assert [row["generation"] for row in load_timeseries(run_dir)] == [1, 2, 3]
+        data = load_telemetry(run_dir)
+        assert any(span["name"] == "solve.run" for span in data.spans)
+        assert [row["generation"] for row in data.timeseries] == [1, 2, 3]
+        assert data.ledger["total_evaluations"] == data.timeseries[-1]["evaluations"]
 
     def test_telemetry_dir_appends_across_invocations(self, tmp_path, capsys):
         target = tmp_path / "record"
@@ -65,7 +58,14 @@ class TestSolveTelemetry:
             )
             capsys.readouterr()
             assert code == 0
-        assert load_metrics(target)["counters"]["solve.generations"] == 4
+        # The second invocation replays generations 1-2 into the same record;
+        # the summary and the convergence table both read 2 generations.
+        assert main(["stats", str(target), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["run"]["generation"] == 2
+        assert main(["stats", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "convergence (2 of 2 generations):" in out
+        assert "generation         2" in out
 
     def test_live_renders_progress_lines(self, tmp_path, capsys):
         code = main(
@@ -110,7 +110,7 @@ class TestTraceCommand:
         captured = capsys.readouterr()
         assert code == 0
         payload = json.loads(captured.out)
-        assert payload["spans"] == len(load_trace(run_dir))
+        assert payload["spans"] == len(load_telemetry(run_dir).spans)
         names = {entry["name"] for entry in payload["by_name"]}
         assert "solve.generation" in names
         assert len(payload["slowest"]) == 2
@@ -128,8 +128,11 @@ class TestStatsCommand:
         code = main(["stats", str(run_dir)])
         captured = capsys.readouterr()
         assert code == 0
-        assert "counters:" in captured.out
-        assert "solve.generations" in captured.out
+        assert "run:" in captured.out
+        for label in ("generation", "evaluations", "front size", "wall s",
+                      "evaluations/s"):
+            assert label in captured.out
+        assert "counters:" not in captured.out
         assert "convergence" in captured.out
         assert "hypervolume" in captured.out
 
@@ -146,8 +149,16 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert code == 0
         payload = json.loads(captured.out)
-        assert payload["metrics"]["counters"]["solve.generations"] == 3
+        assert "metrics" not in payload
+        run, last = payload["run"], payload["timeseries"][-1]
+        assert run["generation"] == last["generation"] == 3
+        assert run["evaluations"] == last["evaluations"]
+        assert run["hypervolume"] == last["hypervolume"]
         assert len(payload["timeseries"]) == 3
+        # wall_s is the root-span total `repro trace` reports.
+        assert main(["trace", str(run_dir), "--json"]) == 0
+        assert run["wall_s"] == json.loads(capsys.readouterr().out)["wall"]
+        assert run["evaluations_per_s"] == run["evaluations"] / run["wall_s"]
 
     def test_missing_telemetry_exits_with_a_readable_error(self, tmp_path, capsys):
         code = main(["stats", str(tmp_path)])
@@ -184,6 +195,5 @@ class TestConstantParity:
         from repro.obs import telemetry
 
         assert artifacts._TRACE_NAME == telemetry.TRACE_NAME
-        assert artifacts._METRICS_NAME == telemetry.METRICS_NAME
         assert artifacts._LEDGER_NAME == telemetry._LEDGER_NAME
         assert artifacts._TIMESERIES_NAME == telemetry.TIMESERIES_NAME

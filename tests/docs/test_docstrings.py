@@ -77,7 +77,6 @@ REQUIRED_EXAMPLES = [
     "repro.kinetics.simulator.KineticSimulator.simulate_ensemble",
     "repro.moo.kernels",
     "repro.obs",
-    "repro.obs.metrics.MetricsRegistry",
     "repro.obs.telemetry.RunTelemetry",
     "repro.obs.telemetry.load_telemetry",
     "repro.obs.trace.Tracer",

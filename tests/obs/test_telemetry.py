@@ -1,16 +1,15 @@
-"""Tests of RunTelemetry: the three artifacts, resume semantics, re-hydration."""
+"""Tests of RunTelemetry: the two artifacts, resume semantics, re-hydration."""
 
 import io
 import json
 
 import pytest
 
+from repro.cli.main import main
 from repro.core.artifacts import record_solve_run
 from repro.exceptions import ConfigurationError
 from repro.moo.testproblems import Schaffer
-from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import (
-    METRICS_NAME,
     TIMESERIES_NAME,
     TRACE_NAME,
     LiveProgress,
@@ -21,10 +20,9 @@ from repro.obs.trace import get_tracer
 from repro.solve import Observer, solve
 
 
-def _solve_with_telemetry(directory, generations, resume="append", **kwargs):
-    telemetry = RunTelemetry(directory, resume=resume)
-    with telemetry:
-        result = solve(
+def _solve_with_telemetry(directory, generations, **kwargs):
+    with RunTelemetry(directory) as telemetry:
+        return solve(
             Schaffer(),
             "nsga2",
             seed=11,
@@ -33,19 +31,18 @@ def _solve_with_telemetry(directory, generations, resume="append", **kwargs):
             observers=[telemetry],
             **kwargs,
         )
-        telemetry.finalize(result)
-    return result
 
 
 class TestArtifacts:
     def test_recorded_run_writes_the_three_files(self, tmp_path):
         result = _solve_with_telemetry(tmp_path, 4, cache=True)
-        for name in (TRACE_NAME, METRICS_NAME, TIMESERIES_NAME):
+        for name in (TRACE_NAME, TIMESERIES_NAME):
             assert (tmp_path / name).is_file(), name
+        assert not (tmp_path / "metrics.json").exists()
         assert load_telemetry(tmp_path).ledger == {}  # no ledger.json yet
         record_solve_run(tmp_path, Schaffer(), result, {})
+        assert (tmp_path / "ledger.json").is_file()
         data = load_telemetry(tmp_path)
-        assert data.metrics["counters"]["solve.generations"] == 4
         assert data.ledger["total_evaluations"] == result.ledger.total_evaluations > 0
         assert data.ledger["total_cache_hits"] == result.ledger.total_cache_hits
         assert [row["generation"] for row in data.timeseries] == [1, 2, 3, 4]
@@ -64,11 +61,9 @@ class TestArtifacts:
             assert row["elapsed"] >= 0.0
 
     def test_convergence_false_skips_front_materialization(self, tmp_path):
-        telemetry = RunTelemetry(tmp_path, convergence=False)
-        with telemetry:
-            result = solve(Schaffer(), "nsga2", seed=1, termination=2,
-                           population_size=8, observers=[telemetry])
-            telemetry.finalize(result)
+        with RunTelemetry(tmp_path, convergence=False) as telemetry:
+            solve(Schaffer(), "nsga2", seed=1, termination=2,
+                  population_size=8, observers=[telemetry])
         for row in load_telemetry(tmp_path).timeseries:
             assert row["front_size"] is None
             assert row["hypervolume"] is None
@@ -77,61 +72,57 @@ class TestArtifacts:
         import numpy as np
 
         reference = np.array([[0.0, 4.0], [1.0, 1.0], [4.0, 0.0]])
-        telemetry = RunTelemetry(tmp_path, reference_front=reference)
-        with telemetry:
-            result = solve(Schaffer(), "nsga2", seed=1, termination=2,
-                           population_size=8, observers=[telemetry])
-            telemetry.finalize(result)
+        with RunTelemetry(tmp_path, reference_front=reference) as telemetry:
+            solve(Schaffer(), "nsga2", seed=1, termination=2,
+                  population_size=8, observers=[telemetry])
         rows = load_telemetry(tmp_path).timeseries
         assert all(row["igd"] is not None for row in rows)
 
-    def test_close_without_finalize_still_writes_metrics(self, tmp_path):
-        telemetry = RunTelemetry(tmp_path)
-        with telemetry:
-            solve(Schaffer(), "nsga2", seed=1, termination=2,
-                  population_size=8, observers=[telemetry])
-        snapshot = json.loads((tmp_path / METRICS_NAME).read_text())
-        assert snapshot["counters"]["solve.generations"] == 2
+    def test_close_leaves_a_complete_timeseries_and_trace(self, tmp_path):
+        # A solve that raises mid-run: leaving the with-block closes both
+        # files, each holding every generation recorded before the error.
+        class StopAt(Observer):
+            def on_generation(self, event):
+                if event.generation == 2:
+                    raise KeyboardInterrupt  # not caught by observer dispatch
+
+        with pytest.raises(KeyboardInterrupt), RunTelemetry(tmp_path) as telemetry:
+            solve(Schaffer(), "nsga2", seed=1, termination=5,
+                  population_size=8, observers=[telemetry, StopAt()])
+        lines = (tmp_path / TIMESERIES_NAME).read_text().splitlines()
+        assert len(lines) == 3  # header + generations 1 and 2
+        assert all(line.count(",") == 8 for line in lines)
+        spans = [json.loads(line) for line in (tmp_path / TRACE_NAME).read_text().splitlines()]
+        assert [s["attributes"]["generation"] for s in spans
+                if s["name"] == "solve.generation"] == [1, 2]
+        assert [row["generation"] for row in load_telemetry(tmp_path).timeseries] == [1, 2]
 
     def test_globals_are_restored_after_close(self, tmp_path):
         tracer_before = get_tracer()
-        metrics_before = get_metrics()
         _solve_with_telemetry(tmp_path, 2)
         assert get_tracer() is tracer_before
-        assert get_metrics() is metrics_before
-
-    def test_invalid_resume_mode_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="append.*rotate"):
-            RunTelemetry(tmp_path, resume="overwrite")
 
 
 class TestResume:
     def test_append_produces_one_continuous_record(self, tmp_path):
         checkpoints = tmp_path / "checkpoints"
         run_dir = tmp_path / "telemetry"
-        telemetry = RunTelemetry(run_dir)
-        with telemetry:
-            result = solve(Schaffer(), "nsga2", seed=3, termination=3,
-                           population_size=8, cache=True, observers=[telemetry],
-                           checkpoint_dir=str(checkpoints), checkpoint_interval=1)
-            telemetry.finalize(result)
-        telemetry = RunTelemetry(run_dir)  # same directory, append mode
-        with telemetry:
-            result = solve(Schaffer(), "nsga2", seed=3, termination=6,
-                           population_size=8, cache=True, observers=[telemetry],
-                           checkpoint_dir=str(checkpoints), checkpoint_interval=1)
-            telemetry.finalize(result)
+        for termination in (3, 6):  # the second segment appends to the first
+            with RunTelemetry(run_dir) as telemetry:
+                result = solve(Schaffer(), "nsga2", seed=3, termination=termination,
+                               population_size=8, cache=True, observers=[telemetry],
+                               checkpoint_dir=str(checkpoints), checkpoint_interval=1)
         record_solve_run(run_dir, Schaffer(), result, {})
         data = load_telemetry(run_dir)
         assert [row["generation"] for row in data.timeseries] == [1, 2, 3, 4, 5, 6]
-        assert data.metrics["counters"]["solve.generations"] == 6
+        assert data.timeseries[-1]["evaluations"] == result.evaluations
         # The ledger travels inside checkpoints (cumulative), so the recorded
         # ledger.json covers both segments exactly once.
         assert data.ledger["total_evaluations"] == result.ledger.total_evaluations
         # One continuous trace: both segments' spans in one file.
         assert sum(1 for s in data.spans if s["name"] == "solve.run") == 2
 
-    def test_interrupted_run_resumed_in_append_mode_counts_once(self, tmp_path):
+    def test_interrupted_run_resumed_in_append_mode_counts_once(self, tmp_path, capsys):
         # An interrupt after the generation-2 checkpoint replays generation 3
         # on resume; evaluations and timeseries rows must not count it twice.
         class InterruptAt(Observer):
@@ -143,40 +134,30 @@ class TestResume:
         run_dir = tmp_path / "telemetry"
         kwargs = dict(population_size=8, cache=True,
                       checkpoint_dir=str(checkpoints), checkpoint_interval=2)
-        telemetry = RunTelemetry(run_dir)
-        with pytest.raises(KeyboardInterrupt), telemetry:
+        with pytest.raises(KeyboardInterrupt), RunTelemetry(run_dir) as telemetry:
             solve(Schaffer(), "nsga2", seed=5, termination=6,
                   observers=[telemetry, InterruptAt()], **kwargs)
-        telemetry = RunTelemetry(run_dir)  # same directory, append mode
-        with telemetry:
+        with RunTelemetry(run_dir) as telemetry:  # same directory, appended to
             result = solve(Schaffer(), "nsga2", seed=5, termination=6,
                            observers=[telemetry], **kwargs)
-            telemetry.finalize(result)
         record_solve_run(run_dir, Schaffer(), result, {})
         assert result.checkpoint.restored_generation == 2
         data = load_telemetry(run_dir)
         assert data.ledger["total_evaluations"] == result.ledger.total_evaluations
         assert [row["generation"] for row in data.timeseries] == [1, 2, 3, 4, 5, 6]
-        names = [
-            name
-            for section in ("counters", "gauges", "histograms")
-            for name in json.loads((run_dir / METRICS_NAME).read_text())[section]
+        # No projection beside the record: the summary is derived from it.
+        assert not (run_dir / "metrics.json").exists()
+        assert "metrics.json" not in json.loads((run_dir / "manifest.json").read_text())[
+            "artifacts"
         ]
-        assert not [
-            name
-            for name in names
-            if name.startswith(("evaluator.", "ledger.")) or name == "solve.evaluations"
-        ]
-
-    def test_rotate_moves_the_previous_segment_aside(self, tmp_path):
-        _solve_with_telemetry(tmp_path, 2)
-        _solve_with_telemetry(tmp_path, 3, resume="rotate")
-        assert (tmp_path / "trace-1.jsonl").is_file()
-        assert (tmp_path / "metrics-1.json").is_file()
-        assert (tmp_path / "timeseries-1.csv").is_file()
-        data = load_telemetry(tmp_path)
-        assert [row["generation"] for row in data.timeseries] == [1, 2, 3]
-        assert data.metrics["counters"]["solve.generations"] == 3
+        assert main(["stats", str(run_dir), "--json"]) == 0
+        run = json.loads(capsys.readouterr().out)["run"]
+        assert run["generation"] == 6 == result.generations
+        assert run["evaluations"] == result.evaluations
+        last = data.timeseries[-1]
+        assert {key: run[key] for key in last if key in run} == {
+            key: last[key] for key in last if key in run
+        }
 
 
 class TestLoadTelemetry:
@@ -185,16 +166,11 @@ class TestLoadTelemetry:
             load_telemetry(tmp_path)
 
     def test_partial_telemetry_loads_with_empty_sections(self, tmp_path):
-        (tmp_path / METRICS_NAME).write_text('{"counters": {"n": 1}}')
+        (tmp_path / TIMESERIES_NAME).write_text("generation,evaluations\n1,8\n")
         data = load_telemetry(tmp_path)
-        assert data.metrics["counters"] == {"n": 1}
+        assert data.timeseries == [{"generation": 1, "evaluations": 8}]
         assert data.spans == []
-        assert data.timeseries == []
-
-    def test_registry_property_rehydrates_the_snapshot(self, tmp_path):
-        _solve_with_telemetry(tmp_path, 2)
-        registry = load_telemetry(tmp_path).registry
-        assert registry.counter("solve.generations").value == 2
+        assert data.ledger == {}
 
     def test_repeated_csv_headers_are_tolerated(self, tmp_path):
         (tmp_path / TIMESERIES_NAME).write_text(

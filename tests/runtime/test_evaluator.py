@@ -7,7 +7,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.testproblems import ZDT1, FonsecaFleming, Schaffer
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.problems import BudgetCounting, EvaluationResult, FunctionalProblem, Problem
 from repro.runtime import (
     CachedEvaluator,
@@ -271,11 +270,9 @@ class TestCountedOnce:
         monkeypatch.setattr(EvaluationLedger, "record", counted_record)
         counting = BudgetCounting(Schaffer())
         X = np.array([[0.5], [1.5], [0.5]])  # one duplicate row
-        registry = MetricsRegistry()
-        with make(tmp_path) as evaluator, use_metrics(registry):
+        with make(tmp_path) as evaluator:
             evaluator.evaluate_matrix(counting, X)
         ledger = evaluator.ledger
-        assert registry.snapshot() == MetricsRegistry().snapshot()
         if isinstance(evaluator, ProcessPoolEvaluator):
             # Workers count their own problem copies; count in-process too.
             counting.evaluate_matrix(X)

@@ -147,8 +147,10 @@ class TestTelemetry:
         job = service.submit(**spec)
         service.wait(job["id"])
         job_dir = service.data_dir / "jobs" / job["id"]
-        assert (job_dir / "metrics.json").is_file()
         assert (job_dir / "trace.jsonl").is_file()
+        assert (job_dir / "timeseries.csv").is_file()
+        assert not (job_dir / "metrics.json").exists()
         manifest = json.loads((job_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert "metrics.json" in manifest["artifacts"]
+        assert {"trace.jsonl", "timeseries.csv"} <= set(manifest["artifacts"])
+        assert "metrics.json" not in manifest["artifacts"]
         assert manifest["parameters"]["seed"] == 13

@@ -343,16 +343,22 @@ class TestObserverHardening:
         assert any("boom" in record.exc_text or "failed" in record.message
                    for record in caplog.records)
 
-    def test_observer_errors_are_counted_in_metrics(self):
-        from repro.obs.metrics import get_metrics
+    def test_observer_errors_are_recorded_as_spans(self):
+        from repro.obs import InMemorySink, Tracer, use_tracer
 
         boom = CallbackObserver(
             on_generation=lambda e: (_ for _ in ()).throw(ValueError("nope"))
         )
-        before = get_metrics().counter("solve.observer_errors").value
-        solve(Schaffer(), "nsga2", seed=1, population_size=8, termination=3,
-              observers=[boom])
-        assert get_metrics().counter("solve.observer_errors").value == before + 3
+        sink = InMemorySink()
+        with use_tracer(Tracer(sink)):
+            solve(Schaffer(), "nsga2", seed=1, population_size=8, termination=3,
+                  observers=[boom])
+        errors = [span for span in sink.spans if span["name"] == "solve.observer_error"]
+        assert len(errors) == 3
+        assert all(
+            span["attributes"] == {"observer": "CallbackObserver", "method": "on_generation"}
+            for span in errors
+        )
 
     def test_result_is_unaffected_by_a_failing_observer(self):
         clean = solve(Schaffer(), "nsga2", seed=5, population_size=8, termination=4)
