@@ -45,7 +45,7 @@ def main() -> None:
 
     # 2. PMO2: two NSGA-II islands, broadcast migration (interval scaled down
     #    to the short run used here).  `solve` runs any registered algorithm
-    #    ("nsga2", "moead", "pmo2", "archipelago") through the same call.
+    #    ("nsga2", "moead", "pmo2") through the same call.
     config = PMO2Config(
         n_islands=2,
         island_population_size=24,

@@ -44,6 +44,7 @@ from repro.core.registry import (
 )
 from repro.core.report import format_table
 from repro.exceptions import ConfigurationError
+from repro.runtime.checkpoint import list_checkpoints
 from repro.solve.registry import UnknownSolverError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--population",
         type=int,
         default=None,
-        help="population size (per island for archipelago solvers)",
+        help="population size (per island for pmo2)",
     )
     solve_parser.add_argument(
         "--n-workers", type=int, default=1, help="worker processes for evaluation fan-out"
@@ -581,7 +582,7 @@ def _run_experiment(
         # Symmetric to the stale-checkpoint guard below: resuming from a
         # directory with no checkpoints would silently recompute the whole
         # run from generation 0 while claiming to have resumed it.
-        if not sorted(Path(overrides["checkpoint_dir"]).glob("checkpoint-*.pkl")):
+        if not list_checkpoints(overrides["checkpoint_dir"]):
             raise ConfigurationError(
                 "checkpoint directory %s holds no checkpoints to resume from; "
                 "check the path, or start the run with `%s run %s`"
@@ -591,7 +592,7 @@ def _run_experiment(
         # A fresh `run` must never silently restore leftover state: stale
         # checkpoints from another seed/parameter set would be restored by
         # the optimizer and recorded under this run's manifest.
-        stale = sorted(Path(overrides["checkpoint_dir"]).glob("checkpoint-*.pkl"))
+        stale = list_checkpoints(overrides["checkpoint_dir"])
         if stale:
             raise ConfigurationError(
                 "checkpoint directory %s already holds %d checkpoint(s); use "
@@ -664,7 +665,7 @@ def _solve_checkpoint_guard(args: argparse.Namespace, algorithm: str) -> None:
                 % (directory, dumps_json(recorded), dumps_json(current))
             )
         return
-    if sorted(directory.glob("checkpoint-*.pkl")):
+    if list_checkpoints(directory):
         raise ConfigurationError(
             "checkpoint directory %s holds checkpoints but no solve.json "
             "sidecar (was it written by `repro run`?); restoring unknown "

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator
 
 from repro.exceptions import ConfigurationError
 from repro.naming import did_you_mean
-from repro.params import Parameter
+from repro.params import Parameter, resolve_parameters
 
 __all__ = [
     "Parameter",
@@ -113,17 +113,9 @@ class Experiment:
         Returns the full keyword-argument dictionary to call :attr:`function`
         with; values are coerced to their declared types.
         """
-        known = {parameter.name: parameter for parameter in self.parameters}
-        unknown = sorted(set(overrides) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                "unknown parameter(s) %s for experiment %r (known: %s)"
-                % (", ".join(unknown), self.name, ", ".join(sorted(known)))
-            )
-        merged = self.defaults()
-        for name, value in overrides.items():
-            merged[name] = known[name].coerce(value)
-        return merged
+        return resolve_parameters(
+            self.parameters, overrides, "experiment %r" % self.name
+        )
 
     def run(self, **overrides: Any) -> Any:
         """Run the experiment with schema-validated parameters.

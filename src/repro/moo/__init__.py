@@ -4,8 +4,9 @@ The sub-package provides:
 
 * :mod:`repro.moo.nsga2` / :mod:`repro.moo.moead` — the two evolutionary
   engines (NSGA-II is PMO2's island engine, MOEA/D the Table 1 baseline);
-* :mod:`repro.moo.archipelago` / :mod:`repro.moo.topology` /
-  :mod:`repro.moo.pmo2` — the island model and the PMO2 configuration;
+* :mod:`repro.moo.archipelago` / :mod:`repro.moo.topology` — the island
+  model; :mod:`repro.moo.pmo2` — the PMO2 configuration and
+  :func:`build_pmo2`, the builder of the paper's archipelago;
 * :mod:`repro.moo.metrics` — hypervolume and the paper's Gp / Rp coverage
   indicators;
 * :mod:`repro.moo.mining` — closest-to-ideal, Pareto Relative Minimum, shadow
@@ -30,7 +31,7 @@ neither changes results for a fixed seed.  The problem contract lives in
 """
 
 from repro.moo import kernels
-from repro.moo.archipelago import Archipelago, ArchipelagoConfig, Island, MigrationPolicy
+from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
 from repro.moo.archive import ParetoArchive
 from repro.moo.dominance import (
     assign_ranks_and_crowding,
@@ -74,7 +75,7 @@ from repro.moo.mining import (
 )
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.moo.robustness import (
     PerturbationModel,
     RobustnessReport,
@@ -100,7 +101,6 @@ from repro.problems.batch import EvaluationResult
 
 __all__ = [
     "Archipelago",
-    "ArchipelagoConfig",
     "Island",
     "MigrationPolicy",
     "ParetoArchive",
@@ -142,8 +142,8 @@ __all__ = [
     "MOEADConfig",
     "NSGA2",
     "NSGA2Config",
-    "PMO2",
     "PMO2Config",
+    "build_pmo2",
     "EvaluationResult",
     "FunctionalProblem",
     "Problem",

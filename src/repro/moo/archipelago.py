@@ -4,8 +4,9 @@ The archipelago hosts several independently evolving optimizer instances
 ("islands") and periodically lets them exchange their best candidate solutions
 along a :class:`~repro.moo.topology.Topology`.  The paper's PMO2 algorithm is
 an archipelago of two NSGA-II islands with broadcast migration every 200
-generations at probability 0.5 (Sec. 2.1); :mod:`repro.moo.pmo2` builds that
-specific configuration on top of this module.
+generations at probability 0.5 (Sec. 2.1); :func:`repro.moo.pmo2.build_pmo2`
+builds that configuration on top of this module, and other archipelagos
+(say, with MOEA/D islands) are built by hand from :class:`Island` objects.
 
 The island *scheduling* runs cooperatively inside one process (the paper's
 "coarse-grained parallelism" refers to the population structure), which keeps
@@ -25,24 +26,22 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.moo.moead import MOEAD
+    from repro.moo.nsga2 import NSGA2
     from repro.runtime.evaluator import Evaluator
     from repro.solve.result import SolveResult
 
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
-from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.topology import AllToAllTopology, Topology, topology_from_name
-from repro.moo.validation import check_at_least, check_choice, check_probability
+from repro.moo.topology import AllToAllTopology, Topology
+from repro.moo.validation import check_at_least, check_probability
 from repro.obs.trace import get_tracer
-from repro.problems.base import Problem
 from repro.runtime.evaluator import SerialEvaluator
 
 __all__ = [
     "MigrationPolicy",
     "Island",
-    "ArchipelagoConfig",
     "Archipelago",
 ]
 
@@ -130,52 +129,6 @@ class Island:
         return "Island(%s)" % self.name
 
 
-@dataclass
-class ArchipelagoConfig:
-    """Declarative configuration of a generic archipelago.
-
-    PMO2 is the paper's specific archipelago (two NSGA-II islands); this
-    configuration builds arbitrary homogeneous archipelagos — including
-    MOEA/D islands — through :meth:`Archipelago.from_config`, which is also
-    how the ``"archipelago"`` entry of the solver registry constructs one.
-
-    Attributes
-    ----------
-    n_islands:
-        Number of islands.
-    island_engine:
-        ``"nsga2"`` or ``"moead"`` — the optimizer run on every island.
-    island_population_size:
-        Population (sub-problem count for MOEA/D) of each island.
-    migration_interval, migration_rate, migration_count:
-        The :class:`MigrationPolicy` knobs.
-    topology:
-        Migration topology name (see :func:`repro.moo.topology.topology_from_name`).
-    archive_capacity:
-        Per-island archive bound (``None`` = unbounded).
-    """
-
-    n_islands: int = 2
-    island_engine: str = "nsga2"
-    island_population_size: int = 52
-    migration_interval: int = 200
-    migration_rate: float = 0.5
-    migration_count: int = 5
-    topology: str = "all-to-all"
-    archive_capacity: int | None = None
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on inconsistent settings."""
-        check_at_least("n_islands", self.n_islands, 1)
-        check_choice("island_engine", self.island_engine, ("nsga2", "moead"))
-        check_at_least("island_population_size", self.island_population_size, 4)
-        MigrationPolicy(
-            interval=self.migration_interval,
-            rate=self.migration_rate,
-            count=self.migration_count,
-        ).validate()
-
-
 class Archipelago:
     """Cooperative island-model driver.
 
@@ -225,57 +178,6 @@ class Archipelago:
         self.migrations = 0
         self.history: list[dict] = []
         self._initialized = False
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        problem: Problem,
-        config: ArchipelagoConfig | None = None,
-        seed: int | None = None,
-        evaluator: "Evaluator | None" = None,
-    ) -> "Archipelago":
-        """Build a homogeneous archipelago from an :class:`ArchipelagoConfig`.
-
-        Island seeds (and the migration driver's seed) are derived
-        deterministically from ``seed`` through a
-        :class:`numpy.random.SeedSequence`, mirroring PMO2's construction.
-        """
-        config = config or ArchipelagoConfig()
-        config.validate()
-        seeds = np.random.SeedSequence(seed).spawn(config.n_islands + 1)
-        islands = []
-        for i in range(config.n_islands):
-            island_seed = int(seeds[i].generate_state(1)[0])
-            if config.island_engine == "nsga2":
-                optimizer: NSGA2 | MOEAD = NSGA2(
-                    problem,
-                    config=NSGA2Config(
-                        population_size=config.island_population_size,
-                        archive_capacity=config.archive_capacity,
-                    ),
-                    seed=island_seed,
-                )
-            else:
-                optimizer = MOEAD(
-                    problem,
-                    config=MOEADConfig(
-                        population_size=config.island_population_size,
-                        archive_capacity=config.archive_capacity,
-                    ),
-                    seed=island_seed,
-                )
-            islands.append(Island(optimizer, name="%s-%d" % (config.island_engine, i)))
-        topology = topology_from_name(config.topology, config.n_islands)
-        policy = MigrationPolicy(
-            interval=config.migration_interval,
-            rate=config.migration_rate,
-            count=config.migration_count,
-        )
-        driver_seed = int(seeds[-1].generate_state(1)[0])
-        return cls(
-            islands, topology=topology, policy=policy, seed=driver_seed, evaluator=evaluator
-        )
 
     # ------------------------------------------------------------------
     def initialize(self) -> None:

@@ -1,8 +1,8 @@
 """PMO2: Parallel Multi-Objective Optimization (the paper's algorithm).
 
 PMO2 (Sec. 2.1) is an archipelago of multi-objective optimizers.  The adopted
-configuration — the one every experiment of the paper uses and the one built
-by :func:`PMO2.paper_configuration` — is:
+configuration — the one every experiment of the paper uses, and the defaults
+of :class:`PMO2Config` — is:
 
 * two islands,
 * each island running an independent instance of NSGA-II,
@@ -10,21 +10,20 @@ by :func:`PMO2.paper_configuration` — is:
 * migration every 200 generations,
 * migration probability 0.5.
 
-This module exposes a convenience class that assembles that archipelago
-behind the :class:`repro.solve.Solver` protocol; run it with
+:func:`build_pmo2` assembles that :class:`~repro.moo.archipelago.Archipelago`
+and is the ``"pmo2"`` entry of the solver registry; run it with
 ``solve(problem, "pmo2", termination=...)``, which returns the merged
 non-dominated front together with run statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
-from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.topology import topology_from_name
 from repro.moo.validation import check_at_least, check_even
@@ -32,20 +31,32 @@ from repro.problems.base import Problem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.evaluator import Evaluator
-    from repro.solve.result import SolveResult
 
-__all__ = ["PMO2Config", "PMO2"]
+__all__ = ["PMO2Config", "build_pmo2"]
 
 
 @dataclass
 class PMO2Config:
     """Configuration of the PMO2 archipelago.
 
-    The defaults reproduce the paper's adopted configuration; the extra knobs
-    (number of islands, topology, per-island NSGA-II settings) expose the rest
-    of the framework the paper describes.  How evaluations execute (worker
-    processes, caching) is not configured here: :func:`repro.solve.solve`
-    decides it through its ``n_workers`` / ``cache`` / ``evaluator`` knobs.
+    The defaults reproduce the paper's adopted configuration; the other
+    values expose the rest of the island model the paper describes.  How
+    evaluations execute (worker processes, caching) is not configured here:
+    :func:`repro.solve.solve` decides it through its ``n_workers`` /
+    ``cache`` / ``evaluator`` knobs.
+
+    Attributes
+    ----------
+    n_islands:
+        Number of NSGA-II islands.
+    island_population_size:
+        Population of each island (even, at least 4).
+    migration_interval, migration_rate, migration_count:
+        The :class:`MigrationPolicy` knobs.
+    topology:
+        Migration topology name (see :func:`repro.moo.topology.topology_from_name`).
+    archive_capacity:
+        Per-island archive bound (``None`` = unbounded).
     """
 
     n_islands: int = 2
@@ -54,7 +65,6 @@ class PMO2Config:
     migration_rate: float = 0.5
     migration_count: int = 5
     topology: str = "all-to-all"
-    nsga2: NSGA2Config = field(default_factory=NSGA2Config)
     archive_capacity: int | None = None
 
     def validate(self) -> None:
@@ -69,129 +79,49 @@ class PMO2Config:
         ).validate()
 
 
-class PMO2:
-    """The Parallel Multi-Objective Optimization framework.
+def build_pmo2(
+    problem: Problem,
+    config: PMO2Config | None = None,
+    seed: int | None = None,
+    evaluator: "Evaluator | None" = None,
+) -> Archipelago:
+    """Build the PMO2 archipelago of ``config`` for ``problem``.
 
-    Parameters
-    ----------
-    problem:
-        Problem to minimize.
-    config:
-        PMO2 configuration; ``None`` uses the paper's adopted configuration.
-    seed:
-        Master seed; island seeds are derived from it deterministically.
-    evaluator:
-        Optional :class:`~repro.runtime.evaluator.Evaluator` shared by every
-        island (a :class:`~repro.runtime.evaluator.SerialEvaluator` by
-        default).  Evaluator choice never changes results — a pooled run is
-        bitwise identical to a serial run of the same seed.
+    Island seeds (and the migration driver's seed) are derived
+    deterministically from ``seed`` through a
+    :class:`numpy.random.SeedSequence`.  ``evaluator`` is shared by every
+    island (a :class:`~repro.runtime.evaluator.SerialEvaluator` by default);
+    evaluator choice never changes results.
+
+    Example
+    -------
+    >>> from repro.moo.testproblems import Schaffer
+    >>> archipelago = build_pmo2(Schaffer(), PMO2Config(island_population_size=12), seed=0)
+    >>> [island.name for island in archipelago.islands]
+    ['nsga2-0', 'nsga2-1']
     """
-
-    def __init__(
-        self,
-        problem: Problem,
-        config: PMO2Config | None = None,
-        seed: int | None = None,
-        evaluator: "Evaluator | None" = None,
-    ) -> None:
-        self.problem = problem
-        self.config = config or PMO2Config()
-        self.config.validate()
-        self.seed = seed
-        self._seed_sequence = np.random.SeedSequence(seed)
-        self.archipelago = self._build_archipelago(evaluator)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def paper_configuration(
-        cls, problem: Problem, seed: int | None = None, population_size: int = 52
-    ) -> "PMO2":
-        """PMO2 exactly as adopted in the paper (2x NSGA-II, broadcast, 200/0.5)."""
-        config = PMO2Config(
-            n_islands=2,
-            island_population_size=population_size,
-            migration_interval=200,
-            migration_rate=0.5,
-            topology="all-to-all",
+    config = config or PMO2Config()
+    config.validate()
+    seeds = np.random.SeedSequence(seed).spawn(config.n_islands + 1)
+    islands = []
+    for i in range(config.n_islands):
+        island_seed = int(seeds[i].generate_state(1)[0])
+        optimizer = NSGA2(
+            problem,
+            config=NSGA2Config(
+                population_size=config.island_population_size,
+                archive_capacity=config.archive_capacity,
+            ),
+            seed=island_seed,
         )
-        return cls(problem, config=config, seed=seed)
-
-    def _build_archipelago(self, evaluator: "Evaluator | None") -> Archipelago:
-        seeds = self._seed_sequence.spawn(self.config.n_islands + 1)
-        islands = []
-        for i in range(self.config.n_islands):
-            nsga_config = replace(
-                self.config.nsga2,
-                population_size=self.config.island_population_size,
-                archive_capacity=self.config.archive_capacity,
-            )
-            island_seed = int(seeds[i].generate_state(1)[0])
-            optimizer = NSGA2(self.problem, config=nsga_config, seed=island_seed)
-            islands.append(Island(optimizer, name="nsga2-%d" % i))
-        topology = topology_from_name(self.config.topology, self.config.n_islands)
-        policy = MigrationPolicy(
-            interval=self.config.migration_interval,
-            rate=self.config.migration_rate,
-            count=self.config.migration_count,
-        )
-        driver_seed = int(seeds[-1].generate_state(1)[0])
-        return Archipelago(
-            islands, topology=topology, policy=policy, seed=driver_seed, evaluator=evaluator
-        )
-
-    # ------------------------------------------------------------------
-    # Solver protocol (see repro.solve.api)
-    # ------------------------------------------------------------------
-    @property
-    def is_initialized(self) -> bool:
-        """Whether every island has been initialized."""
-        return self.archipelago.is_initialized
-
-    @property
-    def generation(self) -> int:
-        """Generations completed by the archipelago."""
-        return self.archipelago.generation
-
-    @property
-    def evaluations(self) -> int:
-        """Total objective evaluations across all islands."""
-        return self.archipelago.total_evaluations
-
-    @property
-    def migrations(self) -> int:
-        """Migration events performed so far."""
-        return self.archipelago.migrations
-
-    @property
-    def checkpoint_target(self) -> Archipelago:
-        """Object whose state checkpoints travel with (the archipelago)."""
-        return self.archipelago
-
-    @property
-    def evaluator(self) -> "Evaluator":
-        """Evaluator the islands share (after a restore, the one restored with them)."""
-        return self.archipelago.evaluator
-
-    def initialize(self) -> None:
-        """Initialize every island."""
-        self.archipelago.initialize()
-
-    def step(self) -> None:
-        """Advance every island by one generation (migrating when scheduled)."""
-        self.archipelago.step()
-
-    def pareto_front(self) -> Population:
-        """Snapshot of the merged non-dominated front across all islands."""
-        return self.archipelago.pareto_front()
-
-    def result(self) -> "SolveResult":
-        """Package the archipelago's current state as PMO2's :class:`SolveResult`."""
-        result = self.archipelago.result()
-        result.algorithm = "pmo2"
-        return result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "PMO2(islands=%d, topology=%s)" % (
-            self.config.n_islands,
-            self.config.topology,
-        )
+        islands.append(Island(optimizer, name="nsga2-%d" % i))
+    topology = topology_from_name(config.topology, config.n_islands)
+    policy = MigrationPolicy(
+        interval=config.migration_interval,
+        rate=config.migration_rate,
+        count=config.migration_count,
+    )
+    driver_seed = int(seeds[-1].generate_state(1)[0])
+    return Archipelago(
+        islands, topology=topology, policy=policy, seed=driver_seed, evaluator=evaluator
+    )

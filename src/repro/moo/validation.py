@@ -1,8 +1,8 @@
 """Shared configuration-validation helpers with uniform error messages.
 
-The four solver configurations (``NSGA2Config``, ``MOEADConfig``,
-``PMO2Config``, ``ArchipelagoConfig``) and the ``MigrationPolicy`` used to
-carry four near-identical hand-written ``validate()`` bodies; these helpers
+The solver configurations (``NSGA2Config``, ``MOEADConfig``, ``PMO2Config``)
+and the ``MigrationPolicy`` used to carry near-identical hand-written
+``validate()`` bodies; these helpers
 deduplicate the range/choice/probability checks and make every message read
 the same way (``"<field> must be ..., got <value>"``), so a misconfiguration
 reported by any solver looks identical to the user.

@@ -15,9 +15,14 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
-__all__ = ["Parameter"]
+from repro.exceptions import ConfigurationError
+
+__all__ = ["Parameter", "resolve_parameters"]
+
+_TRUE_STRINGS = {"1", "true", "yes", "on"}
+_FALSE_STRINGS = {"0", "false", "no", "off"}
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,55 @@ class Parameter:
         return "--" + self.name.replace("_", "-")
 
     def coerce(self, value: Any) -> Any:
-        """Convert ``value`` to the parameter's type (``None`` passes through)."""
+        """Convert ``value`` to the parameter's type (``None`` passes through).
+
+        Strings are parsed, so spec-string fragments, JSON payloads and
+        keyword arguments coerce alike: ``"false"`` / ``"0"`` / ``"no"`` /
+        ``"off"`` are ``False`` for a boolean.  A value that does not parse
+        raises :class:`~repro.exceptions.ConfigurationError` naming the
+        parameter.
+        """
         if value is None:
             return None
-        if self.type is bool:
-            return bool(value)
-        return self.type(value)
+        if self.type is bool and isinstance(value, str):
+            lowered = value.lower()
+            if lowered in _TRUE_STRINGS:
+                return True
+            if lowered in _FALSE_STRINGS:
+                return False
+            raise ConfigurationError(
+                "cannot parse %r as a boolean for %r" % (value, self.name)
+            )
+        try:
+            return self.type(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                "cannot parse %r as %s for parameter %r"
+                % (value, self.type.__name__, self.name)
+            ) from None
+
+
+def resolve_parameters(
+    parameters: Iterable[Parameter], overrides: dict[str, Any], owner: str
+) -> dict[str, Any]:
+    """Merge coerced ``overrides`` into the schema defaults of ``parameters``.
+
+    Unknown names raise :class:`~repro.exceptions.ConfigurationError`
+    mentioning ``owner`` (``"experiment 'x'"``, ``"problem 'y'"``).
+
+    Example
+    -------
+    >>> resolve_parameters([Parameter("n_var", int, 30)], {"n_var": "5"}, "problem 'zdt1'")
+    {'n_var': 5}
+    """
+    known = {parameter.name: parameter for parameter in parameters}
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            "unknown parameter(s) %s for %s (known: %s)"
+            % (", ".join(unknown), owner, ", ".join(sorted(known)) or "none")
+        )
+    merged = {name: parameter.default for name, parameter in known.items()}
+    for name, value in overrides.items():
+        merged[name] = known[name].coerce(value)
+    return merged

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.params import Parameter
+from repro.params import Parameter, resolve_parameters
 from repro.exceptions import ConfigurationError
 from repro.naming import did_you_mean
 from repro.problems.base import Problem
@@ -86,32 +86,6 @@ TRANSFORM_PARAMETERS: tuple[Parameter, ...] = (
 
 _TRANSFORM_KEYS = {parameter.name: parameter for parameter in TRANSFORM_PARAMETERS}
 
-_TRUE_STRINGS = {"1", "true", "yes", "on"}
-_FALSE_STRINGS = {"0", "false", "no", "off"}
-
-
-def _coerce(parameter: Parameter, value: Any) -> Any:
-    """Coerce one raw value (possibly a spec-string fragment) to its type."""
-    if value is None:
-        return None
-    if parameter.type is bool and isinstance(value, str):
-        lowered = value.lower()
-        if lowered in _TRUE_STRINGS:
-            return True
-        if lowered in _FALSE_STRINGS:
-            return False
-        raise ConfigurationError(
-            "cannot parse %r as a boolean for %r" % (value, parameter.name)
-        )
-    try:
-        return parameter.coerce(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            "cannot parse %r as %s for parameter %r"
-            % (value, parameter.type.__name__, parameter.name)
-        ) from None
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """One registered problem: name, parameter schema and factory.
@@ -149,16 +123,7 @@ class ProblemSpec:
         >>> get_problem("zdt1").build(n_var=5).n_var
         5
         """
-        known = {parameter.name: parameter for parameter in self.parameters}
-        unknown = sorted(set(overrides) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                "unknown parameter(s) %s for problem %r (known: %s)"
-                % (", ".join(unknown), self.name, ", ".join(sorted(known)) or "none")
-            )
-        merged = self.defaults()
-        for key, value in overrides.items():
-            merged[key] = _coerce(known[key], value)
+        merged = resolve_parameters(self.parameters, overrides, "problem %r" % self.name)
         problem = self.factory(**merged)
         if getattr(problem, "spec", None) is None:
             # Canonical spec string — registry name plus *every* resolved
@@ -314,7 +279,7 @@ def build_problem(spec: str, **overrides: Any) -> Problem:
         if key in schema:
             problem_params[key] = value
         elif key in _TRANSFORM_KEYS:
-            transform_params[key] = _coerce(_TRANSFORM_KEYS[key], value)
+            transform_params[key] = _TRANSFORM_KEYS[key].coerce(value)
         else:
             choices = sorted(schema | set(_TRANSFORM_KEYS))
             raise ConfigurationError(

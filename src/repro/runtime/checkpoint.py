@@ -34,9 +34,28 @@ from typing import Any
 
 from repro.exceptions import CheckpointError, ConfigurationError
 
-__all__ = ["CheckpointManager"]
+__all__ = ["CheckpointManager", "list_checkpoints"]
 
 _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
+
+
+def list_checkpoints(directory: str | os.PathLike) -> list[tuple[int, Path]]:
+    """``(generation, path)`` of every checkpoint in ``directory``, oldest first.
+
+    The one reader of checkpoint file names: only the names
+    :meth:`CheckpointManager.save` writes (``checkpoint-<8 digits>.pkl``)
+    count, so every caller agrees with what a restore would load.  Nothing
+    is created or unpickled; a missing directory holds no checkpoints.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        return []
+    found = []
+    for path in directory.iterdir():
+        match = _CHECKPOINT_PATTERN.match(path.name)
+        if match:
+            found.append((int(match.group(1)), path))
+    return sorted(found)
 
 
 class CheckpointManager:
@@ -113,12 +132,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def checkpoints(self) -> list[Path]:
         """Checkpoint files present, ordered oldest to newest."""
-        found = [
-            path
-            for path in self.directory.iterdir()
-            if _CHECKPOINT_PATTERN.match(path.name)
-        ]
-        return sorted(found)
+        return [path for _, path in list_checkpoints(self.directory)]
 
     def latest(self) -> Path | None:
         """Path of the most recent checkpoint, ``None`` when there is none."""

@@ -38,6 +38,7 @@ from datetime import datetime, timezone
 from typing import Any
 
 from repro.exceptions import ConfigurationError
+from repro.params import Parameter
 
 __all__ = [
     "QUEUED",
@@ -117,6 +118,13 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+#: Type each :class:`JobSpec` field is coerced to by :meth:`Parameter.coerce`.
+_FIELD_TYPES: dict[str, type] = dict(
+    problem=str, algorithm=str, seed=int, generations=int, max_evaluations=int,
+    population=int, checkpoint_interval=int, telemetry=bool,
+)
+
+
 @dataclass
 class JobSpec:
     """What one job solves: the submit-time payload, validated and typed.
@@ -127,8 +135,7 @@ class JobSpec:
         Problem spec string of the registry
         (:func:`repro.problems.build_problem`), e.g. ``"zdt1?n_var=10"``.
     algorithm:
-        Registered solver name (``"nsga2"``, ``"moead"``, ``"pmo2"``,
-        ``"archipelago"``).
+        Registered solver name (``"nsga2"``, ``"moead"``, ``"pmo2"``).
     seed:
         Master random seed; together with the other fields it pins the run,
         so a resumed job reproduces the uninterrupted run bitwise.
@@ -137,7 +144,7 @@ class JobSpec:
     max_evaluations:
         Optional additional evaluation cap (``| MaxEvaluations``).
     population:
-        Optional population size override (per island for archipelagos).
+        Optional population size override (per island for ``pmo2``).
     checkpoint_interval:
         Generations between resumable checkpoints inside the job directory.
     telemetry:
@@ -167,8 +174,8 @@ class JobSpec:
             raise ConfigurationError(
                 "job payload must be a JSON object, got %s" % type(payload).__name__
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(payload) - set(known))
         if unknown:
             raise ConfigurationError(
                 "unknown job field(s) %s (known: %s)"
@@ -176,26 +183,18 @@ class JobSpec:
             )
         if "problem" not in payload:
             raise ConfigurationError("job payload needs a 'problem' spec string")
-        spec = cls(**payload)
-        spec._coerce()
-        return spec
-
-    def _coerce(self) -> None:
-        """Type-check and normalize the fields (submit payloads are JSON)."""
-        self.problem = str(self.problem)
-        self.algorithm = str(self.algorithm)
-        self.seed = int(self.seed)
-        self.generations = int(self.generations)
-        if self.generations < 1:
+        values = {}
+        for name, value in payload.items():
+            # Only the fields that default to None may be null.
+            if value is None and known[name].default is not None:
+                raise ConfigurationError("job field %r must not be null" % name)
+            values[name] = Parameter(name, _FIELD_TYPES[name], None).coerce(value)
+        spec = cls(**values)
+        if spec.generations < 1:
             raise ConfigurationError("generations must be positive")
-        if self.max_evaluations is not None:
-            self.max_evaluations = int(self.max_evaluations)
-        if self.population is not None:
-            self.population = int(self.population)
-        self.checkpoint_interval = int(self.checkpoint_interval)
-        if self.checkpoint_interval < 1:
+        if spec.checkpoint_interval < 1:
             raise ConfigurationError("checkpoint_interval must be positive")
-        self.telemetry = bool(self.telemetry)
+        return spec
 
     def validate(self) -> None:
         """Resolve the problem and solver now, so bad specs fail at submit.

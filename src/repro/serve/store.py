@@ -37,6 +37,7 @@ import secrets
 import tempfile
 from pathlib import Path
 
+from repro.runtime.checkpoint import list_checkpoints
 from repro.serve.jobs import (
     QUEUED,
     JobRecord,
@@ -193,20 +194,12 @@ class JobStore:
     def latest_checkpoint_generation(self, job_id: str) -> int | None:
         """Generation of the newest resumable checkpoint, ``None`` if none.
 
-        Parsed from the ``checkpoint-<generation>.pkl`` file names — no
-        pickle is loaded, so the scan is safe on arbitrary directories.
+        Read from the file names by
+        :func:`~repro.runtime.checkpoint.list_checkpoints` — the same listing
+        the resumed run restores from — so no pickle is loaded.
         """
-        directory = self.checkpoints_dir(job_id)
-        if not directory.is_dir():
-            return None
-        generations = []
-        for path in directory.iterdir():
-            name = path.name
-            if name.startswith("checkpoint-") and name.endswith(".pkl"):
-                digits = name[len("checkpoint-"):-len(".pkl")]
-                if digits.isdigit():
-                    generations.append(int(digits))
-        return max(generations) if generations else None
+        found = list_checkpoints(self.checkpoints_dir(job_id))
+        return found[-1][0] if found else None
 
     def truncate_events(self, job_id: str) -> int | None:
         """Align the event log with the checkpoint a resumed run restores.

@@ -8,7 +8,7 @@ One stable contract in front of every optimization engine:
 * :class:`Solver` — the structural protocol engines implement
   (``initialize`` / ``step`` / counters / ``pareto_front`` / ``result``);
 * :class:`SolverSpec` / :func:`get_solver` / :func:`solver_names` — the
-  solver registry (``nsga2``, ``moead``, ``pmo2``, ``archipelago``);
+  solver registry (``nsga2``, ``moead``, ``pmo2``);
 * :class:`SolveResult` — the one result type every engine returns;
 * :mod:`~repro.solve.termination` — composable stopping rules
   (:class:`MaxGenerations`, :class:`MaxEvaluations`, :class:`WallClock`,

@@ -1,7 +1,7 @@
 """The unified ``solve()`` entry point and the :class:`Solver` protocol.
 
-Every optimization engine in this library — NSGA-II, MOEA/D, PMO2 and the
-generic archipelago — runs through the single generic loop in this module.
+Every optimization engine in this library — NSGA-II, MOEA/D and the PMO2
+archipelago — runs through the single generic loop in this module.
 The loop owns checkpoint restore/save, termination, evaluator assembly and
 tear-down, ledger phases, per-generation history, and the streaming of
 :mod:`repro.solve.events` to observers.  Engines only provide the
@@ -15,11 +15,11 @@ pooled, cached or resumed.
 
 Example
 -------
-All four engines, one code path::
+All three engines, one code path::
 
     from repro.solve import MaxGenerations, solve
 
-    for algorithm in ("nsga2", "moead", "pmo2", "archipelago"):
+    for algorithm in ("nsga2", "moead", "pmo2"):
         result = solve(problem, algorithm=algorithm, seed=7,
                        termination=MaxGenerations(50))
         print(algorithm, result.evaluations, len(result.front))
@@ -145,16 +145,15 @@ def _drive(
     termination: Termination,
     observers: tuple[Observer, ...],
     checkpoint: CheckpointManager | None,
-    target: Any,
     info: CheckpointInfo | None,
     ledger: EvaluationLedger,
     initial_population: Any,
 ) -> list[dict]:
     """The generic initialize-and-step loop; returns the per-generation history.
 
-    History entries are appended to the checkpoint target's own ``history``
-    list (every engine carries one), so they travel inside checkpoints and a
-    resumed run returns the full history of the uninterrupted run.
+    History entries are appended to the engine's own ``history`` list (every
+    engine carries one), so they travel inside checkpoints and a resumed run
+    returns the full history of the uninterrupted run.
     """
     started = time.perf_counter()
     tracer = get_tracer()
@@ -166,7 +165,7 @@ def _drive(
             "cannot inject an initial population into a restored run"
         )
     termination.reset()
-    engine_history = getattr(target, "history", None)
+    engine_history = getattr(engine, "history", None)
     history: list[dict] = engine_history if isinstance(engine_history, list) else []
     while True:
         progress = RunProgress(
@@ -215,7 +214,7 @@ def _drive(
             _dispatch(observers, "on_migration", migration_event)
         if checkpoint is not None:
             with tracer.span("solve.checkpoint", generation=engine.generation) as span:
-                path = checkpoint.maybe_save(target, engine.generation)
+                path = checkpoint.maybe_save(engine, engine.generation)
                 span.set(saved=path is not None)
             if path is not None:
                 assert info is not None
@@ -263,8 +262,9 @@ def solve(
     problem:
         The :class:`~repro.problems.Problem` to minimize.
     algorithm:
-        Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``,
-        ``"archipelago"``) or a :class:`~repro.solve.registry.SolverSpec`.
+        Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``) or a
+        :class:`~repro.solve.registry.SolverSpec`; the result's
+        ``algorithm`` is the spec's name.
     config:
         Solver configuration object; mutually exclusive with
         ``**config_overrides``, which are forwarded to the solver's config
@@ -337,7 +337,6 @@ def solve(
     )
     if checkpoint is None and checkpoint_dir is not None:
         checkpoint = CheckpointManager(checkpoint_dir, interval=checkpoint_interval)
-    target = getattr(engine, "checkpoint_target", engine)
     info = (
         CheckpointInfo(directory=str(checkpoint.directory), interval=checkpoint.interval)
         if checkpoint is not None
@@ -350,7 +349,7 @@ def solve(
             problem=problem.name,
             seed=seed,
         ):
-            if checkpoint is not None and checkpoint.restore(target):
+            if checkpoint is not None and checkpoint.restore(engine):
                 assert info is not None
                 info.restored_generation = engine.generation
             if warm_start is not None and not engine.is_initialized:
@@ -375,12 +374,12 @@ def solve(
                     stopping,
                     observers,
                     checkpoint,
-                    target,
                     info,
                     ledger,
                     initial_population,
                 )
         result = engine.result()
+        result.algorithm = spec.name
         result.problem = problem.name
         result.history = history
         result.checkpoint = info

@@ -10,7 +10,7 @@ Example
 -------
 >>> from repro.solve.registry import get_solver, solver_names
 >>> solver_names()
-['archipelago', 'moead', 'nsga2', 'pmo2']
+['moead', 'nsga2', 'pmo2']
 >>> get_solver("nsga2").config_cls.__name__
 'NSGA2Config'
 """
@@ -22,10 +22,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import ConfigurationError
 from repro.naming import did_you_mean
-from repro.moo.archipelago import Archipelago, ArchipelagoConfig
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.pmo2 import PMO2Config, build_pmo2
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.problems.base import Problem
@@ -56,7 +55,8 @@ class SolverSpec:
     Attributes
     ----------
     name:
-        Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``, ``"archipelago"``).
+        Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``); :func:`repro.solve.solve`
+        stamps it on the result as ``result.algorithm``.
     title:
         One-line human-readable description.
     config_cls:
@@ -196,19 +196,6 @@ register_solver(
         name="pmo2",
         title="PMO2 archipelago (the paper's algorithm)",
         config_cls=PMO2Config,
-        factory=lambda problem, config, seed, evaluator: PMO2(
-            problem, config=config, seed=seed, evaluator=evaluator
-        ),
-    )
-)
-
-register_solver(
-    SolverSpec(
-        name="archipelago",
-        title="Generic island archipelago (configurable island engine)",
-        config_cls=ArchipelagoConfig,
-        factory=lambda problem, config, seed, evaluator: Archipelago.from_config(
-            problem, config=config, seed=seed, evaluator=evaluator
-        ),
+        factory=build_pmo2,
     )
 )

@@ -63,7 +63,7 @@ class SolveResult:
     ----------
     algorithm:
         Registry name of the solver that produced the result (``"nsga2"``,
-        ``"moead"``, ``"pmo2"``, ``"archipelago"``).
+        ``"moead"``, ``"pmo2"``), stamped by :func:`repro.solve.solve`.
     problem:
         Human-readable name of the optimized problem.
     population:

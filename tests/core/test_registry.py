@@ -90,6 +90,19 @@ class TestParameterSchema:
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             self._demo().validate_parameters({"budget": 3})
 
+    @pytest.mark.parametrize("text,expected", [("false", False), ("off", False), ("yes", True)])
+    def test_string_booleans_are_parsed(self, text, expected):
+        experiment = get_experiment("migration-ablation")
+        assert experiment.validate_parameters({"cache": text})["cache"] is expected
+
+    @pytest.mark.parametrize(
+        "overrides", [{"population": "abc"}, {"population": [1]}, {"cache": "maybe"}]
+    )
+    def test_unparseable_value_is_a_configuration_error(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ConfigurationError, match=name):
+            self._demo().validate_parameters(overrides)
+
     def test_run_passes_validated_parameters(self):
         assert self._demo().run(population=6) == (6, 0, False)
 
@@ -102,6 +115,18 @@ class TestParameterSchema:
 
     def test_none_passes_through_coercion(self):
         assert Parameter("checkpoint_dir", str, None, "").coerce(None) is None
+
+    @pytest.mark.parametrize(
+        "kind,value,expected",
+        [(int, "3", 3), (float, "0.5", 0.5), (bool, "ON", True), (bool, 0, False), (str, 7, "7")],
+    )
+    def test_coercion_parses_to_the_declared_type(self, kind, value, expected):
+        coerced = Parameter("knob", kind, None, "").coerce(value)
+        assert coerced == expected and type(coerced) is kind
+
+    def test_fractional_string_is_not_an_int(self):
+        with pytest.raises(ConfigurationError, match="'population'"):
+            Parameter("population", int, 4, "").coerce("1.5")
 
 
 class TestRegistryObject:

@@ -5,9 +5,16 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
-from repro.moo.pmo2 import PMO2, PMO2Config
+from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.moo.testproblems import Schaffer, ZDT1
-from repro.solve import MaxEvaluations, solve
+from repro.moo.topology import (
+    AllToAllTopology,
+    IsolatedTopology,
+    RingTopology,
+    StarTopology,
+)
+from repro.runtime.evaluator import SerialEvaluator
+from repro.solve import MaxEvaluations, get_solver, solve
 
 
 class TestConfig:
@@ -26,7 +33,9 @@ class TestConfig:
             {"island_population_size": 3},
             {"island_population_size": 13},
             {"migration_rate": 1.2},
+            {"migration_rate": -0.1},
             {"migration_interval": 0},
+            {"migration_count": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -36,11 +45,77 @@ class TestConfig:
 
 class TestPaperConfiguration:
     def test_builds_two_nsga2_islands_with_broadcast(self):
-        pmo2 = PMO2.paper_configuration(Schaffer(), seed=0, population_size=12)
-        assert len(pmo2.archipelago.islands) == 2
-        assert type(pmo2.archipelago.topology).__name__ == "AllToAllTopology"
-        assert pmo2.archipelago.policy.interval == 200
-        assert pmo2.archipelago.policy.rate == pytest.approx(0.5)
+        archipelago = build_pmo2(Schaffer(), PMO2Config(island_population_size=12), seed=0)
+        assert len(archipelago.islands) == 2
+        assert isinstance(archipelago.topology, AllToAllTopology)
+        assert archipelago.policy.interval == 200
+        assert archipelago.policy.rate == pytest.approx(0.5)
+
+
+def _build(seed=0, **config):
+    return build_pmo2(Schaffer(), PMO2Config(island_population_size=8, **config), seed=seed)
+
+
+def _generator_states(archipelago):
+    return [island.optimizer.rng.bit_generator.state for island in archipelago.islands] + [
+        archipelago.rng.bit_generator.state
+    ]
+
+
+class TestBuildPMO2:
+    def test_is_the_registered_pmo2_factory(self):
+        assert get_solver("pmo2").factory is build_pmo2
+
+    def test_islands_are_nsga2_named_by_index(self):
+        archipelago = _build(n_islands=3)
+        assert [island.name for island in archipelago.islands] == ["nsga2-0", "nsga2-1", "nsga2-2"]
+        assert all(
+            island.optimizer.config.population_size == 8 for island in archipelago.islands
+        )
+
+    def test_seed_fixes_every_island_and_the_driver(self):
+        assert _generator_states(_build(seed=5)) == _generator_states(_build(seed=5))
+        states = _generator_states(_build(seed=5))
+        assert states != _generator_states(_build(seed=6))
+        # Each island and the migration driver draw from their own stream.
+        assert len({str(state) for state in states}) == len(states)
+
+    def test_policy_follows_the_config(self):
+        policy = _build(migration_interval=3, migration_rate=0.25, migration_count=2).policy
+        assert (policy.interval, policy.rate, policy.count) == (3, 0.25, 2)
+
+    def test_archive_capacity_reaches_every_island(self):
+        archipelago = _build(archive_capacity=10)
+        assert all(island.optimizer.config.archive_capacity == 10 for island in archipelago.islands)
+
+    def test_one_evaluator_is_shared_by_every_island(self):
+        evaluator = SerialEvaluator()
+        archipelago = build_pmo2(
+            Schaffer(), PMO2Config(island_population_size=8), seed=0, evaluator=evaluator
+        )
+        assert all(island.optimizer.evaluator is evaluator for island in archipelago.islands)
+
+    def test_invalid_config_rejected_before_building(self):
+        with pytest.raises(ConfigurationError):
+            _build(n_islands=0)
+
+    @pytest.mark.parametrize(
+        "name,topology_class",
+        [
+            ("all-to-all", AllToAllTopology),
+            ("ring", RingTopology),
+            ("star", StarTopology),
+            ("isolated", IsolatedTopology),
+        ],
+    )
+    def test_topology_is_built_by_name(self, name, topology_class):
+        archipelago = _build(n_islands=3, topology=name)
+        assert isinstance(archipelago.topology, topology_class)
+        assert archipelago.topology.n_islands == 3
+
+    def test_unknown_topology_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown topology"):
+            _build(topology="mesh")
 
 
 def _pmo2(problem, termination, seed, **config):

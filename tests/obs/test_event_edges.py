@@ -31,7 +31,7 @@ class TestSingleIslandArchipelago:
         recorder = Recorder()
         result = solve(
             Schaffer(),
-            "archipelago",
+            "pmo2",
             seed=2,
             termination=4,
             n_islands=1,
@@ -47,7 +47,7 @@ class TestSingleIslandArchipelago:
         recorder = Recorder()
         solve(
             Schaffer(),
-            "archipelago",
+            "pmo2",
             seed=2,
             termination=2,
             n_islands=1,
@@ -66,7 +66,7 @@ class TestEventOrdering:
         recorder = Recorder()
         solve(
             Schaffer(),
-            "archipelago",
+            "pmo2",
             seed=4,
             termination=4,
             n_islands=2,

@@ -193,7 +193,7 @@ class TestLiveProgress:
     def test_every_filters_lines_and_markers_always_print(self):
         stream = io.StringIO()
         observer = LiveProgress(stream=stream, every=2, hypervolume=False)
-        solve(Schaffer(), "archipelago", seed=1, termination=4,
+        solve(Schaffer(), "pmo2", seed=1, termination=4,
               island_population_size=8, migration_interval=2,
               observers=[observer])
         text = stream.getvalue()

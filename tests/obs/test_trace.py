@@ -176,7 +176,7 @@ class TestInstrumentationPoints:
 
         sink = InMemorySink()
         with use_tracer(Tracer(sink)):
-            solve(Schaffer(), "archipelago", seed=1, termination=4,
+            solve(Schaffer(), "pmo2", seed=1, termination=4,
                   island_population_size=8, migration_interval=2)
         migrations = [s for s in sink.spans if s["name"] == "archipelago.migrate"]
         assert migrations

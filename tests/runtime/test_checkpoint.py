@@ -9,6 +9,7 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.moo.pmo2 import PMO2Config
 from repro.moo.testproblems import ZDT1
 from repro.runtime import CheckpointManager
+from repro.runtime.checkpoint import list_checkpoints
 from repro.solve import solve
 
 
@@ -51,6 +52,29 @@ class TestManager:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(CheckpointError):
             manager.load()
+
+    def test_only_saved_names_are_checkpoints(self, tmp_path):
+        # Neither name is one save() writes, so neither is restorable.
+        for name in ("checkpoint-final.pkl", "checkpoint-7.pkl"):
+            (tmp_path / name).write_bytes(b"x")
+        assert list_checkpoints(tmp_path) == []
+        assert CheckpointManager(tmp_path).checkpoints() == []
+
+    def test_listing_is_oldest_first_and_agrees_with_the_manager(self, tmp_path):
+        manager = CheckpointManager(tmp_path, interval=1, keep=10)
+        for generation in (12, 3, 7):
+            manager.save(generation, generation=generation)
+        (tmp_path / "notes.txt").write_bytes(b"x")
+        listed = list_checkpoints(tmp_path)
+        assert [generation for generation, _ in listed] == [3, 7, 12]
+        assert [path.name for _, path in listed] == [
+            "checkpoint-00000003.pkl", "checkpoint-00000007.pkl", "checkpoint-00000012.pkl"
+        ]
+        assert manager.checkpoints() == [path for _, path in listed]
+
+    def test_listing_creates_nothing(self, tmp_path):
+        assert list_checkpoints(tmp_path / "missing") == []
+        assert not (tmp_path / "missing").exists()
 
     def test_rejects_bad_configuration(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -90,6 +90,18 @@ class TestErrorMapping:
             service.submit(problem="zdt1", pop_size=10)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("field,value", [("seed", "abc"), ("population", [1])])
+    def test_uncoercible_spec_field_is_400(self, service, field, value):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(problem="zdt1", **{field: value})
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+
+    def test_string_boolean_is_stored_as_boolean(self, service):
+        record = service.submit(problem="zdt1", telemetry="false")
+        assert record["spec"]["telemetry"] is False
+        assert service.job(record["id"])["spec"]["telemetry"] is False
+
     def test_invalid_json_body_is_400(self, service):
         import http.client
 

@@ -46,6 +46,18 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError, match="'problem'"):
             JobSpec.from_payload({"algorithm": "nsga2"})
 
+    def test_string_boolean_is_parsed(self):
+        spec = JobSpec.from_payload({"problem": "zdt1", "telemetry": "false"})
+        assert spec.telemetry is False
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", "abc"), ("population", [1]), ("generations", None), ("telemetry", "maybe")],
+    )
+    def test_uncoercible_fields_are_configuration_errors(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            JobSpec.from_payload({"problem": "zdt1", field: value})
+
     def test_non_object_payload_is_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             JobSpec.from_payload([1, 2, 3])
@@ -191,3 +203,19 @@ class TestJobStore:
         (checkpoints / "checkpoint-junk.pkl").write_bytes(b"x")
         (checkpoints / "notes.txt").write_bytes(b"x")
         assert store.latest_checkpoint_generation(record.id) == 4
+
+    def test_unrestorable_checkpoint_names_are_no_checkpoint(self, tmp_path):
+        # The resumed run restores nothing from these names and starts from
+        # generation 0, so the whole event log is stale.
+        store = JobStore(tmp_path)
+        record = store.create(_spec())
+        checkpoints = store.checkpoints_dir(record.id)
+        checkpoints.mkdir()
+        for name in ("checkpoint-final.pkl", "checkpoint-7.pkl"):
+            (checkpoints / name).write_bytes(b"x")
+        store.events_path(record.id).write_text(
+            '{"type": "generation", "generation": 1}\n', encoding="utf-8"
+        )
+        assert store.latest_checkpoint_generation(record.id) is None
+        assert store.truncate_events(record.id) is None
+        assert store.read_events(record.id) == []

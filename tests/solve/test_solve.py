@@ -1,6 +1,6 @@
 """Tests of the generic ``solve()`` driver, solver registry and run events.
 
-The acceptance contract of the solver API: all four engines run through one
+The acceptance contract of the solver API: every engine runs through one
 code path, return a :class:`SolveResult` with an evaluation ledger, stream
 events to observers, and share uniform checkpoint/evaluator support (MOEA/D
 included).
@@ -12,6 +12,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2Config
+from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.moo.testproblems import Schaffer, ZDT1
 from repro.runtime.evaluator import ProcessPoolEvaluator, build_evaluator
 from repro.solve import (
@@ -28,22 +29,26 @@ from repro.solve import (
     solve,
     solver_names,
 )
+from tests.helpers import solve_engine
 
 ALGORITHMS = {
     "nsga2": dict(population_size=8),
     "moead": dict(population_size=8, neighborhood_size=4),
     "pmo2": dict(island_population_size=8, migration_interval=2),
-    "archipelago": dict(island_population_size=8, migration_interval=2),
 }
 
 
 class TestRegistry:
     def test_all_four_engines_registered(self):
-        assert solver_names() == ["archipelago", "moead", "nsga2", "pmo2"]
+        assert solver_names() == ["moead", "nsga2", "pmo2"]
 
     def test_unknown_solver_suggests_names(self):
         with pytest.raises(UnknownSolverError, match="unknown solver"):
             get_solver("nsga3")
+
+    def test_archipelago_is_not_a_second_name_for_pmo2(self):
+        with pytest.raises(UnknownSolverError, match="pmo2"):
+            solve(Schaffer(), "archipelago", termination=1)
 
     def test_engines_satisfy_the_solver_protocol(self):
         problem = Schaffer()
@@ -89,6 +94,13 @@ class TestOneCodePath:
         assert len(result.front) > 0
         assert result.front_objectives().shape[1] == 2
         assert len(result.history) == 4
+
+    def test_result_algorithm_is_the_spec_name(self):
+        # An archipelago labels its own result "archipelago"; solve() stamps
+        # the name of the spec that built the engine over it.
+        engine = build_pmo2(Schaffer(), PMO2Config(island_population_size=8), seed=1)
+        result = solve_engine(Schaffer(), engine, MaxGenerations(2))
+        assert result.algorithm == "hand-built"
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_runs_are_deterministic_in_the_seed(self, algorithm):
