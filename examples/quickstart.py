@@ -25,8 +25,6 @@ termination / observer hooks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.moo import (
     PMO2Config,
     RobustnessSettings,
@@ -77,7 +75,7 @@ def main() -> None:
     chosen = decisions[closest_to_ideal(front)]
     report = uptake_yield(
         chosen,
-        lambda x: float(problem.evaluate_matrix(np.atleast_2d(x)).F[0, 0]),
+        lambda X: problem.evaluate_matrix(X).F[:, 0],
         settings=RobustnessSettings(epsilon=0.05, global_trials=500, seed=0),
     )
     print("closest-to-ideal design x=%.3f, robustness yield = %.1f %%"

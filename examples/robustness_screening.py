@@ -38,7 +38,7 @@ def main(population: int = 28, generations: int = 40) -> None:
                                   local_trials=100, seed=2011)
     report = designer.design(
         generations=generations,
-        property_function=problem.uptake,
+        property_objective="co2_uptake",
         robustness_settings=settings,
         surface_points=15,
     )
@@ -62,7 +62,7 @@ def main(population: int = 28, generations: int = 40) -> None:
     chosen = report.selection("closest_to_ideal")
     per_enzyme = local_yields(
         chosen.decision,
-        problem.uptake,
+        problem.uptake_matrix,
         settings=settings,
         variable_names=list(ENZYME_NAMES),
         clip_lower=problem.lower_bounds,

@@ -10,14 +10,18 @@ behind Tables 1–2 and Figures 1–4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.moo.mining import closest_to_ideal, equally_spaced_selection, shadow_minima
 from repro.moo.pmo2 import PMO2Config
-from repro.moo.robustness import RobustnessSettings, front_yields, uptake_yield
+from repro.moo.robustness import (
+    PropertyMatrix,
+    RobustnessSettings,
+    front_yields,
+    uptake_yield,
+)
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.evaluator import Evaluator, build_evaluator
 from repro.problems.base import Problem
@@ -110,12 +114,18 @@ class RobustPathwayDesigner:
         Memoize objective evaluations on a quantized decision-vector hash
         (see :class:`~repro.runtime.evaluator.CachedEvaluator`); duplicated
         designs (elitist copies, broadcast migrants) then cost nothing.
+        The robustness trials go through the same cache, so the nominal row
+        of every selection (already evaluated by the optimizer) is a hit;
+        the yields are the same with the cache on or off.
     checkpoint_dir:
         When given, the optimization phase checkpoints its state there every
         ``checkpoint_interval`` generations and :meth:`design` resumes from
         the latest checkpoint after a kill.
     evaluator:
-        Explicit evaluator overriding the ``n_workers`` knob.
+        Explicit evaluator overriding the ``n_workers`` and ``cache`` knobs.
+
+    Every evaluation of the pipeline -- optimization and robustness trials
+    alike -- goes through the evaluator, so its ledger counts each one once.
 
     Example
     -------
@@ -126,7 +136,7 @@ class RobustPathwayDesigner:
         problem = PhotosynthesisProblem()
         with RobustPathwayDesigner(problem, seed=2011, n_workers=4) as designer:
             report = designer.design(generations=100,
-                                     property_function=problem.uptake)
+                                     property_objective="co2_uptake")
         print(report.summary())
     """
 
@@ -147,14 +157,16 @@ class RobustPathwayDesigner:
         self.n_workers = int(n_workers)
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_interval = int(checkpoint_interval)
-        self.ledger = EvaluationLedger()
         self.evaluator = (
             evaluator
             if evaluator is not None
-            else build_evaluator(
-                n_workers=self.n_workers, cache=cache, ledger=self.ledger
-            )
+            else build_evaluator(n_workers=self.n_workers, cache=cache)
         )
+
+    @property
+    def ledger(self) -> EvaluationLedger:
+        """The evaluator's ledger: every evaluation of the pipeline."""
+        return self.evaluator.ledger
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -218,11 +230,31 @@ class RobustPathwayDesigner:
             )
         return selections
 
+    def _property_matrix(self, objective: str) -> PropertyMatrix:
+        """Matrix property function of the problem objective ``objective``.
+
+        Maps an ``(n, n_var)`` decision matrix to the objective's natural
+        (reported) values through the designer's evaluator, which counts the
+        rows in its ledger and fans them out over its workers.
+        """
+        names = list(self.problem.objective_names)
+        if objective not in names:
+            raise ConfigurationError(
+                "unknown property objective %r; expected one of %s" % (objective, names)
+            )
+        column = names.index(objective)
+
+        def values(X: np.ndarray) -> np.ndarray:
+            batch = self.evaluator.evaluate_matrix(self.problem, X)
+            return self.problem.reported_objectives(batch.F)[:, column]
+
+        return values
+
     def assess_robustness(
         self,
         result: SolveResult,
         selections: list[SelectedDesign],
-        property_function: Callable[[np.ndarray], float],
+        property_objective: str,
         settings: RobustnessSettings | None = None,
         surface_points: int = 0,
     ) -> tuple[list[SelectedDesign], list[float]]:
@@ -230,25 +262,20 @@ class RobustPathwayDesigner:
 
         Parameters
         ----------
-        property_function:
-            The protected property (e.g. CO2 uptake) evaluated on a decision
-            vector.
+        property_objective:
+            Name of the problem objective whose value Γ protects (e.g.
+            ``"co2_uptake"``); its trials are evaluated, and counted, by the
+            designer's evaluator.
         surface_points:
             When positive, additionally compute the yield of this many
             equally spaced front points (the Fig. 3 Pareto surface data).
         """
         settings = settings or RobustnessSettings()
+        property_matrix = self._property_matrix(property_objective)
+        bounds = dict(clip_lower=self.problem.lower_bounds, clip_upper=self.problem.upper_bounds)
         updated: list[SelectedDesign] = []
         for design in selections:
-            report = uptake_yield(
-                design.decision,
-                property_function,
-                settings=settings,
-                clip_lower=self.problem.lower_bounds,
-                clip_upper=self.problem.upper_bounds,
-                n_workers=self.n_workers,
-            )
-            self.ledger.record(evaluations=report.n_trials + 1)
+            report = uptake_yield(design.decision, property_matrix, settings=settings, **bounds)
             updated.append(
                 SelectedDesign(
                     criterion=design.criterion,
@@ -262,25 +289,12 @@ class RobustPathwayDesigner:
             objectives = result.front_objectives()
             decisions = result.front_decisions()
             picks = equally_spaced_selection(objectives, surface_points)
-            # front_yields flattens all surface designs into one parallel
-            # batch — a single pool start-up instead of one per design.
-            for report in front_yields(
-                decisions[picks],
-                property_function,
-                settings=settings,
-                clip_lower=self.problem.lower_bounds,
-                clip_upper=self.problem.upper_bounds,
-                n_workers=self.n_workers,
-            ):
-                self.ledger.record(evaluations=report.n_trials + 1)
-                surface.append(report.yield_percentage)
+            reports = front_yields(decisions[picks], property_matrix, settings=settings, **bounds)
+            surface = [report.yield_percentage for report in reports]
         # Add the "max yield" selection the paper reports in Table 2: the
         # assessed design (selection or surface point) with the best Γ.
         best_yield = max(updated, key=lambda d: d.yield_percentage or 0.0)
         if surface:
-            objectives = result.front_objectives()
-            decisions = result.front_decisions()
-            picks = equally_spaced_selection(objectives, surface_points)
             best_surface_position = int(np.argmax(surface))
             if surface[best_surface_position] > (best_yield.yield_percentage or 0.0):
                 index = picks[best_surface_position]
@@ -307,24 +321,31 @@ class RobustPathwayDesigner:
     def design(
         self,
         generations: int = 100,
-        property_function: Callable[[np.ndarray], float] | None = None,
+        property_objective: str | None = None,
         robustness_settings: RobustnessSettings | None = None,
         surface_points: int = 0,
     ) -> DesignReport:
-        """Full pipeline: optimize, mine, and (optionally) assess robustness."""
+        """Full pipeline: optimize, mine, and (optionally) assess robustness.
+
+        The robustness phase runs when ``property_objective`` names the
+        problem objective whose value the yield Γ protects.
+        """
+        if property_objective is not None:
+            self._property_matrix(property_objective)  # fail before optimizing
         result = self.optimize(generations)
         if result.ledger is not None and result.ledger is not self.ledger:
-            # A checkpoint resume restored the ledger that travelled with the
-            # optimizer state; adopt it so the report covers the whole run.
-            self.ledger = result.ledger
+            # A checkpoint resume evaluated through the evaluator (and ledger)
+            # that travelled with the optimizer state; fold that ledger into
+            # ours, which the robustness trials are counted in next.
+            self.ledger.merge(result.ledger)
         selections = self.mine(result)
         surface: list[float] = []
-        if property_function is not None:
+        if property_objective is not None:
             with self.ledger.phase("robustness"):
                 selections, surface = self.assess_robustness(
                     result,
                     selections,
-                    property_function,
+                    property_objective,
                     settings=robustness_settings,
                     surface_points=surface_points,
                 )

@@ -29,7 +29,7 @@ from repro.moo.mining import equally_spaced_selection
 from repro.moo.moead import MOEADConfig
 from repro.moo.nsga2 import NSGA2Config
 from repro.moo.pmo2 import PMO2Config
-from repro.moo.robustness import RobustnessSettings, uptake_yield
+from repro.moo.robustness import RobustnessSettings, front_yields
 from repro.solve import MaxEvaluations, MaxGenerations, solve
 from repro.photosynthesis.candidates import (
     CandidateDesign,
@@ -225,7 +225,7 @@ def run_table2(
     ) as designer:
         report = designer.design(
             generations=generations,
-            property_function=problem.uptake,
+            property_objective="co2_uptake",
             robustness_settings=settings,
             surface_points=surface_points,
         )
@@ -421,6 +421,9 @@ def run_figure3(
 ) -> Figure3Result:
     """Yield Γ of equally spaced Pareto-optimal designs (the Fig. 3 surface)."""
     problem = PhotosynthesisProblem(REFERENCE_CONDITION)
+    settings = RobustnessSettings(
+        epsilon=0.05, global_trials=robustness_trials, magnitude=0.10, seed=seed
+    )
     migration_interval = max(1, min(_PAPER_MIGRATION_INTERVAL, generations // 3))
     result = solve(
         problem,
@@ -436,28 +439,17 @@ def run_figure3(
     objectives = result.front_objectives()
     decisions = result.front_decisions()
     picks = equally_spaced_selection(objectives, surface_points)
-    settings = RobustnessSettings(
-        epsilon=0.05, global_trials=robustness_trials, magnitude=0.10, seed=seed
+    reports = front_yields(
+        decisions[picks],
+        problem.uptake_matrix,
+        settings=settings,
+        clip_lower=problem.lower_bounds,
+        clip_upper=problem.upper_bounds,
     )
-    uptake = []
-    nitrogen = []
-    yields = []
-    for index in picks:
-        report = uptake_yield(
-            decisions[index],
-            problem.uptake,
-            settings=settings,
-            clip_lower=problem.lower_bounds,
-            clip_upper=problem.upper_bounds,
-            n_workers=n_workers,
-        )
-        uptake.append(-objectives[index, 0])
-        nitrogen.append(objectives[index, 1])
-        yields.append(report.yield_percentage)
     return Figure3Result(
-        uptake=np.array(uptake),
-        nitrogen=np.array(nitrogen),
-        yields=np.array(yields),
+        uptake=-objectives[picks, 0],
+        nitrogen=objectives[picks, 1],
+        yields=np.array([report.yield_percentage for report in reports]),
         front_objectives=objectives[picks],
         front_decisions=decisions[picks],
         design_space=problem.space.as_dict(),

@@ -12,8 +12,8 @@ The sub-package provides:
 * :mod:`repro.moo.mining` — closest-to-ideal, Pareto Relative Minimum, shadow
   minima and equally spaced front sampling;
 * :mod:`repro.moo.robustness` — the robustness condition rho, the yield Gamma
-  and the Monte-Carlo perturbation ensembles (with ``n_workers`` knobs that
-  fan the trials out over processes);
+  and the Monte-Carlo perturbation ensembles, evaluated through one matrix
+  property function per call;
 * :mod:`repro.moo.kernels` — the vectorized, constraint-aware dominance /
   sorting / crowding / archive-prune kernels on ``(n, m)`` objective
   matrices that every routine above runs on (with the naive reference
@@ -81,8 +81,6 @@ from repro.moo.robustness import (
     RobustnessReport,
     RobustnessSettings,
     front_yields,
-    global_ensemble,
-    local_ensemble,
     local_yields,
     robustness_condition,
     uptake_yield,
@@ -151,8 +149,6 @@ __all__ = [
     "RobustnessReport",
     "RobustnessSettings",
     "front_yields",
-    "global_ensemble",
-    "local_ensemble",
     "local_yields",
     "robustness_condition",
     "uptake_yield",

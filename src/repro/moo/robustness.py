@@ -16,8 +16,12 @@ Two ensembles are used in the paper:
 * a **local analysis** perturbing one variable at a time
   (200 trials per variable).
 
-Both are reproduced here, together with helpers that evaluate the yield of
-every member of a Pareto front (the data behind Table 2 and Fig. 3).
+Both are reproduced here.  Every yield in the package is computed by one
+routine: each nominal design is stacked with its ensemble and the whole stack
+goes through a single call of a *matrix* property function, ``(n, n_var) ->
+(n,)`` -- the same contract as :meth:`~repro.problems.Problem.evaluate_matrix`.
+:func:`uptake_yield`, :func:`front_yields` and :func:`local_yields` only differ
+in how they draw the ensembles.
 """
 
 from __future__ import annotations
@@ -28,19 +32,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.parallel import parallel_map
 
 __all__ = [
     "robustness_condition",
     "PerturbationModel",
-    "global_ensemble",
-    "local_ensemble",
     "RobustnessSettings",
     "RobustnessReport",
+    "PropertyMatrix",
     "uptake_yield",
     "local_yields",
     "front_yields",
 ]
+
+#: A protected property evaluated on every row of a decision matrix:
+#: ``(n, n_var) -> (n,)``, in natural units (not the minimized objective).
+PropertyMatrix = Callable[[np.ndarray], np.ndarray]
 
 
 def robustness_condition(
@@ -67,24 +73,6 @@ def robustness_condition(
         raise ConfigurationError("epsilon must be non-negative")
     threshold = epsilon * abs(nominal_value) if relative else epsilon
     return 1 if abs(nominal_value - perturbed_value) <= threshold else 0
-
-
-def _robust_count(
-    nominal_value: float,
-    perturbed_values: np.ndarray,
-    epsilon: float,
-    relative: bool,
-) -> int:
-    """Number of robust trials: :func:`robustness_condition` over one batch.
-
-    One vectorized comparison against the whole Monte-Carlo ensemble instead
-    of a Python loop per trial; counts are identical to the scalar condition.
-    """
-    if epsilon < 0:
-        raise ConfigurationError("epsilon must be non-negative")
-    threshold = epsilon * abs(nominal_value) if relative else epsilon
-    deviations = np.abs(nominal_value - np.asarray(perturbed_values, dtype=float))
-    return int(np.count_nonzero(deviations <= threshold))
 
 
 @dataclass
@@ -151,36 +139,15 @@ class PerturbationModel:
         return self._clip(trials)
 
 
-def global_ensemble(
-    x: np.ndarray,
-    n_trials: int = 5000,
-    magnitude: float = 0.10,
-    rng: np.random.Generator | None = None,
-    model: PerturbationModel | None = None,
-) -> np.ndarray:
-    """Paper's global Monte-Carlo ensemble (default 5000 trials, 10 %)."""
-    rng = rng or np.random.default_rng()
-    model = model or PerturbationModel(magnitude=magnitude)
-    return model.perturb_all(x, n_trials, rng)
-
-
-def local_ensemble(
-    x: np.ndarray,
-    variable: int,
-    n_trials: int = 200,
-    magnitude: float = 0.10,
-    rng: np.random.Generator | None = None,
-    model: PerturbationModel | None = None,
-) -> np.ndarray:
-    """Paper's local Monte-Carlo ensemble (default 200 trials per variable)."""
-    rng = rng or np.random.default_rng()
-    model = model or PerturbationModel(magnitude=magnitude)
-    return model.perturb_one(x, variable, n_trials, rng)
-
-
 @dataclass
 class RobustnessSettings:
-    """Settings of a robustness analysis run (paper defaults)."""
+    """Settings of a robustness analysis run (paper defaults).
+
+    Validated at construction: both trial counts must be at least 1,
+    ``epsilon`` non-negative, ``magnitude`` in (0, 1) and ``distribution``
+    ``"uniform"`` or ``"normal"``; anything else raises
+    :class:`ConfigurationError` before any work is done.
+    """
 
     epsilon: float = 0.05
     relative_epsilon: bool = True
@@ -189,6 +156,16 @@ class RobustnessSettings:
     magnitude: float = 0.10
     distribution: str = "uniform"
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("global_trials", "local_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    "%s must be at least 1, got %r" % (name, getattr(self, name))
+                )
+        if self.epsilon < 0:
+            raise ConfigurationError("epsilon must be non-negative, got %r" % self.epsilon)
+        self.perturbation_model().validate()
 
     def perturbation_model(
         self,
@@ -221,14 +198,60 @@ class RobustnessReport:
         return 100.0 * self.yield_fraction
 
 
+def _yields(
+    decisions: np.ndarray,
+    ensembles: Sequence[np.ndarray],
+    property_matrix: PropertyMatrix,
+    settings: RobustnessSettings,
+) -> list[RobustnessReport]:
+    """Yield of each nominal row of ``decisions`` over its ensemble (Eq. 4).
+
+    Every nominal row is stacked with its trials and the stack is evaluated
+    in one ``property_matrix`` call; a trial is robust when it stays within
+    ``epsilon`` of its nominal value (Eq. 3, vectorized).
+    """
+    sizes = [len(trials) for trials in ensembles]
+    if min(sizes, default=1) < 1:
+        raise ConfigurationError("a robustness ensemble needs at least one trial")
+    stacked = np.vstack(
+        [part for row, trials in zip(decisions, ensembles) for part in (row[None, :], trials)]
+    )
+    values = np.asarray(property_matrix(stacked), dtype=float)
+    if values.shape != (len(stacked),):
+        raise ConfigurationError(
+            "property function must map an (n, n_var) matrix to n values, got shape %r"
+            % (values.shape,)
+        )
+    reports: list[RobustnessReport] = []
+    offset = 0
+    for size in sizes:
+        nominal = float(values[offset])
+        perturbed = values[offset + 1 : offset + 1 + size].copy()
+        offset += 1 + size
+        threshold = (
+            settings.epsilon * abs(nominal) if settings.relative_epsilon else settings.epsilon
+        )
+        robust = int(np.count_nonzero(np.abs(nominal - perturbed) <= threshold))
+        reports.append(
+            RobustnessReport(
+                nominal_value=nominal,
+                yield_fraction=robust / size,
+                n_trials=size,
+                epsilon=settings.epsilon,
+                robust_trials=robust,
+                perturbed_values=perturbed,
+            )
+        )
+    return reports
+
+
 def uptake_yield(
     x: np.ndarray,
-    property_function: Callable[[np.ndarray], float],
+    property_matrix: PropertyMatrix,
     settings: RobustnessSettings | None = None,
     trials: np.ndarray | None = None,
     clip_lower: np.ndarray | None = None,
     clip_upper: np.ndarray | None = None,
-    n_workers: int = 1,
 ) -> RobustnessReport:
     """Yield ``Gamma`` of a design under global perturbation (Eq. 4).
 
@@ -236,64 +259,41 @@ def uptake_yield(
     ----------
     x:
         Nominal design vector.
-    property_function:
-        Function computing the protected property (e.g. CO2 uptake) of a
-        design.  Note this is the *natural* property, not the minimized
-        objective.
+    property_matrix:
+        The protected property (e.g. CO2 uptake) of every row of a decision
+        matrix, ``(n, n_var) -> (n,)``.  Note this is the *natural*
+        property, not the minimized objective.
     settings:
         Ensemble and threshold settings; paper defaults when omitted.
     trials:
-        Pre-generated ensemble; when ``None`` a global ensemble is drawn.
-    n_workers:
-        Worker processes evaluating the Monte-Carlo trials; serial when 1 (or
-        when ``property_function`` is not picklable).  The parallel path
-        returns identical values.  Each call brings up its own short-lived
-        pool, so the knob pays off for *expensive* property functions (the
-        ODE / FBA models, where one trial dwarfs the pool start-up) — leave
-        it at 1 for cheap surrogates.
+        Pre-generated ensemble; when ``None`` a global ensemble is drawn from
+        a fresh generator seeded with ``settings.seed``.
     """
     settings = settings or RobustnessSettings()
     x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(settings.seed)
     if trials is None:
         model = settings.perturbation_model(clip_lower, clip_upper)
-        trials = model.perturb_all(x, settings.global_trials, rng)
-    nominal = float(property_function(x))
-    perturbed = np.array(
-        [float(v) for v in parallel_map(property_function, list(trials), n_workers=n_workers)]
-    )
-    robust = _robust_count(
-        nominal, perturbed, settings.epsilon, settings.relative_epsilon
-    )
-    return RobustnessReport(
-        nominal_value=nominal,
-        yield_fraction=robust / len(perturbed),
-        n_trials=len(perturbed),
-        epsilon=settings.epsilon,
-        robust_trials=int(robust),
-        perturbed_values=perturbed,
-    )
+        trials = model.perturb_all(
+            x, settings.global_trials, np.random.default_rng(settings.seed)
+        )
+    return _yields(x[None, :], [np.asarray(trials, dtype=float)], property_matrix, settings)[0]
 
 
 def local_yields(
     x: np.ndarray,
-    property_function: Callable[[np.ndarray], float],
+    property_matrix: PropertyMatrix,
     settings: RobustnessSettings | None = None,
     variable_names: Sequence[str] | None = None,
     clip_lower: np.ndarray | None = None,
     clip_upper: np.ndarray | None = None,
-    n_workers: int = 1,
 ) -> dict[str, RobustnessReport]:
     """Per-variable (local) yield analysis.
 
     Returns one :class:`RobustnessReport` per decision variable, keyed by the
     variable name.  Variables whose local yield is low are the fragile points
     of the design — in the photosynthesis case study these are the enzymes
-    whose synthesis must be controlled most tightly.
-
-    With ``n_workers > 1`` the trials of *all* variables are evaluated as one
-    parallel batch (the ensembles themselves are still drawn sequentially so
-    the random stream matches the serial path exactly).
+    whose synthesis must be controlled most tightly.  The ensembles are drawn
+    variable by variable from one generator seeded with ``settings.seed``.
     """
     settings = settings or RobustnessSettings()
     x = np.asarray(x, dtype=float)
@@ -304,81 +304,36 @@ def local_yields(
         raise ConfigurationError("variable_names must match the design dimension")
     rng = np.random.default_rng(settings.seed)
     model = settings.perturbation_model(clip_lower, clip_upper)
-    nominal = float(property_function(x))
     ensembles = [
         model.perturb_one(x, index, settings.local_trials, rng)
         for index in range(len(names))
     ]
-    flat = [trial for trials in ensembles for trial in trials]
-    values = parallel_map(property_function, flat, n_workers=n_workers)
-    reports: dict[str, RobustnessReport] = {}
-    offset = 0
-    for name, trials in zip(names, ensembles):
-        perturbed = np.array([float(v) for v in values[offset : offset + len(trials)]])
-        offset += len(trials)
-        robust = _robust_count(
-            nominal, perturbed, settings.epsilon, settings.relative_epsilon
-        )
-        reports[name] = RobustnessReport(
-            nominal_value=nominal,
-            yield_fraction=robust / len(perturbed),
-            n_trials=len(perturbed),
-            epsilon=settings.epsilon,
-            robust_trials=int(robust),
-            perturbed_values=perturbed,
-        )
-    return reports
+    reports = _yields(np.tile(x, (len(names), 1)), ensembles, property_matrix, settings)
+    return dict(zip(names, reports))
 
 
 def front_yields(
     decisions: np.ndarray,
-    property_function: Callable[[np.ndarray], float],
+    property_matrix: PropertyMatrix,
     settings: RobustnessSettings | None = None,
     clip_lower: np.ndarray | None = None,
     clip_upper: np.ndarray | None = None,
-    n_workers: int = 1,
 ) -> list[RobustnessReport]:
     """Global yield of every design of a Pareto front (data behind Fig. 3).
 
-    Equivalent to calling :func:`uptake_yield` per design, but the nominal
-    and trial evaluations of *all* designs are flattened into one
-    :func:`~repro.runtime.parallel.parallel_map`, so ``n_workers > 1`` pays a
-    single pool start-up for the whole front instead of one per design.
+    Each design's ensemble is drawn from a fresh generator seeded with
+    ``settings.seed``, exactly as :func:`uptake_yield` draws it, so report
+    ``i`` equals ``uptake_yield(decisions[i], ...)`` bit for bit; the
+    nominal and trial rows of all designs go through one
+    ``property_matrix`` call.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.ndim != 2:
         raise ConfigurationError("decisions must be an (n, n_var) matrix")
     settings = settings or RobustnessSettings()
     model = settings.perturbation_model(clip_lower, clip_upper)
-    # Per-design ensembles drawn exactly as uptake_yield draws them (one
-    # fresh generator per design, seeded identically), so the reports match
-    # the per-design function bit for bit.
-    flat: list[np.ndarray] = []
-    trial_counts: list[int] = []
-    for row in decisions:
-        rng = np.random.default_rng(settings.seed)
-        trials = model.perturb_all(row, settings.global_trials, rng)
-        flat.append(row)
-        flat.extend(trials)
-        trial_counts.append(len(trials))
-    values = parallel_map(property_function, flat, n_workers=n_workers)
-    reports: list[RobustnessReport] = []
-    offset = 0
-    for count in trial_counts:
-        nominal = float(values[offset])
-        perturbed = np.array([float(v) for v in values[offset + 1 : offset + 1 + count]])
-        offset += 1 + count
-        robust = _robust_count(
-            nominal, perturbed, settings.epsilon, settings.relative_epsilon
-        )
-        reports.append(
-            RobustnessReport(
-                nominal_value=nominal,
-                yield_fraction=robust / len(perturbed),
-                n_trials=len(perturbed),
-                epsilon=settings.epsilon,
-                robust_trials=int(robust),
-                perturbed_values=perturbed,
-            )
-        )
-    return reports
+    ensembles = [
+        model.perturb_all(row, settings.global_trials, np.random.default_rng(settings.seed))
+        for row in decisions
+    ]
+    return _yields(decisions, ensembles, property_matrix, settings)

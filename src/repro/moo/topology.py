@@ -7,15 +7,14 @@ all-to-all (broadcast) topology over two islands, but the framework "encloses
 ablation benchmarks can compare them.
 
 A topology is simply a mapping ``island index -> list of destination island
-indices``; it is represented internally with a :mod:`networkx` directed graph
-so it can be inspected, validated and drawn by downstream tooling.
+indices``, stored as one set of destinations per island; :attr:`Topology.edges`
+lists the directed links for inspection.
 """
 
 from __future__ import annotations
 
 import abc
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -38,37 +37,41 @@ class Topology(abc.ABC):
         if n_islands <= 0:
             raise ConfigurationError("a topology needs at least one island")
         self.n_islands = int(n_islands)
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(range(self.n_islands))
+        self._successors: list[set[int]] = [set() for _ in range(self.n_islands)]
         self._build()
 
     @abc.abstractmethod
     def _build(self) -> None:
-        """Populate :attr:`graph` with directed migration edges."""
+        """Populate :attr:`_successors` with directed migration edges."""
+
+    def _check(self, island: int) -> None:
+        if island < 0 or island >= self.n_islands:
+            raise ConfigurationError("island index out of range")
 
     def destinations(self, island: int) -> list[int]:
         """Islands that receive migrants emitted by ``island``."""
-        if island < 0 or island >= self.n_islands:
-            raise ConfigurationError("island index out of range")
-        return sorted(self.graph.successors(island))
+        self._check(island)
+        return sorted(self._successors[island])
 
     def sources(self, island: int) -> list[int]:
         """Islands whose migrants reach ``island``."""
-        if island < 0 or island >= self.n_islands:
-            raise ConfigurationError("island index out of range")
-        return sorted(self.graph.predecessors(island))
+        self._check(island)
+        return [i for i, targets in enumerate(self._successors) if island in targets]
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Directed migration links ``(source, destination)``, sorted."""
+        return [(i, j) for i, targets in enumerate(self._successors) for j in sorted(targets)]
 
     @property
     def n_edges(self) -> int:
         """Number of directed migration links."""
-        return self.graph.number_of_edges()
+        return sum(len(targets) for targets in self._successors)
 
     def is_connected(self) -> bool:
         """``True`` when every island can eventually receive genetic material
         from every other island (weak connectivity of the digraph)."""
-        if self.n_islands == 1:
-            return True
-        return nx.is_weakly_connected(self.graph)
+        return _weakly_connected(self._successors)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "%s(n_islands=%d, edges=%d)" % (
@@ -88,7 +91,7 @@ class AllToAllTopology(Topology):
         for i in range(self.n_islands):
             for j in range(self.n_islands):
                 if i != j:
-                    self.graph.add_edge(i, j)
+                    self._successors[i].add(j)
 
 
 class RingTopology(Topology):
@@ -98,7 +101,7 @@ class RingTopology(Topology):
         if self.n_islands == 1:
             return
         for i in range(self.n_islands):
-            self.graph.add_edge(i, (i + 1) % self.n_islands)
+            self._successors[i].add((i + 1) % self.n_islands)
 
 
 class StarTopology(Topology):
@@ -106,8 +109,8 @@ class StarTopology(Topology):
 
     def _build(self) -> None:
         for i in range(1, self.n_islands):
-            self.graph.add_edge(0, i)
-            self.graph.add_edge(i, 0)
+            self._successors[0].add(i)
+            self._successors[i].add(0)
 
 
 class RandomTopology(Topology):
@@ -128,14 +131,13 @@ class RandomTopology(Topology):
     def _build(self) -> None:
         rng = np.random.default_rng(self.seed)
         for attempt in range(1000):
-            graph = nx.DiGraph()
-            graph.add_nodes_from(range(self.n_islands))
+            successors: list[set[int]] = [set() for _ in range(self.n_islands)]
             for i in range(self.n_islands):
                 for j in range(self.n_islands):
                     if i != j and rng.random() < self.edge_probability:
-                        graph.add_edge(i, j)
-            if self.n_islands == 1 or nx.is_weakly_connected(graph):
-                self.graph = graph
+                        successors[i].add(j)
+            if _weakly_connected(successors):
+                self._successors = successors
                 return
         raise ConfigurationError(
             "could not sample a connected random topology; raise edge_probability"
@@ -147,6 +149,20 @@ class IsolatedTopology(Topology):
 
     def _build(self) -> None:
         return
+
+
+def _weakly_connected(successors: list[set[int]]) -> bool:
+    """Breadth-first search over the links taken in both directions."""
+    neighbours = [set(targets) for targets in successors]
+    for i, targets in enumerate(successors):
+        for j in targets:
+            neighbours[j].add(i)
+    seen, frontier = {0}, [0]
+    while frontier:
+        fresh = set().union(*(neighbours[i] for i in frontier)) - seen
+        seen |= fresh
+        frontier = list(fresh)
+    return len(seen) == len(successors)
 
 
 _NAMED_TOPOLOGIES = {

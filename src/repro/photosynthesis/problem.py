@@ -18,7 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.moo.robustness import RobustnessSettings, _robust_count, uptake_yield
+from repro.moo.robustness import (
+    RobustnessReport,
+    RobustnessSettings,
+    front_yields,
+    uptake_yield,
+)
 from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
 from repro.photosynthesis.enzymes import ENZYME_NAMES, ENZYMES, natural_activities
 from repro.photosynthesis.nitrogen import total_nitrogen, total_nitrogen_batch
@@ -82,11 +87,7 @@ class PhotosynthesisProblem(Problem):
         )
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        # Custom evaluation engines (e.g. the ODE model) only promise the
-        # scalar co2_uptake interface; keep the row loop for those.
-        if not hasattr(self.model, "co2_uptake_batch"):
-            return super()._evaluate_matrix(X)
-        uptake = self.model.co2_uptake_batch(X)
+        uptake = self.uptake_matrix(X)
         nitrogen = total_nitrogen_batch(X)
         return BatchEvaluation(
             F=np.column_stack([-uptake, nitrogen]),
@@ -102,6 +103,19 @@ class PhotosynthesisProblem(Problem):
     def uptake(self, activities: np.ndarray) -> float:
         """Net CO2 uptake of an activity vector (natural sign)."""
         return self.model.co2_uptake(self.validate(activities))
+
+    def uptake_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Net CO2 uptake of every row of an activity matrix (natural sign).
+
+        Batched through ``co2_uptake_batch`` when the model has one (bitwise
+        equal to the row loop); custom evaluation engines (e.g. the ODE
+        model) only promise the scalar ``co2_uptake``, so they get the loop.
+        This is the matrix property function of the robustness yields.
+        """
+        X = self.validate_matrix(X)
+        if hasattr(self.model, "co2_uptake_batch"):
+            return self.model.co2_uptake_batch(X)
+        return np.array([self.model.co2_uptake(x) for x in X])
 
     def nitrogen(self, activities: np.ndarray) -> float:
         """Total protein nitrogen of an activity vector (mg l⁻¹)."""
@@ -154,50 +168,29 @@ class RobustPhotosynthesisProblem(Problem):
         self.natural = natural
 
     def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
+        # The scalar oracle of _evaluate_matrix: every trial goes through
+        # the model's scalar co2_uptake, one row at a time.
         activities = self.validate(x)
-        uptake = self.model.co2_uptake(activities)
-        nitrogen = total_nitrogen(activities)
-        report = uptake_yield(activities, self.model.co2_uptake, settings=self.settings)
-        return EvaluationResult(
-            objectives=np.array([-uptake, nitrogen, -report.yield_percentage]),
-            info={
-                "co2_uptake": uptake,
-                "nitrogen": nitrogen,
-                "yield": report.yield_percentage,
-            },
+        report = uptake_yield(
+            activities,
+            lambda X: np.array([self.model.co2_uptake(row) for row in X]),
+            settings=self.settings,
         )
+        return self._result(report, total_nitrogen(activities))
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        # Replicate the scalar path's Monte-Carlo stream exactly: one fresh
-        # generator per row, seeded identically, drawing one global ensemble
-        # (this is what uptake_yield does per call) — then push the nominal
-        # designs and every trial through one batched uptake evaluation.
-        trials = self.settings.global_trials
-        model = self.settings.perturbation_model()
-        stacked = np.empty((X.shape[0] * (1 + trials), X.shape[1]))
-        for row, x in enumerate(X):
-            offset = row * (1 + trials)
-            stacked[offset] = x
-            rng = np.random.default_rng(self.settings.seed)
-            stacked[offset + 1 : offset + 1 + trials] = model.perturb_all(x, trials, rng)
-        uptakes = self.model.co2_uptake_batch(stacked)
-        nitrogen = total_nitrogen_batch(X)
-        F = np.empty((X.shape[0], 3))
-        info = []
-        for row in range(X.shape[0]):
-            offset = row * (1 + trials)
-            nominal = float(uptakes[offset])
-            perturbed = uptakes[offset + 1 : offset + 1 + trials]
-            robust = _robust_count(
-                nominal, perturbed, self.settings.epsilon, self.settings.relative_epsilon
-            )
-            yield_percentage = 100.0 * (robust / trials)
-            F[row] = (-nominal, nitrogen[row], -yield_percentage)
-            info.append(
-                {
-                    "co2_uptake": nominal,
-                    "nitrogen": float(nitrogen[row]),
-                    "yield": yield_percentage,
-                }
-            )
-        return BatchEvaluation(F=F, info=tuple(info))
+        reports = front_yields(X, self.model.co2_uptake_batch, settings=self.settings)
+        return BatchEvaluation.from_results(
+            [
+                self._result(report, nitrogen)
+                for report, nitrogen in zip(reports, total_nitrogen_batch(X))
+            ]
+        )
+
+    @staticmethod
+    def _result(report: RobustnessReport, nitrogen: float) -> EvaluationResult:
+        uptake, yield_percentage = report.nominal_value, report.yield_percentage
+        return EvaluationResult(
+            objectives=np.array([-uptake, nitrogen, -yield_percentage]),
+            info={"co2_uptake": uptake, "nitrogen": float(nitrogen), "yield": yield_percentage},
+        )

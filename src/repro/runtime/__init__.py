@@ -23,7 +23,7 @@ engine, problem and benchmark fast at once:
   reaches the same final archive as an uninterrupted one;
 * :mod:`repro.runtime.parallel` — the order-preserving
   :func:`~repro.runtime.parallel_map` primitive behind the ``n_workers``
-  knobs of the robustness framework.
+  knobs of the FBA scans and the kinetic ensemble simulator.
 """
 
 from repro.runtime.checkpoint import CheckpointManager

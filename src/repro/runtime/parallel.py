@@ -1,7 +1,7 @@
 """Order-preserving parallel map with graceful serial fallback.
 
 :func:`parallel_map` is the low-level primitive behind the parallel knobs of
-the robustness framework: it applies one picklable callable to a list of
+the FBA scans and the kinetic ensemble simulator: it applies one picklable callable to a list of
 items across a worker pool, returning results in input order, and silently
 degrades to an in-process loop when parallel execution is impossible (one
 worker requested, unpicklable callable — e.g. a lambda — or a failing pool).

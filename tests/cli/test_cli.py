@@ -267,6 +267,15 @@ class TestErrors:
         assert main(["describe", "no-such-experiment"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["photosynthesis-table2", "photosynthesis-figure3"])
+    def test_zero_robustness_trials_is_a_one_line_error(self, name, tmp_path, capsys):
+        code = main(["run", name, "--robustness-trials", "0", "--population", "8",
+                     "--generations", "3", "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "global_trials must be at least 1" in err
+
 
 class TestSolve:
     """The generic `repro solve <problem> --algorithm <name>` command."""

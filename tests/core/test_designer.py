@@ -22,7 +22,7 @@ def photosynthesis_report():
     settings = RobustnessSettings(epsilon=0.05, global_trials=40, seed=0)
     return problem, designer.design(
         generations=20,
-        property_function=problem.uptake,
+        property_objective="co2_uptake",
         robustness_settings=settings,
         surface_points=6,
     )

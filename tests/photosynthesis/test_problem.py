@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.moo.robustness import RobustnessSettings, front_yields, local_yields, uptake_yield
 from repro.photosynthesis.conditions import REFERENCE_CONDITION, condition
 from repro.photosynthesis.enzymes import natural_activities
 from repro.photosynthesis.nitrogen import NATURAL_NITROGEN
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
+from repro.photosynthesis.steady_state import EnzymeLimitedModel
 from repro.solve import solve
 
 
@@ -84,3 +86,67 @@ class TestRobustProblem:
         a = problem.evaluate_matrix(x[None, :]).F[0, 2]
         b = problem.evaluate_matrix(x[None, :]).F[0, 2]
         assert a == pytest.approx(b)
+
+
+class ScalarOnlyModel:
+    """An evaluation engine promising only the scalar ``co2_uptake``."""
+
+    def __init__(self, condition):
+        self.inner = EnzymeLimitedModel(condition)
+
+    def co2_uptake(self, activities):
+        return self.inner.co2_uptake(activities)
+
+
+class TestUptakeMatrix:
+    """``uptake_matrix`` against the scalar row loop, through every yield routine."""
+
+    @staticmethod
+    def _row_loop(problem):
+        return lambda X: np.array([problem.uptake(x) for x in X])
+
+    @staticmethod
+    def _assert_reports_equal(batched, looped):
+        assert np.array_equal(batched.perturbed_values, looped.perturbed_values)
+        assert batched.nominal_value == looped.nominal_value
+        assert batched.robust_trials == looped.robust_trials
+        assert batched.yield_fraction == looped.yield_fraction
+
+    def test_matches_scalar_uptake_bitwise(self, problem):
+        X = np.random.default_rng(0).uniform(problem.lower_bounds, problem.upper_bounds, (9, 23))
+        assert np.array_equal(problem.uptake_matrix(X), self._row_loop(problem)(X))
+
+    def test_scalar_only_model_falls_back_to_the_row_loop(self):
+        reference = PhotosynthesisProblem(REFERENCE_CONDITION)
+        scalar = PhotosynthesisProblem(
+            REFERENCE_CONDITION, model=ScalarOnlyModel(REFERENCE_CONDITION)
+        )
+        X = np.vstack([natural_activities(), 1.5 * natural_activities()])
+        assert np.array_equal(scalar.uptake_matrix(X), reference.uptake_matrix(X))
+        assert np.array_equal(scalar.evaluate_matrix(X).F, reference.evaluate_matrix(X).F)
+
+    def test_uptake_yield_oracle(self, problem):
+        settings = RobustnessSettings(epsilon=0.05, global_trials=60, seed=4)
+        x = natural_activities()
+        self._assert_reports_equal(
+            uptake_yield(x, problem.uptake_matrix, settings=settings),
+            uptake_yield(x, self._row_loop(problem), settings=settings),
+        )
+
+    def test_front_yields_oracle(self, problem):
+        settings = RobustnessSettings(epsilon=0.05, global_trials=40, seed=4)
+        decisions = np.outer([0.5, 1.0, 2.0], natural_activities())
+        bounds = dict(clip_lower=problem.lower_bounds, clip_upper=problem.upper_bounds)
+        batched = front_yields(decisions, problem.uptake_matrix, settings=settings, **bounds)
+        looped = front_yields(decisions, self._row_loop(problem), settings=settings, **bounds)
+        for a, b in zip(batched, looped, strict=True):
+            self._assert_reports_equal(a, b)
+
+    def test_local_yields_oracle(self, problem):
+        settings = RobustnessSettings(epsilon=0.01, local_trials=15, seed=4)
+        x = natural_activities()
+        batched = local_yields(x, problem.uptake_matrix, settings=settings)
+        looped = local_yields(x, self._row_loop(problem), settings=settings)
+        assert batched.keys() == looped.keys()
+        for name in batched:
+            self._assert_reports_equal(batched[name], looped[name])

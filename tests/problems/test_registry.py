@@ -45,6 +45,13 @@ class TestRegistryContents:
         with pytest.raises(ConfigurationError, match="zdt1"):
             build_problem("zdt_1")
 
+    def test_invalid_robustness_settings_fail_at_build(self):
+        # Not at the first evaluation: JobSpec.validate builds the problem.
+        with pytest.raises(ConfigurationError, match="global_trials"):
+            build_problem("photosynthesis-robust?robustness_trials=0")
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            build_problem("photosynthesis-robust?epsilon=-0.1")
+
     def test_duplicate_registration_rejected(self):
         spec = get_problem("zdt1")
         with pytest.raises(ConfigurationError):

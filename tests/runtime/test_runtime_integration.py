@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.designer import RobustPathwayDesigner
+from repro.exceptions import ConfigurationError
 from repro.moo.pmo2 import PMO2Config
-from repro.moo.robustness import (
-    RobustnessSettings,
-    front_yields,
-    local_yields,
-    uptake_yield,
-)
+from repro.moo.robustness import RobustnessSettings
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime import ProcessPoolEvaluator, build_evaluator
 from repro.solve import solve
-
-
-def _zdt1_f1(x):
-    return float(np.asarray(x)[0])
 
 
 def test_runtime_imports_standalone():
@@ -97,38 +89,6 @@ class TestPooledDeterminism:
         assert result.ledger.phases["optimize"].wall_clock > 0.0
 
 
-class TestRobustnessParallel:
-    def test_uptake_yield_parallel_matches_serial(self):
-        settings = RobustnessSettings(epsilon=0.1, global_trials=40, seed=0)
-        x = np.array([0.4, 0.5, 0.6])
-        serial = uptake_yield(x, _zdt1_f1, settings=settings)
-        parallel = uptake_yield(x, _zdt1_f1, settings=settings, n_workers=2)
-        assert np.array_equal(serial.perturbed_values, parallel.perturbed_values)
-        assert serial.yield_fraction == parallel.yield_fraction
-
-    def test_front_yields_flattened_matches_per_design(self):
-        settings = RobustnessSettings(epsilon=0.1, global_trials=30, seed=0)
-        decisions = np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7], [0.8, 0.1, 0.9]])
-        flattened = front_yields(decisions, _zdt1_f1, settings=settings, n_workers=2)
-        per_design = [uptake_yield(row, _zdt1_f1, settings=settings) for row in decisions]
-        assert len(flattened) == len(per_design)
-        for flat, single in zip(flattened, per_design):
-            assert flat.nominal_value == single.nominal_value
-            assert np.array_equal(flat.perturbed_values, single.perturbed_values)
-            assert flat.yield_fraction == single.yield_fraction
-
-    def test_local_yields_parallel_matches_serial(self):
-        settings = RobustnessSettings(epsilon=0.1, local_trials=15, seed=0)
-        x = np.array([0.4, 0.5, 0.6])
-        serial = local_yields(x, _zdt1_f1, settings=settings)
-        parallel = local_yields(x, _zdt1_f1, settings=settings, n_workers=2)
-        assert serial.keys() == parallel.keys()
-        for name in serial:
-            assert np.array_equal(
-                serial[name].perturbed_values, parallel[name].perturbed_values
-            )
-
-
 class TestDesignerKnobs:
     def _designer(self, **kwargs):
         return RobustPathwayDesigner(
@@ -142,7 +102,7 @@ class TestDesignerKnobs:
         designer = self._designer(checkpoint_dir=str(tmp_path), checkpoint_interval=2)
         report = designer.design(
             generations=4,
-            property_function=_zdt1_f1,
+            property_objective="f1",
             robustness_settings=RobustnessSettings(epsilon=0.1, global_trials=20, seed=0),
         )
         assert report.ledger is not None
@@ -152,20 +112,60 @@ class TestDesignerKnobs:
 
     def test_parallel_designer_matches_serial(self):
         settings = RobustnessSettings(epsilon=0.1, global_trials=20, seed=0)
-        serial = self._designer().design(generations=4, property_function=_zdt1_f1,
+        serial = self._designer().design(generations=4, property_objective="f1",
                                          robustness_settings=settings)
         parallel = self._designer(n_workers=2).design(
-            generations=4, property_function=_zdt1_f1, robustness_settings=settings
+            generations=4, property_objective="f1", robustness_settings=settings
         )
         assert np.array_equal(serial.front_objectives, parallel.front_objectives)
         for a, b in zip(serial.selections, parallel.selections):
             assert a.criterion == b.criterion
             assert a.yield_percentage == pytest.approx(b.yield_percentage)
 
+    def test_robustness_budget_identity(self):
+        trials, surface_points = 20, 3
+        report = self._designer().design(
+            generations=4,
+            property_objective="f1",
+            robustness_settings=RobustnessSettings(epsilon=0.1, global_trials=trials, seed=0),
+            surface_points=surface_points,
+        )
+        # Closest-to-ideal plus one shadow minimum per objective are assessed;
+        # the max-yield row reuses an assessed design.
+        assessed = 1 + Schaffer().n_obj
+        robustness = report.ledger.phases["robustness"]
+        assert robustness.evaluations == (assessed + surface_points) * (trials + 1)
+        assert report.ledger.total_evaluations == (
+            report.optimizer_result.evaluations + robustness.evaluations
+        )
+
+    def test_cached_trials_give_the_same_yields(self):
+        settings = RobustnessSettings(epsilon=0.1, global_trials=20, seed=0)
+        plain = self._designer().design(
+            generations=4, property_objective="f1", robustness_settings=settings,
+            surface_points=3,
+        )
+        cached = self._designer(cache=True).design(
+            generations=4, property_objective="f1", robustness_settings=settings,
+            surface_points=3,
+        )
+        assert [s.yield_percentage for s in plain.selections] == [
+            s.yield_percentage for s in cached.selections
+        ]
+        assert plain.front_yields == cached.front_yields
+        # Each selection's nominal row was evaluated by the optimizer already.
+        assert cached.ledger.phases["robustness"].cache_hits >= 3
+
+    def test_unknown_property_objective_fails_before_optimizing(self):
+        designer = self._designer()
+        with pytest.raises(ConfigurationError, match="co2_uptake"):
+            designer.design(generations=4, property_objective="co2_uptake")
+        assert designer.ledger.total_evaluations == 0
+
     def test_designer_resumes_from_checkpoint(self, tmp_path):
         settings = RobustnessSettings(epsilon=0.1, global_trials=20, seed=0)
         baseline = self._designer().design(
-            generations=6, property_function=_zdt1_f1, robustness_settings=settings
+            generations=6, property_objective="f1", robustness_settings=settings
         )
         interrupted = self._designer(
             checkpoint_dir=str(tmp_path), checkpoint_interval=2
@@ -173,7 +173,13 @@ class TestDesignerKnobs:
         interrupted.optimize(generations=3)  # "killed" after 3 generations
         resumed = self._designer(
             checkpoint_dir=str(tmp_path), checkpoint_interval=2
-        ).design(generations=6, property_function=_zdt1_f1, robustness_settings=settings)
+        ).design(generations=6, property_objective="f1", robustness_settings=settings)
         assert np.array_equal(baseline.front_objectives, resumed.front_objectives)
         for a, b in zip(baseline.selections, resumed.selections):
             assert a.yield_percentage == pytest.approx(b.yield_percentage)
+        # The trials land in the ledger restored with the optimizer state.
+        assert resumed.ledger.total_evaluations == baseline.ledger.total_evaluations
+        assert (
+            resumed.ledger.phases["robustness"].evaluations
+            == baseline.ledger.phases["robustness"].evaluations
+        )

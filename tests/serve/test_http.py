@@ -97,6 +97,12 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert field in str(excinfo.value)
 
+    def test_invalid_robustness_trials_is_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(problem="photosynthesis-robust?robustness_trials=0")
+        assert excinfo.value.status == 400
+        assert "global_trials" in str(excinfo.value)
+
     def test_string_boolean_is_stored_as_boolean(self, service):
         record = service.submit(problem="zdt1", telemetry="false")
         assert record["spec"]["telemetry"] is False
