@@ -30,17 +30,13 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.core.artifacts import dumps_json, front_payload  # noqa: E402
-from repro.solve import build_problem, solve  # noqa: E402
+from _harness import add_output_argument, environment, write_report
+from repro.core.artifacts import dumps_json, front_payload
+from repro.solve import build_problem, solve
 
 #: (problem spec, population, generations, seed) per mode.
 FULL_BUDGET = ("zdt1?n_var=8&delay=0.005", 24, 30, 2011)
@@ -129,26 +125,19 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="reduced budget, no timing floors (CI regression guard only)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_cache.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_cache.json")
     args = parser.parse_args(argv)
     spec, population, generations, seed = SMOKE_BUDGET if args.smoke else FULL_BUDGET
     record = run_benchmark(spec, population, generations, seed)
     payload = {
         "benchmark": "cache",
         "mode": "smoke" if args.smoke else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **environment(),
         "speedup_floor": None if args.smoke else FULL_SPEEDUP_FLOOR,
         "hit_rate_floor": None if args.smoke else FULL_HIT_RATE_FLOOR,
         "results": [record],
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s" % output)
+    write_report(args.output, payload)
     failures = []
     # The warm run re-solves an identical task: nearly every lookup must be
     # answered from disk, in smoke mode too (hit-rate is budget-independent).

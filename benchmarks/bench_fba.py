@@ -24,29 +24,24 @@ solver itself dominates their cost.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.fba import (  # noqa: E402
+from _harness import add_output_argument, best_of, environment, write_report
+from repro.fba import (
     bound_violations,
     flux_variability_analysis,
     single_deletions,
     steady_state_violations,
 )
-from repro.fba._reference import (  # noqa: E402
+from repro.fba._reference import (
     reference_bound_violation,
     reference_constraint_violation,
     reference_flux_variability_analysis,
     reference_single_deletions,
 )
-from repro.geobacter.model_builder import (  # noqa: E402
+from repro.geobacter.model_builder import (
     BIOMASS_ID,
     build_geobacter_model,
 )
@@ -56,16 +51,6 @@ SMOKE_SWEEP = {"screen_n": (32, 128), "lp_targets": 4}
 
 _REPEATS = {"fast": 5, "reference": 1}
 
-
-def _best_of(function, repeats: int) -> tuple[float, object]:
-    """Minimum wall-clock of ``repeats`` calls, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = function()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def _record(operation: str, n: int, t_fast: float, t_reference: float) -> dict:
@@ -89,18 +74,18 @@ def _bench_screens(model, sweep: dict) -> list[dict]:
     records = []
     for n in sweep["screen_n"]:
         X = _flux_population(model, n, seed=n)
-        t_fast, batched = _best_of(
+        t_fast, batched = best_of(
             lambda: steady_state_violations(model, X, norm="l1"), _REPEATS["fast"]
         )
-        t_reference, looped = _best_of(
+        t_reference, looped = best_of(
             lambda: [reference_constraint_violation(model, row, "l1") for row in X],
             _REPEATS["reference"],
         )
         assert batched.tolist() == looped, "violation screen disagreement"
         records.append(_record("violation_screen", n, t_fast, t_reference))
 
-        t_fast, batched = _best_of(lambda: bound_violations(model, X), _REPEATS["fast"])
-        t_reference, looped = _best_of(
+        t_fast, batched = best_of(lambda: bound_violations(model, X), _REPEATS["fast"])
+        t_reference, looped = best_of(
             lambda: [reference_bound_violation(model, row) for row in X],
             _REPEATS["reference"],
         )
@@ -112,11 +97,11 @@ def _bench_screens(model, sweep: dict) -> list[dict]:
 def _bench_lp_scans(model, sweep: dict) -> list[dict]:
     targets = model.reaction_ids[: sweep["lp_targets"]]
     records = []
-    t_fast, fast_fva = _best_of(
+    t_fast, fast_fva = best_of(
         lambda: flux_variability_analysis(model, reactions=targets, fraction_of_optimum=0.5),
         1,
     )
-    t_reference, slow_fva = _best_of(
+    t_reference, slow_fva = best_of(
         lambda: reference_flux_variability_analysis(
             model, reactions=targets, fraction_of_optimum=0.5
         ),
@@ -128,10 +113,10 @@ def _bench_lp_scans(model, sweep: dict) -> list[dict]:
     candidates = [r.identifier for r in model.reactions if not r.is_exchange][
         : sweep["lp_targets"]
     ]
-    t_fast, fast_ko = _best_of(
+    t_fast, fast_ko = best_of(
         lambda: single_deletions(model, reactions=candidates), 1
     )
-    t_reference, slow_ko = _best_of(
+    t_reference, slow_ko = best_of(
         lambda: reference_single_deletions(model, reactions=candidates), 1
     )
     assert fast_ko == slow_ko, "knockout disagreement"
@@ -166,11 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="reduced sweep for CI (agreement + speedup sanity, seconds not minutes)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_fba.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_fba.json")
     args = parser.parse_args(argv)
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
     records = run_sweep(sweep)
@@ -178,14 +159,10 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "fba-vs-reference",
         "mode": "smoke" if args.smoke else "full",
         "model": "geobacter-608",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **environment(),
         "results": records,
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s (%d measurements)" % (output, len(records)))
+    write_report(args.output, payload)
     headline = [
         r["speedup"]
         for r in records

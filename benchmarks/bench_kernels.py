@@ -19,18 +19,13 @@ agree with (and beat) the references without burning minutes.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.moo import kernels  # noqa: E402
-from repro.moo._reference import (  # noqa: E402
+from _harness import add_output_argument, best_of, environment, write_report
+from repro.moo import kernels
+from repro.moo._reference import (
     reference_archive_prune,
     reference_crowding_distance,
     reference_fast_non_dominated_sort,
@@ -56,52 +51,42 @@ def _population(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.n
     return F, CV, X
 
 
-def _best_of(function, repeats: int) -> tuple[float, object]:
-    """Minimum wall-clock of ``repeats`` calls, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = function()
-        best = min(best, time.perf_counter() - start)
-    return best, value
-
 
 def _bench_case(n: int, m: int) -> list[dict]:
     F, CV, X = _population(n, m, seed=n * 31 + m)
     records = []
 
-    t_kernel, fronts_kernel = _best_of(
+    t_kernel, fronts_kernel = best_of(
         lambda: kernels.nondominated_sort(F, CV), _REPEATS["kernel"]
     )
-    t_reference, fronts_reference = _best_of(
+    t_reference, fronts_reference = best_of(
         lambda: reference_fast_non_dominated_sort(F, CV), _REPEATS["reference"]
     )
     assert fronts_kernel == fronts_reference, "sort kernel/reference disagreement"
     records.append(_record("nondominated_sort", n, m, t_kernel, t_reference))
 
-    t_kernel, mask = _best_of(lambda: kernels.non_dominated_mask(F), _REPEATS["kernel"])
-    t_reference, indices = _best_of(
+    t_kernel, mask = best_of(lambda: kernels.non_dominated_mask(F), _REPEATS["kernel"])
+    t_reference, indices = best_of(
         lambda: reference_non_dominated_front_indices(F), _REPEATS["reference"]
     )
     assert np.flatnonzero(mask).tolist() == indices, "front-mask disagreement"
     records.append(_record("non_dominated_mask", n, m, t_kernel, t_reference))
 
-    t_kernel, crowd_kernel = _best_of(
+    t_kernel, crowd_kernel = best_of(
         lambda: kernels.crowding_distances(F), _REPEATS["kernel"]
     )
-    t_reference, crowd_reference = _best_of(
+    t_reference, crowd_reference = best_of(
         lambda: reference_crowding_distance(F), _REPEATS["reference"]
     )
     assert np.array_equal(crowd_kernel, crowd_reference), "crowding disagreement"
     records.append(_record("crowding_distances", n, m, t_kernel, t_reference))
 
     capacity = max(16, n // 4)
-    t_kernel, pruned_kernel = _best_of(
+    t_kernel, pruned_kernel = best_of(
         lambda: kernels.archive_prune(F, CV, X, 0, capacity=capacity),
         _REPEATS["kernel"],
     )
-    t_reference, pruned_reference = _best_of(
+    t_reference, pruned_reference = best_of(
         lambda: reference_archive_prune(F, CV, X, 0, capacity=capacity),
         _REPEATS["reference"],
     )
@@ -152,25 +137,17 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="reduced sweep for CI (agreement + speedup sanity, seconds not minutes)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_kernels.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_kernels.json")
     args = parser.parse_args(argv)
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
     records = run_sweep(sweep)
     payload = {
         "benchmark": "kernels-vs-reference",
         "mode": "smoke" if args.smoke else "full",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **environment(),
         "results": records,
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s (%d measurements)" % (output, len(records)))
+    write_report(args.output, payload)
     sort_speedups = [r["speedup"] for r in records if r["kernel"] == "nondominated_sort"]
     floor = 10.0
     if min(sort_speedups) < floor:

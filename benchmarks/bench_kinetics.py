@@ -21,37 +21,22 @@ every integrator step.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.kinetics._reference import (  # noqa: E402
+from _harness import add_output_argument, best_of, environment, write_report
+from repro.kinetics._reference import (
     reference_fluxes,
     reference_rhs_population,
 )
-from repro.photosynthesis.calvin_ode import build_calvin_network  # noqa: E402
+from repro.photosynthesis.calvin_ode import build_calvin_network
 
 FULL_SWEEP = {"P": (64, 256, 1024)}
 SMOKE_SWEEP = {"P": (16, 64)}
 
 _REPEATS = {"fast": 5, "reference": 1}
 
-
-def _best_of(function, repeats: int) -> tuple[float, object]:
-    """Minimum wall-clock of ``repeats`` calls, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = function()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def _record(operation: str, members: int, t_fast: float, t_reference: float) -> dict:
@@ -83,10 +68,10 @@ def _bench_case(network, members: int) -> list[dict]:
     scales, Y = _population(network, members, seed=members)
     records = []
 
-    t_fast, batched = _best_of(
+    t_fast, batched = best_of(
         lambda: network.build_rhs_batch(scales)(0.0, Y), _REPEATS["fast"]
     )
-    t_reference, looped = _best_of(
+    t_reference, looped = best_of(
         lambda: reference_rhs_population(network, scales, 0.0, Y),
         _REPEATS["reference"],
     )
@@ -102,7 +87,7 @@ def _bench_case(network, members: int) -> list[dict]:
             floored[metabolite.identifier] = np.full(
                 members, metabolite.initial_concentration
             )
-    t_fast, matrix = _best_of(
+    t_fast, matrix = best_of(
         lambda: network.flux_matrix(floored, scales), _REPEATS["fast"]
     )
 
@@ -116,7 +101,7 @@ def _bench_case(network, members: int) -> list[dict]:
             for p in range(members)
         ]
 
-    t_reference, looped = _best_of(_loop_fluxes, _REPEATS["reference"])
+    t_reference, looped = best_of(_loop_fluxes, _REPEATS["reference"])
     assert all(
         matrix[p].tolist() == list(member.values())
         for p, member in enumerate(looped)
@@ -154,11 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="reduced sweep for CI (agreement + speedup sanity, seconds not minutes)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_kinetics.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_kinetics.json")
     args = parser.parse_args(argv)
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
     records = run_sweep(sweep)
@@ -166,14 +147,10 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "kinetics-vs-reference",
         "mode": "smoke" if args.smoke else "full",
         "network": "calvin-cycle",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **environment(),
         "results": records,
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s (%d measurements)" % (output, len(records)))
+    write_report(args.output, payload)
     headline = [
         r["speedup"]
         for r in records

@@ -30,19 +30,13 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.obs import NullSink, RunTelemetry, Tracer, use_tracer  # noqa: E402
-from repro.solve import build_problem, solve  # noqa: E402
+from _harness import add_output_argument, environment, write_report
+from repro.obs import NullSink, RunTelemetry, Tracer, use_tracer
+from repro.solve import build_problem, solve
 
 #: (population, generations, best-of repeats) per mode.
 FULL_BUDGET = (32, 30, 12)
@@ -140,11 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="reduced budget and lenient floor for CI (regression guard only)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_obs.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_obs.json")
     args = parser.parse_args(argv)
     population, generations, repeats = SMOKE_BUDGET if args.smoke else FULL_BUDGET
     record = run_benchmark(population, generations, repeats)
@@ -152,15 +142,11 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "benchmark": "obs-overhead",
         "mode": "smoke" if args.smoke else "full",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **environment(),
         "overhead_floor": floor,
         "results": [record],
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s" % output)
+    write_report(args.output, payload)
     if record["overhead_null"] > floor:
         print(
             "FAIL: null-sink overhead %.1f%% above the %.0f%% floor"

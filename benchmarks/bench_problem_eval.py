@@ -21,17 +21,12 @@ the row loop in seconds, not minutes.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.problems import build_problem  # noqa: E402
+from _harness import add_output_argument, best_of, environment, write_report
+from repro.problems import build_problem
 
 #: Problem specs benchmarked (all vectorized built-ins, plus one transform
 #: stack to show that wrappers keep the columnar path hot).
@@ -55,27 +50,17 @@ SMOKE_SIZES = (64, 256)
 _REPEATS = {"matrix": 5, "rows": 1}
 
 
-def _best_of(function, repeats: int):
-    """Minimum wall-clock of ``repeats`` calls, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = function()
-        best = min(best, time.perf_counter() - start)
-    return best, value
-
 
 def _bench_case(spec: str, n: int) -> dict:
     problem = build_problem(spec)
     X = problem.space.sample(np.random.default_rng(n * 31 + 7), n)
 
-    t_matrix, batch = _best_of(lambda: problem.evaluate_matrix(X), _REPEATS["matrix"])
+    t_matrix, batch = best_of(lambda: problem.evaluate_matrix(X), _REPEATS["matrix"])
 
     def rows():
         return np.vstack([problem.evaluate_matrix(row[None, :]).F for row in X])
 
-    t_rows, row_F = _best_of(rows, _REPEATS["rows"])
+    t_rows, row_F = best_of(rows, _REPEATS["rows"])
     assert np.array_equal(batch.F, row_F), "matrix/row-loop disagreement on %s" % spec
     if batch.n_con:
         row_G = np.vstack([problem.evaluate_matrix(row[None, :]).G for row in X])
@@ -120,25 +105,17 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="reduced sweep for CI (agreement + throughput sanity, in seconds)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_problem_eval.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_problem_eval.json")
     args = parser.parse_args(argv)
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     records = run_sweep(sizes)
     payload = {
         "benchmark": "problem-matrix-vs-row-loop",
         "mode": "smoke" if args.smoke else "full",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **environment(),
         "results": records,
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s (%d measurements)" % (output, len(records)))
+    write_report(args.output, payload)
     # The matrix path must clearly beat per-row dispatch at the largest
     # benchmarked batch of every problem (the smallest batches are dominated
     # by fixed costs, so only the final size is enforced).

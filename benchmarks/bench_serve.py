@@ -26,16 +26,12 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.serve import ServeClient, ServeThread  # noqa: E402
+from _harness import add_output_argument, environment, write_report
+from repro.serve import ServeClient, ServeThread
 
 #: (workers list, jobs per worker count, generations, delay seconds,
 #:  latency repeats) per mode.
@@ -126,11 +122,7 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="reduced budget, no scaling floor (CI regression guard only)",
     )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_serve.json"),
-        help="where to write the machine-readable results (default: repo root)",
-    )
+    add_output_argument(parser, "BENCH_serve.json")
     args = parser.parse_args(argv)
     workers_list, jobs, generations, delay, repeats = (
         SMOKE_BUDGET if args.smoke else FULL_BUDGET
@@ -139,14 +131,11 @@ def main(argv: "list[str] | None" = None) -> int:
     payload = {
         "benchmark": "serve",
         "mode": "smoke" if args.smoke else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **environment(),
         "scaling_floor": None if args.smoke else FULL_SCALING_FLOOR,
         "results": [record],
     }
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print("wrote %s" % output)
+    write_report(args.output, payload)
     if not args.smoke and record["scaling"] < FULL_SCALING_FLOOR:
         print(
             "FAIL: %d-worker scaling %.2fx below the %.1fx floor"

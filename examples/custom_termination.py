@@ -57,7 +57,7 @@ class HypervolumeLogger(Observer):
         self.series: list[tuple[int, float]] = []
 
     def on_generation(self, event) -> None:
-        value = hypervolume(event.front.objective_matrix(), self.reference)
+        value = hypervolume(event.front.F, self.reference)
         self.series.append((event.generation, value))
         if event.generation % self.every == 0:
             print(

@@ -68,7 +68,7 @@ def main(population: int = 40, generations: int = 20) -> None:
     )
 
     front = result.front
-    production = problem.production_front(front.objective_matrix())
+    production = problem.production_front(front.F)
     violations = np.array(
         [ind.info.get("steady_state_violation", ind.constraint_violation) for ind in front]
     )

@@ -43,7 +43,7 @@ from repro.core.registry import (
     get_experiment,
 )
 from repro.core.report import format_table
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.runtime.checkpoint import list_checkpoints
 from repro.solve.registry import UnknownSolverError
 
@@ -1163,7 +1163,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # surface as a traceback, not masquerade as a mistyped name.
         print("error: %s" % error.args[0], file=sys.stderr)
         return 2
-    except (ConfigurationError, FileNotFoundError) as error:
+    except (ConfigurationError, CheckpointError, FileNotFoundError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Individual
-from repro.moo.individual import _plain as _jsonify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.registry import Experiment
@@ -97,9 +96,21 @@ _TELEMETRY_NAMES = (_TRACE_NAME, _TIMESERIES_NAME)
 
 
 # ---------------------------------------------------------------------------
-# JSON plumbing (_jsonify is shared with Individual.to_dict — one converter
-# for the whole serialization path, imported above)
+# JSON plumbing
 # ---------------------------------------------------------------------------
+def _jsonify(value):
+    """Recursively convert numpy scalars/arrays to JSON-friendly Python."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, dict):
+        return {str(key): _jsonify(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(item) for item in value]
+    return value
+
+
 def dumps_json(payload: dict) -> str:
     """Serialize a payload deterministically (sorted keys, fixed layout).
 

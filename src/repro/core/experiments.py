@@ -146,7 +146,7 @@ def run_table1(
         n_workers=n_workers,
         cache=cache,
     )
-    moead_front = moead_result.archive.objective_matrix()
+    moead_front = moead_result.front_objectives()
 
     rows = coverage_report({"PMO2": pmo2_front, "MOEA-D": moead_front})
     return Table1Result(
@@ -155,7 +155,7 @@ def run_table1(
         fronts={"PMO2": pmo2_front, "MOEA-D": moead_front},
         decisions={
             "PMO2": pmo2_decisions,
-            "MOEA-D": moead_result.archive.decision_matrix(),
+            "MOEA-D": moead_result.front_decisions(),
         },
         front_objectives=pmo2_front,
         front_decisions=pmo2_decisions,
@@ -502,7 +502,7 @@ def run_figure4(
         initial_population=problem.seeded_population(population, rng, n_seeds=n_seeds),
     )
     front = result.front
-    objectives = front.objective_matrix()
+    objectives = np.array(front.F)
     production = problem.production_front(objectives)
     violations = np.array(
         [individual.info.get("steady_state_violation", individual.constraint_violation)
@@ -517,7 +517,7 @@ def run_figure4(
         initial_violation=initial_violation,
         best_violation=best_violation,
         front_objectives=objectives,
-        front_decisions=front.decision_matrix(),
+        front_decisions=np.array(front.X),
         design_space=problem.space.as_dict(),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.moo.dominance import non_dominated_front_indices
+from repro.moo.kernels import non_dominated_mask
 from repro.moo.mining import equally_spaced_selection
 
 __all__ = ["TradeOffPoint", "representative_points", "violation_reduction"]
@@ -54,7 +54,7 @@ def representative_points(
         raise ConfigurationError("count must be positive")
     # Keep only the non-dominated subset in maximization terms.
     minimized = -front
-    keep = non_dominated_front_indices(minimized)
+    keep = non_dominated_mask(minimized)
     kept_front = front[keep]
     kept_violations = violations[keep] if violations is not None else None
     picks = equally_spaced_selection(-kept_front, min(count, kept_front.shape[0]), objective=0)

@@ -2,6 +2,9 @@
 
 The sub-package provides:
 
+* :mod:`repro.moo.individual` / :mod:`repro.moo.archive` — individuals,
+  populations with their cached ``X`` / ``F`` / ``CV`` matrix views, and the
+  Pareto archive, which holds its members in a population and shares them;
 * :mod:`repro.moo.nsga2` / :mod:`repro.moo.moead` — the two evolutionary
   engines (NSGA-II is PMO2's island engine, MOEA/D the Table 1 baseline);
 * :mod:`repro.moo.archipelago` / :mod:`repro.moo.topology` — the island
@@ -33,15 +36,6 @@ neither changes results for a fixed seed.  The problem contract lives in
 from repro.moo import kernels
 from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
 from repro.moo.archive import ParetoArchive
-from repro.moo.dominance import (
-    assign_ranks_and_crowding,
-    constrained_dominates,
-    crowding_distance,
-    dominates,
-    fast_non_dominated_sort,
-    filter_non_dominated,
-    non_dominated_front_indices,
-)
 from repro.moo.kernels import (
     archive_prune,
     constrained_domination_blocks,
@@ -52,7 +46,6 @@ from repro.moo.kernels import (
     non_dominated_mask,
     nondominated_sort,
     tournament_winner,
-    tournament_winners,
 )
 from repro.moo.individual import Individual, Population
 from repro.moo.metrics import (
@@ -74,7 +67,7 @@ from repro.moo.mining import (
     shadow_minima,
 )
 from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.nsga2 import NSGA2, NSGA2Config
+from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
 from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.moo.robustness import (
     PerturbationModel,
@@ -102,13 +95,6 @@ __all__ = [
     "Island",
     "MigrationPolicy",
     "ParetoArchive",
-    "assign_ranks_and_crowding",
-    "constrained_dominates",
-    "crowding_distance",
-    "dominates",
-    "fast_non_dominated_sort",
-    "filter_non_dominated",
-    "non_dominated_front_indices",
     "kernels",
     "archive_prune",
     "constrained_domination_blocks",
@@ -119,7 +105,6 @@ __all__ = [
     "non_dominated_mask",
     "nondominated_sort",
     "tournament_winner",
-    "tournament_winners",
     "Individual",
     "Population",
     "coverage_report",
@@ -140,6 +125,7 @@ __all__ = [
     "MOEADConfig",
     "NSGA2",
     "NSGA2Config",
+    "assign_ranks_and_crowding",
     "PMO2Config",
     "build_pmo2",
     "EvaluationResult",

@@ -6,12 +6,14 @@ mining (:mod:`repro.moo.mining`), the front-quality metrics
 (:mod:`repro.moo.metrics`) and the robustness analysis
 (:mod:`repro.moo.robustness`) all consume.
 
-Insertion runs on the batched :func:`repro.moo.kernels.archive_prune`
-kernel: a whole population is folded into the archive on columnar arrays,
-each candidate tested against the live set with one vectorized pass per
-dominance direction instead of a Python dominance loop per member, while
-reproducing the sequential insertion semantics (member order, duplicate
-rejection, per-insertion crowding truncation) bit for bit.
+The members live in a :class:`~repro.moo.individual.Population`, whose
+cached ``X``/``F``/``CV`` views the archive exposes as its own.  Insertion
+runs on the batched :func:`repro.moo.kernels.archive_prune` kernel: a whole
+population is folded into the archive on columnar arrays, each candidate
+tested against the live set with one vectorized pass per dominance
+direction instead of a Python dominance loop per member, while reproducing
+the sequential insertion semantics (member order, duplicate rejection,
+per-insertion crowding truncation) bit for bit.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.moo import kernels
-from repro.moo.individual import (
-    Individual,
-    Population,
-    decision_matrix_of,
-    objective_matrix_of,
-    violation_vector_of,
-)
+from repro.moo.individual import Individual, Population
 
 __all__ = ["ParetoArchive"]
 
@@ -48,8 +44,7 @@ class ParetoArchive:
         if capacity is not None and capacity <= 0:
             raise ConfigurationError("archive capacity must be positive or None")
         self.capacity = capacity
-        self._members: list[Individual] = []
-        self._columns_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._members = Population()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -61,23 +56,20 @@ class ParetoArchive:
     def __getitem__(self, index: int) -> Individual:
         return self._members[index]
 
-    # ------------------------------------------------------------------
-    # Columnar views of the membership
-    # ------------------------------------------------------------------
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(F, CV, X)`` arrays of the current members."""
-        cached = getattr(self, "_columns_cache", None)
-        if cached is None:
-            cached = (
-                objective_matrix_of(self._members),
-                violation_vector_of(self._members),
-                decision_matrix_of(self._members),
-            )
-            self._columns_cache = cached
-        return cached
+    @property
+    def X(self) -> np.ndarray:
+        """Read-only ``(n, n_var)`` decision matrix of the members."""
+        return self._members.X
 
-    def _invalidate(self) -> None:
-        self._columns_cache = None
+    @property
+    def F(self) -> np.ndarray:
+        """Read-only ``(n, n_obj)`` objective matrix of the members."""
+        return self._members.F
+
+    @property
+    def CV(self) -> np.ndarray:
+        """Read-only ``(n,)`` constraint-violation vector of the members."""
+        return self._members.CV
 
     # ------------------------------------------------------------------
     def add(self, candidate: Individual) -> bool:
@@ -86,49 +78,38 @@ class ParetoArchive:
         Returns ``True`` when the candidate enters the archive (i.e. it is not
         dominated by any current member); dominated members are removed.
         """
-        return self.extend([candidate]) == 1
+        return self._fold([candidate]) == 1
 
     def add_population(self, population: Iterable[Individual]) -> int:
-        """Insert every individual of a population; returns how many entered."""
-        return self.extend(population)
+        """Insert every individual of a population; returns how many entered.
 
-    def extend(self, candidates: Iterable[Individual]) -> int:
-        """Fold a batch of evaluated individuals into the archive at once.
-
-        One call to :func:`repro.moo.kernels.archive_prune` replaces the
-        per-individual insertion loop; the resulting membership (order
-        included) and the returned count of accepted candidates are
-        identical to inserting the candidates one by one in order.
+        The resulting membership (order included) and the count are
+        identical to calling :meth:`add` on each individual in order.
         """
-        batch = list(candidates)
+        return self._fold(list(population))
+
+    def _fold(self, batch: list[Individual]) -> int:
+        """Fold ``batch`` into the members with one :func:`~repro.moo.kernels.archive_prune`."""
         for candidate in batch:
             if not candidate.is_evaluated:
                 raise ConfigurationError("cannot archive an unevaluated individual")
         if not batch:
             return 0
+        offered = Population(batch)
         n_members = len(self._members)
-        batch_columns = (
-            objective_matrix_of(batch),
-            violation_vector_of(batch),
-            decision_matrix_of(batch),
-        )
         if n_members:
-            member_columns = self._columns()
-            objectives = np.vstack([member_columns[0], batch_columns[0]])
-            violations = np.concatenate([member_columns[1], batch_columns[1]])
-            decisions = np.vstack([member_columns[2], batch_columns[2]])
+            objectives = np.vstack([self.F, offered.F])
+            violations = np.concatenate([self.CV, offered.CV])
+            decisions = np.vstack([self.X, offered.X])
         else:
-            objectives, violations, decisions = batch_columns
+            objectives, violations, decisions = offered.F, offered.CV, offered.X
         kept, accepted = kernels.archive_prune(
             objectives, violations, decisions, n_members, capacity=self.capacity
         )
-        self._members = [
-            self._members[index]
-            if index < n_members
-            else batch[index - n_members].copy()
+        self._members = Population(
+            self._members[index] if index < n_members else batch[index - n_members].copy()
             for index in kept
-        ]
-        self._invalidate()
+        )
         return accepted
 
     # ------------------------------------------------------------------
@@ -157,20 +138,11 @@ class ParetoArchive:
 
     def to_population(self) -> Population:
         """Copy the archive into a :class:`Population`."""
-        return Population(member.copy() for member in self._members)
-
-    def objective_matrix(self) -> np.ndarray:
-        """Return the archived objective vectors as an ``(n, m)`` matrix."""
-        return np.array(self._columns()[0])
-
-    def decision_matrix(self) -> np.ndarray:
-        """Return the archived decision vectors as an ``(n, n_var)`` matrix."""
-        return np.array(self._columns()[2])
+        return self._members.copy()
 
     def clear(self) -> None:
         """Remove every member."""
-        self._members.clear()
-        self._invalidate()
+        self._members = Population()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ParetoArchive(size=%d, capacity=%r)" % (len(self._members), self.capacity)

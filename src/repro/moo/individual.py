@@ -19,57 +19,7 @@ from repro.problems.batch import EvaluationResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.evaluator import Evaluator
 
-__all__ = [
-    "Individual",
-    "Population",
-    "objective_matrix_of",
-    "violation_vector_of",
-    "decision_matrix_of",
-]
-
-
-def _plain(value):
-    """Recursively convert numpy scalars/arrays to JSON-friendly Python."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(key): _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return value
-
-
-def objective_matrix_of(individuals: Sequence["Individual"]) -> np.ndarray:
-    """Stack evaluated individuals' objectives into an ``(n, m)`` matrix.
-
-    The single column-stacking routine shared by :class:`Population`'s
-    cached views, the archive and MOEA/D's incumbent columns.
-
-    Raises
-    ------
-    ConfigurationError
-        If any individual has not been evaluated yet.
-    """
-    if not individuals:
-        return np.empty((0, 0))
-    for individual in individuals:
-        if individual.objectives is None:
-            raise ConfigurationError("population contains unevaluated individuals")
-    return np.vstack([individual.objectives for individual in individuals])
-
-
-def violation_vector_of(individuals: Sequence["Individual"]) -> np.ndarray:
-    """Stack individuals' aggregate constraint violations into an ``(n,)`` vector."""
-    return np.array([individual.constraint_violation for individual in individuals])
-
-
-def decision_matrix_of(individuals: Sequence["Individual"]) -> np.ndarray:
-    """Stack individuals' decision vectors into an ``(n, n_var)`` matrix."""
-    if not individuals:
-        return np.empty((0, 0))
-    return np.vstack([individual.x for individual in individuals])
+__all__ = ["Individual", "Population"]
 
 
 class Individual:
@@ -119,45 +69,6 @@ class Individual:
         self.objectives = np.asarray(result.objectives, dtype=float)
         self.constraint_violation = result.total_violation
         self.info = dict(result.info)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable view of this individual (see :meth:`from_dict`).
-
-        numpy containers are converted to plain lists/scalars, so the result
-        round-trips through :mod:`json` unchanged.  Complements the columnar
-        front format of :mod:`repro.core.artifacts` (which stores whole
-        objective/decision matrices) when single individuals need to travel.
-        """
-        return {
-            "x": self.x.tolist(),
-            "objectives": None if self.objectives is None else self.objectives.tolist(),
-            "constraint_violation": float(self.constraint_violation),
-            "rank": self.rank,
-            "crowding": float(self.crowding),
-            "info": _plain(self.info),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Individual":
-        """Rebuild an individual from a :meth:`to_dict` payload.
-
-        Example
-        -------
-        >>> import numpy as np
-        >>> original = Individual(np.array([1.0, 2.0]))
-        >>> clone = Individual.from_dict(original.to_dict())
-        >>> np.array_equal(clone.x, original.x)
-        True
-        """
-        individual = cls(np.asarray(payload["x"], dtype=float))
-        objectives = payload.get("objectives")
-        if objectives is not None:
-            individual.objectives = np.asarray(objectives, dtype=float)
-        individual.constraint_violation = float(payload.get("constraint_violation", 0.0))
-        individual.rank = payload.get("rank")
-        individual.crowding = float(payload.get("crowding", 0.0))
-        individual.info = dict(payload.get("info", {}))
-        return individual
 
     def copy(self) -> "Individual":
         """Deep copy (decision vector and cached evaluation)."""
@@ -243,8 +154,8 @@ class Population:
         return {"individuals": self._individuals}
 
     def __setstate__(self, state: dict) -> None:
-        """Restore from a pickle (old checkpoints used the raw attribute)."""
-        self._individuals = state.get("individuals", state.get("_individuals", []))
+        """Restore from a pickle; the views start empty."""
+        self._individuals = state["individuals"]
         self._views = {}
 
     # ------------------------------------------------------------------
@@ -256,28 +167,28 @@ class Population:
         Called automatically by every mutating method of the container;
         call it manually after mutating an :class:`Individual` in place.
         """
-        views = getattr(self, "_views", None)
-        if views is None:
-            self._views = {}
-        else:
-            views.clear()
+        self._views.clear()
 
     def _view(self, key: str) -> np.ndarray:
-        views = getattr(self, "_views", None)
-        if views is None:
-            views = self._views = {}
-        cached = views.get(key)
+        cached = self._views.get(key)
         if cached is None:
-            cached = views[key] = self._build_view(key)
+            cached = self._views[key] = self._build_view(key)
             cached.setflags(write=False)
         return cached
 
     def _build_view(self, key: str) -> np.ndarray:
-        if key == "X":
-            return decision_matrix_of(self._individuals)
+        """Stack one column of the individuals: ``X``, ``F`` or ``CV``."""
+        individuals = self._individuals
         if key == "CV":
-            return violation_vector_of(self._individuals)
-        return objective_matrix_of(self._individuals)
+            return np.array([individual.constraint_violation for individual in individuals])
+        if not individuals:
+            return np.empty((0, 0))
+        if key == "X":
+            return np.vstack([individual.x for individual in individuals])
+        for individual in individuals:
+            if individual.objectives is None:
+                raise ConfigurationError("population contains unevaluated individuals")
+        return np.vstack([individual.objectives for individual in individuals])
 
     @property
     def X(self) -> np.ndarray:
@@ -301,7 +212,7 @@ class Population:
         return self._view("CV")
 
     # ------------------------------------------------------------------
-    # Evaluation and views
+    # Evaluation
     # ------------------------------------------------------------------
     def evaluate(self, problem: Problem, evaluator: "Evaluator") -> int:
         """Evaluate every not-yet-evaluated individual.
@@ -324,37 +235,9 @@ class Population:
         self.invalidate_views()
         return len(pending)
 
-    def objective_matrix(self) -> np.ndarray:
-        """Return an ``(n, n_obj)`` matrix of objective vectors (a copy).
-
-        Raises
-        ------
-        ConfigurationError
-            If any individual has not been evaluated yet.
-        """
-        return np.array(self.F)
-
-    def decision_matrix(self) -> np.ndarray:
-        """Return an ``(n, n_var)`` matrix of decision vectors (a copy)."""
-        return np.array(self.X)
-
-    def violations(self) -> np.ndarray:
-        """Return the vector of aggregate constraint violations (a copy)."""
-        return np.array(self.CV)
-
-    def feasible(self) -> "Population":
-        """Sub-population of feasible individuals."""
-        return Population(ind for ind in self._individuals if ind.is_feasible)
-
     def copy(self) -> "Population":
         """Deep copy of the population."""
         return Population(individual.copy() for individual in self._individuals)
-
-    def best_by_objective(self, index: int) -> Individual:
-        """Return the individual minimizing objective ``index``."""
-        if not self._individuals:
-            raise ConfigurationError("cannot select from an empty population")
-        return min(self._individuals, key=lambda ind: float(ind.objectives[index]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Population(size=%d)" % len(self._individuals)

@@ -5,10 +5,10 @@ matrix ``F`` of minimized objective vectors, an ``(n,)`` vector ``CV`` of
 aggregate constraint violations (0 = feasible) and, for the archive kernel,
 an ``(n, n_var)`` matrix ``X`` of decision vectors — instead of on
 :class:`~repro.moo.individual.Individual` objects.  They are the hot path
-of the whole MOO stack: :mod:`repro.moo.dominance`,
-:class:`~repro.moo.archive.ParetoArchive`, NSGA-II survivor selection,
-MOEA/D neighbourhood replacement and the front metrics are all thin
-wrappers around these kernels.
+of the whole MOO stack: NSGA-II ranking and survivor selection,
+:class:`~repro.moo.archive.ParetoArchive`, MOEA/D neighbourhood replacement
+and the front metrics all call these kernels on a population's
+:attr:`~repro.moo.individual.Population.F` / ``CV`` / ``X`` views.
 
 Dominance follows Deb's feasibility rules throughout (feasible beats
 infeasible, smaller violation beats larger, Pareto dominance between
@@ -50,7 +50,6 @@ __all__ = [
     "crowding_distances",
     "crowding_truncation_order",
     "tournament_winner",
-    "tournament_winners",
     "archive_prune",
 ]
 
@@ -133,8 +132,8 @@ def constrained_domination_matrix(F: np.ndarray, CV: np.ndarray | None = None) -
 def non_dominated_mask(F: np.ndarray) -> np.ndarray:
     """Boolean mask of the Pareto non-dominated rows of ``F``.
 
-    Unconstrained, like the classic ``non_dominated_front_indices``; rows
-    dominated by no other row are true.
+    Unconstrained: rows dominated by no other row are true.  Indexing with
+    the mask keeps the non-dominated rows in their original order.
     """
     F = _as_objective_matrix(F)
     if F.shape[0] == 0:
@@ -230,37 +229,15 @@ def tournament_winner(
 
     Returns ``0`` when the first contestant wins, ``1`` when the second
     does, and ``None`` on a full tie (the caller breaks it with its own
-    random draw).  This is the one-pair fast path of
-    :func:`tournament_winners` — plain comparisons, no array construction —
-    for sequential selection loops whose random stream must not change.
+    random draw).  Plain comparisons, no array construction: sequential
+    selection loops call it once per tournament, so their random stream
+    does not change.
     """
     if rank_a != rank_b:
         return 0 if rank_a < rank_b else 1
     if crowding_a != crowding_b:
         return 0 if crowding_a > crowding_b else 1
     return None
-
-
-def tournament_winners(
-    ranks: np.ndarray, crowding: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decide binary tournaments on (rank, crowding) for index pairs.
-
-    ``pairs`` is a ``(k, 2)`` array of population indices.  Returns
-    ``(winners, ties)``: the winning index per pair (lower rank wins, then
-    larger crowding) and a boolean mask of full ties, which the caller
-    resolves with its own random draw — keeping the random stream of the
-    sequential tournament intact.
-    """
-    ranks = np.asarray(ranks, dtype=float)
-    crowding = np.asarray(crowding, dtype=float)
-    pairs = np.asarray(pairs)
-    first, second = pairs[:, 0], pairs[:, 1]
-    rank_a, rank_b = ranks[first], ranks[second]
-    crowd_a, crowd_b = crowding[first], crowding[second]
-    second_wins = (rank_b < rank_a) | ((rank_b == rank_a) & (crowd_b > crowd_a))
-    ties = (rank_a == rank_b) & (crowd_a == crowd_b)
-    return np.where(second_wins, second, first), ties
 
 
 def _rows_dominate_point(

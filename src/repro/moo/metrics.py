@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.moo.dominance import non_dominated_front_indices
+from repro.moo.kernels import non_dominated_mask
 
 __all__ = [
     "hypervolume",
@@ -81,7 +81,7 @@ def hypervolume(front: np.ndarray, reference: np.ndarray | None = None) -> float
     matrix = matrix[keep]
     if matrix.shape[0] == 0:
         return 0.0
-    matrix = matrix[non_dominated_front_indices(matrix)]
+    matrix = matrix[non_dominated_mask(matrix)]
     if m == 1:
         return float(reference[0] - matrix.min())
     if m == 2:
@@ -120,7 +120,7 @@ def _hypervolume_recursive(points: np.ndarray, reference: np.ndarray) -> float:
         if depth <= 0:
             continue
         slab = points[: i + 1, :-1]
-        slab = slab[non_dominated_front_indices(slab)]
+        slab = slab[non_dominated_mask(slab)]
         volume += depth * _hypervolume_recursive(slab, reference[:-1])
     return float(volume)
 
@@ -138,8 +138,7 @@ def union_front(*fronts: np.ndarray) -> np.ndarray:
         raise ConfigurationError("at least one front is required")
     stacked = np.vstack([_as_matrix(front) for front in fronts])
     stacked = np.unique(stacked, axis=0)
-    indices = non_dominated_front_indices(stacked)
-    return stacked[indices]
+    return stacked[non_dominated_mask(stacked)]
 
 
 def _membership_count(front: np.ndarray, union: np.ndarray, tol: float = 1e-9) -> int:

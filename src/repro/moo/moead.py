@@ -23,12 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
-from repro.moo.individual import (
-    Individual,
-    Population,
-    objective_matrix_of,
-    violation_vector_of,
-)
+from repro.moo.individual import Individual, Population
 from repro.moo.operators import differential_variation, polynomial_mutation, sbx_crossover
 from repro.moo.validation import check, check_at_least, check_choice, check_probability
 from repro.problems.base import Problem
@@ -198,8 +193,9 @@ class MOEAD:
         under a warm instance.  One ``(n, m)`` stack per generation is noise
         next to the per-child replacement work it accelerates.
         """
-        self._incumbent_F = objective_matrix_of(self.population)
-        self._incumbent_CV = violation_vector_of(self.population)
+        incumbents = Population(self.population)
+        self._incumbent_F = np.array(incumbents.F)
+        self._incumbent_CV = np.array(incumbents.CV)
 
     def _update_ideal(self, individual: Individual) -> None:
         if self.ideal is None:

@@ -20,20 +20,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solve.result import SolveResult
 from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
-from repro.moo.dominance import assign_ranks_and_crowding
 from repro.moo.individual import Individual, Population
 from repro.moo.operators import (
     binary_tournament,
     latin_hypercube,
     polynomial_mutation,
     sbx_crossover,
-    uniform_initialization,
 )
 from repro.moo.validation import check_at_least, check_choice, check_even, check_probability
 from repro.problems.base import Problem
 from repro.runtime.evaluator import SerialEvaluator
 
-__all__ = ["NSGA2Config", "NSGA2"]
+__all__ = ["NSGA2Config", "NSGA2", "assign_ranks_and_crowding"]
+
+
+def assign_ranks_and_crowding(population: Population) -> list[list[int]]:
+    """Sort ``population`` and store rank and crowding on every individual.
+
+    Runs :func:`repro.moo.kernels.nondominated_sort` on ``population.F`` /
+    ``population.CV`` and :func:`repro.moo.kernels.crowding_distances` per
+    front.  Returns the fronts (lists of indices, rank 0 first) so callers
+    can reuse them without re-sorting.
+    """
+    if len(population) == 0:
+        return []
+    objectives = population.F
+    fronts = kernels.nondominated_sort(objectives, population.CV)
+    for rank, front in enumerate(fronts):
+        distances = kernels.crowding_distances(objectives[np.asarray(front)])
+        for position, index in enumerate(front):
+            population[index].rank = rank
+            population[index].crowding = float(distances[position])
+    return fronts
 
 
 @dataclass
@@ -119,24 +137,16 @@ class NSGA2:
         drawn from the run's seeded generator, so partially seeded runs stay
         deterministic in the seed.
         """
+        sampler = (
+            latin_hypercube if self.config.initialization == "latin" else Population.random
+        )
         if population is not None:
             self.population = population.copy()
             deficit = self.config.population_size - len(self.population)
             if deficit > 0:
-                sampler = (
-                    latin_hypercube
-                    if self.config.initialization == "latin"
-                    else uniform_initialization
-                )
                 self.population.extend(sampler(self.problem, deficit, self.rng))
-        elif self.config.initialization == "latin":
-            self.population = latin_hypercube(
-                self.problem, self.config.population_size, self.rng
-            )
         else:
-            self.population = uniform_initialization(
-                self.problem, self.config.population_size, self.rng
-            )
+            self.population = sampler(self.problem, self.config.population_size, self.rng)
         self.evaluations += self.population.evaluate(self.problem, self.evaluator)
         assign_ranks_and_crowding(self.population)
         self.archive.add_population(self.population)

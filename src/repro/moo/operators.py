@@ -7,7 +7,8 @@ NSGA-II and MOEA/D:
 * polynomial mutation,
 * binary tournament selection (rank + crowding, constraint aware),
 * differential-evolution variation (used by MOEA/D-DE style reproduction),
-* uniform and Latin-hypercube initialization.
+* Latin-hypercube initialization (uniform initialization is
+  :meth:`Population.random <repro.moo.individual.Population.random>`).
 
 All operators are pure functions of a ``numpy`` random generator, which makes
 every optimizer in the library fully reproducible from a single seed.
@@ -28,7 +29,6 @@ __all__ = [
     "binary_tournament",
     "differential_variation",
     "latin_hypercube",
-    "uniform_initialization",
 ]
 
 
@@ -144,11 +144,11 @@ def binary_tournament(population: Population, rng: np.random.Generator) -> Indiv
 
     Selection order: lower rank wins, then larger crowding distance, then a
     random pick.  Individuals must have rank and crowding assigned (i.e. the
-    population has been through :func:`assign_ranks_and_crowding`).
+    population has been through
+    :func:`repro.moo.nsga2.assign_ranks_and_crowding`).
 
     The (rank, crowding) decision is
-    :func:`repro.moo.kernels.tournament_winner` — the scalar fast path of
-    the batched ``tournament_winners`` kernel; the random draws (one pair
+    :func:`repro.moo.kernels.tournament_winner`; the random draws (one pair
     of indices, plus one uniform draw only on a full tie) are made here so
     the random stream matches the classic sequential tournament exactly.
     """
@@ -208,10 +208,3 @@ def latin_hypercube(
         samples[:, j] = (perm + rng.random(size)) / size
     vectors = [problem.denormalize(samples[i]) for i in range(size)]
     return Population.from_vectors(vectors)
-
-
-def uniform_initialization(
-    problem: Problem, size: int, rng: np.random.Generator
-) -> Population:
-    """Uniform random initialization (thin wrapper over ``Population.random``)."""
-    return Population.random(problem, size, rng)

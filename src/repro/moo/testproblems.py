@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.moo import kernels
 from repro.problems.base import Problem
 from repro.problems.batch import BatchEvaluation
 
@@ -153,9 +154,7 @@ class ZDT3(_ZDTBase):
         f1 = np.linspace(0.0, 0.852, n_points)
         f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
         points = np.column_stack([f1, f2])
-        from repro.moo.dominance import non_dominated_front_indices
-
-        return points[non_dominated_front_indices(points)]
+        return points[kernels.non_dominated_mask(points)]
 
 
 class ZDT6(_ZDTBase):

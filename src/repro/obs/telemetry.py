@@ -198,7 +198,7 @@ class RunTelemetry(Observer):
         }
         if self.convergence:
             front = event.front
-            objectives = front.objective_matrix()
+            objectives = front.F
             row["front_size"] = len(front)
             if objectives.size:
                 row["feasible_fraction"] = repr(float(np.mean(front.CV == 0.0)))
@@ -278,7 +278,7 @@ class LiveProgress(Observer):
         front = event.front
         line += "  front %4d" % len(front)
         if self.hypervolume:
-            objectives = front.objective_matrix()
+            objectives = front.F
             if objectives.size:
                 hv = _safe_hypervolume(objectives)
                 if hv is not None:

@@ -38,6 +38,10 @@ __all__ = ["CheckpointManager", "list_checkpoints"]
 
 _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 
+#: Layout of the pickled payload; bumped whenever a checkpointed class
+#: changes what it pickles, so an older checkpoint is refused, not misread.
+_FORMAT_VERSION = 2
+
 
 def list_checkpoints(directory: str | os.PathLike) -> list[tuple[int, Path]]:
     """``(generation, path)`` of every checkpoint in ``directory``, oldest first.
@@ -91,7 +95,11 @@ class CheckpointManager:
         """Write one checkpoint atomically and prune old ones."""
         if generation < 0:
             raise ConfigurationError("generation must be non-negative")
-        payload = {"format_version": 1, "generation": int(generation), "state": state}
+        payload = {
+            "format_version": _FORMAT_VERSION,
+            "generation": int(generation),
+            "state": state,
+        }
         target = self._path(generation)
         descriptor, temp_name = tempfile.mkstemp(
             prefix=".checkpoint-", suffix=".tmp", dir=self.directory
@@ -140,17 +148,32 @@ class CheckpointManager:
         return found[-1] if found else None
 
     def load(self, path: str | os.PathLike | None = None) -> tuple[Any, int]:
-        """Load one checkpoint and return ``(state, generation)``."""
+        """Load one checkpoint and return ``(state, generation)``.
+
+        Raises
+        ------
+        CheckpointError
+            If there is no checkpoint, the file cannot be read or unpickled
+            (truncated, or naming a class that no longer exists), or it was
+            written by a release with another checkpoint layout.
+        """
         chosen = Path(path) if path is not None else self.latest()
         if chosen is None:
             raise CheckpointError("no checkpoint found in %s" % self.directory)
         try:
             with open(chosen, "rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError) as error:
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
             raise CheckpointError("cannot read checkpoint %s: %s" % (chosen, error)) from error
         if not isinstance(payload, dict) or "state" not in payload:
             raise CheckpointError("checkpoint %s has an unknown layout" % chosen)
+        version = payload.get("format_version")
+        if version != _FORMAT_VERSION:
+            raise CheckpointError(
+                "checkpoint %s has format version %r, expected %d; it was written "
+                "by another release and cannot be resumed"
+                % (chosen, version, _FORMAT_VERSION)
+            )
         return payload["state"], int(payload.get("generation", 0))
 
     def load_latest(self) -> tuple[Any, int] | None:

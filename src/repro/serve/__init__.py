@@ -36,51 +36,47 @@ See ``docs/serving.md`` for the endpoint reference, the state machine and
 the recovery semantics.
 """
 
-from repro.serve.app import ServeApp, ServeThread, run_app
-from repro.serve.client import ServeClient, ServiceError
-from repro.serve.coordinator import Coordinator, JobChannel
-from repro.serve.http import HttpServer
-from repro.serve.jobs import (
-    CANCELLED,
-    CHECKPOINTED,
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    InvalidTransitionError,
-    JobNotFinishedError,
-    JobRecord,
-    JobSpec,
-    UnknownJobError,
-)
-from repro.serve.runner import EventLogObserver, run_job
-from repro.serve.store import JobStore
+import importlib
 
-__all__ = [
-    "ServeApp",
-    "ServeThread",
-    "run_app",
-    "ServeClient",
-    "ServiceError",
-    "Coordinator",
-    "JobChannel",
-    "HttpServer",
-    "QUEUED",
-    "RUNNING",
-    "CHECKPOINTED",
-    "DONE",
-    "FAILED",
-    "CANCELLED",
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "InvalidTransitionError",
-    "JobNotFinishedError",
-    "UnknownJobError",
-    "JobRecord",
-    "JobSpec",
-    "EventLogObserver",
-    "run_job",
-    "JobStore",
-]
+#: Public name -> submodule defining it.  Resolved on first access by
+#: :func:`__getattr__`, so a ``python -m repro.serve.runner`` subprocess
+#: imports only the runner's own dependencies, not the HTTP server stack.
+_EXPORTS = {
+    "ServeApp": "app",
+    "ServeThread": "app",
+    "run_app": "app",
+    "ServeClient": "client",
+    "ServiceError": "client",
+    "Coordinator": "coordinator",
+    "JobChannel": "coordinator",
+    "HttpServer": "http",
+    "QUEUED": "jobs",
+    "RUNNING": "jobs",
+    "CHECKPOINTED": "jobs",
+    "DONE": "jobs",
+    "FAILED": "jobs",
+    "CANCELLED": "jobs",
+    "JOB_STATES": "jobs",
+    "TERMINAL_STATES": "jobs",
+    "InvalidTransitionError": "jobs",
+    "JobNotFinishedError": "jobs",
+    "UnknownJobError": "jobs",
+    "JobRecord": "jobs",
+    "JobSpec": "jobs",
+    "EventLogObserver": "runner",
+    "run_job": "runner",
+    "JobStore": "store",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and return the attribute."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("%s.%s" % (__name__, module)), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_EXPORTS)

@@ -121,12 +121,16 @@ class SolveResult:
         return self.archive.to_population()
 
     def front_objectives(self) -> np.ndarray:
-        """Objective matrix of the non-dominated front."""
-        return self.front.objective_matrix()
+        """Objective matrix of the non-dominated front (a copy)."""
+        if self.archive is None:
+            return np.empty((0, 0))
+        return np.array(self.archive.F)
 
     def front_decisions(self) -> np.ndarray:
-        """Decision matrix of the non-dominated front."""
-        return self.front.decision_matrix()
+        """Decision matrix of the non-dominated front (a copy)."""
+        if self.archive is None:
+            return np.empty((0, 0))
+        return np.array(self.archive.X)
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> Any:

@@ -184,7 +184,7 @@ class HypervolumeStagnation(Termination):
         front = progress.front
         if len(front) == 0:
             return False
-        objectives = front.objective_matrix()
+        objectives = front.F
         if self._fixed_reference is None:
             if self.reference is not None:
                 self._fixed_reference = self.reference

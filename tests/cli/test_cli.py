@@ -333,6 +333,33 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "generations  6" in out
 
+    def test_truncated_checkpoint_is_a_clean_error(self, tmp_path, capsys):
+        args = ["solve", "zdt1", "--algorithm", "nsga2", "--population", "8",
+                "--seed", "0", "--checkpoint-dir", str(tmp_path),
+                "--checkpoint-interval", "2"]
+        assert main(args + ["--generations", "4"]) == 0
+        capsys.readouterr()
+        (tmp_path / "checkpoint-00000004.pkl").write_bytes(b"\x80\x05trunc")
+        assert main(args + ["--generations", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read checkpoint")
+        assert "checkpoint-00000004.pkl" in err and "Traceback" not in err
+
+    def test_checkpoint_of_another_format_is_a_clean_error(self, tmp_path, capsys):
+        import pickle
+
+        args = ["solve", "zdt1", "--algorithm", "nsga2", "--population", "8",
+                "--seed", "0", "--checkpoint-dir", str(tmp_path),
+                "--checkpoint-interval", "2"]
+        assert main(args + ["--generations", "4"]) == 0
+        capsys.readouterr()
+        path = tmp_path / "checkpoint-00000004.pkl"
+        payload = pickle.loads(path.read_bytes())
+        payload["format_version"] = 1
+        path.write_bytes(pickle.dumps(payload))
+        assert main(args + ["--generations", "6"]) == 2
+        assert "format version 1, expected 2" in capsys.readouterr().err
+
     def test_unknown_algorithm_is_a_clean_error(self, capsys):
         assert main(["solve", "zdt1", "--algorithm", "nsga3"]) == 2
         assert "unknown solver" in capsys.readouterr().err

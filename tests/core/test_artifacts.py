@@ -24,7 +24,6 @@ from repro.core.artifacts import (
 from repro.core.registry import Experiment, Parameter
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
-from repro.moo.individual import Individual
 from repro.moo.metrics import hypervolume
 
 
@@ -104,27 +103,6 @@ class TestCsv:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "uptake,nitrogen,x1,x2"
         assert lines[1] == "1.0,2.0,0.5,0.25"
-
-
-class TestIndividualSerialization:
-    def test_to_from_dict_round_trip(self):
-        individual = Individual(np.array([1.0, 2.0]))
-        individual.objectives = np.array([3.0, 4.0])
-        individual.constraint_violation = 0.5
-        individual.rank = 1
-        individual.crowding = 2.5
-        individual.info = {"violation": np.float64(0.5), "fluxes": np.array([1.0])}
-        payload = json.loads(json.dumps(individual.to_dict()))
-        clone = Individual.from_dict(payload)
-        assert np.array_equal(clone.x, individual.x)
-        assert np.array_equal(clone.objectives, individual.objectives)
-        assert clone.constraint_violation == 0.5
-        assert clone.rank == 1 and clone.crowding == 2.5
-        assert clone.info == {"violation": 0.5, "fluxes": [1.0]}
-
-    def test_unevaluated_round_trip(self):
-        clone = Individual.from_dict(Individual(np.zeros(2)).to_dict())
-        assert not clone.is_evaluated
 
 
 def _stub_experiment():

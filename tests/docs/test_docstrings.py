@@ -20,7 +20,10 @@ import repro.core
 import repro.fba
 import repro.geobacter.problem
 import repro.kinetics
+import repro.moo.archive
+import repro.moo.individual
 import repro.moo.kernels
+import repro.moo.nsga2
 import repro.obs
 import repro.params
 import repro.photosynthesis.nitrogen
@@ -48,7 +51,10 @@ PACKAGES = [
 #: documented more loosely).
 EXTRA_MODULES = [
     repro.geobacter.problem,
+    repro.moo.archive,
+    repro.moo.individual,
     repro.moo.kernels,
+    repro.moo.nsga2,
     repro.params,
     repro.photosynthesis.nitrogen,
     repro.photosynthesis.problem,

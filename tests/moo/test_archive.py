@@ -1,11 +1,13 @@
 """Tests for the bounded non-dominated archive."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
-from repro.moo.dominance import dominates
 from repro.moo.individual import Individual
 from repro.problems import EvaluationResult
 
@@ -72,11 +74,7 @@ class TestArchiveInvariant:
         archive = ParetoArchive()
         for _ in range(200):
             archive.add(make(rng.random(2)))
-        matrix = archive.objective_matrix()
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[0]):
-                if i != j:
-                    assert not dominates(matrix[i], matrix[j])
+        assert not kernels.domination_matrix(archive.F).any()
 
     def test_capacity_truncation_keeps_extremes(self):
         archive = ParetoArchive(capacity=5)
@@ -84,7 +82,7 @@ class TestArchiveInvariant:
         for x in xs:
             archive.add(make([x, 1.0 - x]))
         assert len(archive) == 5
-        matrix = archive.objective_matrix()
+        matrix = archive.F
         assert matrix[:, 0].min() == pytest.approx(0.0)
         assert matrix[:, 0].max() == pytest.approx(1.0)
 
@@ -96,13 +94,51 @@ class TestArchiveViews:
         archive.add(make([2.0, 1.0], x=[0.3, 0.4]))
         population = archive.to_population()
         assert len(population) == 2
-        assert archive.objective_matrix().shape == (2, 2)
-        assert archive.decision_matrix().shape == (2, 2)
+        assert archive.F.shape == (2, 2)
+        assert archive.X.shape == (2, 2)
+        assert archive.CV.shape == (2,)
+        np.testing.assert_array_equal(population.F, archive.F)
 
     def test_empty_archive_matrices(self):
         archive = ParetoArchive()
-        assert archive.objective_matrix().size == 0
-        assert archive.decision_matrix().size == 0
+        assert archive.F.shape == (0, 0)
+        assert archive.X.shape == (0, 0)
+        assert archive.CV.shape == (0,)
+
+    def test_views_are_read_only_and_follow_the_members(self):
+        archive = ParetoArchive()
+        archive.add(make([1.0, 2.0]))
+        first = archive.F
+        assert archive.F is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+        archive.add(make([2.0, 1.0]))
+        assert archive.F.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+        archive.add(make([0.5, 0.5]))
+        assert archive.F.tolist() == [[0.5, 0.5]]
+
+    def test_add_and_add_population_do_not_call_each_other(self, monkeypatch):
+        archive = ParetoArchive()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one insertion entry point called the other")
+
+        monkeypatch.setattr(ParetoArchive, "add_population", forbidden)
+        assert archive.add(make([1.0, 2.0]))
+        monkeypatch.undo()
+        monkeypatch.setattr(ParetoArchive, "add", forbidden)
+        assert archive.add_population([make([2.0, 1.0]), make([3.0, 3.0])]) == 1
+        assert len(archive) == 2
+
+    def test_pickle_round_trip_keeps_members_and_views(self):
+        archive = ParetoArchive(capacity=4)
+        archive.add_population([make([1.0, 2.0], violation=0.0), make([2.0, 1.0])])
+        clone = pickle.loads(pickle.dumps(archive))
+        assert clone.capacity == 4
+        np.testing.assert_array_equal(clone.F, archive.F)
+        np.testing.assert_array_equal(clone.X, archive.X)
+        assert clone.add(make([0.5, 0.5]))
+        assert len(clone) == 1 and len(archive) == 2
 
     def test_clear(self):
         archive = ParetoArchive()

@@ -1,5 +1,7 @@
 """Tests for individuals and populations."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -67,18 +69,32 @@ class TestPopulation:
         assert population.evaluate(problem, evaluator) == 0
         assert evaluator.ledger.total_evaluations == 4
 
-    def test_objective_matrix_requires_evaluation(self):
+    def test_objective_view_requires_evaluation(self):
         population = Population.from_vectors([np.array([0.5])])
         with pytest.raises(ConfigurationError):
-            population.objective_matrix()
+            population.F
 
-    def test_matrices_have_expected_shapes(self):
+    def test_views_have_expected_shapes(self):
         problem = Schaffer()
         population = Population.random(problem, 6, np.random.default_rng(1))
         population.evaluate(problem, SerialEvaluator())
-        assert population.objective_matrix().shape == (6, 2)
-        assert population.decision_matrix().shape == (6, 1)
-        assert population.violations().shape == (6,)
+        assert population.F.shape == (6, 2)
+        assert population.X.shape == (6, 1)
+        assert population.CV.shape == (6,)
+
+    def test_empty_population_views(self):
+        population = Population()
+        assert population.F.shape == (0, 0)
+        assert population.X.shape == (0, 0)
+        assert population.CV.shape == (0,)
+
+    def test_evaluate_rebuilds_the_objective_view(self):
+        problem = Schaffer()
+        population = Population.random(problem, 3, np.random.default_rng(4))
+        population.append(Individual(np.array([1.0])))
+        population.evaluate(problem, SerialEvaluator())
+        expected = problem.evaluate_matrix(population.X).F
+        np.testing.assert_array_equal(population.F, expected)
 
     def test_slicing_returns_population(self):
         problem = Schaffer()
@@ -87,7 +103,7 @@ class TestPopulation:
         assert isinstance(subset, Population)
         assert len(subset) == 3
 
-    def test_feasible_filters_by_violation(self):
+    def test_violation_view_marks_infeasible_rows(self):
         a = Individual(np.array([0.0]))
         a.set_evaluation(EvaluationResult(objectives=np.array([1.0])))
         b = Individual(np.array([0.0]))
@@ -97,19 +113,17 @@ class TestPopulation:
             )
         )
         population = Population([a, b])
-        assert len(population.feasible()) == 1
+        assert population.CV.tolist() == [0.0, 1.0]
 
-    def test_best_by_objective(self):
+    def test_pickle_keeps_individuals_and_rebuilds_views(self):
         problem = Schaffer()
-        population = Population.random(problem, 12, np.random.default_rng(2))
+        population = Population.random(problem, 5, np.random.default_rng(2))
         population.evaluate(problem, SerialEvaluator())
-        best = population.best_by_objective(0)
-        values = population.objective_matrix()[:, 0]
-        assert best.objectives[0] == pytest.approx(values.min())
-
-    def test_best_by_objective_empty_population(self):
-        with pytest.raises(ConfigurationError):
-            Population().best_by_objective(0)
+        F = population.F
+        clone = pickle.loads(pickle.dumps(population))
+        assert clone.__getstate__().keys() == {"individuals"}
+        np.testing.assert_array_equal(clone.F, F)
+        assert not clone.F.flags.writeable
 
     def test_copy_is_deep(self):
         problem = Schaffer()

@@ -26,13 +26,9 @@ from repro.moo._reference import (
     reference_non_dominated_front_indices,
 )
 from repro.moo.archive import ParetoArchive
-from repro.moo.dominance import (
-    crowding_distance,
-    fast_non_dominated_sort,
-    non_dominated_front_indices,
-)
 from repro.moo.individual import Individual, Population
 from repro.moo.metrics import spacing
+from repro.moo.nsga2 import assign_ranks_and_crowding
 
 GOLDEN_FRONT = Path(__file__).parent / "data" / "golden_front_migration_ablation.json"
 
@@ -127,7 +123,6 @@ class TestDominationMatrices:
         F, _, _ = _random_case(seed, n=60, m=2)
         expected = reference_non_dominated_front_indices(F)
         assert np.flatnonzero(kernels.non_dominated_mask(F)).tolist() == expected
-        assert non_dominated_front_indices(F) == expected
 
 
 class TestNonDominatedSort:
@@ -138,17 +133,20 @@ class TestNonDominatedSort:
         F, CV, X = _with_duplicates(F, CV, X, rng)
         assert kernels.nondominated_sort(F, CV) == reference_fast_non_dominated_sort(F, CV)
 
-    def test_wrapper_accepts_populations_and_sequences(self):
+    def test_assign_ranks_and_crowding_matches_reference(self):
         F, CV, _ = _random_case(7, n=30, feasibility="mixed")
         expected = reference_fast_non_dominated_sort(F, CV)
         population = _population(F, CV)
-        assert fast_non_dominated_sort(population) == expected
-        assert fast_non_dominated_sort(list(population)) == expected
+        assert assign_ranks_and_crowding(population) == expected
+        for rank, front in enumerate(expected):
+            crowding = reference_crowding_distance(F[np.asarray(front)])
+            assert [population[i].rank for i in front] == [rank] * len(front)
+            assert [population[i].crowding for i in front] == crowding.tolist()
 
     def test_empty_and_singleton(self):
         assert kernels.nondominated_sort(np.empty((0, 2))) == []
         assert kernels.nondominated_sort(np.array([[1.0, 2.0]])) == [[0]]
-        assert fast_non_dominated_sort(Population()) == []
+        assert assign_ranks_and_crowding(Population()) == []
 
 
 class TestCrowding:
@@ -179,17 +177,17 @@ class TestCrowding:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             duplicated = np.ones((6, 3))
-            distances = crowding_distance(duplicated)
+            distances = kernels.crowding_distances(duplicated)
             assert np.isinf(distances[0]) and np.isinf(distances[-1])
             assert np.all(distances[1:-1] == 0.0)
             zero_range = np.column_stack([np.arange(5.0), np.zeros(5)])
-            crowding_distance(zero_range)
+            kernels.crowding_distances(zero_range)
             assert spacing(duplicated) == 0.0
             spacing(zero_range)
 
     def test_small_fronts(self):
-        assert crowding_distance(np.empty((0, 2))).size == 0
-        assert np.all(np.isinf(crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        assert kernels.crowding_distances(np.empty((0, 2))).size == 0
+        assert np.all(np.isinf(kernels.crowding_distances(np.array([[0.0, 1.0], [1.0, 0.0]]))))
 
     def test_truncation_order_matches_stable_reverse_sort(self):
         crowding = np.array([1.0, np.inf, 0.5, 1.0, np.inf, 0.0])
@@ -201,28 +199,27 @@ class TestCrowding:
 
 
 class TestTournamentKernel:
-    def test_winners_follow_rank_then_crowding(self):
+    def test_winner_follows_rank_then_crowding(self):
         ranks = np.array([0.0, 1.0, 0.0, 0.0])
         crowding = np.array([0.5, 9.0, 2.0, 0.5])
-        pairs = np.array([[0, 1], [1, 0], [0, 2], [2, 0], [0, 3]])
-        winners, ties = kernels.tournament_winners(ranks, crowding, pairs)
-        assert winners.tolist() == [0, 0, 2, 2, 0]
-        assert ties.tolist() == [False, False, False, False, True]
+        pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3)]
+        outcomes = [
+            kernels.tournament_winner(ranks[a], crowding[a], ranks[b], crowding[b])
+            for a, b in pairs
+        ]
+        assert outcomes == [0, 1, 1, 0, None]
 
-    def test_scalar_fast_path_agrees_with_batch_kernel(self):
+    def test_winner_agrees_with_rank_crowding_key(self):
         rng = np.random.default_rng(21)
         ranks = rng.integers(0, 3, size=30).astype(float)
         crowding = np.where(rng.random(30) < 0.2, np.inf, rng.integers(0, 4, size=30))
-        pairs = rng.integers(0, 30, size=(100, 2))
-        winners, ties = kernels.tournament_winners(ranks, crowding, pairs)
-        for (a, b), winner, tie in zip(pairs, winners, ties):
-            scalar = kernels.tournament_winner(
-                ranks[a], crowding[a], ranks[b], crowding[b]
-            )
-            if tie:
-                assert scalar is None
+        for a, b in rng.integers(0, 30, size=(100, 2)):
+            key_a, key_b = (ranks[a], -crowding[a]), (ranks[b], -crowding[b])
+            outcome = kernels.tournament_winner(ranks[a], crowding[a], ranks[b], crowding[b])
+            if key_a == key_b:
+                assert outcome is None
             else:
-                assert (a, b)[scalar] == winner
+                assert outcome == (0 if key_a < key_b else 1)
 
 
 class TestArchivePrune:
@@ -254,8 +251,9 @@ class TestArchivePrune:
             F, CV, X, 0, capacity=capacity
         )
         assert accepted == expected_accepted
-        np.testing.assert_array_equal(archive.objective_matrix(), F[expected_kept])
-        np.testing.assert_array_equal(archive.decision_matrix(), X[expected_kept])
+        np.testing.assert_array_equal(archive.F, F[expected_kept])
+        np.testing.assert_array_equal(archive.X, X[expected_kept])
+        np.testing.assert_array_equal(archive.CV, CV[expected_kept])
 
     def test_prune_on_top_of_existing_members(self):
         F, CV, X = _random_case(13, n=40, feasibility="feasible")
@@ -318,23 +316,20 @@ class TestMOEADIncumbentColumns:
 
 
 class TestColumnarViews:
-    def test_views_match_legacy_matrices_and_are_cached(self):
+    def test_views_match_stacked_columns_and_are_cached(self):
         F, CV, _ = _random_case(4, n=12, feasibility="mixed")
         population = _population(F, CV)
         np.testing.assert_array_equal(population.F, F)
         np.testing.assert_array_equal(population.CV, CV)
         assert population.F is population.F  # cached between accesses
-        np.testing.assert_array_equal(population.objective_matrix(), population.F)
-        np.testing.assert_array_equal(population.violations(), population.CV)
 
-    def test_views_are_readonly_but_legacy_copies_are_writable(self):
+    def test_views_are_readonly(self):
         F, CV, _ = _random_case(4, n=6, feasibility="feasible")
         population = _population(F, CV)
         with pytest.raises(ValueError):
             population.F[0, 0] = 99.0
-        copy = population.objective_matrix()
-        copy[0, 0] = 99.0  # mutating the copy must not corrupt the cache
-        assert population.F[0, 0] != 99.0
+        with pytest.raises(ValueError):
+            population.CV[0] = 99.0
 
     def test_mutation_invalidates_views(self):
         F, CV, _ = _random_case(4, n=6, feasibility="feasible")

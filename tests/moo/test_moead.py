@@ -75,7 +75,7 @@ class TestMOEADRun:
         problem = Schaffer()
         optimizer = MOEAD(problem, MOEADConfig(population_size=16, neighborhood_size=4), seed=1)
         solve_engine(problem, optimizer, 5)
-        matrix = optimizer.archive.objective_matrix()
+        matrix = optimizer.archive.F
         assert optimizer.ideal[0] <= matrix[:, 0].min() + 1e-9
         assert optimizer.ideal[1] <= matrix[:, 1].min() + 1e-9
 
@@ -83,7 +83,7 @@ class TestMOEADRun:
         problem = Schaffer()
         result = _moead(problem, 40, 2, population_size=30, neighborhood_size=8)
         igd = inverted_generational_distance(
-            result.archive.objective_matrix(), problem.true_front()
+            result.archive.F, problem.true_front()
         )
         assert igd < 0.3
 
@@ -95,12 +95,12 @@ class TestMOEADRun:
 
     def test_three_objective_problem_runs(self):
         result = _moead(DTLZ2(n_obj=3, n_var=7), 5, 4, population_size=21, neighborhood_size=5)
-        assert result.archive.objective_matrix().shape[1] == 3
+        assert result.archive.F.shape[1] == 3
 
     def test_seed_reproducibility(self):
         fronts = [
             _moead(Schaffer(), 5, 11, population_size=12, neighborhood_size=4)
-            .archive.objective_matrix()
+            .archive.F
             for _ in range(2)
         ]
         assert np.allclose(fronts[0], fronts[1])
@@ -133,12 +133,12 @@ class TestMOEADCheckpointParity:
         assert resumed.generations == 8
         assert resumed.evaluations == uninterrupted.evaluations
         assert np.array_equal(
-            uninterrupted.archive.objective_matrix(),
-            resumed.archive.objective_matrix(),
+            uninterrupted.archive.F,
+            resumed.archive.F,
         )
         assert np.array_equal(
-            uninterrupted.population.decision_matrix(),
-            resumed.population.decision_matrix(),
+            uninterrupted.population.X,
+            resumed.population.X,
         )
 
     def test_callback_runs_every_generation(self):

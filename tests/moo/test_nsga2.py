@@ -46,26 +46,23 @@ class TestNSGA2Run:
             solve(Schaffer(), "nsga2", seed=0, termination=-1)
 
     def test_archive_members_are_non_dominated(self):
-        from repro.moo.dominance import dominates
+        from repro.moo import kernels
 
         result = solve(Schaffer(), "nsga2", population_size=16, seed=1, termination=10)
-        matrix = result.archive.objective_matrix()
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[0]):
-                if i != j:
-                    assert not dominates(matrix[i], matrix[j])
+        matrix = result.archive.F
+        assert not kernels.domination_matrix(matrix).any()
 
     def test_converges_towards_schaffer_front(self):
         problem = Schaffer()
         result = solve(problem, "nsga2", population_size=40, seed=2, termination=40)
-        front = result.archive.objective_matrix()
+        front = result.archive.F
         igd = inverted_generational_distance(front, problem.true_front())
         assert igd < 0.2
 
     def test_seed_reproducibility(self):
         results = [
             solve(Schaffer(), "nsga2", population_size=16, seed=42, termination=8)
-            .archive.objective_matrix()
+            .archive.F
             for _ in range(2)
         ]
         assert np.allclose(results[0], results[1])
@@ -74,7 +71,7 @@ class TestNSGA2Run:
         a = solve(ZDT1(n_var=6), "nsga2", population_size=16, seed=1, termination=5)
         b = solve(ZDT1(n_var=6), "nsga2", population_size=16, seed=2, termination=5)
         assert not np.allclose(
-            a.population.decision_matrix(), b.population.decision_matrix()
+            a.population.X, b.population.X
         )
 
     def test_history_records_every_generation(self):
@@ -99,7 +96,7 @@ class TestNSGA2Run:
 class TestConstrainedOptimization:
     def test_population_becomes_mostly_feasible(self):
         result = solve(ConstrainedBNH(), "nsga2", population_size=30, seed=4, termination=20)
-        feasible_fraction = len(result.population.feasible()) / len(result.population)
+        feasible_fraction = np.mean(result.population.CV == 0.0)
         assert feasible_fraction > 0.8
 
 
@@ -127,6 +124,6 @@ class TestMigrationHooks:
 
     def test_immigrate_with_empty_list_is_noop(self):
         optimizer = _nsga2(8, 1)
-        before = optimizer.population.decision_matrix().copy()
+        before = optimizer.population.X
         optimizer.immigrate([])
-        assert np.allclose(before, optimizer.population.decision_matrix())
+        assert np.allclose(before, optimizer.population.X)

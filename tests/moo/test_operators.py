@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.dominance import assign_ranks_and_crowding
 from repro.moo.individual import Population
+from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
 from repro.moo.operators import (
     binary_tournament,
     differential_variation,
     latin_hypercube,
     polynomial_mutation,
     sbx_crossover,
-    uniform_initialization,
 )
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime.evaluator import SerialEvaluator
@@ -145,7 +144,7 @@ class TestInitialization:
     def test_latin_hypercube_stratifies_each_dimension(self):
         problem = ZDT1(n_var=4)
         population = latin_hypercube(problem, 10, np.random.default_rng(0))
-        matrix = population.decision_matrix()
+        matrix = population.X
         # Every decile of every dimension holds exactly one sample.
         for j in range(4):
             bins = np.floor(matrix[:, j] * 10).astype(int)
@@ -156,10 +155,11 @@ class TestInitialization:
         with pytest.raises(ConfigurationError):
             latin_hypercube(ZDT1(), 0, np.random.default_rng(0))
 
-    def test_uniform_initialization_within_bounds(self):
+    def test_uniform_initialization_is_population_random(self):
         problem = Schaffer()
-        population = uniform_initialization(problem, 8, np.random.default_rng(0))
-        assert len(population) == 8
-        matrix = population.decision_matrix()
-        assert np.all(matrix >= problem.lower_bounds)
-        assert np.all(matrix <= problem.upper_bounds)
+        optimizer = NSGA2(problem, NSGA2Config(population_size=8, initialization="uniform"), seed=0)
+        optimizer.initialize()
+        expected = Population.random(problem, 8, np.random.default_rng(0))
+        np.testing.assert_array_equal(optimizer.population.X, expected.X)
+        assert np.all(expected.X >= problem.lower_bounds)
+        assert np.all(expected.X <= problem.upper_bounds)

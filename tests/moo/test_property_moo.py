@@ -5,18 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
-from repro.moo.dominance import (
-    crowding_distance,
-    dominates,
-    fast_non_dominated_sort,
-    non_dominated_front_indices,
-)
-from repro.moo.individual import Individual, Population
+from repro.moo.individual import Individual
 from repro.moo.metrics import hypervolume
 from repro.moo.mining import closest_to_ideal, ideal_point
 from repro.moo.operators import polynomial_mutation, sbx_crossover
-from repro.problems import EvaluationResult
 from repro.moo.robustness import PerturbationModel, robustness_condition
 
 objective_matrices = arrays(
@@ -32,46 +26,82 @@ vectors = arrays(
 )
 
 
-def _population_from_matrix(matrix):
-    individuals = []
-    for row in matrix:
-        individual = Individual(np.zeros(1))
-        individual.set_evaluation(EvaluationResult(objectives=row))
-        individuals.append(individual)
-    return Population(individuals)
+@st.composite
+def constrained_populations(draw):
+    """``(F, CV)`` with ``CV`` mixing exact zeros (feasible) and positive violations."""
+    F = draw(objective_matrices)
+    violation = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0))
+    CV = np.array(draw(st.lists(violation, min_size=F.shape[0], max_size=F.shape[0])))
+    return F, CV
 
 
 class TestDominanceProperties:
     @given(objective_matrices)
     @settings(max_examples=50, deadline=None)
     def test_dominance_is_irreflexive_and_asymmetric(self, matrix):
-        for row in matrix:
-            assert not dominates(row, row)
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[0]):
-                if dominates(matrix[i], matrix[j]):
-                    assert not dominates(matrix[j], matrix[i])
+        dominates = kernels.domination_matrix(matrix)
+        assert not dominates.diagonal().any()
+        assert not (dominates & dominates.T).any()
 
-    @given(objective_matrices)
+    @given(constrained_populations())
     @settings(max_examples=50, deadline=None)
-    def test_sorting_partitions_population(self, matrix):
-        population = _population_from_matrix(matrix)
-        fronts = fast_non_dominated_sort(population)
-        flattened = sorted(index for front in fronts for index in front)
-        assert flattened == list(range(matrix.shape[0]))
+    def test_constrained_dominance_is_irreflexive_and_asymmetric(self, population):
+        dominates = kernels.constrained_domination_matrix(*population)
+        assert not dominates.diagonal().any()
+        assert not (dominates & dominates.T).any()
 
     @given(objective_matrices)
     @settings(max_examples=50, deadline=None)
     def test_first_front_is_exactly_the_non_dominated_set(self, matrix):
-        population = _population_from_matrix(matrix)
-        fronts = fast_non_dominated_sort(population)
-        assert set(fronts[0]) == set(non_dominated_front_indices(matrix))
+        fronts = kernels.nondominated_sort(matrix)
+        assert fronts[0] == np.flatnonzero(kernels.non_dominated_mask(matrix)).tolist()
 
     @given(objective_matrices)
     @settings(max_examples=50, deadline=None)
     def test_crowding_is_non_negative(self, matrix):
-        distances = crowding_distance(matrix)
+        distances = kernels.crowding_distances(matrix)
         assert np.all(distances >= 0.0)
+
+
+class TestConstrainedSortProperties:
+    @given(constrained_populations())
+    @settings(max_examples=60, deadline=None)
+    def test_fronts_partition_the_rows(self, population):
+        F, CV = population
+        fronts = kernels.nondominated_sort(F, CV)
+        assert sorted(index for front in fronts for index in front) == list(range(F.shape[0]))
+
+    @given(constrained_populations())
+    @settings(max_examples=60, deadline=None)
+    def test_no_member_of_a_front_dominates_another(self, population):
+        F, CV = population
+        dominates = kernels.constrained_domination_matrix(F, CV)
+        for front in kernels.nondominated_sort(F, CV):
+            assert not dominates[np.ix_(front, front)].any()
+
+    @given(constrained_populations())
+    @settings(max_examples=60, deadline=None)
+    def test_every_later_member_is_dominated_by_the_previous_front(self, population):
+        F, CV = population
+        dominates = kernels.constrained_domination_matrix(F, CV)
+        fronts = kernels.nondominated_sort(F, CV)
+        for previous, front in zip(fronts, fronts[1:]):
+            assert dominates[np.ix_(previous, front)].any(axis=0).all()
+
+    @given(constrained_populations())
+    @settings(max_examples=40, deadline=None)
+    def test_archive_of_the_same_rows_is_mutually_non_dominated(self, population):
+        F, CV = population
+        individuals = []
+        for row, violation in zip(F, CV):
+            individual = Individual(row.copy())
+            individual.objectives = row.copy()
+            individual.constraint_violation = float(violation)
+            individuals.append(individual)
+        archive = ParetoArchive()
+        archive.add_population(individuals)
+        assert len(archive) >= 1
+        assert not kernels.constrained_domination_matrix(archive.F, archive.CV).any()
 
 
 class TestArchiveProperties:
@@ -81,13 +111,9 @@ class TestArchiveProperties:
         archive = ParetoArchive()
         for row in matrix:
             individual = Individual(row.copy())
-            individual.set_evaluation(EvaluationResult(objectives=row))
+            individual.objectives = row.copy()
             archive.add(individual)
-        stored = archive.objective_matrix()
-        for i in range(stored.shape[0]):
-            for j in range(stored.shape[0]):
-                if i != j:
-                    assert not dominates(stored[i], stored[j])
+        assert not kernels.domination_matrix(archive.F).any()
 
 
 class TestHypervolumeProperties:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.moo.dominance import dominates
+from repro.moo import kernels
 from repro.moo.testproblems import (
     DTLZ2,
     ConstrainedBNH,
@@ -126,10 +126,7 @@ class TestTrueFronts:
     @pytest.mark.parametrize("cls", [Schaffer, FonsecaFleming, ZDT1, ZDT2, ZDT3, ZDT6])
     def test_true_front_members_are_mutually_non_dominated(self, cls):
         front = cls().true_front(50)
-        for i in range(front.shape[0]):
-            for j in range(front.shape[0]):
-                if i != j:
-                    assert not dominates(front[i], front[j])
+        assert not kernels.domination_matrix(front).any()
 
     def test_zdt1_front_matches_analytical_curve(self):
         front = ZDT1().true_front(20)
@@ -140,5 +137,6 @@ class TestTrueFronts:
         front = problem.true_front(100)
         rng = np.random.default_rng(1)
         X = np.vstack([problem.random_solution(rng) for _ in range(50)])
-        for objectives in problem.evaluate_matrix(X).F:
-            assert not any(dominates(objectives, point) for point in front)
+        F = problem.evaluate_matrix(X).F
+        feasible, on_front = np.zeros(len(F)), np.zeros(len(front))
+        assert not kernels.constrained_domination_blocks(F, feasible, front, on_front).any()

@@ -57,7 +57,7 @@ class TestProblemDefinition:
     def test_more_nitrogen_is_needed_for_more_uptake_on_the_front(self, problem):
         """A short optimization exposes the conflicting-objectives structure."""
         result = solve(problem, "nsga2", population_size=24, seed=0, termination=15)
-        front = result.archive.objective_matrix()
+        front = result.archive.F
         assert front.shape[0] >= 5
         reported = problem.reported_front(front)
         order = np.argsort(reported[:, 0])

@@ -1,6 +1,9 @@
 """Tests for checkpoint/resume: manager mechanics and optimizer equivalence."""
 
 import os
+import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -52,6 +55,51 @@ class TestManager:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(CheckpointError):
             manager.load()
+
+    def test_state_naming_a_deleted_class_raises_checkpoint_error(self, tmp_path, monkeypatch):
+        # A 4.x PMO2 state: the class existed when the checkpoint was saved.
+        import repro.moo.pmo2
+
+        class PMO2:
+            pass
+
+        PMO2.__module__, PMO2.__qualname__ = "repro.moo.pmo2", "PMO2"
+        monkeypatch.setattr(repro.moo.pmo2, "PMO2", PMO2, raising=False)
+        manager = CheckpointManager(tmp_path)
+        manager.save(PMO2(), generation=4)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="PMO2"):
+            manager.load()
+
+    def test_state_naming_a_deleted_module_raises_checkpoint_error(self, tmp_path, monkeypatch):
+        module = types.ModuleType("repro.moo.dominance")
+
+        class Front:
+            pass
+
+        Front.__module__, Front.__qualname__ = module.__name__, "Front"
+        module.Front = Front
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        manager = CheckpointManager(tmp_path)
+        manager.save(Front(), generation=4)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="dominance"):
+            manager.load()
+
+    def test_save_writes_format_version_2(self, tmp_path):
+        path = CheckpointManager(tmp_path).save("state", generation=3)
+        payload = pickle.loads(path.read_bytes())
+        assert payload == {"format_version": 2, "generation": 3, "state": "state"}
+
+    @pytest.mark.parametrize("version", [1, None, 3])
+    def test_other_format_versions_are_refused(self, tmp_path, version):
+        payload = {"generation": 3, "state": "state"}
+        if version is not None:
+            payload["format_version"] = version
+        (tmp_path / "checkpoint-00000003.pkl").write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError) as raised:
+            CheckpointManager(tmp_path).load()
+        assert "format version %r, expected 2" % version in str(raised.value)
 
     def test_only_saved_names_are_checkpoints(self, tmp_path):
         # Neither name is one save() writes, so neither is restorable.
@@ -160,5 +208,5 @@ class TestNSGA2Resume:
 
         assert resumed.generations == 10
         assert np.array_equal(
-            baseline.archive.objective_matrix(), resumed.archive.objective_matrix()
+            baseline.archive.F, resumed.archive.F
         )

@@ -68,7 +68,7 @@ class TestPooledDeterminism:
             pooled = solve(problem, "nsga2", population_size=8, seed=5, termination=6,
                            evaluator=evaluator)
         assert np.array_equal(
-            serial.archive.objective_matrix(), pooled.archive.objective_matrix()
+            serial.archive.F, pooled.archive.F
         )
 
     def test_moead_pool_matches_serial_bitwise(self):
@@ -79,7 +79,7 @@ class TestPooledDeterminism:
             pooled = solve(problem, "moead", seed=5, termination=4, evaluator=evaluator,
                            **config)
         assert np.array_equal(
-            serial.archive.objective_matrix(), pooled.archive.objective_matrix()
+            serial.archive.F, pooled.archive.F
         )
 
     def test_pmo2_result_carries_ledger(self):

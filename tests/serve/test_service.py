@@ -154,3 +154,39 @@ class TestTelemetry:
         assert {"trace.jsonl", "timeseries.csv"} <= set(manifest["artifacts"])
         assert "metrics.json" not in manifest["artifacts"]
         assert manifest["parameters"]["seed"] == 13
+
+
+class TestLazyPackageImport:
+    def test_runner_import_leaves_the_server_stack_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = (
+            "import sys, repro.serve.runner\n"
+            "loaded = [m for m in ('repro.serve.app', 'repro.serve.http',"
+            " 'repro.serve.coordinator', 'repro.serve.client') if m in sys.modules]\n"
+            "print(','.join(loaded))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert completed.stdout.strip() == ""
+
+    def test_package_names_resolve_on_access(self):
+        import repro.serve
+        from repro.serve import JobStore, ServeClient, ServeThread
+        from repro.serve.app import ServeThread as defined
+
+        assert ServeThread is defined
+        assert ServeClient.__module__ == "repro.serve.client"
+        assert JobStore.__module__ == "repro.serve.store"
+        assert all(getattr(repro.serve, name) is not None for name in repro.serve.__all__)
+        with pytest.raises(AttributeError):
+            repro.serve.NoSuchName

@@ -132,7 +132,7 @@ class TestEngineParity:
         )
         assert unified.evaluations == engine.evaluations
         assert np.array_equal(
-            engine.archive.objective_matrix(), unified.archive.objective_matrix()
+            engine.archive.F, unified.archive.F
         )
 
 
