@@ -25,7 +25,13 @@ from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.operators import differential_variation, polynomial_mutation, sbx_crossover
-from repro.moo.validation import check, check_at_least, check_choice, check_probability
+from repro.moo.validation import (
+    check,
+    check_at_least,
+    check_choice,
+    check_positive,
+    check_probability,
+)
 from repro.problems.base import Problem
 from repro.runtime.evaluator import SerialEvaluator
 
@@ -110,6 +116,8 @@ class MOEADConfig:
             "neighborhood_selection_probability", self.neighborhood_selection_probability
         )
         check_at_least("max_replacements", self.max_replacements, 1)
+        check_positive("crossover_eta", self.crossover_eta)
+        check_positive("mutation_eta", self.mutation_eta)
 
     def resolved_neighborhood_size(self) -> int:
         """Neighbourhood size with the adaptive default applied."""

@@ -27,7 +27,13 @@ from repro.moo.operators import (
     polynomial_mutation,
     sbx_crossover,
 )
-from repro.moo.validation import check_at_least, check_choice, check_even, check_probability
+from repro.moo.validation import (
+    check_at_least,
+    check_choice,
+    check_even,
+    check_positive,
+    check_probability,
+)
 from repro.problems.base import Problem
 from repro.runtime.evaluator import SerialEvaluator
 
@@ -52,6 +58,38 @@ def assign_ranks_and_crowding(population: Population) -> list[list[int]]:
             population[index].rank = rank
             population[index].crowding = float(distances[position])
     return fronts
+
+
+def _truncate_front(
+    union: Population, fronts: list[list[int]], rank: int, remaining: int
+) -> list[Individual]:
+    """Keep the ``remaining`` least crowded members of ``fronts[rank]``.
+
+    Returns them in truncation order with their crowding recomputed among
+    themselves, exactly as a fresh sort of the survivors would.  That sort
+    lists the kept members of front 0 in survivor (truncation) order; those
+    of a later front where their last dominator in the (whole) previous
+    front releases them, ties in survivor order, which is a stable sort on
+    the last dominator's position.
+    """
+    front = fronts[rank]
+    crowding = np.array([union[i].crowding for i in front])
+    kept = [front[k] for k in kernels.crowding_truncation_order(crowding)[:remaining]]
+    if not kept:
+        return []
+    listed = kept
+    if rank > 0:
+        F, CV = union.F, union.CV
+        previous = fronts[rank - 1]
+        released_by = kernels.constrained_domination_blocks(
+            F[previous], CV[previous], F[kept], CV[kept]
+        )
+        last_dominator = len(previous) - 1 - np.argmax(released_by[::-1, :], axis=0)
+        listed = [kept[k] for k in np.argsort(last_dominator, kind="stable")]
+    distances = kernels.crowding_distances(union.F[listed])
+    for index, distance in zip(listed, distances.tolist()):
+        union[index].crowding = distance
+    return [union[i] for i in kept]
 
 
 @dataclass
@@ -86,7 +124,9 @@ class NSGA2Config:
         check_at_least("population_size", self.population_size, 4)
         check_even("population_size", self.population_size)
         check_probability("crossover_probability", self.crossover_probability)
+        check_positive("crossover_eta", self.crossover_eta)
         check_probability("mutation_probability", self.mutation_probability, allow_none=True)
+        check_positive("mutation_eta", self.mutation_eta)
         check_choice("initialization", self.initialization, ("latin", "uniform"))
 
 
@@ -196,19 +236,20 @@ class NSGA2:
         Ranking, crowding and the truncation order all run on the vectorized
         kernels; the stable descending-crowding order reproduces the classic
         ``sorted(..., reverse=True)`` tie-breaking exactly.
+
+        The union is sorted once.  Re-sorting the survivors would find the
+        same fronts, the whole ones in the same order, so their members keep
+        the union's rank and crowding; only the truncated front's crowding
+        is recomputed (:func:`_truncate_front`).
         """
         fronts = assign_ranks_and_crowding(union)
         survivors = Population()
-        for front in fronts:
-            if len(survivors) + len(front) <= self.config.population_size:
-                survivors.extend(union[i] for i in front)
-            else:
-                remaining = self.config.population_size - len(survivors)
-                crowding = np.array([union[i].crowding for i in front])
-                order = kernels.crowding_truncation_order(crowding)
-                survivors.extend(union[front[k]] for k in order[:remaining])
+        for rank, front in enumerate(fronts):
+            remaining = self.config.population_size - len(survivors)
+            if len(front) > remaining:
+                survivors.extend(_truncate_front(union, fronts, rank, remaining))
                 break
-        assign_ranks_and_crowding(survivors)
+            survivors.extend(union[i] for i in front)
         return survivors
 
     def step(self) -> None:

@@ -20,6 +20,7 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "check",
     "check_at_least",
+    "check_positive",
     "check_even",
     "check_probability",
     "check_choice",
@@ -43,6 +44,12 @@ def check_at_least(name: str, value: float, minimum: float) -> None:
         raise ConfigurationError(
             "%s must be at least %s, got %s" % (name, minimum, value)
         )
+
+
+def check_positive(name: str, value: float) -> None:
+    """Require ``value > 0`` (NaN fails too)."""
+    if not value > 0:
+        raise ConfigurationError("%s must be positive, got %s" % (name, value))
 
 
 def check_even(name: str, value: int) -> None:

@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.moead import MOEAD, MOEADConfig, uniform_weight_vectors
 from repro.moo.testproblems import DTLZ2, Schaffer, ZDT1
+from repro.problems import BudgetCounting
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
 
@@ -44,11 +45,22 @@ class TestConfigValidation:
             {"variation": "bogus"},
             {"neighborhood_selection_probability": 2.0},
             {"max_replacements": 0},
+            {"crossover_eta": 0.0},
+            {"mutation_eta": -2.0},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             MOEADConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("field", ["crossover_eta", "mutation_eta"])
+    def test_nonpositive_eta_fails_before_any_evaluation(self, field):
+        problem = BudgetCounting(ZDT1())
+        with pytest.raises(ConfigurationError, match=field):
+            MOEAD(problem, MOEADConfig(**{field: 0}))
+        with pytest.raises(ConfigurationError, match=field):
+            solve(problem, "moead", seed=0, termination=2, **{field: 0.0})
+        assert problem.evaluations == 0
 
 
 def _moead(problem, generations, seed, **config):

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.moo import kernels
+from repro.moo.individual import Individual, Population
 from repro.moo.metrics import inverted_generational_distance
-from repro.moo.nsga2 import NSGA2, NSGA2Config
+from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
 from repro.moo.testproblems import ConstrainedBNH, Schaffer, ZDT1
+from repro.problems import BudgetCounting
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
 
@@ -23,11 +28,24 @@ class TestConfigValidation:
             {"crossover_probability": 1.5},
             {"mutation_probability": -0.1},
             {"initialization": "bogus"},
+            {"crossover_eta": 0.0},
+            {"crossover_eta": -1.0},
+            {"mutation_eta": 0.0},
+            {"mutation_eta": float("nan")},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             NSGA2Config(**kwargs).validate()
+
+    @pytest.mark.parametrize("field", ["crossover_eta", "mutation_eta"])
+    def test_nonpositive_eta_fails_before_any_evaluation(self, field):
+        problem = BudgetCounting(ZDT1())
+        with pytest.raises(ConfigurationError, match=field):
+            NSGA2(problem, NSGA2Config(**{field: 0}))
+        with pytest.raises(ConfigurationError, match=field):
+            solve(problem, "nsga2", seed=0, termination=2, **{field: 0.0})
+        assert problem.evaluations == 0
 
 
 class TestNSGA2Run:
@@ -127,3 +145,81 @@ class TestMigrationHooks:
         before = optimizer.population.X
         optimizer.immigrate([])
         assert np.allclose(before, optimizer.population.X)
+
+
+def _double_sort_selection(union, population_size):
+    """Environmental selection that re-sorts the survivors from scratch."""
+    fronts = assign_ranks_and_crowding(union)
+    survivors = Population()
+    for front in fronts:
+        if len(survivors) + len(front) <= population_size:
+            survivors.extend(union[i] for i in front)
+        else:
+            remaining = population_size - len(survivors)
+            crowding = np.array([union[i].crowding for i in front])
+            order = kernels.crowding_truncation_order(crowding)
+            survivors.extend(union[front[k]] for k in order[:remaining])
+            break
+    assign_ranks_and_crowding(survivors)
+    return survivors
+
+
+def _union(F, CV):
+    individuals = []
+    for index, (objectives, violation) in enumerate(zip(F, CV)):
+        individual = Individual(np.array([float(index)]))
+        individual.objectives = np.array(objectives, dtype=float)
+        individual.constraint_violation = float(violation)
+        individuals.append(individual)
+    return Population(individuals)
+
+
+def _selection_record(population):
+    return [
+        (ind.x.tobytes(), ind.rank, np.float64(ind.crowding).tobytes()) for ind in population
+    ]
+
+
+@st.composite
+def tied_unions(draw):
+    """A 2N-row union on a coarse grid: duplicate rows and ties everywhere."""
+    size = draw(st.sampled_from([4, 6, 8, 16]))
+    n_obj = draw(st.integers(1, 3))
+    grid = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    row = st.lists(grid, min_size=n_obj, max_size=n_obj)
+    F = draw(st.lists(row, min_size=2 * size, max_size=2 * size))
+    violation = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0])
+    CV = draw(st.lists(violation, min_size=2 * size, max_size=2 * size))
+    return size, F, CV
+
+
+class TestSingleSortSelection:
+    """One sort of the union gives the survivors the double sort's rank and crowding."""
+
+    @given(tied_unions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_double_sort_bitwise(self, case):
+        size, F, CV = case
+        engine = NSGA2(Schaffer(), NSGA2Config(population_size=size))
+        survivors = engine._environmental_selection(_union(F, CV))
+        expected = _double_sort_selection(_union(F, CV), size)
+        assert _selection_record(survivors) == _selection_record(expected)
+
+    def test_truncated_later_front_follows_last_dominator_order(self):
+        # Front 0 is rows 8 and 10.  Front 1 is rows 2 and 6 (released by
+        # row 8) and 4, 5 and 9 (released by row 10).  Truncating it to four
+        # keeps 2, 4, 9, 6 in crowding order; a re-sort of the survivors
+        # lists them 2, 6, 4, 9.  Rows 4 and 6 tie at 3 in the third
+        # objective, so the one listed last is its upper boundary.
+        F = [
+            [1.0, 2.0, 3.0], [1.0, 3.0, 3.0], [3.0, 0.0, 1.0], [1.0, 2.0, 3.0],
+            [0.0, 1.0, 3.0], [1.0, 1.0, 1.0], [2.0, 0.0, 3.0], [3.0, 2.0, 3.0],
+            [2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 0.0], [3.0, 3.0, 3.0],
+        ]  # fmt: skip
+        CV = [0.0] * len(F)
+        engine = NSGA2(Schaffer(), NSGA2Config(population_size=6))
+        survivors = engine._environmental_selection(_union(F, CV))
+        expected = _double_sort_selection(_union(F, CV), 6)
+        assert [int(ind.x[0]) for ind in survivors] == [8, 10, 2, 4, 9, 6]
+        assert survivors[-1].crowding == expected[-1].crowding < np.inf
+        assert _selection_record(survivors) == _selection_record(expected)

@@ -1,0 +1,6 @@
+"""Executable specifications kept outside the installed package.
+
+Each module holds the plain scalar implementation an optimized routine in
+``repro`` replaced; the equivalence tests assert that the optimized routine
+reproduces it bit for bit, random stream included.
+"""
