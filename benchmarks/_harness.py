@@ -4,7 +4,9 @@ Each script times a fast path against its reference or baseline and writes
 one ``BENCH_*.json`` report.  This module holds what they all share: the
 best-of-N timing loop, the environment stamp every report carries, the
 ``--output`` option and the report writer.  Importing it also puts the
-repository's ``src/`` on ``sys.path``, so the scripts run from a checkout::
+repository's ``src/`` and, for the reference implementations in
+``tests/oracles/``, the repository root on ``sys.path``, so the scripts run
+from a checkout::
 
     python benchmarks/bench_kernels.py --smoke
 """
@@ -24,6 +26,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(1, str(REPO_ROOT))
 
 
 def best_of(function: Callable[[], Any], repeats: int) -> tuple[float, Any]:

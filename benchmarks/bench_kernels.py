@@ -2,7 +2,7 @@
 
 Sweeps population sizes and objective counts, times each kernel of
 :mod:`repro.moo.kernels` against its pure-Python reference from
-:mod:`repro.moo._reference` (asserting element-for-element agreement on the
+``tests/oracles/kernels.py`` (asserting element-for-element agreement on the
 way), and writes a machine-readable ``BENCH_kernels.json`` so the perf
 trajectory accumulates data points across commits.
 
@@ -13,7 +13,9 @@ Run from the repository root::
 
 The full sweep covers n in {100, 500, 1000, 2000} x m in {2, 3, 5}; the
 smoke sweep trims that to one small grid so CI can assert the kernels still
-agree with (and beat) the references without burning minutes.
+agree with (and beat) the references without burning minutes.  Either sweep
+exits non-zero when a kernel in ``FLOORS`` falls below its speedup floor on
+any grid point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from _harness import add_output_argument, best_of, environment, write_report
 from repro.moo import kernels
-from repro.moo._reference import (
+from tests.oracles.kernels import (
     reference_archive_prune,
     reference_crowding_distance,
     reference_fast_non_dominated_sort,
@@ -34,6 +36,9 @@ from repro.moo._reference import (
 
 FULL_SWEEP = {"n": (100, 500, 1000, 2000), "m": (2, 3, 5)}
 SMOKE_SWEEP = {"n": (100, 300), "m": (2, 3)}
+
+#: Minimum speedup over the reference, per kernel, on every (n, m) of a sweep.
+FLOORS = {"nondominated_sort": 10.0, "archive_prune": 1.0}
 
 #: Reference timings above this n are extrapolation-expensive; cap the
 #: repeats so the full sweep stays in minutes, not hours.
@@ -148,16 +153,16 @@ def main(argv: list[str] | None = None) -> int:
         "results": records,
     }
     write_report(args.output, payload)
-    sort_speedups = [r["speedup"] for r in records if r["kernel"] == "nondominated_sort"]
-    floor = 10.0
-    if min(sort_speedups) < floor:
-        print(
-            "FAIL: nondominated_sort speedup %.1fx below the %.0fx floor"
-            % (min(sort_speedups), floor),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    status = 0
+    for kernel, floor in FLOORS.items():
+        slowest = min(r["speedup"] for r in records if r["kernel"] == kernel)
+        if slowest < floor:
+            print(
+                "FAIL: %s speedup %.1fx below the %.1fx floor" % (kernel, slowest, floor),
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

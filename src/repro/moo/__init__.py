@@ -19,9 +19,9 @@ The sub-package provides:
   property function per call;
 * :mod:`repro.moo.kernels` — the vectorized, constraint-aware dominance /
   sorting / crowding / archive-prune kernels on ``(n, m)`` objective
-  matrices that every routine above runs on (with the naive reference
-  implementations preserved in :mod:`repro.moo._reference` for the
-  equivalence tests and benchmarks);
+  matrices that every routine above runs on (the naive reference
+  implementations the equivalence tests and benchmarks hold them to live
+  outside the package, in ``tests/oracles/``);
 * :mod:`repro.moo.testproblems` — synthetic validation problems.
 
 The engines implement the :class:`repro.solve.Solver` protocol and run

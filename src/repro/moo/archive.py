@@ -9,11 +9,13 @@ mining (:mod:`repro.moo.mining`), the front-quality metrics
 The members live in a :class:`~repro.moo.individual.Population`, whose
 cached ``X``/``F``/``CV`` views the archive exposes as its own.  Insertion
 runs on the batched :func:`repro.moo.kernels.archive_prune` kernel: a whole
-population is folded into the archive on columnar arrays, each candidate
-tested against the live set with one vectorized pass per dominance
-direction instead of a Python dominance loop per member, while reproducing
-the sequential insertion semantics (member order, duplicate rejection,
-per-insertion crowding truncation) bit for bit.
+population is folded into the archive on columnar arrays.  The kernel
+computes the dominance and objective-closeness blocks of a chunk of
+candidates against the live members in one go, packs them into bitmasks,
+and replays sequential insertion (member order, duplicate rejection,
+per-insertion crowding truncation) as bit arithmetic on the live set, so a
+candidate costs a few integer operations instead of a Python dominance loop
+per member.
 """
 
 from __future__ import annotations

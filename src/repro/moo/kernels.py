@@ -16,11 +16,12 @@ feasible solutions) and is always defined for *minimization*.
 
 The kernels are drop-in equivalent to the naive loops they replaced —
 bitwise-identical outputs, including tie-breaking order — which
-``tests/moo/test_kernels.py`` asserts against the preserved reference
-implementations in :mod:`repro.moo._reference`, and
-``benchmarks/bench_kernels.py`` measures (the non-dominated sort is two to
-three orders of magnitude faster at ``n = 1000``; see ``BENCH_kernels.json``
-and ``docs/performance.md``).
+``tests/moo/test_kernels.py`` asserts against the reference implementations
+kept outside the package in ``tests/oracles/kernels.py`` (and
+``tests/moo/test_archive_equivalence.py`` against the per-candidate archive
+fold in ``tests/oracles/archive.py``), and ``benchmarks/bench_kernels.py``
+measures (the non-dominated sort is two to three orders of magnitude faster
+at ``n = 1000``; see ``BENCH_kernels.json`` and ``docs/performance.md``).
 
 Example
 -------
@@ -62,21 +63,32 @@ def _as_objective_matrix(F: np.ndarray) -> np.ndarray:
     return F
 
 
+#: Cells per ``(rows, n_b)`` boolean temporary of :func:`_pareto_blocks`
+#: (4 MB each, whatever the population size).
+_BLOCK_CELLS = 2**22
+
+
 def _pareto_blocks(F_a: np.ndarray, F_b: np.ndarray) -> np.ndarray:
     """Plain Pareto domination of rows of ``F_a`` over rows of ``F_b``.
 
-    Chunks the ``(n_a, n_b, m)`` broadcast over rows of ``a`` so the boolean
-    temporaries stay bounded (~16 MB) regardless of population size.
+    Works one objective column at a time on 2-D ``(rows, n_b)`` booleans
+    (reducing a 3-D ``(rows, n_b, m)`` comparison over its short last axis
+    costs several times more), chunked over rows of ``a`` so each boolean
+    temporary stays within ``_BLOCK_CELLS`` cells.
     """
     n_a, m = F_a.shape
     n_b = F_b.shape[0]
     out = np.empty((n_a, n_b), dtype=bool)
-    chunk = max(1, int(2**24 // max(1, n_b * m)))
+    columns_b = np.ascontiguousarray(F_b.T)
+    chunk = max(1, _BLOCK_CELLS // max(1, n_b))
     for start in range(0, n_a, chunk):
-        stop = min(start + chunk, n_a)
-        no_worse = np.all(F_a[start:stop, None, :] <= F_b[None, :, :], axis=2)
-        better = np.any(F_a[start:stop, None, :] < F_b[None, :, :], axis=2)
-        out[start:stop] = no_worse & better
+        block = F_a[start : start + chunk]
+        no_worse = block[:, 0, None] <= columns_b[0]
+        better = block[:, 0, None] < columns_b[0]
+        for k in range(1, m):
+            no_worse &= block[:, k, None] <= columns_b[k]
+            better |= block[:, k, None] < columns_b[k]
+        np.logical_and(no_worse, better, out=out[start : start + chunk])
     return out
 
 
@@ -141,7 +153,9 @@ def non_dominated_mask(F: np.ndarray) -> np.ndarray:
     return ~domination_matrix(F).any(axis=0)
 
 
-def nondominated_sort(F: np.ndarray, CV: np.ndarray | None = None) -> list[list[int]]:
+def nondominated_sort(
+    F: np.ndarray, CV: np.ndarray | None = None, cover: int | None = None
+) -> list[list[int]]:
     """Deb's fast non-dominated sort on columnar data.
 
     Returns the fronts as lists of row indices, rank 0 first.  The ordering
@@ -151,6 +165,11 @@ def nondominated_sort(F: np.ndarray, CV: np.ndarray | None = None) -> list[list[
     order) released it, ties broken by ascending index — so populations
     ordered by these fronts evolve bitwise-identically to the original
     pure-Python sort.
+
+    With ``cover`` set, sorting stops after the front that brings the number
+    of sorted rows to at least ``cover``: the result is the shortest prefix
+    of the full sort's fronts holding ``cover`` rows (all of them when there
+    are fewer rows).  Survivor selection needs no more than that.
     """
     F = _as_objective_matrix(F)
     n = F.shape[0]
@@ -163,8 +182,12 @@ def nondominated_sort(F: np.ndarray, CV: np.ndarray | None = None) -> list[list[
         assigned = np.zeros(n, dtype=bool)
         current = np.flatnonzero(counts == 0)
         fronts: list[list[int]] = []
+        covered = 0
         while current.size:
             fronts.append(current.tolist())
+            covered += current.size
+            if cover is not None and covered >= cover:
+                break
             assigned[current] = True
             counts -= dominates[current].sum(axis=0)
             candidates = np.flatnonzero((counts == 0) & ~assigned)
@@ -240,28 +263,25 @@ def tournament_winner(
     return None
 
 
-def _rows_dominate_point(
-    F_rows: np.ndarray, CV_rows: np.ndarray, f: np.ndarray, cv: float
-) -> np.ndarray:
-    """Which rows constrained-dominate the single point ``(f, cv)``."""
-    if cv == 0.0:
-        feasible_rows = CV_rows == 0.0
-        pareto = np.all(F_rows <= f, axis=1) & np.any(F_rows < f, axis=1)
-        return feasible_rows & pareto
-    # An infeasible point is dominated by every feasible row (CV 0 < cv) and
-    # by every infeasible row with a smaller violation — one comparison.
-    return CV_rows < cv
+#: Candidates :func:`archive_prune` folds per block of dominance masks.
+_ARCHIVE_CHUNK = 128
 
 
-def _point_dominates_rows(
-    f: np.ndarray, cv: float, F_rows: np.ndarray, CV_rows: np.ndarray
-) -> np.ndarray:
-    """Which rows are constrained-dominated by the single point ``(f, cv)``."""
-    feasible_rows = CV_rows == 0.0
-    if cv == 0.0:
-        pareto = np.all(f <= F_rows, axis=1) & np.any(f < F_rows, axis=1)
-        return ~feasible_rows | pareto
-    return ~feasible_rows & (cv < CV_rows)
+def _row_masks(block: np.ndarray) -> list[int]:
+    """Each row of a boolean block as a Python int with bit ``k`` = column ``k``."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [
+        int.from_bytes(raw[start : start + width], "little")
+        for start in range(0, len(raw), width)
+    ]
+
+
+def _set_bits(mask: int) -> np.ndarray:
+    """Positions of the set bits of a non-negative ``mask``, ascending."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
 
 
 def archive_prune(
@@ -280,12 +300,18 @@ def archive_prune(
     dominated by it are dropped, near-duplicates (``np.allclose`` on both
     objectives and decisions) are rejected after their dominance side
     effects, and when ``capacity`` is exceeded the most crowded live row is
-    discarded after every insertion.
+    discarded after every insertion.  Dominance is
+    :func:`constrained_domination_blocks` (Deb's rules).
 
-    Each candidate's dominance tests against the live set run as one
-    vectorized pass per direction (and rejection short-circuits before the
-    reverse pass), so the fold does O(alive x m) arithmetic per candidate
-    with no quadratic precompute or matrix memory.
+    Candidates are taken ``_ARCHIVE_CHUNK`` at a time.  The rows of a chunk
+    are the live rows followed by its candidates, both ascending, so bit
+    ``k`` of a Python-int mask stands for row ``k`` and bit order is
+    archive order.  Three blocks over those rows — who dominates each
+    candidate, whom each candidate dominates, and whose objectives are all
+    close to it — are packed into one mask per candidate, and the
+    sequential fold becomes bit arithmetic on the live set.  Decision
+    vectors are compared only against live rows whose objectives are
+    already close, one candidate at a time.
 
     Returns ``(kept, accepted)``: the surviving row indices in final archive
     order, and how many candidates entered (counting ones later evicted by
@@ -295,30 +321,32 @@ def archive_prune(
     F = _as_objective_matrix(F)
     CV = np.asarray(CV, dtype=float)
     X = np.asarray(X, dtype=float)
-    n_total = F.shape[0]
-    alive: list[int] = list(range(n_members))
+    alive = np.arange(n_members)
     accepted = 0
-    for c in range(n_members, n_total):
-        if alive:
-            live = np.asarray(alive, dtype=np.intp)
-            F_live, CV_live = F[live], CV[live]
-            if _rows_dominate_point(F_live, CV_live, F[c], CV[c]).any():
+    for start in range(n_members, F.shape[0], _ARCHIVE_CHUNK):
+        chunk = np.arange(start, min(start + _ARCHIVE_CHUNK, F.shape[0]))
+        rows = np.concatenate([alive, chunk])
+        F_rows, CV_rows, F_new, CV_new = F[rows], CV[rows], F[chunk], CV[chunk]
+        dominated_by = _row_masks(constrained_domination_blocks(F_rows, CV_rows, F_new, CV_new).T)
+        dominates = _row_masks(constrained_domination_blocks(F_new, CV_new, F_rows, CV_rows))
+        close = np.ones((chunk.size, rows.size), dtype=bool)
+        for k in range(F.shape[1]):
+            close &= np.isclose(F_rows[:, k], F_new[:, k, None])
+        close_to = _row_masks(close)
+        live = (1 << alive.size) - 1
+        for j, c in enumerate(chunk.tolist()):
+            if dominated_by[j] & live:
                 continue
-            survivors = live[~_point_dominates_rows(F[c], CV[c], F_live, CV_live)]
-        else:
-            survivors = np.empty(0, dtype=np.intp)
-        if survivors.size:
-            duplicate = np.isclose(F[survivors], F[c]).all(axis=1) & np.isclose(
-                X[survivors], X[c]
-            ).all(axis=1)
-            if duplicate.any():
-                alive = survivors.tolist()
+            live &= ~dominates[j]
+            twins = close_to[j] & live
+            if twins and np.isclose(X[rows[_set_bits(twins)]], X[c]).all(axis=1).any():
                 continue
-        alive = survivors.tolist()
-        alive.append(c)
-        accepted += 1
-        while capacity is not None and len(alive) > capacity:
-            distances = crowding_distances(F[np.asarray(alive, dtype=np.intp)])
-            finite = np.where(np.isfinite(distances), distances, np.inf)
-            alive.pop(int(np.argmin(finite)))
-    return alive, accepted
+            live |= 1 << (alive.size + j)
+            accepted += 1
+            while capacity is not None and live.bit_count() > capacity:
+                members = _set_bits(live)
+                distances = crowding_distances(F_rows[members])
+                finite = np.where(np.isfinite(distances), distances, np.inf)
+                live &= ~(1 << int(members[np.argmin(finite)]))
+        alive = rows[_set_bits(live)]
+    return alive.tolist(), accepted

@@ -40,18 +40,22 @@ from repro.runtime.evaluator import SerialEvaluator
 __all__ = ["NSGA2Config", "NSGA2", "assign_ranks_and_crowding"]
 
 
-def assign_ranks_and_crowding(population: Population) -> list[list[int]]:
+def assign_ranks_and_crowding(
+    population: Population, cover: int | None = None
+) -> list[list[int]]:
     """Sort ``population`` and store rank and crowding on every individual.
 
     Runs :func:`repro.moo.kernels.nondominated_sort` on ``population.F`` /
     ``population.CV`` and :func:`repro.moo.kernels.crowding_distances` per
     front.  Returns the fronts (lists of indices, rank 0 first) so callers
-    can reuse them without re-sorting.
+    can reuse them without re-sorting.  With ``cover`` set, only the
+    shortest prefix of fronts holding ``cover`` individuals is sorted and
+    annotated; the rest keep whatever rank and crowding they had.
     """
     if len(population) == 0:
         return []
     objectives = population.F
-    fronts = kernels.nondominated_sort(objectives, population.CV)
+    fronts = kernels.nondominated_sort(objectives, population.CV, cover=cover)
     for rank, front in enumerate(fronts):
         distances = kernels.crowding_distances(objectives[np.asarray(front)])
         for position, index in enumerate(front):
@@ -237,12 +241,14 @@ class NSGA2:
         kernels; the stable descending-crowding order reproduces the classic
         ``sorted(..., reverse=True)`` tie-breaking exactly.
 
-        The union is sorted once.  Re-sorting the survivors would find the
-        same fronts, the whole ones in the same order, so their members keep
-        the union's rank and crowding; only the truncated front's crowding
-        is recomputed (:func:`_truncate_front`).
+        The union is sorted once, and only as far as the front that fills
+        the population; the members past it are discarded unsorted.
+        Re-sorting the survivors would find the same fronts, the whole ones
+        in the same order, so their members keep the union's rank and
+        crowding; only the truncated front's crowding is recomputed
+        (:func:`_truncate_front`).
         """
-        fronts = assign_ranks_and_crowding(union)
+        fronts = assign_ranks_and_crowding(union, cover=self.config.population_size)
         survivors = Population()
         for rank, front in enumerate(fronts):
             remaining = self.config.population_size - len(survivors)

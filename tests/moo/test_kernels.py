@@ -2,7 +2,7 @@
 
 Every kernel of :mod:`repro.moo.kernels` must agree element-for-element
 (values, orders, tie-breaks) with the preserved pure-Python implementations
-in :mod:`repro.moo._reference` on seeded random populations — feasible,
+in ``tests/oracles/kernels.py`` on seeded random populations — feasible,
 infeasible, mixed, and with duplicated objective rows.  A golden-file test
 additionally locks the whole refactor down end to end: the ``front.json``
 artifact of a canned experiment must be bitwise identical to the one the
@@ -18,17 +18,18 @@ import numpy as np
 import pytest
 
 from repro.moo import kernels
-from repro.moo._reference import (
+from repro.moo.archive import ParetoArchive
+from repro.moo.individual import Individual, Population
+from repro.moo.metrics import spacing
+from repro.moo.nsga2 import assign_ranks_and_crowding
+from tests.oracles import archive as archive_oracle
+from tests.oracles.kernels import (
     reference_archive_prune,
     reference_constrained_dominates,
     reference_crowding_distance,
     reference_fast_non_dominated_sort,
     reference_non_dominated_front_indices,
 )
-from repro.moo.archive import ParetoArchive
-from repro.moo.individual import Individual, Population
-from repro.moo.metrics import spacing
-from repro.moo.nsga2 import assign_ranks_and_crowding
 
 GOLDEN_FRONT = Path(__file__).parent / "data" / "golden_front_migration_ablation.json"
 
@@ -97,8 +98,9 @@ class TestDominationMatrices:
         np.testing.assert_array_equal(blocks, square[:15, 15:])
 
     def test_point_fast_paths_agree_with_blocks(self):
-        # The archive fold uses specialised rows-vs-one helpers; they must
-        # agree with the general blocks, including zero-violation ties.
+        # The per-candidate archive oracle uses specialised rows-vs-one
+        # helpers; on NaN-free violations they must agree with the general
+        # blocks the kernel folds with, including zero-violation ties.
         F, CV, _ = _random_case(6, n=25, feasibility="mixed")
         CV[3] = CV[7] = 0.0
         for c in range(F.shape[0]):
@@ -110,11 +112,11 @@ class TestDominationMatrices:
                 F[c : c + 1], CV[c : c + 1], F[rows], CV[rows]
             )[0, :]
             np.testing.assert_array_equal(
-                kernels._rows_dominate_point(F[rows], CV[rows], F[c], CV[c]),
+                archive_oracle._rows_dominate_point(F[rows], CV[rows], F[c], CV[c]),
                 expected_down,
             )
             np.testing.assert_array_equal(
-                kernels._point_dominates_rows(F[c], CV[c], F[rows], CV[rows]),
+                archive_oracle._point_dominates_rows(F[c], CV[c], F[rows], CV[rows]),
                 expected_up,
             )
 

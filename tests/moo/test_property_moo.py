@@ -71,6 +71,19 @@ class TestConstrainedSortProperties:
         fronts = kernels.nondominated_sort(F, CV)
         assert sorted(index for front in fronts for index in front) == list(range(F.shape[0]))
 
+    @given(constrained_populations(), st.integers(1, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_cover_returns_the_shortest_prefix_of_fronts_holding_cover_rows(
+        self, population, cover
+    ):
+        F, CV = population
+        full = kernels.nondominated_sort(F, CV)
+        sizes = np.cumsum([len(front) for front in full])
+        # Fronts up to and including the first whose running total reaches
+        # ``cover``; every front when the rows run out first.
+        length = min(int(np.searchsorted(sizes, cover)) + 1, len(full))
+        assert kernels.nondominated_sort(F, CV, cover=cover) == full[:length]
+
     @given(constrained_populations())
     @settings(max_examples=60, deadline=None)
     def test_no_member_of_a_front_dominates_another(self, population):

@@ -11,8 +11,8 @@ specification of the vectorized kernels:
 * ``benchmarks/bench_kernels.py`` times the kernels against them and
   records the speedup trajectory in ``BENCH_kernels.json``.
 
-Nothing in the library's runtime path imports this module; it exists for
-verification and measurement only.
+The library never imports this module; it exists for verification and
+measurement only.
 """
 
 from __future__ import annotations
