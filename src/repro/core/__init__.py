@@ -12,82 +12,61 @@
   :class:`~repro.moo.individual.Individual` objects;
 * :mod:`repro.core.report` — deterministic plain-text rendering shared by
   the CLI, the docs examples and the benchmark output.
+
+The public names below resolve on first access, so importing one submodule
+(``from repro.core.artifacts import record_run``) loads only that submodule's
+dependencies, not the Geobacter FBA model and its scipy solvers.
 """
 
-from repro.core.artifacts import (
-    RunManifest,
-    individuals_from_front,
-    list_runs,
-    load_front,
-    load_manifest,
-    load_result,
-    record_run,
-)
-from repro.core.designer import DesignReport, RobustPathwayDesigner, SelectedDesign
-from repro.core.registry import (
-    REGISTRY,
-    Experiment,
-    ExperimentRegistry,
-    Parameter,
-    experiment_names,
-    get_experiment,
-)
-from repro.core.experiments import (
-    Figure1Result,
-    Figure2Result,
-    Figure3Result,
-    Figure4Result,
-    MigrationAblationResult,
-    Table1Result,
-    Table2Result,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_migration_ablation,
-    run_table1,
-    run_table2,
-)
-from repro.core.report import (
-    format_table,
-    paper_vs_measured,
-    render_design_report,
-    render_selections,
-)
+import importlib
 
-__all__ = [
-    "DesignReport",
-    "RobustPathwayDesigner",
-    "SelectedDesign",
-    "REGISTRY",
-    "Experiment",
-    "ExperimentRegistry",
-    "Parameter",
-    "experiment_names",
-    "get_experiment",
-    "RunManifest",
-    "individuals_from_front",
-    "list_runs",
-    "load_front",
-    "load_manifest",
-    "load_result",
-    "record_run",
-    "Figure1Result",
-    "Figure2Result",
-    "Figure3Result",
-    "Figure4Result",
-    "MigrationAblationResult",
-    "Table1Result",
-    "Table2Result",
-    "run_figure1",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_migration_ablation",
-    "run_table1",
-    "run_table2",
-    "format_table",
-    "paper_vs_measured",
-    "render_design_report",
-    "render_selections",
-]
+#: Public name -> submodule defining it, resolved by :func:`__getattr__`.
+_EXPORTS = {
+    "DesignReport": "designer",
+    "RobustPathwayDesigner": "designer",
+    "SelectedDesign": "designer",
+    "REGISTRY": "registry",
+    "Experiment": "registry",
+    "ExperimentRegistry": "registry",
+    "Parameter": "registry",
+    "experiment_names": "registry",
+    "get_experiment": "registry",
+    "RunManifest": "artifacts",
+    "individuals_from_front": "artifacts",
+    "list_runs": "artifacts",
+    "load_front": "artifacts",
+    "load_manifest": "artifacts",
+    "load_result": "artifacts",
+    "record_run": "artifacts",
+    "Figure1Result": "experiments",
+    "Figure2Result": "experiments",
+    "Figure3Result": "experiments",
+    "Figure4Result": "experiments",
+    "MigrationAblationResult": "experiments",
+    "Table1Result": "experiments",
+    "Table2Result": "experiments",
+    "run_figure1": "experiments",
+    "run_figure2": "experiments",
+    "run_figure3": "experiments",
+    "run_figure4": "experiments",
+    "run_migration_ablation": "experiments",
+    "run_table1": "experiments",
+    "run_table2": "experiments",
+    "format_table": "report",
+    "paper_vs_measured": "report",
+    "render_design_report": "report",
+    "render_selections": "report",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and return the attribute."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("%s.%s" % (__name__, module)), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_EXPORTS)

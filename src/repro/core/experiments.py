@@ -18,11 +18,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.geobacter.analysis import TradeOffPoint
     from repro.runtime.ledger import EvaluationLedger
 
 from repro.core.designer import RobustPathwayDesigner, SelectedDesign
-from repro.geobacter.analysis import TradeOffPoint, representative_points, violation_reduction
-from repro.geobacter.problem import GeobacterDesignProblem
 from repro.moo.individual import Individual
 from repro.moo.metrics import coverage_report
 from repro.moo.mining import equally_spaced_selection
@@ -477,6 +476,8 @@ class Figure4Result:
     @property
     def reduction_factor(self) -> float:
         """Final-to-initial steady-state violation ratio (paper: ≈ 1/26)."""
+        from repro.geobacter.analysis import violation_reduction
+
         return violation_reduction(self.initial_violation, self.best_violation)
 
 
@@ -489,6 +490,10 @@ def run_figure4(
     cache: bool = False,
 ) -> Figure4Result:
     """Optimize electron and biomass production of the synthetic Geobacter model."""
+    # Imported here: the FBA model loads scipy, which no other experiment needs.
+    from repro.geobacter.analysis import representative_points
+    from repro.geobacter.problem import GeobacterDesignProblem
+
     problem = GeobacterDesignProblem()
     rng = np.random.default_rng(seed)
     result = solve(

@@ -3,7 +3,9 @@
 The simulator wraps :func:`scipy.integrate.solve_ivp` with the conventions the
 photosynthesis model needs: stiff-friendly default method (LSODA), optional
 steady-state detection based on the norm of the derivative, and flux read-out
-at the final state.
+at the final state.  ``solve_ivp`` is imported by the two methods that call
+it, so the photosynthesis problem, which imports this package but solves no
+ODE, never loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.exceptions import ConvergenceError, EvaluationError
 from repro.kinetics.network import KineticNetwork
@@ -118,6 +119,8 @@ class KineticSimulator:
             if initial_state is not None
             else self.network.initial_state()
         )
+        from scipy.integrate import solve_ivp
+
         t_eval = np.linspace(0.0, t_end, max(2, n_points))
         solution = solve_ivp(
             rhs,
@@ -202,6 +205,8 @@ class KineticSimulator:
         the horizon ``t_max`` is exhausted the last state is returned with
         ``steady_state=False`` unless ``raise_on_failure`` is set.
         """
+        from scipy.integrate import solve_ivp
+
         rhs = self.network.build_rhs(enzyme_scales)
         state = (
             np.asarray(initial_state, dtype=float)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fba import (
+    DEFAULT_BOUND,
     Metabolite,
     Reaction,
     StoichiometricModel,
@@ -40,12 +41,20 @@ chain_parameters = st.tuples(
 
 class TestLinearPathwayProperties:
     @given(chain_parameters)
+    @example((32.0, 6, [2.0] * 5))
     @settings(max_examples=30, deadline=None)
     def test_fba_matches_analytical_yield(self, params):
         uptake_limit, n_steps, yields = params
         model = linear_pathway_model(uptake_limit, n_steps, yields)
         solution = flux_balance_analysis(model)
-        expected = uptake_limit * float(np.prod(yields[: n_steps - 1]))
+        # Step k and the export carry uptake * prod(yields[:k]); each of them
+        # is capped at DEFAULT_BOUND, so the optimum's uptake is the smallest
+        # of the uptake limit and those caps, not the uptake limit alone.
+        uptake = min(
+            [uptake_limit]
+            + [DEFAULT_BOUND / float(np.prod(yields[:k])) for k in range(n_steps)]
+        )
+        expected = uptake * float(np.prod(yields[: n_steps - 1]))
         assert solution.objective_value == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
     @given(chain_parameters)
