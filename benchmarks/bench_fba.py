@@ -2,7 +2,7 @@
 
 Times the batched violation screens, the shared-assembly FVA and the
 knockout scans of :mod:`repro.fba` against the per-call reference
-implementations preserved in :mod:`repro.fba._reference` (asserting
+implementations preserved in ``tests/oracles/fba.py`` (asserting
 element-for-element agreement on the way), on the paper's 608-reaction
 Geobacter model.  Writes a machine-readable ``BENCH_fba.json`` so the perf
 trajectory accumulates data points across commits.
@@ -35,7 +35,7 @@ from repro.fba import (
     single_deletions,
     steady_state_violations,
 )
-from repro.fba._reference import (
+from tests.oracles.fba import (
     reference_bound_violation,
     reference_constraint_violation,
     reference_flux_variability_analysis,

@@ -3,7 +3,7 @@
 Times the columnwise population right-hand side
 (:meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch`) and the
 flux matrix of the Calvin-cycle network against the per-member scalar loops
-preserved in :mod:`repro.kinetics._reference` (asserting element-for-element
+preserved in ``tests/oracles/kinetics.py`` (asserting element-for-element
 agreement on the way).  Writes a machine-readable ``BENCH_kinetics.json``
 so the perf trajectory accumulates data points across commits.
 
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from _harness import add_output_argument, best_of, environment, write_report
-from repro.kinetics._reference import (
+from tests.oracles.kinetics import (
     reference_fluxes,
     reference_rhs_population,
 )

@@ -5,9 +5,9 @@ Two quantities characterize the service overhead:
 ``latency``
     Submit→done wall time of a minimal job (zdt1 + NSGA-II, a few
     generations) on an idle single-worker service.  This is the fixed cost
-    a job pays for going through HTTP + queue + runner subprocess instead
-    of calling :func:`repro.solve.solve` directly — dominated by the
-    runner's interpreter/numpy startup.
+    a job pays for going through HTTP + queue + forked runner instead
+    of calling :func:`repro.solve.solve` directly.  On a freshly started
+    service that includes the fork server's remaining preload imports.
 
 ``throughput``
     Jobs/second draining a batch of sleep-bound jobs

@@ -16,7 +16,7 @@ every scan.  :class:`LPAssembly` captures the shared structure once:
 
 :meth:`LPAssembly.solve` then runs one LP with per-call objective and bound
 overrides.  Solutions are bitwise identical to the per-call dense assembly
-of :mod:`repro.fba._reference` (asserted by
+of ``tests/oracles/fba.py`` (asserted by
 ``tests/fba/test_fba_equivalence.py``), because the constraint system handed
 to HiGHS is value-for-value the same.
 """

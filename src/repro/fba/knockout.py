@@ -12,7 +12,7 @@ A scan assembles the LP constraint system **once**
 (:func:`repro.fba.assembly.assemble_lp`); each mutant is just a bounds
 override (the knocked fluxes clamped to zero) on the shared assembly, instead
 of a full model copy plus a dense matrix rebuild per mutant as in the scalar
-loop preserved in :mod:`repro.fba._reference`.  Mutants are embarrassingly
+loop preserved in ``tests/oracles/fba.py``.  Mutants are embarrassingly
 parallel, so ``n_workers > 1`` fans them out through
 :func:`repro.runtime.parallel.parallel_map`; serial and parallel scans return
 identical outcomes.

@@ -9,7 +9,7 @@ space.
 The scan is batched: the constraint system is assembled **once**
 (:func:`repro.fba.assembly.assemble_lp`) and every per-reaction sub-problem
 reuses it, instead of rebuilding the stoichiometric matrix ``2 n`` times as
-the scalar loop preserved in :mod:`repro.fba._reference` does.  The rows are
+the scalar loop preserved in ``tests/oracles/fba.py`` does.  The rows are
 embarrassingly parallel, so ``n_workers > 1`` fans them out through
 :func:`repro.runtime.parallel.parallel_map`; serial and parallel scans return
 identical ranges.

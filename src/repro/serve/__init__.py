@@ -10,8 +10,9 @@ and restart recovery:
 * :class:`~repro.serve.store.JobStore` — one directory per job,
   ``job.json`` written atomically, recovery by rescanning the tree;
 * :class:`~repro.serve.coordinator.Coordinator` — bounded worker pool
-  executing each job as a ``python -m repro.serve.runner`` subprocess and
-  fanning its event log out to SSE subscribers;
+  executing each job in a process forked by one warm ``python -m
+  repro.serve.runner <data_dir>`` fork server and fanning its event log
+  out to SSE subscribers;
 * :class:`~repro.serve.http.HttpServer` — the dependency-free HTTP/1.1
   front end (``POST /jobs``, ``GET /jobs/{id}/events`` as SSE,
   ``/result``, ``/cancel``, ``/healthz``, ``/stats``);
@@ -39,7 +40,7 @@ the recovery semantics.
 import importlib
 
 #: Public name -> submodule defining it.  Resolved on first access by
-#: :func:`__getattr__`, so a ``python -m repro.serve.runner`` subprocess
+#: :func:`__getattr__`, so the ``python -m repro.serve.runner`` fork server
 #: imports only the runner's own dependencies, not the HTTP server stack.
 _EXPORTS = {
     "ServeApp": "app",

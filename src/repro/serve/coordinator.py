@@ -8,8 +8,9 @@ One :class:`Coordinator` owns the whole service state:
   interrupted by a server kill re-enter the queue and resume from their
   latest checkpoint;
 * a pool of ``workers`` **worker tasks**, each draining the queue and
-  executing one job at a time as a ``python -m repro.serve.runner``
-  subprocess (crash isolation, real cancellation, GIL-free parallelism);
+  executing one job at a time in its own process, forked by one warm
+  ``python -m repro.serve.runner <data_dir>`` fork server (crash
+  isolation, real cancellation, GIL-free parallelism);
 * one :class:`JobChannel` per observed job — the bridge between the
   runner's ``events.jsonl`` and the SSE endpoint.  A tail task polls the
   file while the job runs, updates the record's progress counters, flips
@@ -37,7 +38,10 @@ Run a coordinator manually inside an event loop::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import os
+import signal
 import sys
 import time
 from typing import Any
@@ -54,14 +58,15 @@ from repro.serve.jobs import (
     JobRecord,
     JobSpec,
 )
-from repro.serve.store import JobStore
+from repro.serve.store import STDERR_NAME, JobStore
 
 __all__ = ["Coordinator", "JobChannel", "EVENT_POLL_INTERVAL"]
 
 #: Seconds between polls of a running job's ``events.jsonl``.
 EVENT_POLL_INTERVAL = 0.05
 
-#: Seconds between SIGTERM and SIGKILL when cancelling a runner.
+#: Seconds :meth:`Coordinator.stop` waits for the fork server to exit before
+#: it SIGKILLs the server's process group.
 _TERMINATE_GRACE = 5.0
 
 #: Longest stderr tail kept as a failed job's error detail.
@@ -127,6 +132,92 @@ class JobChannel:
         self.subscribers = []
 
 
+class _ForkServerDied(Exception):
+    """The fork server exited while a job was running in one of its children."""
+
+
+class _ForkServer:
+    """The coordinator's handle on one ``python -m repro.serve.runner`` fork server.
+
+    Sends ``run``/``kill`` lines on its stdin and resolves one future per
+    running job from the ``exited <job_id> <code>`` lines on its stdout.
+    The server leads its own process group, so if it dies the runners it
+    leaves behind are killed with it and every waiting job fails.
+    """
+
+    def __init__(self, process: asyncio.subprocess.Process) -> None:
+        self.process = process
+        self.exits: dict[str, asyncio.Future] = {}
+        self.alive = True
+        self.reader = asyncio.ensure_future(self._read())
+
+    @classmethod
+    async def spawn(cls, data_dir: str, cache_dir: "str | None") -> "_ForkServer":
+        """Start a fork server; it imports its preload while jobs queue up."""
+        argv = [sys.executable, "-m", "repro.serve.runner", data_dir]
+        if cache_dir is not None:
+            argv += ["--cache-dir", cache_dir]
+        process = await asyncio.create_subprocess_exec(
+            *argv,
+            stdin=asyncio.subprocess.PIPE,
+            stdout=asyncio.subprocess.PIPE,
+            start_new_session=True,
+        )
+        return cls(process)
+
+    async def run(self, job_id: str) -> int:
+        """Fork a runner for ``job_id`` and return its exit code."""
+        exited = asyncio.get_running_loop().create_future()
+        self.exits[job_id] = exited
+        try:
+            self._send("run", job_id)
+            return await exited
+        finally:
+            self.exits.pop(job_id, None)
+
+    def kill(self, job_id: str) -> None:
+        """Ask the server to SIGTERM the runner of ``job_id``, if it still runs."""
+        if job_id in self.exits:
+            self._send("kill", job_id)
+
+    def _send(self, command: str, job_id: str) -> None:
+        # A dead server's pipe swallows the line; its reader fails the job.
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            self.process.stdin.write(("%s %s\n" % (command, job_id)).encode("utf-8"))
+
+    def _kill_group(self) -> None:
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(self.process.pid, signal.SIGKILL)
+
+    async def _read(self) -> None:
+        async for line in self.process.stdout:
+            word, _, rest = line.decode("utf-8", "replace").strip().partition(" ")
+            job_id, _, code = rest.rpartition(" ")
+            exited = self.exits.get(job_id)
+            if word == "exited" and exited is not None and not exited.done():
+                exited.set_result(int(code))
+        self.alive = False
+        orphaned = [exited for exited in self.exits.values() if not exited.done()]
+        if orphaned:
+            self._kill_group()
+        code = await self.process.wait()
+        for exited in orphaned:
+            if not exited.done():
+                exited.set_exception(
+                    _ForkServerDied("fork server exited with code %s" % code)
+                )
+
+    async def close(self) -> None:
+        """EOF on stdin: the server terminates its runners; await its exit."""
+        self.process.stdin.close()
+        try:
+            await asyncio.wait_for(self.process.wait(), _TERMINATE_GRACE)
+        except asyncio.TimeoutError:
+            self._kill_group()
+            await self.process.wait()
+        await self.reader
+
+
 class Coordinator:
     """Bounded asyncio worker pool over the durable job store.
 
@@ -138,8 +229,8 @@ class Coordinator:
         Worker-task count; ``0`` accepts and persists jobs without running
         them (useful for tests and drain-only maintenance).
     cache_dir:
-        Optional persistent evaluation-cache directory passed to every
-        runner subprocess (``--cache-dir``), so all workers share one
+        Optional persistent evaluation-cache directory passed to the fork
+        server (``--cache-dir``), so all runners share one
         content-addressed store across jobs and restarts.
 
     Example
@@ -164,7 +255,7 @@ class Coordinator:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.queue: asyncio.Queue = asyncio.Queue()
         self.channels: dict[str, JobChannel] = {}
-        self.processes: dict[str, asyncio.subprocess.Process] = {}
+        self.fork_server: "_ForkServer | None" = None
         self.records: dict[str, JobRecord] = {}
         self.busy = 0
         self.jobs_completed = 0
@@ -176,13 +267,19 @@ class Coordinator:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Recover the durable queue and launch the worker pool."""
+        """Recover the durable queue and launch the fork server and worker pool.
+
+        The fork server's preload imports run in the background; the first
+        job waits for whatever of them is left.
+        """
         self._started_at = time.monotonic()
         runnable = self.store.recover()
         self._recovered = sum(1 for record in runnable if record.restarts > 0)
         for record in runnable:
             self.records[record.id] = record
             self.queue.put_nowait(record.id)
+        if self.workers > 0:
+            self.fork_server = await self._spawn_fork_server()
         for index in range(self.workers):
             task = asyncio.ensure_future(self._worker(index))
             self._worker_tasks.append(task)
@@ -190,18 +287,20 @@ class Coordinator:
     async def stop(self) -> None:
         """Terminate running jobs and wind down the worker pool.
 
-        Interrupted jobs stay ``running``/``checkpointed`` on disk and are
+        Closing the fork server's stdin makes it SIGTERM its runners; the
+        coordinator awaits its exit, so no process or transport outlives
+        the event loop.  Interrupted jobs stay ``running``/``checkpointed`` on disk and are
         re-queued by the next :meth:`start` — intentionally identical to a
         hard kill, so graceful and crash shutdown share one recovery path.
         """
         for task in self._worker_tasks:
             task.cancel()
-        for process in list(self.processes.values()):
-            if process.returncode is None:
-                process.terminate()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
+        if self.fork_server is not None:
+            await self.fork_server.close()
+            self.fork_server = None
         for channel in self.channels.values():
             channel.close()
 
@@ -246,9 +345,8 @@ class Coordinator:
             self._finish_channel(job_id, record)
             return record
         self.store.save(record)
-        process = self.processes.get(job_id)
-        if process is not None and process.returncode is None:
-            process.terminate()
+        if self.fork_server is not None:
+            self.fork_server.kill(job_id)
         return record
 
     def subscribe(self, job_id: str) -> tuple[list[dict], asyncio.Queue]:
@@ -349,8 +447,12 @@ class Coordinator:
             finally:
                 self.busy -= 1
 
+    async def _spawn_fork_server(self) -> _ForkServer:
+        """Start a fork server for this store and cache."""
+        return await _ForkServer.spawn(str(self.store.data_dir), self.cache_dir)
+
     async def _run_job(self, record: JobRecord) -> None:
-        """Execute one job as a runner subprocess, tailing its event log."""
+        """Execute one job in a forked runner, tailing its event log."""
         job_id = record.id
         restored = self.store.truncate_events(job_id)
         channel = self._channel(job_id)
@@ -362,39 +464,33 @@ class Coordinator:
         self.store.save(record)
         channel.publish(self._state_event(record))
 
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.serve.runner",
-            str(self.store.job_dir(job_id)),
-        ]
-        if self.cache_dir is not None:
-            argv += ["--cache-dir", self.cache_dir]
-        process = await asyncio.create_subprocess_exec(
-            *argv,
-            stdout=asyncio.subprocess.DEVNULL,
-            stderr=asyncio.subprocess.PIPE,
-        )
-        self.processes[job_id] = process
+        if self.fork_server is None or not self.fork_server.alive:
+            self.fork_server = await self._spawn_fork_server()
         tail_task = asyncio.ensure_future(self._tail_events(record, channel))
+        error = None
         try:
-            stderr_data, _ = await asyncio.gather(process.stderr.read(), process.wait())
+            code = await self.fork_server.run(job_id)
+        except _ForkServerDied as died:
+            code, error = None, str(died)
         finally:
             tail_task.cancel()
             try:
                 await tail_task
             except (asyncio.CancelledError, Exception):
                 pass
-            self.processes.pop(job_id, None)
         self._consume_events(record, channel)
 
-        if record.cancel_requested and process.returncode != 0:
+        if record.cancel_requested and code != 0:
             record.transition(CANCELLED)
-        elif process.returncode == 0:
+        elif code == 0:
             record.transition(DONE)
         else:
-            tail = stderr_data.decode("utf-8", "replace")[-_STDERR_TAIL:].strip()
-            record.error = tail or ("runner exited with code %s" % process.returncode)
+            if error is None:
+                path = self.store.job_dir(job_id) / STDERR_NAME
+                stderr = path.read_bytes() if path.is_file() else b""
+                tail = stderr.decode("utf-8", "replace")[-_STDERR_TAIL:].strip()
+                error = tail or ("runner exited with code %s" % code)
+            record.error = error
             record.transition(FAILED)
         self.store.save(record)
         self._finish_channel(job_id, record)

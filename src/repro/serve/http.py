@@ -59,6 +59,10 @@ _REASONS = {
 #: Largest accepted request body (submit payloads are tiny).
 _MAX_BODY = 1 << 20
 
+#: Seconds a client has to send its whole request; an idle or half-sent
+#: request is dropped then instead of holding its handler forever.
+_READ_DEADLINE = 10.0
+
 
 class _RejectedRequest(Exception):
     """A request refused while parsing, with the status it earns."""
@@ -121,7 +125,7 @@ class HttpServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            request = await asyncio.wait_for(self._read_request(reader), _READ_DEADLINE)
             if request is None:
                 return
             method, path, body = request
@@ -131,8 +135,8 @@ class HttpServer:
                 await self._send_json(writer, error.status, {"error": str(error)})
             except (ConnectionResetError, BrokenPipeError):
                 pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
+            pass  # peer gone, or its request not read within _READ_DEADLINE
         except Exception as error:  # pragma: no cover - defensive
             try:
                 await self._send_json(writer, 500, {"error": str(error)})
@@ -152,7 +156,7 @@ class HttpServer:
 
         A Content-Length that is not a non-negative integer is refused with
         400, and one above :data:`_MAX_BODY` with 413 before any of the body
-        is read.
+        is read.  The caller bounds the whole read by :data:`_READ_DEADLINE`.
         """
         line = await reader.readline()
         if not line.strip():

@@ -1,16 +1,25 @@
-"""The job runner: one subprocess, one job, the plain ``solve()`` driver.
+"""The job runner: one forked process, one job, the plain ``solve()`` driver.
 
-The coordinator executes every job as ``python -m repro.serve.runner
-<job_dir>``.  Running jobs out-of-process buys the service three properties
-threads cannot give it:
+The coordinator starts one long-lived **fork server**, ``python -m
+repro.serve.runner <data_dir> [--cache-dir DIR]``, which imports the
+runner's stack (:data:`_PRELOAD`) once and then forks one child per
+job; the child calls :func:`run_job`.  Running each job in its own
+process buys the service three properties threads cannot give it:
 
 * **crash isolation** — an evaluation that segfaults or raises kills only
-  the runner; the coordinator sees a non-zero exit and marks the job
-  ``failed`` with the stderr tail as error detail;
-* **real cancellation** — cancel terminates the subprocess mid-generation
+  its runner; the coordinator sees a non-zero exit and marks the job
+  ``failed`` with the tail of the runner's ``runner.stderr`` as detail;
+* **real cancellation** — cancel terminates the runner mid-generation
   instead of waiting for cooperative checks;
-* **parallel throughput** — N workers are N independent interpreters, so
+* **parallel throughput** — N workers are N independent processes, so
   CPU-bound jobs scale without fighting one GIL.
+
+Forking a warm parent instead of starting a fresh interpreter per job skips
+re-importing numpy and ``repro`` for every job.  The fork server speaks one
+text line per message: it reads ``run <job_id>`` and ``kill <job_id>`` on
+stdin and writes ``exited <job_id> <code>`` on stdout, where ``<code>`` is
+:func:`os.waitstatus_to_exitcode` (negative for a signal).  It is
+Linux-only: it waits on its children through :func:`os.pidfd_open`.
 
 The runner itself is deliberately thin: it re-reads the job's ``job.json``,
 builds the problem and termination from the :class:`~repro.serve.jobs.JobSpec`,
@@ -25,21 +34,30 @@ them.
 
 Example
 -------
-Run a stored job directory to completion (what the coordinator execs)::
+Start a fork server by hand and run one stored job (what the coordinator
+does)::
 
-    python -m repro.serve.runner <data_dir>/jobs/000001-4f9a2c
+    $ python -m repro.serve.runner serve-data
+    run 000001-4f9a2c
+    exited 000001-4f9a2c 0
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import selectors
+import signal
 import sys
+import traceback
+import warnings
 from contextlib import ExitStack, closing
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, NoReturn, Sequence, TextIO
 
 from repro.serve.jobs import JobRecord
-from repro.serve.store import CHECKPOINTS_DIR, EVENTS_NAME, RECORD_NAME
+from repro.serve.store import CHECKPOINTS_DIR, EVENTS_NAME, RECORD_NAME, STDERR_NAME
 from repro.solve.events import (
     CheckpointEvent,
     GenerationEvent,
@@ -47,7 +65,22 @@ from repro.solve.events import (
     Observer,
 )
 
-__all__ = ["EventLogObserver", "run_job", "main"]
+__all__ = ["EventLogObserver", "run_job", "serve_forks", "main"]
+
+#: Modules the fork server imports before its first fork: numpy, the solve
+#: driver, telemetry and the problems a served job most often builds.  Not
+#: scipy, ``repro.fba`` or ``repro.geobacter``: a geobacter job imports them
+#: in its own child, and a photosynthesis job stays scipy-free.
+_PRELOAD = (
+    "numpy.random",
+    "repro.core.artifacts",
+    "repro.solve",
+    "repro.obs.telemetry",
+    "repro.problems.builtins",
+    "repro.moo.testproblems",
+    "repro.photosynthesis.problem",
+    "repro.photosynthesis.conditions",
+)
 
 
 class EventLogObserver(Observer):
@@ -129,11 +162,11 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     Reads ``job.json``, runs :func:`repro.solve.solve` with checkpointing
     into the job directory, records the solve artifacts (front, ledger,
     manifest — plus telemetry when enabled) and returns the process exit
-    code.  Raises whatever the solve raises: the ``main`` wrapper turns
-    exceptions into a non-zero exit the coordinator maps to ``failed``.
+    code.  Raises whatever the solve raises: the forked child turns
+    exceptions into exit code 1, which the coordinator maps to ``failed``.
     When ``cache_dir`` is given the solve runs behind the persistent
     evaluation cache stored there, shared with every other runner the
-    service spawns.
+    service forks.
 
     Example
     -------
@@ -179,8 +212,92 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     return 0
 
 
+def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:
+    """Run the fork server: preload, then fork one :func:`run_job` child per job.
+
+    Reads ``run <job_id>`` / ``kill <job_id>`` lines on stdin and answers
+    ``exited <job_id> <code>`` on stdout once it has reaped the child.  A
+    ``run`` is accepted only for a directory directly under
+    ``<data_dir>/jobs``; anything else is answered with code 2.  ``kill``
+    SIGTERMs a child that has not been reaped yet, so a recycled pid is
+    never hit.  On EOF on stdin (the coordinator stopped or died) every
+    remaining child is SIGTERMed and reaped, and the server exits 0.
+    """
+    for name in _PRELOAD:
+        importlib.import_module(name)
+    # numpy's OpenBLAS pool is the only other thread here; OpenBLAS's own
+    # atfork handlers make forking it safe, as for ProcessPoolEvaluator.
+    warnings.filterwarnings(
+        "ignore", r"This process .*is multi-threaded", DeprecationWarning
+    )
+    jobs_dir = Path(data_dir) / "jobs"
+    children: dict[str, tuple[int, int]] = {}  # job id -> (pid, pidfd)
+    selector = selectors.DefaultSelector()
+    selector.register(0, selectors.EVENT_READ)
+    pending = b""
+
+    def reply(job_id: str, code: int) -> None:
+        sys.stdout.write("exited %s %d\n" % (job_id, code))
+        sys.stdout.flush()
+
+    while True:
+        for key, _ in selector.select():
+            if key.data is not None:  # a child's pidfd: it has exited
+                pid, pidfd = children.pop(key.data)
+                selector.unregister(pidfd)
+                os.close(pidfd)
+                reply(key.data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                continue
+            chunk = os.read(0, 4096)
+            if not chunk:
+                for pid, _ in children.values():
+                    os.kill(pid, signal.SIGTERM)
+                for pid, _ in children.values():
+                    os.waitpid(pid, 0)
+                return 0
+            *lines, pending = (pending + chunk).split(b"\n")
+            for line in lines:
+                command, _, job_id = line.decode("utf-8", "replace").strip().partition(" ")
+                if command == "kill" and job_id in children:
+                    os.kill(children[job_id][0], signal.SIGTERM)
+                elif command == "run":
+                    if job_id not in os.listdir(jobs_dir) or not (jobs_dir / job_id).is_dir():
+                        print("fork server: no job directory %r" % job_id, file=sys.stderr)
+                        reply(job_id, 2)
+                        continue
+                    pid = os.fork()
+                    if pid == 0:
+                        selector.close()
+                        for _, pidfd in children.values():
+                            os.close(pidfd)
+                        _run_child(jobs_dir / job_id, cache_dir)
+                    pidfd = os.pidfd_open(pid)
+                    children[job_id] = (pid, pidfd)
+                    selector.register(pidfd, selectors.EVENT_READ, job_id)
+
+
+def _run_child(job_dir: Path, cache_dir: "str | None") -> NoReturn:
+    """The forked runner: stdio to ``/dev/null`` and ``runner.stderr``, then :func:`run_job`."""
+    code = 1
+    try:
+        null = os.open(os.devnull, os.O_RDWR)
+        stderr = os.open(job_dir / STDERR_NAME, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        os.dup2(null, 0)
+        os.dup2(null, 1)
+        os.dup2(stderr, 2)
+        os.close(null)
+        os.close(stderr)
+        code = run_job(job_dir, cache_dir=cache_dir)
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``python -m repro.serve.runner <job_dir> [--cache-dir DIR]``."""
+    """Entry point of ``python -m repro.serve.runner <data_dir> [--cache-dir DIR]``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     cache_dir: "str | None" = None
     if "--cache-dir" in argv:
@@ -192,11 +309,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         del argv[index : index + 2]
     if len(argv) != 1:
         print(
-            "usage: python -m repro.serve.runner <job_dir> [--cache-dir DIR]",
+            "usage: python -m repro.serve.runner <data_dir> [--cache-dir DIR]",
             file=sys.stderr,
         )
         return 2
-    return run_job(argv[0], cache_dir=cache_dir)
+    return serve_forks(argv[0], cache_dir=cache_dir)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess

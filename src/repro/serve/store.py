@@ -7,6 +7,7 @@ Layout under the service data directory::
             job.json         # JobRecord sidecar (atomic rewrite per update)
             events.jsonl     # runner-written event log (SSE replay source)
             checkpoints/     # CheckpointManager directory (resume source)
+            runner.stderr    # the forked runner's stderr (failure detail)
             front.json ...   # solve artifacts once the job is done
         000002-b81d0e/
             ...
@@ -45,7 +46,7 @@ from repro.serve.jobs import (
     UnknownJobError,
 )
 
-__all__ = ["JobStore", "RECORD_NAME", "EVENTS_NAME", "CHECKPOINTS_DIR"]
+__all__ = ["JobStore", "RECORD_NAME", "EVENTS_NAME", "CHECKPOINTS_DIR", "STDERR_NAME"]
 
 #: File name of the per-job record sidecar.
 RECORD_NAME = "job.json"
@@ -53,6 +54,8 @@ RECORD_NAME = "job.json"
 EVENTS_NAME = "events.jsonl"
 #: Directory name of the per-job checkpoint store.
 CHECKPOINTS_DIR = "checkpoints"
+#: File name of the per-job runner stderr (a failed job's error detail).
+STDERR_NAME = "runner.stderr"
 
 
 class JobStore:

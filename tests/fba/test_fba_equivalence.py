@@ -2,7 +2,7 @@
 
 The fast stack (shared :class:`~repro.fba.assembly.LPAssembly`, sparse LP
 constraints, batched violation screens) must reproduce the naive per-call
-implementations preserved in :mod:`repro.fba._reference` *bitwise*.  The
+implementations preserved in ``tests/oracles/fba.py`` *bitwise*.  The
 suite checks that three ways:
 
 * element-for-element comparisons of the fast and reference results over
@@ -14,7 +14,7 @@ suite checks that three ways:
 
 Regenerate the fixture (only after an intentional behavior change) with::
 
-    PYTHONPATH=src python tests/fba/test_fba_equivalence.py
+    PYTHONPATH=src python -m tests.fba.test_fba_equivalence
 """
 
 import json
@@ -36,7 +36,7 @@ from repro.fba import (
     single_deletions,
     steady_state_violations,
 )
-from repro.fba._reference import (
+from tests.oracles.fba import (
     reference_bound_violation,
     reference_constraint_violation,
     reference_double_deletions,

@@ -1,8 +1,8 @@
 """Paths that never solve an LP or an ODE never import scipy.
 
 scipy is loaded only by the Geobacter FBA model (``linprog``) and the kinetic
-ODE simulator (``solve_ivp``); a served photosynthesis job, the CLI and the
-Table 2 pipeline skip it, which is most of a runner subprocess's start-up.
+ODE simulator (``solve_ivp``); a served photosynthesis job, the service's
+fork server, the CLI and the Table 2 pipeline skip it.
 Each probe runs in a fresh interpreter, because in this process other test
 modules have already imported scipy.  The positive controls show the deferred
 imports still resolve there.
@@ -43,6 +43,44 @@ def test_served_photosynthesis_job_runs_without_scipy(tmp_path):
     ) % (str(tmp_path / "data"), str(tmp_path / "cache"))
     assert _probe(script) == "False"
     assert any((tmp_path / "data" / "jobs").glob("*/front.json"))
+
+
+def test_fork_server_preload_is_complete_scipy_free_and_fork_safe(tmp_path):
+    """The fork server's state: no scipy, one thread, no data-dir file open.
+
+    Forked runners then load no further ``repro``/``numpy`` module for a
+    photosynthesis job (telemetry on) or a zdt1 job.
+    """
+    data_dir = tmp_path / "data"
+    script = (
+        "import importlib, os, sys, threading\n"
+        "from repro.serve.jobs import JobSpec\n"
+        "from repro.serve.store import JobStore\n"
+        "store = JobStore(%r)\n"
+        "jobs = [store.create(JobSpec(problem='photosynthesis', generations=1,"
+        " population=4, telemetry=True)),\n"
+        "        store.create(JobSpec(problem='zdt1', generations=1, population=4))]\n"
+        "from repro.serve.runner import _PRELOAD, run_job\n"
+        "for name in _PRELOAD:\n"
+        "    importlib.import_module(name)\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "open_files = []\n"
+        "for fd in os.listdir('/proc/self/fd'):\n"
+        "    try:\n"
+        "        open_files.append(os.readlink('/proc/self/fd/' + fd))\n"
+        "    except OSError:\n"
+        "        pass  # the descriptor listdir itself used\n"
+        "assert not [f for f in open_files if f.startswith(%r)], open_files\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith(('repro.', 'numpy.'))}\n"
+        "preloaded = loaded()\n"
+        "for record in jobs:\n"
+        "    assert run_job(store.job_dir(record.id), cache_dir=%r) == 0\n"
+        "print(sorted(loaded() - preloaded), 'scipy' in sys.modules)\n"
+    ) % (str(data_dir), str(data_dir), str(tmp_path / "cache"))
+    assert _probe(script) == "[] False"
+    assert len(list((data_dir / "jobs").glob("*/front.json"))) == 2
 
 
 def test_cli_and_zdt1_problem_import_without_scipy():

@@ -4,7 +4,7 @@ The columnwise rate laws (:meth:`~repro.kinetics.rate_laws.RateLaw
 .rate_batch`), the population right-hand side
 (:meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch`) and the
 ensemble simulator must reproduce the naive per-member loops preserved in
-:mod:`repro.kinetics._reference` *bitwise*.  The suite checks that three
+``tests/oracles/kinetics.py`` *bitwise*.  The suite checks that three
 ways:
 
 * element-for-element comparisons of every rate law, the flux matrix and
@@ -20,7 +20,7 @@ ways:
 
 Regenerate the fixture (only after an intentional behavior change) with::
 
-    PYTHONPATH=src python tests/kinetics/test_ode_equivalence.py
+    PYTHONPATH=src python -m tests.kinetics.test_ode_equivalence
 """
 
 import json
@@ -42,7 +42,7 @@ from repro.kinetics import (
     RapidEquilibrium,
     ReversibleMichaelisMenten,
 )
-from repro.kinetics._reference import (
+from tests.oracles.kinetics import (
     reference_build_rhs,
     reference_fluxes,
     reference_rate,

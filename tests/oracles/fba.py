@@ -15,7 +15,7 @@ algorithm as the executable specification of the fast paths:
 * ``benchmarks/bench_fba.py`` times the batched paths against these
   loops and records the speedup trajectory in ``BENCH_fba.json``.
 
-Nothing in the library's runtime path imports this module; it exists for
+The module lives outside the installed package; it exists for
 verification and measurement only.
 """
 

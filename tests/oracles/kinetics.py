@@ -14,7 +14,7 @@ algorithm as the executable specification of the fast paths:
 * ``benchmarks/bench_kinetics.py`` times the batched right-hand side
   against these loops and records the speedups in ``BENCH_kinetics.json``.
 
-Nothing in the library's runtime path imports this module; it exists for
+The module lives outside the installed package; it exists for
 verification and measurement only.
 """
 

@@ -139,6 +139,23 @@ class TestErrorMapping:
         assert status_line.split()[1] == str(status)
 
 
+class TestReadDeadline:
+    @pytest.mark.parametrize("sent", [b"", b"GET /heal"], ids=["idle", "partial"])
+    def test_unfinished_request_is_closed_at_the_deadline(self, service, monkeypatch, sent):
+        import socket
+        import time
+
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "_READ_DEADLINE", 0.3)
+        with socket.create_connection((service.host, service.port), timeout=10) as sock:
+            sock.sendall(sent)
+            assert service.healthz()["status"] == "ok"  # served meanwhile
+            started = time.monotonic()
+            assert sock.recv(1) == b""
+        assert time.monotonic() - started < 5
+
+
 class TestDurability:
     def test_submitted_jobs_survive_into_a_new_server(self, tmp_path):
         with ServeThread(str(tmp_path), workers=0) as app:

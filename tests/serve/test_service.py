@@ -1,4 +1,4 @@
-"""End-to-end service tests: real workers, real runner subprocesses.
+"""End-to-end service tests: real workers, real forked runners.
 
 The contracts under test here are the tentpole guarantees:
 
@@ -12,7 +12,10 @@ The contracts under test here are the tentpole guarantees:
 """
 
 import json
+import os
+import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +121,74 @@ class TestFailure:
         with pytest.raises(ServiceError) as excinfo:
             service.result(crash["id"])
         assert excinfo.value.status == 409
+
+
+def _children_of(pid):
+    """Pids whose parent is ``pid``, read from ``/proc/<pid>/stat``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _is_running(pid):
+    try:
+        state = Path("/proc", str(pid), "stat").read_text().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _running_runner(client, app, job_id):
+    """Wait until ``job_id`` runs in a child of the fork server; that child's pid."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        server = app.coordinator.fork_server
+        if client.job(job_id)["state"] != "queued" and server is not None:
+            children = _children_of(server.process.pid)
+            if children:
+                return children[0]
+        time.sleep(0.02)
+    pytest.fail("job %s never started a runner" % job_id)
+
+
+class TestForkServerCrashPoints:
+    def test_killed_fork_server_fails_its_jobs_and_is_respawned(self, tmp_path):
+        with ServeThread(str(tmp_path / "data"), workers=1) as app:
+            client = ServeClient(port=app.port, timeout=120)
+            job = client.submit(problem="zdt1?delay=0.02", generations=500,
+                                population=12, telemetry=False)
+            runner = _running_runner(client, app, job["id"])
+            os.kill(app.coordinator.fork_server.process.pid, signal.SIGKILL)
+            record = client.wait(job["id"], timeout=30)
+            assert record["state"] == "failed"
+            assert "fork server exited with code -9" in record["error"]
+            deadline = time.monotonic() + 10
+            while _is_running(runner):
+                assert time.monotonic() < deadline, "the orphaned runner survived"
+                time.sleep(0.02)
+
+            healthy = client.submit(**SPEC)
+            assert client.wait(healthy["id"], timeout=120)["state"] == "done"
+
+    def test_runner_killed_by_a_signal_fails_its_job(self, tmp_path):
+        with ServeThread(str(tmp_path / "data"), workers=1) as app:
+            client = ServeClient(port=app.port, timeout=120)
+            job = client.submit(problem="zdt1?delay=0.02", generations=500,
+                                population=12, telemetry=False)
+            os.kill(_running_runner(client, app, job["id"]), signal.SIGKILL)
+            record = client.wait(job["id"], timeout=30)
+            assert record["state"] == "failed"
+            assert record["error"] == "runner exited with code -9"
+            assert record["cancel_requested"] is False
 
 
 class TestSharedEvaluationCache:
