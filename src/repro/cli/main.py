@@ -49,6 +49,7 @@ from repro.solve.registry import UnknownSolverError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import TelemetryData
+    from repro.solve.request import SolveRequest
 
 __all__ = ["main", "build_parser"]
 
@@ -616,23 +617,9 @@ def _run_experiment(
     return 0
 
 
-def _solve_termination(args: argparse.Namespace):
-    """Assemble the composed termination implied by the solve flags."""
-    from repro.solve import HypervolumeStagnation, MaxEvaluations, MaxGenerations, WallClock
-
-    termination = MaxGenerations(args.generations)
-    if args.max_evaluations is not None:
-        termination = termination | MaxEvaluations(args.max_evaluations)
-    if args.wall_clock is not None:
-        termination = termination | WallClock(args.wall_clock)
-    if args.hv_patience is not None:
-        termination = termination | HypervolumeStagnation(
-            patience=args.hv_patience, tolerance=args.hv_tolerance
-        )
-    return termination
-
-
-def _solve_checkpoint_guard(args: argparse.Namespace, algorithm: str) -> None:
+def _solve_checkpoint_guard(
+    request: "SolveRequest", checkpoint_dir: str, warm_start: "str | None"
+) -> None:
     """Refuse a checkpoint directory that belongs to a different solve run.
 
     `repro solve` resumes from the latest checkpoint automatically, so —
@@ -643,18 +630,14 @@ def _solve_checkpoint_guard(args: argparse.Namespace, algorithm: str) -> None:
     """
     import json
 
-    directory = Path(args.checkpoint_dir)
+    directory = Path(checkpoint_dir)
     sidecar = directory / "solve.json"
-    current = {
-        "problem": args.problem,
-        "algorithm": algorithm,
-        "seed": args.seed,
-        "population": args.population,
-    }
+    pinned = ("problem", "algorithm", "seed", "population")
+    current = {name: getattr(request, name) for name in pinned}
     # Pinned only when set, so sidecars written before the flag existed
     # still match their original runs.
-    if getattr(args, "warm_start", None) is not None:
-        current["warm_start"] = args.warm_start
+    if warm_start is not None:
+        current["warm_start"] = warm_start
     if sidecar.exists():
         recorded = json.loads(sidecar.read_text(encoding="utf-8"))
         if recorded != current:
@@ -689,38 +672,10 @@ def _solve_run_dir(args: argparse.Namespace) -> Path:
     return create_run_dir(args.output_dir, "solve-%s" % safe_problem, args.seed)
 
 
-def _record_solve_run(
-    run_dir: Path, args: argparse.Namespace, algorithm: str, problem, result
-) -> None:
-    """Write manifest/front/ledger next to the telemetry files in ``run_dir``.
-
-    Delegates to :func:`repro.core.artifacts.record_solve_run` (shared with
-    the ``repro.serve`` job runner): the manifest is written last and lists
-    every artifact present, telemetry included, so a directory with a
-    manifest is always a complete run.
-    """
-    record_solve_run(
-        run_dir,
-        problem,
-        result,
-        parameters={
-            "problem": args.problem,
-            "algorithm": algorithm,
-            "seed": args.seed,
-            "generations": args.generations,
-            "population": args.population,
-            "n_workers": args.n_workers,
-            "cache": args.cache,
-            "cache_dir": args.cache_dir,
-            "warm_start": args.warm_start,
-        },
-    )
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     """Run one registered solver on one named problem (`repro solve`)."""
     from repro.moo.metrics import hypervolume
-    from repro.solve import CallbackObserver, build_problem, get_solver, solve
+    from repro.solve import CallbackObserver, SolveRequest
 
     if args.list_problems:
         return _cmd_list_problems(args)
@@ -728,10 +683,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "a problem spec is required (or use --list-problems to see the registry)"
         )
-    spec = get_solver(args.algorithm)
-    problem = build_problem(args.problem)
+    args.telemetry = args.telemetry or args.telemetry_dir is not None
+    request = SolveRequest.from_namespace(args)
+    request.validate()
     if args.checkpoint_dir is not None:
-        _solve_checkpoint_guard(args, spec.name)
+        _solve_checkpoint_guard(request, args.checkpoint_dir, args.warm_start)
     observers = []
     if args.stream:
         observers.append(
@@ -753,28 +709,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         observers.append(LiveProgress())
     run_dir: Path | None = None
+    host_settings = {
+        "n_workers": args.n_workers,
+        "cache": args.cache,
+        "cache_dir": args.cache_dir,
+        "warm_start": args.warm_start,
+    }
     with ExitStack() as stack:
-        if args.telemetry or args.telemetry_dir is not None:
+        if request.telemetry:
             from repro.obs import RunTelemetry
 
             run_dir = _solve_run_dir(args)
             observers.append(stack.enter_context(RunTelemetry(run_dir)))
-        result = solve(
-            problem,
-            algorithm=spec,
-            seed=args.seed,
-            termination=_solve_termination(args),
-            observers=observers,
-            n_workers=args.n_workers,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            warm_start=args.warm_start,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
-            **spec.population_overrides(args.population),
+        problem, result = request.run(
+            observers=observers, checkpoint_dir=args.checkpoint_dir, **host_settings
         )
     if run_dir is not None:
-        _record_solve_run(run_dir, args, spec.name, problem, result)
+        record_solve_run(
+            run_dir, problem, result, parameters=request.as_dict() | host_settings
+        )
         print("artifacts: %s" % run_dir)
     if not args.quiet:
         front = result.front_objectives()

@@ -115,8 +115,8 @@ def run_table1(
     the relative coverage Rp, the global coverage Gp and the hypervolume Vp.
 
     The evaluation budgets are matched through the optimizers' own counters
-    (not a :class:`~repro.problems.BudgetCounting` wrapper), so they stay
-    exact when the evaluations fan out over ``n_workers`` processes.
+    (not a counting problem wrapper), so they stay exact when the
+    evaluations fan out over ``n_workers`` processes.
     """
     base_problem = problem or PhotosynthesisProblem(REFERENCE_CONDITION)
 

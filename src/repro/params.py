@@ -58,28 +58,35 @@ class Parameter:
 
         Strings are parsed, so spec-string fragments, JSON payloads and
         keyword arguments coerce alike: ``"false"`` / ``"0"`` / ``"no"`` /
-        ``"off"`` are ``False`` for a boolean.  A value that does not parse
-        raises :class:`~repro.exceptions.ConfigurationError` naming the
-        parameter.
+        ``"off"`` are ``False`` for a boolean.  Nothing is truncated: an
+        integer refuses a boolean or a fractional float (``3.0`` is fine),
+        and a boolean accepts only booleans, those strings and the integers
+        0 and 1.  A value that does not convert raises
+        :class:`~repro.exceptions.ConfigurationError` naming the parameter.
         """
         if value is None:
             return None
-        if self.type is bool and isinstance(value, str):
-            lowered = value.lower()
-            if lowered in _TRUE_STRINGS:
+        if self.type is bool:
+            # An int reads as its digits (so only 0 and 1 pass), a bool as
+            # "true"/"false"; anything else, floats included, is refused.
+            text = str(value).lower() if isinstance(value, (str, int)) else ""
+            if text in _TRUE_STRINGS:
                 return True
-            if lowered in _FALSE_STRINGS:
+            if text in _FALSE_STRINGS:
                 return False
             raise ConfigurationError(
                 "cannot parse %r as a boolean for %r" % (value, self.name)
             )
-        try:
-            return self.type(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                "cannot parse %r as %s for parameter %r"
-                % (value, self.type.__name__, self.name)
-            ) from None
+        lossy = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+        if not (self.type is int and lossy):
+            try:
+                return self.type(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ConfigurationError(
+            "cannot parse %r as %s for parameter %r"
+            % (value, self.type.__name__, self.name)
+        )
 
 
 def resolve_parameters(

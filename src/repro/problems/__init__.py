@@ -15,9 +15,8 @@ objects with four pillars:
   violations;
 * :mod:`~repro.problems.transforms` — composable wrappers (:class:`Noisy`,
   :class:`Normalized`, :class:`ObjectiveSubset`,
-  :class:`ConstraintAsPenalty`, :class:`BudgetCounting`, :class:`Throttled`,
-  :class:`FailAfter`) that stack over
-  any problem;
+  :class:`ConstraintAsPenalty`, :class:`Throttled`, :class:`FailAfter`)
+  that stack over any problem;
 * :mod:`~repro.problems.registry` — the name-addressable
   :class:`ProblemSpec` registry with per-problem parameter schemas and
   query-style spec strings (``"zdt1?noise=0.01"``), consumed by
@@ -60,7 +59,6 @@ from repro.problems.space import (
     variable_from_dict,
 )
 from repro.problems.transforms import (
-    BudgetCounting,
     ConstraintAsPenalty,
     FailAfter,
     Noisy,
@@ -95,7 +93,6 @@ __all__ = [
     "Normalized",
     "ObjectiveSubset",
     "ConstraintAsPenalty",
-    "BudgetCounting",
     "Throttled",
     "FailAfter",
 ]

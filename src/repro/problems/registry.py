@@ -18,12 +18,12 @@ Spec strings
     build_problem("bnh?penalty=100&noise=0.1") # stacked transforms
 
 Transform keys (``noise``, ``noise_seed``, ``normalized``, ``objectives``,
-``penalty``, ``budget``, ``fail_after``, ``delay``) apply to **every**
+``penalty``, ``fail_after``, ``delay``) apply to **every**
 registered problem; they wrap the built problem in the corresponding
 :mod:`repro.problems.transforms` wrapper.  When several transform keys are
 given, wrappers stack inner-to-outer as ``Normalized`` →
 ``ObjectiveSubset`` → ``ConstraintAsPenalty`` → ``Noisy`` →
-``BudgetCounting`` → ``FailAfter`` → ``Throttled``.
+``FailAfter`` → ``Throttled``.
 
 Example
 -------
@@ -45,7 +45,6 @@ from repro.exceptions import ConfigurationError
 from repro.naming import did_you_mean
 from repro.problems.base import Problem
 from repro.problems.transforms import (
-    BudgetCounting,
     ConstraintAsPenalty,
     FailAfter,
     Noisy,
@@ -77,7 +76,6 @@ TRANSFORM_PARAMETERS: tuple[Parameter, ...] = (
     Parameter(
         "penalty", float, None, "fold constraints into objectives with this weight"
     ),
-    Parameter("budget", int, None, "hard evaluation cap (BudgetCounting)"),
     Parameter(
         "fail_after", int, None, "raise after this many evaluations (FailAfter)"
     ),
@@ -243,8 +241,6 @@ def apply_transforms(problem: Problem, params: dict[str, Any]) -> Problem:
         problem = Noisy(
             problem, sigma=params["noise"], seed=params.get("noise_seed") or 0
         )
-    if params.get("budget") is not None:
-        problem = BudgetCounting(problem, max_evaluations=params["budget"])
     if params.get("fail_after") is not None:
         problem = FailAfter(problem, max_evaluations=params["fail_after"])
     if params.get("delay") is not None:
@@ -275,7 +271,7 @@ def build_problem(spec: str, **overrides: Any) -> Problem:
     schema = {parameter.name for parameter in problem_spec.parameters}
     for key, value in merged.items():
         # Schema names shadow transform keys, so a problem with its own
-        # `budget` parameter keeps it addressable.
+        # `noise` parameter keeps it addressable.
         if key in schema:
             problem_params[key] = value
         elif key in _TRANSFORM_KEYS:

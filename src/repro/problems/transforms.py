@@ -17,8 +17,6 @@ The transforms:
 * :class:`ObjectiveSubset` — keep a subset of the objectives;
 * :class:`ConstraintAsPenalty` — fold constraint violations into the
   objectives with a penalty weight (for unconstrained-only algorithms);
-* :class:`BudgetCounting` — count evaluations and optionally enforce a hard
-  budget;
 * :class:`Throttled` — sleep a fixed time per evaluated design, simulating
   expensive objective functions (used to exercise the optimization service
   and its benchmarks with realistic job durations);
@@ -55,7 +53,6 @@ __all__ = [
     "Normalized",
     "ObjectiveSubset",
     "ConstraintAsPenalty",
-    "BudgetCounting",
     "Throttled",
     "FailAfter",
 ]
@@ -104,10 +101,10 @@ class ProblemTransform(Problem):
         The wrapped problem contributes its own identity recursively, and
         each transform mixes in exactly the parameters that change the
         computed objectives (:meth:`_transform_identity`).  Transforms that
-        only add overhead or accounting — throttling, budget counting, fault
-        injection — override :attr:`transparent_to_cache` instead and share
-        entries with their inner problem outright, since their objective
-        values are bitwise those of the wrapped problem.
+        only add overhead — throttling, fault injection — override
+        :attr:`transparent_to_cache` instead and share entries with their
+        inner problem outright, since their objective values are bitwise
+        those of the wrapped problem.
         """
         if self.transparent_to_cache:
             return self.inner.cache_identity()
@@ -299,59 +296,6 @@ class ConstraintAsPenalty(ProblemTransform):
             F=batch.F + self.rho * batch.total_violations[:, None],
             info=batch.info,
         )
-
-
-class BudgetCounting(ProblemTransform):
-    """Count evaluations of the inner problem, optionally enforcing a budget.
-
-    Parameters
-    ----------
-    inner:
-        The problem whose evaluations are counted.
-    max_evaluations:
-        Optional hard cap; exceeding it raises
-        :class:`~repro.exceptions.EvaluationError` *before* the offending
-        batch is evaluated, so the counter never overshoots.
-
-    Notes
-    -----
-    The counter lives in this process — under a
-    :class:`~repro.runtime.evaluator.ProcessPoolEvaluator` the workers count
-    their own copies, so use the optimizer's ``evaluations`` counter or the
-    runtime ledger for pooled runs.
-    """
-
-    transparent_to_cache = True
-
-    def __init__(self, inner: Problem, max_evaluations: int | None = None) -> None:
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ConfigurationError("max_evaluations must be positive")
-        super().__init__(inner)
-        self.max_evaluations = max_evaluations
-        self.evaluations = 0
-
-    def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        if (
-            self.max_evaluations is not None
-            and self.evaluations + X.shape[0] > self.max_evaluations
-        ):
-            raise EvaluationError(
-                "evaluation budget exhausted: %d used, %d requested, cap %d"
-                % (self.evaluations, X.shape[0], self.max_evaluations)
-            )
-        self.evaluations += X.shape[0]
-        return self.inner.evaluate_matrix(X)
-
-    @property
-    def remaining(self) -> int | None:
-        """Evaluations left under the cap (``None`` without a cap)."""
-        if self.max_evaluations is None:
-            return None
-        return max(0, self.max_evaluations - self.evaluations)
-
-    def reset(self) -> None:
-        """Reset the evaluation counter to zero."""
-        self.evaluations = 0
 
 
 class Throttled(ProblemTransform):

@@ -143,10 +143,9 @@ class ProcessPoolEvaluator(Evaluator):
     Notes
     -----
     Workers evaluate *copies* of the problem, so problems must be stateless
-    with respect to evaluation (all problems in this library are).  Stateful
-    wrappers such as :class:`~repro.problems.transforms.BudgetCounting` keep
-    their parent-side counters untouched; use the optimizer's own
-    ``evaluations`` counter or the ledger instead.
+    with respect to evaluation (all problems in this library are): a
+    problem that counts its own evaluations keeps its parent-side counter
+    untouched, so count with the optimizer's ``evaluations`` or the ledger.
 
     Degrades to serial execution (recorded in :attr:`fallbacks`) when the
     problem cannot be pickled, when the pool cannot be brought up at all, or

@@ -4,9 +4,9 @@ A stdlib-only asyncio service that runs :func:`repro.solve.solve` jobs
 submitted over HTTP, with a durable on-disk queue, live progress streaming
 and restart recovery:
 
-* :class:`~repro.serve.jobs.JobSpec` / :class:`~repro.serve.jobs.JobRecord`
-  — the submit payload and the per-job state machine (``queued → running →
-  checkpointed → done/failed/cancelled``);
+* :class:`~repro.serve.jobs.JobRecord` — the per-job state machine
+  (``queued → running → checkpointed → done/failed/cancelled``) around the
+  submitted :class:`~repro.solve.request.SolveRequest`;
 * :class:`~repro.serve.store.JobStore` — one directory per job,
   ``job.json`` written atomically, recovery by rescanning the tree;
 * :class:`~repro.serve.coordinator.Coordinator` — bounded worker pool
@@ -63,7 +63,6 @@ _EXPORTS = {
     "JobNotFinishedError": "jobs",
     "UnknownJobError": "jobs",
     "JobRecord": "jobs",
-    "JobSpec": "jobs",
     "EventLogObserver": "runner",
     "run_job": "runner",
     "JobStore": "store",

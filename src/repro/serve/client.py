@@ -110,10 +110,12 @@ class ServeClient:
     def submit(self, **spec: Any) -> dict:
         """POST /jobs — submit a job spec, return the queued record.
 
-        Keyword arguments are the :class:`~repro.serve.jobs.JobSpec`
+        Keyword arguments are the :class:`~repro.solve.request.SolveRequest`
         fields: ``problem`` (required), ``algorithm``, ``seed``,
-        ``generations``, ``max_evaluations``, ``population``,
-        ``checkpoint_interval``, ``telemetry``.
+        ``generations``, ``max_evaluations``, ``wall_clock``,
+        ``hv_patience``, ``hv_tolerance``, ``population``,
+        ``checkpoint_interval``, ``telemetry``.  A request that can only
+        fail is refused here with a 400 :class:`ServiceError`.
         """
         return self._request("POST", "/jobs", payload=spec)
 

@@ -25,12 +25,13 @@ Example
 -------
 Run a coordinator manually inside an event loop::
 
-    from repro.serve import Coordinator, JobSpec, JobStore
+    from repro.serve import Coordinator, JobStore
+    from repro.solve import SolveRequest
 
     async def demo(tmp_path):
         coordinator = Coordinator(JobStore(tmp_path), workers=2)
         await coordinator.start()
-        record = await coordinator.submit(JobSpec(problem="zdt1", generations=4))
+        record = await coordinator.submit(SolveRequest(problem="zdt1", generations=4))
         await coordinator.wait(record.id)
         await coordinator.stop()
 """
@@ -44,7 +45,7 @@ import os
 import signal
 import sys
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.serve.jobs import (
     CANCELLED,
@@ -56,9 +57,11 @@ from repro.serve.jobs import (
     RUNNING,
     JobNotFinishedError,
     JobRecord,
-    JobSpec,
 )
 from repro.serve.store import STDERR_NAME, JobStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.solve.request import SolveRequest
 
 __all__ = ["Coordinator", "JobChannel", "EVENT_POLL_INTERVAL"]
 
@@ -236,11 +239,12 @@ class Coordinator:
     Example
     -------
     >>> import asyncio, tempfile
+    >>> from repro.solve import SolveRequest
     >>> async def demo():
     ...     with tempfile.TemporaryDirectory() as base:
     ...         coordinator = Coordinator(JobStore(base), workers=0)
     ...         await coordinator.start()
-    ...         record = await coordinator.submit(JobSpec(problem="zdt1"))
+    ...         record = await coordinator.submit(SolveRequest(problem="zdt1"))
     ...         await coordinator.stop()
     ...         return record.state
     >>> asyncio.run(demo())
@@ -307,8 +311,8 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Client operations
     # ------------------------------------------------------------------
-    async def submit(self, spec: JobSpec) -> JobRecord:
-        """Validate a spec, persist a queued record and enqueue it."""
+    async def submit(self, spec: "SolveRequest") -> JobRecord:
+        """Validate a request, persist a queued record and enqueue it."""
         spec.validate()
         record = self.store.create(spec)
         self.records[record.id] = record

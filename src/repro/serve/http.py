@@ -22,7 +22,9 @@ GET     ``/stats``                  coordinator/pool introspection
 ======  ==========================  =======================================
 
 Errors map one-to-one onto the domain exceptions: unknown job id → 404,
-invalid spec or payload → 400, result-not-ready → 409.
+invalid spec or payload → 400, result-not-ready → 409.  Requests the parser
+refuses get 400 (bad Content-Length), 413 (body too large), 414 (request
+line too long) or 431 (a header line too long, or too many headers).
 
 Example
 -------
@@ -41,7 +43,7 @@ from typing import Any
 
 from repro.exceptions import ConfigurationError
 from repro.serve.coordinator import Coordinator
-from repro.serve.jobs import JobNotFinishedError, JobSpec, UnknownJobError
+from repro.serve.jobs import JobNotFinishedError, UnknownJobError
 
 __all__ = ["HttpServer"]
 
@@ -53,11 +55,20 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
 #: Largest accepted request body (submit payloads are tiny).
 _MAX_BODY = 1 << 20
+
+#: Longest accepted request line or header line, in bytes (the stream
+#: reader's buffer limit).
+_MAX_LINE = 1 << 16
+
+#: Most header lines accepted in one request.
+_MAX_HEADERS = 100
 
 #: Seconds a client has to send its whole request; an idle or half-sent
 #: request is dropped then instead of holding its handler forever.
@@ -107,7 +118,7 @@ class HttpServer:
     async def start(self) -> None:
         """Bind and start accepting connections; resolves :attr:`port`."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+            self._handle, self.host, self._requested_port, limit=_MAX_LINE
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -154,11 +165,14 @@ class HttpServer:
     ) -> "tuple[str, str, bytes] | None":
         """Parse one request: request line, headers, Content-Length body.
 
-        A Content-Length that is not a non-negative integer is refused with
-        400, and one above :data:`_MAX_BODY` with 413 before any of the body
-        is read.  The caller bounds the whole read by :data:`_READ_DEADLINE`.
+        A request line longer than :data:`_MAX_LINE` is refused with 414, a
+        longer header line or more than :data:`_MAX_HEADERS` headers with
+        431.  A Content-Length that is not a non-negative integer is refused
+        with 400, and one above :data:`_MAX_BODY` with 413 before any of the
+        body is read.  The caller bounds the whole read by
+        :data:`_READ_DEADLINE`.
         """
-        line = await reader.readline()
+        line = await self._read_line(reader, 414, "request line")
         if not line.strip():
             return None
         parts = line.decode("latin-1").split()
@@ -166,10 +180,14 @@ class HttpServer:
             return None
         method, target = parts[0].upper(), parts[1]
         content_length = 0
+        headers = 0
         while True:
-            header = await reader.readline()
+            header = await self._read_line(reader, 431, "header line")
             if header in (b"\r\n", b"\n", b""):
                 break
+            headers += 1
+            if headers > _MAX_HEADERS:
+                raise _RejectedRequest(431, "more than %d headers" % _MAX_HEADERS)
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 try:
@@ -190,6 +208,16 @@ class HttpServer:
         path = target.split("?", 1)[0]
         return method, path, body
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+        """One CRLF-terminated line; a line over :data:`_MAX_LINE` earns ``status``."""
+        try:
+            return await reader.readline()
+        except ValueError:  # the reader's limit overrun, raised by readline
+            raise _RejectedRequest(
+                status, "%s exceeds the %d-byte limit" % (what, _MAX_LINE)
+            ) from None
+
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
@@ -205,7 +233,11 @@ class HttpServer:
             elif segments == ["stats"] and method == "GET":
                 await self._send_json(writer, 200, self.coordinator.stats())
             elif segments == ["jobs"] and method == "POST":
-                spec = JobSpec.from_payload(self._parse_json(body))
+                # Imported here, not at module top: loading repro.solve
+                # would slow the service's start, which never needs it.
+                from repro.solve.request import SolveRequest
+
+                spec = SolveRequest.from_payload(self._parse_json(body))
                 record = await self.coordinator.submit(spec)
                 await self._send_json(writer, 201, record.as_dict())
             elif segments == ["jobs"] and method == "GET":

@@ -1,10 +1,11 @@
-"""Job specifications, job records and the per-job state machine.
+"""Job records and the per-job state machine.
 
 Every optimization job the service accepts is described by a
-:class:`JobSpec` (what to solve: problem spec string, algorithm, seed,
-termination budget) and tracked by a :class:`JobRecord` (how the run is
-going: state, counters, timestamps, error detail).  The record is an
-explicit state machine::
+:class:`~repro.solve.request.SolveRequest` (what to solve: problem spec
+string, algorithm, seed, termination budget — the same request ``repro
+solve`` runs) and tracked by a :class:`JobRecord` (how the run is going:
+state, counters, timestamps, error detail).  The record is an explicit
+state machine::
 
     queued ──▶ running ──▶ checkpointed ──▶ done
        │          │    ╲        │      ╲──▶ failed
@@ -23,10 +24,10 @@ coordinator rebuilds its queue from after a restart.
 
 Example
 -------
->>> spec = JobSpec(problem="zdt1", algorithm="nsga2", seed=7, generations=4)
+>>> from repro.solve import SolveRequest
+>>> spec = SolveRequest(problem="zdt1", algorithm="nsga2", seed=7, generations=4)
 >>> record = JobRecord(id="000001-abc", sequence=1, spec=spec)
->>> record.transition(RUNNING)
->>> record.transition(DONE)
+>>> _ = record.transition(RUNNING).transition(DONE)
 >>> record.state
 'done'
 """
@@ -35,10 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import ConfigurationError
-from repro.params import Parameter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.solve.request import SolveRequest
 
 __all__ = [
     "QUEUED",
@@ -53,7 +56,6 @@ __all__ = [
     "InvalidTransitionError",
     "JobNotFinishedError",
     "UnknownJobError",
-    "JobSpec",
     "JobRecord",
     "utc_now",
 ]
@@ -118,125 +120,6 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-#: Type each :class:`JobSpec` field is coerced to by :meth:`Parameter.coerce`.
-_FIELD_TYPES: dict[str, type] = dict(
-    problem=str, algorithm=str, seed=int, generations=int, max_evaluations=int,
-    population=int, checkpoint_interval=int, telemetry=bool,
-)
-
-
-@dataclass
-class JobSpec:
-    """What one job solves: the submit-time payload, validated and typed.
-
-    Attributes
-    ----------
-    problem:
-        Problem spec string of the registry
-        (:func:`repro.problems.build_problem`), e.g. ``"zdt1?n_var=10"``.
-    algorithm:
-        Registered solver name (``"nsga2"``, ``"moead"``, ``"pmo2"``).
-    seed:
-        Master random seed; together with the other fields it pins the run,
-        so a resumed job reproduces the uninterrupted run bitwise.
-    generations:
-        Generation budget (``MaxGenerations`` termination).
-    max_evaluations:
-        Optional additional evaluation cap (``| MaxEvaluations``).
-    population:
-        Optional population size override (per island for ``pmo2``).
-    checkpoint_interval:
-        Generations between resumable checkpoints inside the job directory.
-    telemetry:
-        Record ``trace.jsonl`` and ``timeseries.csv`` into the job
-        directory, next to its ``ledger.json`` (readable with ``repro
-        trace`` / ``repro stats``).
-
-    Example
-    -------
-    >>> JobSpec.from_payload({"problem": "zdt1", "generations": 5}).generations
-    5
-    """
-
-    problem: str
-    algorithm: str = "nsga2"
-    seed: int = 0
-    generations: int = 100
-    max_evaluations: int | None = None
-    population: int | None = None
-    checkpoint_interval: int = 5
-    telemetry: bool = True
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "JobSpec":
-        """Build a spec from a submit payload, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                "job payload must be a JSON object, got %s" % type(payload).__name__
-            )
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(payload) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                "unknown job field(s) %s (known: %s)"
-                % (", ".join(unknown), ", ".join(sorted(known)))
-            )
-        if "problem" not in payload:
-            raise ConfigurationError("job payload needs a 'problem' spec string")
-        values = {}
-        for name, value in payload.items():
-            # Only the fields that default to None may be null.
-            if value is None and known[name].default is not None:
-                raise ConfigurationError("job field %r must not be null" % name)
-            values[name] = Parameter(name, _FIELD_TYPES[name], None).coerce(value)
-        spec = cls(**values)
-        if spec.generations < 1:
-            raise ConfigurationError("generations must be positive")
-        if spec.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be positive")
-        return spec
-
-    def validate(self) -> None:
-        """Resolve the problem and solver now, so bad specs fail at submit.
-
-        Building the problem and looking up the solver raises the exact
-        errors (unknown names, bad parameters, did-you-mean hints) the CLI
-        shows — surfaced as an HTTP 400 instead of a failed job later.
-        """
-        from repro.problems import build_problem
-        from repro.solve import UnknownSolverError, get_solver
-
-        build_problem(self.problem)
-        try:
-            get_solver(self.algorithm)
-        except UnknownSolverError as error:
-            # KeyError subclass -> ConfigurationError, so the HTTP layer
-            # maps a mistyped algorithm onto 400, not 500.
-            raise ConfigurationError(str(error.args[0] if error.args else error))
-
-    def termination(self):
-        """The composed Termination object this spec's budget describes."""
-        from repro.solve import MaxEvaluations, MaxGenerations
-
-        stopping = MaxGenerations(self.generations)
-        if self.max_evaluations is not None:
-            stopping = stopping | MaxEvaluations(self.max_evaluations)
-        return stopping
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-dictionary view stored inside ``job.json``."""
-        return {
-            "problem": self.problem,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "generations": self.generations,
-            "max_evaluations": self.max_evaluations,
-            "population": self.population,
-            "checkpoint_interval": self.checkpoint_interval,
-            "telemetry": self.telemetry,
-        }
-
-
 @dataclass
 class JobRecord:
     """Durable state of one job: the content of its ``job.json`` sidecar.
@@ -248,7 +131,8 @@ class JobRecord:
     sequence:
         Monotonic submission index; the durable queue drains in this order.
     spec:
-        The :class:`JobSpec` the job runs.
+        The :class:`~repro.solve.request.SolveRequest` the job runs, stored
+        as ``job.json``'s ``"spec"``.
     state:
         Current state-machine state (one of :data:`JOB_STATES`).
     created, started, finished:
@@ -265,14 +149,15 @@ class JobRecord:
 
     Example
     -------
-    >>> record = JobRecord(id="1-a", sequence=1, spec=JobSpec(problem="zdt1"))
-    >>> record.transition(RUNNING); record.state
+    >>> from repro.solve import SolveRequest
+    >>> record = JobRecord(id="1-a", sequence=1, spec=SolveRequest(problem="zdt1"))
+    >>> record.transition(RUNNING).state
     'running'
     """
 
     id: str
     sequence: int
-    spec: JobSpec
+    spec: "SolveRequest"
     state: str = QUEUED
     created: str = field(default_factory=utc_now)
     started: str | None = None
@@ -316,36 +201,20 @@ class JobRecord:
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dictionary view written to ``job.json`` (and HTTP responses)."""
-        return {
-            "format_version": 1,
-            "id": self.id,
-            "sequence": self.sequence,
-            "spec": self.spec.as_dict(),
-            "state": self.state,
-            "created": self.created,
-            "started": self.started,
-            "finished": self.finished,
-            "generation": self.generation,
-            "evaluations": self.evaluations,
-            "error": self.error,
-            "restarts": self.restarts,
-            "cancel_requested": self.cancel_requested,
-        }
+        record = {item.name: getattr(self, item.name) for item in fields(self)}
+        return {"format_version": 1, **record, "spec": self.spec.as_dict()}
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "JobRecord":
-        """Rebuild a record from a loaded ``job.json`` dictionary."""
-        return cls(
-            id=str(payload["id"]),
-            sequence=int(payload["sequence"]),
-            spec=JobSpec.from_payload(dict(payload["spec"])),
-            state=str(payload.get("state", QUEUED)),
-            created=payload.get("created") or utc_now(),
-            started=payload.get("started"),
-            finished=payload.get("finished"),
-            generation=int(payload.get("generation", 0)),
-            evaluations=int(payload.get("evaluations", 0)),
-            error=payload.get("error"),
-            restarts=int(payload.get("restarts", 0)),
-            cancel_requested=bool(payload.get("cancel_requested", False)),
-        )
+        """Rebuild a record from a loaded ``job.json`` dictionary.
+
+        A ``"spec"`` written before the request gained its ``wall_clock``,
+        ``hv_patience`` and ``hv_tolerance`` fields loads with them at their
+        defaults.
+        """
+        # Imported here, not at module top: loading repro.solve would slow
+        # the service's start, which never needs it.
+        from repro.solve.request import SolveRequest
+
+        record = {item.name: payload[item.name] for item in fields(cls) if item.name in payload}
+        return cls(**record | {"spec": SolveRequest.from_payload(dict(payload["spec"]))})

@@ -21,12 +21,12 @@ stdin and writes ``exited <job_id> <code>`` on stdout, where ``<code>`` is
 :func:`os.waitstatus_to_exitcode` (negative for a signal).  It is
 Linux-only: it waits on its children through :func:`os.pidfd_open`.
 
-The runner itself is deliberately thin: it re-reads the job's ``job.json``,
-builds the problem and termination from the :class:`~repro.serve.jobs.JobSpec`,
-and calls the existing :func:`repro.solve.solve` with a checkpoint directory
-inside the job dir — which is the whole restart-recovery story, because
-``solve()`` already restores the latest checkpoint bitwise.  Progress leaves
-the process through two channels: an :class:`EventLogObserver` appending one
+The runner itself is deliberately thin: it re-reads the job's ``job.json``
+and runs its :class:`~repro.solve.request.SolveRequest` — the same code
+path ``repro solve`` uses — with a checkpoint directory inside the job dir,
+which is the whole restart-recovery story, because ``solve()`` already
+restores the latest checkpoint bitwise.  Progress leaves the process
+through two channels: an :class:`EventLogObserver` appending one
 JSON line per generation/checkpoint/migration to ``events.jsonl`` (the
 coordinator tails this file into the SSE stream), and the standard
 :class:`~repro.obs.telemetry.RunTelemetry` artifacts when the spec asks for
@@ -172,43 +172,32 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     -------
     Drive a prepared job directory directly (tests do this in-process)::
 
-        from repro.serve.jobs import JobSpec
         from repro.serve.store import JobStore
+        from repro.solve import SolveRequest
 
         store = JobStore("serve-data")
-        record = store.create(JobSpec(problem="zdt1", generations=4))
+        record = store.create(SolveRequest(problem="zdt1", generations=4))
         run_job(store.job_dir(record.id))
     """
     from repro.core.artifacts import record_solve_run
-    from repro.problems import build_problem
-    from repro.solve import get_solver, solve
 
     job_dir = Path(job_dir)
     payload = json.loads((job_dir / RECORD_NAME).read_text(encoding="utf-8"))
-    record = JobRecord.from_dict(payload)
-    spec = record.spec
-    problem = build_problem(spec.problem)
-    solver_spec = get_solver(spec.algorithm)
+    request = JobRecord.from_dict(payload).spec
     with ExitStack() as stack:
         observers: list[Observer] = [
             stack.enter_context(closing(EventLogObserver(job_dir / EVENTS_NAME)))
         ]
-        if spec.telemetry:
+        if request.telemetry:
             from repro.obs import RunTelemetry
 
             observers.append(stack.enter_context(RunTelemetry(job_dir)))
-        result = solve(
-            problem,
-            algorithm=solver_spec,
-            seed=spec.seed,
-            termination=spec.termination(),
+        problem, result = request.run(
             observers=observers,
-            cache_dir=cache_dir,
             checkpoint_dir=str(job_dir / CHECKPOINTS_DIR),
-            checkpoint_interval=spec.checkpoint_interval,
-            **solver_spec.population_overrides(spec.population),
+            cache_dir=cache_dir,
         )
-    record_solve_run(job_dir, problem, result, parameters=spec.as_dict())
+    record_solve_run(job_dir, problem, result, parameters=request.as_dict())
     return 0
 
 

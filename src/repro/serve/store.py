@@ -22,10 +22,10 @@ submission order — the durable queue *is* the directory tree.
 Example
 -------
 >>> import tempfile
->>> from repro.serve.jobs import JobSpec
+>>> from repro.solve import SolveRequest
 >>> with tempfile.TemporaryDirectory() as base:
 ...     store = JobStore(base)
-...     record = store.create(JobSpec(problem="zdt1", generations=2))
+...     record = store.create(SolveRequest(problem="zdt1", generations=2))
 ...     store.load(record.id).state
 'queued'
 """
@@ -37,14 +37,13 @@ import os
 import secrets
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.runtime.checkpoint import list_checkpoints
-from repro.serve.jobs import (
-    QUEUED,
-    JobRecord,
-    JobSpec,
-    UnknownJobError,
-)
+from repro.serve.jobs import QUEUED, JobRecord, UnknownJobError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.solve.request import SolveRequest
 
 __all__ = ["JobStore", "RECORD_NAME", "EVENTS_NAME", "CHECKPOINTS_DIR", "STDERR_NAME"]
 
@@ -69,10 +68,10 @@ class JobStore:
     Example
     -------
     >>> import tempfile
-    >>> from repro.serve.jobs import JobSpec
+    >>> from repro.solve import SolveRequest
     >>> with tempfile.TemporaryDirectory() as base:
     ...     store = JobStore(base)
-    ...     record = store.create(JobSpec(problem="zdt1"))
+    ...     record = store.create(SolveRequest(problem="zdt1"))
     ...     [r.id for r in store.list_records()] == [record.id]
     True
     """
@@ -112,7 +111,7 @@ class JobStore:
                 highest = max(highest, int(head))
         return highest + 1
 
-    def create(self, spec: JobSpec) -> JobRecord:
+    def create(self, spec: "SolveRequest") -> JobRecord:
         """Mint a new queued job: directory, id and persisted record.
 
         The id is ``<sequence>-<random hex>``: the zero-padded sequence

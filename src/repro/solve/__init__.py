@@ -10,6 +10,8 @@ One stable contract in front of every optimization engine:
 * :class:`SolverSpec` / :func:`get_solver` / :func:`solver_names` — the
   solver registry (``nsga2``, ``moead``, ``pmo2``);
 * :class:`SolveResult` — the one result type every engine returns;
+* :class:`SolveRequest` — one solve described once, as ``repro solve`` and
+  the service's jobs build, validate and run it;
 * :mod:`~repro.solve.termination` — composable stopping rules
   (:class:`MaxGenerations`, :class:`MaxEvaluations`, :class:`WallClock`,
   :class:`HypervolumeStagnation`, combined with ``&`` / ``|``);
@@ -49,6 +51,7 @@ from repro.solve.registry import (
     solver_names,
 )
 from repro.solve.result import CheckpointInfo, SolveResult
+from repro.solve.request import SolveRequest
 from repro.solve.termination import (
     AllOf,
     AnyOf,
@@ -79,6 +82,7 @@ __all__ = [
     "solver_names",
     "CheckpointInfo",
     "SolveResult",
+    "SolveRequest",
     "AllOf",
     "AnyOf",
     "HypervolumeStagnation",

@@ -27,6 +27,7 @@ A plain ``int`` is accepted anywhere a termination is expected and means
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -119,8 +120,8 @@ class WallClock(Termination):
     """
 
     def __init__(self, seconds: float) -> None:
-        if seconds <= 0:
-            raise ConfigurationError("wall-clock budget must be positive")
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ConfigurationError("wall-clock budget must be positive and finite")
         self.seconds = float(seconds)
 
     def should_stop(self, progress: RunProgress) -> bool:
@@ -162,8 +163,8 @@ class HypervolumeStagnation(Termination):
     ) -> None:
         if patience < 1:
             raise ConfigurationError("patience must be at least 1")
-        if tolerance < 0.0:
-            raise ConfigurationError("tolerance must be non-negative")
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise ConfigurationError("tolerance must be non-negative and finite")
         self.patience = int(patience)
         self.tolerance = float(tolerance)
         self.reference = None if reference is None else np.asarray(reference, dtype=float)

@@ -368,6 +368,12 @@ class TestSolve:
         assert main(["solve", "zdt99"]) == 2
         assert "unknown problem" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_clean_error(self, capsys):
+        assert main(["solve", "zdt1", "--algorithm", "nsga2", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative")
+        assert "Traceback" not in err
+
     def test_checkpoint_dir_refuses_a_different_solve_run(self, tmp_path, capsys):
         base = ["solve", "zdt1", "--algorithm", "nsga2", "--population", "8",
                 "--generations", "4", "--checkpoint-dir", str(tmp_path),
@@ -514,7 +520,6 @@ class TestProblemRegistryCli:
             "zdt1?noise=0.01",
             "zdt1?normalized=1",
             "bnh?penalty=100",
-            "zdt6?n_var=5&budget=100000",
             "dtlz2?objectives=0,1",
         ],
     )

@@ -118,7 +118,16 @@ class TestParameterSchema:
 
     @pytest.mark.parametrize(
         "kind,value,expected",
-        [(int, "3", 3), (float, "0.5", 0.5), (bool, "ON", True), (bool, 0, False), (str, 7, "7")],
+        [
+            (int, "3", 3),
+            (int, 3.0, 3),
+            (float, "0.5", 0.5),
+            (bool, "ON", True),
+            (bool, 0, False),
+            (bool, 1, True),
+            (bool, True, True),
+            (str, 7, "7"),
+        ],
     )
     def test_coercion_parses_to_the_declared_type(self, kind, value, expected):
         coerced = Parameter("knob", kind, None, "").coerce(value)
@@ -127,6 +136,24 @@ class TestParameterSchema:
     def test_fractional_string_is_not_an_int(self):
         with pytest.raises(ConfigurationError, match="'population'"):
             Parameter("population", int, 4, "").coerce("1.5")
+
+    @pytest.mark.parametrize(
+        "kind,value",
+        [
+            (int, 1.7),
+            (int, True),
+            (int, float("inf")),
+            (int, float("nan")),
+            (bool, 2),
+            (bool, -1),
+            (bool, 1.0),
+            (bool, [1]),
+            (float, 10**400),
+        ],
+    )
+    def test_lossy_values_are_refused_not_truncated(self, kind, value):
+        with pytest.raises(ConfigurationError, match="'knob'"):
+            Parameter("knob", kind, None, "").coerce(value)
 
 
 class TestRegistryObject:

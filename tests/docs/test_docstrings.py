@@ -102,7 +102,6 @@ REQUIRED_EXAMPLES = [
     "repro.serve.app.ServeThread",
     "repro.serve.client.ServeClient",
     "repro.serve.coordinator.Coordinator",
-    "repro.serve.jobs.JobSpec",
     "repro.serve.runner.run_job",
     "repro.serve.store.JobStore",
     "repro.solve",
@@ -110,6 +109,7 @@ REQUIRED_EXAMPLES = [
     "repro.solve.events",
     "repro.solve.registry",
     "repro.solve.registry.SolverSpec.build",
+    "repro.solve.request.SolveRequest",
     "repro.solve.result.SolveResult",
     "repro.solve.termination",
 ]

@@ -32,11 +32,11 @@ def _probe(script: str) -> str:
 def test_served_photosynthesis_job_runs_without_scipy(tmp_path):
     script = (
         "import sys\n"
-        "from repro.serve.jobs import JobSpec\n"
+        "from repro.solve.request import SolveRequest\n"
         "from repro.serve.runner import run_job\n"
         "from repro.serve.store import JobStore\n"
         "store = JobStore(%r)\n"
-        "record = store.create(JobSpec(problem='photosynthesis', generations=1,"
+        "record = store.create(SolveRequest(problem='photosynthesis', generations=1,"
         " population=4))\n"
         "assert run_job(store.job_dir(record.id), cache_dir=%r) == 0\n"
         "print('scipy' in sys.modules)\n"
@@ -54,12 +54,12 @@ def test_fork_server_preload_is_complete_scipy_free_and_fork_safe(tmp_path):
     data_dir = tmp_path / "data"
     script = (
         "import importlib, os, sys, threading\n"
-        "from repro.serve.jobs import JobSpec\n"
+        "from repro.solve.request import SolveRequest\n"
         "from repro.serve.store import JobStore\n"
         "store = JobStore(%r)\n"
-        "jobs = [store.create(JobSpec(problem='photosynthesis', generations=1,"
+        "jobs = [store.create(SolveRequest(problem='photosynthesis', generations=1,"
         " population=4, telemetry=True)),\n"
-        "        store.create(JobSpec(problem='zdt1', generations=1, population=4))]\n"
+        "        store.create(SolveRequest(problem='zdt1', generations=1, population=4))]\n"
         "from repro.serve.runner import _PRELOAD, run_job\n"
         "for name in _PRELOAD:\n"
         "    importlib.import_module(name)\n"
@@ -81,6 +81,22 @@ def test_fork_server_preload_is_complete_scipy_free_and_fork_safe(tmp_path):
     ) % (str(data_dir), str(data_dir), str(tmp_path / "cache"))
     assert _probe(script) == "[] False"
     assert len(list((data_dir / "jobs").glob("*/front.json"))) == 2
+
+
+def test_service_start_leaves_the_solve_package_unloaded(tmp_path):
+    """Starting the service and answering /healthz never imports ``repro.solve``.
+
+    The service loads it on the first submit (to validate the request) and
+    when it reads a stored job, not on its way up.
+    """
+    script = (
+        "import sys\n"
+        "from repro.serve import ServeClient, ServeThread\n"
+        "with ServeThread(%r, workers=2, cache_dir=%r) as app:\n"
+        "    assert ServeClient(port=app.port).healthz()['status'] == 'ok'\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'solve']))\n"
+    ) % (str(tmp_path / "data"), str(tmp_path / "cache"))
+    assert _probe(script) == "[]"
 
 
 def test_cli_and_zdt1_problem_import_without_scipy():

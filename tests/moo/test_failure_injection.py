@@ -5,8 +5,9 @@ import pytest
 
 from repro.exceptions import EvaluationError
 from repro.moo.pmo2 import PMO2Config
-from repro.problems import BudgetCounting, EvaluationResult, Problem
+from repro.problems import EvaluationResult, Problem
 from repro.solve import solve
+from tests.oracles.budget import BudgetCounting
 
 
 class FlakyProblem(Problem):

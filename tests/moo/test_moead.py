@@ -7,9 +7,9 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.moead import MOEAD, MOEADConfig, uniform_weight_vectors
 from repro.moo.testproblems import DTLZ2, Schaffer, ZDT1
-from repro.problems import BudgetCounting
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
+from tests.oracles.budget import BudgetCounting
 
 
 class TestWeightVectors:

@@ -11,9 +11,9 @@ from repro.moo.individual import Individual, Population
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
 from repro.moo.testproblems import ConstrainedBNH, Schaffer, ZDT1
-from repro.problems import BudgetCounting
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
+from tests.oracles.budget import BudgetCounting
 
 
 class TestConfigValidation:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.problems import BudgetCounting, EvaluationResult, FunctionalProblem
+from repro.problems import EvaluationResult, FunctionalProblem
+from tests.oracles.budget import BudgetCounting
 
 
 def make_problem():

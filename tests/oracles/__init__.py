@@ -2,5 +2,6 @@
 
 Each module holds the plain scalar implementation an optimized routine in
 ``repro`` replaced; the equivalence tests assert that the optimized routine
-reproduces it bit for bit, random stream included.
+reproduces it bit for bit, random stream included.  :mod:`.budget` holds
+the evaluation counter the tests check the runtime ledger against.
 """

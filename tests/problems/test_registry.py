@@ -46,7 +46,7 @@ class TestRegistryContents:
             build_problem("zdt_1")
 
     def test_invalid_robustness_settings_fail_at_build(self):
-        # Not at the first evaluation: JobSpec.validate builds the problem.
+        # Not at the first evaluation: SolveRequest.validate builds the problem.
         with pytest.raises(ConfigurationError, match="global_trials"):
             build_problem("photosynthesis-robust?robustness_trials=0")
         with pytest.raises(ConfigurationError, match="epsilon"):
@@ -105,7 +105,6 @@ class TestTransformVariants:
         ("zdt1?noise=0.01", "Noisy(ZDT1)"),
         ("zdt1?normalized=1", "Normalized(ZDT1)"),
         ("bnh?penalty=100", "ConstraintAsPenalty(ConstrainedBNH)"),
-        ("zdt6?budget=64", "BudgetCounting(ZDT6)"),
         ("dtlz2?objectives=0,2", "ObjectiveSubset(DTLZ2)"),
         ("zdt1?normalized=1&noise=0.05", "Noisy(Normalized(ZDT1))"),
     ]

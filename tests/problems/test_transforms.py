@@ -6,12 +6,12 @@ import pytest
 from repro.exceptions import ConfigurationError, EvaluationError
 from repro.moo.testproblems import ZDT1, ConstrainedBNH
 from repro.problems import (
-    BudgetCounting,
     ConstraintAsPenalty,
     Noisy,
     Normalized,
     ObjectiveSubset,
 )
+from tests.oracles.budget import BudgetCounting
 
 
 def _sample(problem, n, seed=0):

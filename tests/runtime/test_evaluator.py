@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.testproblems import ZDT1, FonsecaFleming, Schaffer
-from repro.problems import BudgetCounting, EvaluationResult, FunctionalProblem, Problem
+from repro.problems import EvaluationResult, FunctionalProblem, Problem
 from repro.runtime import (
     CachedEvaluator,
     EvaluationLedger,
@@ -17,6 +17,7 @@ from repro.runtime import (
     build_evaluator,
     parallel_map,
 )
+from tests.oracles.budget import BudgetCounting
 
 
 class WorkerHostileProblem(Problem):

@@ -90,7 +90,27 @@ class TestErrorMapping:
             service.submit(problem="zdt1", pop_size=10)
         assert excinfo.value.status == 400
 
-    @pytest.mark.parametrize("field,value", [("seed", "abc"), ("population", [1])])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", "abc"),
+            ("population", [1]),
+            # Fields that used to be accepted and then fail in the runner, or
+            # be truncated on the way in.
+            ("max_evaluations", 0),
+            ("max_evaluations", -5),
+            ("population", 0),
+            ("population", -3),
+            ("population", 1),
+            ("seed", -1),
+            ("seed", 1.7),
+            ("generations", True),
+            ("telemetry", 2),
+            ("wall_clock", float("nan")),
+            ("wall_clock", float("inf")),
+            ("hv_tolerance", float("nan")),
+        ],
+    )
     def test_uncoercible_spec_field_is_400(self, service, field, value):
         with pytest.raises(ServiceError) as excinfo:
             service.submit(problem="zdt1", **{field: value})
@@ -154,6 +174,40 @@ class TestReadDeadline:
             started = time.monotonic()
             assert sock.recv(1) == b""
         assert time.monotonic() - started < 5
+
+
+class TestOversizedRequest:
+    """A request line or header the parser will not hold earns 414 or 431."""
+
+    @staticmethod
+    def _status(service, head: bytes) -> int:
+        import socket
+
+        with socket.create_connection((service.host, service.port), timeout=10) as sock:
+            sock.sendall(head)
+            return int(sock.makefile("rb").readline().split()[1])
+
+    def test_long_request_line_is_414(self, service):
+        head = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        assert self._status(service, head) == 414
+
+    def test_long_header_line_is_431(self, service):
+        head = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        assert self._status(service, head) == 431
+
+    def test_too_many_headers_is_431(self, service):
+        from repro.serve.http import _MAX_HEADERS
+
+        headers = b"".join(b"X-%d: 1\r\n" % index for index in range(_MAX_HEADERS + 1))
+        head = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        assert self._status(service, head) == 431
+
+    def test_headers_up_to_the_cap_are_served(self, service):
+        from repro.serve.http import _MAX_HEADERS
+
+        headers = b"".join(b"X-%d: 1\r\n" % index for index in range(_MAX_HEADERS))
+        head = b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        assert self._status(service, head) == 200
 
 
 class TestDurability:

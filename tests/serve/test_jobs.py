@@ -15,39 +15,42 @@ from repro.serve import (
     RUNNING,
     InvalidTransitionError,
     JobRecord,
-    JobSpec,
     JobStore,
     UnknownJobError,
 )
+from repro.solve import SolveRequest
 
 
 def _spec(**overrides):
     fields = {"problem": "zdt1", "generations": 4}
     fields.update(overrides)
-    return JobSpec(**fields)
+    return SolveRequest(**fields)
 
 
 class TestJobSpec:
+    """A job's spec: the :class:`SolveRequest` of its submit payload."""
+
     def test_from_payload_round_trips(self):
         payload = {"problem": "zdt1?n_var=5", "algorithm": "moead", "seed": 3,
                    "generations": 7, "population": 20, "telemetry": False}
-        spec = JobSpec.from_payload(payload)
+        spec = SolveRequest.from_payload(payload)
         assert spec.as_dict() == {
             "problem": "zdt1?n_var=5", "algorithm": "moead", "seed": 3,
-            "generations": 7, "max_evaluations": None, "population": 20,
+            "generations": 7, "max_evaluations": None, "wall_clock": None,
+            "hv_patience": None, "hv_tolerance": 1e-6, "population": 20,
             "checkpoint_interval": 5, "telemetry": False,
         }
 
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown job field"):
-            JobSpec.from_payload({"problem": "zdt1", "pop_size": 10})
+            SolveRequest.from_payload({"problem": "zdt1", "pop_size": 10})
 
     def test_problem_is_required(self):
         with pytest.raises(ConfigurationError, match="'problem'"):
-            JobSpec.from_payload({"algorithm": "nsga2"})
+            SolveRequest.from_payload({"algorithm": "nsga2"})
 
     def test_string_boolean_is_parsed(self):
-        spec = JobSpec.from_payload({"problem": "zdt1", "telemetry": "false"})
+        spec = SolveRequest.from_payload({"problem": "zdt1", "telemetry": "false"})
         assert spec.telemetry is False
 
     @pytest.mark.parametrize(
@@ -56,16 +59,16 @@ class TestJobSpec:
     )
     def test_uncoercible_fields_are_configuration_errors(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
-            JobSpec.from_payload({"problem": "zdt1", field: value})
+            SolveRequest.from_payload({"problem": "zdt1", field: value})
 
     def test_non_object_payload_is_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
-            JobSpec.from_payload([1, 2, 3])
+            SolveRequest.from_payload([1, 2, 3])
 
     @pytest.mark.parametrize("field,value", [("generations", 0), ("checkpoint_interval", 0)])
     def test_non_positive_budgets_are_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
-            JobSpec.from_payload({"problem": "zdt1", field: value})
+            SolveRequest.from_payload({"problem": "zdt1", field: value})
 
     def test_validate_rejects_unknown_problem_and_solver(self):
         with pytest.raises(Exception):

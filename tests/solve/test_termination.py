@@ -83,6 +83,9 @@ class TestWallClock:
     def test_rejects_non_positive(self):
         with pytest.raises(ConfigurationError):
             WallClock(0.0)
+        for seconds in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                WallClock(seconds)
 
     def test_tiny_budget_stops_run_quickly(self):
         result = solve(Schaffer(), "nsga2", seed=0, population_size=8,
@@ -152,6 +155,8 @@ class TestHypervolumeStagnation:
             HypervolumeStagnation(patience=0)
         with pytest.raises(ConfigurationError):
             HypervolumeStagnation(tolerance=-1.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            HypervolumeStagnation(tolerance=float("nan"))
 
     def test_empty_front_never_stops(self):
         criterion = HypervolumeStagnation(patience=1)
