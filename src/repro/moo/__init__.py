@@ -2,9 +2,10 @@
 
 The sub-package provides:
 
-* :mod:`repro.moo.individual` / :mod:`repro.moo.archive` — individuals,
-  populations with their cached ``X`` / ``F`` / ``CV`` matrix views, and the
-  Pareto archive, which holds its members in a population and shares them;
+* :mod:`repro.moo.individual` / :mod:`repro.moo.archive` — populations
+  that own their ``X`` / ``F`` / ``CV`` / ``rank`` / ``crowding`` arrays,
+  individuals as views of one row, and the Pareto archive, which holds its
+  members in a population and shares its matrices;
 * :mod:`repro.moo.nsga2` / :mod:`repro.moo.moead` — the two evolutionary
   engines (NSGA-II is PMO2's island engine, MOEA/D the Table 1 baseline);
 * :mod:`repro.moo.archipelago` / :mod:`repro.moo.topology` — the island
@@ -31,118 +32,82 @@ through :func:`repro.solve.solve`, which attaches an evaluator from
 neither changes results for a fixed seed.  The problem contract lives in
 :mod:`repro.problems`; :class:`Problem`, :class:`FunctionalProblem` and
 :class:`EvaluationResult` are re-exported here.
+
+The public names below resolve on first access, so importing one engine
+(``from repro.moo.nsga2 import NSGA2``) loads only what that engine needs,
+not the robustness, mining and metrics modules.
 """
 
-from repro.moo import kernels
-from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
-from repro.moo.archive import ParetoArchive
-from repro.moo.kernels import (
-    archive_prune,
-    constrained_domination_blocks,
-    constrained_domination_matrix,
-    crowding_distances,
-    crowding_truncation_order,
-    domination_matrix,
-    non_dominated_mask,
-    nondominated_sort,
-    tournament_winner,
-)
-from repro.moo.individual import Individual, Population
-from repro.moo.metrics import (
-    coverage_report,
-    global_pareto_coverage,
-    hypervolume,
-    inverted_generational_distance,
-    relative_pareto_coverage,
-    union_front,
-)
-from repro.moo.mining import (
-    FrontSelection,
-    closest_to_ideal,
-    equally_spaced_selection,
-    ideal_point,
-    knee_point,
-    mine_front,
-    pareto_relative_minimum,
-    shadow_minima,
-)
-from repro.moo.moead import MOEAD, MOEADConfig
-from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
-from repro.moo.pmo2 import PMO2Config, build_pmo2
-from repro.moo.robustness import (
-    PerturbationModel,
-    RobustnessReport,
-    RobustnessSettings,
-    front_yields,
-    local_yields,
-    robustness_condition,
-    uptake_yield,
-)
-from repro.moo.topology import (
-    AllToAllTopology,
-    IsolatedTopology,
-    RandomTopology,
-    RingTopology,
-    StarTopology,
-    Topology,
-    topology_from_name,
-)
-from repro.problems.base import FunctionalProblem, Problem
-from repro.problems.batch import EvaluationResult
+import importlib
 
-__all__ = [
-    "Archipelago",
-    "Island",
-    "MigrationPolicy",
-    "ParetoArchive",
-    "kernels",
-    "archive_prune",
-    "constrained_domination_blocks",
-    "constrained_domination_matrix",
-    "crowding_distances",
-    "crowding_truncation_order",
-    "domination_matrix",
-    "non_dominated_mask",
-    "nondominated_sort",
-    "tournament_winner",
-    "Individual",
-    "Population",
-    "coverage_report",
-    "global_pareto_coverage",
-    "hypervolume",
-    "inverted_generational_distance",
-    "relative_pareto_coverage",
-    "union_front",
-    "FrontSelection",
-    "closest_to_ideal",
-    "equally_spaced_selection",
-    "ideal_point",
-    "knee_point",
-    "mine_front",
-    "pareto_relative_minimum",
-    "shadow_minima",
-    "MOEAD",
-    "MOEADConfig",
-    "NSGA2",
-    "NSGA2Config",
-    "assign_ranks_and_crowding",
-    "PMO2Config",
-    "build_pmo2",
-    "EvaluationResult",
-    "FunctionalProblem",
-    "Problem",
-    "PerturbationModel",
-    "RobustnessReport",
-    "RobustnessSettings",
-    "front_yields",
-    "local_yields",
-    "robustness_condition",
-    "uptake_yield",
-    "AllToAllTopology",
-    "IsolatedTopology",
-    "RandomTopology",
-    "RingTopology",
-    "StarTopology",
-    "Topology",
-    "topology_from_name",
-]
+from repro.moo import kernels
+
+#: Public name -> module defining it, resolved by :func:`__getattr__`.
+_EXPORTS = {
+    "Archipelago": "repro.moo.archipelago",
+    "Island": "repro.moo.archipelago",
+    "MigrationPolicy": "repro.moo.archipelago",
+    "ParetoArchive": "repro.moo.archive",
+    "archive_prune": "repro.moo.kernels",
+    "constrained_domination_blocks": "repro.moo.kernels",
+    "constrained_domination_matrix": "repro.moo.kernels",
+    "crowding_distances": "repro.moo.kernels",
+    "crowding_truncation_order": "repro.moo.kernels",
+    "domination_matrix": "repro.moo.kernels",
+    "non_dominated_mask": "repro.moo.kernels",
+    "nondominated_sort": "repro.moo.kernels",
+    "tournament_winner": "repro.moo.kernels",
+    "Individual": "repro.moo.individual",
+    "Population": "repro.moo.individual",
+    "coverage_report": "repro.moo.metrics",
+    "global_pareto_coverage": "repro.moo.metrics",
+    "hypervolume": "repro.moo.metrics",
+    "inverted_generational_distance": "repro.moo.metrics",
+    "relative_pareto_coverage": "repro.moo.metrics",
+    "union_front": "repro.moo.metrics",
+    "FrontSelection": "repro.moo.mining",
+    "closest_to_ideal": "repro.moo.mining",
+    "equally_spaced_selection": "repro.moo.mining",
+    "ideal_point": "repro.moo.mining",
+    "knee_point": "repro.moo.mining",
+    "mine_front": "repro.moo.mining",
+    "pareto_relative_minimum": "repro.moo.mining",
+    "shadow_minima": "repro.moo.mining",
+    "MOEAD": "repro.moo.moead",
+    "MOEADConfig": "repro.moo.moead",
+    "NSGA2": "repro.moo.nsga2",
+    "NSGA2Config": "repro.moo.nsga2",
+    "assign_ranks_and_crowding": "repro.moo.nsga2",
+    "PMO2Config": "repro.moo.pmo2",
+    "build_pmo2": "repro.moo.pmo2",
+    "EvaluationResult": "repro.problems.batch",
+    "FunctionalProblem": "repro.problems.base",
+    "Problem": "repro.problems.base",
+    "PerturbationModel": "repro.moo.robustness",
+    "RobustnessReport": "repro.moo.robustness",
+    "RobustnessSettings": "repro.moo.robustness",
+    "front_yields": "repro.moo.robustness",
+    "local_yields": "repro.moo.robustness",
+    "robustness_condition": "repro.moo.robustness",
+    "uptake_yield": "repro.moo.robustness",
+    "AllToAllTopology": "repro.moo.topology",
+    "IsolatedTopology": "repro.moo.topology",
+    "RandomTopology": "repro.moo.topology",
+    "RingTopology": "repro.moo.topology",
+    "StarTopology": "repro.moo.topology",
+    "Topology": "repro.moo.topology",
+    "topology_from_name": "repro.moo.topology",
+}
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and return the attribute."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = ["kernels", *_EXPORTS]

@@ -7,9 +7,10 @@ mining (:mod:`repro.moo.mining`), the front-quality metrics
 (:mod:`repro.moo.robustness`) all consume.
 
 The members live in a :class:`~repro.moo.individual.Population`, whose
-cached ``X``/``F``/``CV`` views the archive exposes as its own.  Insertion
-runs on the batched :func:`repro.moo.kernels.archive_prune` kernel: a whole
-population is folded into the archive on columnar arrays.  The kernel
+``X``/``F``/``CV`` matrices the archive exposes as its own.  Insertion runs
+on the batched :func:`repro.moo.kernels.archive_prune` kernel: a whole
+population is folded into the archive as one array concatenation, and the
+survivors are one row selection of it.  The kernel
 computes the dominance and objective-closeness blocks of a chunk of
 candidates against the live members in one go, packs them into bitmasks,
 and replays sequential insertion (member order, duplicate rejection,
@@ -80,38 +81,29 @@ class ParetoArchive:
         Returns ``True`` when the candidate enters the archive (i.e. it is not
         dominated by any current member); dominated members are removed.
         """
-        return self._fold([candidate]) == 1
+        return self._fold(candidate.copy()._population) == 1
 
-    def add_population(self, population: Iterable[Individual]) -> int:
+    def add_population(self, population: Population | Iterable[Individual]) -> int:
         """Insert every individual of a population; returns how many entered.
 
         The resulting membership (order included) and the count are
         identical to calling :meth:`add` on each individual in order.
         """
-        return self._fold(list(population))
+        if not isinstance(population, Population):
+            population = Population(population)
+        return self._fold(population)
 
-    def _fold(self, batch: list[Individual]) -> int:
-        """Fold ``batch`` into the members with one :func:`~repro.moo.kernels.archive_prune`."""
-        for candidate in batch:
-            if not candidate.is_evaluated:
-                raise ConfigurationError("cannot archive an unevaluated individual")
-        if not batch:
+    def _fold(self, offered: Population) -> int:
+        """Fold ``offered`` into the members with one :func:`~repro.moo.kernels.archive_prune`."""
+        if not len(offered):
             return 0
-        offered = Population(batch)
-        n_members = len(self._members)
-        if n_members:
-            objectives = np.vstack([self.F, offered.F])
-            violations = np.concatenate([self.CV, offered.CV])
-            decisions = np.vstack([self.X, offered.X])
-        else:
-            objectives, violations, decisions = offered.F, offered.CV, offered.X
+        if not offered._evaluated.all():
+            raise ConfigurationError("cannot archive an unevaluated individual")
+        merged = Population.concat([self._members, offered])
         kept, accepted = kernels.archive_prune(
-            objectives, violations, decisions, n_members, capacity=self.capacity
+            merged.F, merged.CV, merged.X, len(self._members), capacity=self.capacity
         )
-        self._members = Population(
-            self._members[index] if index < n_members else batch[index - n_members].copy()
-            for index in kept
-        )
+        self._members = merged.take(kept)
         return accepted
 
     # ------------------------------------------------------------------

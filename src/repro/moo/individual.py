@@ -1,9 +1,19 @@
 """Individuals and populations used by the evolutionary optimizers.
 
-An :class:`Individual` bundles a decision vector with its evaluation result
-and with the bookkeeping fields that NSGA-II needs (non-domination rank and
-crowding distance).  A :class:`Population` is a thin list-like container with
-convenience constructors and views that the algorithms share.
+A :class:`Population` owns its data as arrays: the decision matrix ``X``,
+the objective matrix ``F``, the aggregate constraint violations ``CV``, and
+the NSGA-II bookkeeping ``rank`` (non-domination rank, ``-1`` when unranked)
+and ``crowding`` (crowding distance), one row per member.  The optimizers
+and the kernels of :mod:`repro.moo.kernels` work on these arrays directly:
+offspring arrive as one matrix, evaluation fills ``F`` and ``CV`` from one
+batch, and the parent+offspring union, environmental selection and the
+archive are array concatenations and row selections.
+
+An :class:`Individual` is a view of one row.  Indexing or iterating a
+population yields row views, whose attribute reads and writes go to the
+population's arrays; constructing ``Individual(x)`` makes a free-standing
+candidate, the single row of a population of its own.  Building a
+population from individuals copies their rows.
 """
 
 from __future__ import annotations
@@ -23,41 +33,80 @@ __all__ = ["Individual", "Population"]
 
 
 class Individual:
-    """One candidate solution.
+    """One candidate solution: a view of one row of a :class:`Population`.
 
-    Attributes
-    ----------
-    x:
-        Decision vector (owned copy; mutating it after evaluation invalidates
-        the cached objectives, so variation operators always build new
-        individuals instead).
-    objectives:
-        Minimized objective vector, ``None`` until evaluated.
-    constraint_violation:
-        Aggregate constraint violation (0.0 when feasible or unconstrained).
-    rank:
-        Non-domination rank assigned by the sorting procedure (0 = best front).
-    crowding:
-        Crowding distance within its front.
-    info:
-        Evaluation by-products propagated from :class:`EvaluationResult`.
+    Reading or setting an attribute reads or writes the population's row
+    (``rank`` and ``crowding`` are read-only here: sorting writes them into
+    the population's vectors).
+    ``Individual(x)`` builds a free-standing candidate: the one row of a
+    population of its own, holding a copy of ``x``.
     """
 
-    __slots__ = ("x", "objectives", "constraint_violation", "rank", "crowding", "info")
+    __slots__ = ("_population", "_row")
 
     def __init__(self, x: np.ndarray) -> None:
-        self.x = np.array(x, dtype=float, copy=True)
-        self.objectives: np.ndarray | None = None
-        self.constraint_violation: float = 0.0
-        self.rank: int | None = None
-        self.crowding: float = 0.0
-        self.info: dict = {}
+        self._population = Population.from_matrix(np.asarray(x, dtype=float).reshape(1, -1))
+        self._row = 0
+
+    @classmethod
+    def _view(cls, population: "Population", row: int) -> "Individual":
+        view = object.__new__(cls)
+        view._population = population
+        view._row = row
+        return view
 
     # ------------------------------------------------------------------
     @property
+    def x(self) -> np.ndarray:
+        """Decision vector (a writable view of the row)."""
+        return self._population._X[self._row]
+
+    @property
+    def objectives(self) -> np.ndarray | None:
+        """Minimized objective vector, ``None`` until evaluated."""
+        population = self._population
+        return population._F[self._row] if population._evaluated[self._row] else None
+
+    @objectives.setter
+    def objectives(self, value: np.ndarray | None) -> None:
+        self._population._set_objectives(self._row, value)
+
+    @property
+    def constraint_violation(self) -> float:
+        """Aggregate constraint violation (0.0 when feasible or unconstrained)."""
+        return float(self._population._CV[self._row])
+
+    @constraint_violation.setter
+    def constraint_violation(self, value: float) -> None:
+        self._population._CV[self._row] = value
+
+    @property
+    def rank(self) -> int | None:
+        """Non-domination rank (0 = best front), ``None`` until assigned."""
+        rank = int(self._population.rank[self._row])
+        return None if rank < 0 else rank
+
+    @property
+    def crowding(self) -> float:
+        """Crowding distance within its front."""
+        return float(self._population.crowding[self._row])
+
+    @property
+    def info(self) -> dict:
+        """Evaluation by-products propagated from :class:`EvaluationResult`."""
+        infos = self._population._info
+        if infos[self._row] is None:
+            infos[self._row] = {}
+        return infos[self._row]
+
+    @info.setter
+    def info(self, value: dict) -> None:
+        self._population._info[self._row] = value
+
+    @property
     def is_evaluated(self) -> bool:
-        """``True`` once :meth:`set_evaluation` has been called."""
-        return self.objectives is not None
+        """``True`` once objectives have been attached."""
+        return bool(self._population._evaluated[self._row])
 
     @property
     def is_feasible(self) -> bool:
@@ -71,46 +120,82 @@ class Individual:
         self.info = dict(result.info)
 
     def copy(self) -> "Individual":
-        """Deep copy (decision vector and cached evaluation)."""
-        clone = Individual(self.x)
-        if self.objectives is not None:
-            clone.objectives = self.objectives.copy()
-        clone.constraint_violation = self.constraint_violation
-        clone.rank = self.rank
-        clone.crowding = self.crowding
-        clone.info = dict(self.info)
-        return clone
+        """Free-standing deep copy (decision vector and cached evaluation)."""
+        return Individual._view(self._population.take([self._row]), 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        objectives = (
-            np.array2string(self.objectives, precision=4)
-            if self.objectives is not None
-            else "unevaluated"
+        objectives = self.objectives
+        shown = (
+            np.array2string(objectives, precision=4) if objectives is not None else "unevaluated"
         )
-        return "Individual(objectives=%s, cv=%.3g)" % (objectives, self.constraint_violation)
+        return "Individual(objectives=%s, cv=%.3g)" % (shown, self.constraint_violation)
 
 
 class Population:
-    """Ordered collection of :class:`Individual` objects.
+    """Ordered, array-backed collection of candidate solutions.
 
-    Besides the list-like protocol, the population exposes lazily-cached
-    *columnar views* — :attr:`X` (decision matrix), :attr:`F` (objective
-    matrix) and :attr:`CV` (violation vector) — that the vectorized kernels
-    of :mod:`repro.moo.kernels` consume.  The views are built once and
-    reused until the population mutates (``append`` / ``extend`` /
-    ``evaluate``), so algorithms stop re-stacking per-individual attributes
-    every generation.  Code that mutates :class:`Individual` objects
-    directly (rather than through this container) must call
-    :meth:`invalidate_views` afterwards.
+    ``X`` (decisions), ``F`` (objectives) and ``CV`` (aggregate violations)
+    are read-only views of the population's matrices; ``rank`` and
+    ``crowding`` are its writable NSGA-II bookkeeping vectors.  Indexing
+    with an integer returns an :class:`Individual` row view, with a slice a
+    new population holding copies of the rows.
     """
 
     def __init__(self, individuals: Iterable[Individual] | None = None) -> None:
-        self._individuals: list[Individual] = list(individuals or [])
-        self._views: dict[str, np.ndarray] = {}
+        members = list(individuals) if individuals is not None else []
+        if not members:
+            self._adopt(np.empty((0, 0)))
+            return
+        objectives = [member.objectives for member in members]
+        evaluated = np.array([row is not None for row in objectives])
+        F = None
+        if evaluated.any():
+            blank = np.full(next(row for row in objectives if row is not None).size, np.nan)
+            F = np.vstack([blank if row is None else row for row in objectives])
+        self._adopt(
+            np.vstack([member.x for member in members]),
+            F,
+            np.array([member.constraint_violation for member in members]),
+            np.array([member._population.rank[member._row] for member in members]),
+            np.array([member.crowding for member in members]),
+            evaluated,
+            [_copy_info(member._population._info[member._row]) for member in members],
+        )
+
+    def _adopt(
+        self,
+        X: np.ndarray,
+        F: np.ndarray | None = None,
+        CV: np.ndarray | None = None,
+        rank: np.ndarray | None = None,
+        crowding: np.ndarray | None = None,
+        evaluated: np.ndarray | None = None,
+        info: list | None = None,
+    ) -> None:
+        n = X.shape[0]
+        self._X = X
+        self._F = F
+        self._CV = np.zeros(n) if CV is None else CV
+        if rank is None:
+            rank = np.empty(n, dtype=np.int64)
+            rank.fill(-1)
+        self.rank = rank
+        self.crowding = np.zeros(n) if crowding is None else crowding
+        if evaluated is None:
+            evaluated = np.zeros(n, dtype=bool) if F is None else np.ones(n, dtype=bool)
+        self._evaluated = evaluated
+        self._info = [None] * n if info is None else info
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_matrix(cls, X: np.ndarray) -> "Population":
+        """Unevaluated, unranked members, one per row of ``X`` (owned)."""
+        population = cls.__new__(cls)
+        population._adopt(np.array(X, dtype=float))
+        return population
+
     @classmethod
     def random(
         cls, problem: Problem, size: int, rng: np.random.Generator
@@ -118,98 +203,156 @@ class Population:
         """Create ``size`` individuals sampled uniformly in the decision box."""
         if size <= 0:
             raise ConfigurationError("population size must be positive")
-        return cls(Individual(problem.random_solution(rng)) for _ in range(size))
+        return cls.from_matrix([problem.random_solution(rng) for _ in range(size)])
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[np.ndarray]) -> "Population":
         """Wrap raw decision vectors into unevaluated individuals."""
-        return cls(Individual(v) for v in vectors)
+        if len(vectors) == 0:
+            return cls()
+        return cls.from_matrix(np.vstack(vectors))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Population"]) -> "Population":
+        """One population holding the rows of ``parts`` in order.
+
+        The arrays are copies; the ``info`` dictionaries are shared with
+        ``parts`` (:meth:`take` copies them).
+        """
+        parts = [part for part in parts if len(part)]
+        if not parts:
+            return cls()
+        if len(parts) == 1:
+            return parts[0].copy()
+        evaluated = np.concatenate([part._evaluated for part in parts])
+        F = None
+        if evaluated.any():
+            width = next(part._F.shape[1] for part in parts if part._F is not None)
+            F = np.concatenate(
+                [
+                    part._F if part._F is not None else np.full((len(part), width), np.nan)
+                    for part in parts
+                ]
+            )
+        population = cls.__new__(cls)
+        population._adopt(
+            np.concatenate([part._X for part in parts]),
+            F,
+            np.concatenate([part._CV for part in parts]),
+            np.concatenate([part.rank for part in parts]),
+            np.concatenate([part.crowding for part in parts]),
+            evaluated,
+            [info for part in parts for info in part._info],
+        )
+        return population
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "Population":
+        """A new population holding copies of ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        population = type(self).__new__(type(self))
+        population._adopt(
+            self._X[rows],
+            None if self._F is None else self._F[rows],
+            self._CV[rows],
+            self.rank[rows],
+            self.crowding[rows],
+            self._evaluated[rows],
+            [_copy_info(self._info[row]) for row in rows.tolist()],
+        )
+        return population
 
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._individuals)
+        return self._X.shape[0]
 
     def __iter__(self) -> Iterator[Individual]:
-        return iter(self._individuals)
+        return (Individual._view(self, row) for row in range(len(self)))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Population(self._individuals[index])
-        return self._individuals[index]
+            return self.take(range(len(self))[index])
+        return Individual._view(self, range(len(self))[index])
 
     def append(self, individual: Individual) -> None:
-        """Add one individual at the end of the population."""
-        self._individuals.append(individual)
-        self.invalidate_views()
+        """Add one individual at the end of the population (a copy of its row)."""
+        self.extend([individual])
 
     def extend(self, individuals: Iterable[Individual]) -> None:
-        """Add several individuals at the end of the population."""
-        self._individuals.extend(individuals)
-        self.invalidate_views()
+        """Add several individuals at the end (copies their rows and every array).
+
+        Each call rebuilds the population's arrays: build a population in
+        one step (:meth:`from_matrix`, :meth:`from_vectors`, :meth:`concat`)
+        rather than row by row.
+        """
+        merged = Population.concat([self, Population(individuals)])
+        self._adopt(
+            merged._X,
+            merged._F,
+            merged._CV,
+            merged.rank,
+            merged.crowding,
+            merged._evaluated,
+            merged._info,
+        )
 
     def __getstate__(self) -> dict:
-        """Pickle only the individuals; columnar views rebuild on demand."""
-        return {"individuals": self._individuals}
-
-    def __setstate__(self, state: dict) -> None:
-        """Restore from a pickle; the views start empty."""
-        self._individuals = state["individuals"]
-        self._views = {}
+        """Pickle the arrays; the read-only views rebuild on demand."""
+        state = dict(self.__dict__)
+        state.pop("_views", None)
+        return state
 
     # ------------------------------------------------------------------
-    # Columnar views (consumed by repro.moo.kernels)
+    # Matrix views (consumed by repro.moo.kernels)
     # ------------------------------------------------------------------
-    def invalidate_views(self) -> None:
-        """Drop the cached columnar views; they rebuild on next access.
-
-        Called automatically by every mutating method of the container;
-        call it manually after mutating an :class:`Individual` in place.
-        """
-        self._views.clear()
-
-    def _view(self, key: str) -> np.ndarray:
-        cached = self._views.get(key)
-        if cached is None:
-            cached = self._views[key] = self._build_view(key)
-            cached.setflags(write=False)
-        return cached
-
-    def _build_view(self, key: str) -> np.ndarray:
-        """Stack one column of the individuals: ``X``, ``F`` or ``CV``."""
-        individuals = self._individuals
-        if key == "CV":
-            return np.array([individual.constraint_violation for individual in individuals])
-        if not individuals:
-            return np.empty((0, 0))
-        if key == "X":
-            return np.vstack([individual.x for individual in individuals])
-        for individual in individuals:
-            if individual.objectives is None:
-                raise ConfigurationError("population contains unevaluated individuals")
-        return np.vstack([individual.objectives for individual in individuals])
+    def _read_only(self, key: str, array: np.ndarray) -> np.ndarray:
+        """A read-only view of ``array``, the same object until it is replaced."""
+        views = self.__dict__.setdefault("_views", {})
+        cached = views.get(key)
+        if cached is None or cached[0] is not array:
+            view = array.view()
+            view.flags.writeable = False
+            cached = views[key] = (array, view)
+        return cached[1]
 
     @property
     def X(self) -> np.ndarray:
-        """Read-only cached ``(n, n_var)`` decision matrix."""
-        return self._view("X")
+        """Read-only ``(n, n_var)`` decision matrix."""
+        return self._read_only("X", self._X)
 
     @property
     def F(self) -> np.ndarray:
-        """Read-only cached ``(n, n_obj)`` objective matrix.
+        """Read-only ``(n, n_obj)`` objective matrix.
 
         Raises
         ------
         ConfigurationError
             If any individual has not been evaluated yet.
         """
-        return self._view("F")
+        if self._F is None:
+            if len(self):
+                raise ConfigurationError("population contains unevaluated individuals")
+            return self._read_only("F", np.empty((0, 0)))
+        if not self._evaluated.all():
+            raise ConfigurationError("population contains unevaluated individuals")
+        return self._read_only("F", self._F)
 
     @property
     def CV(self) -> np.ndarray:
-        """Read-only cached ``(n,)`` aggregate constraint-violation vector."""
-        return self._view("CV")
+        """Read-only ``(n,)`` aggregate constraint-violation vector."""
+        return self._read_only("CV", self._CV)
+
+    def _set_objectives(self, row: int, value: np.ndarray | None) -> None:
+        if value is None:
+            self._evaluated[row] = False
+            return
+        value = np.asarray(value, dtype=float).reshape(-1)
+        if self._F is None or np.count_nonzero(self._evaluated) <= self._evaluated[row]:
+            # No other row holds objectives: (re)size F to this vector.
+            self._F = np.full((len(self), value.size), np.nan)
+        self._F[row] = value
+        self._evaluated[row] = True
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -217,27 +360,38 @@ class Population:
     def evaluate(self, problem: Problem, evaluator: "Evaluator") -> int:
         """Evaluate every not-yet-evaluated individual.
 
-        The pending individuals are stacked into one ``(n, n_var)`` decision
-        matrix and evaluated columnar through ``evaluator`` (which may fan
-        the matrix out over worker processes or answer rows from a cache)
-        and counted in its ledger.
+        The pending rows of ``X`` are evaluated as one matrix through
+        ``evaluator`` (which may fan the matrix out over worker processes
+        or answer rows from a cache) and counted in its ledger.
 
         Returns the number of problem evaluations performed, which the
         optimizers use to track their budget.
         """
-        pending = [ind for ind in self._individuals if not ind.is_evaluated]
-        if not pending:
+        pending = np.flatnonzero(~self._evaluated)
+        if not pending.size:
             return 0
-        X = np.vstack([individual.x for individual in pending])
-        batch = evaluator.evaluate_matrix(problem, X)
-        for index, individual in enumerate(pending):
-            individual.set_evaluation(batch.result(index))
-        self.invalidate_views()
-        return len(pending)
+        every = pending.size == len(self)
+        batch = evaluator.evaluate_matrix(problem, self.X if every else self._X[pending])
+        if self._F is None:
+            self._F = np.full((len(self), batch.n_obj), np.nan)
+        self._F[pending] = batch.F
+        self._CV[pending] = batch.total_violations
+        if batch.info is None:
+            for row in pending.tolist():
+                self._info[row] = None
+        else:
+            for row, info in zip(pending.tolist(), batch.info):
+                self._info[row] = dict(info)
+        self._evaluated[pending] = True
+        return int(pending.size)
 
     def copy(self) -> "Population":
         """Deep copy of the population."""
-        return Population(individual.copy() for individual in self._individuals)
+        return self.take(range(len(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Population(size=%d)" % len(self._individuals)
+        return "Population(size=%d)" % len(self)
+
+
+def _copy_info(info: dict | None) -> dict | None:
+    return None if info is None else dict(info)

@@ -8,7 +8,7 @@ an ``(n, n_var)`` matrix ``X`` of decision vectors — instead of on
 of the whole MOO stack: NSGA-II ranking and survivor selection,
 :class:`~repro.moo.archive.ParetoArchive`, MOEA/D neighbourhood replacement
 and the front metrics all call these kernels on a population's
-:attr:`~repro.moo.individual.Population.F` / ``CV`` / ``X`` views.
+:attr:`~repro.moo.individual.Population.F` / ``CV`` / ``X`` matrices.
 
 Dominance follows Deb's feasibility rules throughout (feasible beats
 infeasible, smaller violation beats larger, Pareto dominance between

@@ -24,7 +24,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
-from repro.moo.operators import differential_variation, polynomial_mutation, sbx_crossover
+from repro.moo.operators import (
+    Variation,
+    differential_variation,
+    polynomial_mutation,
+    sbx_crossover,
+)
 from repro.moo.validation import (
     check,
     check_at_least,
@@ -245,38 +250,38 @@ class MOEAD:
         return np.arange(self.config.population_size), False
 
     def _reproduce(self, index: int, pool: np.ndarray) -> np.ndarray:
-        lower, upper = self.problem.lower_bounds, self.problem.upper_bounds
-        if self.config.variation == "de":
-            picks = self.rng.choice(pool, size=2, replace=False)
-            child = differential_variation(
-                self.population[index].x,
-                self.population[int(picks[0])].x,
-                self.population[int(picks[1])].x,
-                lower,
-                upper,
-                self.rng,
-                scale=self.config.de_scale,
-                crossover_rate=self.config.de_crossover_rate,
+        """One child for sub-problem ``index``: a variation record of one pair."""
+        config = self.config
+        variation = Variation(
+            self.problem.lower_bounds,
+            self.problem.upper_bounds,
+            crossover_eta=config.crossover_eta,
+            mutation_eta=config.mutation_eta,
+            mutation_probability=config.mutation_probability,
+        )
+        picks = self.rng.choice(pool, size=2, replace=False)
+        if config.variation == "de":
+            child = variation.add(
+                differential_variation(
+                    self.population[index].x,
+                    self.population[int(picks[0])].x,
+                    self.population[int(picks[1])].x,
+                    variation.lower,
+                    variation.upper,
+                    self.rng,
+                    scale=config.de_scale,
+                    crossover_rate=config.de_crossover_rate,
+                )
             )
         else:
-            picks = self.rng.choice(pool, size=2, replace=False)
             child, _ = sbx_crossover(
+                variation,
                 self.population[int(picks[0])].x,
                 self.population[int(picks[1])].x,
-                lower,
-                upper,
                 self.rng,
-                eta=self.config.crossover_eta,
             )
-        child = polynomial_mutation(
-            child,
-            lower,
-            upper,
-            self.rng,
-            eta=self.config.mutation_eta,
-            probability=self.config.mutation_probability,
-        )
-        return child
+        polynomial_mutation(variation, child, self.rng)
+        return variation.apply()[child]
 
     def step(self) -> None:
         """Perform one MOEA/D generation (one pass over all sub-problems)."""

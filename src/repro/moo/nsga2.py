@@ -22,6 +22,7 @@ from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.operators import (
+    Variation,
     binary_tournament,
     latin_hypercube,
     polynomial_mutation,
@@ -43,7 +44,7 @@ __all__ = ["NSGA2Config", "NSGA2", "assign_ranks_and_crowding"]
 def assign_ranks_and_crowding(
     population: Population, cover: int | None = None
 ) -> list[list[int]]:
-    """Sort ``population`` and store rank and crowding on every individual.
+    """Sort ``population`` and store its ``rank`` and ``crowding`` vectors.
 
     Runs :func:`repro.moo.kernels.nondominated_sort` on ``population.F`` /
     ``population.CV`` and :func:`repro.moo.kernels.crowding_distances` per
@@ -57,43 +58,40 @@ def assign_ranks_and_crowding(
     objectives = population.F
     fronts = kernels.nondominated_sort(objectives, population.CV, cover=cover)
     for rank, front in enumerate(fronts):
-        distances = kernels.crowding_distances(objectives[np.asarray(front)])
-        for position, index in enumerate(front):
-            population[index].rank = rank
-            population[index].crowding = float(distances[position])
+        rows = np.asarray(front)
+        population.rank[rows] = rank
+        population.crowding[rows] = kernels.crowding_distances(objectives[rows])
     return fronts
 
 
 def _truncate_front(
     union: Population, fronts: list[list[int]], rank: int, remaining: int
-) -> list[Individual]:
+) -> list[int]:
     """Keep the ``remaining`` least crowded members of ``fronts[rank]``.
 
-    Returns them in truncation order with their crowding recomputed among
-    themselves, exactly as a fresh sort of the survivors would.  That sort
-    lists the kept members of front 0 in survivor (truncation) order; those
-    of a later front where their last dominator in the (whole) previous
-    front releases them, ties in survivor order, which is a stable sort on
-    the last dominator's position.
+    Returns their rows in truncation order, with their crowding recomputed
+    among themselves, exactly as a fresh sort of the survivors would.  That
+    sort lists the kept members of front 0 in survivor (truncation) order;
+    those of a later front where their last dominator in the (whole)
+    previous front releases them, ties in survivor order, which is a stable
+    sort on the last dominator's position.
     """
     front = fronts[rank]
-    crowding = np.array([union[i].crowding for i in front])
-    kept = [front[k] for k in kernels.crowding_truncation_order(crowding)[:remaining]]
+    order = kernels.crowding_truncation_order(union.crowding[np.asarray(front)])
+    kept = [front[k] for k in order[:remaining]]
     if not kept:
         return []
     listed = kept
+    F, CV = union.F, union.CV
     if rank > 0:
-        F, CV = union.F, union.CV
         previous = fronts[rank - 1]
         released_by = kernels.constrained_domination_blocks(
             F[previous], CV[previous], F[kept], CV[kept]
         )
         last_dominator = len(previous) - 1 - np.argmax(released_by[::-1, :], axis=0)
         listed = [kept[k] for k in np.argsort(last_dominator, kind="stable")]
-    distances = kernels.crowding_distances(union.F[listed])
-    for index, distance in zip(listed, distances.tolist()):
-        union[index].crowding = distance
-    return [union[i] for i in kept]
+    union.crowding[listed] = kernels.crowding_distances(F[listed])
+    return kept
 
 
 @dataclass
@@ -197,42 +195,30 @@ class NSGA2:
         self.generation = 0
 
     def _make_offspring(self) -> Population:
-        """Create one generation of offspring by selection + SBX + mutation."""
+        """Create one generation of offspring by selection + SBX + mutation.
+
+        The draw steps run per pair, in the order of the random stream
+        (two tournaments, the crossover, the two mutations); the recorded
+        variation is then applied to the whole generation at once.
+        """
         assert self.population is not None
-        offspring = Population()
-        lower, upper = self.problem.lower_bounds, self.problem.upper_bounds
-        while len(offspring) < self.config.population_size:
-            parent_a = binary_tournament(self.population, self.rng)
-            parent_b = binary_tournament(self.population, self.rng)
-            child_a, child_b = sbx_crossover(
-                parent_a.x,
-                parent_b.x,
-                lower,
-                upper,
-                self.rng,
-                eta=self.config.crossover_eta,
-                probability=self.config.crossover_probability,
-            )
-            child_a = polynomial_mutation(
-                child_a,
-                lower,
-                upper,
-                self.rng,
-                eta=self.config.mutation_eta,
-                probability=self.config.mutation_probability,
-            )
-            child_b = polynomial_mutation(
-                child_b,
-                lower,
-                upper,
-                self.rng,
-                eta=self.config.mutation_eta,
-                probability=self.config.mutation_probability,
-            )
-            offspring.append(Individual(child_a))
-            if len(offspring) < self.config.population_size:
-                offspring.append(Individual(child_b))
-        return offspring
+        population, rng, config = self.population, self.rng, self.config
+        variation = Variation(
+            self.problem.lower_bounds,
+            self.problem.upper_bounds,
+            crossover_eta=config.crossover_eta,
+            crossover_probability=config.crossover_probability,
+            mutation_eta=config.mutation_eta,
+            mutation_probability=config.mutation_probability,
+        )
+        X = population.X
+        for _ in range(config.population_size // 2):
+            parent_a = binary_tournament(population, rng)
+            parent_b = binary_tournament(population, rng)
+            child_a, child_b = sbx_crossover(variation, X[parent_a], X[parent_b], rng)
+            polynomial_mutation(variation, child_a, rng)
+            polynomial_mutation(variation, child_b, rng)
+        return Population.from_matrix(variation.apply())
 
     def _environmental_selection(self, union: Population) -> Population:
         """Elitist truncation of the parent+offspring union.
@@ -249,14 +235,14 @@ class NSGA2:
         (:func:`_truncate_front`).
         """
         fronts = assign_ranks_and_crowding(union, cover=self.config.population_size)
-        survivors = Population()
+        survivors: list[int] = []
         for rank, front in enumerate(fronts):
             remaining = self.config.population_size - len(survivors)
             if len(front) > remaining:
                 survivors.extend(_truncate_front(union, fronts, rank, remaining))
                 break
-            survivors.extend(union[i] for i in front)
-        return survivors
+            survivors.extend(front)
+        return union.take(survivors)
 
     def step(self) -> None:
         """Advance the optimizer by one generation."""
@@ -265,7 +251,7 @@ class NSGA2:
         assert self.population is not None
         offspring = self._make_offspring()
         self.evaluations += offspring.evaluate(self.problem, self.evaluator)
-        union = Population(list(self.population) + list(offspring))
+        union = Population.concat([self.population, offspring])
         self.population = self._environmental_selection(union)
         self.archive.add_population(self.population)
         self.generation += 1
@@ -323,7 +309,7 @@ class NSGA2:
         replacements = min(len(immigrants), len(self.population))
         individuals = list(self.population)
         for slot, migrant in zip(worst_first[:replacements], immigrants[:replacements]):
-            individuals[slot] = migrant.copy()
-        self.population = Population(individuals)
+            individuals[slot] = migrant
+        self.population = Population(individuals)  # copies every row
         assign_ranks_and_crowding(self.population)
         self.archive.add_population(self.population)

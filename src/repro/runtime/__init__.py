@@ -24,30 +24,38 @@ engine, problem and benchmark fast at once:
 * :mod:`repro.runtime.parallel` — the order-preserving
   :func:`~repro.runtime.parallel_map` primitive behind the ``n_workers``
   knobs of the FBA scans and the kinetic ensemble simulator.
+
+The public names below resolve on first access, so a serial solve never
+loads the disk cache (``sqlite3``) or the worker pools
+(``multiprocessing``).
 """
 
-from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.diskcache import DiskCache, PersistentCachedEvaluator
-from repro.runtime.evaluator import (
-    CachedEvaluator,
-    Evaluator,
-    ProcessPoolEvaluator,
-    SerialEvaluator,
-    build_evaluator,
-)
-from repro.runtime.ledger import EvaluationLedger, PhaseStats
-from repro.runtime.parallel import parallel_map
+import importlib
 
-__all__ = [
-    "CheckpointManager",
-    "CachedEvaluator",
-    "DiskCache",
-    "PersistentCachedEvaluator",
-    "Evaluator",
-    "ProcessPoolEvaluator",
-    "SerialEvaluator",
-    "build_evaluator",
-    "EvaluationLedger",
-    "PhaseStats",
-    "parallel_map",
-]
+#: Public name -> module defining it, resolved by :func:`__getattr__`.
+_EXPORTS = {
+    "CheckpointManager": "repro.runtime.checkpoint",
+    "CachedEvaluator": "repro.runtime.evaluator",
+    "DiskCache": "repro.runtime.diskcache",
+    "PersistentCachedEvaluator": "repro.runtime.diskcache",
+    "Evaluator": "repro.runtime.evaluator",
+    "ProcessPoolEvaluator": "repro.runtime.evaluator",
+    "SerialEvaluator": "repro.runtime.evaluator",
+    "build_evaluator": "repro.runtime.evaluator",
+    "EvaluationLedger": "repro.runtime.ledger",
+    "PhaseStats": "repro.runtime.ledger",
+    "parallel_map": "repro.runtime.parallel",
+}
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and return the attribute."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_EXPORTS)

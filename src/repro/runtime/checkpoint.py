@@ -4,7 +4,9 @@ A :class:`CheckpointManager` owns one directory of pickled optimizer states,
 written atomically (temp file + rename) so a kill can never leave a corrupt
 *latest* checkpoint behind.  Because every optimizer in this library carries
 its own random generators, restoring a checkpoint and continuing reproduces
-the uninterrupted run bit for bit.
+the uninterrupted run bit for bit.  A restore resumes from the newest
+*readable* checkpoint: one that cannot be unpickled (truncated by a disk
+fault or a partial copy, say) is skipped for the one before it.
 
 Typical use::
 
@@ -40,7 +42,12 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 
 #: Layout of the pickled payload; bumped whenever a checkpointed class
 #: changes what it pickles, so an older checkpoint is refused, not misread.
-_FORMAT_VERSION = 2
+#: Version 3: a ``Population`` pickles its arrays, not a list of individuals.
+_FORMAT_VERSION = 3
+
+
+class _Unreadable(CheckpointError):
+    """A checkpoint file that cannot be read or unpickled."""
 
 
 def list_checkpoints(directory: str | os.PathLike) -> list[tuple[int, Path]]:
@@ -160,11 +167,7 @@ class CheckpointManager:
         chosen = Path(path) if path is not None else self.latest()
         if chosen is None:
             raise CheckpointError("no checkpoint found in %s" % self.directory)
-        try:
-            with open(chosen, "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
-            raise CheckpointError("cannot read checkpoint %s: %s" % (chosen, error)) from error
+        payload = self._read(chosen)
         if not isinstance(payload, dict) or "state" not in payload:
             raise CheckpointError("checkpoint %s has an unknown layout" % chosen)
         version = payload.get("format_version")
@@ -176,14 +179,40 @@ class CheckpointManager:
             )
         return payload["state"], int(payload.get("generation", 0))
 
+    @staticmethod
+    def _read(path: Path) -> Any:
+        try:
+            with open(path, "rb") as handle:
+                return pickle.load(handle)
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
+            raise _Unreadable("cannot read checkpoint %s: %s" % (path, error)) from error
+
     def load_latest(self) -> tuple[Any, int] | None:
-        """Like :meth:`load` but returns ``None`` when the directory is empty."""
-        if self.latest() is None:
-            return None
-        return self.load()
+        """Load the newest readable checkpoint; ``None`` when there is none.
+
+        A checkpoint that cannot be read or unpickled (truncated, say) is
+        skipped in favour of the next older one, so a run resumes from the
+        newest checkpoint that survived.  A readable checkpoint of another
+        format version still raises.
+
+        Raises
+        ------
+        CheckpointError
+            If checkpoints exist but none is readable (the newest one's
+            error), or the newest readable one has another format version.
+        """
+        newest_error = None
+        for path in reversed(self.checkpoints()):
+            try:
+                return self.load(path)
+            except _Unreadable as error:
+                newest_error = newest_error or error
+        if newest_error is not None:
+            raise newest_error
+        return None
 
     def restore(self, target: Any) -> bool:
-        """Roll ``target`` forward to the latest checkpointed state, if newer.
+        """Roll ``target`` forward to the newest readable checkpoint, if newer.
 
         The checkpointed state must be an object of the same shape as
         ``target`` (the optimizers checkpoint themselves); its ``__dict__``

@@ -29,7 +29,6 @@ and lazily rebuilt — which lets checkpointed optimizers carry their evaluator
 from __future__ import annotations
 
 import abc
-import multiprocessing
 import os
 import pickle
 from typing import TYPE_CHECKING
@@ -169,6 +168,9 @@ class ProcessPoolEvaluator(Evaluator):
             raise ConfigurationError("chunks_per_worker must be at least 1")
         self.chunks_per_worker = int(chunks_per_worker)
         if mp_context is None:
+            # Imported here: a serial or cached run never loads multiprocessing.
+            import multiprocessing
+
             mp_context = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         self.mp_context = mp_context
         #: Number of times execution fell back to serial: once per mid-batch
@@ -194,6 +196,8 @@ class ProcessPoolEvaluator(Evaluator):
             self._unpicklable = problem
             self.fallbacks += 1
             return False
+        import multiprocessing
+
         pool = None
         try:
             context = (

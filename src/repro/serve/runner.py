@@ -68,14 +68,17 @@ from repro.solve.events import (
 __all__ = ["EventLogObserver", "run_job", "serve_forks", "main"]
 
 #: Modules the fork server imports before its first fork: numpy, the solve
-#: driver, telemetry and the problems a served job most often builds.  Not
-#: scipy, ``repro.fba`` or ``repro.geobacter``: a geobacter job imports them
-#: in its own child, and a photosynthesis job stays scipy-free.
+#: driver, telemetry, the disk cache and front metrics every job uses, and
+#: the problems a served job most often builds.  Not scipy, ``repro.fba`` or
+#: ``repro.geobacter``: a geobacter job imports them in its own child, and a
+#: photosynthesis job stays scipy-free.
 _PRELOAD = (
     "numpy.random",
     "repro.core.artifacts",
     "repro.solve",
     "repro.obs.telemetry",
+    "repro.runtime.diskcache",
+    "repro.moo.metrics",
     "repro.problems.builtins",
     "repro.moo.testproblems",
     "repro.photosynthesis.problem",

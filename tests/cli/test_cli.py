@@ -339,7 +339,9 @@ class TestSolve:
                 "--checkpoint-interval", "2"]
         assert main(args + ["--generations", "4"]) == 0
         capsys.readouterr()
-        (tmp_path / "checkpoint-00000004.pkl").write_bytes(b"\x80\x05trunc")
+        # Every checkpoint truncated: none is left to fall back on.
+        for generation in (2, 4):
+            (tmp_path / ("checkpoint-%08d.pkl" % generation)).write_bytes(b"\x80\x05trunc")
         assert main(args + ["--generations", "6"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read checkpoint")
@@ -358,7 +360,7 @@ class TestSolve:
         payload["format_version"] = 1
         path.write_bytes(pickle.dumps(payload))
         assert main(args + ["--generations", "6"]) == 2
-        assert "format version 1, expected 2" in capsys.readouterr().err
+        assert "format version 1, expected 3" in capsys.readouterr().err
 
     def test_unknown_algorithm_is_a_clean_error(self, capsys):
         assert main(["solve", "zdt1", "--algorithm", "nsga3"]) == 2

@@ -140,3 +140,34 @@ def test_kinetic_simulation_loads_its_ode_solver():
         "print(len(result.times) > 1, 'scipy.integrate' in sys.modules)\n"
     )
     assert _probe(script) == "True True"
+
+
+def test_zdt1_solve_setup_loads_no_cache_pool_or_analysis_module():
+    """A serial zdt1 solve needs neither the disk cache nor worker pools.
+
+    ``repro.moo`` and ``repro.runtime`` resolve their exports lazily, and
+    the process pool imports ``multiprocessing`` when it is built, so
+    setting up a solve loads only the engines and the serial evaluator.
+    """
+    script = (
+        "import sys\n"
+        "from repro.problems import build_problem\n"
+        "from repro.solve import solve\n"
+        "build_problem('zdt1')\n"
+        "print(sorted(m for m in ('sqlite3', 'multiprocessing', 'repro.moo.robustness',"
+        " 'repro.moo.mining', 'repro.moo.metrics', 'repro.runtime.diskcache',"
+        " 'repro.runtime.parallel') if m in sys.modules))\n"
+    )
+    assert _probe(script) == "[]"
+
+
+def test_lazy_package_exports_still_resolve():
+    script = (
+        "import repro.moo, repro.runtime\n"
+        "from repro.moo import hypervolume, NSGA2, kernels, Problem\n"
+        "from repro.runtime import DiskCache, parallel_map, ProcessPoolEvaluator\n"
+        "missing = [n for p in (repro.moo, repro.runtime) for n in p.__all__"
+        " if getattr(p, n, None) is None]\n"
+        "print(missing, ProcessPoolEvaluator(n_workers=1).mp_context is not None)\n"
+    )
+    assert _probe(script) == "[] True"

@@ -1,12 +1,15 @@
 """Tests for the NSGA-II optimizer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.moo import kernels
+from repro.moo import kernels, nsga2
+from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
@@ -223,3 +226,46 @@ class TestSingleSortSelection:
         assert [int(ind.x[0]) for ind in survivors] == [8, 10, 2, 4, 9, 6]
         assert survivors[-1].crowding == expected[-1].crowding < np.inf
         assert _selection_record(survivors) == _selection_record(expected)
+
+
+class TestCallPoints:
+    """The names perfbench's layer table wraps are called every generation.
+
+    ``perfbench/tracing.py`` times variation through ``nsga2``'s
+    ``binary_tournament``, ``sbx_crossover`` and ``polynomial_mutation``,
+    evaluation through ``Population.evaluate`` and the archive through
+    ``ParetoArchive.add_population``; a refactor that stops calling one of
+    them would move its time into another layer without any error.
+    """
+
+    @pytest.mark.parametrize("size", [4, 8, 20])
+    def test_one_generation_calls_each_point_per_pair_child_and_batch(self, size, monkeypatch):
+        calls, offered = Counter(), []
+
+        def counting(owner, name):
+            function = owner.__dict__[name]
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "add_population":
+                    offered.append(len(args[1]))
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        engine = NSGA2(ZDT1(n_var=5), NSGA2Config(population_size=size), seed=1)
+        engine.initialize()
+        for name in ("binary_tournament", "sbx_crossover", "polynomial_mutation"):
+            counting(nsga2, name)
+        counting(Population, "evaluate")
+        counting(ParetoArchive, "add_population")
+        for generation in range(1, 3):
+            engine.step()
+            assert calls == {
+                "binary_tournament": generation * size,
+                "sbx_crossover": generation * size // 2,
+                "polynomial_mutation": generation * size,
+                "evaluate": generation,
+                "add_population": generation,
+            }
+        assert offered == [size, size]

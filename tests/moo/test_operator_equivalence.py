@@ -1,20 +1,35 @@
-"""Block-draw variation operators == the scalar per-gene loops, bit for bit.
+"""Draw/apply variation == the scalar per-gene loops, bit for bit.
 
-``repro.moo.operators`` draws its uniforms in blocks and does the per-gene
-arithmetic on Python floats; ``tests/oracles/operators.py`` keeps the loops
-that make one ``rng.random()`` call per decision.  For every seed both are
-run on twin generators and must return the same bytes and leave the
-generators in the same state, call after call, so an engine's random stream
-(tournament, SBX and mutation draws interleaved per pair) cannot drift.
+``repro.moo.operators`` walks the random stream per pair in draw steps that
+record the uniforms, then does the arithmetic of a whole generation on
+arrays; ``tests/oracles/operators.py`` keeps the loops that make one
+``rng.random()`` call per decision and compute each gene on the spot, and
+NSGA-II's per-pair generation loop over them.  For every seed both are run
+on twin generators and must return the same bytes and leave the generators
+in the same state, generation after generation (and, through a one-pair
+record, call after call), so an engine's random stream cannot drift.
 """
 
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.moo import operators
+from repro.moo.individual import Population
+from repro.moo.nsga2 import NSGA2, NSGA2Config
+from repro.problems.base import FunctionalProblem
+from tests.helpers import crossover_pair, mutate
 from tests.oracles import operators as oracle
+
+#: The library's draw steps and apply pass behind the oracle's per-pair
+#: signatures: each call runs on a one-pair (or one-child) record.
+records = types.SimpleNamespace(
+    sbx_crossover=crossover_pair,
+    polynomial_mutation=mutate,
+    differential_variation=operators.differential_variation,
+)
 
 SEEDS = range(300)
 N_VARS = (1, 2, 23, 30, 608)
@@ -78,7 +93,7 @@ def test_sbx_then_mutation_matches_scalar_loops(n):
         rng_expected = np.random.default_rng(seed)
         rng_actual = np.random.default_rng(seed)
         expected = _chain(oracle, seed, n, rng_expected)
-        actual = _chain(operators, seed, n, rng_actual)
+        actual = _chain(records, seed, n, rng_actual)
         for (*want, want_state), (*got, got_state) in zip(expected, actual):
             _assert_twins(want, got, rng_expected, rng_actual)
             assert got_state == want_state
@@ -92,7 +107,7 @@ def test_sbx_matches_at_extreme_probabilities(eta, probability):
         rng_expected = np.random.default_rng(seed)
         rng_actual = np.random.default_rng(seed)
         expected = oracle.sbx_crossover(a, b, lower, upper, rng_expected, eta, probability)
-        actual = operators.sbx_crossover(a, b, lower, upper, rng_actual, eta, probability)
+        actual = records.sbx_crossover(a, b, lower, upper, rng_actual, eta, probability)
         _assert_twins(expected, actual, rng_expected, rng_actual)
 
 
@@ -104,7 +119,7 @@ def test_mutation_matches_at_extreme_probabilities(eta, probability):
         rng_expected = np.random.default_rng(seed)
         rng_actual = np.random.default_rng(seed)
         expected = oracle.polynomial_mutation(x, lower, upper, rng_expected, eta, probability)
-        actual = operators.polynomial_mutation(x, lower, upper, rng_actual, eta, probability)
+        actual = records.polynomial_mutation(x, lower, upper, rng_actual, eta, probability)
         _assert_twins([expected], [actual], rng_expected, rng_actual)
 
 
@@ -116,10 +131,10 @@ def test_identical_parents_and_zero_spans_consume_only_gates():
         rng_expected = np.random.default_rng(seed)
         rng_actual = np.random.default_rng(seed)
         expected = oracle.sbx_crossover(parent, parent, lower, lower + 1.0, rng_expected, 15.0, 1.0)
-        actual = operators.sbx_crossover(parent, parent, lower, lower + 1.0, rng_actual, 15.0, 1.0)
+        actual = records.sbx_crossover(parent, parent, lower, lower + 1.0, rng_actual, 15.0, 1.0)
         _assert_twins(expected, actual, rng_expected, rng_actual)
         expected = oracle.polynomial_mutation(lower, lower, lower, rng_expected, 20.0, 1.0)
-        actual = operators.polynomial_mutation(lower, lower, lower, rng_actual, 20.0, 1.0)
+        actual = records.polynomial_mutation(lower, lower, lower, rng_actual, 20.0, 1.0)
         _assert_twins([expected], [actual], rng_expected, rng_actual)
 
 
@@ -138,7 +153,7 @@ def test_differential_variation_matches_scalar_repair(n):
         expected = oracle.differential_variation(
             base, donor_a, donor_b, lower, upper, rng_expected, scale, crossover_rate
         )
-        actual = operators.differential_variation(
+        actual = records.differential_variation(
             base, donor_a, donor_b, lower, upper, rng_actual, scale, crossover_rate
         )
         _assert_twins([expected], [actual], rng_expected, rng_actual)
@@ -167,7 +182,7 @@ def test_values_outside_the_box_keep_numpy_scalar_semantics():
             lambda: oracle.sbx_crossover(a, b, lower, upper, rng_expected, eta, 1.0)
         )
         actual, actual_warnings = _recorded(
-            lambda: operators.sbx_crossover(a, b, lower, upper, rng_actual, eta, 1.0)
+            lambda: records.sbx_crossover(a, b, lower, upper, rng_actual, eta, 1.0)
         )
         _assert_twins(expected, actual, rng_expected, rng_actual)
         assert actual_warnings == expected_warnings
@@ -175,7 +190,113 @@ def test_values_outside_the_box_keep_numpy_scalar_semantics():
             lambda: oracle.polynomial_mutation(b, lower, upper, rng_expected, eta, 1.0)
         )
         actual, actual_warnings = _recorded(
-            lambda: operators.polynomial_mutation(b, lower, upper, rng_actual, eta, 1.0)
+            lambda: records.polynomial_mutation(b, lower, upper, rng_actual, eta, 1.0)
         )
         _assert_twins([expected], [actual], rng_expected, rng_actual)
         assert actual_warnings == expected_warnings
+
+
+# ---------------------------------------------------------------------------
+# Whole generations: NSGA-II's draw steps and one apply pass against the
+# oracle's per-pair loop.
+# ---------------------------------------------------------------------------
+GENERATION_CASES = [(n, size) for n in (1, 2, 23, 30) for size in (4, 6, 10, 32, 100)]
+GENERATION_CASES += [(608, 4), (608, 10), (608, 100)]
+
+
+def _generation_setup(seed, n, size):
+    """Box, parents and engine settings with every branch the loops take.
+
+    Some genes have zero span; some parents sit on a bound, are copies of
+    another row or 1e-15 away from one; the probabilities include 0 and 1
+    and the distribution indices span 1 to 200.
+    """
+    setup = np.random.default_rng(40_000 + seed)
+    lower = setup.uniform(-5.0, 0.0, n)
+    upper = lower + setup.uniform(0.0, 5.0, n)
+    zero_span = setup.random(n) < 0.1
+    upper[zero_span] = lower[zero_span]
+    X = setup.uniform(lower, upper, (size, n))
+    kind = setup.integers(0, 8, (size, n))
+    X[kind == 0] = np.broadcast_to(lower, X.shape)[kind == 0]
+    X[kind == 1] = np.broadcast_to(upper, X.shape)[kind == 1]
+    X[1::3] = X[0::3][: len(X[1::3])]
+    X[2::3] = np.clip(X[0::3][: len(X[2::3])] + 1e-15, lower, upper)
+    config = NSGA2Config(
+        population_size=size,
+        crossover_probability=SBX_PROBABILITIES[seed % 3],
+        crossover_eta=ETAS[(seed // 3) % 3],
+        mutation_probability=MUTATION_PROBABILITIES[seed % 4],
+        mutation_eta=ETAS[(seed // 4) % 3],
+    )
+    return setup, lower, upper, X, config
+
+
+def _engine(lower, upper, config, rng):
+    problem = FunctionalProblem(
+        lower.size, [lambda x: 0.0, lambda x: 0.0], lower_bounds=lower, upper_bounds=upper
+    )
+    engine = NSGA2(problem, config)
+    engine.rng = rng
+    return engine
+
+
+def _run_generations(seed, n, size, generations=3, perturb=None):
+    """Children and warnings of both sides, generation by generation."""
+    setup, lower, upper, X, config = _generation_setup(seed, n, size)
+    if perturb is not None:
+        perturb(setup, X)
+    rng_expected = np.random.default_rng(seed)
+    rng_actual = np.random.default_rng(seed)
+    engine = _engine(lower, upper, config, rng_actual)
+    for _ in range(generations):
+        # Coarse ranks and crowding: tournaments tie often and draw again.
+        rank = setup.integers(0, 2, size)
+        crowding = setup.choice([0.0, 0.5, 1.0, np.inf], size)
+        population = Population.from_matrix(X)
+        population.rank[:] = rank
+        population.crowding[:] = crowding
+        engine.population = population
+        expected, expected_warnings = _recorded(
+            lambda: oracle.offspring(X, rank, crowding, lower, upper, rng_expected, config)
+        )
+        actual, actual_warnings = _recorded(lambda: engine._make_offspring().X)
+        assert actual.shape == expected.shape == (size, n)
+        assert actual.tobytes() == expected.tobytes()
+        assert rng_actual.bit_generator.state == rng_expected.bit_generator.state
+        assert actual_warnings == expected_warnings
+        X = np.array(actual)
+    return expected_warnings
+
+
+@pytest.mark.parametrize("n, size", GENERATION_CASES)
+def test_generations_match_the_per_pair_loop(n, size):
+    for seed in range(12 if n < 608 else 3):
+        assert _run_generations(seed, n, size) == []
+
+
+def test_generations_outside_the_box_keep_numpy_scalar_semantics():
+    """Out-of-box genes give the loops' nan/inf children and the same warnings.
+
+    Parents pushed out of the box run three generations; parents that are
+    also nan run one.  Over more generations such nan parents would meet
+    nan children of the opposite sign, and which nan an addition of two
+    propagates depends on operand order, which the loops (numpy scalars)
+    and the library (Python float parents, as before its rewrite) leave to
+    different compiled code.
+    """
+
+    def push_out(setup, X):
+        X[setup.random(X.shape) < 0.2] -= 10.0
+        X[setup.random(X.shape) < 0.2] += 10.0
+
+    def push_out_with_nan(setup, X):
+        push_out(setup, X)
+        X[setup.random(X.shape) < 0.05] = np.nan
+
+    seen = set()
+    for seed in range(24):
+        for size in (4, 20):
+            seen.update(_run_generations(seed, 30, size, perturb=push_out))
+            seen.update(_run_generations(seed, 30, size, 1, perturb=push_out_with_nan))
+    assert seen, "the out-of-box generations should warn"

@@ -6,15 +6,10 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
-from repro.moo.operators import (
-    binary_tournament,
-    differential_variation,
-    latin_hypercube,
-    polynomial_mutation,
-    sbx_crossover,
-)
+from repro.moo.operators import binary_tournament, differential_variation, latin_hypercube
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime.evaluator import SerialEvaluator
+from tests.helpers import crossover_pair, mutate
 
 LOWER = np.zeros(5)
 UPPER = np.ones(5)
@@ -26,28 +21,28 @@ class TestSBX:
         for _ in range(50):
             a = rng.random(5)
             b = rng.random(5)
-            child_a, child_b = sbx_crossover(a, b, LOWER, UPPER, rng)
+            child_a, child_b = crossover_pair(a, b, LOWER, UPPER, rng)
             assert np.all(child_a >= LOWER) and np.all(child_a <= UPPER)
             assert np.all(child_b >= LOWER) and np.all(child_b <= UPPER)
 
     def test_zero_probability_copies_parents(self):
         rng = np.random.default_rng(1)
         a, b = rng.random(5), rng.random(5)
-        child_a, child_b = sbx_crossover(a, b, LOWER, UPPER, rng, probability=0.0)
+        child_a, child_b = crossover_pair(a, b, LOWER, UPPER, rng, probability=0.0)
         assert child_a == pytest.approx(a)
         assert child_b == pytest.approx(b)
 
     def test_identical_parents_stay_identical(self):
         rng = np.random.default_rng(2)
         a = np.full(5, 0.5)
-        child_a, child_b = sbx_crossover(a, a.copy(), LOWER, UPPER, rng, probability=1.0)
+        child_a, child_b = crossover_pair(a, a.copy(), LOWER, UPPER, rng, probability=1.0)
         assert child_a == pytest.approx(a)
         assert child_b == pytest.approx(a)
 
     def test_invalid_eta_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigurationError):
-            sbx_crossover(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2), rng, eta=0.0)
+            crossover_pair(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2), rng, eta=0.0)
 
     def test_large_eta_keeps_children_near_parents(self):
         rng = np.random.default_rng(4)
@@ -55,7 +50,7 @@ class TestSBX:
         b = np.full(5, 0.7)
         children = []
         for _ in range(30):
-            child_a, child_b = sbx_crossover(a, b, LOWER, UPPER, rng, eta=200.0, probability=1.0)
+            child_a, child_b = crossover_pair(a, b, LOWER, UPPER, rng, eta=200.0, probability=1.0)
             children.extend([child_a, child_b])
         # With a very large distribution index every offspring gene sits close
         # to one of the two parental values.
@@ -70,13 +65,13 @@ class TestPolynomialMutation:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.random(5)
-            y = polynomial_mutation(x, LOWER, UPPER, rng, probability=1.0)
+            y = mutate(x, LOWER, UPPER, rng, probability=1.0)
             assert np.all(y >= LOWER) and np.all(y <= UPPER)
 
     def test_zero_probability_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.random(5)
-        assert polynomial_mutation(x, LOWER, UPPER, rng, probability=0.0) == pytest.approx(x)
+        assert mutate(x, LOWER, UPPER, rng, probability=0.0) == pytest.approx(x)
 
     def test_default_probability_mutates_on_average_one_gene(self):
         rng = np.random.default_rng(2)
@@ -84,20 +79,20 @@ class TestPolynomialMutation:
         trials = 200
         for _ in range(trials):
             x = rng.random(5)
-            y = polynomial_mutation(x, LOWER, UPPER, rng)
+            y = mutate(x, LOWER, UPPER, rng)
             changed += int(np.sum(~np.isclose(x, y)))
         assert changed / trials == pytest.approx(1.0, abs=0.4)
 
     def test_invalid_eta_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigurationError):
-            polynomial_mutation(np.zeros(2), np.zeros(2), np.ones(2), rng, eta=-1.0)
+            mutate(np.zeros(2), np.zeros(2), np.ones(2), rng, eta=-1.0)
 
     def test_degenerate_bounds_left_unchanged(self):
         rng = np.random.default_rng(4)
         lower = np.array([0.5])
         upper = np.array([0.5])
-        assert polynomial_mutation(np.array([0.5]), lower, upper, rng, probability=1.0) == pytest.approx([0.5])
+        assert mutate(np.array([0.5]), lower, upper, rng, probability=1.0) == pytest.approx([0.5])
 
 
 class TestTournament:
@@ -107,7 +102,7 @@ class TestTournament:
         population = Population.random(problem, 16, rng)
         population.evaluate(problem, SerialEvaluator())
         assign_ranks_and_crowding(population)
-        winners = [binary_tournament(population, rng) for _ in range(100)]
+        winners = [population[binary_tournament(population, rng)] for _ in range(100)]
         mean_winner_rank = np.mean([w.rank for w in winners])
         mean_population_rank = np.mean([i.rank for i in population])
         assert mean_winner_rank <= mean_population_rank

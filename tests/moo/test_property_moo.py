@@ -10,8 +10,8 @@ from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual
 from repro.moo.metrics import hypervolume
 from repro.moo.mining import closest_to_ideal, ideal_point
-from repro.moo.operators import polynomial_mutation, sbx_crossover
 from repro.moo.robustness import PerturbationModel, robustness_condition
+from tests.helpers import crossover_pair, mutate
 
 objective_matrices = arrays(
     dtype=float,
@@ -154,7 +154,7 @@ class TestOperatorProperties:
         a, b = a[:n], b[:n]
         lower, upper = np.zeros(n), np.ones(n)
         rng = np.random.default_rng(seed)
-        child_a, child_b = sbx_crossover(a, b, lower, upper, rng)
+        child_a, child_b = crossover_pair(a, b, lower, upper, rng)
         assert np.all(child_a >= lower) and np.all(child_a <= upper)
         assert np.all(child_b >= lower) and np.all(child_b <= upper)
 
@@ -163,7 +163,7 @@ class TestOperatorProperties:
     def test_mutation_respects_bounds(self, x, seed):
         lower, upper = np.zeros(x.size), np.ones(x.size)
         rng = np.random.default_rng(seed)
-        y = polynomial_mutation(x, lower, upper, rng, probability=1.0)
+        y = mutate(x, lower, upper, rng, probability=1.0)
         assert np.all(y >= lower) and np.all(y <= upper)
 
 

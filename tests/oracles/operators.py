@@ -1,9 +1,10 @@
 """Scalar variation operators: the specification of ``repro.moo.operators``.
 
-These are :func:`repro.moo.operators.sbx_crossover`,
-:func:`~repro.moo.operators.polynomial_mutation` and
+These are SBX, polynomial mutation and
 :func:`~repro.moo.operators.differential_variation` as per-gene loops,
-copied verbatim from before their block-draw and array rewrites.  One
+copied verbatim from before their block-draw, draw/apply and array
+rewrites, and :func:`offspring`, NSGA-II's per-pair generation loop over
+them (two tournaments, the crossover, two mutations per pair).  One
 ``rng.random()`` call per decision, in gene order, defines the random stream
 the optimized operators must reproduce exactly;
 ``tests/moo/test_operator_equivalence.py`` holds them to it.
@@ -15,7 +16,13 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["sbx_crossover", "polynomial_mutation", "differential_variation"]
+__all__ = [
+    "sbx_crossover",
+    "polynomial_mutation",
+    "differential_variation",
+    "binary_tournament",
+    "offspring",
+]
 
 
 def sbx_crossover(
@@ -155,3 +162,47 @@ def differential_variation(
             child[i] = high - (child[i] - high)
         child[i] = min(max(child[i], low), high)
     return child
+
+
+def binary_tournament(rank, crowding, rng):
+    """Index of the winner of one constraint-aware binary tournament."""
+    i, j = (int(k) for k in rng.integers(0, len(rank), size=2))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i if rng.random() < 0.5 else j
+
+
+def offspring(X, rank, crowding, lower, upper, rng, config):
+    """One NSGA-II generation of children, pair by pair, as an ``(N, n_var)`` matrix.
+
+    ``config`` carries ``population_size``, ``crossover_eta``,
+    ``crossover_probability``, ``mutation_eta`` and
+    ``mutation_probability``, as :class:`repro.moo.nsga2.NSGA2Config` does.
+    """
+    children = []
+    while len(children) < config.population_size:
+        parent_a = X[binary_tournament(rank, crowding, rng)]
+        parent_b = X[binary_tournament(rank, crowding, rng)]
+        child_a, child_b = sbx_crossover(
+            parent_a,
+            parent_b,
+            lower,
+            upper,
+            rng,
+            eta=config.crossover_eta,
+            probability=config.crossover_probability,
+        )
+        for child in (child_a, child_b):
+            children.append(
+                polynomial_mutation(
+                    child,
+                    lower,
+                    upper,
+                    rng,
+                    eta=config.mutation_eta,
+                    probability=config.mutation_probability,
+                )
+            )
+    return np.array(children[: config.population_size])

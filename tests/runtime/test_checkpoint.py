@@ -56,6 +56,27 @@ class TestManager:
         with pytest.raises(CheckpointError):
             manager.load()
 
+    def test_load_latest_skips_an_unreadable_newest_checkpoint(self, tmp_path):
+        manager = CheckpointManager(tmp_path, interval=1, keep=3)
+        for generation in (1, 2, 3):
+            manager.save({"at": generation}, generation=generation)
+        newest = manager.latest()
+        newest.write_bytes(newest.read_bytes()[:10])
+        assert manager.load_latest() == ({"at": 2}, 2)
+        manager.checkpoints()[1].write_bytes(b"")
+        assert manager.load_latest() == ({"at": 1}, 1)
+        with pytest.raises(CheckpointError, match="checkpoint-00000003.pkl"):
+            manager.load()  # an explicit load reads exactly the newest file
+
+    def test_load_latest_raises_when_no_checkpoint_is_readable(self, tmp_path):
+        manager = CheckpointManager(tmp_path, interval=1, keep=3)
+        for generation in (1, 2):
+            manager.save("state", generation=generation).write_bytes(b"\x80\x05trunc")
+        with pytest.raises(CheckpointError, match="cannot read checkpoint .*00000002.pkl"):
+            manager.load_latest()
+        with pytest.raises(CheckpointError):
+            manager.restore(types.SimpleNamespace(generation=0))
+
     def test_state_naming_a_deleted_class_raises_checkpoint_error(self, tmp_path, monkeypatch):
         # A 4.x PMO2 state: the class existed when the checkpoint was saved.
         import repro.moo.pmo2
@@ -86,12 +107,12 @@ class TestManager:
         with pytest.raises(CheckpointError, match="dominance"):
             manager.load()
 
-    def test_save_writes_format_version_2(self, tmp_path):
+    def test_save_writes_format_version_3(self, tmp_path):
         path = CheckpointManager(tmp_path).save("state", generation=3)
         payload = pickle.loads(path.read_bytes())
-        assert payload == {"format_version": 2, "generation": 3, "state": "state"}
+        assert payload == {"format_version": 3, "generation": 3, "state": "state"}
 
-    @pytest.mark.parametrize("version", [1, None, 3])
+    @pytest.mark.parametrize("version", [1, 2, None, 4])
     def test_other_format_versions_are_refused(self, tmp_path, version):
         payload = {"generation": 3, "state": "state"}
         if version is not None:
@@ -99,7 +120,9 @@ class TestManager:
         (tmp_path / "checkpoint-00000003.pkl").write_bytes(pickle.dumps(payload))
         with pytest.raises(CheckpointError) as raised:
             CheckpointManager(tmp_path).load()
-        assert "format version %r, expected 2" % version in str(raised.value)
+        assert "format version %r, expected 3" % version in str(raised.value)
+        with pytest.raises(CheckpointError, match="expected 3"):
+            CheckpointManager(tmp_path).load_latest()
 
     def test_only_saved_names_are_checkpoints(self, tmp_path):
         # Neither name is one save() writes, so neither is restorable.
@@ -210,3 +233,24 @@ class TestNSGA2Resume:
         assert np.array_equal(
             baseline.archive.F, resumed.archive.F
         )
+
+    def test_truncated_newest_checkpoint_resumes_from_the_one_before(self, tmp_path):
+        problem = ZDT1(n_var=6)
+
+        def nsga2(generations, **kwargs):
+            return solve(problem, "nsga2", population_size=8, seed=3,
+                         termination=generations, **kwargs)
+
+        baseline = nsga2(10)
+        manager = CheckpointManager(tmp_path, interval=2, keep=3)
+        nsga2(6, checkpoint=manager)
+        assert [path.name for path in manager.checkpoints()] == [
+            "checkpoint-00000002.pkl", "checkpoint-00000004.pkl", "checkpoint-00000006.pkl"
+        ]
+        newest = manager.latest()
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+        resumed = nsga2(10, checkpoint=manager)
+
+        assert resumed.generations == 10
+        assert resumed.front_objectives().tobytes() == baseline.front_objectives().tobytes()
+        assert resumed.front_decisions().tobytes() == baseline.front_decisions().tobytes()
