@@ -14,11 +14,13 @@ Run from the repository root::
 
 The headline operation is the bound-violation screen, whose batched form is
 fully columnar (clip-sums commute bitwise with the per-row reference).  The
-steady-state screen keeps a per-row matrix-vector product to stay bitwise
-identical to the reference (a stacked GEMM accumulates differently), so its
-speedup comes from eliminating the dense matrix rebuild only; the LP-bound
-operations (FVA, knockouts) ride along with more modest speedups since the
-solver itself dominates their cost.
+steady-state screen computes the rows of ``S`` with at most two nonzeros as
+gathered products and keeps a per-row matrix-vector product only for the
+aligned 4-row blocks holding the longer rows, bitwise identical to the
+reference (a stacked GEMM accumulates differently); see
+:mod:`repro.fba.batch`.  The LP-bound operations (FVA, knockouts) ride
+along with more modest speedups since the solver itself dominates their
+cost.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import ModelConsistencyError
+from repro.fba.batch import ResidualPlan, steady_state_violations
 from repro.fba.metabolite import Metabolite
 from repro.fba.reaction import Reaction
 
@@ -33,10 +34,12 @@ class StoichiometricModel:
         # place (knockouts, flux caps) without notifying the model.
         self._dense_cache: np.ndarray | None = None
         self._reaction_index_cache: dict[str, int] | None = None
+        self._residual_plan_cache: ResidualPlan | None = None
 
     def _invalidate_caches(self) -> None:
         self._dense_cache = None
         self._reaction_index_cache = None
+        self._residual_plan_cache = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -164,6 +167,12 @@ class StoichiometricModel:
             self._dense_cache = matrix
         return self._dense_cache
 
+    def _residual_plan(self) -> ResidualPlan:
+        """The cached sparse plan of the steady-state residual ``S v``."""
+        if self._residual_plan_cache is None:
+            self._residual_plan_cache = ResidualPlan(self._dense_stoichiometry())
+        return self._residual_plan_cache
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper flux bound vectors (reaction order)."""
         lower = np.array([r.lower_bound for r in self._reactions.values()])
@@ -196,7 +205,8 @@ class StoichiometricModel:
 
         The paper's Geobacter formulation perturbs the 608 fluxes directly and
         *minimizes* this violation while maximizing the two production
-        objectives; ``norm`` may be ``"l1"``, ``"l2"`` or ``"linf"``.
+        objectives; ``norm`` may be ``"l1"``, ``"l2"`` or ``"linf"``.  This is
+        :func:`~repro.fba.batch.steady_state_violations` over one vector.
         """
         fluxes = np.asarray(fluxes, dtype=float)
         if fluxes.shape != (self.n_reactions,):
@@ -204,14 +214,7 @@ class StoichiometricModel:
                 "flux vector must have %d entries, got %r"
                 % (self.n_reactions, fluxes.shape)
             )
-        residual = self._dense_stoichiometry() @ fluxes
-        if norm == "l1":
-            return float(np.sum(np.abs(residual)))
-        if norm == "l2":
-            return float(np.linalg.norm(residual))
-        if norm == "linf":
-            return float(np.max(np.abs(residual)))
-        raise ModelConsistencyError("unknown norm %r" % norm)
+        return float(steady_state_violations(self, fluxes, norm)[0])
 
     def bound_violation(self, fluxes: Sequence[float]) -> float:
         """Total violation of the box bounds by a flux vector."""

@@ -29,11 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.fba.batch import VIOLATION_NORMS, steady_state_violations
 from repro.fba.model import StoichiometricModel
 from repro.fba.solver import optimize_combination
 from repro.moo.individual import Individual, Population
 from repro.problems.base import Problem
-from repro.problems.batch import BatchEvaluation, EvaluationResult
+from repro.problems.batch import BatchEvaluation
 from repro.geobacter.model_builder import (
     ATP_MAINTENANCE_FLUX,
     ATP_MAINTENANCE_ID,
@@ -59,8 +60,8 @@ class GeobacterDesignProblem(Problem):
     violation_tolerance:
         Steady-state violation below which a solution is treated as feasible.
     violation_norm:
-        Norm used for the steady-state violation (``"l1"`` as in the paper's
-        reported magnitudes).
+        Norm used for the steady-state violation: ``"l1"`` (as in the
+        paper's reported magnitudes), ``"l2"`` or ``"linf"``.
     """
 
     def __init__(
@@ -72,6 +73,11 @@ class GeobacterDesignProblem(Problem):
     ) -> None:
         if flux_cap <= 0:
             raise ConfigurationError("flux_cap must be positive")
+        if violation_norm not in VIOLATION_NORMS:
+            raise ConfigurationError(
+                "violation_norm must be one of %s, got %r"
+                % (", ".join(VIOLATION_NORMS), violation_norm)
+            )
         source = model if model is not None else build_geobacter_model()
         # Work on a private copy whose bounds are tightened to the practical
         # flux cap; the FBA seeds are then computed on the same polytope the
@@ -97,45 +103,10 @@ class GeobacterDesignProblem(Problem):
         self.violation_norm = violation_norm
         self._electron_index = self.model.reaction_index(ELECTRON_PRODUCTION_ID)
         self._biomass_index = self.model.reaction_index(BIOMASS_ID)
-        self._stoichiometric = self.model.stoichiometric_matrix()
 
     # ------------------------------------------------------------------
-    def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
-        fluxes = self.validate(x)
-        electron = float(fluxes[self._electron_index])
-        biomass = float(fluxes[self._biomass_index])
-        residual = self._stoichiometric @ fluxes
-        if self.violation_norm == "l1":
-            violation = float(np.sum(np.abs(residual)))
-        elif self.violation_norm == "l2":
-            violation = float(np.linalg.norm(residual))
-        else:
-            violation = float(np.max(np.abs(residual)))
-        effective = max(0.0, violation - self.violation_tolerance)
-        return EvaluationResult(
-            objectives=np.array([-electron, -biomass]),
-            constraint_violations=np.array([effective]),
-            info={
-                "electron_production": electron,
-                "biomass_production": biomass,
-                "steady_state_violation": violation,
-            },
-        )
-
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        # The residual of each member stays a per-row matrix-vector product
-        # (a stacked GEMM accumulates in a different order than the scalar
-        # GEMV and drifts in the last ulp); the norm reductions and the
-        # tolerance floor are columnwise and exact.
-        residuals = np.empty((X.shape[0], self._stoichiometric.shape[0]))
-        for row, fluxes in enumerate(X):
-            residuals[row] = self._stoichiometric @ fluxes
-        if self.violation_norm == "l1":
-            violations = np.sum(np.abs(residuals), axis=1)
-        elif self.violation_norm == "l2":
-            violations = np.array([float(np.linalg.norm(row)) for row in residuals])
-        else:
-            violations = np.max(np.abs(residuals), axis=1)
+        violations = steady_state_violations(self.model, X, self.violation_norm)
         electron = X[:, self._electron_index]
         biomass = X[:, self._biomass_index]
         return BatchEvaluation(

@@ -22,7 +22,6 @@ from repro.moo.robustness import (
     RobustnessReport,
     RobustnessSettings,
     front_yields,
-    uptake_yield,
 )
 from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
 from repro.photosynthesis.enzymes import ENZYME_NAMES, ENZYMES, natural_activities
@@ -77,15 +76,6 @@ class PhotosynthesisProblem(Problem):
         self.natural = natural
 
     # ------------------------------------------------------------------
-    def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
-        activities = self.validate(x)
-        uptake = self.model.co2_uptake(activities)
-        nitrogen = total_nitrogen(activities)
-        return EvaluationResult(
-            objectives=np.array([-uptake, nitrogen]),
-            info={"co2_uptake": uptake, "nitrogen": nitrogen},
-        )
-
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         uptake = self.uptake_matrix(X)
         nitrogen = total_nitrogen_batch(X)
@@ -166,17 +156,6 @@ class RobustPhotosynthesisProblem(Problem):
             epsilon=epsilon, global_trials=robustness_trials, seed=seed
         )
         self.natural = natural
-
-    def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
-        # The scalar oracle of _evaluate_matrix: every trial goes through
-        # the model's scalar co2_uptake, one row at a time.
-        activities = self.validate(x)
-        report = uptake_yield(
-            activities,
-            lambda X: np.array([self.model.co2_uptake(row) for row in X]),
-            settings=self.settings,
-        )
-        return self._result(report, total_nitrogen(activities))
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         reports = front_yields(X, self.model.co2_uptake_batch, settings=self.settings)

@@ -18,12 +18,13 @@ Regenerate the fixture (only after an intentional behavior change) with::
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, ModelConsistencyError
 from repro.fba import (
     Metabolite,
     Reaction,
@@ -36,6 +37,8 @@ from repro.fba import (
     single_deletions,
     steady_state_violations,
 )
+from repro.fba.batch import ResidualPlan
+from repro.geobacter.problem import GeobacterDesignProblem
 from tests.oracles.fba import (
     reference_bound_violation,
     reference_constraint_violation,
@@ -278,6 +281,201 @@ class TestElementEquivalence:
             flux_variability_analysis(infeasible_model(), objective="EX_p")
         with pytest.raises(InfeasibleProblemError):
             reference_flux_variability_analysis(infeasible_model(), objective="EX_p")
+
+
+# ----------------------------------------------------------------------
+# The sparse residual plan: every row shape, non-finite rows, the guard
+# ----------------------------------------------------------------------
+def sparse_model(counts, n_reactions: int = 29, seed: int = 3, integral: bool = True):
+    """A model whose metabolite ``i`` appears in ``counts[i]`` reactions.
+
+    As in real networks, a row with at most two nonzeros has integral
+    coefficients (``integral=False`` makes them random floats too) and a
+    longer row random floats; the bounds are random floats.  The ``EX_``
+    prefix lets a reaction that touches no metabolite exist.
+    """
+    rng = np.random.default_rng(seed)
+    S = np.zeros((len(counts), n_reactions))
+    for row, count in enumerate(counts):
+        columns = rng.choice(n_reactions, size=count, replace=False)
+        if count <= 2 and integral:
+            S[row, columns] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=count)
+        else:
+            S[row, columns] = rng.uniform(-3.0, 3.0, size=count)
+    model = StoichiometricModel("sparse-%d" % len(counts))
+    model.add_metabolites([Metabolite("m%d_c" % i) for i in range(len(counts))])
+    for j in range(n_reactions):
+        bound = float(rng.uniform(1.0, 150.0))
+        model.add_reaction(
+            Reaction(
+                "EX_r%d" % j,
+                {"m%d_c" % i: S[i, j] for i in np.flatnonzero(S[:, j])},
+                lower_bound=-bound,
+                upper_bound=bound,
+            )
+        )
+    return model
+
+
+#: Row shapes: 0, 1, 2, 3 and many nonzeros, in row counts that are not a
+#: multiple of 4, with the long rows in the middle and in the last block.
+SPARSE_MODELS = {
+    "mixed": [2, 0, 1, 2, 3, 2, 2, 2, 7, 29, 2, 1, 2, 2, 2, 2, 2, 2, 0, 3, 2, 2, 12],
+    "short-only": [2, 1, 0, 2, 2, 1, 2, 2, 2, 0, 1, 2, 2, 2, 1],
+    "long-only": [3, 9, 29, 4, 5, 3, 11],
+    "one-long-row": [2] * 17 + [6] + [2] * 3,
+}
+
+
+def _sparse_models():
+    """Every row shape, plus one with non-integral two-term rows.
+
+    A BLAS that fuses the multiply-add of two products in one SIMD lane
+    (OpenBLAS on AVX2 does) rounds an inexact second product differently
+    from the plan, so on such a BLAS the last model fails the guard and
+    runs the full GEMV.
+    """
+    models = {name: sparse_model(counts) for name, counts in SPARSE_MODELS.items()}
+    models["mixed-non-integral"] = sparse_model(SPARSE_MODELS["mixed"], integral=False)
+    return models
+
+
+def _box_population(model, rows: int = 40, seed: int = 11) -> np.ndarray:
+    """Random rows inside the box, plus both corners and a row of zeros."""
+    lower, upper = model.bounds()
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(lower, upper, size=(rows, model.n_reactions))
+    X[0], X[1], X[2] = lower, upper, 0.0
+    return X
+
+
+def _assert_matches_reference(model, X):
+    for norm in _NORMS:
+        looped = np.array([reference_constraint_violation(model, row, norm) for row in X])
+        assert steady_state_violations(model, X, norm=norm).tobytes() == looped.tobytes()
+
+
+class TestSparseResidualPlan:
+    @pytest.mark.parametrize("name", sorted(_sparse_models()))
+    def test_every_row_shape_matches_the_reference(self, name):
+        model = _sparse_models()[name]
+        _assert_matches_reference(model, _box_population(model))
+
+    @pytest.mark.parametrize("name", sorted(_sparse_models()))
+    def test_non_finite_rows_match_the_reference(self, name):
+        # A GEMV spreads a NaN or an infinity anywhere in the row to every
+        # residual (0 * inf is NaN); the gathered products would not.
+        model = _sparse_models()[name]
+        X = _box_population(model, rows=12)
+        X[3, 4] = np.nan
+        X[5, 0] = np.inf
+        X[7, -1] = -np.inf
+        X[9] = np.inf
+        with np.errstate(invalid="ignore"):
+            _assert_matches_reference(model, X)
+            assert np.isnan(model.constraint_violation(X[3]))
+
+    def test_short_rows_are_two_products_and_one_add(self):
+        model = sparse_model(SPARSE_MODELS["mixed"], integral=False)
+        X = _box_population(model)
+        S = model.stoichiometric_matrix()
+        plan = model._residual_plan()
+        residuals = plan.sparse_residuals(X)
+        for row in plan.short_rows:
+            terms = [(float(S[row, j]), j) for j in np.flatnonzero(S[row])]
+            for x, value in zip(X, residuals[:, row]):
+                products = [c * float(x[j]) for c, j in terms] + [0.0, 0.0]
+                assert value == products[0] + products[1]
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_MODELS))
+    def test_long_rows_run_over_aligned_blocks(self, name):
+        model = sparse_model(SPARSE_MODELS[name])
+        S = model.stoichiometric_matrix()
+        plan = model._residual_plan()
+        starts = sorted({4 * (row // 4) for row in plan.long_rows})
+        assert np.array_equal(plan.blocks, np.vstack([S[:0]] + [S[i : i + 4] for i in starts]))
+        assert np.array_equal(plan.blocks[plan.picked], S[plan.long_rows])
+        assert sorted([*plan.short_rows, *plan.long_rows]) == list(range(S.shape[0]))
+
+    def test_the_guard_detects_a_plan_that_differs(self):
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        plan = model._residual_plan()
+        plan.coefficients[0, 0] = np.nextafter(plan.coefficients[0, 0], np.inf)
+        assert not plan.matches_gemv(*model.bounds())
+
+    def test_an_unbounded_box_is_probed_on_a_finite_one(self):
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        X = _box_population(model)
+        model.set_bounds("EX_r0", -np.inf, 5.0)
+        model.set_bounds("EX_r1", 0.0, np.inf)
+        _assert_matches_reference(model, X)
+
+    def test_geobacter_fba_seeds_match_the_reference(self):
+        problem = GeobacterDesignProblem()
+        X = np.vstack(problem.fba_seed_vectors(n_seeds=4) + [problem.lower_bounds, problem.upper_bounds])
+        _assert_matches_reference(problem.model, X)
+
+    @pytest.mark.parametrize("name", ["mixed", "long-only"])
+    def test_chunk_invariant(self, name):
+        model = sparse_model(SPARSE_MODELS[name])
+        X = _box_population(model, rows=13)
+        for norm in _NORMS:
+            whole = steady_state_violations(model, X, norm=norm)
+            split = np.concatenate(
+                [steady_state_violations(model, X[:5], norm), steady_state_violations(model, X[5:], norm)]
+            )
+            single = np.array([model.constraint_violation(row, norm) for row in X])
+            assert whole.tobytes() == split.tobytes() == single.tobytes()
+
+    def test_a_failed_guard_keeps_the_full_gemv(self, monkeypatch):
+        monkeypatch.setattr(ResidualPlan, "matches_gemv", lambda self, lower, upper: False)
+
+        def unused(self, X):
+            raise AssertionError("the sparse path ran after a failed guard")
+
+        monkeypatch.setattr(ResidualPlan, "sparse_residuals", unused)
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        _assert_matches_reference(model, _box_population(model))
+        assert model._residual_plan().exact is False
+
+    def test_the_guard_runs_once_per_plan(self, monkeypatch):
+        probes = []
+        original = ResidualPlan.matches_gemv
+
+        def counted(self, lower, upper):
+            probes.append(self)
+            return original(self, lower, upper)
+
+        monkeypatch.setattr(ResidualPlan, "matches_gemv", counted)
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        X = _box_population(model)
+        for norm in _NORMS:
+            steady_state_violations(model, X, norm=norm)
+        assert probes == [model._residual_plan()]
+
+    def test_adding_a_reaction_rebuilds_the_plan(self):
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        steady_state_violations(model, _box_population(model))
+        plan = model._residual_plan()
+        model.add_reaction(
+            Reaction("EX_new", {"m1_c": 1.5, "m4_c": -0.25, "m22_c": 2.0}, -5.0, 5.0)
+        )
+        assert model._residual_plan() is not plan
+        _assert_matches_reference(model, _box_population(model))
+
+    def test_the_verdict_is_not_pickled(self):
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        X = _box_population(model)
+        steady_state_violations(model, X)
+        assert model._residual_plan().exact is not None
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._residual_plan().exact is None
+        _assert_matches_reference(clone, X)
+
+    def test_unknown_norm_is_refused(self):
+        model = sparse_model(SPARSE_MODELS["mixed"])
+        with pytest.raises(ModelConsistencyError, match="l1, l2, linf"):
+            steady_state_violations(model, _box_population(model), norm="l0")
 
 
 # ----------------------------------------------------------------------

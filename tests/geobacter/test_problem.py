@@ -11,6 +11,7 @@ from repro.geobacter.model_builder import (
     build_geobacter_model,
 )
 from repro.geobacter.problem import GeobacterDesignProblem
+from repro.problems.registry import build_problem
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,11 @@ class TestProblemDefinition:
     def test_invalid_flux_cap(self, shared_model):
         with pytest.raises(ConfigurationError):
             GeobacterDesignProblem(model=shared_model, flux_cap=0.0)
+
+    def test_unknown_violation_norm_is_refused(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            build_problem("geobacter?violation_norm=bogus")
+        assert all(norm in str(excinfo.value) for norm in ("l1", "l2", "linf"))
 
     def test_source_model_is_not_mutated(self, shared_model):
         GeobacterDesignProblem(model=shared_model, flux_cap=50.0)

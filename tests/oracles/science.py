@@ -1,0 +1,88 @@
+"""Per-design reference evaluations of the science problems.
+
+These are the scalar ``_evaluate_row`` routines the science problems had
+before they became matrix-only: one design at a time, through the scalar
+model calls.  ``tests/problems/test_science_parity.py`` asserts that each
+problem's ``evaluate_matrix`` reproduces them bit for bit.
+
+The module lives outside the installed package; it exists for
+verification only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.geobacter.model_builder import BIOMASS_ID, ELECTRON_PRODUCTION_ID
+from repro.geobacter.problem import GeobacterDesignProblem
+from repro.moo.robustness import uptake_yield
+from repro.photosynthesis.nitrogen import total_nitrogen
+from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
+from repro.problems.batch import EvaluationResult
+from tests.oracles.fba import reference_constraint_violation
+
+__all__ = [
+    "evaluate_row",
+    "geobacter_row",
+    "photosynthesis_row",
+    "robust_photosynthesis_row",
+]
+
+
+def photosynthesis_row(problem: PhotosynthesisProblem, x: np.ndarray) -> EvaluationResult:
+    """Uptake through the model's scalar ``co2_uptake``, nitrogen per design."""
+    activities = problem.validate(x)
+    uptake = problem.model.co2_uptake(activities)
+    nitrogen = total_nitrogen(activities)
+    return EvaluationResult(
+        objectives=np.array([-uptake, nitrogen]),
+        info={"co2_uptake": uptake, "nitrogen": nitrogen},
+    )
+
+
+def robust_photosynthesis_row(
+    problem: RobustPhotosynthesisProblem, x: np.ndarray
+) -> EvaluationResult:
+    """The yield ensemble of one design, every trial through scalar ``co2_uptake``."""
+    activities = problem.validate(x)
+    report = uptake_yield(
+        activities,
+        lambda X: np.array([problem.model.co2_uptake(row) for row in X]),
+        settings=problem.settings,
+    )
+    uptake, yield_percentage = report.nominal_value, report.yield_percentage
+    nitrogen = total_nitrogen(activities)
+    return EvaluationResult(
+        objectives=np.array([-uptake, nitrogen, -yield_percentage]),
+        info={"co2_uptake": uptake, "nitrogen": float(nitrogen), "yield": yield_percentage},
+    )
+
+
+def geobacter_row(problem: GeobacterDesignProblem, x: np.ndarray) -> EvaluationResult:
+    """Productions and the steady-state violation from a freshly built ``S``."""
+    fluxes = problem.validate(x)
+    electron = float(fluxes[problem.model.reaction_index(ELECTRON_PRODUCTION_ID)])
+    biomass = float(fluxes[problem.model.reaction_index(BIOMASS_ID)])
+    violation = reference_constraint_violation(problem.model, fluxes, problem.violation_norm)
+    return EvaluationResult(
+        objectives=np.array([-electron, -biomass]),
+        constraint_violations=np.array([max(0.0, violation - problem.violation_tolerance)]),
+        info={
+            "electron_production": electron,
+            "biomass_production": biomass,
+            "steady_state_violation": violation,
+        },
+    )
+
+
+#: The reference row evaluation of each science problem class.
+_ROWS = {
+    PhotosynthesisProblem: photosynthesis_row,
+    RobustPhotosynthesisProblem: robust_photosynthesis_row,
+    GeobacterDesignProblem: geobacter_row,
+}
+
+
+def evaluate_row(problem, x: np.ndarray) -> EvaluationResult:
+    """The reference evaluation of one design of any science problem."""
+    return _ROWS[type(problem)](problem, x)

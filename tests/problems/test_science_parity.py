@@ -2,7 +2,8 @@
 
 Every science problem now implements ``_evaluate_matrix``; these tests pin
 the contract that made that safe: for any population, the vectorized batch
-is *bitwise* identical to looping ``_evaluate_row`` over the rows, and
+is *bitwise* identical to looping the per-design reference evaluation of
+``tests/oracles/science.py`` over the rows, and
 evaluating through a :class:`~repro.runtime.evaluator.ProcessPoolEvaluator`
 (which ships row chunks to workers) is bitwise identical to the serial
 evaluator.  The specs are resolved by registry name so the parametrization
@@ -15,6 +16,7 @@ import pytest
 from repro.problems.batch import BatchEvaluation
 from repro.problems.registry import build_problem
 from repro.runtime import ProcessPoolEvaluator, SerialEvaluator
+from tests.oracles.science import evaluate_row
 
 #: Registry spec strings; the robust spec uses a small trial count so the
 #: Monte-Carlo ensemble stays test-sized without changing the code path.
@@ -36,7 +38,7 @@ def _population(problem, rows: int, seed: int = 23) -> np.ndarray:
 
 
 def _row_loop(problem, X: np.ndarray) -> BatchEvaluation:
-    return BatchEvaluation.from_results([problem._evaluate_row(x) for x in X])
+    return BatchEvaluation.from_results([evaluate_row(problem, x) for x in X])
 
 
 @pytest.mark.parametrize("spec", SCIENCE_SPECS)

@@ -123,6 +123,12 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert "global_trials" in str(excinfo.value)
 
+    def test_unknown_violation_norm_is_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(problem="geobacter?violation_norm=bogus")
+        assert excinfo.value.status == 400
+        assert "violation_norm" in str(excinfo.value)
+
     def test_string_boolean_is_stored_as_boolean(self, service):
         record = service.submit(problem="zdt1", telemetry="false")
         assert record["spec"]["telemetry"] is False

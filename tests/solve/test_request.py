@@ -106,6 +106,7 @@ class TestValidate:
             {"hv_tolerance": math.inf},
             {"algorithm": "nsga3"},
             {"problem": "zdt99"},
+            {"problem": "geobacter?violation_norm=bogus"},
         ],
     )
     def test_a_request_that_can_only_fail_is_refused(self, fields):
