@@ -25,8 +25,10 @@ from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.operators import (
+    Draws,
     Variation,
     differential_variation,
+    pcg64_generator,
     polynomial_mutation,
     sbx_crossover,
 )
@@ -34,6 +36,7 @@ from repro.moo.validation import (
     check,
     check_at_least,
     check_choice,
+    check_finite_box,
     check_positive,
     check_probability,
 )
@@ -148,11 +151,12 @@ class MOEAD:
         seed: int | None = None,
         evaluator: "Evaluator | None" = None,
     ) -> None:
+        check_finite_box(problem)
         self.problem = problem
         self.config = config or MOEADConfig()
         self.config.validate()
         self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
-        self.rng = np.random.default_rng(seed)
+        self.rng = pcg64_generator(seed)
         self.weights = uniform_weight_vectors(problem.n_obj, self.config.population_size)
         self.neighbors = self._build_neighborhoods()
         self.population: list[Individual] = []
@@ -260,12 +264,14 @@ class MOEAD:
             mutation_probability=config.mutation_probability,
         )
         picks = self.rng.choice(pool, size=2, replace=False)
-        if config.variation == "de":
+        donor_a, donor_b = (self.population[int(pick)].x for pick in picks)
+        sbx = config.variation == "sbx"
+        if not sbx:
             child = variation.add(
                 differential_variation(
                     self.population[index].x,
-                    self.population[int(picks[0])].x,
-                    self.population[int(picks[1])].x,
+                    donor_a,
+                    donor_b,
                     variation.lower,
                     variation.upper,
                     self.rng,
@@ -273,15 +279,15 @@ class MOEAD:
                     crossover_rate=config.de_crossover_rate,
                 )
             )
-        else:
-            child, _ = sbx_crossover(
-                variation,
-                self.population[int(picks[0])].x,
-                self.population[int(picks[1])].x,
-                self.rng,
-            )
-        polynomial_mutation(variation, child, self.rng)
-        return variation.apply()[child]
+        # A cursor of one child, drawn at its worst case (SBX 1 + 3n words,
+        # mutation 2n): the choice, the DE draws and the permutation stay
+        # on the generator.
+        n = variation.n_var
+        with Draws(self.rng, chunk=5 * n + 1 if sbx else 2 * n) as draws:
+            if sbx:
+                child, _ = sbx_crossover(variation, donor_a, donor_b, draws)
+            polynomial_mutation(variation, child, draws)
+        return variation.apply(draws)[child]
 
     def step(self) -> None:
         """Perform one MOEA/D generation (one pass over all sub-problems)."""

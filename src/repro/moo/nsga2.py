@@ -22,9 +22,11 @@ from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.operators import (
+    Draws,
     Variation,
     binary_tournament,
     latin_hypercube,
+    pcg64_generator,
     polynomial_mutation,
     sbx_crossover,
 )
@@ -32,7 +34,9 @@ from repro.moo.validation import (
     check_at_least,
     check_choice,
     check_even,
+    check_finite_box,
     check_positive,
+    check_population_in_box,
     check_probability,
 )
 from repro.problems.base import Problem
@@ -142,7 +146,7 @@ class NSGA2:
     config:
         Hyper-parameters; defaults reproduce the standard NSGA-II settings.
     seed:
-        Seed of the private random generator.
+        Seed of the private random generator (or a PCG64 ``Generator``).
     evaluator:
         Optional :class:`~repro.runtime.evaluator.Evaluator` executing the
         per-generation evaluation batches (process pool, cache, ...); a
@@ -157,11 +161,12 @@ class NSGA2:
         seed: int | None = None,
         evaluator: "Evaluator | None" = None,
     ) -> None:
+        check_finite_box(problem)
         self.problem = problem
         self.config = config or NSGA2Config()
         self.config.validate()
         self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
-        self.rng = np.random.default_rng(seed)
+        self.rng = pcg64_generator(seed)
         self.population: Population | None = None
         self.archive = ParetoArchive(capacity=self.config.archive_capacity)
         self.evaluations = 0
@@ -177,12 +182,14 @@ class NSGA2:
         An adopted population smaller than ``config.population_size`` (a
         warm-start front, say) is topped up with the configured initializer
         drawn from the run's seeded generator, so partially seeded runs stay
-        deterministic in the seed.
+        deterministic in the seed.  An adopted population must be finite and
+        inside the box.
         """
         sampler = (
             latin_hypercube if self.config.initialization == "latin" else Population.random
         )
         if population is not None:
+            check_population_in_box(self.problem, population.X)
             self.population = population.copy()
             deficit = self.config.population_size - len(self.population)
             if deficit > 0:
@@ -198,11 +205,12 @@ class NSGA2:
         """Create one generation of offspring by selection + SBX + mutation.
 
         The draw steps run per pair, in the order of the random stream
-        (two tournaments, the crossover, the two mutations); the recorded
-        variation is then applied to the whole generation at once.
+        (two tournaments, the crossover, the two mutations), on one cursor
+        over the generator's raw words; the recorded variation is then
+        applied to the whole generation at once.
         """
         assert self.population is not None
-        population, rng, config = self.population, self.rng, self.config
+        population, config = self.population, self.config
         variation = Variation(
             self.problem.lower_bounds,
             self.problem.upper_bounds,
@@ -212,13 +220,14 @@ class NSGA2:
             mutation_probability=config.mutation_probability,
         )
         X = population.X
-        for _ in range(config.population_size // 2):
-            parent_a = binary_tournament(population, rng)
-            parent_b = binary_tournament(population, rng)
-            child_a, child_b = sbx_crossover(variation, X[parent_a], X[parent_b], rng)
-            polynomial_mutation(variation, child_a, rng)
-            polynomial_mutation(variation, child_b, rng)
-        return Population.from_matrix(variation.apply())
+        with Draws(self.rng) as draws:
+            for _ in range(config.population_size // 2):
+                parent_a = binary_tournament(population, draws)
+                parent_b = binary_tournament(population, draws)
+                child_a, child_b = sbx_crossover(variation, X[parent_a], X[parent_b], draws)
+                polynomial_mutation(variation, child_a, draws)
+                polynomial_mutation(variation, child_b, draws)
+        return Population.from_matrix(variation.apply(draws))
 
     def _environmental_selection(self, union: Population) -> Population:
         """Elitist truncation of the parent+offspring union.

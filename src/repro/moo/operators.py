@@ -10,34 +10,45 @@ NSGA-II and MOEA/D:
 * Latin-hypercube initialization (uniform initialization is
   :meth:`Population.random <repro.moo.individual.Population.random>`).
 
-All operators are pure functions of a ``numpy`` random generator, which makes
-every optimizer in the library fully reproducible from a single seed.
+Every optimizer seeds ``np.random.default_rng``, a PCG64 generator, so a
+run is fully reproducible from a single seed.
 
 SBX and polynomial mutation run in two passes over a :class:`Variation`, the
 record of one generation's variation (MOEA/D, which is steady-state, keeps a
-record of one pair).  The *draw* steps :func:`sbx_crossover` and
-:func:`polynomial_mutation` walk the random stream per pair, exactly as the
-classic per-gene loops consume it (one ``rng.random()`` per decision; each
-docstring lists its draws), and record the uniforms of every gene they act
-on.  How many uniforms a step takes depends only on the uniforms themselves,
-on the parents' closeness and on the box spans, never on the arithmetic, so
-the arithmetic can wait: :meth:`Variation.apply` then does all SBX, then all
-mutation, on flat arrays and returns the children as one matrix.
+record of one pair).  The *draw* steps :func:`binary_tournament`,
+:func:`sbx_crossover` and :func:`polynomial_mutation` read the random stream
+exactly as the classic per-gene loops consume it (one ``random()`` per
+decision, ``integers(0, n)`` per tournament pick; each docstring lists its
+draws) and record the stream position of every gene they act on.  How many
+draws a step takes depends only on the draws themselves, on the parents'
+closeness and on the box spans, never on the arithmetic, so the arithmetic
+can wait: :meth:`Variation.apply` then does all SBX, then all mutation, on
+flat arrays and returns the children as one matrix.
 
-The uniforms come in blocks: ``Generator.random(n)`` yields the same values
-as ``n`` scalar calls, and a block never holds more than the genes still to
-come will consume, so the generator ends in the same state.  The arithmetic
-is elementwise IEEE on arrays, except for every power, which is C ``pow`` on
-Python floats: array ``np.power`` can differ from it by a few ulp.  A gene
-outside a finite box is computed alone on numpy scalars, as the loops did
-(nan/inf results and RuntimeWarnings).  Outputs are bitwise-identical to the
-scalar loops kept in ``tests/oracles/operators.py`` (see "Performance: one
-variation pass per generation" in ``docs/performance.md``).
+The steps read the stream from :class:`Draws`, a cursor over raw PCG64
+words, instead of calling the generator.  ``Generator.random()`` turns one
+fresh 64-bit word ``w`` into ``(w >> 11) * 2**-53``; ``integers(0, n)``
+runs Lemire's method on 32-bit halves, the low half of a fresh word first
+and its high half on the next call.  So a cursor takes its words in chunks
+with ``bit_generator.random_raw``, converts each chunk to doubles once and
+serves both kinds of draw from it.  When it closes it hands the state back:
+the saved state, advanced by the words it consumed, with the pending high
+half (numpy keeps the last one even once consumed).  The generator ends
+exactly where the per-call code leaves it.
+
+The box must be finite (the engines refuse any other), so no base the
+arithmetic raises to a power is negative and no step divides by zero.  It
+is elementwise IEEE on arrays, except for every power, which is C ``pow``
+on Python floats: array ``np.power`` can differ from it by a few ulp.
+Outputs are bitwise-identical to the scalar loops kept in
+``tests/oracles/operators.py`` (see "Performance: one raw draw block per
+generation" in ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import repeat
 
 import numpy as np
@@ -48,22 +59,179 @@ from repro.moo.individual import Population
 from repro.problems.base import Problem
 
 __all__ = [
+    "Draws",
     "Variation",
     "sbx_crossover",
     "polynomial_mutation",
     "binary_tournament",
     "differential_variation",
     "latin_hypercube",
+    "pcg64_generator",
 ]
 
-# Inside a finite box every base the operators raise to a power is
-# non-negative and no step divides by zero, so arithmetic on arrays and on
-# Python floats (``**`` is C ``pow``) is IEEE-identical to numpy scalars.
-# A gene outside it gets numpy scalar bounds, which carry the same
-# expressions into numpy arithmetic: nan/inf results and RuntimeWarnings,
-# never a complex power or a ZeroDivisionError.
-_INF = float("inf")
-_NEG_INF = -_INF
+#: Words a cursor draws at a time, unless a step needs more.
+CHUNK_WORDS = 4096
+#: Up to this many consumed words, closing draws them again rather than
+#: calling ``advance`` (cheaper for the one-child cursors of MOEA/D).
+_REPLAY_WORDS = 1024
+_LOW_HALF = 0xFFFFFFFF
+_EMPTY_WORDS = np.empty(0, dtype=np.uint64)
+
+
+def pcg64_generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, refused unless its bit generator is PCG64.
+
+    ``default_rng`` passes a caller's ``Generator`` through unchanged, so an
+    engine given one backed by another bit generator is refused here, at
+    construction, rather than drawing a stream :class:`Draws` cannot read.
+    """
+    rng = np.random.default_rng(seed)
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ConfigurationError(
+            "the optimizers draw from a PCG64 generator, got %s"
+            % type(rng.bit_generator).__name__
+        )
+    return rng
+
+
+def _largest_word(p: float) -> int:
+    """The largest word ``w`` whose double ``(w >> 11) * 2**-53`` is ``<= p``."""
+    return min(((math.floor(p * 2.0**53) + 1) << 11) - 1, 2**64 - 1)
+
+
+_HALF_WORD = _largest_word(0.5)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random()`` makes of raw PCG64 words."""
+    return (words >> 11) * 2.0**-53
+
+
+class Draws:
+    """A cursor over the raw words of a PCG64 generator.
+
+    :meth:`random` and :meth:`integers` return what ``rng.random()`` and
+    ``rng.integers(0, n)`` would, in any mix; :meth:`close` leaves ``rng``
+    in the state those calls would have left.  The generator must not be
+    used directly while the cursor is open.  The draw steps also walk the
+    current chunk themselves: :meth:`reserve` makes room for a step's worst
+    case, ``pos`` is the next unread word of the chunk and ``start + pos``
+    its stream position, an index into :meth:`words`.
+
+    Parameters
+    ----------
+    rng:
+        A ``Generator`` backed by :class:`numpy.random.PCG64`.
+    chunk:
+        Words to draw at a time (a step that needs more draws more);
+        ``None`` means :data:`CHUNK_WORDS`.
+    """
+
+    def __init__(self, rng: np.random.Generator, chunk: int | None = None) -> None:
+        generator = rng.bit_generator
+        state = generator.state
+        if state["bit_generator"] != "PCG64":
+            raise ConfigurationError(
+                "draw cursors read PCG64 words, got %s" % state["bit_generator"]
+            )
+        self._generator, self._state = generator, state
+        self._chunk = chunk or CHUNK_WORDS
+        # numpy's 32-bit buffer: whether a high half is pending, and the
+        # last high half drawn (kept once consumed, as numpy keeps it).
+        self._pending, self._half = bool(state["has_uint32"]), state["uinteger"]
+        self._words = _EMPTY_WORDS
+        self._spent: list[np.ndarray] = []
+        self._gate_bytes: bytes | None = None
+        self._passes: tuple[float, list[int]] | None = None
+        self.start = self.pos = 0
+
+    def __enter__(self) -> "Draws":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def reserve(self, count: int) -> None:
+        """Make sure the current chunk holds ``count`` unread words."""
+        if self.pos + count > self._words.size:
+            self._refill(count)
+
+    def _refill(self, count: int) -> None:
+        """Start a chunk of at least ``count`` words with the unread ones."""
+        pos, words = self.pos, self._words
+        fresh = self._generator.random_raw(max(self._chunk, count) - (words.size - pos))
+        if pos:
+            self._spent.append(words[:pos])
+        self._words = np.concatenate((words[pos:], fresh)) if pos < words.size else fresh
+        self.start += pos
+        self.pos = 0
+        self._gate_bytes = self._passes = None
+
+    def random(self) -> float:
+        """The next ``rng.random()``."""
+        if self.pos == self._words.size:
+            self._refill(1)
+        self.pos += 1
+        return (self._words.item(self.pos - 1) >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        if self._pending:
+            self._pending = False
+            return self._half
+        if self.pos == self._words.size:
+            self._refill(1)
+        word = self._words.item(self.pos)
+        self.pos += 1
+        self._pending, self._half = True, word >> 32
+        return word & _LOW_HALF
+
+    def integers(self, n: int) -> int:
+        """The next ``rng.integers(0, n)``, for ``1 <= n <= 2**32``: Lemire's method."""
+        if not 1 <= n <= 1 << 32:
+            raise ValueError("draw cursors bound integers to [1, 2**32], got %r" % n)
+        if n == 1:
+            return 0
+        product = self._uint32() * n
+        if product & _LOW_HALF < n:
+            threshold = ((1 << 32) - n) % n
+            while product & _LOW_HALF < threshold:
+                product = self._uint32() * n
+        return product >> 32
+
+    def gate_bytes(self) -> bytes:
+        """Per word of the current chunk, 1 where its double is ``<= 0.5``, else 0."""
+        if self._gate_bytes is None:
+            self._gate_bytes = (self._words <= _HALF_WORD).tobytes()
+        return self._gate_bytes
+
+    def passes(self, p: float) -> list[int]:
+        """Chunk positions, ascending, of the words whose double is ``<= p``."""
+        if self._passes is None or self._passes[0] != p:
+            self._passes = p, np.flatnonzero(self._words <= _largest_word(p)).tolist()
+        return self._passes[1]
+
+    def words(self) -> np.ndarray:
+        """Every word drawn so far, by stream position (open or closed)."""
+        return np.concatenate(self._spent + [self._words]) if self._spent else self._words
+
+    def close(self) -> None:
+        """Hand the generator back in the state the per-call draws leave.
+
+        That is the saved state with the 32-bit buffer as the cursor left
+        it, moved on by the words it consumed: ``random_raw`` leaves the
+        buffer alone, ``advance`` clears it, so a few words are drawn
+        again and many are skipped, the buffer set once more after.
+        """
+        state, generator, consumed = self._state, self._generator, self.start + self.pos
+        state["has_uint32"], state["uinteger"] = int(self._pending), self._half
+        generator.state = state
+        if consumed <= _REPLAY_WORDS:
+            generator.random_raw(consumed)
+            return
+        generator.advance(consumed)
+        state = generator.state
+        state["has_uint32"], state["uinteger"] = int(self._pending), self._half
+        generator.state = state
 
 
 class Variation:
@@ -71,13 +239,13 @@ class Variation:
 
     Each *slot* is one child: :meth:`add` (or :func:`sbx_crossover`, which
     adds a pair) starts it from a decision vector, the draw steps record
-    the uniforms of the genes they act on, and :meth:`apply` computes every
-    child at once.
+    the stream positions of the genes they act on, and :meth:`apply`
+    computes every child at once.
 
     Parameters
     ----------
     lower, upper:
-        Box bounds used to repair offspring.
+        Finite box bounds used to repair offspring.
     crossover_eta, mutation_eta:
         SBX and polynomial-mutation distribution indices; larger values
         create offspring closer to the parents.
@@ -114,40 +282,42 @@ class Variation:
         )
         self._slots: list[np.ndarray] = []
         # Flat positions (slot * n_var + gene) of the genes each pass acts
-        # on.  A crossed gene of the first child keeps the stream position
-        # of its gate (the spread and the swap follow it) in the uniforms
-        # the crossover drew, block by block; a mutated gene keeps its
-        # perturbation.
+        # on, and the stream positions of their draws: a crossed gene of
+        # the first child keeps its gate (the spread and the swap follow
+        # it), a mutated gene its perturbation.
         self._crossed: list[int] = []
         self._gates: list[int] = []
-        self._stream: list[np.ndarray] = []
-        self._streamed = 0
         self._mutated: list[int] = []
-        self._mutation_draws: list[float] = []
+        self._perturbations: list[int] = []
 
     def add(self, x: np.ndarray) -> int:
         """Start a child from decision vector ``x`` (read when applied); returns its slot."""
         self._slots.append(np.asarray(x, dtype=float))
         return len(self._slots) - 1
 
-    def apply(self) -> np.ndarray:
-        """All children as one ``(slots, n_var)`` matrix: SBX, then mutation."""
+    def apply(self, draws: Draws) -> np.ndarray:
+        """All children as one ``(slots, n_var)`` matrix: SBX, then mutation.
+
+        ``draws`` is the cursor the draw steps read; open or closed, it
+        still holds the words they recorded.
+        """
         n = self.n_var
         children = np.array(self._slots, dtype=float).reshape(-1, n)
         flat = children.reshape(-1)
+        if self._crossed or self._mutated:
+            words = draws.words()
         if self._crossed:
             first = np.array(self._crossed, dtype=np.intp)
             second = first + n
             genes = first % n
             gates = np.array(self._gates, dtype=np.intp)
-            stream = np.concatenate(self._stream)
             flat[first], flat[second] = _sbx(
                 flat[first],
                 flat[second],
                 self.lower[genes],
                 self.upper[genes],
-                stream[gates + 1],
-                stream[gates + 2],
+                _doubles(words[gates + 1]),
+                _doubles(words[gates + 2]),
                 self.crossover_eta,
             )
         if self._mutated:
@@ -157,14 +327,14 @@ class Variation:
                 flat[at],
                 self.lower[genes],
                 self.upper[genes],
-                np.array(self._mutation_draws),
+                _doubles(words[self._perturbations]),
                 self.mutation_eta,
             )
         return children
 
 
 def sbx_crossover(
-    variation: Variation, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
+    variation: Variation, parent_a: np.ndarray, parent_b: np.ndarray, draws: Draws
 ) -> tuple[int, int]:
     """Draw step of the simulated binary crossover of Deb & Agrawal.
 
@@ -178,65 +348,51 @@ def sbx_crossover(
     """
     slot = variation.add(parent_a)
     variation.add(parent_b)
-    if rng.random() > variation.crossover_probability:
+    if draws.random() > variation.crossover_probability:
         return slot, slot + 1
     n = variation.n_var
-    with np.errstate(all="ignore"):  # inf - inf: no warning, as on Python floats
-        close = (np.abs(variation._slots[slot] - variation._slots[slot + 1]) < 1e-14).tolist()
-    crossed, gates, stream = variation._crossed, variation._gates, variation._stream
-    base, offset = slot * n, variation._streamed
-    # Each gene still to come draws at least its gate, so a block never
-    # holds more than the call consumes: a new one is drawn for exactly the
-    # shortfall whenever the walk runs past the last.  ``offset`` is the
-    # stream position of the current block.
-    stream.append(rng.random(n))
-    draws, pos, end = stream[-1].tolist(), 0, n
-    for i in range(n):
-        if pos == end:
-            offset += end
-            stream.append(rng.random(n - i))
-            draws, pos, end = stream[-1].tolist(), 0, n - i
-        if draws[pos] > 0.5 or close[i]:
+    close = (np.abs(variation._slots[slot] - variation._slots[slot + 1]) < 1e-14).tolist()
+    draws.reserve(3 * n)
+    gate_passes, pos, start = draws.gate_bytes(), draws.pos, draws.start
+    crossed, gates, first = variation._crossed, variation._gates, slot * n
+    for i, near in enumerate(close):
+        if gate_passes[pos] and not near:
+            crossed.append(first + i)
+            gates.append(start + pos)
+            pos += 3
+        else:
             pos += 1
-            continue
-        crossed.append(base + i)
-        gates.append(offset + pos)
-        pos += 3
-        if pos > end:  # the spread or the swap lies past the block
-            offset += end
-            stream.append(rng.random(n - i - 1 + pos - end))
-            draws, pos, end = stream[-1].tolist(), pos - end, stream[-1].size
-    variation._streamed = offset + end
+    draws.pos = pos
     return slot, slot + 1
 
 
-def polynomial_mutation(variation: Variation, slot: int, rng: np.random.Generator) -> None:
+def polynomial_mutation(variation: Variation, slot: int, draws: Draws) -> None:
     """Draw step of the polynomial mutation of Deb, for the child in ``slot``.
 
     Draws: a gate per gene; a gene whose gate is ``<= probability`` and
     whose span is positive draws one more, the perturbation.
     """
-    n, p = variation.n_var, variation.mutation_probability
-    lower, upper, base = variation.lower, variation.upper, slot * n
-    # ``gates`` holds the gates of genes i, i + 1, ... up to the next
-    # mutated gene, whose perturbation is the following draw; as in
-    # sbx_crossover, a refill draws exactly what the remaining genes need.
-    i, gates = 0, rng.random(n)
-    while i < n:
-        if gates.size == 0:
-            gates = rng.random(n - i)
-        passed = (~(gates > p)).nonzero()[0].tolist()
-        hit = next((k for k in passed if not upper[i + k] - lower[i + k] <= 0), None)
-        if hit is None:
-            i, gates = i + gates.size, gates[:0]
+    n, lower, upper = variation.n_var, variation.lower, variation.upper
+    draws.reserve(2 * n)
+    passes = draws.passes(variation.mutation_probability)
+    # Gene g's gate is at chunk position ``origin + g``; each perturbation
+    # drawn before it moves it one further.
+    origin, start, first = draws.pos, draws.start, slot * n
+    k, end = bisect_left(passes, origin), len(passes)
+    while k < end:
+        at = passes[k]
+        gene = at - origin
+        if gene >= n:
+            break
+        k += 1
+        if upper[gene] - lower[gene] <= 0:  # zero span: the gate, nothing more
             continue
-        g = i + hit
-        rest = gates[hit + 1 :]
-        if rest.size == 0:
-            rest = rng.random(n - g)
-        variation._mutated.append(base + g)
-        variation._mutation_draws.append(float(rest[0]))
-        gates, i = rest[1:], g + 1
+        variation._mutated.append(first + gene)
+        variation._perturbations.append(start + at + 1)
+        origin += 1
+        if k < end and passes[k] == at + 1:  # the perturbation is no gate
+            k += 1
+    draws.pos = origin + n
 
 
 def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
@@ -250,112 +406,40 @@ def _clamp(value, low, high):
     return np.where(high < value, high, value)
 
 
-def _in_box(x: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """``-inf < low <= x <= high < inf`` per gene."""
-    return (_NEG_INF < low) & (low <= x) & (x <= high) & (high < _INF)
-
-
 def _sbx(x1, x2, low, high, rand, swap, eta):
     """SBX children of the recorded genes (the arithmetic pass)."""
     exponent = -(eta + 1.0)
     root = 1.0 / (eta + 1.0)
-    batched = _in_box(x1, low, high) & _in_box(x2, low, high)
-    child1, child2 = np.empty_like(x1), np.empty_like(x2)
-    for k in np.flatnonzero(~batched).tolist():
-        gene = float(x1[k]), float(x2[k]), float(low[k]), float(high[k]), float(rand[k])
-        child1[k], child2[k] = _sbx_gene(*gene, exponent, root)
-    at = np.flatnonzero(batched)
-    if at.size:
-        a, b, low, high, rand = x1[at], x2[at], low[at], high[at], rand[at]
-        x_min, x_max = np.where(a < b, a, b), np.where(a < b, b, a)
-        with np.errstate(all="ignore"):
-            gap, total = x_max - x_min, x_min + x_max
-            spreads = []
-            for beta in (1.0 + (2.0 * (x_min - low) / gap), 1.0 + (2.0 * (high - x_max) / gap)):
-                alpha = 2.0 - _powers(beta, exponent)
-                scaled = rand * alpha
-                spreads.append(
-                    _powers(np.where(rand <= 1.0 / alpha, scaled, 1.0 / (2.0 - scaled)), root)
-                )
-            child1[at] = _clamp(0.5 * (total - spreads[0] * gap), low, high)
-            child2[at] = _clamp(0.5 * (total + spreads[1] * gap), low, high)
+    x_min, x_max = np.where(x1 < x2, x1, x2), np.where(x1 < x2, x2, x1)
+    gap, total = x_max - x_min, x_min + x_max
+    spreads = []
+    for beta in (1.0 + (2.0 * (x_min - low) / gap), 1.0 + (2.0 * (high - x_max) / gap)):
+        alpha = 2.0 - _powers(beta, exponent)
+        scaled = rand * alpha
+        spreads.append(_powers(np.where(rand <= 1.0 / alpha, scaled, 1.0 / (2.0 - scaled)), root))
+    child1 = _clamp(0.5 * (total - spreads[0] * gap), low, high)
+    child2 = _clamp(0.5 * (total + spreads[1] * gap), low, high)
     swapped = swap > 0.5
     return np.where(swapped, child2, child1), np.where(swapped, child1, child2)
 
 
-def _sbx_gene(x1, x2, x_low, x_high, rand, exponent, root):
-    """One gene's SBX children on Python floats (numpy scalars outside the box)."""
-    x_min, x_max = (x1, x2) if x1 < x2 else (x2, x1)
-    if not _NEG_INF < x_low <= x_min <= x_max <= x_high < _INF:
-        x_low, x_high = np.float64(x_low), np.float64(x_high)
-    gap, total = x_max - x_min, x_min + x_max
-    beta = 1.0 + (2.0 * (x_min - x_low) / gap)
-    alpha = 2.0 - beta**exponent
-    if rand <= 1.0 / alpha:
-        beta_q = (rand * alpha) ** root
-    else:
-        beta_q = (1.0 / (2.0 - rand * alpha)) ** root
-    child1 = 0.5 * (total - beta_q * gap)
-
-    beta = 1.0 + (2.0 * (x_high - x_max) / gap)
-    alpha = 2.0 - beta**exponent
-    if rand <= 1.0 / alpha:
-        beta_q = (rand * alpha) ** root
-    else:
-        beta_q = (1.0 / (2.0 - rand * alpha)) ** root
-    child2 = 0.5 * (total + beta_q * gap)
-    return min(max(child1, x_low), x_high), min(max(child2, x_low), x_high)
-
-
 def _mutate(value, low, high, rand, eta):
     """Mutated values of the recorded genes (the arithmetic pass)."""
-    power = eta + 1.0
-    mut_pow = 1.0 / (eta + 1.0)
-    batched = _in_box(value, low, high)
-    result = np.empty_like(value)
-    for k in np.flatnonzero(~batched).tolist():
-        result[k] = _mutate_gene(
-            float(value[k]), float(low[k]), float(high[k]), float(rand[k]), power, mut_pow
-        )
-    at = np.flatnonzero(batched)
-    if at.size:
-        value, low, high, rand = value[at], low[at], high[at], rand[at]
-        with np.errstate(all="ignore"):
-            span = high - low
-            below = rand < 0.5
-            xy = np.where(below, 1.0 - (value - low) / span, 1.0 - (high - value) / span)
-            xy = _powers(xy, power)
-            val = np.where(
-                below,
-                2.0 * rand + (1.0 - 2.0 * rand) * xy,
-                2.0 * (1.0 - rand) + 2.0 * (rand - 0.5) * xy,
-            )
-            val = _powers(val, mut_pow)
-            delta_q = np.where(below, val - 1.0, 1.0 - val)
-            result[at] = _clamp(value + delta_q * span, low, high)
-    return result
+    span = high - low
+    below = rand < 0.5
+    xy = np.where(below, 1.0 - (value - low) / span, 1.0 - (high - value) / span)
+    xy = _powers(xy, eta + 1.0)
+    val = np.where(
+        below,
+        2.0 * rand + (1.0 - 2.0 * rand) * xy,
+        2.0 * (1.0 - rand) + 2.0 * (rand - 0.5) * xy,
+    )
+    val = _powers(val, 1.0 / (eta + 1.0))
+    delta_q = np.where(below, val - 1.0, 1.0 - val)
+    return _clamp(value + delta_q * span, low, high)
 
 
-def _mutate_gene(value, x_low, x_high, rand, power, mut_pow):
-    """One gene's mutated value on Python floats (numpy scalars outside the box)."""
-    if not _NEG_INF < x_low <= value <= x_high < _INF:
-        x_low, x_high = np.float64(x_low), np.float64(x_high)
-    span = x_high - x_low
-    delta1 = (value - x_low) / span
-    delta2 = (x_high - value) / span
-    if rand < 0.5:
-        xy = 1.0 - delta1
-        val = 2.0 * rand + (1.0 - 2.0 * rand) * xy**power
-        delta_q = val**mut_pow - 1.0
-    else:
-        xy = 1.0 - delta2
-        val = 2.0 * (1.0 - rand) + 2.0 * (rand - 0.5) * xy**power
-        delta_q = 1.0 - val**mut_pow
-    value = value + delta_q * span
-    return min(max(value, x_low), x_high)
-
-
-def binary_tournament(population: Population, rng: np.random.Generator) -> int:
+def binary_tournament(population: Population, draws: Draws) -> int:
     """Constraint-aware binary tournament selection; returns the winner's row.
 
     Selection order: lower rank wins, then larger crowding distance, then a
@@ -363,22 +447,21 @@ def binary_tournament(population: Population, rng: np.random.Generator) -> int:
     it has been through :func:`repro.moo.nsga2.assign_ranks_and_crowding`).
 
     The (rank, crowding) decision is
-    :func:`repro.moo.kernels.tournament_winner`; the random draws (two
-    indices, plus one uniform draw only on a full tie) are made here so the
-    random stream matches the classic sequential tournament exactly.  Two
-    scalar ``integers`` calls yield the same indices and generator state as
-    one call of size 2, at half the call overhead.
+    :func:`repro.moo.kernels.tournament_winner`.  Draws: two indices, as
+    two ``integers(0, n)`` calls (the same values and state as one call of
+    size 2), plus one uniform only on a full tie, so the random stream
+    matches the classic sequential tournament exactly.
     """
     n = len(population)
     if n == 0:
         raise ConfigurationError("cannot select from an empty population")
-    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+    i, j = draws.integers(n), draws.integers(n)
     rank, crowding = population.rank, population.crowding
     if rank[i] < 0 or rank[j] < 0:
         raise ConfigurationError("tournament requires ranked individuals")
     winner = kernels.tournament_winner(rank[i], crowding[i], rank[j], crowding[j])
     if winner is None:
-        return i if rng.random() < 0.5 else j
+        return i if draws.random() < 0.5 else j
     return i if winner == 0 else j
 
 

@@ -7,15 +7,23 @@ deduplicate the range/choice/probability checks and make every message read
 the same way (``"<field> must be ..., got <value>"``), so a misconfiguration
 reported by any solver looks identical to the user.
 
+The box checks hold a problem, or an initial population, to what the
+variation operators need: finite bounds, and rows inside them.
+
 All helpers raise :class:`~repro.exceptions.ConfigurationError` on failure
 and return ``None`` on success.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.problems.base import Problem
 
 __all__ = [
     "check",
@@ -24,6 +32,8 @@ __all__ = [
     "check_even",
     "check_probability",
     "check_choice",
+    "check_finite_box",
+    "check_population_in_box",
 ]
 
 
@@ -74,4 +84,33 @@ def check_choice(name: str, value: Any, choices: Sequence[Any]) -> None:
         raise ConfigurationError(
             "%s must be one of %s, got %r"
             % (name, ", ".join(repr(choice) for choice in choices), value)
+        )
+
+
+def _names(problem: "Problem", bad: np.ndarray) -> str:
+    return ", ".join(problem.names[i] for i in np.flatnonzero(bad))
+
+
+def check_finite_box(problem: "Problem") -> None:
+    """Require finite bounds on every variable (zero spans are fine)."""
+    bad = ~(np.isfinite(problem.lower_bounds) & np.isfinite(problem.upper_bounds))
+    if bad.any():
+        raise ConfigurationError(
+            "the optimizers need a finite box; non-finite bounds on %s" % _names(problem, bad)
+        )
+
+
+def check_population_in_box(problem: "Problem", X: np.ndarray) -> None:
+    """Require every row of ``X`` to be finite and inside ``problem``'s box."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != problem.n_var:
+        raise ConfigurationError(
+            "an initial population needs %d columns, got shape %r" % (problem.n_var, X.shape)
+        )
+    inside = (problem.lower_bounds <= X) & (X <= problem.upper_bounds)
+    bad = ~inside.all(axis=0)
+    if bad.any():
+        raise ConfigurationError(
+            "an initial population must be finite and inside the box; it is not on %s"
+            % _names(problem, bad)
         )

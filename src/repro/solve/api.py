@@ -32,6 +32,7 @@ import time
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
+from repro.moo.validation import check_finite_box
 from repro.obs.trace import get_tracer
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.evaluator import build_evaluator
@@ -260,7 +261,8 @@ def solve(
     Parameters
     ----------
     problem:
-        The :class:`~repro.problems.Problem` to minimize.
+        The :class:`~repro.problems.Problem` to minimize; its box must be
+        finite.
     algorithm:
         Registry name (``"nsga2"``, ``"moead"``, ``"pmo2"``) or a
         :class:`~repro.solve.registry.SolverSpec`; the result's
@@ -323,6 +325,7 @@ def solve(
                        observers=[Log()])
     """
     spec = algorithm if isinstance(algorithm, SolverSpec) else get_solver(algorithm)
+    check_finite_box(problem)
     stopping = as_termination(termination)
     observers = tuple(observers)
     if warm_start is not None and initial_population is not None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, get_args, get_type_hints
 
 from repro.exceptions import ConfigurationError
+from repro.moo.validation import check_finite_box
 from repro.params import Parameter
 from repro.problems.registry import build_problem
 from repro.solve.api import solve
@@ -104,8 +105,9 @@ class SolveRequest:
     def validate(self) -> None:
         """Refuse now a request whose run could only fail.
 
-        Checks the seed and the floats, then builds the solver, the problem,
-        the solver configuration and the termination, so every bad field is
+        Checks the seed and the floats, then builds the solver, the problem
+        (whose box must be finite), the solver configuration and the
+        termination, so every bad field is
         a :class:`~repro.exceptions.ConfigurationError`: one ``error:`` line
         from the CLI, a 400 from the service.
         """
@@ -118,7 +120,7 @@ class SolveRequest:
             solver = get_solver(self.algorithm)
         except UnknownSolverError as error:
             raise ConfigurationError(error.args[0]) from None
-        build_problem(self.problem)
+        check_finite_box(build_problem(self.problem))
         solver.config_cls(**solver.population_overrides(self.population)).validate()
         self.termination()
 

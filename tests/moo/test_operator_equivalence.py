@@ -1,25 +1,35 @@
 """Draw/apply variation == the scalar per-gene loops, bit for bit.
 
-``repro.moo.operators`` walks the random stream per pair in draw steps that
-record the uniforms, then does the arithmetic of a whole generation on
-arrays; ``tests/oracles/operators.py`` keeps the loops that make one
-``rng.random()`` call per decision and compute each gene on the spot, and
-NSGA-II's per-pair generation loop over them.  For every seed both are run
-on twin generators and must return the same bytes and leave the generators
-in the same state, generation after generation (and, through a one-pair
-record, call after call), so an engine's random stream cannot drift.
+``repro.moo.operators`` reads the random stream from a cursor over raw
+PCG64 words in draw steps that record stream positions, then does the
+arithmetic of a whole generation on arrays; ``tests/oracles/operators.py``
+keeps the loops that make one generator call per decision and compute each
+gene on the spot, and NSGA-II's per-pair generation loop over them.  For
+every seed both are run on twin generators and must return the same bytes
+and leave the generators in the same state, generation after generation
+(and, through a one-pair record, call after call), so an engine's random
+stream cannot drift.  The cursor itself is held to ``rng.random()`` and
+``rng.integers(0, n)`` in any mix.  Non-finite boxes and parents outside
+the box are refused before any draw.
 """
 
+import pickle
 import types
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.moo import operators
 from repro.moo.individual import Population
+from repro.moo.moead import MOEAD
 from repro.moo.nsga2 import NSGA2, NSGA2Config
+from repro.moo.operators import Draws
+from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.problems.base import FunctionalProblem
+from repro.solve import SolveRequest, solve
+from repro.solve.registry import get_solver
 from tests.helpers import crossover_pair, mutate
 from tests.oracles import operators as oracle
 
@@ -166,36 +176,6 @@ def _recorded(call):
     return result, sorted({(w.category.__name__, str(w.message)) for w in caught})
 
 
-def test_values_outside_the_box_keep_numpy_scalar_semantics():
-    """Out-of-box genes give the loops' nan/inf results and warnings, not errors."""
-    n = 30
-    for seed in range(100):
-        lower, upper, a, b = _box_and_parents(seed, n)
-        setup = np.random.default_rng(30_000 + seed)
-        a[setup.random(n) < 0.3] -= 10.0
-        b[setup.random(n) < 0.3] += 10.0
-        b[setup.random(n) < 0.1] = np.nan
-        eta = 15.5
-        rng_expected = np.random.default_rng(seed)
-        rng_actual = np.random.default_rng(seed)
-        expected, expected_warnings = _recorded(
-            lambda: oracle.sbx_crossover(a, b, lower, upper, rng_expected, eta, 1.0)
-        )
-        actual, actual_warnings = _recorded(
-            lambda: records.sbx_crossover(a, b, lower, upper, rng_actual, eta, 1.0)
-        )
-        _assert_twins(expected, actual, rng_expected, rng_actual)
-        assert actual_warnings == expected_warnings
-        expected, expected_warnings = _recorded(
-            lambda: oracle.polynomial_mutation(b, lower, upper, rng_expected, eta, 1.0)
-        )
-        actual, actual_warnings = _recorded(
-            lambda: records.polynomial_mutation(b, lower, upper, rng_actual, eta, 1.0)
-        )
-        _assert_twins([expected], [actual], rng_expected, rng_actual)
-        assert actual_warnings == expected_warnings
-
-
 # ---------------------------------------------------------------------------
 # Whole generations: NSGA-II's draw steps and one apply pass against the
 # oracle's per-pair loop.
@@ -241,62 +221,213 @@ def _engine(lower, upper, config, rng):
     return engine
 
 
-def _run_generations(seed, n, size, generations=3, perturb=None):
-    """Children and warnings of both sides, generation by generation."""
+def _run_generations(seed, n, size, generations=3):
+    """Children of the cursor and of the per-call reference, generation by generation."""
     setup, lower, upper, X, config = _generation_setup(seed, n, size)
-    if perturb is not None:
-        perturb(setup, X)
     rng_expected = np.random.default_rng(seed)
     rng_actual = np.random.default_rng(seed)
+    reference = _engine(lower, upper, config, rng_expected)
     engine = _engine(lower, upper, config, rng_actual)
     for _ in range(generations):
         # Coarse ranks and crowding: tournaments tie often and draw again.
         rank = setup.integers(0, 2, size)
         crowding = setup.choice([0.0, 0.5, 1.0, np.inf], size)
-        population = Population.from_matrix(X)
-        population.rank[:] = rank
-        population.crowding[:] = crowding
-        engine.population = population
-        expected, expected_warnings = _recorded(
-            lambda: oracle.offspring(X, rank, crowding, lower, upper, rng_expected, config)
-        )
+        for side in (reference, engine):
+            side.population = Population.from_matrix(X)
+            side.population.rank[:] = rank
+            side.population.crowding[:] = crowding
+        expected, expected_warnings = _recorded(lambda: oracle.make_offspring(reference))
         actual, actual_warnings = _recorded(lambda: engine._make_offspring().X)
         assert actual.shape == expected.shape == (size, n)
         assert actual.tobytes() == expected.tobytes()
         assert rng_actual.bit_generator.state == rng_expected.bit_generator.state
-        assert actual_warnings == expected_warnings
+        assert actual_warnings == expected_warnings == []
         X = np.array(actual)
-    return expected_warnings
 
 
 @pytest.mark.parametrize("n, size", GENERATION_CASES)
 def test_generations_match_the_per_pair_loop(n, size):
     for seed in range(12 if n < 608 else 3):
-        assert _run_generations(seed, n, size) == []
+        _run_generations(seed, n, size)
 
 
-def test_generations_outside_the_box_keep_numpy_scalar_semantics():
-    """Out-of-box genes give the loops' nan/inf children and the same warnings.
+@pytest.mark.parametrize("chunk", (1, 2, 7, 64))
+def test_generations_match_across_chunk_boundaries(chunk, monkeypatch):
+    """Tiny chunks: every step refills, most of them mid-step's worst case."""
+    monkeypatch.setattr(operators, "CHUNK_WORDS", chunk)
+    for seed in range(4):
+        for n, size in ((1, 4), (2, 6), (23, 10), (30, 32)):
+            _run_generations(seed, n, size, generations=2)
 
-    Parents pushed out of the box run three generations; parents that are
-    also nan run one.  Over more generations such nan parents would meet
-    nan children of the opposite sign, and which nan an addition of two
-    propagates depends on operand order, which the loops (numpy scalars)
-    and the library (Python float parents, as before its rewrite) leave to
-    different compiled code.
-    """
 
-    def push_out(setup, X):
-        X[setup.random(X.shape) < 0.2] -= 10.0
-        X[setup.random(X.shape) < 0.2] += 10.0
+# ---------------------------------------------------------------------------
+# The draw cursor against per-call draws.
+# ---------------------------------------------------------------------------
+#: Tournament-sized bounds, and bounds just above 2**31, where Lemire's
+#: method rejects almost half its 32-bit draws; 2**32 takes one half as is.
+BOUNDS = list(range(1, 1025)) + [2**31 + 1, 2**31 + 5, 3 * 2**30, 2**32 - 1, 2**32]
 
-    def push_out_with_nan(setup, X):
-        push_out(setup, X)
-        X[setup.random(X.shape) < 0.05] = np.nan
 
-    seen = set()
-    for seed in range(24):
-        for size in (4, 20):
-            seen.update(_run_generations(seed, 30, size, perturb=push_out))
-            seen.update(_run_generations(seed, 30, size, 1, perturb=push_out_with_nan))
-    assert seen, "the out-of-box generations should warn"
+def _per_call(rng, plan):
+    return [rng.random() if n == 0 else int(rng.integers(0, n)) for n in plan]
+
+
+def _cursor(rng, plan, chunk=None):
+    with Draws(rng, chunk) as draws:
+        return [draws.random() if n == 0 else draws.integers(n) for n in plan]
+
+
+def _plan(seed, count, bounds=BOUNDS):
+    """``count`` draws: 0 is ``random()``, ``n`` is ``integers(0, n)``."""
+    setup = np.random.default_rng(50_000 + seed)
+    plan = [int(n) for n in setup.choice(bounds, count)]
+    return [0 if uniform else n for n, uniform in zip(plan, setup.random(count) < 0.4)]
+
+
+def _assert_same_generators(rng_actual, rng_expected):
+    assert rng_actual.bit_generator.state == rng_expected.bit_generator.state
+    assert pickle.dumps(rng_actual) == pickle.dumps(rng_expected)
+    assert rng_actual.random(5).tobytes() == rng_expected.random(5).tobytes()
+    assert rng_actual.integers(0, 7, 5).tolist() == rng_expected.integers(0, 7, 5).tolist()
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 7, 64, None))
+def test_cursor_matches_per_call_draws(chunk):
+    for seed in range(20):
+        plan = _plan(seed, 2000)
+        rng_expected = np.random.default_rng(seed)
+        rng_actual = np.random.default_rng(seed)
+        expected = _per_call(rng_expected, plan)
+        actual = _cursor(rng_actual, plan, chunk)
+        assert [type(value) for value in actual] == [type(value) for value in expected]
+        assert actual == expected
+        _assert_same_generators(rng_actual, rng_expected)
+
+
+def test_cursor_rejects_like_lemire_above_two_to_the_31():
+    bounds = [2**31 + 1, 2**31 + 5, 2**31 + 2**30 + 7]
+    for seed in range(10):
+        plan = [int(n) for n in np.random.default_rng(seed).choice(bounds, 3000)]
+        rng_expected = np.random.default_rng(seed)
+        rng_actual = np.random.default_rng(seed)
+        assert _cursor(rng_actual, plan, 5) == _per_call(rng_expected, plan)
+        _assert_same_generators(rng_actual, rng_expected)
+
+
+@pytest.mark.parametrize("prefix", ([], [10], [10, 10], [0, 10], [10, 0, 10, 10]))
+@pytest.mark.parametrize("count", (0, 1, 2, 5, 1023, 1024, 1025, 3000))
+def test_cursor_hands_back_the_32_bit_buffer(prefix, count):
+    """Entering with a pending half, or with a consumed (stale) one, and
+    closing after few draws (replayed) or many (advanced)."""
+    for seed in range(3):
+        rng_expected = np.random.default_rng(seed)
+        rng_actual = np.random.default_rng(seed)
+        assert _per_call(rng_expected, prefix) == _per_call(rng_actual, prefix)
+        plan = _plan(seed, count, [1, 2, 3, 100, 2**31 + 5])
+        assert _cursor(rng_actual, plan, 16) == _per_call(rng_expected, plan)
+        _assert_same_generators(rng_actual, rng_expected)
+
+
+def test_cursor_keeps_a_consumed_high_half():
+    """numpy keeps the last high half after it is consumed; so must the cursor."""
+    rng_expected = np.random.default_rng(3)
+    rng_actual = np.random.default_rng(3)
+    _per_call(rng_expected, [10, 10, 0])
+    _cursor(rng_actual, [10, 10, 0])
+    state = rng_expected.bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] != 0
+    assert rng_actual.bit_generator.state == state
+
+
+def test_cursor_bounds_integers_to_32_bits():
+    with Draws(np.random.default_rng(0)) as draws:
+        for n in (0, -3, 2**32 + 1):
+            with pytest.raises(ValueError):
+                draws.integers(n)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", (np.random.MT19937, np.random.PCG64DXSM, np.random.Philox)
+)
+def test_non_pcg64_generators_are_refused(bit_generator):
+    rng = np.random.Generator(bit_generator(0))
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        Draws(rng)
+    problem = FunctionalProblem(
+        2, [lambda x: x[0], lambda x: x[1]], lower_bounds=[0, 0], upper_bounds=[1, 1]
+    )
+    for engine in (NSGA2, MOEAD):
+        with pytest.raises(ConfigurationError, match="PCG64"):
+            engine(problem, seed=rng)
+
+
+# ---------------------------------------------------------------------------
+# The box: finite, and parents inside it.
+# ---------------------------------------------------------------------------
+def _box_problem(lower, upper):
+    return FunctionalProblem(
+        len(lower),
+        [lambda x: float(np.sum(x)), lambda x: float(-np.sum(x))],
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+
+
+@pytest.mark.parametrize(
+    "lower, upper, named",
+    [
+        ([-np.inf, 0.0, 0.0], [1.0, 1.0, 1.0], "x0"),
+        ([0.0, 0.0, 0.0], [1.0, np.inf, np.inf], "x1, x2"),
+        ([-np.inf, -np.inf, 0.0], [np.inf, np.inf, 1.0], "x0, x1"),
+    ],
+)
+def test_non_finite_boxes_are_refused(lower, upper, named):
+    problem = _box_problem(lower, upper)
+    message = "finite box; non-finite bounds on %s$" % named
+    for build in (
+        lambda: NSGA2(problem),
+        lambda: MOEAD(problem),
+        lambda: build_pmo2(problem, PMO2Config(island_population_size=8)),
+        lambda: solve(problem, "nsga2", termination=1),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
+
+def test_solve_requests_refuse_non_finite_boxes():
+    with pytest.raises(ConfigurationError, match="non-finite bounds on x"):
+        SolveRequest(problem="schaffer?bound=inf").validate()
+    with pytest.raises(ConfigurationError, match="non-finite bounds"):
+        SolveRequest(problem="photosynthesis?upper_scale=inf").validate()
+
+
+def test_zero_span_genes_stay_legal():
+    problem = _box_problem([0.0, 0.5, -1.0], [1.0, 0.5, 1.0])
+    for algorithm in ("nsga2", "moead", "pmo2"):
+        population = get_solver(algorithm).population_overrides(8)
+        result = solve(problem, algorithm, seed=1, termination=3, **population)
+        assert np.all(result.front_decisions()[:, 1] == 0.5)
+
+
+@pytest.mark.parametrize("column, value", [(0, -10.0), (1, 10.0), (2, np.nan), (0, np.inf)])
+def test_parents_outside_the_box_are_refused(column, value):
+    problem = _box_problem([0.0, 0.0, -1.0], [1.0, 2.0, 1.0])
+    X = np.random.default_rng(0).uniform(problem.lower_bounds, problem.upper_bounds, (8, 3))
+    X[0] = problem.lower_bounds
+    X[1] = problem.upper_bounds  # on the bounds is inside
+    engine = NSGA2(problem, NSGA2Config(population_size=8))
+    engine.initialize(population=Population.from_matrix(X))
+    X[5, column] = value
+    message = "finite and inside the box; it is not on x%d$" % column
+    with pytest.raises(ConfigurationError, match=message):
+        NSGA2(problem, NSGA2Config(population_size=8)).initialize(
+            population=Population.from_matrix(X)
+        )
+    with pytest.raises(ConfigurationError, match=message):
+        solve(
+            problem,
+            "nsga2",
+            termination=1,
+            population_size=8,
+            initial_population=Population.from_matrix(X),
+        )

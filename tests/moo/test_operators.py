@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
-from repro.moo.operators import binary_tournament, differential_variation, latin_hypercube
+from repro.moo.operators import Draws, binary_tournament, differential_variation, latin_hypercube
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime.evaluator import SerialEvaluator
 from tests.helpers import crossover_pair, mutate
@@ -102,7 +102,8 @@ class TestTournament:
         population = Population.random(problem, 16, rng)
         population.evaluate(problem, SerialEvaluator())
         assign_ranks_and_crowding(population)
-        winners = [population[binary_tournament(population, rng)] for _ in range(100)]
+        with Draws(rng) as draws:
+            winners = [population[binary_tournament(population, draws)] for _ in range(100)]
         mean_winner_rank = np.mean([w.rank for w in winners])
         mean_population_rank = np.mean([i.rank for i in population])
         assert mean_winner_rank <= mean_population_rank
@@ -112,12 +113,12 @@ class TestTournament:
         rng = np.random.default_rng(0)
         population = Population.random(problem, 4, rng)
         population.evaluate(problem, SerialEvaluator())
-        with pytest.raises(ConfigurationError):
-            binary_tournament(population, rng)
+        with pytest.raises(ConfigurationError), Draws(rng) as draws:
+            binary_tournament(population, draws)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ConfigurationError):
-            binary_tournament(Population(), np.random.default_rng(0))
+            binary_tournament(Population(), Draws(np.random.default_rng(0)))
 
 
 class TestDifferentialVariation:

@@ -2,11 +2,12 @@
 
 These are SBX, polynomial mutation and
 :func:`~repro.moo.operators.differential_variation` as per-gene loops,
-copied verbatim from before their block-draw, draw/apply and array
+copied verbatim from before their block-draw, draw/apply, array and raw-word
 rewrites, and :func:`offspring`, NSGA-II's per-pair generation loop over
-them (two tournaments, the crossover, two mutations per pair).  One
-``rng.random()`` call per decision, in gene order, defines the random stream
-the optimized operators must reproduce exactly;
+them (two tournaments, the crossover, two mutations per pair), which
+:func:`make_offspring` runs on an engine's state.  One ``rng.random()`` call
+per decision, in gene order, and ``rng.integers`` per tournament pick define
+the random stream the optimized operators must reproduce exactly;
 ``tests/moo/test_operator_equivalence.py`` holds them to it.
 """
 
@@ -22,6 +23,7 @@ __all__ = [
     "differential_variation",
     "binary_tournament",
     "offspring",
+    "make_offspring",
 ]
 
 
@@ -206,3 +208,21 @@ def offspring(X, rank, crowding, lower, upper, rng, config):
                 )
             )
     return np.array(children[: config.population_size])
+
+
+def make_offspring(engine):
+    """``NSGA2._make_offspring`` with per-call draws on ``engine.rng``.
+
+    The engine's population (with its rank and crowding), box and
+    configuration go through :func:`offspring`; returns the children matrix.
+    """
+    population = engine.population
+    return offspring(
+        population.X,
+        population.rank,
+        population.crowding,
+        engine.problem.lower_bounds,
+        engine.problem.upper_bounds,
+        engine.rng,
+        engine.config,
+    )

@@ -129,6 +129,12 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert "violation_norm" in str(excinfo.value)
 
+    def test_non_finite_box_is_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(problem="schaffer?bound=inf")
+        assert excinfo.value.status == 400
+        assert "non-finite bounds on x" in str(excinfo.value)
+
     def test_string_boolean_is_stored_as_boolean(self, service):
         record = service.submit(problem="zdt1", telemetry="false")
         assert record["spec"]["telemetry"] is False

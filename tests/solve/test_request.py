@@ -107,6 +107,7 @@ class TestValidate:
             {"algorithm": "nsga3"},
             {"problem": "zdt99"},
             {"problem": "geobacter?violation_norm=bogus"},
+            {"problem": "schaffer?bound=inf"},
         ],
     )
     def test_a_request_that_can_only_fail_is_refused(self, fields):
