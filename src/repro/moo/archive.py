@@ -17,6 +17,16 @@ and replays sequential insertion (member order, duplicate rejection,
 per-insertion crowding truncation) as bit arithmetic on the live set, so a
 candidate costs a few integer operations instead of a Python dominance loop
 per member.
+
+An unbounded archive first drops the offered rows the fold would reject
+with no side effect: a row whose ``F``, ``CV`` and ``X`` equal a live
+member's, when no offered row dominates that member.  Only a dominating
+candidate evicts a member of an unbounded archive, so the member is still
+live when the row's turn comes, and the fold rejects the row as its twin.
+NSGA-II offers its whole surviving population every generation, so about
+half the offered rows are such repeats.  A bounded archive folds every row
+(crowding truncation can evict the member and let its repeat back in), and
+so does a row holding a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -88,6 +98,10 @@ class ParetoArchive:
 
         The resulting membership (order included) and the count are
         identical to calling :meth:`add` on each individual in order.
+        Without a capacity, finite rows that repeat a live member no offered
+        row dominates skip the fold, which would reject them unchanged; a
+        bounded archive, or a row with a NaN or an infinity, always folds
+        (see the module docstring).
         """
         if not isinstance(population, Population):
             population = Population(population)
@@ -99,12 +113,49 @@ class ParetoArchive:
             return 0
         if not offered._evaluated.all():
             raise ConfigurationError("cannot archive an unevaluated individual")
+        if self.capacity is None and len(self._members):
+            fold = ~self._repeats(offered)
+            if not fold.all():
+                offered = offered.take(np.flatnonzero(fold))
+                if not len(offered):
+                    return 0
         merged = Population.concat([self._members, offered])
         kept, accepted = kernels.archive_prune(
             merged.F, merged.CV, merged.X, len(self._members), capacity=self.capacity
         )
         self._members = merged.take(kept)
         return accepted
+
+    def _repeats(self, offered: Population) -> np.ndarray:
+        """Which offered rows the fold would reject with no side effect.
+
+        A row repeats a member when its ``F`` and ``CV`` bytes equal the
+        member's (one dict lookup) and its ``X`` equals the member's.  The
+        fold then rejects it as the member's twin, provided the member is
+        still live when the row's turn comes: with no capacity only a
+        dominating candidate evicts a member, so a member that no offered
+        row dominates is live throughout.  Rows holding a NaN or an infinity
+        always take the fold.
+        """
+        F, CV, X = offered.F, offered.CV, offered.X
+        members = {key: row for row, key in enumerate(_row_keys(self.F, self.CV))}
+        twins = np.array([members.get(key, -1) for key in _row_keys(F, CV)], dtype=np.intp)
+        finite = np.isfinite(F).all(axis=1) & np.isfinite(CV) & np.isfinite(X).all(axis=1)
+        rows = np.flatnonzero(finite & (twins >= 0))
+        rows = rows[(X[rows] == self.X[twins[rows]]).all(axis=1)]
+        repeats = np.zeros(len(offered), dtype=bool)
+        if not rows.size:
+            return repeats
+        # Only fresh rows can evict a member: a repeat has a member's F and
+        # CV, and the members are mutually non-dominated.
+        fresh = np.ones(len(offered), dtype=bool)
+        fresh[rows] = False
+        twins = twins[rows]
+        evictable = kernels.constrained_domination_blocks(
+            F[fresh], CV[fresh], self.F[twins], self.CV[twins]
+        ).any(axis=0)
+        repeats[rows[~evictable]] = True
+        return repeats
 
     # ------------------------------------------------------------------
     @classmethod
@@ -140,3 +191,9 @@ class ParetoArchive:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ParetoArchive(size=%d, capacity=%r)" % (len(self._members), self.capacity)
+
+
+def _row_keys(F: np.ndarray, CV: np.ndarray) -> list[bytes]:
+    """The bytes of each row of ``[F | CV]``."""
+    rows = np.column_stack([F, CV])
+    return rows.view("V%d" % (rows.dtype.itemsize * rows.shape[1])).ravel().tolist()

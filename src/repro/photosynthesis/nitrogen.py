@@ -62,17 +62,17 @@ def total_nitrogen_batch(activities: np.ndarray) -> np.ndarray:
     """Total protein nitrogen of every row of an ``(n, 23)`` activity matrix.
 
     Each entry is bitwise identical to :func:`total_nitrogen` of the matching
-    row: the cost vector is built once, but the dot product stays per-row
-    (a matrix-vector GEMM accumulates in a different order than the scalar
-    DDOT and drifts in the last ulp, which would break the golden digests).
+    row: the cost vector is built once, but the dot product stays one DDOT
+    per row, mapped over the rows without a Python loop body (a GEMV or
+    ``einsum`` accumulates in a different order than the scalar DDOT and
+    drifts in the last ulp, which would break the golden digests).
     """
     X = np.asarray(activities, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(ENZYMES):
         raise DimensionError(
             "expected an (n, %d) activity matrix, got %r" % (len(ENZYMES), X.shape)
         )
-    costs = nitrogen_cost_vector()
-    return np.array([float(costs @ row) for row in X])
+    return np.fromiter(map(nitrogen_cost_vector().dot, X), float, X.shape[0])
 
 
 def nitrogen_by_enzyme(activities: Sequence[float]) -> dict[str, float]:

@@ -82,8 +82,8 @@ class PhotosynthesisProblem(Problem):
         return BatchEvaluation(
             F=np.column_stack([-uptake, nitrogen]),
             info=tuple(
-                {"co2_uptake": float(u), "nitrogen": float(n)}
-                for u, n in zip(uptake, nitrogen)
+                {"co2_uptake": u, "nitrogen": n}
+                for u, n in zip(uptake.tolist(), nitrogen.tolist())
             ),
         )
 

@@ -47,6 +47,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any
 
+import repro
 from repro.serve.jobs import (
     CANCELLED,
     CHECKPOINTED,
@@ -135,6 +136,18 @@ class JobChannel:
         self.subscribers = []
 
 
+def _runner_environment() -> dict[str, str]:
+    """This process's environment, with the root ``repro`` came from first on ``PYTHONPATH``.
+
+    The fork server then imports the same package, also when this process
+    found it through ``sys.path`` alone (as a test run does).
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 class _ForkServerDied(Exception):
     """The fork server exited while a job was running in one of its children."""
 
@@ -165,6 +178,7 @@ class _ForkServer:
             stdin=asyncio.subprocess.PIPE,
             stdout=asyncio.subprocess.PIPE,
             start_new_session=True,
+            env=_runner_environment(),
         )
         return cls(process)
 

@@ -145,3 +145,165 @@ class TestNaNViolation:
         np.testing.assert_array_equal(archive.F, [[0.0, 0.0]])
         assert not kernels.constrained_domination_matrix(archive.F, archive.CV).any()
         assert kernels.nondominated_sort(archive.F, archive.CV) == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# ParetoArchive skips offered rows that repeat a live member
+# ---------------------------------------------------------------------------
+def _rows(F, CV, X):
+    """One evaluated individual per row, tagged with its row index."""
+    individuals = []
+    for row in range(F.shape[0]):
+        individual = Individual(X[row])
+        individual.objectives = F[row]
+        individual.constraint_violation = float(CV[row])
+        individual.info = {"row": row}
+        individuals.append(individual)
+    return individuals
+
+
+def _offer(F, CV, X, n_members, capacity, one_at_a_time=False):
+    """Load the members into an archive, offer the rest; ``(archive, accepted)``."""
+    rows = _rows(F, CV, X)
+    archive = ParetoArchive(capacity=capacity)
+    archive.add_population(rows[:n_members])
+    assert [member.info["row"] for member in archive] == list(range(n_members))
+    if one_at_a_time:
+        accepted = sum(archive.add(row) for row in rows[n_members:])
+    else:
+        accepted = archive.add_population(rows[n_members:])
+    return archive, accepted
+
+
+def _assert_archive_is_the_fold(F, CV, X, n_members, capacity, one_at_a_time=False):
+    """The archive ends as the full fold leaves it: members, order, bytes, count.
+
+    Where the violations are NaN-free, the per-candidate oracle agrees too.
+    """
+    with warnings.catch_warnings(), _truncation_errstate(F, capacity):
+        warnings.simplefilter("error", RuntimeWarning)
+        archive, accepted = _offer(F, CV, X, n_members, capacity, one_at_a_time)
+        expected = kernels.archive_prune(F, CV, X, n_members, capacity=capacity)
+        if not np.isnan(CV).any():
+            assert oracle.archive_prune(F, CV, X, n_members, capacity=capacity) == expected
+    kept, expected_accepted = expected
+    assert [member.info["row"] for member in archive] == kept
+    assert accepted == expected_accepted
+    assert archive.X.tobytes() == X[kept].tobytes()
+    assert archive.F.tobytes() == F[kept].tobytes()
+    assert archive.CV.tobytes() == CV[kept].tobytes()
+
+
+def _repeat_case(seed):
+    """``(F, CV, X, n_members, capacity)`` whose offered rows repeat members.
+
+    The members come first; the offered rows mix fresh rows (exact and near
+    duplicates of each other among them) with members offered again, some
+    of them several times in the one batch.
+    """
+    rng = np.random.default_rng(seed)
+    capacity = (None, None, 3, 8)[seed % 4]
+    m = (1, 2, 3)[seed % 3]
+    n_var = (1, 5, 23)[(seed // 3) % 3]
+    n = int(rng.integers(2, 60))
+    F = rng.integers(0, 5, size=(n, m)).astype(float)
+    if rng.random() < 0.5:
+        F += rng.normal(scale=0.3, size=(n, m))
+    X = rng.uniform(size=(n, n_var))
+    CV = np.where(rng.random(n) < 0.7, 0.0, rng.integers(1, 4, size=n).astype(float))
+    for scale in (0.0, 1e-10):
+        source = rng.integers(0, n, size=n // 4)
+        target = rng.integers(0, n, size=n // 4)
+        F[target] = F[source] + scale * rng.normal(size=(source.size, m))
+        X[target] = X[source] + scale * rng.normal(size=(source.size, n_var))
+        CV[target] = CV[source]
+    if rng.random() < 0.25:
+        F[rng.random((n, m)) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+    if rng.random() < 0.25:
+        CV[rng.random(n) < 0.1] = rng.choice([np.nan, np.inf])
+    prefix = int(rng.integers(1, n + 1))
+    with _truncation_errstate(F, capacity):
+        kept, _ = kernels.archive_prune(F[:prefix], CV[:prefix], X[:prefix], 0, capacity=capacity)
+    repeats = rng.choice(kept, size=int(rng.integers(1, 2 * len(kept) + 1)))
+    offered = np.concatenate([np.arange(prefix, n), repeats])
+    rng.shuffle(offered)
+    order = np.concatenate([kept, offered]).astype(np.intp)
+    return F[order], CV[order], X[order], len(kept), capacity
+
+
+def _record_folds(monkeypatch):
+    """Record how many offered rows each ``archive_prune`` call folds."""
+    folded = []
+    prune = kernels.archive_prune
+
+    def recording(F, CV, X, n_members, capacity=None):
+        folded.append(F.shape[0] - n_members)
+        return prune(F, CV, X, n_members, capacity=capacity)
+
+    monkeypatch.setattr(kernels, "archive_prune", recording)
+    return folded
+
+
+class TestRepeatSkip:
+    @pytest.mark.parametrize("batch", range(10))
+    def test_folding_repeats_matches_the_full_fold(self, batch):
+        for seed in range(batch * 50, (batch + 1) * 50):
+            _assert_archive_is_the_fold(*_repeat_case(seed))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_adding_rows_one_at_a_time_matches_the_full_fold(self, seed):
+        F, CV, X, n_members, capacity = _repeat_case(seed)
+        _assert_archive_is_the_fold(F, CV, X, n_members, capacity, one_at_a_time=True)
+
+    def test_repeats_skip_the_fold_only_without_a_capacity(self, monkeypatch):
+        folded = _record_folds(monkeypatch)
+        F = np.array([[0.0, 2.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [2.0, 0.0]])
+        CV, X = np.zeros(5), np.arange(5.0)[:, None] % 3
+        for capacity, offered in ((None, 1), (3, 3)):
+            folded.clear()
+            _assert_archive_is_the_fold(F, CV, X, 2, capacity)
+            # Loading the members folds 2 rows; the fresh row [1, 1] always
+            # takes the fold, the two repeats only with a capacity.
+            assert folded[:2] == [2, offered]
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            (0, np.nan), (0, np.inf), (1, -np.inf),
+            (2, np.nan), (2, np.inf),
+            (3, np.nan), (3, np.inf),
+        ],
+    )
+    def test_rows_with_a_non_finite_value_take_the_fold(self, column, value, monkeypatch):
+        # A member and its exact repeat: F in columns 0-1, CV in 2, X in 3.
+        rows = np.array([[0.0, 2.0, 0.0, 0.5], [0.0, 2.0, 0.0, 0.5]])
+        rows[:, column] = value
+        F, CV, X = rows[:, :2].copy(), rows[:, 2].copy(), rows[:, 3:].copy()
+        folded = _record_folds(monkeypatch)
+        _assert_archive_is_the_fold(F, CV, X, 1, None)
+        assert folded[:2] == [1, 1]
+
+    def test_signed_zero_twins(self, monkeypatch):
+        # Row 2 holds -0.0 in F where member 0 holds 0.0: different bytes, so
+        # it takes the fold, which rejects it as the member's twin.  Row 3
+        # holds -0.0 in X alone, which equals member 1's 0.0, so it skips it.
+        F = np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0], [1.0, 0.0]])
+        X = np.array([[0.5, 0.0], [0.25, 0.0], [0.5, 0.0], [0.25, -0.0]])
+        CV = np.zeros(4)
+        folded = _record_folds(monkeypatch)
+        _assert_archive_is_the_fold(F, CV, X, 2, None)
+        assert folded[:2] == [2, 1]
+        _assert_archive_is_the_fold(F, CV, X, 2, 3)
+
+    def test_a_member_evicted_by_a_rejected_near_duplicate(self):
+        # Row 2 dominates member 1 and evicts it, then is rejected as a near
+        # duplicate of member 0.  Row 3 repeats member 1; no live row
+        # dominates it and it is not close to member 0 in X, so the fold
+        # accepts it.  Skipping every repeat would lose it: a repeat skips
+        # the fold only while no offered row dominates its member.
+        F = np.array([[1.0000000001, 0.9999999998], [1.0, 1.0], [1.0, 0.9999999999], [1.0, 1.0]])
+        X = np.array([[0.0], [1.0], [0.0], [1.0]])
+        CV = np.zeros(4)
+        assert oracle.archive_prune(F, CV, X, 2) == ([0, 3], 1)
+        _assert_archive_is_the_fold(F, CV, X, 2, None)
+        _assert_archive_is_the_fold(F, CV, X, 2, None, one_at_a_time=True)

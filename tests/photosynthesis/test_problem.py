@@ -7,7 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.robustness import RobustnessSettings, front_yields, local_yields, uptake_yield
 from repro.photosynthesis.conditions import REFERENCE_CONDITION, condition
 from repro.photosynthesis.enzymes import natural_activities
-from repro.photosynthesis.nitrogen import NATURAL_NITROGEN
+from repro.photosynthesis.nitrogen import NATURAL_NITROGEN, total_nitrogen, total_nitrogen_batch
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
 from repro.photosynthesis.steady_state import EnzymeLimitedModel
 from repro.solve import solve
@@ -150,3 +150,41 @@ class TestUptakeMatrix:
         assert batched.keys() == looped.keys()
         for name in batched:
             self._assert_reports_equal(batched[name], looped[name])
+
+
+class TestNitrogenBatch:
+    """``total_nitrogen_batch`` is ``total_nitrogen`` of each row, bit for bit."""
+
+    @staticmethod
+    def _assert_rows_match(X):
+        batched = total_nitrogen_batch(X)
+        looped = np.array([total_nitrogen(x) for x in X], dtype=float)
+        assert batched.dtype == np.float64
+        assert batched.shape == (X.shape[0],)
+        assert batched.tobytes() == looped.tobytes()
+
+    @pytest.fixture(scope="class")
+    def trials(self):
+        # As many rows as the Table 2 yield trials put through one batch.
+        problem = PhotosynthesisProblem(REFERENCE_CONDITION)
+        rng = np.random.default_rng(2011)
+        return rng.uniform(problem.lower_bounds, problem.upper_bounds, (13000, 23))
+
+    def test_no_rows_and_one_row(self, trials):
+        self._assert_rows_match(trials[:0])
+        self._assert_rows_match(trials[:1])
+
+    def test_thirteen_thousand_rows_in_the_box(self, trials):
+        self._assert_rows_match(trials)
+
+    def test_fortran_ordered_and_strided_matrices(self, trials):
+        self._assert_rows_match(np.asfortranarray(trials[:500]))
+        self._assert_rows_match(trials[::2])
+
+    def test_problem_info_holds_python_floats_of_the_objectives(self, problem, trials):
+        batch = problem.evaluate_matrix(trials[:50])
+        uptake = [info["co2_uptake"] for info in batch.info]
+        nitrogen = [info["nitrogen"] for info in batch.info]
+        assert all(type(value) is float for value in uptake + nitrogen)
+        assert np.array(uptake).tobytes() == (-batch.F[:, 0]).tobytes()
+        assert np.array(nitrogen).tobytes() == batch.F[:, 1].tobytes()

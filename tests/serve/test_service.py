@@ -261,3 +261,30 @@ class TestLazyPackageImport:
         assert all(getattr(repro.serve, name) is not None for name in repro.serve.__all__)
         with pytest.raises(AttributeError):
             repro.serve.NoSuchName
+
+
+class TestForkServerEnvironment:
+    def test_runner_imports_the_package_the_coordinator_found_on_sys_path(self, tmp_path):
+        # The parent finds repro through sys.path alone, with no PYTHONPATH
+        # and no installed copy: the fork server must still import it.
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from repro.serve import ServeClient, ServeThread\n"
+            "with ServeThread(%r, workers=1) as app:\n"
+            "    client = ServeClient(port=app.port, timeout=120)\n"
+            "    job = client.submit(**%r)\n"
+            "    print(client.wait(job['id'], timeout=120)['state'])\n"
+        ) % (src, str(tmp_path / "data"), SPEC)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=180,
+        )
+        assert completed.stdout.strip() == "done", completed.stderr
