@@ -36,7 +36,8 @@ import time
 
 from _harness import add_output_argument, environment, write_report
 from repro.core.artifacts import dumps_json, front_payload
-from repro.solve import build_problem, solve
+from repro.problems import build_problem
+from repro.solve import solve
 
 #: (problem spec, population, generations, seed) per mode.
 FULL_BUDGET = ("zdt1?n_var=8&delay=0.005", 24, 30, 2011)

@@ -36,7 +36,8 @@ import time
 
 from _harness import add_output_argument, environment, write_report
 from repro.obs import NullSink, RunTelemetry, Tracer, use_tracer
-from repro.solve import build_problem, solve
+from repro.problems import build_problem
+from repro.solve import solve
 
 #: (population, generations, best-of repeats) per mode.
 FULL_BUDGET = (32, 30, 12)

@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.problems import build_problem
 from repro.serve import ServeClient
-from repro.solve import MaxGenerations, build_problem, solve
+from repro.solve import MaxGenerations, solve
 
 SPEC = {"problem": "zdt1", "algorithm": "nsga2", "seed": 7,
         "generations": 8, "population": 16, "telemetry": False}

@@ -20,7 +20,8 @@ import tempfile
 from pathlib import Path
 
 from repro.core.artifacts import record_solve_run
-from repro.solve import build_problem, solve
+from repro.problems import build_problem
+from repro.solve import solve
 
 
 def main() -> None:

@@ -30,8 +30,8 @@ through :func:`repro.solve.solve`, which attaches an evaluator from
 :mod:`repro.runtime` (process pools, memoization) and a
 :class:`repro.runtime.CheckpointManager` for kill-safe resumable runs;
 neither changes results for a fixed seed.  The problem contract lives in
-:mod:`repro.problems`; :class:`Problem`, :class:`FunctionalProblem` and
-:class:`EvaluationResult` are re-exported here.
+:mod:`repro.problems`; :class:`Problem` and :class:`FunctionalProblem` are
+re-exported here.
 
 The public names below resolve on first access, so importing one engine
 (``from repro.moo.nsga2 import NSGA2``) loads only what that engine needs,
@@ -80,7 +80,6 @@ _EXPORTS = {
     "assign_ranks_and_crowding": "repro.moo.nsga2",
     "PMO2Config": "repro.moo.pmo2",
     "build_pmo2": "repro.moo.pmo2",
-    "EvaluationResult": "repro.problems.batch",
     "FunctionalProblem": "repro.problems.base",
     "Problem": "repro.problems.base",
     "PerturbationModel": "repro.moo.robustness",

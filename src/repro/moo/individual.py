@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.problems.base import Problem
-from repro.problems.batch import EvaluationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.evaluator import Evaluator
@@ -93,7 +92,7 @@ class Individual:
 
     @property
     def info(self) -> dict:
-        """Evaluation by-products propagated from :class:`EvaluationResult`."""
+        """Evaluation by-products: the row's entry of the batch's ``info``."""
         infos = self._population._info
         if infos[self._row] is None:
             infos[self._row] = {}
@@ -112,12 +111,6 @@ class Individual:
     def is_feasible(self) -> bool:
         """``True`` when the aggregate constraint violation is zero."""
         return self.constraint_violation == 0.0
-
-    def set_evaluation(self, result: EvaluationResult) -> None:
-        """Attach the outcome of a problem evaluation to this individual."""
-        self.objectives = np.asarray(result.objectives, dtype=float)
-        self.constraint_violation = result.total_violation
-        self.info = dict(result.info)
 
     def copy(self) -> "Individual":
         """Free-standing deep copy (decision vector and cached evaluation)."""

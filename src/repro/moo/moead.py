@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.exceptions import ConfigurationError
 from repro.moo.archive import ParetoArchive
-from repro.moo.individual import Individual, Population
+from repro.moo.individual import Population
 from repro.moo.operators import (
     Draws,
     Variation,
@@ -139,9 +139,10 @@ class MOEAD:
 
     ``evaluator`` routes objective evaluations through a
     :class:`~repro.runtime.evaluator.Evaluator` (process pool, cache, ...;
-    a :class:`~repro.runtime.evaluator.SerialEvaluator` by default); the
-    initial population is evaluated as one batch, offspring one by one
-    (MOEA/D's replacement is inherently sequential).
+    a :class:`~repro.runtime.evaluator.SerialEvaluator` by default).  The
+    sub-problem incumbents are one :class:`~repro.moo.individual.Population`,
+    evaluated as one batch; each offspring is a one-row population of its
+    own, evaluated alone (MOEA/D's replacement is inherently sequential).
     """
 
     def __init__(
@@ -159,13 +160,7 @@ class MOEAD:
         self.rng = pcg64_generator(seed)
         self.weights = uniform_weight_vectors(problem.n_obj, self.config.population_size)
         self.neighbors = self._build_neighborhoods()
-        self.population: list[Individual] = []
-        #: Columnar views of the incumbents — an (n, m) objective matrix and
-        #: an (n,) violation vector kept in sync with ``population`` so the
-        #: neighbourhood update runs as one broadcast instead of per-index
-        #: aggregation (rebuilt at every generation boundary).
-        self._incumbent_F: np.ndarray | None = None
-        self._incumbent_CV: np.ndarray | None = None
+        self.population = Population()
         self.ideal: np.ndarray | None = None
         self.archive = ParetoArchive(capacity=self.config.archive_capacity)
         self.evaluations = 0
@@ -180,70 +175,27 @@ class MOEAD:
         size = self.config.resolved_neighborhood_size()
         return np.argsort(distances, axis=1)[:, :size]
 
-    def _aggregate(self, individual: Individual, weight: np.ndarray) -> float:
-        """Tchebycheff aggregation with a constraint penalty."""
-        assert self.ideal is not None
-        weight = np.where(weight <= 0.0, 1e-6, weight)
-        value = float(np.max(weight * np.abs(individual.objectives - self.ideal)))
-        return value + self.config.constraint_penalty * individual.constraint_violation
-
     def _aggregate_batch(
         self, objectives: np.ndarray, violations: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
-        """Row-wise Tchebycheff aggregation (broadcast form of :meth:`_aggregate`).
+        """Row-wise Tchebycheff aggregation with a constraint penalty.
 
         ``objectives`` is ``(k, m)`` (or ``(1, m)``, broadcast against the
-        ``(k, m)`` weight rows), ``violations`` scalar or ``(k,)``.  Each row
-        uses the same elementwise operations as the scalar method, so the
-        values are bitwise identical.
+        ``(k, m)`` weight rows), ``violations`` ``(k,)`` (or ``(1,)``).
         """
         assert self.ideal is not None
         weights = np.where(weights <= 0.0, 1e-6, weights)
         values = np.max(weights * np.abs(objectives - self.ideal[None, :]), axis=1)
         return values + self.config.constraint_penalty * violations
 
-    def _refresh_incumbent_columns(self) -> None:
-        """Rebuild the columnar incumbent views from the population.
-
-        Called at every generation boundary, so the views can never go stale
-        — not even when a checkpoint restore swaps the population out from
-        under a warm instance.  One ``(n, m)`` stack per generation is noise
-        next to the per-child replacement work it accelerates.
-        """
-        incumbents = Population(self.population)
-        self._incumbent_F = np.array(incumbents.F)
-        self._incumbent_CV = np.array(incumbents.CV)
-
-    def _update_ideal(self, individual: Individual) -> None:
-        if self.ideal is None:
-            self.ideal = individual.objectives.copy()
-        else:
-            self.ideal = np.minimum(self.ideal, individual.objectives)
-
     # ------------------------------------------------------------------
-    def _evaluate(self, individual: Individual) -> None:
-        batch = self.evaluator.evaluate_matrix(self.problem, individual.x[None, :])
-        individual.set_evaluation(batch.result(0))
-        self.evaluations += 1
-
     def initialize(self) -> None:
-        """Sample and evaluate the initial set of sub-problem incumbents."""
-        # Draw every incumbent first (same RNG stream as the sequential
-        # version), then evaluate them as one batch so a pooled evaluator can
-        # fan the whole initialization out.
-        individuals = [
-            Individual(self.problem.random_solution(self.rng))
-            for _ in range(self.config.population_size)
-        ]
-        X = np.vstack([individual.x for individual in individuals])
-        batch = self.evaluator.evaluate_matrix(self.problem, X)
-        self.population = []
-        for index, individual in enumerate(individuals):
-            individual.set_evaluation(batch.result(index))
-            self.evaluations += 1
-            self._update_ideal(individual)
-            self.population.append(individual)
-        self._refresh_incumbent_columns()
+        """Sample the sub-problem incumbents and evaluate them as one batch."""
+        self.population = Population.random(
+            self.problem, self.config.population_size, self.rng
+        )
+        self.evaluations += self.population.evaluate(self.problem, self.evaluator)
+        self.ideal = np.min(self.population.F, axis=0)
         self.archive.add_population(self.population)
         self.generation = 0
 
@@ -291,45 +243,42 @@ class MOEAD:
 
     def step(self) -> None:
         """Perform one MOEA/D generation (one pass over all sub-problems)."""
-        if not self.population:
+        if not self.is_initialized:
             self.initialize()
-        self._refresh_incumbent_columns()
         for index in range(self.config.population_size):
             pool, restricted = self._mating_pool(index)
-            child_vector = self._reproduce(index, pool)
-            child = Individual(child_vector)
-            self._evaluate(child)
-            self._update_ideal(child)
-            self.archive.add(child)
+            child = Population.from_matrix(self._reproduce(index, pool)[None])
+            self.evaluations += child.evaluate(self.problem, self.evaluator)
+            self.ideal = np.minimum(self.ideal, child.F[0])
+            self.archive.add_population(child)
             replace_pool = pool if restricted else np.arange(self.config.population_size)
             order = self.rng.permutation(replace_pool)
             self._update_neighborhood(child, order)
         self.generation += 1
 
-    def _update_neighborhood(self, child: Individual, order: np.ndarray) -> int:
+    def _update_neighborhood(self, child: Population, order: np.ndarray) -> int:
         """Replace up to ``max_replacements`` incumbents the child improves on.
 
-        One broadcast computes the child's and the incumbents' Tchebycheff
-        values over the whole (permuted) replacement pool at once; the first
-        ``max_replacements`` improved sub-problems — in permutation order,
-        exactly as the sequential scan visited them — adopt a copy of the
-        child.  Returns the number of replacements performed.
+        One broadcast computes the one-row ``child``'s and the incumbents'
+        Tchebycheff values over the whole (permuted) replacement pool at
+        once; the first ``max_replacements`` improved sub-problems — in
+        permutation order, exactly as the sequential scan visited them —
+        take a copy of the child's row.  Returns the number of replacements.
         """
-        assert self._incumbent_F is not None and self._incumbent_CV is not None
-        child_values = self._aggregate_batch(
-            child.objectives[None, :], child.constraint_violation, self.weights[order]
-        )
+        weights = self.weights[order]
+        child_values = self._aggregate_batch(child.F, child.CV, weights)
         incumbent_values = self._aggregate_batch(
-            self._incumbent_F[order], self._incumbent_CV[order], self.weights[order]
+            self.population.F[order], self.population.CV[order], weights
         )
         improved = order[child_values < incumbent_values]
         improved = improved[: self.config.max_replacements]
-        for j in improved:
-            j = int(j)
-            clone = child.copy()
-            self.population[j] = clone
-            self._incumbent_F[j] = clone.objectives
-            self._incumbent_CV[j] = clone.constraint_violation
+        offspring = child[0]
+        for j in improved.tolist():
+            incumbent = self.population[j]
+            incumbent.x[:] = offspring.x
+            incumbent.objectives = offspring.objectives
+            incumbent.constraint_violation = offspring.constraint_violation
+            incumbent.info = dict(offspring.info)
         return int(improved.size)
 
     # ------------------------------------------------------------------
@@ -338,7 +287,7 @@ class MOEAD:
     @property
     def is_initialized(self) -> bool:
         """Whether :meth:`initialize` has produced the incumbents."""
-        return bool(self.population)
+        return len(self.population) > 0
 
     def pareto_front(self) -> Population:
         """Snapshot of the non-dominated front accumulated so far."""
@@ -351,7 +300,7 @@ class MOEAD:
         return SolveResult(
             algorithm="moead",
             problem=self.problem.name,
-            population=Population(ind.copy() for ind in self.population),
+            population=self.population.copy(),
             archive=self.archive,
             generations=self.generation,
             evaluations=self.evaluations,

@@ -18,17 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.moo.robustness import (
-    RobustnessReport,
-    RobustnessSettings,
-    front_yields,
-)
+from repro.moo.robustness import RobustnessSettings, front_yields
 from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
 from repro.photosynthesis.enzymes import ENZYME_NAMES, ENZYMES, natural_activities
 from repro.photosynthesis.nitrogen import total_nitrogen, total_nitrogen_batch
 from repro.photosynthesis.steady_state import EnzymeLimitedModel
 from repro.problems.base import Problem
-from repro.problems.batch import BatchEvaluation, EvaluationResult
+from repro.problems.batch import BatchEvaluation
 
 __all__ = ["PhotosynthesisProblem", "RobustPhotosynthesisProblem"]
 
@@ -159,17 +155,13 @@ class RobustPhotosynthesisProblem(Problem):
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         reports = front_yields(X, self.model.co2_uptake_batch, settings=self.settings)
-        return BatchEvaluation.from_results(
-            [
-                self._result(report, nitrogen)
-                for report, nitrogen in zip(reports, total_nitrogen_batch(X))
-            ]
-        )
-
-    @staticmethod
-    def _result(report: RobustnessReport, nitrogen: float) -> EvaluationResult:
-        uptake, yield_percentage = report.nominal_value, report.yield_percentage
-        return EvaluationResult(
-            objectives=np.array([-uptake, nitrogen, -yield_percentage]),
-            info={"co2_uptake": uptake, "nitrogen": float(nitrogen), "yield": yield_percentage},
+        uptake = [report.nominal_value for report in reports]
+        yields = [report.yield_percentage for report in reports]
+        nitrogen = total_nitrogen_batch(X)
+        return BatchEvaluation(
+            F=np.column_stack([np.negative(uptake), nitrogen, np.negative(yields)]),
+            info=[
+                {"co2_uptake": u, "nitrogen": n, "yield": y}
+                for u, n, y in zip(uptake, nitrogen.tolist(), yields)
+            ],
         )

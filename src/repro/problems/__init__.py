@@ -38,7 +38,7 @@ removed in 2.0.
 """
 
 from repro.problems.base import FunctionalProblem, Problem
-from repro.problems.batch import BatchEvaluation, EvaluationResult
+from repro.problems.batch import BatchEvaluation
 from repro.problems.registry import (
     TRANSFORM_PARAMETERS,
     ProblemSpec,
@@ -72,7 +72,6 @@ __all__ = [
     "Problem",
     "FunctionalProblem",
     "BatchEvaluation",
-    "EvaluationResult",
     "ProblemSpec",
     "TRANSFORM_PARAMETERS",
     "register_problem",

@@ -11,13 +11,15 @@ vectorized kernels of :mod:`repro.moo.kernels` consume end to end.
 
 Implementing a problem
 ----------------------
-Subclasses provide one of two hooks:
+Subclasses implement one hook, ``_evaluate_matrix(X) -> BatchEvaluation``.
+It receives a validated, non-empty ``(n, n_var)`` matrix and returns the
+objectives (and constraint violations) of every row.  Objectives that are
+numpy column operations compute the whole batch at once (all the synthetic
+test problems do); per-design physics (one ODE solve per candidate) loops
+the rows and stacks them::
 
-* ``_evaluate_matrix(X) -> BatchEvaluation`` — the vectorized path; the
-  right choice whenever the objectives are expressible as numpy column
-  operations (all the synthetic test problems are);
-* ``_evaluate_row(x) -> EvaluationResult`` — per-design physics (one ODE
-  solve per candidate); the base class loops rows into a batch.
+    def _evaluate_matrix(self, X):
+        return BatchEvaluation(F=np.vstack([self._solve(x) for x in X]))
 
 Conventions
 -----------
@@ -59,7 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.problems.batch import BatchEvaluation, EvaluationResult
+from repro.problems.batch import BatchEvaluation
 from repro.problems.space import DesignSpace
 
 __all__ = [
@@ -164,15 +166,9 @@ class Problem:
             s not in (-1, 1) for s in self.objective_senses
         ):
             raise ConfigurationError("objective_senses must be +/-1 per objective")
-        # Fail at construction, not at first evaluation, when no hook exists.
-        if (
-            type(self)._evaluate_matrix is Problem._evaluate_matrix
-            and type(self)._evaluate_row is Problem._evaluate_row
-        ):
-            raise TypeError(
-                "%s implements neither _evaluate_matrix nor _evaluate_row"
-                % type(self).__name__
-            )
+        # Fail at construction, not at first evaluation, when the hook is missing.
+        if type(self)._evaluate_matrix is Problem._evaluate_matrix:
+            raise TypeError("%s does not implement _evaluate_matrix" % type(self).__name__)
 
     # ------------------------------------------------------------------
     # The batch-first contract
@@ -199,11 +195,7 @@ class Problem:
         return self._evaluate_matrix(X)
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        """Default matrix hook: loop :meth:`_evaluate_row` over the rows."""
-        return BatchEvaluation.from_results([self._evaluate_row(x) for x in X])
-
-    def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
-        """Per-design hook for problems whose physics is inherently scalar."""
+        """The subclass hook: evaluate a validated, non-empty ``(n, n_var)`` matrix."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -360,12 +352,11 @@ class FunctionalProblem(Problem):
         identity["instance"] = self._cache_token
         return identity
 
-    def _evaluate_row(self, x: np.ndarray) -> EvaluationResult:
-        arr = self.validate(x)
-        objectives = np.array(
-            [float(f(arr)) for f in self._objective_functions], dtype=float
-        )
-        violations = np.array(
-            [float(g(arr)) for g in self._constraint_functions], dtype=float
-        )
-        return EvaluationResult(objectives=objectives, constraint_violations=violations)
+    def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
+        """Call the objective, then the constraint callables on each row in turn."""
+        objectives, violations = [], []
+        for x in X:
+            objectives.append([float(f(x)) for f in self._objective_functions])
+            violations.append([float(g(x)) for g in self._constraint_functions])
+        G = np.array(violations) if self._constraint_functions else None
+        return BatchEvaluation(F=np.array(objectives), G=G)

@@ -1,18 +1,15 @@
-"""Columnar evaluation containers: the batch-first side of the Problem contract.
+"""The columnar evaluation container: the return type of the Problem contract.
 
 :class:`BatchEvaluation` is what :meth:`repro.problems.Problem.evaluate_matrix`
 returns: an ``(n, n_obj)`` objective matrix ``F``, an ``(n, n_con)``
 constraint-violation matrix ``G`` (zero-width for unconstrained problems) and
 an optional tuple of per-point ``info`` dictionaries.  The evaluators in
 :mod:`repro.runtime` move these containers between processes, and
-:class:`~repro.moo.individual.Population` consumes their columns directly, so
-a batch of evaluations never gets shredded into per-row objects on the hot
-path.
+:class:`~repro.moo.individual.Population` consumes their columns directly.
 
-:class:`EvaluationResult` is the historical per-point container; it remains
-the unit the row-wise compatibility shims hand out and the natural return
-type of problems whose physics is inherently per-design (one ODE solve per
-candidate).
+A problem whose physics is inherently per-design (one ODE solve per
+candidate) loops its rows inside ``_evaluate_matrix`` and stacks them into
+one batch; see :mod:`repro.problems.base`.
 
 Example
 -------
@@ -22,54 +19,19 @@ Columns in, columns out::
     >>> batch = BatchEvaluation(F=np.array([[1.0, 2.0], [3.0, 4.0]]))
     >>> len(batch), batch.n_obj, batch.n_con
     (2, 2, 0)
-    >>> batch.result(1).objectives
+    >>> batch.F[1]
     array([3., 4.])
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionError
 
-__all__ = ["EvaluationResult", "BatchEvaluation"]
-
-
-@dataclass
-class EvaluationResult:
-    """Evaluation of one decision vector.
-
-    Attributes
-    ----------
-    objectives:
-        Objective vector, all entries to be minimized.
-    constraint_violations:
-        Vector of constraint violations (``> 0`` entries violate).  Empty for
-        unconstrained problems.
-    info:
-        Free-form dictionary of evaluation by-products (e.g. the steady-state
-        metabolite concentrations behind a CO2 uptake value).  Optimizers
-        ignore it but reporting code can surface it.
-    """
-
-    objectives: np.ndarray
-    constraint_violations: np.ndarray = field(default_factory=lambda: np.empty(0))
-    info: dict = field(default_factory=dict)
-
-    @property
-    def total_violation(self) -> float:
-        """Sum of positive constraint violations (0.0 when feasible)."""
-        if self.constraint_violations.size == 0:
-            return 0.0
-        return float(np.sum(np.clip(self.constraint_violations, 0.0, None)))
-
-    @property
-    def is_feasible(self) -> bool:
-        """``True`` when no constraint is violated."""
-        return self.total_violation == 0.0
+__all__ = ["BatchEvaluation"]
 
 
 class BatchEvaluation:
@@ -163,71 +125,6 @@ class BatchEvaluation:
         if self.info is None:
             return {}
         return self.info[index]
-
-    # ------------------------------------------------------------------
-    # Conversions to and from the per-point form
-    # ------------------------------------------------------------------
-    def result(self, index: int) -> EvaluationResult:
-        """One row as an :class:`EvaluationResult` (owned copies).
-
-        Example
-        -------
-        >>> import numpy as np
-        >>> BatchEvaluation(F=np.array([[1.0, 2.0]])).result(0).is_feasible
-        True
-        """
-        return EvaluationResult(
-            objectives=np.array(self.F[index], copy=True),
-            constraint_violations=np.array(self.G[index], copy=True),
-            info=dict(self.info_at(index)),
-        )
-
-    def results(self) -> list[EvaluationResult]:
-        """Every row as an :class:`EvaluationResult` list (the legacy shape)."""
-        return [self.result(index) for index in range(len(self))]
-
-    @classmethod
-    def from_results(cls, results: Sequence[EvaluationResult]) -> "BatchEvaluation":
-        """Stack per-point results into one columnar batch.
-
-        All results must agree on the number of objectives and constraints.
-
-        Example
-        -------
-        >>> import numpy as np
-        >>> batch = BatchEvaluation.from_results(
-        ...     [EvaluationResult(objectives=np.array([1.0, 2.0]))])
-        >>> batch.F
-        array([[1., 2.]])
-        """
-        results = list(results)
-        if not results:
-            raise ConfigurationError(
-                "cannot stack an empty result list (use BatchEvaluation.empty)"
-            )
-        F = np.vstack([np.asarray(r.objectives, dtype=float) for r in results])
-        widths = {np.asarray(r.constraint_violations).size for r in results}
-        if len(widths) > 1:
-            raise DimensionError(
-                "results disagree on the number of constraints: %s" % sorted(widths)
-            )
-        n_con = widths.pop()
-        G = (
-            np.vstack(
-                [
-                    np.asarray(r.constraint_violations, dtype=float).reshape(1, -1)
-                    for r in results
-                ]
-            )
-            if n_con
-            else None
-        )
-        info = (
-            tuple(dict(r.info) for r in results)
-            if any(r.info for r in results)
-            else None
-        )
-        return cls(F=F, G=G, info=info)
 
     @classmethod
     def empty(cls, n_obj: int, n_con: int = 0) -> "BatchEvaluation":

@@ -43,7 +43,8 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: Layout of the pickled payload; bumped whenever a checkpointed class
 #: changes what it pickles, so an older checkpoint is refused, not misread.
 #: Version 3: a ``Population`` pickles its arrays, not a list of individuals.
-_FORMAT_VERSION = 3
+#: Version 4: MOEA/D pickles its incumbents as one ``Population``.
+_FORMAT_VERSION = 4
 
 
 class _Unreadable(CheckpointError):

@@ -42,7 +42,6 @@ from repro.solve.events import (
     Observer,
     RunProgress,
 )
-from repro.solve.problems import build_problem, problem_names
 from repro.solve.registry import (
     SolverSpec,
     UnknownSolverError,
@@ -73,8 +72,6 @@ __all__ = [
     "MigrationEvent",
     "Observer",
     "RunProgress",
-    "build_problem",
-    "problem_names",
     "SolverSpec",
     "UnknownSolverError",
     "get_solver",

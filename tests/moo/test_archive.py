@@ -9,17 +9,12 @@ from repro.exceptions import ConfigurationError
 from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual
-from repro.problems import EvaluationResult
 
 
 def make(objectives, violation=0.0, x=None):
     individual = Individual(np.asarray(x if x is not None else objectives, dtype=float))
-    individual.set_evaluation(
-        EvaluationResult(
-            objectives=np.asarray(objectives, dtype=float),
-            constraint_violations=np.array([violation]),
-        )
-    )
+    individual.objectives = np.asarray(objectives, dtype=float)
+    individual.constraint_violation = max(violation, 0.0)
     return individual
 
 

@@ -10,17 +10,12 @@ import numpy as np
 from repro.moo import kernels
 from repro.moo.individual import Individual, Population
 from repro.moo.nsga2 import assign_ranks_and_crowding
-from repro.problems import EvaluationResult
 
 
 def make_individual(objectives, violation=0.0):
     individual = Individual(np.zeros(1))
-    individual.set_evaluation(
-        EvaluationResult(
-            objectives=np.asarray(objectives, dtype=float),
-            constraint_violations=np.array([violation]),
-        )
-    )
+    individual.objectives = np.asarray(objectives, dtype=float)
+    individual.constraint_violation = max(violation, 0.0)
     return individual
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import EvaluationError
 from repro.moo.pmo2 import PMO2Config
-from repro.problems import EvaluationResult, Problem
+from repro.problems import BatchEvaluation, Problem
 from repro.solve import solve
 from tests.oracles.budget import BudgetCounting
 
@@ -20,12 +20,14 @@ class FlakyProblem(Problem):
         self.fail_after = fail_after
         self.calls = 0
 
-    def _evaluate_row(self, x):
-        self.calls += 1
-        if self.calls > self.fail_after:
-            raise EvaluationError("synthetic evaluator failure")
-        arr = self.validate(x)
-        return EvaluationResult(objectives=np.array([arr[0], 1.0 - arr[0] + arr[1]]))
+    def _evaluate_matrix(self, X):
+        objectives = []
+        for x in X:  # one call per row, so a batch can fail part-way
+            self.calls += 1
+            if self.calls > self.fail_after:
+                raise EvaluationError("synthetic evaluator failure")
+            objectives.append([x[0], 1.0 - x[0] + x[1]])
+        return BatchEvaluation(F=np.array(objectives))
 
 
 class CliffProblem(Problem):
@@ -36,10 +38,9 @@ class CliffProblem(Problem):
             n_var=2, n_obj=2, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0]
         )
 
-    def _evaluate_row(self, x):
-        arr = self.validate(x)
-        scale = 1e12 if arr[0] > 0.99 else 1.0
-        return EvaluationResult(objectives=np.array([arr[0] * scale, (1 - arr[0]) * scale]))
+    def _evaluate_matrix(self, X):
+        scale = np.where(X[:, 0] > 0.99, 1e12, 1.0)
+        return BatchEvaluation(F=np.column_stack([X[:, 0] * scale, (1 - X[:, 0]) * scale]))
 
 
 class TestEvaluatorFailures:

@@ -7,8 +7,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Individual, Population
-from repro.problems import EvaluationResult
 from repro.moo.testproblems import Schaffer
+from repro.problems import BatchEvaluation, Problem
 from repro.runtime.evaluator import SerialEvaluator
 
 
@@ -18,15 +18,11 @@ class TestIndividual:
         assert not individual.is_evaluated
         assert individual.is_feasible
 
-    def test_set_evaluation_stores_objectives_and_violation(self):
+    def test_setters_store_objectives_violation_and_info(self):
         individual = Individual(np.array([1.0]))
-        individual.set_evaluation(
-            EvaluationResult(
-                objectives=np.array([1.0, 2.0]),
-                constraint_violations=np.array([0.3]),
-                info={"note": "x"},
-            )
-        )
+        individual.objectives = np.array([1.0, 2.0])
+        individual.constraint_violation = 0.3
+        individual.info = {"note": "x"}
         assert individual.is_evaluated
         assert individual.objectives == pytest.approx([1.0, 2.0])
         assert individual.constraint_violation == pytest.approx(0.3)
@@ -35,7 +31,7 @@ class TestIndividual:
 
     def test_copy_is_deep(self):
         individual = Individual(np.array([1.0, 2.0]))
-        individual.set_evaluation(EvaluationResult(objectives=np.array([3.0])))
+        individual.objectives = np.array([3.0])
         clone = individual.copy()
         clone.x[0] = 99.0
         clone.objectives[0] = 99.0
@@ -105,13 +101,10 @@ class TestPopulation:
 
     def test_violation_view_marks_infeasible_rows(self):
         a = Individual(np.array([0.0]))
-        a.set_evaluation(EvaluationResult(objectives=np.array([1.0])))
+        a.objectives = np.array([1.0])
         b = Individual(np.array([0.0]))
-        b.set_evaluation(
-            EvaluationResult(
-                objectives=np.array([1.0]), constraint_violations=np.array([1.0])
-            )
-        )
+        b.objectives = np.array([1.0])
+        b.constraint_violation = 1.0
         population = Population([a, b])
         assert population.CV.tolist() == [0.0, 1.0]
 
@@ -131,3 +124,28 @@ class TestPopulation:
         clone = population.copy()
         clone[0].x[0] = 123.0
         assert population[0].x[0] != 123.0
+
+
+class _Violations(Problem):
+    """Returns a fixed, seeded violation matrix of ``n_con`` columns."""
+
+    def __init__(self, n_con, rows):
+        super().__init__(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
+        rng = np.random.default_rng(n_con)
+        # Mixed signs and magnitudes, so clipping and summation order matter.
+        self.G = rng.normal(size=(rows, n_con)) * 10.0 ** rng.integers(-8, 8, size=(rows, n_con))
+
+    def _evaluate_matrix(self, X):
+        return BatchEvaluation(F=X.copy(), G=self.G[: len(X)])
+
+
+class TestEvaluatedViolations:
+    @pytest.mark.parametrize("n_con", [0, 1, 2, 9, 130])
+    def test_cv_is_the_per_row_sum_of_positive_violations(self, n_con):
+        """``Population.evaluate`` stores, bit for bit, the per-row sum a
+        single-row evaluation would give: ``float(np.sum(np.clip(g, 0, None)))``."""
+        problem = _Violations(n_con, rows=40)
+        population = Population.from_matrix(np.linspace(0.0, 1.0, 40)[:, None])
+        population.evaluate(problem, SerialEvaluator())
+        expected = [float(np.sum(np.clip(g, 0.0, None))) for g in problem.G]
+        assert population.CV.tobytes() == np.array(expected).tobytes()

@@ -294,29 +294,6 @@ class TestGoldenFront:
         assert json.loads(golden)["objectives"]
 
 
-class TestMOEADIncumbentColumns:
-    def test_step_is_immune_to_stale_incumbent_columns(self):
-        """The columnar incumbents refresh at every generation boundary, so
-        even a checkpoint restore that swaps the population out from under a
-        warm instance (leaving old arrays behind) cannot corrupt results."""
-        from repro.moo.moead import MOEAD, MOEADConfig
-        from repro.moo.testproblems import ZDT1
-        from tests.helpers import solve_engine
-
-        problem, config = ZDT1(n_var=4), MOEADConfig(population_size=10)
-        baseline = MOEAD(problem, config=config, seed=5)
-        solve_engine(problem, baseline, 3)
-        stale = MOEAD(problem, config=config, seed=5)
-        solve_engine(problem, stale, 2)
-        stale._incumbent_F = np.full_like(stale._incumbent_F, 1e9)  # corrupt
-        stale._incumbent_CV = np.full_like(stale._incumbent_CV, 1e9)
-        stale.step()
-        np.testing.assert_array_equal(
-            np.vstack([ind.objectives for ind in baseline.population]),
-            np.vstack([ind.objectives for ind in stale.population]),
-        )
-
-
 class TestColumnarViews:
     def test_views_match_stacked_columns_and_are_cached(self):
         F, CV, _ = _random_case(4, n=12, feasibility="mixed")

@@ -1,5 +1,9 @@
 """Tests for the MOEA/D optimizer."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
 from repro.moo.moead import MOEAD, MOEADConfig, uniform_weight_vectors
 from repro.moo.testproblems import DTLZ2, Schaffer, ZDT1
+from repro.problems import FunctionalProblem, build_problem
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
 from tests.oracles.budget import BudgetCounting
@@ -176,3 +181,93 @@ class TestAdaptiveNeighborhoodDefault:
     def test_explicit_oversized_neighborhood_still_rejected(self):
         with pytest.raises(ConfigurationError):
             MOEADConfig(population_size=8, neighborhood_size=20).validate()
+
+
+# ----------------------------------------------------------------------
+# Golden digests: MOEA/D's fronts and final populations, byte for byte
+# ----------------------------------------------------------------------
+GOLDEN_MOEAD = Path(__file__).parent / "data" / "golden_moead.json"
+
+
+def _constrained_functional():
+    """A two-constraint problem wrapped from plain callables."""
+    return FunctionalProblem(
+        n_var=3,
+        objective_functions=[
+            lambda x: x[0] ** 2 + x[1],
+            lambda x: (x[0] - 1.0) ** 2 + x[2] ** 2,
+        ],
+        constraint_functions=[
+            lambda x: x[0] + x[1] - 1.2,
+            lambda x: 0.3 - x[1] - x[2],
+        ],
+        lower_bounds=[0.0, 0.0, 0.0],
+        upper_bounds=[1.0, 1.0, 1.0],
+    )
+
+
+def _golden_cases():
+    """Case name -> a zero-argument solve producing a :class:`SolveResult`."""
+    cases = {}
+    for spec in ("zdt1", "bnh", "dtlz2", "zdt1?noise=0.01"):
+        for variation in ("de", "sbx"):
+            for seed in (0, 3):
+                cases["moead/%s/%s/seed=%d" % (spec, variation, seed)] = (
+                    lambda spec=spec, variation=variation, seed=seed: _moead(
+                        build_problem(spec), 6, seed, population_size=24, variation=variation
+                    )
+                )
+    configs = {
+        "moead": dict(population_size=24),
+        "nsga2": dict(population_size=24),
+        "pmo2": dict(n_islands=2, island_population_size=12, migration_interval=2),
+    }
+    for algorithm, config in configs.items():
+        cases["%s/functional-constrained/cache" % algorithm] = (
+            lambda algorithm=algorithm, config=config: solve(
+                _constrained_functional(), algorithm, seed=1, termination=6, cache=True, **config
+            )
+        )
+    return cases
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _digests(result) -> dict:
+    """sha256 of the front's and the population's X/F/CV bytes, and the count.
+
+    PMO2 keeps no single population, so its entry holds the front only.
+    """
+    digests = {"evaluations": int(result.evaluations)}
+    for part, population in (("front", result.front), ("population", result.population)):
+        if population is None:
+            continue
+        for field in ("X", "F", "CV"):
+            digests["%s.%s" % (part, field)] = _sha256(getattr(population, field))
+    return digests
+
+
+class TestGoldenDigests:
+    """MOEA/D (and the functional-problem path every engine shares) must
+    reproduce, bit for bit, the fronts and populations recorded in
+    ``data/golden_moead.json`` — regenerate it only for an intended change of
+    results, with ``PYTHONPATH=src python -m tests.moo.test_moead``."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_MOEAD.read_text())
+
+    def test_every_case_is_recorded(self, golden):
+        assert sorted(golden) == sorted(_golden_cases())
+
+    @pytest.mark.parametrize("case", sorted(_golden_cases()))
+    def test_digests_match_golden(self, case, golden):
+        assert _digests(_golden_cases()[case]()) == golden[case]
+
+
+if __name__ == "__main__":  # regenerate the golden digests
+    golden = {name: _digests(run()) for name, run in sorted(_golden_cases().items())}
+    GOLDEN_MOEAD.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print("wrote %d cases to %s" % (len(golden), GOLDEN_MOEAD))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.problems import EvaluationResult, FunctionalProblem
+from repro.problems import FunctionalProblem
 from tests.oracles.budget import BudgetCounting
 
 
@@ -18,21 +18,6 @@ def make_problem():
         lower_bounds=[-2.0, -2.0],
         upper_bounds=[2.0, 2.0],
     )
-
-
-class TestEvaluationResult:
-    def test_total_violation_empty(self):
-        result = EvaluationResult(objectives=np.array([1.0, 2.0]))
-        assert result.total_violation == 0.0
-        assert result.is_feasible
-
-    def test_total_violation_only_counts_positive_entries(self):
-        result = EvaluationResult(
-            objectives=np.array([1.0]),
-            constraint_violations=np.array([-1.0, 0.5, 2.0]),
-        )
-        assert result.total_violation == pytest.approx(2.5)
-        assert not result.is_feasible
 
 
 class TestFunctionalProblem:

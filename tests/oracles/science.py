@@ -1,9 +1,10 @@
 """Per-design reference evaluations of the science problems.
 
-These are the scalar ``_evaluate_row`` routines the science problems had
-before they became matrix-only: one design at a time, through the scalar
-model calls.  ``tests/problems/test_science_parity.py`` asserts that each
-problem's ``evaluate_matrix`` reproduces them bit for bit.
+These are the per-row routines the science problems had before they became
+matrix-only: one design at a time, through the scalar model calls, each
+returning an ``(objectives, violations, info)`` row.
+``tests/problems/test_science_parity.py`` stacks the rows and asserts that
+each problem's ``evaluate_matrix`` reproduces them bit for bit.
 
 The module lives outside the installed package; it exists for
 verification only.
@@ -18,8 +19,10 @@ from repro.geobacter.problem import GeobacterDesignProblem
 from repro.moo.robustness import uptake_yield
 from repro.photosynthesis.nitrogen import total_nitrogen
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
-from repro.problems.batch import EvaluationResult
 from tests.oracles.fba import reference_constraint_violation
+
+#: One design's evaluation: objectives, constraint violations, info.
+Row = tuple[np.ndarray, np.ndarray, dict]
 
 __all__ = [
     "evaluate_row",
@@ -29,20 +32,21 @@ __all__ = [
 ]
 
 
-def photosynthesis_row(problem: PhotosynthesisProblem, x: np.ndarray) -> EvaluationResult:
+def photosynthesis_row(problem: PhotosynthesisProblem, x: np.ndarray) -> Row:
     """Uptake through the model's scalar ``co2_uptake``, nitrogen per design."""
     activities = problem.validate(x)
     uptake = problem.model.co2_uptake(activities)
     nitrogen = total_nitrogen(activities)
-    return EvaluationResult(
-        objectives=np.array([-uptake, nitrogen]),
-        info={"co2_uptake": uptake, "nitrogen": nitrogen},
+    return (
+        np.array([-uptake, nitrogen]),
+        np.empty(0),
+        {"co2_uptake": uptake, "nitrogen": nitrogen},
     )
 
 
 def robust_photosynthesis_row(
     problem: RobustPhotosynthesisProblem, x: np.ndarray
-) -> EvaluationResult:
+) -> Row:
     """The yield ensemble of one design, every trial through scalar ``co2_uptake``."""
     activities = problem.validate(x)
     report = uptake_yield(
@@ -52,22 +56,23 @@ def robust_photosynthesis_row(
     )
     uptake, yield_percentage = report.nominal_value, report.yield_percentage
     nitrogen = total_nitrogen(activities)
-    return EvaluationResult(
-        objectives=np.array([-uptake, nitrogen, -yield_percentage]),
-        info={"co2_uptake": uptake, "nitrogen": float(nitrogen), "yield": yield_percentage},
+    return (
+        np.array([-uptake, nitrogen, -yield_percentage]),
+        np.empty(0),
+        {"co2_uptake": uptake, "nitrogen": float(nitrogen), "yield": yield_percentage},
     )
 
 
-def geobacter_row(problem: GeobacterDesignProblem, x: np.ndarray) -> EvaluationResult:
+def geobacter_row(problem: GeobacterDesignProblem, x: np.ndarray) -> Row:
     """Productions and the steady-state violation from a freshly built ``S``."""
     fluxes = problem.validate(x)
     electron = float(fluxes[problem.model.reaction_index(ELECTRON_PRODUCTION_ID)])
     biomass = float(fluxes[problem.model.reaction_index(BIOMASS_ID)])
     violation = reference_constraint_violation(problem.model, fluxes, problem.violation_norm)
-    return EvaluationResult(
-        objectives=np.array([-electron, -biomass]),
-        constraint_violations=np.array([max(0.0, violation - problem.violation_tolerance)]),
-        info={
+    return (
+        np.array([-electron, -biomass]),
+        np.array([max(0.0, violation - problem.violation_tolerance)]),
+        {
             "electron_production": electron,
             "biomass_production": biomass,
             "steady_state_violation": violation,
@@ -83,6 +88,6 @@ _ROWS = {
 }
 
 
-def evaluate_row(problem, x: np.ndarray) -> EvaluationResult:
+def evaluate_row(problem, x: np.ndarray) -> Row:
     """The reference evaluation of one design of any science problem."""
     return _ROWS[type(problem)](problem, x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.problems import BatchEvaluation, EvaluationResult
+from repro.problems import BatchEvaluation
 
 
 class TestConstruction:
@@ -42,55 +42,6 @@ class TestViolations:
         assert all(batch.feasible)
 
 
-class TestConversions:
-    def test_result_rows_match_columns_and_are_copies(self):
-        batch = BatchEvaluation(
-            F=np.array([[1.0, 2.0]]), G=np.array([[0.5]]), info=[{"k": 1}]
-        )
-        result = batch.result(0)
-        assert isinstance(result, EvaluationResult)
-        assert result.objectives == pytest.approx([1.0, 2.0])
-        assert result.total_violation == pytest.approx(0.5)
-        assert result.info == {"k": 1}
-        result.objectives[:] = -9.0
-        assert batch.F[0, 0] == 1.0  # caller copies never alias the batch
-
-    def test_from_results_round_trip(self):
-        results = [
-            EvaluationResult(
-                objectives=np.array([1.0, 2.0]),
-                constraint_violations=np.array([0.1]),
-                info={"a": 1},
-            ),
-            EvaluationResult(
-                objectives=np.array([3.0, 4.0]),
-                constraint_violations=np.array([-0.2]),
-            ),
-        ]
-        batch = BatchEvaluation.from_results(results)
-        assert batch.F == pytest.approx(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert batch.G == pytest.approx(np.array([[0.1], [-0.2]]))
-        rebuilt = batch.results()
-        assert rebuilt[0].info == {"a": 1} and rebuilt[1].info == {}
-        assert np.array_equal(rebuilt[1].objectives, results[1].objectives)
-
-    def test_from_results_rejects_ragged_constraints(self):
-        with pytest.raises(DimensionError):
-            BatchEvaluation.from_results(
-                [
-                    EvaluationResult(
-                        objectives=np.array([1.0]),
-                        constraint_violations=np.array([0.1]),
-                    ),
-                    EvaluationResult(objectives=np.array([2.0])),
-                ]
-            )
-
-    def test_from_results_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            BatchEvaluation.from_results([])
-
-
 class TestConcat:
     def test_concat_preserves_rows_and_info(self):
         a = BatchEvaluation(F=np.array([[1.0]]), info=[{"i": 0}])
@@ -116,4 +67,3 @@ class TestConcat:
         batch = BatchEvaluation.empty(3, 2)
         assert len(batch) == 0
         assert batch.F.shape == (0, 3) and batch.G.shape == (0, 2)
-        assert batch.results() == []

@@ -7,7 +7,6 @@ from repro.exceptions import DimensionError
 from repro.problems import (
     BatchEvaluation,
     DesignSpace,
-    EvaluationResult,
     FunctionalProblem,
     Problem,
 )
@@ -29,18 +28,22 @@ class MatrixFirstProblem(Problem):
 
 
 class RowProblem(Problem):
-    """Per-design problem: implements the row hook, base loops it."""
+    """Per-design problem: its matrix hook loops the rows and stacks them."""
 
     def __init__(self):
         super().__init__(n_var=2, n_obj=1, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0])
         self.calls = 0
 
-    def _evaluate_row(self, x):
-        self.calls += 1
-        return EvaluationResult(
-            objectives=np.array([float(np.prod(x))]),
-            constraint_violations=np.array([float(x[0] - 0.5)]),
+    def _evaluate_matrix(self, X):
+        rows = [self._design(x) for x in X]
+        return BatchEvaluation(
+            F=np.array([[objective] for objective, _ in rows]),
+            G=np.array([[violation] for _, violation in rows]),
         )
+
+    def _design(self, x):
+        self.calls += 1
+        return float(np.prod(x)), float(x[0] - 0.5)
 
 
 class TestMatrixDispatch:
@@ -100,6 +103,54 @@ class TestMatrixDispatch:
 
         with pytest.raises(TypeError, match="Typo"):
             Typo(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
+
+
+class TestFunctionalProblemRows:
+    """``FunctionalProblem.evaluate_matrix`` is its callables, row by row."""
+
+    OBJECTIVES = [lambda x: x[0] ** 2 + np.sin(x[1]), lambda x: np.exp(x[2]) - x[0] * x[1]]
+    CONSTRAINTS = [lambda x: x[0] + x[1] - 0.5, lambda x: np.cos(x[2]) - 0.9]
+
+    @pytest.mark.parametrize("rows", [0, 1, 50])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_matrix_equals_callables_per_row_bitwise(self, rows, constrained):
+        constraints = self.CONSTRAINTS if constrained else []
+        problem = FunctionalProblem(
+            n_var=3,
+            objective_functions=self.OBJECTIVES,
+            constraint_functions=constraints,
+            lower_bounds=[-1.0] * 3,
+            upper_bounds=[1.0] * 3,
+        )
+        X = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 3))
+        batch = problem.evaluate_matrix(X)
+        F = np.array([[float(f(x)) for f in self.OBJECTIVES] for x in X]).reshape(rows, 2)
+        assert batch.F.tobytes() == F.tobytes() and batch.F.shape == F.shape
+        assert batch.info is None
+        if rows and constrained:
+            G = np.array([[float(g(x)) for g in constraints] for x in X])
+            assert batch.G.tobytes() == G.tobytes() and batch.G.shape == G.shape
+        else:
+            assert batch.n_con == 0 and len(batch.total_violations) == rows
+
+    def test_objectives_then_constraints_per_row(self):
+        calls = []
+
+        def recorder(name):
+            return lambda x: calls.append((name, float(x[0]))) or 0.0
+
+        problem = FunctionalProblem(
+            n_var=1,
+            objective_functions=[recorder("f0"), recorder("f1")],
+            constraint_functions=[recorder("g0")],
+            lower_bounds=[0.0],
+            upper_bounds=[1.0],
+        )
+        problem.evaluate_matrix(np.array([[0.25], [0.75]]))
+        assert calls == [
+            ("f0", 0.25), ("f1", 0.25), ("g0", 0.25),
+            ("f0", 0.75), ("f1", 0.75), ("g0", 0.75),
+        ]
 
 
 class TestDesignSpaceIntegration:

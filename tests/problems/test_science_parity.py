@@ -38,7 +38,9 @@ def _population(problem, rows: int, seed: int = 23) -> np.ndarray:
 
 
 def _row_loop(problem, X: np.ndarray) -> BatchEvaluation:
-    return BatchEvaluation.from_results([evaluate_row(problem, x) for x in X])
+    """The reference rows of ``X``, stacked into one batch."""
+    objectives, violations, infos = zip(*(evaluate_row(problem, x) for x in X))
+    return BatchEvaluation(F=np.vstack(objectives), G=np.vstack(violations), info=infos)
 
 
 @pytest.mark.parametrize("spec", SCIENCE_SPECS)

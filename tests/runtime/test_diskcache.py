@@ -351,7 +351,8 @@ class TestSolveWithDiskCache:
         )
 
     def test_cache_enabled_solve_is_bitwise_identical(self, tmp_path):
-        from repro.solve import build_problem, solve
+        from repro.problems import build_problem
+        from repro.solve import solve
 
         problem = build_problem("zdt1?n_var=5")
         kwargs = dict(

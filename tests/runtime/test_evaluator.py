@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.testproblems import ZDT1, FonsecaFleming, Schaffer
-from repro.problems import EvaluationResult, FunctionalProblem, Problem
+from repro.problems import BatchEvaluation, FunctionalProblem, Problem
 from repro.runtime import (
     CachedEvaluator,
     EvaluationLedger,
@@ -30,11 +30,10 @@ class WorkerHostileProblem(Problem):
         super().__init__(n_var=2, n_obj=2, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0])
         self.parent_pid = os.getpid()
 
-    def _evaluate_row(self, x):
+    def _evaluate_matrix(self, X):
         if os.getpid() != self.parent_pid:
             raise RuntimeError("synthetic worker failure")
-        arr = self.validate(x)
-        return EvaluationResult(objectives=np.array([arr[0], arr[1]]))
+        return BatchEvaluation(F=X.copy())
 
 
 def _matrix(problem, n, seed=0):

@@ -14,6 +14,7 @@ from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2Config
 from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.moo.testproblems import Schaffer, ZDT1
+from repro.problems import build_problem, problem_names
 from repro.runtime.evaluator import ProcessPoolEvaluator, build_evaluator
 from repro.solve import (
     CallbackObserver,
@@ -23,9 +24,7 @@ from repro.solve import (
     Solver,
     SolveResult,
     UnknownSolverError,
-    build_problem,
     get_solver,
-    problem_names,
     solve,
     solver_names,
 )

@@ -21,7 +21,8 @@ import pytest
 from repro.core.artifacts import dumps_json, front_payload, record_solve_run
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Individual, Population
-from repro.solve import build_problem, load_warm_population, solve
+from repro.problems import build_problem
+from repro.solve import load_warm_population, solve
 
 
 def _record_run(tmp_path, problem, seed=7, generations=4, name="source"):
