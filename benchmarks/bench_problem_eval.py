@@ -53,7 +53,9 @@ _REPEATS = {"matrix": 5, "rows": 1}
 
 def _bench_case(spec: str, n: int) -> dict:
     problem = build_problem(spec)
-    X = problem.space.sample(np.random.default_rng(n * 31 + 7), n)
+    X = np.random.default_rng(n * 31 + 7).uniform(
+        problem.lower_bounds, problem.upper_bounds, size=(n, problem.n_var)
+    )
 
     t_matrix, batch = best_of(lambda: problem.evaluate_matrix(X), _REPEATS["matrix"])
 

@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         "describe-problem",
         help="show a problem's design space, objectives and parameters",
         description=(
-            "Renders one entry of the problem registry: the typed design "
-            "space, the objective senses, the parameter schema and the "
-            "transform keys.  Accepts full spec strings "
+            "Renders one entry of the problem registry: the decision box "
+            "(variable names and bounds), the objective senses, the parameter "
+            "schema and the transform keys.  Accepts full spec strings "
             "(`repro describe-problem 'zdt1?noise=0.01'`)."
         ),
     )
@@ -504,17 +504,12 @@ def _cmd_describe_problem(args: argparse.Namespace) -> int:
     print()
     variables = payload["space"]["variables"]
     shown = variables[:12]
-    rows = []
-    for variable in shown:
-        if variable["kind"] == "categorical":
-            value_range = "{%s}" % ", ".join(variable["categories"])
-        else:
-            value_range = "[%g, %g]" % (variable["lower"], variable["upper"])
-        rows.append(
-            [variable["name"], variable["kind"], value_range, variable.get("unit") or ""]
-        )
+    rows = [
+        [variable["name"], variable["kind"], "[%g, %g]" % (variable["lower"], variable["upper"])]
+        for variable in shown
+    ]
     print("design space (%d variables):" % payload["n_var"])
-    print(format_table(["variable", "kind", "range", "unit"], rows))
+    print(format_table(["variable", "kind", "range"], rows))
     if len(variables) > len(shown):
         print("... and %d more variables" % (len(variables) - len(shown)))
     for heading, entries in (

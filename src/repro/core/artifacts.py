@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+import repro
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Individual
 
@@ -288,9 +289,9 @@ class RunManifest:
     git_revision: str | None = None
     #: Artifact file names present in the run directory.
     artifacts: list[str] = field(default_factory=list)
-    #: JSON form of the optimized problem's design space (see
-    #: :meth:`repro.problems.space.DesignSpace.as_dict`), when the result
-    #: carried one — so every manifest records the space it was solved over.
+    #: JSON form of the optimized problem's decision box (see
+    #: :meth:`repro.problems.base.Problem.design_space`), when the result
+    #: carried one — so every manifest records the box it was solved over.
     design_space: dict | None = None
 
     def as_dict(self) -> dict:
@@ -401,20 +402,7 @@ def record_run(
     if ledger is not None:
         write_json(run_dir / _LEDGER_NAME, ledger.as_dict())
         artifacts.append(_LEDGER_NAME)
-    import repro
-
-    manifest = RunManifest(
-        experiment=experiment.name,
-        parameters=parameters,
-        created=datetime.now(timezone.utc).isoformat(),
-        package_version=repro.__version__,
-        python_version="%d.%d.%d" % sys.version_info[:3],
-        numpy_version=np.__version__,
-        git_revision=_git_revision(),
-        artifacts=artifacts,
-        design_space=getattr(result, "design_space", None),
-    )
-    write_json(run_dir / _MANIFEST_NAME, manifest.as_dict())
+    _write_manifest(run_dir, experiment.name, parameters, artifacts, result)
     return run_dir
 
 
@@ -448,8 +436,6 @@ def record_solve_run(
         record_solve_run(run_dir, problem, result,
                          {"problem": "zdt1", "algorithm": "nsga2", "seed": 0})
     """
-    import repro
-
     run_dir = Path(run_dir)
     artifacts: list[str] = []
     payload = front_payload(
@@ -466,6 +452,18 @@ def record_solve_run(
         write_json(run_dir / _LEDGER_NAME, result.ledger.as_dict())
         artifacts.append(_LEDGER_NAME)
     artifacts.extend(telemetry_artifacts(run_dir))
+    _write_manifest(run_dir, experiment, parameters, artifacts, result)
+    return artifacts
+
+
+def _write_manifest(
+    run_dir: Path,
+    experiment: str,
+    parameters: dict[str, Any],
+    artifacts: list[str],
+    result: Any,
+) -> None:
+    """Stamp and write ``manifest.json``, the last file of a complete run."""
     manifest = RunManifest(
         experiment=experiment,
         parameters=parameters,
@@ -478,7 +476,6 @@ def record_solve_run(
         design_space=getattr(result, "design_space", None),
     )
     write_json(run_dir / _MANIFEST_NAME, manifest.as_dict())
-    return artifacts
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def run_table1(
         },
         front_objectives=pmo2_front,
         front_decisions=pmo2_decisions,
-        design_space=base_problem.space.as_dict(),
+        design_space=base_problem.design_space(),
     )
 
 
@@ -236,7 +236,7 @@ def run_table2(
         front_objectives=report.front_objectives,
         front_decisions=report.front_decisions,
         ledger=report.ledger,
-        design_space=problem.space.as_dict(),
+        design_space=problem.design_space(),
     )
 
 
@@ -327,7 +327,7 @@ def run_figure1(
         candidate_a2=a2,
         front_objectives=raw_front_low_present,
         front_decisions=artifact_decisions,
-        design_space=problem.space.as_dict(),
+        design_space=problem.design_space(),
     )
 
 
@@ -451,7 +451,7 @@ def run_figure3(
         yields=np.array([report.yield_percentage for report in reports]),
         front_objectives=objectives[picks],
         front_decisions=decisions[picks],
-        design_space=problem.space.as_dict(),
+        design_space=problem.design_space(),
     )
 
 
@@ -523,7 +523,7 @@ def run_figure4(
         best_violation=best_violation,
         front_objectives=objectives,
         front_decisions=np.array(front.X),
-        design_space=problem.space.as_dict(),
+        design_space=problem.design_space(),
     )
 
 
@@ -587,7 +587,7 @@ def run_migration_ablation(
         hypervolume_without_migration=report["isolated"]["Vp"],
         front_objectives=with_migration.front_objectives(),
         front_decisions=with_migration.front_decisions(),
-        design_space=problem.space.as_dict(),
+        design_space=problem.design_space(),
     )
 
 

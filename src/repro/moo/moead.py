@@ -242,18 +242,26 @@ class MOEAD:
         return variation.apply(draws)[child]
 
     def step(self) -> None:
-        """Perform one MOEA/D generation (one pass over all sub-problems)."""
+        """Perform one MOEA/D generation (one pass over all sub-problems).
+
+        The generation's children enter the archive in one fold after the
+        pass: nothing reads the archive inside it, and
+        :meth:`~repro.moo.archive.ParetoArchive.add_population` keeps the
+        membership of adding them one by one in order.
+        """
         if not self.is_initialized:
             self.initialize()
+        children = []
         for index in range(self.config.population_size):
             pool, restricted = self._mating_pool(index)
             child = Population.from_matrix(self._reproduce(index, pool)[None])
             self.evaluations += child.evaluate(self.problem, self.evaluator)
             self.ideal = np.minimum(self.ideal, child.F[0])
-            self.archive.add_population(child)
+            children.append(child)
             replace_pool = pool if restricted else np.arange(self.config.population_size)
             order = self.rng.permutation(replace_pool)
             self._update_neighborhood(child, order)
+        self.archive.add_population(Population.concat(children))
         self.generation += 1
 
     def _update_neighborhood(self, child: Population, order: np.ndarray) -> int:

@@ -1,18 +1,15 @@
-"""repro.problems — declarative design spaces and the batch-first Problem API.
+"""repro.problems — the batch-first Problem API over a continuous decision box.
 
 The problem layer is the product side of this library: the paper's core loop
 is pareto-optimal *design* of biological systems, so problems are first-class
-objects with four pillars:
+objects with three pillars:
 
-* :mod:`~repro.problems.space` — typed, declarative
-  :class:`DesignSpace` objects (continuous / integer / categorical
-  :class:`Variable` s with names, units and bounds; sampling, clipping,
-  repair, typed encode/decode, and an exact JSON round-trip recorded into
-  run manifests);
 * :mod:`~repro.problems.base` — the **batch-first contract**:
   :meth:`Problem.evaluate_matrix` maps an ``(n, n_var)`` decision matrix to
   a :class:`BatchEvaluation` of columnar objectives and constraint
-  violations;
+  violations, over a box of named variables
+  (:meth:`Problem.design_space` is its JSON form, recorded into run
+  manifests);
 * :mod:`~repro.problems.transforms` — composable wrappers (:class:`Noisy`,
   :class:`Normalized`, :class:`ObjectiveSubset`,
   :class:`ConstraintAsPenalty`, :class:`Throttled`, :class:`FailAfter`)
@@ -33,8 +30,8 @@ Build, transform and evaluate by name::
     >>> batch.F.shape, batch.n_con
     ((4, 2), 0)
 
-See ``docs/problems.md`` for the full guide and the table of entry points
-removed in 2.0.
+See ``docs/problems.md`` for the full guide and the tables of entry points
+removed in 2.0 and 12.0.
 """
 
 from repro.problems.base import FunctionalProblem, Problem
@@ -49,14 +46,6 @@ from repro.problems.registry import (
     parse_problem_spec,
     problem_names,
     register_problem,
-)
-from repro.problems.space import (
-    CategoricalVariable,
-    ContinuousVariable,
-    DesignSpace,
-    IntegerVariable,
-    Variable,
-    variable_from_dict,
 )
 from repro.problems.transforms import (
     ConstraintAsPenalty,
@@ -81,12 +70,6 @@ __all__ = [
     "build_problem",
     "apply_transforms",
     "describe_problem",
-    "Variable",
-    "ContinuousVariable",
-    "IntegerVariable",
-    "CategoricalVariable",
-    "variable_from_dict",
-    "DesignSpace",
     "ProblemTransform",
     "Noisy",
     "Normalized",

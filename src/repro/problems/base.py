@@ -26,10 +26,9 @@ Conventions
 * All objectives are **minimized**.  Problems that naturally maximize a
   quantity (CO2 uptake, biomass production, ...) negate it internally and
   expose the sign convention through :attr:`Problem.objective_senses`.
-* The decision side is declared by a typed
-  :class:`~repro.problems.space.DesignSpace` (:attr:`Problem.space`);
-  legacy ``(lower_bounds, upper_bounds)`` constructions build a continuous
-  box space automatically.
+* The decision side is a continuous box: :attr:`Problem.lower_bounds`,
+  :attr:`Problem.upper_bounds` and one name per variable
+  (:attr:`Problem.names`); :meth:`Problem.design_space` is its JSON form.
 * Constraints are expressed as violation values, where ``<= 0`` means
   satisfied; the aggregate violation is the sum of the positive entries.
 
@@ -62,7 +61,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.problems.batch import BatchEvaluation
-from repro.problems.space import DesignSpace
 
 __all__ = [
     "Problem",
@@ -76,79 +74,65 @@ class Problem:
     Parameters
     ----------
     n_var:
-        Number of decision variables (derived from ``space`` when given).
+        Number of decision variables.
     n_obj:
         Number of objectives.
     lower_bounds, upper_bounds:
-        Element-wise box bounds of the decision space; mutually exclusive
-        with ``space``.
+        Element-wise box bounds of the decision space.  Infinite bounds are
+        legal (subclasses then supply their own sampling); NaN is not.
     names:
-        Optional human-readable names of the decision variables (e.g. enzyme
-        names).  Used by reports and by the local robustness analysis.
+        Optional names of the decision variables (e.g. enzyme names),
+        ``x0``, ``x1``, ... by default; non-empty and unique.  Used by
+        reports, manifests and the local robustness analysis.
     objective_names:
         Optional human-readable names of the objectives.
     objective_senses:
         Sequence of ``+1`` / ``-1`` describing how the *reported* quantity maps
         to the minimized objective: ``-1`` means the natural quantity is
         maximized and therefore negated internally.
-    space:
-        A typed :class:`~repro.problems.space.DesignSpace` declaring the
-        decision side; when given, ``n_var``, the bounds and the variable
-        names all come from it.
     """
 
     def __init__(
         self,
-        n_var: int | None = None,
+        n_var: int,
         n_obj: int = 1,
         lower_bounds: Sequence[float] | None = None,
         upper_bounds: Sequence[float] | None = None,
         names: Sequence[str] | None = None,
         objective_names: Sequence[str] | None = None,
         objective_senses: Sequence[int] | None = None,
-        space: DesignSpace | None = None,
     ) -> None:
-        if space is not None:
-            if lower_bounds is not None or upper_bounds is not None:
-                raise ConfigurationError(
-                    "pass either a DesignSpace or explicit bounds, not both"
-                )
-            if names is not None:
-                raise ConfigurationError(
-                    "variable names come from the DesignSpace when one is given"
-                )
-            if n_var is not None and int(n_var) != space.n_var:
-                raise ConfigurationError(
-                    "n_var=%r disagrees with the %d-variable design space"
-                    % (n_var, space.n_var)
-                )
-        else:
-            if n_var is None or n_var <= 0:
-                raise ConfigurationError("n_var must be positive, got %r" % n_var)
-            if lower_bounds is None or upper_bounds is None:
-                raise ConfigurationError(
-                    "problems need box bounds (or a DesignSpace)"
-                )
-            lower = np.asarray(lower_bounds, dtype=float)
-            upper = np.asarray(upper_bounds, dtype=float)
-            if lower.shape != (n_var,) or upper.shape != (n_var,):
-                raise DimensionError(
-                    "bounds must have shape (%d,), got %r and %r"
-                    % (n_var, lower.shape, upper.shape)
-                )
-            if np.any(upper < lower):
-                raise ConfigurationError("upper bound below lower bound")
-            if names is not None and len(names) != n_var:
-                raise DimensionError("names must have length n_var")
-            space = DesignSpace.continuous(lower, upper, names=names)
+        if n_var is None or n_var <= 0:
+            raise ConfigurationError("n_var must be positive, got %r" % n_var)
+        if lower_bounds is None or upper_bounds is None:
+            raise ConfigurationError("problems need box bounds")
+        lower = np.array(lower_bounds, dtype=float)
+        upper = np.array(upper_bounds, dtype=float)
+        if lower.shape != (n_var,) or upper.shape != (n_var,):
+            raise DimensionError(
+                "bounds must have shape (%d,), got %r and %r"
+                % (n_var, lower.shape, upper.shape)
+            )
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ConfigurationError("bounds must not be NaN")
+        if np.any(upper < lower):
+            raise ConfigurationError("upper bound below lower bound")
+        if names is None:
+            names = ["x%d" % i for i in range(n_var)]
+        if len(names) != n_var:
+            raise DimensionError("names must have length n_var")
+        names = [str(name) for name in names]
+        if not all(names):
+            raise ConfigurationError("variable names must be non-empty")
+        if len(set(names)) != n_var:
+            raise ConfigurationError("variable names must be unique")
         if n_obj <= 0:
             raise ConfigurationError("n_obj must be positive, got %r" % n_obj)
-        self.space = space
-        self.n_var = space.n_var
+        self.n_var = int(n_var)
         self.n_obj = int(n_obj)
-        self.lower_bounds = space.lower_bounds
-        self.upper_bounds = space.upper_bounds
-        self.names = space.names
+        self.lower_bounds = lower
+        self.upper_bounds = upper
+        self.names = names
         self.objective_names = (
             list(objective_names)
             if objective_names is not None
@@ -202,12 +186,8 @@ class Problem:
     # Helpers shared by all problems
     # ------------------------------------------------------------------
     def clip(self, x: np.ndarray) -> np.ndarray:
-        """Project decision vector(s) onto the box bounds."""
-        return self.space.clip(x)
-
-    def repair(self, x: np.ndarray) -> np.ndarray:
-        """Project decision vector(s) onto the space's valid set (grids included)."""
-        return self.space.repair(x)
+        """Project decision vector(s) onto the box bounds (shape-preserving)."""
+        return np.clip(np.asarray(x, dtype=float), self.lower_bounds, self.upper_bounds)
 
     def validate(self, x: np.ndarray) -> np.ndarray:
         """Check the shape of a decision vector and return it as a float array."""
@@ -238,16 +218,46 @@ class Problem:
         return X
 
     def random_solution(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample one decision vector uniformly inside the box bounds."""
-        return self.space.sample(rng)
+        """Sample one decision vector uniformly inside the box bounds.
+
+        Exactly one ``rng.uniform(lower, upper)`` draw, so seeded runs
+        consume the stream the same way whatever the problem.
+        """
+        return rng.uniform(self.lower_bounds, self.upper_bounds)
 
     def denormalize(self, unit: np.ndarray) -> np.ndarray:
-        """Map a vector in ``[0, 1]^n_var`` onto the problem's box bounds."""
-        return self.space.denormalize(unit)
+        """Map vector(s) in ``[0, 1]^n_var`` onto the problem's box bounds."""
+        unit = np.asarray(unit, dtype=float)
+        return self.lower_bounds + unit * (self.upper_bounds - self.lower_bounds)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        """Map a decision vector onto ``[0, 1]^n_var`` (inverse of denormalize)."""
-        return self.space.normalize(x)
+        """Map decision vector(s) onto ``[0, 1]^n_var`` (inverse of denormalize).
+
+        A zero-span variable is divided by 1 instead of 0.
+        """
+        span = self.upper_bounds - self.lower_bounds
+        span = np.where(span == 0.0, 1.0, span)
+        return (np.asarray(x, dtype=float) - self.lower_bounds) / span
+
+    def design_space(self) -> dict:
+        """JSON form of the decision box, recorded into run manifests.
+
+        One ``continuous`` entry per variable, in decision-vector order.
+        Warm starts compare it to refuse a front recorded on another box,
+        and it is part of :meth:`cache_identity`.
+
+        Example
+        -------
+        >>> from repro.moo.testproblems import Schaffer
+        >>> Schaffer().design_space()
+        {'variables': [{'kind': 'continuous', 'name': 'x0', 'lower': -10.0, 'upper': 10.0}]}
+        """
+        return {
+            "variables": [
+                {"kind": "continuous", "name": name, "lower": float(low), "upper": float(high)}
+                for name, low, high in zip(self.names, self.lower_bounds, self.upper_bounds)
+            ]
+        }
 
     def reported_objectives(self, objectives: np.ndarray) -> np.ndarray:
         """Convert minimized objectives back to their natural sign."""
@@ -278,7 +288,7 @@ class Problem:
             "name": self.name,
             "n_obj": self.n_obj,
             "objective_senses": list(self.objective_senses),
-            "space": self.space.as_dict(),
+            "space": self.design_space(),
         }
         if self.spec is not None:
             identity["spec"] = self.spec
@@ -318,7 +328,6 @@ class FunctionalProblem(Problem):
         names: Sequence[str] | None = None,
         objective_names: Sequence[str] | None = None,
         objective_senses: Sequence[int] | None = None,
-        space: DesignSpace | None = None,
     ) -> None:
         if not objective_functions:
             raise ConfigurationError("at least one objective function is required")
@@ -330,7 +339,6 @@ class FunctionalProblem(Problem):
             names=names,
             objective_names=objective_names,
             objective_senses=objective_senses,
-            space=space,
         )
         self._objective_functions = list(objective_functions)
         self._constraint_functions = list(constraint_functions or [])

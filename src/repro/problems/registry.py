@@ -315,7 +315,7 @@ def describe_problem(spec: str) -> dict[str, Any]:
                 problem.objective_names, problem.objective_senses
             )
         ],
-        "space": problem.space.as_dict(),
+        "space": problem.design_space(),
         "parameters": [
             {
                 "name": parameter.name,

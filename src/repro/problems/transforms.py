@@ -45,7 +45,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError, EvaluationError
 from repro.problems.base import Problem
 from repro.problems.batch import BatchEvaluation
-from repro.problems.space import DesignSpace
 
 __all__ = [
     "ProblemTransform",
@@ -61,9 +60,9 @@ __all__ = [
 class ProblemTransform(Problem):
     """Base class of all transforms: a Problem wrapping an inner Problem.
 
-    Metadata (space, objectives, senses) is inherited from the wrapped
-    problem unless the subclass overrides it, and :attr:`name` composes as
-    ``Transform(inner-name)`` so stacked wrappers self-describe.
+    Metadata (box, variable names, objectives, senses) is inherited from
+    the wrapped problem unless the subclass overrides it, and :attr:`name`
+    composes as ``Transform(inner-name)`` so stacked wrappers self-describe.
     """
 
     def __init__(
@@ -72,10 +71,15 @@ class ProblemTransform(Problem):
         n_obj: int | None = None,
         objective_names: list[str] | None = None,
         objective_senses: list[int] | None = None,
-        space: DesignSpace | None = None,
+        lower_bounds: np.ndarray | None = None,
+        upper_bounds: np.ndarray | None = None,
     ) -> None:
         super().__init__(
+            n_var=inner.n_var,
             n_obj=n_obj if n_obj is not None else inner.n_obj,
+            lower_bounds=lower_bounds if lower_bounds is not None else inner.lower_bounds,
+            upper_bounds=upper_bounds if upper_bounds is not None else inner.upper_bounds,
+            names=inner.names,
             objective_names=(
                 objective_names
                 if objective_names is not None
@@ -86,7 +90,6 @@ class ProblemTransform(Problem):
                 if objective_senses is not None
                 else list(inner.objective_senses)
             ),
-            space=space if space is not None else inner.space,
         )
         self.inner = inner
 
@@ -210,21 +213,12 @@ class Normalized(ProblemTransform):
 
     def __init__(self, inner: Problem) -> None:
         super().__init__(
-            inner,
-            space=DesignSpace.continuous(
-                np.zeros(inner.n_var),
-                np.ones(inner.n_var),
-                names=inner.space.names,
-                units=inner.space.units,
-            ),
+            inner, lower_bounds=np.zeros(inner.n_var), upper_bounds=np.ones(inner.n_var)
         )
 
     def to_inner(self, X: np.ndarray) -> np.ndarray:
         """Map unit-box vector(s) onto the inner problem's bounds."""
-        inner_X = self.inner.space.denormalize(X)
-        if not self.inner.space.is_continuous:
-            inner_X = self.inner.space.repair(inner_X)
-        return inner_X
+        return self.inner.denormalize(X)
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         return self.inner.evaluate_matrix(self.to_inner(X))

@@ -44,7 +44,8 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: changes what it pickles, so an older checkpoint is refused, not misread.
 #: Version 3: a ``Population`` pickles its arrays, not a list of individuals.
 #: Version 4: MOEA/D pickles its incumbents as one ``Population``.
-_FORMAT_VERSION = 4
+#: Version 5: a ``Problem`` pickles its box arrays, not a ``DesignSpace``.
+_FORMAT_VERSION = 5
 
 
 class _Unreadable(CheckpointError):

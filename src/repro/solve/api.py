@@ -386,7 +386,7 @@ def solve(
         result.problem = problem.name
         result.history = history
         result.checkpoint = info
-        result.design_space = problem.space.as_dict()
+        result.design_space = problem.design_space()
         result.ledger = ledger
         return result
     finally:

@@ -82,9 +82,9 @@ class SolveResult:
     checkpoint:
         :class:`CheckpointInfo` of the run (``None`` without checkpointing).
     design_space:
-        JSON form of the optimized problem's
-        :class:`~repro.problems.space.DesignSpace` (recorded into run
-        manifests by :mod:`repro.core.artifacts`).
+        JSON form of the optimized problem's decision box
+        (:meth:`~repro.problems.base.Problem.design_space`, recorded into
+        run manifests by :mod:`repro.core.artifacts`).
     extras:
         Per-solver by-products (e.g. ``island_fronts`` for PMO2).  Entries are
         also reachable as attributes: ``result.island_fronts`` looks up

@@ -9,9 +9,10 @@ previous Pareto set instead of from random samples.
 
 Compatibility is validated, not assumed: the source must record decision
 vectors of the target problem's width, and when a run manifest is present its
-recorded design space must equal the target problem's.  A mismatch raises
-:class:`~repro.exceptions.ConfigurationError` rather than silently seeding a
-population from a different task.
+recorded design space (:meth:`~repro.problems.base.Problem.design_space`: the
+box and the variable names) must equal the target problem's.  A mismatch
+raises :class:`~repro.exceptions.ConfigurationError` rather than silently
+seeding a population from a different task.
 
 Determinism: the seeded individuals are taken in recorded order and the
 remainder of the population is sampled by the engine's usual initializer from
@@ -90,8 +91,8 @@ def load_warm_population(
     Returns
     -------
     A :class:`~repro.moo.individual.Population` of *unevaluated* individuals
-    whose decision vectors are the recorded front rows repaired onto the
-    problem's design space.
+    whose decision vectors are the recorded front rows clipped onto the
+    problem's box.
 
     Example
     -------
@@ -121,7 +122,7 @@ def load_warm_population(
         )
     if manifest_path is not None:
         recorded = load_json(manifest_path).get("design_space")
-        if recorded is not None and recorded != problem.space.as_dict():
+        if recorded is not None and recorded != problem.design_space():
             raise ConfigurationError(
                 "warm-start source %s was produced on a different design "
                 "space than %s; refusing to seed a population across "
@@ -129,4 +130,4 @@ def load_warm_population(
             )
     if population_size is not None and matrix.shape[0] > population_size:
         matrix = matrix[:population_size]
-    return Population.from_vectors([problem.repair(row) for row in matrix])
+    return Population.from_matrix(problem.clip(matrix))

@@ -196,19 +196,17 @@ class TestRecordAndLoad:
 
 class TestDesignSpaceInManifests:
     def test_result_design_space_round_trips_through_the_manifest(self, tmp_path):
-        from repro.problems import DesignSpace, build_problem
+        from repro.problems import build_problem
 
         experiment, result = _stub_experiment()
-        space = build_problem("zdt6?n_var=4").space
-        result.design_space = space.as_dict()
+        problem = build_problem("zdt6?n_var=4")
+        result.design_space = problem.design_space()
         run_dir = record_run(experiment, result, {"seed": 0}, base_dir=tmp_path)
         manifest = load_manifest(run_dir)
-        assert manifest.design_space is not None
-        assert DesignSpace.from_dict(manifest.design_space) == space
+        assert manifest.design_space == problem.design_space()
 
     def test_solve_results_carry_the_space_into_the_manifest(self, tmp_path):
         from repro.core.registry import get_experiment
-        from repro.problems import DesignSpace
 
         experiment = get_experiment("migration-ablation")
         parameters = experiment.validate_parameters(
@@ -216,10 +214,10 @@ class TestDesignSpaceInManifests:
         )
         result = experiment.function(**parameters)
         run_dir = record_run(experiment, result, parameters, base_dir=tmp_path)
-        manifest = load_manifest(run_dir)
-        space = DesignSpace.from_dict(manifest.design_space)
-        assert space.n_var == 23  # the 23 photosynthesis enzymes
-        assert space.names[0] != "x0"  # real enzyme names, not defaults
+        variables = load_manifest(run_dir).design_space["variables"]
+        assert len(variables) == 23  # the 23 photosynthesis enzymes
+        assert variables[0]["name"] != "x0"  # real enzyme names, not defaults
+        assert {variable["kind"] for variable in variables} == {"continuous"}
 
     def test_results_without_a_space_record_none(self, tmp_path):
         experiment, result = _stub_experiment()

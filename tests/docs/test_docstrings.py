@@ -92,7 +92,7 @@ REQUIRED_EXAMPLES = [
     "repro.problems.batch.BatchEvaluation",
     "repro.problems.registry",
     "repro.problems.registry.build_problem",
-    "repro.problems.space.DesignSpace",
+    "repro.problems.base.Problem.design_space",
     "repro.problems.transforms",
     "repro.runtime.checkpoint",
     "repro.runtime.evaluator.build_evaluator",

@@ -9,6 +9,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
+from repro.moo.individual import Population
 from repro.moo.moead import MOEAD, MOEADConfig, uniform_weight_vectors
 from repro.moo.testproblems import DTLZ2, Schaffer, ZDT1
 from repro.problems import FunctionalProblem, build_problem
@@ -181,6 +182,46 @@ class TestAdaptiveNeighborhoodDefault:
     def test_explicit_oversized_neighborhood_still_rejected(self):
         with pytest.raises(ConfigurationError):
             MOEADConfig(population_size=8, neighborhood_size=20).validate()
+
+
+class _PerChildMOEAD(MOEAD):
+    """Reference step: each child enters the archive as soon as it is evaluated."""
+
+    def step(self):
+        for index in range(self.config.population_size):
+            pool, restricted = self._mating_pool(index)
+            child = Population.from_matrix(self._reproduce(index, pool)[None])
+            self.evaluations += child.evaluate(self.problem, self.evaluator)
+            self.ideal = np.minimum(self.ideal, child.F[0])
+            self.archive.add_population(child)
+            replace_pool = pool if restricted else np.arange(self.config.population_size)
+            self._update_neighborhood(child, self.rng.permutation(replace_pool))
+        self.generation += 1
+
+
+class TestGenerationArchiveFold:
+    """A generation's children folded into the archive at once leave the
+    archive and the incumbents byte-equal to folding each child in turn."""
+
+    @pytest.mark.parametrize("spec", ["zdt1", "bnh", "dtlz2"])
+    @pytest.mark.parametrize("variation", ["de", "sbx"])
+    @pytest.mark.parametrize("capacity", [None, 6])
+    def test_matches_per_child_folds(self, spec, variation, capacity):
+        config = MOEADConfig(population_size=24, variation=variation, archive_capacity=capacity)
+        engines = [cls(build_problem(spec), config, seed=3) for cls in (MOEAD, _PerChildMOEAD)]
+        for engine in engines:
+            engine.initialize()
+            for _ in range(6):
+                engine.step()
+        batched, reference = engines
+        if capacity is not None:
+            assert len(reference.archive) == capacity  # the bound was exercised
+        for ours, theirs in (
+            (batched.archive.to_population(), reference.archive.to_population()),
+            (batched.population, reference.population),
+        ):
+            for field in ("X", "F", "CV"):
+                assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes()
 
 
 # ----------------------------------------------------------------------

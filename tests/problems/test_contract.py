@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError
-from repro.problems import (
-    BatchEvaluation,
-    DesignSpace,
-    FunctionalProblem,
-    Problem,
-)
-from repro.problems.space import ContinuousVariable, IntegerVariable
+from repro.exceptions import ConfigurationError, DimensionError
+from repro.problems import BatchEvaluation, FunctionalProblem, Problem
 
 
 class MatrixFirstProblem(Problem):
@@ -64,8 +58,8 @@ class TestMatrixDispatch:
         assert problem.calls == 2
 
     def test_infinite_bounds_stay_legal(self):
-        # Pre-redesign problems could declare half-open boxes and supply
-        # their own sampling; the typed space must not reject them.
+        # A problem may declare a half-open box and supply its own sampling;
+        # the constructor refuses only NaN bounds.
         problem = FunctionalProblem(
             n_var=1,
             objective_functions=[lambda x: float(x[0])],
@@ -153,46 +147,96 @@ class TestFunctionalProblemRows:
         ]
 
 
-class TestDesignSpaceIntegration:
-    def test_space_construction_defines_metadata(self):
-        space = DesignSpace(
-            [
-                ContinuousVariable("a", 0.0, 2.0, unit="mM"),
-                IntegerVariable("k", 1, 4),
+def _box(lower, upper, names=None):
+    """A one-objective functional problem over the given box."""
+    return FunctionalProblem(
+        n_var=len(lower),
+        objective_functions=[lambda x: float(x[0])],
+        lower_bounds=lower,
+        upper_bounds=upper,
+        names=names,
+    )
+
+
+class TestBoxConstruction:
+    """The decision box lives on ``Problem``: bounds, names and their checks."""
+
+    def test_default_names_and_owned_bounds(self):
+        lower = np.array([0.0, -1.0])
+        problem = _box(lower, [1.0, 1.0])
+        assert problem.names == ["x0", "x1"]
+        assert problem.lower_bounds == pytest.approx([0.0, -1.0])
+        lower[0] = 5.0  # the problem keeps its own copy of the bounds
+        assert problem.lower_bounds[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan])],
+    )
+    def test_nan_bounds_are_refused(self, lower, upper):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            _box(lower, upper)
+
+    def test_inverted_bounds_are_refused(self):
+        with pytest.raises(ConfigurationError, match="upper bound below lower bound"):
+            _box([0.0, 1.0], [1.0, 0.5])
+
+    def test_zero_span_bounds_stay_legal(self):
+        problem = _box([0.5], [0.5])
+        assert problem.normalize(np.array([0.5])) == pytest.approx([0.0])
+
+    def test_bound_shape_must_match_n_var(self):
+        with pytest.raises(DimensionError, match="bounds must have shape"):
+            Problem(n_var=2, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
+
+    def test_names_length_must_match_n_var(self):
+        with pytest.raises(DimensionError, match="names must have length"):
+            _box([0.0, 0.0], [1.0, 1.0], names=["a"])
+
+    def test_empty_names_are_refused(self):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            _box([0.0, 0.0], [1.0, 1.0], names=["a", ""])
+
+    def test_duplicate_names_are_refused(self):
+        with pytest.raises(ConfigurationError, match="unique"):
+            _box([0.0, 0.0], [1.0, 1.0], names=["a", "a"])
+
+    def test_missing_bounds_or_width_are_refused(self):
+        with pytest.raises(ConfigurationError, match="box bounds"):
+            Problem(n_var=1, n_obj=1)
+        with pytest.raises(ConfigurationError, match="n_var must be positive"):
+            Problem(n_var=0, n_obj=1, lower_bounds=[], upper_bounds=[])
+
+    def test_random_solution_is_one_uniform_draw(self):
+        # One call consumes exactly one rng.uniform(lower, upper) draw — the
+        # stream every engine's initial population starts from.
+        problem = _box([0.0, 0.0], [2.0, 4.0])
+        rng = np.random.default_rng(3)
+        a = problem.random_solution(rng)
+        reference = np.random.default_rng(3)
+        b = reference.uniform(problem.lower_bounds, problem.upper_bounds)
+        assert a.tobytes() == b.tobytes()
+        assert rng.random() == reference.random()
+
+    def test_clip_is_shape_preserving(self):
+        problem = _box([20.0, 1.0], [40.0, 5.0])
+        raw = np.array([[0.0, 9.9], [99.0, -2.0]])
+        assert problem.clip(raw) == pytest.approx(np.array([[20.0, 5.0], [40.0, 1.0]]))
+        assert problem.clip(raw[0]) == pytest.approx([20.0, 5.0])
+
+    def test_normalize_denormalize_roundtrip(self):
+        problem = _box([-2.0, 0.0], [2.0, 10.0])
+        x = np.array([1.0, 7.5])
+        assert problem.normalize(x) == pytest.approx([0.75, 0.75])
+        assert problem.denormalize(problem.normalize(x)) == pytest.approx(x)
+        X = np.array([[-2.0, 0.0], [2.0, 10.0]])
+        assert problem.normalize(X) == pytest.approx(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    def test_design_space_json(self):
+        problem = _box([0.5, -3.25], [1.5, np.inf], names=["a", "b"])
+        assert problem.design_space() == {
+            "variables": [
+                {"kind": "continuous", "name": "a", "lower": 0.5, "upper": 1.5},
+                {"kind": "continuous", "name": "b", "lower": -3.25, "upper": np.inf},
             ]
-        )
-        problem = FunctionalProblem(
-            n_var=None,
-            objective_functions=[lambda x: float(x[0])],
-            space=space,
-        )
-        assert problem.n_var == 2
-        assert problem.names == ["a", "k"]
-        assert problem.space is space
-        assert problem.lower_bounds == pytest.approx([0.0, 1.0])
-
-    def test_legacy_bounds_build_a_continuous_space(self):
-        problem = MatrixFirstProblem()
-        assert problem.space.is_continuous
-        assert problem.space.names == problem.names
-        assert np.array_equal(problem.space.lower_bounds, problem.lower_bounds)
-
-    def test_space_and_bounds_are_mutually_exclusive(self):
-        from repro.exceptions import ConfigurationError
-
-        space = DesignSpace.continuous([0.0], [1.0])
-        with pytest.raises(ConfigurationError):
-            Problem(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0], space=space)
-
-    def test_repair_delegates_to_the_space(self):
-        space = DesignSpace([IntegerVariable("k", 0, 3)])
-        problem = FunctionalProblem(
-            n_var=None, objective_functions=[lambda x: 0.0], space=space
-        )
-        assert problem.repair(np.array([2.7])) == pytest.approx([3.0])
-
-    def test_random_solution_matches_legacy_stream(self):
-        problem = MatrixFirstProblem()
-        a = problem.random_solution(np.random.default_rng(11))
-        b = np.random.default_rng(11).uniform(problem.lower_bounds, problem.upper_bounds)
-        assert np.array_equal(a, b)
+        }

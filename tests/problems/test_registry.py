@@ -113,7 +113,9 @@ class TestTransformVariants:
     def test_variant_builds_and_evaluates(self, spec, name):
         problem = build_problem(spec)
         assert problem.name == name
-        X = problem.space.sample(np.random.default_rng(0), 3)
+        X = np.random.default_rng(0).uniform(
+            problem.lower_bounds, problem.upper_bounds, size=(3, problem.n_var)
+        )
         batch = problem.evaluate_matrix(X)
         assert batch.F.shape == (3, problem.n_obj)
 

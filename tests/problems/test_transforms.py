@@ -16,7 +16,7 @@ from tests.oracles.budget import BudgetCounting
 
 def _sample(problem, n, seed=0):
     rng = np.random.default_rng(seed)
-    return problem.space.sample(rng, n)
+    return rng.uniform(problem.lower_bounds, problem.upper_bounds, size=(n, problem.n_var))
 
 
 class TestNoisy:
