@@ -98,6 +98,7 @@ class GeobacterDesignProblem(Problem):
             names=self.model.reaction_ids,
             objective_names=["electron_production", "biomass_production"],
             objective_senses=[-1, -1],
+            n_con=1,
         )
         self.violation_tolerance = violation_tolerance
         self.violation_norm = violation_norm

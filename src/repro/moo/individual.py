@@ -184,9 +184,9 @@ class Population:
     # ------------------------------------------------------------------
     @classmethod
     def from_matrix(cls, X: np.ndarray) -> "Population":
-        """Unevaluated, unranked members, one per row of ``X`` (owned)."""
+        """Unevaluated, unranked members, one per row of ``X`` (owned, C order)."""
         population = cls.__new__(cls)
-        population._adopt(np.array(X, dtype=float))
+        population._adopt(np.array(X, dtype=float, order="C"))
         return population
 
     @classmethod

@@ -37,12 +37,19 @@ half (numpy keeps the last one even once consumed).  The generator ends
 exactly where the per-call code leaves it.
 
 The box must be finite (the engines refuse any other), so no base the
-arithmetic raises to a power is negative and no step divides by zero.  It
-is elementwise IEEE on arrays, except for every power, which is C ``pow``
-on Python floats: array ``np.power`` can differ from it by a few ulp.
-Outputs are bitwise-identical to the scalar loops kept in
-``tests/oracles/operators.py`` (see "Performance: one raw draw block per
-generation" in ``docs/performance.md``).
+arithmetic raises to a power is negative and no step divides by zero.  The
+arithmetic is elementwise IEEE on arrays, and every power is C ``pow``, the
+function the scalar loops reach through ``**``.  Array ``np.power`` is not:
+numpy 2 dispatches its float64 loop to a SIMD routine (``X86_V4`` on an
+AVX-512 host) that differs from ``pow`` in the last place on about 5% of
+values.  ``np.float_power`` has no dispatched loop and calls ``pow`` per
+element, so the powers take it once a per-process guard passes:
+``numpy.lib.introspect`` exists (numpy 2.0 on) and reports no dispatched
+``float_power`` loop, and a seeded probe at the operators' exponents equals
+:func:`math.pow` bit for bit.  Otherwise they map :func:`math.pow` over
+Python floats, about 4x slower per value.  Outputs are bitwise-identical to
+the scalar loops kept in ``tests/oracles/operators.py`` (see "The
+``np.power`` pitfall" in ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -76,6 +83,12 @@ CHUNK_WORDS = 4096
 _REPLAY_WORDS = 1024
 _LOW_HALF = 0xFFFFFFFF
 _EMPTY_WORDS = np.empty(0, dtype=np.uint64)
+#: Bases per exponent, and the seed, of the ``float_power`` guard's probe.
+_PROBE_VALUES = 256
+_PROBE_SEED = 2011
+#: Whether the powers take ``np.float_power``; None until the first power
+#: runs the guard (:func:`_float_power_is_pow`).
+_float_power_exact: bool | None = None
 
 
 def pcg64_generator(seed) -> np.random.Generator:
@@ -281,12 +294,13 @@ class Variation:
             mutation_probability if mutation_probability is not None else 1.0 / self.n_var
         )
         self._slots: list[np.ndarray] = []
-        # Flat positions (slot * n_var + gene) of the genes each pass acts
-        # on, and the stream positions of their draws: a crossed gene of
-        # the first child keeps its gate (the spread and the swap follow
-        # it), a mutated gene its perturbation.
-        self._crossed: list[int] = []
+        # The SBX walks: the chunk position of the gate of every gene they
+        # cross (the spread and the swap follow the gate), and one
+        # ``(shift, chunk start, crossings)`` per walk (see _crossings).
+        self._walks: list[tuple[int, int, int]] = []
         self._gates: list[int] = []
+        # Flat positions (slot * n_var + gene) of the mutated genes and the
+        # stream positions of their perturbations.
         self._mutated: list[int] = []
         self._perturbations: list[int] = []
 
@@ -304,16 +318,14 @@ class Variation:
         n = self.n_var
         children = np.array(self._slots, dtype=float).reshape(-1, n)
         flat = children.reshape(-1)
-        if self._crossed or self._mutated:
+        if self._gates or self._mutated:
             words = draws.words()
-        if self._crossed:
-            first = np.array(self._crossed, dtype=np.intp)
-            second = first + n
-            genes = first % n
-            gates = np.array(self._gates, dtype=np.intp)
-            flat[first], flat[second] = _sbx(
-                flat[first],
-                flat[second],
+        if self._gates:
+            at, gates = self._crossings()
+            genes = at % n
+            flat[at], flat[at + n] = _sbx(
+                flat[at],
+                flat[at + n],
                 self.lower[genes],
                 self.upper[genes],
                 _doubles(words[gates + 1]),
@@ -331,6 +343,22 @@ class Variation:
                 self.mutation_eta,
             )
         return children
+
+    def _crossings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of the crossed genes of the first children, and
+        the stream positions of their gates.
+
+        Gate ``j`` of ``_gates``, the k-th of a walk from chunk position
+        ``origin`` whose first is gate ``offset``, belongs to gene
+        ``gate - origin - 2k``: each crossing before it took two words
+        past its gate.  With ``k = j - offset``, its flat position is
+        ``gate - 2j + shift`` for the walk's
+        ``shift = slot * n_var - origin + 2 * offset``.
+        """
+        gates = np.fromiter(self._gates, np.intp, len(self._gates))
+        shift, start, crossings = np.array(self._walks, dtype=np.intp).T
+        at = gates - 2 * np.arange(gates.size) + np.repeat(shift, crossings)
+        return at, gates + np.repeat(start, crossings)
 
 
 def sbx_crossover(
@@ -353,16 +381,17 @@ def sbx_crossover(
     n = variation.n_var
     close = (np.abs(variation._slots[slot] - variation._slots[slot + 1]) < 1e-14).tolist()
     draws.reserve(3 * n)
-    gate_passes, pos, start = draws.gate_bytes(), draws.pos, draws.start
-    crossed, gates, first = variation._crossed, variation._gates, slot * n
-    for i, near in enumerate(close):
+    gate_passes, pos, gates = draws.gate_bytes(), draws.pos, variation._gates
+    origin, offset = pos, len(gates)
+    for near in close:
         if gate_passes[pos] and not near:
-            crossed.append(first + i)
-            gates.append(start + pos)
+            gates.append(pos)
             pos += 3
         else:
             pos += 1
     draws.pos = pos
+    shift = slot * n - origin + 2 * offset
+    variation._walks.append((shift, draws.start, len(gates) - offset))
     return slot, slot + 1
 
 
@@ -395,9 +424,49 @@ def polynomial_mutation(variation: Variation, slot: int, draws: Draws) -> None:
     draws.pos = origin + n
 
 
-def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
-    """``bases ** exponent`` through C ``pow`` (:func:`math.pow`), one float at a time."""
+def _pow_map(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``bases ** exponent`` through :func:`math.pow`, one Python float at a time."""
     return np.fromiter(map(math.pow, bases.tolist(), repeat(exponent)), float, bases.size)
+
+
+def _float_power_is_pow() -> bool:
+    """Whether ``np.float_power`` is C ``pow`` in this process.
+
+    It is when numpy reports no SIMD-dispatched ``float_power`` loop
+    (``numpy.lib.introspect`` is absent before numpy 2.0, which counts as
+    unknown) and a seeded probe at the exponents of distribution indices
+    1, 15, 20 and 200 equals :func:`math.pow` bit for bit.  The negative
+    exponents of SBX meet bases from 1 up; the others meet bases in
+    ``(0, 3]``, as in the operators.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return False
+    if opt_func_info(func_name="^float_power$"):
+        return False
+    rng = np.random.default_rng(_PROBE_SEED)
+    small = 3.0 * (1.0 - rng.random(_PROBE_VALUES))
+    large = 10.0 ** rng.uniform(0.0, 15.0, _PROBE_VALUES)
+    for eta in (1.0, 15.0, 20.0, 200.0):
+        for exponent, bases in (
+            (-(eta + 1.0), np.concatenate((1.0 + small, large))),
+            (eta + 1.0, small),
+            (1.0 / (eta + 1.0), small),
+        ):
+            if np.float_power(bases, exponent).tobytes() != _pow_map(bases, exponent).tobytes():
+                return False
+    return True
+
+
+def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``bases ** exponent`` through C ``pow``: ``np.float_power`` when the guard passes."""
+    global _float_power_exact
+    if _float_power_exact is None:
+        _float_power_exact = _float_power_is_pow()
+    if _float_power_exact:
+        return np.float_power(bases, exponent)
+    return _pow_map(bases, exponent)
 
 
 def _clamp(value, low, high):
@@ -506,8 +575,10 @@ def latin_hypercube(
     """Latin-hypercube initialization of ``size`` individuals."""
     if size <= 0:
         raise ConfigurationError("population size must be positive")
-    samples = np.empty((size, problem.n_var))
-    for j in range(problem.n_var):
-        perm = rng.permutation(size)
-        samples[:, j] = (perm + rng.random(size)) / size
-    return Population.from_vectors([problem.denormalize(samples[i]) for i in range(size)])
+    # Per variable, in turn: a permutation of the strata, then a jitter in each.
+    strata = np.empty((problem.n_var, size), dtype=np.int64)
+    jitter = np.empty((problem.n_var, size))
+    for stratum, row in zip(strata, jitter):
+        stratum[:] = rng.permutation(size)
+        rng.random(out=row)
+    return Population.from_matrix(problem.denormalize(((strata + jitter) / size).T))

@@ -223,6 +223,7 @@ class ConstrainedBNH(Problem):
             lower_bounds=[0.0, 0.0],
             upper_bounds=[5.0, 3.0],
             objective_names=["f1", "f2"],
+            n_con=2,
         )
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:

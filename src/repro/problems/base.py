@@ -90,6 +90,9 @@ class Problem:
         Sequence of ``+1`` / ``-1`` describing how the *reported* quantity maps
         to the minimized objective: ``-1`` means the natural quantity is
         maximized and therefore negated internally.
+    n_con:
+        Number of constraints: the width of every batch's ``G``, a zero-row
+        one included.
     """
 
     def __init__(
@@ -101,6 +104,7 @@ class Problem:
         names: Sequence[str] | None = None,
         objective_names: Sequence[str] | None = None,
         objective_senses: Sequence[int] | None = None,
+        n_con: int = 0,
     ) -> None:
         if n_var is None or n_var <= 0:
             raise ConfigurationError("n_var must be positive, got %r" % n_var)
@@ -128,8 +132,11 @@ class Problem:
             raise ConfigurationError("variable names must be unique")
         if n_obj <= 0:
             raise ConfigurationError("n_obj must be positive, got %r" % n_obj)
+        if n_con < 0:
+            raise ConfigurationError("n_con must be non-negative, got %r" % n_con)
         self.n_var = int(n_var)
         self.n_obj = int(n_obj)
+        self.n_con = int(n_con)
         self.lower_bounds = lower
         self.upper_bounds = upper
         self.names = names
@@ -162,9 +169,10 @@ class Problem:
 
         A single 1-D vector of length ``n_var`` is accepted as a batch of
         one.  Rows of the returned batch correspond to rows of ``X`` in
-        order, and the result is a pure function of ``X`` — which is what
-        lets serial, batched, pooled and cached execution stay bitwise
-        interchangeable.
+        order, and the result is a pure function of ``X`` (its values, not
+        its memory layout) — which is what lets serial, batched, pooled and
+        cached execution stay bitwise interchangeable.  ``G`` has
+        :attr:`n_con` columns, whatever the number of rows.
 
         Example
         -------
@@ -175,8 +183,14 @@ class Problem:
         """
         X = self.validate_matrix(X)
         if X.shape[0] == 0:
-            return BatchEvaluation.empty(self.n_obj)
-        return self._evaluate_matrix(X)
+            return BatchEvaluation.empty(self.n_obj, self.n_con)
+        batch = self._evaluate_matrix(X)
+        if batch.n_con != self.n_con:
+            raise DimensionError(
+                "%s returned %d constraint columns but declares n_con=%d"
+                % (self.name, batch.n_con, self.n_con)
+            )
+        return batch
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         """The subclass hook: evaluate a validated, non-empty ``(n, n_var)`` matrix."""
@@ -199,8 +213,14 @@ class Problem:
         return arr
 
     def validate_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Check an ``(n, n_var)`` decision matrix (1-D vectors become one row)."""
-        X = np.asarray(X, dtype=float)
+        """Check an ``(n, n_var)`` decision matrix (1-D vectors become one row).
+
+        The matrix comes back C-contiguous (a C-ordered float matrix is not
+        copied): row reductions such as a per-row dot product can sum in
+        another order on a Fortran-ordered one, so the layout would change
+        the objectives' last bits.
+        """
+        X = np.ascontiguousarray(X, dtype=float)
         if X.ndim == 1:
             if X.shape == (self.n_var,):
                 return X.reshape(1, -1)
@@ -339,6 +359,7 @@ class FunctionalProblem(Problem):
             names=names,
             objective_names=objective_names,
             objective_senses=objective_senses,
+            n_con=len(constraint_functions or []),
         )
         self._objective_functions = list(objective_functions)
         self._constraint_functions = list(constraint_functions or [])

@@ -146,13 +146,6 @@ class BatchEvaluation:
         batches = list(batches)
         if not batches:
             raise ConfigurationError("cannot concatenate zero batches")
-        # Zero-row batches carry no information but may disagree on the
-        # constraint width (an empty evaluation cannot know it); drop them so
-        # they never poison the stack.
-        nonempty = [batch for batch in batches if len(batch)]
-        if not nonempty:
-            return batches[0]
-        batches = nonempty
         if len(batches) == 1:
             return batches[0]
         F = np.vstack([batch.F for batch in batches])

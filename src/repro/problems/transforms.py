@@ -60,9 +60,10 @@ __all__ = [
 class ProblemTransform(Problem):
     """Base class of all transforms: a Problem wrapping an inner Problem.
 
-    Metadata (box, variable names, objectives, senses) is inherited from
-    the wrapped problem unless the subclass overrides it, and :attr:`name`
-    composes as ``Transform(inner-name)`` so stacked wrappers self-describe.
+    Metadata (box, variable names, objectives, senses, constraint count) is
+    inherited from the wrapped problem unless the subclass overrides it,
+    and :attr:`name` composes as ``Transform(inner-name)`` so stacked
+    wrappers self-describe.
     """
 
     def __init__(
@@ -73,6 +74,7 @@ class ProblemTransform(Problem):
         objective_senses: list[int] | None = None,
         lower_bounds: np.ndarray | None = None,
         upper_bounds: np.ndarray | None = None,
+        n_con: int | None = None,
     ) -> None:
         super().__init__(
             n_var=inner.n_var,
@@ -90,6 +92,7 @@ class ProblemTransform(Problem):
                 if objective_senses is not None
                 else list(inner.objective_senses)
             ),
+            n_con=n_con if n_con is not None else inner.n_con,
         )
         self.inner = inner
 
@@ -208,10 +211,17 @@ class Normalized(ProblemTransform):
     Decision vectors are denormalized onto the inner bounds before
     evaluation, so optimizers see a dimensionless, well-scaled space — the
     usual cure for problems mixing axes of wildly different magnitude (the
-    Geobacter fluxes span five orders).
+    Geobacter fluxes span five orders).  The inner box must be finite: the
+    unit box of an infinite one would denormalize onto ``inf`` and ``nan``.
     """
 
     def __init__(self, inner: Problem) -> None:
+        infinite = ~(np.isfinite(inner.lower_bounds) & np.isfinite(inner.upper_bounds))
+        if infinite.any():
+            raise ConfigurationError(
+                "Normalized needs a finite inner box; non-finite bounds on %s"
+                % ", ".join(name for name, bad in zip(inner.names, infinite) if bad)
+            )
         super().__init__(
             inner, lower_bounds=np.zeros(inner.n_var), upper_bounds=np.ones(inner.n_var)
         )
@@ -277,7 +287,7 @@ class ConstraintAsPenalty(ProblemTransform):
     def __init__(self, inner: Problem, rho: float = 1000.0) -> None:
         if rho < 0:
             raise ConfigurationError("penalty weight rho must be non-negative")
-        super().__init__(inner)
+        super().__init__(inner, n_con=0)
         self.rho = float(rho)
 
     def _transform_identity(self) -> dict:

@@ -45,7 +45,8 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: Version 3: a ``Population`` pickles its arrays, not a list of individuals.
 #: Version 4: MOEA/D pickles its incumbents as one ``Population``.
 #: Version 5: a ``Problem`` pickles its box arrays, not a ``DesignSpace``.
-_FORMAT_VERSION = 5
+#: Version 6: a ``Problem`` pickles its constraint count ``n_con``.
+_FORMAT_VERSION = 6
 
 
 class _Unreadable(CheckpointError):

@@ -243,7 +243,7 @@ class ProcessPoolEvaluator(Evaluator):
 
         X = problem.validate_matrix(X)
         if X.shape[0] == 0:
-            return BatchEvaluation.empty(problem.n_obj)
+            return BatchEvaluation.empty(problem.n_obj, problem.n_con)
         if self.n_workers <= 1 or X.shape[0] == 1 or not self._ensure_pool(problem):
             return self._serial(problem, X)
         chunks = self._chunks(X)
@@ -398,7 +398,7 @@ class CachedEvaluator(Evaluator):
         prefix = self._digest_for(problem)
         X = problem.validate_matrix(X)
         if X.shape[0] == 0:
-            return BatchEvaluation.empty(problem.n_obj)
+            return BatchEvaluation.empty(problem.n_obj, problem.n_con)
         keys = [
             prefix + row_bytes
             for row_bytes in cachekeys.quantize_matrix(X, self.decimals)

@@ -360,7 +360,7 @@ class TestSolve:
         payload["format_version"] = 1
         path.write_bytes(pickle.dumps(payload))
         assert main(args + ["--generations", "6"]) == 2
-        assert "format version 1, expected 5" in capsys.readouterr().err
+        assert "format version 1, expected 6" in capsys.readouterr().err
 
     def test_unknown_algorithm_is_a_clean_error(self, capsys):
         assert main(["solve", "zdt1", "--algorithm", "nsga3"]) == 2

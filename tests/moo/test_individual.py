@@ -125,12 +125,20 @@ class TestPopulation:
         clone[0].x[0] = 123.0
         assert population[0].x[0] != 123.0
 
+    def test_from_matrix_owns_a_c_ordered_copy(self):
+        X = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        population = Population.from_matrix(X)
+        assert population.X.flags.c_contiguous
+        assert population.X.tobytes() == np.ascontiguousarray(X).tobytes()
+        X[0, 0] = -1.0
+        assert population.X[0, 0] == 0.0
+
 
 class _Violations(Problem):
     """Returns a fixed, seeded violation matrix of ``n_con`` columns."""
 
     def __init__(self, n_con, rows):
-        super().__init__(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
+        super().__init__(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0], n_con=n_con)
         rng = np.random.default_rng(n_con)
         # Mixed signs and magnitudes, so clipping and summation order matter.
         self.G = rng.normal(size=(rows, n_con)) * 10.0 ** rng.integers(-8, 8, size=(rows, n_con))

@@ -10,10 +10,16 @@ and leave the generators in the same state, generation after generation
 (and, through a one-pair record, call after call), so an engine's random
 stream cannot drift.  The cursor itself is held to ``rng.random()`` and
 ``rng.integers(0, n)`` in any mix.  Non-finite boxes and parents outside
-the box are refused before any draw.
+the box are refused before any draw.  The powers are checked on both of
+their paths (``np.float_power`` where the guard passes, and the forced
+:func:`math.pow` fallback), the crossed genes rebuilt from the recorded
+SBX walks against the walk itself, and the Latin hypercube against its
+column loop.
 """
 
+import math
 import pickle
+import sys
 import types
 import warnings
 
@@ -23,7 +29,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.moo import operators
 from repro.moo.individual import Population
-from repro.moo.moead import MOEAD
+from repro.moo import moead, nsga2
+from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.operators import Draws
 from repro.moo.pmo2 import PMO2Config, build_pmo2
@@ -46,6 +53,7 @@ N_VARS = (1, 2, 23, 30, 608)
 ETAS = (1.0, 15.0, 200.0)
 SBX_PROBABILITIES = (0.9, 1.0, 0.0)
 MUTATION_PROBABILITIES = (None, 1.0, 0.0, 0.5)
+
 
 
 def _box_and_parents(seed, n):
@@ -258,6 +266,213 @@ def test_generations_match_across_chunk_boundaries(chunk, monkeypatch):
     for seed in range(4):
         for n, size in ((1, 4), (2, 6), (23, 10), (30, 32)):
             _run_generations(seed, n, size, generations=2)
+
+
+def _refused(*args):
+    raise AssertionError("np.float_power called on the math.pow path")
+
+
+class TestMathPowFallback:
+    """The oracles again, with the powers forced onto :func:`math.pow`."""
+
+    @pytest.fixture(autouse=True)
+    def _fallback(self, monkeypatch):
+        monkeypatch.setattr(operators, "_float_power_exact", False)
+        monkeypatch.setattr(np, "float_power", _refused)
+
+    @pytest.mark.parametrize("n", N_VARS)
+    def test_sbx_then_mutation_matches_scalar_loops(self, n):
+        test_sbx_then_mutation_matches_scalar_loops(n)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_extreme_probabilities(self, eta):
+        for probability in (0.0, 1.0):
+            test_sbx_matches_at_extreme_probabilities(eta, probability)
+        for probability in (None, 0.0, 1.0):
+            test_mutation_matches_at_extreme_probabilities(eta, probability)
+
+    def test_identical_parents_and_zero_spans_consume_only_gates(self):
+        test_identical_parents_and_zero_spans_consume_only_gates()
+
+    @pytest.mark.parametrize("n, size", [(1, 4), (23, 10), (30, 100), (608, 100)])
+    def test_generations_match_the_per_pair_loop(self, n, size):
+        for seed in range(6 if n < 608 else 2):
+            _run_generations(seed, n, size)
+
+
+# ---------------------------------------------------------------------------
+# The powers' guard.
+# ---------------------------------------------------------------------------
+class TestFloatPowerGuard:
+    def test_missing_introspection_keeps_math_pow(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert operators._float_power_is_pow() is False
+
+    def test_a_dispatched_loop_keeps_math_pow(self, monkeypatch):
+        introspect = pytest.importorskip("numpy.lib.introspect")
+        dispatched = {"float_power": {"ddd": {"current": "X86_V4", "available": "X86_V4"}}}
+        monkeypatch.setattr(
+            introspect, "opt_func_info", lambda func_name=None, signature=None: dispatched
+        )
+        assert operators._float_power_is_pow() is False
+
+    def test_a_probe_mismatch_keeps_math_pow(self, monkeypatch):
+        pytest.importorskip("numpy.lib.introspect")
+        pow_map = operators._pow_map
+        monkeypatch.setattr(
+            np, "float_power", lambda bases, e: np.nextafter(pow_map(bases, e), np.inf)
+        )
+        assert operators._float_power_is_pow() is False
+
+    def test_an_undispatched_float_power_passes(self):
+        introspect = pytest.importorskip("numpy.lib.introspect")
+        if introspect.opt_func_info(func_name="^float_power$"):
+            pytest.skip("this numpy dispatches float_power")
+        assert operators._float_power_is_pow() is True
+
+    def test_the_verdict_is_taken_once_per_process(self, monkeypatch):
+        verdicts = []
+        monkeypatch.setattr(operators, "_float_power_exact", None)
+        monkeypatch.setattr(operators, "_float_power_is_pow", lambda: verdicts.append(0) or False)
+        bases = np.array([0.5, 1.5, 2.5])
+        for exponent in (-16.0, 1.0 / 16.0):
+            expected = np.array([math.pow(base, exponent) for base in bases.tolist()])
+            assert operators._powers(bases, exponent).tobytes() == expected.tobytes()
+        assert verdicts == [0] and operators._float_power_exact is False
+
+
+# ---------------------------------------------------------------------------
+# Crossed genes rebuilt from the recorded SBX walks, against the walk.
+# ---------------------------------------------------------------------------
+def _walk_population(seed, n, size):
+    """Rows whose pairs are all near, have runs of near genes, or neither.
+
+    Rows ``1::4`` copy rows ``0::4``, rows ``3::4`` sit ``1e-15`` off them
+    and rows ``2::4`` copy a random run of their genes.
+    """
+    setup = np.random.default_rng(60_000 + seed)
+    X = setup.uniform(-1.0, 1.0, (size, n))
+    X[1::4] = X[0::4][: len(X[1::4])]
+    X[3::4] = X[0::4][: len(X[3::4])] + 1e-15
+    for row in range(2, size, 4):
+        start, stop = np.sort(setup.integers(0, n + 1, 2))
+        X[row, start:stop] = X[row - 2, start:stop]
+    return X
+
+
+def _spy_on_crossovers(monkeypatch, module):
+    """Record every SBX draw step an engine module runs: its record, cursor,
+    stream position, first slot and which genes' parents are near.
+
+    The parents may be rows the engine overwrites later, so closeness is
+    taken on the spot.
+    """
+    steps = []
+
+    def spy(variation, parent_a, parent_b, draws):
+        position = draws.start + draws.pos
+        close = np.abs(parent_a - parent_b) < 1e-14
+        slot, other = operators.sbx_crossover(variation, parent_a, parent_b, draws)
+        steps.append((variation, draws, position, slot, close))
+        return slot, other
+
+    monkeypatch.setattr(module, "sbx_crossover", spy)
+    return steps
+
+
+def _assert_walks_match_the_oracle(steps):
+    """Each record's rebuilt crossings equal :func:`oracle.sbx_walk` over its words.
+
+    Returns each walk's chunk start and its first gate's position in that
+    chunk, and how many walked pairs were all near or had a run of near
+    genes.
+    """
+    records = {}
+    for variation, draws, *pair in steps:
+        records.setdefault(id(variation), (variation, draws, []))[2].append(pair)
+    starts, all_near, near_runs = [], 0, 0
+    for variation, draws, pairs in records.values():
+        stream = (draws.words() >> 11) * 2.0**-53
+        n, at, gates, walked = variation.n_var, [], [], []
+        for position, slot, close in pairs:
+            if stream[position] > variation.crossover_probability:
+                continue
+            all_near += bool(close.all())
+            near_runs += bool(0 < close.sum() < n)
+            genes, positions, _ = oracle.sbx_walk(stream, close, position + 1)
+            at += [slot * n + gene for gene in genes]
+            gates += positions
+            walked.append(position + 1)
+        assert len(variation._walks) == len(walked)
+        starts += [(start, first - start) for (_, start, _), first in zip(variation._walks, walked)]
+        if not walked:
+            continue
+        rebuilt_at, rebuilt_gates = variation._crossings()
+        assert rebuilt_at.tolist() == at and rebuilt_gates.tolist() == gates
+    return starts, all_near, near_runs
+
+
+def _problem(n):
+    return FunctionalProblem(
+        n,
+        [lambda x: float(np.sum(x)), lambda x: float(-np.sum(x))],
+        lower_bounds=[-1.0] * n,
+        upper_bounds=[1.0] * n,
+    )
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 30))
+@pytest.mark.parametrize("chunk", (1, 64, None))
+def test_nsga2_walks_rebuild_the_oracle_crossings(n, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(operators, "CHUNK_WORDS", chunk)
+    steps = _spy_on_crossovers(monkeypatch, nsga2)
+    for seed in range(4):
+        config = NSGA2Config(population_size=16, crossover_probability=(0.9, 1.0)[seed % 2])
+        engine = NSGA2(_problem(n), config, seed=seed)
+        engine.population = Population.from_matrix(_walk_population(seed, n, 16))
+        engine.population.rank[:] = 0  # every tournament a tie: random pairs
+        engine._make_offspring()
+    starts, all_near, near_runs = _assert_walks_match_the_oracle(steps)
+    assert all_near and (near_runs or n == 1)
+    if chunk == 1:  # every walk starts right after the refill of its reserve
+        assert all(origin == 0 for _, origin in starts)
+        assert any(start > 0 for start, _ in starts)
+
+
+@pytest.mark.parametrize("n", (1, 7, 30))
+def test_moead_sbx_walks_rebuild_the_oracle_crossings(n, monkeypatch):
+    steps = _spy_on_crossovers(monkeypatch, moead)
+    for seed in range(3):
+        config = MOEADConfig(population_size=12, neighborhood_size=4, variation="sbx")
+        engine = MOEAD(_problem(n), config, seed=seed)
+        engine.initialize()
+        engine.population = Population.from_matrix(_walk_population(seed, n, 12))
+        engine.population.evaluate(engine.problem, engine.evaluator)
+        engine.step()
+    starts, all_near, near_runs = _assert_walks_match_the_oracle(steps)
+    assert starts and all_near and (near_runs or n == 1)
+
+
+# ---------------------------------------------------------------------------
+# The Latin hypercube against its column loop.
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("n", (1, 2, 30, 608))
+@pytest.mark.parametrize("size", (1, 2, 10, 100))
+def test_latin_hypercube_matches_the_column_loop(n, size):
+    setup = np.random.default_rng(70_000 + n)
+    lower = setup.uniform(-5.0, 0.0, n)
+    upper = lower + setup.uniform(0.0, 5.0, n)
+    upper[::7] = lower[::7]
+    problem = FunctionalProblem(n, [lambda x: 0.0], lower_bounds=lower, upper_bounds=upper)
+    for seed in range(3):
+        rng_expected = np.random.default_rng(seed)
+        rng_actual = np.random.default_rng(seed)
+        expected = oracle.latin_hypercube(problem, size, rng_expected)
+        actual = operators.latin_hypercube(problem, size, rng_actual).X
+        assert actual.flags.c_contiguous and actual.shape == expected.shape == (size, n)
+        assert actual.tobytes() == expected.tobytes()
+        assert rng_actual.bit_generator.state == rng_expected.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ them (two tournaments, the crossover, two mutations per pair), which
 per decision, in gene order, and ``rng.integers`` per tournament pick define
 the random stream the optimized operators must reproduce exactly;
 ``tests/moo/test_operator_equivalence.py`` holds them to it.
+:func:`sbx_walk` is the SBX loop's gene walk alone, over a recorded stream,
+and :func:`latin_hypercube` the column-by-column initialization.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "binary_tournament",
     "offspring",
     "make_offspring",
+    "sbx_walk",
+    "latin_hypercube",
 ]
 
 
@@ -226,3 +230,33 @@ def make_offspring(engine):
         engine.rng,
         engine.config,
     )
+
+
+def sbx_walk(stream, close, position):
+    """The genes one SBX walk crosses, and the stream positions of their gates.
+
+    ``stream`` holds the walk's draws as ``rng.random()`` returns them,
+    ``position`` is where its first gate is and ``close[i]`` whether the
+    parents' gene ``i`` differ by less than ``1e-14``.  Each gene draws its
+    gate; a crossed one (gate ``<= 0.5``, parents apart) draws the spread
+    and the swap after it, as :func:`sbx_crossover` does.  Also returns
+    the position after the walk.
+    """
+    genes, gates = [], []
+    for gene, near in enumerate(close):
+        if stream[position] > 0.5 or near:
+            position += 1
+            continue
+        genes.append(gene)
+        gates.append(position)
+        position += 3
+    return genes, gates, position
+
+
+def latin_hypercube(problem, size, rng):
+    """Latin-hypercube samples of ``problem``'s box, one column at a time, as a matrix."""
+    samples = np.empty((size, problem.n_var))
+    for j in range(problem.n_var):
+        perm = rng.permutation(size)
+        samples[:, j] = (perm + rng.random(size)) / size
+    return np.vstack([problem.denormalize(samples[i]) for i in range(size)])

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.problems import BatchEvaluation, FunctionalProblem, Problem
+from repro.moo.testproblems import ConstrainedBNH
+from repro.problems import (
+    BatchEvaluation,
+    ConstraintAsPenalty,
+    FunctionalProblem,
+    Normalized,
+    Problem,
+    build_problem,
+    problem_names,
+)
+from repro.runtime.evaluator import CachedEvaluator, ProcessPoolEvaluator, SerialEvaluator
 
 
 class MatrixFirstProblem(Problem):
@@ -25,7 +35,9 @@ class RowProblem(Problem):
     """Per-design problem: its matrix hook loops the rows and stacks them."""
 
     def __init__(self):
-        super().__init__(n_var=2, n_obj=1, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0])
+        super().__init__(
+            n_var=2, n_obj=1, lower_bounds=[0.0, 0.0], upper_bounds=[1.0, 1.0], n_con=1
+        )
         self.calls = 0
 
     def _evaluate_matrix(self, X):
@@ -99,6 +111,79 @@ class TestMatrixDispatch:
             Typo(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0])
 
 
+class TestMemoryLayout:
+    """A batch is a function of the matrix's values, not of its layout."""
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_c_fortran_and_transposed_views_give_the_same_bits(self, name):
+        problem = build_problem(name)
+        X = np.random.default_rng(7).uniform(
+            problem.lower_bounds, problem.upper_bounds, (40, problem.n_var)
+        )
+        layouts = (X, np.asfortranarray(X), np.ascontiguousarray(X.T).T)
+        if problem.n_var > 1:  # one column is both C and Fortran ordered
+            assert not (layouts[1].flags.c_contiguous or layouts[2].flags.c_contiguous)
+        batches = [problem.evaluate_matrix(layout) for layout in layouts]
+        for batch in batches[1:]:
+            assert batch.F.tobytes() == batches[0].F.tobytes()
+            assert batch.G.tobytes() == batches[0].G.tobytes()
+            assert batch.info == batches[0].info
+
+    def test_validated_matrices_are_c_contiguous_and_c_input_is_not_copied(self):
+        problem = MatrixFirstProblem()
+        X = np.zeros((4, 3))
+        assert problem.validate_matrix(X) is X
+        assert problem.validate_matrix(np.asfortranarray(X)).flags.c_contiguous
+
+
+class TestConstraintWidth:
+    """``G`` has the problem's declared ``n_con`` columns, zero rows included."""
+
+    @pytest.mark.parametrize(
+        "problem, n_con",
+        [
+            (ConstrainedBNH(), 2),
+            (Normalized(ConstrainedBNH()), 2),
+            (ConstraintAsPenalty(ConstrainedBNH()), 0),
+            (MatrixFirstProblem(), 0),
+            (RowProblem(), 1),
+        ],
+        ids=["bnh", "normalized-bnh", "penalty-bnh", "unconstrained", "row-problem"],
+    )
+    def test_empty_and_full_batches_agree(self, problem, n_con):
+        assert problem.n_con == n_con
+        X = np.random.default_rng(0).uniform(
+            problem.lower_bounds, problem.upper_bounds, (3, problem.n_var)
+        )
+        empty = np.empty((0, problem.n_var))
+        batches = [
+            problem.evaluate_matrix(empty),
+            SerialEvaluator().evaluate_matrix(problem, empty),
+            ProcessPoolEvaluator(n_workers=2).evaluate_matrix(problem, empty),
+            CachedEvaluator().evaluate_matrix(problem, empty),
+        ]
+        for batch in batches:
+            assert batch.F.shape == (0, problem.n_obj) and batch.G.shape == (0, n_con)
+        full = problem.evaluate_matrix(X)
+        assert full.n_con == n_con
+        merged = BatchEvaluation.concat([batches[0], full, batches[0]])
+        assert merged.G.tobytes() == full.G.tobytes() and merged.G.shape == (3, n_con)
+
+    def test_concat_refuses_mismatched_constraint_widths(self):
+        with pytest.raises(ValueError):
+            BatchEvaluation.concat([BatchEvaluation.empty(2, 0), BatchEvaluation.empty(2, 1)])
+
+    def test_a_batch_wider_than_declared_is_refused(self):
+        problem = RowProblem()
+        problem.n_con = 0  # as a subclass that forgot to declare its constraint
+        with pytest.raises(DimensionError, match="1 constraint columns but declares n_con=0"):
+            problem.evaluate_matrix(np.zeros((2, 2)))
+
+    def test_negative_n_con_is_refused(self):
+        with pytest.raises(ConfigurationError, match="n_con must be non-negative"):
+            Problem(n_var=1, n_obj=1, lower_bounds=[0.0], upper_bounds=[1.0], n_con=-1)
+
+
 class TestFunctionalProblemRows:
     """``FunctionalProblem.evaluate_matrix`` is its callables, row by row."""
 
@@ -121,11 +206,11 @@ class TestFunctionalProblemRows:
         F = np.array([[float(f(x)) for f in self.OBJECTIVES] for x in X]).reshape(rows, 2)
         assert batch.F.tobytes() == F.tobytes() and batch.F.shape == F.shape
         assert batch.info is None
-        if rows and constrained:
-            G = np.array([[float(g(x)) for g in constraints] for x in X])
-            assert batch.G.tobytes() == G.tobytes() and batch.G.shape == G.shape
-        else:
-            assert batch.n_con == 0 and len(batch.total_violations) == rows
+        # Zero rows keep the constraint width too.
+        G = np.array([[float(g(x)) for g in constraints] for x in X]).reshape(rows, len(constraints))
+        assert batch.G.tobytes() == G.tobytes() and batch.G.shape == G.shape
+        assert batch.n_con == problem.n_con == len(constraints)
+        assert len(batch.total_violations) == rows
 
     def test_objectives_then_constraints_per_row(self):
         calls = []

@@ -7,9 +7,11 @@ from repro.exceptions import ConfigurationError, EvaluationError
 from repro.moo.testproblems import ZDT1, ConstrainedBNH
 from repro.problems import (
     ConstraintAsPenalty,
+    FunctionalProblem,
     Noisy,
     Normalized,
     ObjectiveSubset,
+    build_problem,
 )
 from tests.oracles.budget import BudgetCounting
 
@@ -72,6 +74,29 @@ class TestNormalized:
     def test_names_are_preserved(self):
         inner = ZDT1(n_var=3)
         assert Normalized(inner).names == inner.names
+
+    @pytest.mark.parametrize(
+        "lower, upper, named",
+        [
+            ([0.0, 0.0], [np.inf, 1.0], "x0"),
+            ([-np.inf, 0.0], [1.0, np.inf], "x0, x1"),
+            ([0.0, -np.inf], [1.0, -np.inf], "x1"),
+        ],
+    )
+    def test_non_finite_inner_boxes_are_refused(self, lower, upper, named):
+        # Its unit box would be finite, so the engines would accept it and
+        # denormalize onto inf and nan decisions.
+        inner = FunctionalProblem(
+            2, [lambda x: float(x[0])], lower_bounds=lower, upper_bounds=upper
+        )
+        with pytest.raises(
+            ConfigurationError, match="finite inner box; non-finite bounds on %s$" % named
+        ):
+            Normalized(inner)
+
+    def test_normalized_spec_over_an_infinite_box_is_refused(self):
+        with pytest.raises(ConfigurationError, match="finite inner box"):
+            build_problem("schaffer?bound=inf&normalized=1")
 
 
 class TestObjectiveSubset:
