@@ -12,6 +12,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.report import paper_vs_measured
+from repro.fba.batch import steady_state_violations
 from repro.geobacter.problem import GeobacterDesignProblem
 from repro.moo.nsga2 import NSGA2Config
 from repro.solve import MaxGenerations, solve
@@ -39,11 +40,8 @@ def _run_both(population, generations, seed):
     )
 
     def best_violation(result):
-        violations = [
-            ind.info.get("steady_state_violation", ind.constraint_violation)
-            for ind in result.population
-        ]
-        return float(min(violations))
+        X = result.population.X
+        return float(np.min(steady_state_violations(problem.model, X, problem.violation_norm)))
 
     initial = problem.random_guess_violation(seed=seed)
     return {

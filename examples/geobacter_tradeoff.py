@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fba import flux_balance_analysis, flux_variability_analysis
+from repro.fba import (
+    flux_balance_analysis,
+    flux_variability_analysis,
+    steady_state_violations,
+)
 from repro.geobacter import (
     BIOMASS_ID,
     ELECTRON_PRODUCTION_ID,
@@ -69,9 +73,7 @@ def main(population: int = 40, generations: int = 20) -> None:
 
     front = result.front
     production = problem.production_front(front.F)
-    violations = np.array(
-        [ind.info.get("steady_state_violation", ind.constraint_violation) for ind in front]
-    )
+    violations = steady_state_violations(problem.model, front.X, problem.violation_norm)
     print("\nnon-dominated designs found: %d" % len(front))
     for point in representative_points(production, violations, count=5):
         print("  %s: electron production %.2f, biomass production %.3f mmol/gDW/h"

@@ -788,9 +788,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.what == "front":
         payload = load_front_payload(run_dir)
         if args.check:
-            # Objectives, decisions and per-point info are rebuilt from the
-            # re-hydrated Individuals; only front-level metadata (names,
-            # senses, label), which Individuals do not carry, is copied over.
+            # Objectives and decisions are rebuilt from the re-hydrated
+            # Individuals; front-level data Individuals do not carry (names,
+            # senses, label and the per-point info list) is copied over.
             individuals = individuals_from_front(payload)
             rebuilt = front_payload(
                 [individual.objectives for individual in individuals],
@@ -802,11 +802,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
                 objective_names=payload.get("objective_names"),
                 objective_senses=payload.get("objective_senses"),
                 label=payload.get("label"),
-                info=(
-                    [individual.info for individual in individuals]
-                    if "info" in payload
-                    else None
-                ),
+                info=payload.get("info"),
             )
             if dumps_json(rebuilt) != dumps_json(payload):
                 print("round-trip check FAILED for %s" % run_dir, file=sys.stderr)

@@ -166,7 +166,8 @@ def front_payload(
     label:
         Optional name of the front (e.g. the algorithm that produced it).
     info:
-        Optional per-point dictionaries (e.g. robustness yields).
+        Optional per-point dictionaries (e.g. robustness yields), one per
+        row of ``objectives``.
 
     Example
     -------
@@ -198,6 +199,10 @@ def front_payload(
     if label is not None:
         payload["label"] = label
     if info is not None:
+        if len(info) != matrix.shape[0]:
+            raise ConfigurationError(
+                "front info and objectives disagree on the number of points"
+            )
         payload["info"] = [_jsonify(entry) for entry in info]
     return payload
 
@@ -221,7 +226,6 @@ def individuals_from_front(payload: dict) -> list[Individual]:
     if objectives.size == 0:
         return []
     decisions = payload.get("decisions")
-    info = payload.get("info")
     individuals: list[Individual] = []
     for index, row in enumerate(objectives):
         x = (
@@ -231,8 +235,6 @@ def individuals_from_front(payload: dict) -> list[Individual]:
         )
         individual = Individual(x)
         individual.objectives = np.asarray(row, dtype=float)
-        if info is not None and index < len(info):
-            individual.info = dict(info[index])
         individuals.append(individual)
     return individuals
 

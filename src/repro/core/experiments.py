@@ -491,6 +491,7 @@ def run_figure4(
 ) -> Figure4Result:
     """Optimize electron and biomass production of the synthetic Geobacter model."""
     # Imported here: the FBA model loads scipy, which no other experiment needs.
+    from repro.fba.batch import steady_state_violations
     from repro.geobacter.analysis import representative_points
     from repro.geobacter.problem import GeobacterDesignProblem
 
@@ -509,10 +510,7 @@ def run_figure4(
     front = result.front
     objectives = np.array(front.F)
     production = problem.production_front(objectives)
-    violations = np.array(
-        [individual.info.get("steady_state_violation", individual.constraint_violation)
-         for individual in front]
-    )
+    violations = steady_state_violations(problem.model, front.X, problem.violation_norm)
     points = representative_points(production, violations, count=5)
     initial_violation = problem.random_guess_violation(seed=seed)
     best_violation = float(np.min(violations)) if violations.size else 0.0

@@ -113,14 +113,6 @@ class GeobacterDesignProblem(Problem):
         return BatchEvaluation(
             F=np.column_stack([-electron, -biomass]),
             G=np.maximum(0.0, violations - self.violation_tolerance)[:, None],
-            info=tuple(
-                {
-                    "electron_production": float(e),
-                    "biomass_production": float(b),
-                    "steady_state_violation": float(v),
-                }
-                for e, b, v in zip(electron, biomass, violations)
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -134,12 +126,10 @@ class GeobacterDesignProblem(Problem):
         between this value and the best violation reached by the optimizer.
         """
         rng = np.random.default_rng(seed)
-        values = []
-        for _ in range(n_samples):
-            vector = rng.uniform(self.lower_bounds, self.upper_bounds)
-            batch = self.evaluate_matrix(vector[None, :])
-            values.append(batch.info_at(0)["steady_state_violation"])
-        return float(np.mean(values))
+        X = np.vstack(
+            [rng.uniform(self.lower_bounds, self.upper_bounds) for _ in range(n_samples)]
+        )
+        return float(np.mean(steady_state_violations(self.model, X, self.violation_norm)))
 
     def fba_seed_vectors(self, n_seeds: int = 10) -> list[np.ndarray]:
         """Steady-state seeds spanning the electron/biomass trade-off.

@@ -91,18 +91,6 @@ class Individual:
         return float(self._population.crowding[self._row])
 
     @property
-    def info(self) -> dict:
-        """Evaluation by-products: the row's entry of the batch's ``info``."""
-        infos = self._population._info
-        if infos[self._row] is None:
-            infos[self._row] = {}
-        return infos[self._row]
-
-    @info.setter
-    def info(self, value: dict) -> None:
-        self._population._info[self._row] = value
-
-    @property
     def is_evaluated(self) -> bool:
         """``True`` once objectives have been attached."""
         return bool(self._population._evaluated[self._row])
@@ -152,7 +140,6 @@ class Population:
             np.array([member._population.rank[member._row] for member in members]),
             np.array([member.crowding for member in members]),
             evaluated,
-            [_copy_info(member._population._info[member._row]) for member in members],
         )
 
     def _adopt(
@@ -163,7 +150,6 @@ class Population:
         rank: np.ndarray | None = None,
         crowding: np.ndarray | None = None,
         evaluated: np.ndarray | None = None,
-        info: list | None = None,
     ) -> None:
         n = X.shape[0]
         self._X = X
@@ -177,7 +163,6 @@ class Population:
         if evaluated is None:
             evaluated = np.zeros(n, dtype=bool) if F is None else np.ones(n, dtype=bool)
         self._evaluated = evaluated
-        self._info = [None] * n if info is None else info
 
     # ------------------------------------------------------------------
     # Constructors
@@ -207,11 +192,7 @@ class Population:
 
     @classmethod
     def concat(cls, parts: Sequence["Population"]) -> "Population":
-        """One population holding the rows of ``parts`` in order.
-
-        The arrays are copies; the ``info`` dictionaries are shared with
-        ``parts`` (:meth:`take` copies them).
-        """
+        """One population holding copies of the rows of ``parts``, in order."""
         parts = [part for part in parts if len(part)]
         if not parts:
             return cls()
@@ -235,7 +216,6 @@ class Population:
             np.concatenate([part.rank for part in parts]),
             np.concatenate([part.crowding for part in parts]),
             evaluated,
-            [info for part in parts for info in part._info],
         )
         return population
 
@@ -250,7 +230,6 @@ class Population:
             self.rank[rows],
             self.crowding[rows],
             self._evaluated[rows],
-            [_copy_info(self._info[row]) for row in rows.tolist()],
         )
         return population
 
@@ -287,7 +266,6 @@ class Population:
             merged.rank,
             merged.crowding,
             merged._evaluated,
-            merged._info,
         )
 
     def __getstate__(self) -> dict:
@@ -369,12 +347,6 @@ class Population:
             self._F = np.full((len(self), batch.n_obj), np.nan)
         self._F[pending] = batch.F
         self._CV[pending] = batch.total_violations
-        if batch.info is None:
-            for row in pending.tolist():
-                self._info[row] = None
-        else:
-            for row, info in zip(pending.tolist(), batch.info):
-                self._info[row] = dict(info)
         self._evaluated[pending] = True
         return int(pending.size)
 
@@ -384,7 +356,3 @@ class Population:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Population(size=%d)" % len(self)
-
-
-def _copy_info(info: dict | None) -> dict | None:
-    return None if info is None else dict(info)

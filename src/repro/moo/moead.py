@@ -286,7 +286,6 @@ class MOEAD:
             incumbent.x[:] = offspring.x
             incumbent.objectives = offspring.objectives
             incumbent.constraint_violation = offspring.constraint_violation
-            incumbent.info = dict(offspring.info)
         return int(improved.size)
 
     # ------------------------------------------------------------------

@@ -87,7 +87,7 @@ _EMPTY_WORDS = np.empty(0, dtype=np.uint64)
 _PROBE_VALUES = 256
 _PROBE_SEED = 2011
 #: Whether the powers take ``np.float_power``; None until the first power
-#: runs the guard (:func:`_float_power_is_pow`).
+#: (or the fork server's preload) calls :func:`float_power_guard`.
 _float_power_exact: bool | None = None
 
 
@@ -459,12 +459,17 @@ def _float_power_is_pow() -> bool:
     return True
 
 
-def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
-    """``bases ** exponent`` through C ``pow``: ``np.float_power`` when the guard passes."""
+def float_power_guard() -> bool:
+    """This process's ``float_power`` verdict, taken once by ``_float_power_is_pow``."""
     global _float_power_exact
     if _float_power_exact is None:
         _float_power_exact = _float_power_is_pow()
-    if _float_power_exact:
+    return _float_power_exact
+
+
+def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``bases ** exponent`` through C ``pow``: ``np.float_power`` when the guard passes."""
+    if float_power_guard():
         return np.float_power(bases, exponent)
     return _pow_map(bases, exponent)
 

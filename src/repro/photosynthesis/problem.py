@@ -73,14 +73,8 @@ class PhotosynthesisProblem(Problem):
 
     # ------------------------------------------------------------------
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
-        uptake = self.uptake_matrix(X)
-        nitrogen = total_nitrogen_batch(X)
         return BatchEvaluation(
-            F=np.column_stack([-uptake, nitrogen]),
-            info=tuple(
-                {"co2_uptake": u, "nitrogen": n}
-                for u, n in zip(uptake.tolist(), nitrogen.tolist())
-            ),
+            F=np.column_stack([-self.uptake_matrix(X), total_nitrogen_batch(X)])
         )
 
     # ------------------------------------------------------------------
@@ -157,11 +151,8 @@ class RobustPhotosynthesisProblem(Problem):
         reports = front_yields(X, self.model.co2_uptake_batch, settings=self.settings)
         uptake = [report.nominal_value for report in reports]
         yields = [report.yield_percentage for report in reports]
-        nitrogen = total_nitrogen_batch(X)
         return BatchEvaluation(
-            F=np.column_stack([np.negative(uptake), nitrogen, np.negative(yields)]),
-            info=[
-                {"co2_uptake": u, "nitrogen": n, "yield": y}
-                for u, n, y in zip(uptake, nitrogen.tolist(), yields)
-            ],
+            F=np.column_stack(
+                [np.negative(uptake), total_nitrogen_batch(X), np.negative(yields)]
+            )
         )

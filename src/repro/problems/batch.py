@@ -2,8 +2,8 @@
 
 :class:`BatchEvaluation` is what :meth:`repro.problems.Problem.evaluate_matrix`
 returns: an ``(n, n_obj)`` objective matrix ``F``, an ``(n, n_con)``
-constraint-violation matrix ``G`` (zero-width for unconstrained problems) and
-an optional tuple of per-point ``info`` dictionaries.  The evaluators in
+constraint-violation matrix ``G`` (zero-width for unconstrained problems).
+A problem's evaluation is exactly these two matrices.  The evaluators in
 :mod:`repro.runtime` move these containers between processes, and
 :class:`~repro.moo.individual.Population` consumes their columns directly.
 
@@ -25,7 +25,7 @@ Columns in, columns out::
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class BatchEvaluation:
     G:
         Optional ``(n, n_con)`` matrix of constraint violations (``> 0``
         violates); ``None`` means unconstrained (a zero-width matrix).
-    info:
-        Optional sequence of ``n`` per-point dictionaries of evaluation
-        by-products; ``None`` means no by-products.
 
     Example
     -------
@@ -59,14 +56,9 @@ class BatchEvaluation:
     array([ True, False])
     """
 
-    __slots__ = ("F", "G", "info")
+    __slots__ = ("F", "G")
 
-    def __init__(
-        self,
-        F: np.ndarray,
-        G: np.ndarray | None = None,
-        info: Sequence[dict] | None = None,
-    ) -> None:
+    def __init__(self, F: np.ndarray, G: np.ndarray | None = None) -> None:
         F = np.asarray(F, dtype=float)
         if F.ndim != 2:
             raise DimensionError("F must be an (n, n_obj) matrix, got %r" % (F.shape,))
@@ -81,16 +73,8 @@ class BatchEvaluation:
                     "G must be an (n, n_con) matrix matching F's %d rows, got %r"
                     % (F.shape[0], G.shape)
                 )
-        if info is not None:
-            info = tuple(info)
-            if len(info) != F.shape[0]:
-                raise DimensionError(
-                    "info must carry one dict per row (%d), got %d"
-                    % (F.shape[0], len(info))
-                )
         self.F = F
         self.G = G
-        self.info = info
 
     # ------------------------------------------------------------------
     # Introspection
@@ -120,12 +104,6 @@ class BatchEvaluation:
         """Boolean mask of rows with zero aggregate violation."""
         return self.total_violations == 0.0
 
-    def info_at(self, index: int) -> dict:
-        """Info dictionary of one row (empty when no info was recorded)."""
-        if self.info is None:
-            return {}
-        return self.info[index]
-
     @classmethod
     def empty(cls, n_obj: int, n_con: int = 0) -> "BatchEvaluation":
         """A zero-row batch with the given column widths."""
@@ -148,15 +126,10 @@ class BatchEvaluation:
             raise ConfigurationError("cannot concatenate zero batches")
         if len(batches) == 1:
             return batches[0]
-        F = np.vstack([batch.F for batch in batches])
-        G = np.vstack([batch.G for batch in batches])
-        if any(batch.info is not None for batch in batches):
-            info: tuple[dict, ...] | None = tuple(
-                batch.info_at(index) for batch in batches for index in range(len(batch))
-            )
-        else:
-            info = None
-        return cls(F=F, G=G, info=info)
+        return cls(
+            F=np.vstack([batch.F for batch in batches]),
+            G=np.vstack([batch.G for batch in batches]),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "BatchEvaluation(n=%d, n_obj=%d, n_con=%d)" % (

@@ -212,6 +212,22 @@ def parse_problem_spec(spec: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
+def _spec_value(text: str) -> Any:
+    """One spec-string value; the JSON ``null`` and quoted strings of canonical specs decode.
+
+    Canonical spec strings render every value as JSON, so a problem's
+    ``spec`` builds the same problem again.
+    """
+    if text == "null":
+        return None
+    if len(text) >= 2 and text[0] == text[-1] == '"':
+        try:
+            return json.loads(text)
+        except ValueError:
+            pass
+    return text
+
+
 def apply_transforms(problem: Problem, params: dict[str, Any]) -> Problem:
     """Wrap ``problem`` in the transforms selected by coerced transform params.
 
@@ -264,7 +280,7 @@ def build_problem(spec: str, **overrides: Any) -> Problem:
     """
     name, raw = parse_problem_spec(spec)
     problem_spec = get_problem(name)
-    merged: dict[str, Any] = dict(raw)
+    merged: dict[str, Any] = {key: _spec_value(value) for key, value in raw.items()}
     merged.update(overrides)
     transform_params: dict[str, Any] = {}
     problem_params: dict[str, Any] = {}

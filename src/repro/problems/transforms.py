@@ -202,7 +202,7 @@ class Noisy(ProblemTransform):
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         batch = self.inner.evaluate_matrix(X)
-        return BatchEvaluation(F=batch.F + self._noise(X), G=batch.G, info=batch.info)
+        return BatchEvaluation(F=batch.F + self._noise(X), G=batch.G)
 
 
 class Normalized(ProblemTransform):
@@ -270,9 +270,7 @@ class ObjectiveSubset(ProblemTransform):
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         batch = self.inner.evaluate_matrix(X)
-        return BatchEvaluation(
-            F=batch.F[:, list(self.indices)], G=batch.G, info=batch.info
-        )
+        return BatchEvaluation(F=batch.F[:, list(self.indices)], G=batch.G)
 
 
 class ConstraintAsPenalty(ProblemTransform):
@@ -296,10 +294,7 @@ class ConstraintAsPenalty(ProblemTransform):
 
     def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
         batch = self.inner.evaluate_matrix(X)
-        return BatchEvaluation(
-            F=batch.F + self.rho * batch.total_violations[:, None],
-            info=batch.info,
-        )
+        return BatchEvaluation(F=batch.F + self.rho * batch.total_violations[:, None])
 
 
 class Throttled(ProblemTransform):

@@ -46,7 +46,8 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: Version 4: MOEA/D pickles its incumbents as one ``Population``.
 #: Version 5: a ``Problem`` pickles its box arrays, not a ``DesignSpace``.
 #: Version 6: a ``Problem`` pickles its constraint count ``n_con``.
-_FORMAT_VERSION = 6
+#: Version 7: a ``Population`` and the evaluator cache hold no ``info``.
+_FORMAT_VERSION = 7
 
 
 class _Unreadable(CheckpointError):

@@ -49,7 +49,6 @@ Two solves sharing one cache directory; the second answers from disk::
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import time
@@ -87,7 +86,9 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 #: Bumped when the entry layout changes; a store written by an incompatible
-#: version is cleared rather than misread.
+#: version is cleared rather than misread.  The ``info`` column is a relic of
+#: per-row evaluation by-products: entries are written with ``NULL`` there and
+#: reads ignore it, so stores that still hold text in it keep answering.
 _FORMAT_VERSION = "1"
 
 
@@ -119,7 +120,7 @@ class DiskCache:
     -------
     >>> import tempfile, numpy as np
     >>> store = DiskCache(tempfile.mkdtemp())
-    >>> entry = (np.array([1.0, 2.0]), np.array([]), {})
+    >>> entry = (np.array([1.0, 2.0]), np.array([]))
     >>> store.put_many({b"k" * 24: entry})
     1
     >>> sorted(store.get_many([b"k" * 24, b"m" * 24]))
@@ -230,21 +231,17 @@ class DiskCache:
     # Entry (de)serialization
     # ------------------------------------------------------------------
     @staticmethod
-    def _encode(entry) -> tuple[bytes, bytes, str | None]:
-        objectives, violations, info = entry
+    def _encode(entry) -> tuple[bytes, bytes]:
+        objectives, violations = entry
         f = np.ascontiguousarray(objectives, dtype=float).tobytes()
         g = np.ascontiguousarray(violations, dtype=float).tobytes()
-        text = None
-        if info:
-            text = json.dumps(info, sort_keys=True, default=cachekeys._plain)
-        return f, g, text
+        return f, g
 
     @staticmethod
-    def _decode(f: bytes, g: bytes, text: str | None):
+    def _decode(f: bytes, g: bytes):
         objectives = np.array(np.frombuffer(f, dtype=float))
         violations = np.array(np.frombuffer(g, dtype=float))
-        info = json.loads(text) if text else {}
-        return objectives, violations, info
+        return objectives, violations
 
     # ------------------------------------------------------------------
     # Batched lookups
@@ -266,11 +263,11 @@ class DiskCache:
                 chunk = distinct[start : start + _CHUNK]
                 marks = ",".join("?" * len(chunk))
                 cursor = conn.execute(
-                    "SELECT key, f, g, info FROM entries WHERE key IN (%s)" % marks,
+                    "SELECT key, f, g FROM entries WHERE key IN (%s)" % marks,
                     chunk,
                 )
-                for key, f, g, text in cursor:
-                    found[bytes(key)] = self._decode(f, g, text)
+                for key, f, g in cursor:
+                    found[bytes(key)] = self._decode(f, g)
             return found
 
         return self._run(operation, found)
@@ -279,17 +276,9 @@ class DiskCache:
         """Store many entries in one transaction; returns rows newly written.
 
         Writes are best-effort and idempotent: keys already present are left
-        untouched (their content is identical by construction), and entries
-        whose info payload cannot be serialized are skipped rather than
-        poisoning the batch.
+        untouched (their content is identical by construction).
         """
-        rows = []
-        for key, entry in entries.items():
-            try:
-                f, g, text = self._encode(entry)
-            except (TypeError, ValueError):
-                continue  # unserializable info: skip, the L1 still has it
-            rows.append((key, f, g, text, time.time()))
+        rows = [(key, *self._encode(entry), time.time()) for key, entry in entries.items()]
         if not rows:
             return 0
 
@@ -299,7 +288,7 @@ class DiskCache:
                 before = conn.total_changes
                 conn.executemany(
                     "INSERT OR IGNORE INTO entries (key, f, g, info, created) "
-                    "VALUES (?, ?, ?, ?, ?)",
+                    "VALUES (?, ?, ?, NULL, ?)",
                     rows,
                 )
                 written = conn.total_changes - before

@@ -327,9 +327,9 @@ class CachedEvaluator(Evaluator):
     design-space JSON, objective metadata) as well as the quantized row
     bytes, so one evaluator instance can serve several problems without ever
     confusing their entries, and the cache survives problem re-instantiation
-    across checkpoint restores.  Entries store per-row objective / violation
-    / info triples, and every lookup hands out fresh copies so callers
-    mutating their view cannot corrupt the cache.
+    across checkpoint restores.  Entries store per-row ``(F row, G row)``
+    pairs, and every lookup hands out fresh copies so callers mutating
+    their view cannot corrupt the cache.
 
     Subclasses may layer a second, slower cache behind the in-memory one by
     overriding the :meth:`_disk_fetch` / :meth:`_disk_store` hooks —
@@ -352,8 +352,8 @@ class CachedEvaluator(Evaluator):
             raise ConfigurationError("max_entries must be positive")
         self.decimals = int(decimals)
         self.max_entries = max_entries
-        #: key -> (objectives row, violations row, info dict) per-row entry.
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, dict]] = {}
+        #: key -> (objectives row, violations row) per-row entry.
+        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._problem: "Problem | None" = None
         self._prefix: bytes = b""
 
@@ -371,7 +371,7 @@ class CachedEvaluator(Evaluator):
 
     def _disk_fetch(
         self, keys: list[bytes]
-    ) -> "dict[bytes, tuple[np.ndarray, np.ndarray, dict]] | None":
+    ) -> "dict[bytes, tuple[np.ndarray, np.ndarray]] | None":
         """L2 lookup hook: entries found behind the in-memory cache.
 
         The base evaluator has no second layer and returns ``None`` (which
@@ -381,7 +381,7 @@ class CachedEvaluator(Evaluator):
         return None
 
     def _disk_store(
-        self, entries: "dict[bytes, tuple[np.ndarray, np.ndarray, dict]]"
+        self, entries: "dict[bytes, tuple[np.ndarray, np.ndarray]]"
     ) -> None:
         """L2 write-back hook for freshly evaluated entries (no-op by default)."""
 
@@ -403,7 +403,7 @@ class CachedEvaluator(Evaluator):
             prefix + row_bytes
             for row_bytes in cachekeys.quantize_matrix(X, self.decimals)
         ]
-        rows: list[tuple[np.ndarray, np.ndarray, dict] | None] = [None] * len(keys)
+        rows: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(keys)
         # Positions of each distinct uncached key, in first-seen order, so
         # duplicates inside one batch are evaluated once.
         pending: dict[bytes, list[int]] = {}
@@ -441,13 +441,9 @@ class CachedEvaluator(Evaluator):
                 "evaluator.cache_fill", misses=len(missing), lookups=len(keys)
             ):
                 fresh = self.inner.evaluate_matrix(problem, miss_matrix)
-            fresh_entries: dict[bytes, tuple[np.ndarray, np.ndarray, dict]] = {}
+            fresh_entries: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
             for row, (key, positions) in enumerate(missing.items()):
-                entry = (
-                    np.array(fresh.F[row], copy=True),
-                    np.array(fresh.G[row], copy=True),
-                    dict(fresh.info_at(row)),
-                )
+                entry = (np.array(fresh.F[row], copy=True), np.array(fresh.G[row], copy=True))
                 self._cache[key] = entry
                 fresh_entries[key] = entry
                 hits += len(positions) - 1
@@ -465,12 +461,7 @@ class CachedEvaluator(Evaluator):
         # Stacking copies the cached rows, so the returned batch is isolated.
         F = np.vstack([entry[0] for entry in rows])  # type: ignore[index]
         G = np.vstack([entry[1] for entry in rows])  # type: ignore[index]
-        info = (
-            tuple(dict(entry[2]) for entry in rows)  # type: ignore[index]
-            if any(entry[2] for entry in rows)  # type: ignore[index]
-            else None
-        )
-        return BatchEvaluation(F=F, G=G, info=info)
+        return BatchEvaluation(F=F, G=G)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

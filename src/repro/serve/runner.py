@@ -204,6 +204,19 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     return 0
 
 
+def _preload() -> None:
+    """Import :data:`_PRELOAD` and take the variation operators' ``float_power`` verdict.
+
+    The fork server runs this once before its first fork, so every runner
+    inherits both instead of importing and probing again per job.
+    """
+    for name in _PRELOAD:
+        importlib.import_module(name)
+    from repro.moo.operators import float_power_guard
+
+    float_power_guard()
+
+
 def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     """Run the fork server: preload, then fork one :func:`run_job` child per job.
 
@@ -215,8 +228,7 @@ def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     never hit.  On EOF on stdin (the coordinator stopped or died) every
     remaining child is SIGTERMed and reaped, and the server exits 0.
     """
-    for name in _PRELOAD:
-        importlib.import_module(name)
+    _preload()
     # numpy's OpenBLAS pool is the only other thread here; OpenBLAS's own
     # atfork handlers make forking it safe, as for ProcessPoolEvaluator.
     warnings.filterwarnings(

@@ -254,6 +254,37 @@ class TestExport:
         assert "--check only applies" in capsys.readouterr().err
 
 
+class TestExportFrontInfo:
+    """Figure 3's ``front.json`` carries one ``info`` entry per point."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("figure3-runs")
+        assert main(["run", "photosynthesis-figure3", "--seed", "0", "--quiet",
+                     "--output-dir", str(base)] + TOY_BUDGETS["photosynthesis-figure3"]) == 0
+        (run_dir,) = list_runs(base)
+        return run_dir
+
+    def test_check_carries_the_info_list_through(self, run_dir, capsys):
+        payload = load_front_payload(run_dir)
+        assert len(payload["info"]) == payload["n_points"] >= 1
+        assert main(["export", str(run_dir), "--check"]) == 0
+        assert "round-trip check OK" in capsys.readouterr().err
+
+    def test_check_refuses_an_info_list_one_entry_short(self, run_dir, tmp_path, capsys):
+        import json
+        import shutil
+
+        tampered = tmp_path / "tampered"
+        shutil.copytree(run_dir, tampered)
+        front = tampered / "front.json"
+        payload = json.loads(front.read_text())
+        payload["info"] = payload["info"][:-1]
+        front.write_text(json.dumps(payload))
+        assert main(["export", str(tampered), "--check"]) == 2
+        assert "info and objectives disagree" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "no-such-experiment"]) == 2
@@ -360,7 +391,7 @@ class TestSolve:
         payload["format_version"] = 1
         path.write_bytes(pickle.dumps(payload))
         assert main(args + ["--generations", "6"]) == 2
-        assert "format version 1, expected 6" in capsys.readouterr().err
+        assert "format version 1, expected 7" in capsys.readouterr().err
 
     def test_unknown_algorithm_is_a_clean_error(self, capsys):
         assert main(["solve", "zdt1", "--algorithm", "nsga3"]) == 2

@@ -46,9 +46,13 @@ class TestFrontPayload:
             objective_names=payload["objective_names"],
             objective_senses=payload["objective_senses"],
             label=payload["label"],
-            info=[i.info for i in individuals],
+            info=payload["info"],
         )
         assert dumps_json(rebuilt) == dumps_json(payload)
+
+    def test_info_must_carry_one_entry_per_point(self):
+        with pytest.raises(ConfigurationError, match="info and objectives"):
+            front_payload(np.array([[1.0, 2.0], [3.0, 4.0]]), info=[{"yield_percentage": 1.0}])
 
     def test_decisions_are_optional(self):
         payload = front_payload(np.array([[1.0, 2.0]]))

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.fba.batch import steady_state_violations
 from repro.geobacter.analysis import representative_points, violation_reduction
 from repro.geobacter.model_builder import (
     ATP_MAINTENANCE_FLUX,
     ATP_MAINTENANCE_ID,
+    BIOMASS_ID,
+    ELECTRON_PRODUCTION_ID,
     build_geobacter_model,
 )
 from repro.geobacter.problem import GeobacterDesignProblem
@@ -60,24 +63,33 @@ class TestEvaluation:
         vector = rng.uniform(problem.lower_bounds, problem.upper_bounds)
         batch = problem.evaluate_matrix(vector[None, :])
         assert batch.total_violations[0] > 100.0
-        assert batch.info_at(0)["steady_state_violation"] > 100.0
+        violation = steady_state_violations(problem.model, vector[None, :], problem.violation_norm)
+        assert violation[0] > 100.0
+        assert batch.G[0, 0] == violation[0] - problem.violation_tolerance
 
     def test_fba_seed_is_feasible_and_productive(self, problem):
         seeds = problem.fba_seed_vectors(n_seeds=3)
         batch = problem.evaluate_matrix(seeds[0][None, :])
         assert batch.total_violations[0] == pytest.approx(0.0, abs=1e-6)
-        assert batch.info_at(0)["electron_production"] > 50.0
+        assert -batch.F[0, 0] > 50.0
 
     def test_objectives_are_negated_productions(self, problem):
         seed = problem.fba_seed_vectors(n_seeds=2)[-1]
         batch = problem.evaluate_matrix(seed[None, :])
-        info = batch.info_at(0)
-        assert batch.F[0, 0] == pytest.approx(-info["electron_production"])
-        assert batch.F[0, 1] == pytest.approx(-info["biomass_production"])
+        assert batch.F[0, 0] == -seed[problem.model.reaction_index(ELECTRON_PRODUCTION_ID)]
+        assert batch.F[0, 1] == -seed[problem.model.reaction_index(BIOMASS_ID)]
 
     def test_random_guess_violation_helper(self, problem):
         value = problem.random_guess_violation(seed=1, n_samples=3)
         assert value > 1000.0
+        # One batched screen of the samples equals screening them one by one.
+        rng = np.random.default_rng(1)
+        rows = [rng.uniform(problem.lower_bounds, problem.upper_bounds) for _ in range(3)]
+        looped = [
+            steady_state_violations(problem.model, row[None, :], problem.violation_norm)[0]
+            for row in rows
+        ]
+        assert value == float(np.mean(looped))
 
     def test_production_front_conversion(self, problem):
         minimized = np.array([[-150.0, -0.3], [-160.0, -0.1]])

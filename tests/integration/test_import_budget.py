@@ -53,16 +53,15 @@ def test_fork_server_preload_is_complete_scipy_free_and_fork_safe(tmp_path):
     """
     data_dir = tmp_path / "data"
     script = (
-        "import importlib, os, sys, threading\n"
+        "import os, sys, threading\n"
         "from repro.solve.request import SolveRequest\n"
         "from repro.serve.store import JobStore\n"
         "store = JobStore(%r)\n"
         "jobs = [store.create(SolveRequest(problem='photosynthesis', generations=1,"
         " population=4, telemetry=True)),\n"
         "        store.create(SolveRequest(problem='zdt1', generations=1, population=4))]\n"
-        "from repro.serve.runner import _PRELOAD, run_job\n"
-        "for name in _PRELOAD:\n"
-        "    importlib.import_module(name)\n"
+        "from repro.serve.runner import _preload, run_job\n"
+        "_preload()\n"
         "assert 'scipy' not in sys.modules\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
         "open_files = []\n"

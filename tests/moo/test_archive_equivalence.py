@@ -151,23 +151,40 @@ class TestNaNViolation:
 # ParetoArchive skips offered rows that repeat a live member
 # ---------------------------------------------------------------------------
 def _rows(F, CV, X):
-    """One evaluated individual per row, tagged with its row index."""
+    """One evaluated individual per row."""
     individuals = []
     for row in range(F.shape[0]):
         individual = Individual(X[row])
         individual.objectives = F[row]
         individual.constraint_violation = float(CV[row])
-        individual.info = {"row": row}
         individuals.append(individual)
     return individuals
+
+
+def _tags(F, CV, X):
+    """Each row's tag: the first row index holding the same X, F and CV bytes.
+
+    Rows are told apart through their decisions (and F and CV); byte-equal
+    rows share one tag, as nothing the archive keeps can tell them apart.
+    """
+    first: dict = {}
+    keys = [(X[row].tobytes(), F[row].tobytes(), CV[row].tobytes()) for row in range(len(F))]
+    return [first.setdefault(key, row) for row, key in enumerate(keys)], first
+
+
+def _member_tags(archive, first):
+    """The tags of the archive's members, in archive order."""
+    X, F, CV = archive.X, archive.F, archive.CV
+    return [first[(X[row].tobytes(), F[row].tobytes(), CV[row].tobytes())] for row in range(len(F))]
 
 
 def _offer(F, CV, X, n_members, capacity, one_at_a_time=False):
     """Load the members into an archive, offer the rest; ``(archive, accepted)``."""
     rows = _rows(F, CV, X)
+    tags, first = _tags(F, CV, X)
     archive = ParetoArchive(capacity=capacity)
     archive.add_population(rows[:n_members])
-    assert [member.info["row"] for member in archive] == list(range(n_members))
+    assert _member_tags(archive, first) == tags[:n_members]
     if one_at_a_time:
         accepted = sum(archive.add(row) for row in rows[n_members:])
     else:
@@ -187,7 +204,8 @@ def _assert_archive_is_the_fold(F, CV, X, n_members, capacity, one_at_a_time=Fal
         if not np.isnan(CV).any():
             assert oracle.archive_prune(F, CV, X, n_members, capacity=capacity) == expected
     kept, expected_accepted = expected
-    assert [member.info["row"] for member in archive] == kept
+    tags, first = _tags(F, CV, X)
+    assert _member_tags(archive, first) == [tags[row] for row in kept]
     assert accepted == expected_accepted
     assert archive.X.tobytes() == X[kept].tobytes()
     assert archive.F.tobytes() == F[kept].tobytes()

@@ -18,16 +18,14 @@ class TestIndividual:
         assert not individual.is_evaluated
         assert individual.is_feasible
 
-    def test_setters_store_objectives_violation_and_info(self):
+    def test_setters_store_objectives_and_violation(self):
         individual = Individual(np.array([1.0]))
         individual.objectives = np.array([1.0, 2.0])
         individual.constraint_violation = 0.3
-        individual.info = {"note": "x"}
         assert individual.is_evaluated
         assert individual.objectives == pytest.approx([1.0, 2.0])
         assert individual.constraint_violation == pytest.approx(0.3)
         assert not individual.is_feasible
-        assert individual.info == {"note": "x"}
 
     def test_copy_is_deep(self):
         individual = Individual(np.array([1.0, 2.0]))

@@ -2,7 +2,7 @@
 
 These are the per-row routines the science problems had before they became
 matrix-only: one design at a time, through the scalar model calls, each
-returning an ``(objectives, violations, info)`` row.
+returning an ``(objectives, violations)`` row.
 ``tests/problems/test_science_parity.py`` stacks the rows and asserts that
 each problem's ``evaluate_matrix`` reproduces them bit for bit.
 
@@ -21,8 +21,8 @@ from repro.photosynthesis.nitrogen import total_nitrogen
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
 from tests.oracles.fba import reference_constraint_violation
 
-#: One design's evaluation: objectives, constraint violations, info.
-Row = tuple[np.ndarray, np.ndarray, dict]
+#: One design's evaluation: objectives and constraint violations.
+Row = tuple[np.ndarray, np.ndarray]
 
 __all__ = [
     "evaluate_row",
@@ -37,11 +37,7 @@ def photosynthesis_row(problem: PhotosynthesisProblem, x: np.ndarray) -> Row:
     activities = problem.validate(x)
     uptake = problem.model.co2_uptake(activities)
     nitrogen = total_nitrogen(activities)
-    return (
-        np.array([-uptake, nitrogen]),
-        np.empty(0),
-        {"co2_uptake": uptake, "nitrogen": nitrogen},
-    )
+    return np.array([-uptake, nitrogen]), np.empty(0)
 
 
 def robust_photosynthesis_row(
@@ -56,11 +52,7 @@ def robust_photosynthesis_row(
     )
     uptake, yield_percentage = report.nominal_value, report.yield_percentage
     nitrogen = total_nitrogen(activities)
-    return (
-        np.array([-uptake, nitrogen, -yield_percentage]),
-        np.empty(0),
-        {"co2_uptake": uptake, "nitrogen": float(nitrogen), "yield": yield_percentage},
-    )
+    return np.array([-uptake, nitrogen, -yield_percentage]), np.empty(0)
 
 
 def geobacter_row(problem: GeobacterDesignProblem, x: np.ndarray) -> Row:
@@ -72,11 +64,6 @@ def geobacter_row(problem: GeobacterDesignProblem, x: np.ndarray) -> Row:
     return (
         np.array([-electron, -biomass]),
         np.array([max(0.0, violation - problem.violation_tolerance)]),
-        {
-            "electron_production": electron,
-            "biomass_production": biomass,
-            "steady_state_violation": violation,
-        },
     )
 
 

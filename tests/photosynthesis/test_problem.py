@@ -41,7 +41,7 @@ class TestProblemDefinition:
         # First objective is the negated uptake, second the nitrogen.
         assert batch.F[0, 0] == pytest.approx(-problem.uptake(natural))
         assert batch.F[0, 1] == pytest.approx(NATURAL_NITROGEN)
-        assert batch.info_at(0)["co2_uptake"] > 0.0
+        assert -batch.F[0, 0] > 0.0
 
     def test_natural_point(self, problem):
         uptake, nitrogen = problem.natural_point()
@@ -78,7 +78,11 @@ class TestRobustProblem:
         assert batch.F.shape == (1, 3)
         # Yield objective is negated percentage in [0, 100].
         assert -100.0 <= batch.F[0, 2] <= 0.0
-        assert batch.info_at(0)["yield"] == pytest.approx(-batch.F[0, 2])
+        (report,) = front_yields(
+            natural_activities()[None, :], problem.model.co2_uptake_batch,
+            settings=problem.settings,
+        )
+        assert -batch.F[0, 2] == report.yield_percentage
 
     def test_yield_objective_is_deterministic_given_seed(self):
         problem = RobustPhotosynthesisProblem(robustness_trials=20, seed=3)
@@ -181,10 +185,8 @@ class TestNitrogenBatch:
         self._assert_rows_match(np.asfortranarray(trials[:500]))
         self._assert_rows_match(trials[::2])
 
-    def test_problem_info_holds_python_floats_of_the_objectives(self, problem, trials):
+    def test_problem_objectives_are_the_batched_uptake_and_nitrogen(self, problem, trials):
         batch = problem.evaluate_matrix(trials[:50])
-        uptake = [info["co2_uptake"] for info in batch.info]
-        nitrogen = [info["nitrogen"] for info in batch.info]
-        assert all(type(value) is float for value in uptake + nitrogen)
-        assert np.array(uptake).tobytes() == (-batch.F[:, 0]).tobytes()
-        assert np.array(nitrogen).tobytes() == batch.F[:, 1].tobytes()
+        uptake = problem.uptake_matrix(trials[:50])
+        assert (-batch.F[:, 0]).tobytes() == uptake.tobytes()
+        assert batch.F[:, 1].tobytes() == total_nitrogen_batch(trials[:50]).tobytes()

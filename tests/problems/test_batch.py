@@ -13,7 +13,6 @@ class TestConstruction:
         assert len(batch) == 2
         assert batch.n_obj == 2 and batch.n_con == 0
         assert batch.G.shape == (2, 0)
-        assert batch.info is None
 
     def test_one_dimensional_G_becomes_a_column(self):
         batch = BatchEvaluation(F=np.zeros((3, 1)), G=np.array([0.0, 1.0, -1.0]))
@@ -24,8 +23,6 @@ class TestConstruction:
             BatchEvaluation(F=np.zeros(3))
         with pytest.raises(DimensionError):
             BatchEvaluation(F=np.zeros((3, 2)), G=np.zeros((2, 1)))
-        with pytest.raises(DimensionError):
-            BatchEvaluation(F=np.zeros((3, 2)), info=[{}])
 
 
 class TestViolations:
@@ -43,17 +40,12 @@ class TestViolations:
 
 
 class TestConcat:
-    def test_concat_preserves_rows_and_info(self):
-        a = BatchEvaluation(F=np.array([[1.0]]), info=[{"i": 0}])
-        b = BatchEvaluation(F=np.array([[2.0], [3.0]]))
+    def test_concat_preserves_rows(self):
+        a = BatchEvaluation(F=np.array([[1.0]]), G=np.array([[0.5]]))
+        b = BatchEvaluation(F=np.array([[2.0], [3.0]]), G=np.array([[0.0], [1.5]]))
         merged = BatchEvaluation.concat([a, b])
         assert merged.F == pytest.approx(np.array([[1.0], [2.0], [3.0]]))
-        assert merged.info == ({"i": 0}, {}, {})
-
-    def test_concat_without_info_stays_info_free(self):
-        a = BatchEvaluation(F=np.array([[1.0]]))
-        merged = BatchEvaluation.concat([a, BatchEvaluation(F=np.array([[2.0]]))])
-        assert merged.info is None
+        assert merged.G == pytest.approx(np.array([[0.5], [0.0], [1.5]]))
 
     def test_concat_single_batch_is_identity(self):
         a = BatchEvaluation(F=np.array([[1.0]]))

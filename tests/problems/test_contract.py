@@ -127,7 +127,6 @@ class TestMemoryLayout:
         for batch in batches[1:]:
             assert batch.F.tobytes() == batches[0].F.tobytes()
             assert batch.G.tobytes() == batches[0].G.tobytes()
-            assert batch.info == batches[0].info
 
     def test_validated_matrices_are_c_contiguous_and_c_input_is_not_copied(self):
         problem = MatrixFirstProblem()
@@ -205,7 +204,6 @@ class TestFunctionalProblemRows:
         batch = problem.evaluate_matrix(X)
         F = np.array([[float(f(x)) for f in self.OBJECTIVES] for x in X]).reshape(rows, 2)
         assert batch.F.tobytes() == F.tobytes() and batch.F.shape == F.shape
-        assert batch.info is None
         # Zero rows keep the constraint width too.
         G = np.array([[float(g(x)) for g in constraints] for x in X]).reshape(rows, len(constraints))
         assert batch.G.tobytes() == G.tobytes() and batch.G.shape == G.shape

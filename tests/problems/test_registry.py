@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.params import Parameter
@@ -173,3 +175,55 @@ class TestDescribe:
         senses = {o["name"]: o["sense"] for o in payload["objectives"]}
         assert senses["co2_uptake"] == "max"
         assert senses["nitrogen"] == "min"
+
+
+# ---------------------------------------------------------------------------
+# Properties of canonical spec strings
+# ---------------------------------------------------------------------------
+#: Values a string parameter accepts: the schema records types, not choices.
+_STRING_CHOICES = {
+    "era": ("past", "present", "future"),
+    "export": ("low", "high"),
+    "violation_norm": ("l1", "l2", "linf"),
+}
+
+
+def _values(parameter):
+    """Values of one schema parameter's type (strings from its known choices)."""
+    if parameter.type is bool:
+        return st.booleans()
+    if parameter.type is int:
+        return st.integers(1, 40)
+    if parameter.type is float:
+        return st.floats(1e-3, 1e3)
+    return st.sampled_from(_STRING_CHOICES.get(parameter.name, (parameter.default,)))
+
+
+@st.composite
+def _built_problems(draw):
+    """A registered problem built with overrides drawn from its parameter schema."""
+    name = draw(st.sampled_from(problem_names()))
+    overrides = {
+        parameter.name: draw(_values(parameter))
+        for parameter in get_problem(name).parameters
+        if draw(st.booleans())
+    }
+    try:
+        return build_problem(name, **overrides)
+    except ConfigurationError:
+        reject()
+
+
+class TestSpecStringProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=_built_problems())
+    def test_a_canonical_spec_builds_the_same_spec(self, problem):
+        assert build_problem(problem.spec).spec == problem.spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=_built_problems())
+    def test_parsing_round_trips_the_canonical_string(self, problem):
+        name, raw = parse_problem_spec(problem.spec)
+        assert list(raw) == sorted(raw)
+        query = "&".join("%s=%s" % item for item in raw.items())
+        assert (name + "?" + query if raw else name) == problem.spec

@@ -107,12 +107,12 @@ class TestManager:
         with pytest.raises(CheckpointError, match="dominance"):
             manager.load()
 
-    def test_save_writes_format_version_6(self, tmp_path):
+    def test_save_writes_format_version_7(self, tmp_path):
         path = CheckpointManager(tmp_path).save("state", generation=3)
         payload = pickle.loads(path.read_bytes())
-        assert payload == {"format_version": 6, "generation": 3, "state": "state"}
+        assert payload == {"format_version": 7, "generation": 3, "state": "state"}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, None, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, None, 8])
     def test_other_format_versions_are_refused(self, tmp_path, version):
         payload = {"generation": 3, "state": "state"}
         if version is not None:
@@ -120,8 +120,8 @@ class TestManager:
         (tmp_path / "checkpoint-00000003.pkl").write_bytes(pickle.dumps(payload))
         with pytest.raises(CheckpointError) as raised:
             CheckpointManager(tmp_path).load()
-        assert "format version %r, expected 6" % version in str(raised.value)
-        with pytest.raises(CheckpointError, match="expected 6"):
+        assert "format version %r, expected 7" % version in str(raised.value)
+        with pytest.raises(CheckpointError, match="expected 7"):
             CheckpointManager(tmp_path).load_latest()
 
     def test_only_saved_names_are_checkpoints(self, tmp_path):

@@ -11,8 +11,10 @@ The contracts under test:
   rounding) map to the keys the correctness rules promise.
 """
 
+import json
 import multiprocessing
 import sqlite3
+import time
 
 import numpy as np
 import pytest
@@ -30,12 +32,8 @@ from repro.runtime import (
 from repro.runtime import cachekeys
 
 
-def _entry(values, violations=(), info=None):
-    return (
-        np.asarray(values, dtype=float),
-        np.asarray(violations, dtype=float),
-        info or {},
-    )
+def _entry(values, violations=()):
+    return np.asarray(values, dtype=float), np.asarray(violations, dtype=float)
 
 
 def _key(tag):
@@ -47,11 +45,10 @@ class TestDiskCacheStore:
         store = DiskCache(tmp_path)
         values = [0.1 + 0.2, -0.0, 1e-300, np.pi]
         key = _key("row")
-        store.put_many({key: _entry(values, [0.5], {"note": "x"})})
-        objectives, violations, info = store.get_many([key])[key]
+        store.put_many({key: _entry(values, [0.5])})
+        objectives, violations = store.get_many([key])[key]
         assert objectives.tobytes() == np.asarray(values, dtype=float).tobytes()
         assert violations.tolist() == [0.5]
-        assert info == {"note": "x"}
 
     def test_get_many_returns_only_the_keys_found(self, tmp_path):
         store = DiskCache(tmp_path)
@@ -70,17 +67,6 @@ class TestDiskCacheStore:
         DiskCache(tmp_path).put_many({_key("a"): _entry([3.0, 4.0])})
         reopened = DiskCache(tmp_path)
         assert reopened.get_many([_key("a")])[_key("a")][0].tolist() == [3.0, 4.0]
-
-    def test_unserializable_info_is_skipped_not_poisonous(self, tmp_path):
-        store = DiskCache(tmp_path)
-        written = store.put_many(
-            {
-                _key("bad"): _entry([1.0], info={"handle": object()}),
-                _key("good"): _entry([2.0]),
-            }
-        )
-        assert written == 1
-        assert list(store.get_many([_key("bad"), _key("good")])) == [_key("good")]
 
     def test_garbage_database_file_is_moved_aside(self, tmp_path):
         store = DiskCache(tmp_path)
@@ -192,7 +178,7 @@ class TestMultiProcessWriters:
             assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
         # shared entries hold consistent content regardless of who won the race
         for i in range(n_entries):
-            objectives, _, _ = store.get_many([_key("shared-%d" % i)])[
+            objectives, _ = store.get_many([_key("shared-%d" % i)])[
                 _key("shared-%d" % i)
             ]
             assert objectives.tolist() == [float(i)]
@@ -331,6 +317,68 @@ class TestPersistentCachedEvaluator:
         assert evaluator.ledger.total_disk_hits == 0
         assert evaluator.ledger.total_disk_misses == 0
         assert "disk_hits" not in evaluator.stats()
+
+
+class TestStoresWithInfoText:
+    """A store written while entries carried per-row ``info`` keeps answering.
+
+    Such a store holds JSON text in the ``info`` column; reads ignore it and
+    new rows write ``NULL`` there, under the same format version.
+    """
+
+    SCHEMA = """
+    CREATE TABLE entries (
+        key BLOB PRIMARY KEY, f BLOB NOT NULL, g BLOB NOT NULL,
+        info TEXT, created REAL NOT NULL
+    ) WITHOUT ROWID;
+    CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+    INSERT INTO meta (key, value) VALUES ('format', '1');
+    """
+
+    @pytest.mark.parametrize("spec", ["photosynthesis", "bnh"])
+    def test_every_row_answers_from_disk_and_new_rows_write_null(self, tmp_path, spec):
+        from repro.problems.registry import build_problem
+
+        problem = build_problem(spec)
+        rng = np.random.default_rng(8)
+        X = rng.uniform(problem.lower_bounds, problem.upper_bounds, (6, problem.n_var))
+        reference = problem.evaluate_matrix(X)
+        prefix = cachekeys.problem_digest(problem)
+        keys = [cachekeys.store_key(prefix + row) for row in cachekeys.quantize_matrix(X, 12)]
+        conn = sqlite3.connect(str(tmp_path / DiskCache.FILENAME))
+        conn.executescript(self.SCHEMA)
+        conn.executemany(
+            "INSERT INTO entries (key, f, g, info, created) VALUES (?, ?, ?, ?, ?)",
+            [
+                (
+                    key,
+                    reference.F[row].tobytes(),
+                    reference.G[row].tobytes(),
+                    json.dumps({"first": reference.F[row, 0], "row": row}, sort_keys=True),
+                    time.time(),
+                )
+                for row, key in enumerate(keys)
+            ],
+        )
+        conn.commit()
+        conn.close()
+
+        evaluator = PersistentCachedEvaluator(tmp_path)
+        answered = evaluator.evaluate_matrix(problem, X)
+        assert (evaluator.ledger.total_disk_hits, evaluator.ledger.total_disk_misses) == (6, 0)
+        assert answered.F.tobytes() == reference.F.tobytes()
+        assert answered.G.tobytes() == reference.G.tobytes()
+        assert answered.G.shape == reference.G.shape
+
+        fresh = rng.uniform(problem.lower_bounds, problem.upper_bounds, (3, problem.n_var))
+        evaluator.evaluate_matrix(problem, fresh)
+        evaluator.close()
+        conn = sqlite3.connect(str(tmp_path / DiskCache.FILENAME))
+        counts = conn.execute(
+            "SELECT SUM(info IS NULL), SUM(info IS NOT NULL) FROM entries"
+        ).fetchone()
+        conn.close()
+        assert counts == (3, 6)
 
 
 class TestSolveWithDiskCache:

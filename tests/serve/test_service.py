@@ -288,3 +288,14 @@ class TestForkServerEnvironment:
             cwd=tmp_path, timeout=180,
         )
         assert completed.stdout.strip() == "done", completed.stderr
+
+
+class TestForkServerPreload:
+    def test_preload_takes_the_float_power_verdict(self, monkeypatch):
+        """Runners fork after the preload, so they inherit the guard's verdict."""
+        from repro.moo import operators
+        from repro.serve import runner
+
+        monkeypatch.setattr(operators, "_float_power_exact", None)
+        runner._preload()
+        assert operators._float_power_exact in (True, False)
