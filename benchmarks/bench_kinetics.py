@@ -1,7 +1,7 @@
 """Benchmark the population kinetics paths against the naive references.
 
 Times the columnwise population right-hand side
-(:meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch`) and the
+(:meth:`~tests.oracles.ode.network.KineticNetwork.build_rhs_batch`) and the
 flux matrix of the Calvin-cycle network against the per-member scalar loops
 preserved in ``tests/oracles/kinetics.py`` (asserting element-for-element
 agreement on the way).  Writes a machine-readable ``BENCH_kinetics.json``
@@ -30,7 +30,7 @@ from tests.oracles.kinetics import (
     reference_fluxes,
     reference_rhs_population,
 )
-from repro.photosynthesis.calvin_ode import build_calvin_network
+from tests.oracles.ode.calvin import build_calvin_network
 
 FULL_SWEEP = {"P": (64, 256, 1024)}
 SMOKE_SWEEP = {"P": (16, 64)}

@@ -5,8 +5,9 @@ benchmark quantifies what the :mod:`repro.runtime` layer buys on the
 photosynthesis problem:
 
 * **pool speedup** — one batch of Calvin-cycle ODE evaluations (the paper's
-  expensive model, ~0.3 s per design) executed serially versus fanned out
-  over a 4-worker :class:`~repro.runtime.ProcessPoolEvaluator`;
+  expensive model, ~0.3 s per design, from the ``tests/oracles/ode`` oracle)
+  executed serially versus fanned out over a 4-worker
+  :class:`~repro.runtime.ProcessPoolEvaluator`;
 * **determinism** — the pooled batch must be bitwise identical to serial;
 * **cache hit-rate** — a seeded PMO2 run with ``solve(..., cache=True)``,
   reporting the fraction of lookups answered from the memoization cache.
@@ -27,11 +28,11 @@ from conftest import run_once
 
 from repro.core.report import format_table, paper_vs_measured
 from repro.moo.pmo2 import PMO2Config
-from repro.photosynthesis.calvin_ode import CalvinCycleModel
 from repro.photosynthesis.conditions import REFERENCE_CONDITION
 from repro.photosynthesis.problem import PhotosynthesisProblem
 from repro.runtime import ProcessPoolEvaluator, SerialEvaluator
 from repro.solve import MaxGenerations, solve
+from tests.oracles.ode.calvin import CalvinUptakeProblem
 
 #: Decision vectors in the timed ODE batch (~0.3 s each when run serially).
 POOL_EVALS = int(os.environ.get("REPRO_BENCH_POOL_EVALS", "8"))
@@ -39,9 +40,7 @@ POOL_WORKERS = 4
 
 
 def _measure_runtime_scaling(seed: int):
-    ode_problem = PhotosynthesisProblem(
-        REFERENCE_CONDITION, model=CalvinCycleModel(REFERENCE_CONDITION)
-    )
+    ode_problem = CalvinUptakeProblem(REFERENCE_CONDITION)
     rng = np.random.default_rng(seed)
     X = np.vstack([ode_problem.random_solution(rng) for _ in range(POOL_EVALS)])
 

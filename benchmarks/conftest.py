@@ -14,8 +14,13 @@ and ``REPRO_BENCH_GEN`` to approach the paper's original settings.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# The runtime-scaling benchmark takes its ODE problem from tests/oracles/.
+sys.path.insert(1, str(Path(__file__).resolve().parents[1]))
 
 #: Population per island / algorithm used by the benchmark runs.
 BENCH_POPULATION = int(os.environ.get("REPRO_BENCH_POP", "24"))

@@ -7,8 +7,7 @@ This is the paper's main case study (Sec. 3.1, Figures 1–2).  The script:
 2. optimizes the 23 enzyme activities with PMO2,
 3. extracts the paper's named candidates — B (natural uptake at a fraction of
    the nitrogen) and A2 (+10 % uptake at about half the nitrogen) — and
-   prints the Figure 2 style enzyme-ratio profile of candidate B,
-4. cross-checks candidate B on the full kinetic ODE model.
+   prints the Figure 2 style enzyme-ratio profile of candidate B.
 
 Run with::
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 from repro.moo import PMO2Config
 from repro.photosynthesis import (
-    CalvinCycleModel,
     PhotosynthesisProblem,
     candidate_a2,
     candidate_b,
@@ -65,14 +63,6 @@ def main(population: int = 32, generations: int = 60) -> None:
     for name, ratio in enzyme_ratio_profile(b.activities).items():
         bar = "#" * max(1, int(ratio * 20))
         print("  %-22s %5.2f %s" % (name, ratio, bar))
-
-    # Cross-validation of candidate B on the detailed kinetic ODE model.
-    ode_model = CalvinCycleModel(environment)
-    ode_natural = ode_model.co2_uptake()
-    ode_candidate = ode_model.co2_uptake(b.activities)
-    print("\nODE cross-check: natural %.2f vs candidate B %.2f umol/m2/s "
-          "(%.0f %% of natural uptake retained)"
-          % (ode_natural, ode_candidate, 100 * ode_candidate / ode_natural))
 
 
 if __name__ == "__main__":

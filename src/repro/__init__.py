@@ -19,8 +19,6 @@ The library is organised in these sub-packages:
   checkpoint/resume for long runs.  Parallelism, caching and resuming never
   change results: a pooled or restored run is bitwise identical to a serial
   uninterrupted run of the same seed;
-* :mod:`repro.kinetics` — a generic kinetic-network substrate (rate laws,
-  ODE assembly, steady-state simulation);
 * :mod:`repro.photosynthesis` — the C3 carbon-metabolism model with its 23
   tunable enzymes, nitrogen accounting, environmental conditions and the
   CO2-uptake / nitrogen multi-objective design problem;
@@ -36,6 +34,6 @@ The library is organised in these sub-packages:
   describe, run, resume and export registered experiments (see docs/cli.md).
 """
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = ["__version__"]

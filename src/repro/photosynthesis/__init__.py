@@ -7,8 +7,6 @@ Public surface:
   paper's six Ci / export scenarios;
 * :class:`~repro.photosynthesis.steady_state.EnzymeLimitedModel` — the fast
   CO2-uptake evaluator used inside the optimizer;
-* :class:`~repro.photosynthesis.calvin_ode.CalvinCycleModel` — the full ODE
-  kinetic model used for cross-validation and examples;
 * :class:`~repro.photosynthesis.problem.PhotosynthesisProblem` — the
   uptake-versus-nitrogen design problem;
 * :mod:`~repro.photosynthesis.candidates` — extraction of the paper's named
@@ -16,7 +14,6 @@ Public surface:
 * :mod:`~repro.photosynthesis.nitrogen` — protein-nitrogen accounting.
 """
 
-from repro.photosynthesis.calvin_ode import CalvinCycleModel, build_calvin_network
 from repro.photosynthesis.candidates import (
     CandidateDesign,
     candidate_a2,
@@ -59,8 +56,6 @@ from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynth
 from repro.photosynthesis.steady_state import EnzymeLimitedModel, UptakeBreakdown
 
 __all__ = [
-    "CalvinCycleModel",
-    "build_calvin_network",
     "CandidateDesign",
     "candidate_a2",
     "candidate_b",

@@ -41,11 +41,10 @@ class PhotosynthesisProblem(Problem):
         Box bounds of each enzyme activity expressed as multiples of its
         natural activity.  The defaults (0.05x – 3x) cover the ranges the
         paper reports for its candidate designs.
-    model:
-        Evaluation engine; defaults to a fresh
-        :class:`~repro.photosynthesis.steady_state.EnzymeLimitedModel` for the
-        chosen condition.  Any object exposing ``co2_uptake(activities)`` can
-        be substituted (e.g. the ODE model for small validation runs).
+
+    The evaluation engine is the
+    :class:`~repro.photosynthesis.steady_state.EnzymeLimitedModel` of the
+    chosen condition, kept as :attr:`model`.
     """
 
     def __init__(
@@ -53,7 +52,6 @@ class PhotosynthesisProblem(Problem):
         condition: EnvironmentalCondition = PRESENT,
         lower_scale: float = 0.05,
         upper_scale: float = 3.0,
-        model: EnzymeLimitedModel | None = None,
     ) -> None:
         if lower_scale <= 0 or upper_scale <= lower_scale:
             raise ConfigurationError("require 0 < lower_scale < upper_scale")
@@ -68,7 +66,7 @@ class PhotosynthesisProblem(Problem):
             objective_senses=[-1, 1],
         )
         self.condition = condition
-        self.model = model if model is not None else EnzymeLimitedModel(condition)
+        self.model = EnzymeLimitedModel(condition)
         self.natural = natural
 
     # ------------------------------------------------------------------
@@ -87,15 +85,11 @@ class PhotosynthesisProblem(Problem):
     def uptake_matrix(self, X: np.ndarray) -> np.ndarray:
         """Net CO2 uptake of every row of an activity matrix (natural sign).
 
-        Batched through ``co2_uptake_batch`` when the model has one (bitwise
-        equal to the row loop); custom evaluation engines (e.g. the ODE
-        model) only promise the scalar ``co2_uptake``, so they get the loop.
-        This is the matrix property function of the robustness yields.
+        One ``co2_uptake_batch`` call, bitwise equal to the row loop of
+        :meth:`uptake`.  This is the matrix property function of the
+        robustness yields.
         """
-        X = self.validate_matrix(X)
-        if hasattr(self.model, "co2_uptake_batch"):
-            return self.model.co2_uptake_batch(X)
-        return np.array([self.model.co2_uptake(x) for x in X])
+        return self.model.co2_uptake_batch(self.validate_matrix(X))
 
     def nitrogen(self, activities: np.ndarray) -> float:
         """Total protein nitrogen of an activity vector (mg l⁻¹)."""

@@ -1,7 +1,7 @@
 """Enzyme-limited steady-state model of C3 carbon metabolism.
 
 The optimizer needs tens of thousands of CO2-uptake evaluations per run; the
-full kinetic ODE model (:mod:`repro.photosynthesis.calvin_ode`) is accurate
+full kinetic ODE model (``tests/oracles/ode/calvin.py``) is accurate
 but far too slow for that role.  This module provides the fast evaluator used
 inside the optimization loop: a steady-state, capacity-based model in the
 spirit of the Farquhar–von Caemmerer–Berry framework, extended so that *every

@@ -1,6 +1,7 @@
 """Docstring audit of the ``repro.core``, ``repro.runtime``, ``repro.solve``,
-``repro.serve``, ``repro.problems``, ``repro.obs``, ``repro.fba`` and
-``repro.kinetics`` public API (plus the vectorized science modules).
+``repro.serve``, ``repro.problems``, ``repro.obs`` and ``repro.fba`` public
+API (plus the vectorized science modules and the ``tests.oracles.ode``
+kinetic oracle).
 
 The contract (also linted by the CI docs job via ``ruff check`` with the
 ``D1xx`` rules configured in ``pyproject.toml``): every public module, class,
@@ -19,7 +20,6 @@ import pytest
 import repro.core
 import repro.fba
 import repro.geobacter.problem
-import repro.kinetics
 import repro.moo.archive
 import repro.moo.individual
 import repro.moo.kernels
@@ -33,16 +33,17 @@ import repro.problems
 import repro.runtime
 import repro.serve
 import repro.solve
+import tests.oracles.ode
 
 PACKAGES = [
     repro.core,
     repro.fba,
-    repro.kinetics,
     repro.obs,
     repro.problems,
     repro.runtime,
     repro.serve,
     repro.solve,
+    tests.oracles.ode,
 ]
 
 #: Individual modules audited in addition to the full packages (the
@@ -79,8 +80,6 @@ REQUIRED_EXAMPLES = [
     "repro.core.report.render_selections",
     "repro.fba.assembly.assemble_lp",
     "repro.fba.batch.steady_state_violations",
-    "repro.kinetics.network.KineticNetwork.build_rhs_batch",
-    "repro.kinetics.simulator.KineticSimulator.simulate_ensemble",
     "repro.moo.kernels",
     "repro.obs",
     "repro.obs.telemetry.RunTelemetry",
@@ -112,6 +111,8 @@ REQUIRED_EXAMPLES = [
     "repro.solve.request.SolveRequest",
     "repro.solve.result.SolveResult",
     "repro.solve.termination",
+    "tests.oracles.ode.network.KineticNetwork.build_rhs_batch",
+    "tests.oracles.ode.simulator.KineticSimulator.simulate_ensemble",
 ]
 
 

@@ -9,10 +9,10 @@ justifies optimizing on the fast model.
 import numpy as np
 import pytest
 
-from repro.photosynthesis.calvin_ode import CalvinCycleModel
 from repro.photosynthesis.conditions import condition
 from repro.photosynthesis.enzymes import enzyme_index, natural_activities
 from repro.photosynthesis.steady_state import EnzymeLimitedModel
+from tests.oracles.ode.calvin import CalvinCycleModel
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """Paths that never solve an LP or an ODE never import scipy.
 
 scipy is loaded only by the Geobacter FBA model (``linprog``) and the kinetic
-ODE simulator (``solve_ivp``); a served photosynthesis job, the service's
-fork server, the CLI and the Table 2 pipeline skip it.
+ODE oracle's simulator (``solve_ivp``); a served photosynthesis job, the
+service's fork server, the CLI and the Table 2 pipeline skip it.
 Each probe runs in a fresh interpreter, because in this process other test
 modules have already imported scipy.  The positive controls show the deferred
 imports still resolve there.
@@ -13,15 +13,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
+_REPO_ROOT = str(Path(__file__).resolve().parents[2])
 
 
 def _probe(script: str) -> str:
-    """Run ``script`` in a fresh interpreter on this source tree; its stdout."""
+    """Run ``script`` in a fresh interpreter on this source tree; its stdout.
+
+    The repository root is on the path too, so a script can import
+    ``tests.oracles``.
+    """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, _REPO_ROOT, env.get("PYTHONPATH")])
+    )
     completed = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
@@ -134,30 +143,40 @@ def test_geobacter_evaluation_loads_its_lp_solver():
 def test_kinetic_simulation_loads_its_ode_solver():
     script = (
         "import sys\n"
-        "from repro.photosynthesis.calvin_ode import CalvinCycleModel\n"
+        "from tests.oracles.ode.calvin import CalvinCycleModel\n"
         "result = CalvinCycleModel().simulate(t_end=1.0)\n"
         "print(len(result.times) > 1, 'scipy.integrate' in sys.modules)\n"
     )
     assert _probe(script) == "True True"
 
 
-def test_zdt1_solve_setup_loads_no_cache_pool_or_analysis_module():
-    """A serial zdt1 solve needs neither the disk cache nor worker pools.
+@pytest.mark.parametrize(
+    "problem, loaded",
+    [
+        pytest.param("zdt1", [], id="zdt1"),
+        # problem.py imports front_yields for the robust variant.
+        pytest.param("photosynthesis", ["repro.moo.robustness"], id="photosynthesis"),
+    ],
+)
+def test_zdt1_solve_setup_loads_no_cache_pool_or_analysis_module(problem, loaded):
+    """A serial solve needs neither the disk cache nor worker pools.
 
     ``repro.moo`` and ``repro.runtime`` resolve their exports lazily, and
     the process pool imports ``multiprocessing`` when it is built, so
     setting up a solve loads only the engines and the serial evaluator.
+    Building the photosynthesis problem loads no kinetic ODE module either.
     """
     script = (
         "import sys\n"
         "from repro.problems import build_problem\n"
         "from repro.solve import solve\n"
-        "build_problem('zdt1')\n"
+        "build_problem(%r)\n"
         "print(sorted(m for m in ('sqlite3', 'multiprocessing', 'repro.moo.robustness',"
         " 'repro.moo.mining', 'repro.moo.metrics', 'repro.runtime.diskcache',"
-        " 'repro.runtime.parallel') if m in sys.modules))\n"
-    )
-    assert _probe(script) == "[]"
+        " 'repro.runtime.parallel') if m in sys.modules),"
+        " sorted(m for m in sys.modules if 'kinetics' in m or 'calvin' in m or 'ode' in m.split('.')))\n"
+    ) % problem
+    assert _probe(script) == "%s []" % loaded
 
 
 def test_lazy_package_exports_still_resolve():

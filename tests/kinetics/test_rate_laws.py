@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.kinetics.rate_laws import (
+from tests.oracles.ode.rate_laws import (
     ConstantFlux,
     MassAction,
     MichaelisMenten,

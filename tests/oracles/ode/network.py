@@ -3,8 +3,8 @@
 A :class:`KineticNetwork` owns a set of metabolites and kinetic reactions and
 compiles them into the vector field ``dC/dt = N · v(C)`` used by the
 simulator.  Enzyme activities enter through a dictionary of per-enzyme scale
-factors, which is exactly how the photosynthesis design problem perturbs the
-model (the 23-dimensional design vector maps to 23 enzyme scales).
+factors, which is how :class:`~tests.oracles.ode.calvin.CalvinCycleModel`
+applies a design vector (the 23 enzyme activities map to 23 enzyme scales).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ModelConsistencyError
-from repro.kinetics.metabolite import Metabolite
-from repro.kinetics.reaction import KineticReaction
+from tests.oracles.ode.metabolite import Metabolite
+from tests.oracles.ode.reaction import KineticReaction
 
 __all__ = ["KineticNetwork"]
 
@@ -240,7 +240,7 @@ class KineticNetwork:
         Row ``p`` is bitwise identical to the scalar
         :meth:`build_rhs` closure built from ``enzyme_scales[p]`` evaluated on
         ``Y[p]``: concentrations are floored at zero columnwise, each rate law
-        is evaluated through its columnwise :meth:`~repro.kinetics.rate_laws
+        is evaluated through its columnwise :meth:`~tests.oracles.ode.rate_laws
         .RateLaw.rate_batch` form, and the derivative accumulates reaction by
         reaction in declaration order, so every member sees the exact
         floating-point operation sequence of its scalar counterpart.

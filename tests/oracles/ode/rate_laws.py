@@ -21,7 +21,7 @@ Every rate law is a callable ``rate(concentrations, vmax)`` where
 ``concentrations`` is a mapping of metabolite identifier to concentration and
 ``vmax`` the maximal velocity contributed by the catalysing enzyme.  Rate laws
 are deliberately written with plain ``float`` arithmetic: the ODE right-hand
-side is evaluated hundreds of thousands of times per optimization and scalar
+side is evaluated hundreds of thousands of times per parameter sweep and scalar
 math is significantly faster than 0-d numpy operations.
 
 Each law additionally implements ``rate_batch(concentrations, vmax)``, the

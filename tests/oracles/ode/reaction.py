@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.exceptions import ConfigurationError
-from repro.kinetics.rate_laws import RateLaw
+from tests.oracles.ode.rate_laws import RateLaw
 
 __all__ = ["KineticReaction"]
 
@@ -23,7 +23,7 @@ class KineticReaction:
         Mapping of metabolite identifier to signed stoichiometric coefficient
         (negative = consumed, positive = produced).
     rate_law:
-        The :class:`~repro.kinetics.rate_laws.RateLaw` computing the flux.
+        The :class:`~tests.oracles.ode.rate_laws.RateLaw` computing the flux.
     enzyme:
         Name of the catalysing enzyme; ``None`` for spontaneous/boundary
         steps.  The enzyme name is the key through which enzyme activities

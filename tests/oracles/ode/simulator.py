@@ -4,8 +4,7 @@ The simulator wraps :func:`scipy.integrate.solve_ivp` with the conventions the
 photosynthesis model needs: stiff-friendly default method (LSODA), optional
 steady-state detection based on the norm of the derivative, and flux read-out
 at the final state.  ``solve_ivp`` is imported by the two methods that call
-it, so the photosynthesis problem, which imports this package but solves no
-ODE, never loads scipy.
+it, so building a network or evaluating its right-hand side never loads scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ConvergenceError, EvaluationError
-from repro.kinetics.network import KineticNetwork
+from tests.oracles.ode.network import KineticNetwork
 from repro.runtime.parallel import parallel_map
 
 __all__ = ["SimulationResult", "KineticSimulator"]
@@ -76,7 +75,7 @@ class SimulationResult:
 
 
 class KineticSimulator:
-    """Integrates a :class:`~repro.kinetics.network.KineticNetwork`.
+    """Integrates a :class:`~tests.oracles.ode.network.KineticNetwork`.
 
     Parameters
     ----------

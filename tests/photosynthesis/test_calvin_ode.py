@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError
-from repro.kinetics import conservation_relations
-from repro.photosynthesis.calvin_ode import FLUX_PER_AREA, CalvinCycleModel, build_calvin_network
 from repro.photosynthesis.conditions import condition
 from repro.photosynthesis.enzymes import ENZYMES, natural_activities
+from tests.oracles.ode import conservation_relations
+from tests.oracles.ode.calvin import FLUX_PER_AREA, CalvinCycleModel, build_calvin_network
 
 
 @pytest.fixture(scope="module")

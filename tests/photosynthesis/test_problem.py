@@ -9,7 +9,6 @@ from repro.photosynthesis.conditions import REFERENCE_CONDITION, condition
 from repro.photosynthesis.enzymes import natural_activities
 from repro.photosynthesis.nitrogen import NATURAL_NITROGEN, total_nitrogen, total_nitrogen_batch
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
-from repro.photosynthesis.steady_state import EnzymeLimitedModel
 from repro.solve import solve
 
 
@@ -92,16 +91,6 @@ class TestRobustProblem:
         assert a == pytest.approx(b)
 
 
-class ScalarOnlyModel:
-    """An evaluation engine promising only the scalar ``co2_uptake``."""
-
-    def __init__(self, condition):
-        self.inner = EnzymeLimitedModel(condition)
-
-    def co2_uptake(self, activities):
-        return self.inner.co2_uptake(activities)
-
-
 class TestUptakeMatrix:
     """``uptake_matrix`` against the scalar row loop, through every yield routine."""
 
@@ -119,15 +108,6 @@ class TestUptakeMatrix:
     def test_matches_scalar_uptake_bitwise(self, problem):
         X = np.random.default_rng(0).uniform(problem.lower_bounds, problem.upper_bounds, (9, 23))
         assert np.array_equal(problem.uptake_matrix(X), self._row_loop(problem)(X))
-
-    def test_scalar_only_model_falls_back_to_the_row_loop(self):
-        reference = PhotosynthesisProblem(REFERENCE_CONDITION)
-        scalar = PhotosynthesisProblem(
-            REFERENCE_CONDITION, model=ScalarOnlyModel(REFERENCE_CONDITION)
-        )
-        X = np.vstack([natural_activities(), 1.5 * natural_activities()])
-        assert np.array_equal(scalar.uptake_matrix(X), reference.uptake_matrix(X))
-        assert np.array_equal(scalar.evaluate_matrix(X).F, reference.evaluate_matrix(X).F)
 
     def test_uptake_yield_oracle(self, problem):
         settings = RobustnessSettings(epsilon=0.05, global_trials=60, seed=4)
