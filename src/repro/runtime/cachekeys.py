@@ -2,8 +2,9 @@
 
 Every cache in the runtime layer — the in-memory L1 of
 :class:`~repro.runtime.evaluator.CachedEvaluator` and the disk-backed L2 of
-:class:`~repro.runtime.diskcache.DiskCache` — keys entries on the same two
-canonical ingredients:
+:class:`~repro.runtime.diskcache.DiskCache` — keys an entry on one
+fixed-width :func:`store_key`, hashed from the same two canonical
+ingredients:
 
 * the **problem digest**: a fixed-width hash of the problem's
   :meth:`~repro.problems.base.Problem.cache_identity` payload (canonical
@@ -49,10 +50,10 @@ __all__ = [
     "store_key",
 ]
 
-#: Width (bytes) of the problem digest prefixing every in-memory cache key.
+#: Width (bytes) of the problem digest prefixing every row before it is hashed.
 PROBLEM_DIGEST_SIZE = 16
 
-#: Width (bytes) of the hashed key the disk store indexes on.
+#: Width (bytes) of the hashed key both cache levels index on.
 STORE_KEY_SIZE = 24
 
 
@@ -126,17 +127,17 @@ def problem_digest(problem: "Problem") -> bytes:
     ).digest()
 
 
-def store_key(memory_key: bytes) -> bytes:
-    """Hash one in-memory cache key into the fixed-width disk-store key.
+def store_key(content: bytes) -> bytes:
+    """Hash a problem digest + quantized row bytes into the fixed-width key.
 
-    The in-memory key (problem digest + quantized row bytes) grows with the
-    number of decision variables; the disk store indexes on a fixed
-    :data:`STORE_KEY_SIZE`-byte blake2b of it instead, keeping the index
-    compact at any dimensionality.
+    The row bytes grow with the number of decision variables; both cache
+    levels index on a fixed :data:`STORE_KEY_SIZE`-byte blake2b of them
+    instead, keeping every index compact at any dimensionality and letting
+    a checkpoint name the in-memory entries by key alone.
 
     Example
     -------
     >>> len(store_key(b"anything")) == STORE_KEY_SIZE
     True
     """
-    return hashlib.blake2b(memory_key, digest_size=STORE_KEY_SIZE).digest()
+    return hashlib.blake2b(content, digest_size=STORE_KEY_SIZE).digest()

@@ -4,9 +4,14 @@ A :class:`CheckpointManager` owns one directory of pickled optimizer states,
 written atomically (temp file + rename) so a kill can never leave a corrupt
 *latest* checkpoint behind.  Because every optimizer in this library carries
 its own random generators, restoring a checkpoint and continuing reproduces
-the uninterrupted run bit for bit.  A restore resumes from the newest
-*readable* checkpoint: one that cannot be unpickled (truncated by a disk
-fault or a partial copy, say) is skipped for the one before it.
+the uninterrupted run bit for bit.  Each file is a fixed header — a magic
+string and a blake2b digest of the pickle — followed by the pickle, and the
+digest is checked before anything is unpickled.  A restore resumes from the
+newest *readable* checkpoint: one whose digest does not match or that cannot
+be unpickled (truncated by a disk fault, a flipped bit or a partial copy,
+say) is skipped for the one before it.  The digest guards against
+corruption, not against a hostile file: only restore checkpoints this
+library wrote.
 
 Typical use::
 
@@ -27,6 +32,7 @@ contains checkpoints (and ``resume`` on one that contains none).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import re
@@ -47,7 +53,18 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: Version 5: a ``Problem`` pickles its box arrays, not a ``DesignSpace``.
 #: Version 6: a ``Problem`` pickles its constraint count ``n_con``.
 #: Version 7: a ``Population`` and the evaluator cache hold no ``info``.
-_FORMAT_VERSION = 7
+#: Version 8: the file starts with a magic string and a blake2b digest of the
+#: pickle, and a ``PersistentCachedEvaluator`` pickles its L1 as store keys.
+_FORMAT_VERSION = 8
+
+#: First bytes of every checkpoint file, followed by the pickle's digest.
+_MAGIC = b"repro-checkpoint\n"
+_DIGEST_SIZE = 32
+
+
+def _header(data: bytes) -> bytes:
+    """The fixed header written in front of the pickle ``data``."""
+    return _MAGIC + hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
 class _Unreadable(CheckpointError):
@@ -103,7 +120,7 @@ class CheckpointManager:
         return self.directory / ("checkpoint-%08d.pkl" % generation)
 
     def save(self, state: Any, generation: int) -> Path:
-        """Write one checkpoint atomically and prune old ones."""
+        """Write one checkpoint (header, then pickle) atomically and prune old ones."""
         if generation < 0:
             raise ConfigurationError("generation must be non-negative")
         payload = {
@@ -111,13 +128,15 @@ class CheckpointManager:
             "generation": int(generation),
             "state": state,
         }
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         target = self._path(generation)
         descriptor, temp_name = tempfile.mkstemp(
             prefix=".checkpoint-", suffix=".tmp", dir=self.directory
         )
         try:
             with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(_header(data))
+                handle.write(data)
                 # On disk before the rename: a crash just after os.replace
                 # must not leave a truncated "latest" checkpoint behind.
                 handle.flush()
@@ -164,9 +183,11 @@ class CheckpointManager:
         Raises
         ------
         CheckpointError
-            If there is no checkpoint, the file cannot be read or unpickled
-            (truncated, or naming a class that no longer exists), or it was
-            written by a release with another checkpoint layout.
+            If there is no checkpoint, the file cannot be read, fails its
+            digest (truncated or damaged; also a file without the header,
+            which a release before format 8 wrote) or cannot be unpickled
+            (naming a class that no longer exists), or it was written by a
+            release with another checkpoint layout.
         """
         chosen = Path(path) if path is not None else self.latest()
         if chosen is None:
@@ -187,17 +208,31 @@ class CheckpointManager:
     def _read(path: Path) -> Any:
         try:
             with open(path, "rb") as handle:
-                return pickle.load(handle)
+                header = handle.read(len(_MAGIC) + _DIGEST_SIZE)
+                data = handle.read()
+            if not header.startswith(_MAGIC):
+                raise _Unreadable(
+                    "cannot read checkpoint %s: it has no checkpoint header "
+                    "(a release before format 8 wrote it, or it is not a checkpoint)"
+                    % path
+                )
+            if header != _header(data):
+                raise _Unreadable(
+                    "cannot read checkpoint %s: its digest does not match its "
+                    "contents (the file is truncated or damaged)" % path
+                )
+            return pickle.loads(data)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
             raise _Unreadable("cannot read checkpoint %s: %s" % (path, error)) from error
 
     def load_latest(self) -> tuple[Any, int] | None:
         """Load the newest readable checkpoint; ``None`` when there is none.
 
-        A checkpoint that cannot be read or unpickled (truncated, say) is
-        skipped in favour of the next older one, so a run resumes from the
-        newest checkpoint that survived.  A readable checkpoint of another
-        format version still raises.
+        A checkpoint that cannot be read, fails its digest or cannot be
+        unpickled (truncated or bit-flipped, say) is skipped in favour of
+        the next older one, so a run resumes from the newest checkpoint that
+        survived.  A readable checkpoint of another format version still
+        raises.
 
         Raises
         ------

@@ -18,9 +18,10 @@ designs job after job.  This module adds the missing L2:
 
 Keys come from :mod:`repro.runtime.cachekeys`: the problem's canonical
 identity digest plus the quantized decision-row bytes, hashed to a fixed
-width.  Because keys are content-addressed — no object identities, no
-timestamps — every process pointing at the same cache directory shares one
-store: repeated runs, the serve worker pool, warm-started re-solves.
+width.  The L1 and the store index on the same key.  Because keys are
+content-addressed — no object identities, no timestamps — every process
+pointing at the same cache directory shares one store: repeated runs, the
+serve worker pool, warm-started re-solves.
 
 Correctness rules
 -----------------
@@ -407,6 +408,12 @@ class PersistentCachedEvaluator(CachedEvaluator):
     ``disk_misses`` count how many L1 misses the disk store resolved versus
     forwarded to the inner evaluator.
 
+    Pickling (a checkpoint, say) keeps the L1's keys, not its entries: the
+    store holds every one of them.  Unpickling refills the L1 from the store
+    with one batched lookup, in the original order, which is also the
+    eviction order.  A key the store has lost since (``repro cache gc``) is
+    dropped from the L1 and evaluated again on its next miss.
+
     Parameters
     ----------
     store:
@@ -445,17 +452,23 @@ class PersistentCachedEvaluator(CachedEvaluator):
 
     def _disk_fetch(self, keys: list[bytes]) -> dict:
         """Probe the disk store for every pending key in one batched lookup."""
-        by_store_key = {cachekeys.store_key(key): key for key in keys}
-        fetched = self.store.get_many(list(by_store_key))
-        return {
-            by_store_key[store_key]: entry for store_key, entry in fetched.items()
-        }
+        return self.store.get_many(keys)
 
     def _disk_store(self, entries: dict) -> None:
         """Write freshly evaluated entries back to the disk store in one batch."""
-        self.store.put_many(
-            {cachekeys.store_key(key): entry for key, entry in entries.items()}
-        )
+        self.store.put_many(entries)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_cache"] = b"".join(self._cache)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        joined, width = state["_cache"], cachekeys.STORE_KEY_SIZE
+        keys = [joined[start : start + width] for start in range(0, len(joined), width)]
+        found = self.store.get_many(keys)
+        self._cache = {key: found[key] for key in keys if key in found}
 
     def stats(self) -> dict:
         """Ledger L1 and disk hit/miss counters plus store statistics."""

@@ -23,7 +23,7 @@ All evaluators preserve row order, so a pooled run is bitwise identical to
 a serial run of the same seed (the evaluations are pure functions of the
 decision matrix).  Evaluators are picklable — pools are dropped on pickling
 and lazily rebuilt — which lets checkpointed optimizers carry their evaluator
-(and its cache) across a resume.
+(and its cache; the persistent cache carries only its keys) across a resume.
 """
 
 from __future__ import annotations
@@ -322,9 +322,10 @@ class CachedEvaluator(Evaluator):
         Optional ledger; defaults to the inner evaluator's ledger so hit and
         miss counts land next to the raw evaluation counts.
 
-    Keys are **content-addressed**: every entry is scoped by the problem's
+    Keys are **content-addressed**: each is the 24-byte
+    :func:`~repro.runtime.cachekeys.store_key` of the problem's
     :func:`~repro.runtime.cachekeys.problem_digest` (canonical spec string,
-    design-space JSON, objective metadata) as well as the quantized row
+    design-space JSON, objective metadata) followed by the quantized row
     bytes, so one evaluator instance can serve several problems without ever
     confusing their entries, and the cache survives problem re-instantiation
     across checkpoint restores.  Entries store per-row ``(F row, G row)``
@@ -334,7 +335,8 @@ class CachedEvaluator(Evaluator):
     Subclasses may layer a second, slower cache behind the in-memory one by
     overriding the :meth:`_disk_fetch` / :meth:`_disk_store` hooks —
     :class:`repro.runtime.diskcache.PersistentCachedEvaluator` is the
-    disk-backed L2 built on exactly that seam.
+    disk-backed L2 built on exactly that seam, and its store indexes on the
+    same keys.
     """
 
     def __init__(
@@ -364,10 +366,6 @@ class CachedEvaluator(Evaluator):
             self._problem = problem
             self._prefix = cachekeys.problem_digest(problem)
         return self._prefix
-
-    def _key(self, x: np.ndarray) -> bytes:
-        """One row's cache key under the most recently evaluated problem."""
-        return self._prefix + cachekeys.quantize_row(x, self.decimals)
 
     def _disk_fetch(
         self, keys: list[bytes]
@@ -400,7 +398,7 @@ class CachedEvaluator(Evaluator):
         if X.shape[0] == 0:
             return BatchEvaluation.empty(problem.n_obj, problem.n_con)
         keys = [
-            prefix + row_bytes
+            cachekeys.store_key(prefix + row_bytes)
             for row_bytes in cachekeys.quantize_matrix(X, self.decimals)
         ]
         rows: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(keys)

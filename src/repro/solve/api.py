@@ -217,6 +217,8 @@ def _drive(
             with tracer.span("solve.checkpoint", generation=engine.generation) as span:
                 path = checkpoint.maybe_save(engine, engine.generation)
                 span.set(saved=path is not None)
+                if path is not None:
+                    span.set(bytes=path.stat().st_size)
             if path is not None:
                 assert info is not None
                 info.saves += 1

@@ -386,12 +386,15 @@ class TestSolve:
                 "--checkpoint-interval", "2"]
         assert main(args + ["--generations", "4"]) == 0
         capsys.readouterr()
+        from repro.runtime.checkpoint import CheckpointManager, _header
+
         path = tmp_path / "checkpoint-00000004.pkl"
-        payload = pickle.loads(path.read_bytes())
+        payload = CheckpointManager._read(path)
         payload["format_version"] = 1
-        path.write_bytes(pickle.dumps(payload))
+        data = pickle.dumps(payload)
+        path.write_bytes(_header(data) + data)
         assert main(args + ["--generations", "6"]) == 2
-        assert "format version 1, expected 7" in capsys.readouterr().err
+        assert "format version 1, expected 8" in capsys.readouterr().err
 
     def test_unknown_algorithm_is_a_clean_error(self, capsys):
         assert main(["solve", "zdt1", "--algorithm", "nsga3"]) == 2

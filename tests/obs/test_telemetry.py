@@ -97,6 +97,20 @@ class TestArtifacts:
                 if s["name"] == "solve.generation"] == [1, 2]
         assert [row["generation"] for row in load_telemetry(tmp_path).timeseries] == [1, 2]
 
+    def test_checkpoint_spans_carry_the_saved_file_size(self, tmp_path):
+        checkpoints = tmp_path / "checkpoints"
+        _solve_with_telemetry(tmp_path / "run", 4, checkpoint_dir=str(checkpoints),
+                              checkpoint_interval=2)
+        spans = [s["attributes"] for s in load_telemetry(tmp_path / "run").spans
+                 if s["name"] == "solve.checkpoint"]
+        sizes = {path.name: path.stat().st_size for path in checkpoints.iterdir()}
+        assert [(span["generation"], span["saved"], span.get("bytes")) for span in spans] == [
+            (1, False, None),
+            (2, True, sizes["checkpoint-00000002.pkl"]),
+            (3, False, None),
+            (4, True, sizes["checkpoint-00000004.pkl"]),
+        ]
+
     def test_globals_are_restored_after_close(self, tmp_path):
         tracer_before = get_tracer()
         _solve_with_telemetry(tmp_path, 2)

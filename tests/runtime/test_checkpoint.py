@@ -12,7 +12,7 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.moo.pmo2 import PMO2Config
 from repro.moo.testproblems import ZDT1
 from repro.runtime import CheckpointManager
-from repro.runtime.checkpoint import list_checkpoints
+from repro.runtime.checkpoint import _header, list_checkpoints
 from repro.solve import solve
 
 
@@ -107,22 +107,50 @@ class TestManager:
         with pytest.raises(CheckpointError, match="dominance"):
             manager.load()
 
-    def test_save_writes_format_version_7(self, tmp_path):
+    def test_save_writes_format_version_8(self, tmp_path):
         path = CheckpointManager(tmp_path).save("state", generation=3)
-        payload = pickle.loads(path.read_bytes())
-        assert payload == {"format_version": 7, "generation": 3, "state": "state"}
+        written = path.read_bytes()
+        magic = b"repro-checkpoint\n"
+        data = written[len(magic) + 32:]  # the header is the magic and a 32-byte digest
+        assert written.startswith(magic) and written == _header(data) + data
+        payload = pickle.loads(data)
+        assert payload == {"format_version": 8, "generation": 3, "state": "state"}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, None, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, None, 9])
     def test_other_format_versions_are_refused(self, tmp_path, version):
         payload = {"generation": 3, "state": "state"}
         if version is not None:
             payload["format_version"] = version
-        (tmp_path / "checkpoint-00000003.pkl").write_bytes(pickle.dumps(payload))
+        data = pickle.dumps(payload)
+        (tmp_path / "checkpoint-00000003.pkl").write_bytes(_header(data) + data)
         with pytest.raises(CheckpointError) as raised:
             CheckpointManager(tmp_path).load()
-        assert "format version %r, expected 7" % version in str(raised.value)
-        with pytest.raises(CheckpointError, match="expected 7"):
+        assert "format version %r, expected 8" % version in str(raised.value)
+        with pytest.raises(CheckpointError, match="expected 8"):
             CheckpointManager(tmp_path).load_latest()
+
+    def test_a_file_without_the_header_is_unreadable(self, tmp_path):
+        # What a format-7 release wrote: the bare pickle.
+        data = pickle.dumps({"format_version": 7, "generation": 3, "state": "state"})
+        (tmp_path / "checkpoint-00000003.pkl").write_bytes(data)
+        with pytest.raises(CheckpointError, match="no checkpoint header .*format 8"):
+            CheckpointManager(tmp_path).load()
+
+    def test_a_flipped_byte_fails_the_digest_before_unpickling(self, tmp_path, monkeypatch):
+        manager = CheckpointManager(tmp_path, interval=1, keep=3)
+        for generation in (1, 2):
+            manager.save({"at": generation, "pad": "x" * 64}, generation=generation)
+        newest = manager.latest()
+        damaged = bytearray(newest.read_bytes())
+        damaged[-20] ^= 0x01  # inside the padding string: still a valid pickle
+        newest.write_bytes(bytes(damaged))
+        loads = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: loads.append(data) or real_loads(data))
+        with pytest.raises(CheckpointError, match="digest does not match"):
+            manager.load()
+        assert loads == []
+        assert manager.load_latest() == ({"at": 1, "pad": "x" * 64}, 1)
 
     def test_only_saved_names_are_checkpoints(self, tmp_path):
         # Neither name is one save() writes, so neither is restorable.
@@ -252,5 +280,28 @@ class TestNSGA2Resume:
         resumed = nsga2(10, checkpoint=manager)
 
         assert resumed.generations == 10
+        assert resumed.front_objectives().tobytes() == baseline.front_objectives().tobytes()
+        assert resumed.front_decisions().tobytes() == baseline.front_decisions().tobytes()
+
+    def test_flipped_byte_in_newest_checkpoint_resumes_from_the_one_before(self, tmp_path):
+        problem = ZDT1(n_var=6)
+
+        def nsga2(generations, **kwargs):
+            return solve(problem, "nsga2", population_size=8, seed=3,
+                         termination=generations, **kwargs)
+
+        baseline = nsga2(10)
+        manager = CheckpointManager(tmp_path, interval=2, keep=3)
+        nsga2(6, checkpoint=manager)
+        newest = manager.latest()
+        damaged = bytearray(newest.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x40
+        newest.write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointError, match="digest"):
+            manager.load(newest)
+        assert manager.load_latest()[1] == 4
+        resumed = nsga2(10, checkpoint=manager)
+
+        assert resumed.checkpoint.restored_generation == 4
         assert resumed.front_objectives().tobytes() == baseline.front_objectives().tobytes()
         assert resumed.front_decisions().tobytes() == baseline.front_decisions().tobytes()

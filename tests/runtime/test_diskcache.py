@@ -415,3 +415,153 @@ class TestSolveWithDiskCache:
         assert warm.ledger is not None
         assert warm.ledger.total_disk_hits > 0
         assert warm.ledger.disk_hit_rate == 1.0
+
+
+class TestOneCacheKey:
+    """The L1 and the store index on one key; a pickle carries the L1's keys."""
+
+    @staticmethod
+    def _filled(tmp_path, rows=12, max_entries=None):
+        problem = ZDT1(n_var=4)
+        X = np.random.default_rng(10).random((rows, 4))
+        evaluator = PersistentCachedEvaluator(tmp_path, max_entries=max_entries)
+        evaluator.evaluate_matrix(problem, X)
+        return problem, X, evaluator
+
+    def test_l1_keys_are_the_store_keys(self, tmp_path):
+        problem, X, evaluator = self._filled(tmp_path, rows=3)
+        prefix = cachekeys.problem_digest(problem)
+        expected = [cachekeys.store_key(prefix + row) for row in cachekeys.quantize_matrix(X, 12)]
+        assert list(evaluator._cache) == expected
+        assert sorted(evaluator.store.get_many(expected)) == sorted(expected)
+
+    def test_pickle_carries_keys_not_entries(self, tmp_path):
+        _, _, evaluator = self._filled(tmp_path, rows=40)
+        state = evaluator.__getstate__()
+        assert state["_cache"] == b"".join(evaluator._cache)
+        assert len(state["_cache"]) == 40 * cachekeys.STORE_KEY_SIZE
+
+    def test_restored_l1_holds_the_same_keys_in_the_same_order(self, tmp_path):
+        import pickle
+
+        # Evicted entries stay in the store but not in the L1: the restore
+        # must bring back exactly the surviving keys, in eviction order.
+        problem, X, evaluator = self._filled(tmp_path, rows=12, max_entries=8)
+        evaluator.evaluate_matrix(problem, X[:2])  # disk hits, re-entered last
+        prefix = cachekeys.problem_digest(problem)
+        row_keys = [cachekeys.store_key(prefix + row) for row in cachekeys.quantize_matrix(X, 12)]
+        assert list(evaluator._cache) == row_keys[6:] + row_keys[:2]
+        clone = pickle.loads(pickle.dumps(evaluator))
+        assert list(clone._cache) == list(evaluator._cache)
+        for key, (F, G) in evaluator._cache.items():
+            assert clone._cache[key][0].tobytes() == F.tobytes()
+            assert clone._cache[key][1].tobytes() == G.tobytes()
+            assert clone._cache[key][1].shape == G.shape
+        for each in (evaluator, clone):
+            each.evaluate_matrix(problem, X[2:])
+        assert list(clone._cache) == list(evaluator._cache)
+        counts = [
+            (each.ledger.total_cache_hits, each.ledger.total_disk_hits,
+             each.ledger.total_evaluations)
+            for each in (evaluator, clone)
+        ]
+        assert counts[0] == counts[1] == (6, 6, 12)
+
+    def test_restore_drops_keys_the_store_lost(self, tmp_path):
+        import pickle
+
+        problem, X, evaluator = self._filled(tmp_path, rows=5)
+        payload = pickle.dumps(evaluator)
+        DiskCache(tmp_path).gc(max_entries=0)
+        clone = pickle.loads(payload)
+        assert clone._cache == {}
+        again = clone.evaluate_matrix(problem, X)
+        assert again.F.tobytes() == problem.evaluate_matrix(X).F.tobytes()
+        assert clone.ledger.total_disk_misses == evaluator.ledger.total_disk_misses + 5
+
+    def test_memory_only_cache_round_trips_its_entries(self):
+        import pickle
+
+        problem = ZDT1(n_var=4)
+        X = np.random.default_rng(11).random((6, 4))
+        evaluator = CachedEvaluator()
+        reference = evaluator.evaluate_matrix(problem, X)
+        clone = pickle.loads(pickle.dumps(evaluator))
+        assert list(clone._cache) == list(evaluator._cache)
+        assert all(len(key) == cachekeys.STORE_KEY_SIZE for key in clone._cache)
+        replayed = clone.evaluate_matrix(problem, X)
+        assert replayed.F.tobytes() == reference.F.tobytes()
+        assert clone.ledger.total_cache_hits == 6
+        assert clone.ledger.total_evaluations == evaluator.ledger.total_evaluations == 6
+
+    def test_a_store_written_under_the_long_key_derivation_still_answers(self, tmp_path):
+        # Stores written before the L1 shared the store key hashed the same
+        # bytes, so their entries keep answering. A sentinel row proves the
+        # answer came from disk, not from evaluation.
+        problem = ZDT1(n_var=3)
+        X = np.random.default_rng(12).random((4, 3))
+        prefix = cachekeys.problem_digest(problem)
+        sentinel = (np.array([-7.0, -8.0]), np.zeros(0))
+        DiskCache(tmp_path).put_many(
+            {cachekeys.store_key(prefix + cachekeys.quantize_row(x, 12)): sentinel for x in X}
+        )
+        evaluator = PersistentCachedEvaluator(tmp_path)
+        answered = evaluator.evaluate_matrix(problem, X)
+        assert (evaluator.ledger.total_disk_hits, evaluator.ledger.total_disk_misses) == (4, 0)
+        assert evaluator.ledger.total_evaluations == 0
+        assert answered.F.tolist() == [[-7.0, -8.0]] * 4
+
+
+class TestResumeWithDiskCache:
+    """A checkpointed ``--cache-dir`` run resumes with the ledger of a straight run."""
+
+    @staticmethod
+    def _ledger(directory):
+        ledger = json.loads((directory / "ledger.json").read_text(encoding="utf-8"))
+        for phase in ledger["phases"].values():
+            del phase["wall_clock"]
+        return ledger
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "moead", "pmo2"])
+    def test_resumed_ledger_equals_the_straight_run(self, tmp_path, algorithm, capsys):
+        from repro.cli.main import main
+
+        common = ["solve", "bnh", "--algorithm", algorithm, "--population", "8",
+                  "--seed", "0", "--quiet"]
+        straight = common + ["--generations", "6", "--cache-dir", str(tmp_path / "c1"),
+                             "--telemetry-dir", str(tmp_path / "t1"),
+                             "--front-json", str(tmp_path / "straight.json")]
+        resumable = common + ["--cache-dir", str(tmp_path / "c2"),
+                              "--checkpoint-dir", str(tmp_path / "k"),
+                              "--checkpoint-interval", "2",
+                              "--telemetry-dir", str(tmp_path / "t2")]
+        assert main(straight) == 0
+        assert main(resumable + ["--generations", "4"]) == 0
+        assert main(resumable + ["--generations", "6",
+                                 "--front-json", str(tmp_path / "resumed.json")]) == 0
+        capsys.readouterr()
+        expected = self._ledger(tmp_path / "t1")
+        assert expected["total_cache_hits"] > 0
+        assert self._ledger(tmp_path / "t2") == expected
+        assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "straight.json").read_bytes()
+
+    def test_restore_after_gc_reevaluates_and_keeps_the_front(self, tmp_path):
+        from repro.problems import build_problem
+        from repro.solve import solve
+
+        problem = build_problem("zdt1")
+        kwargs = dict(algorithm="pmo2", seed=0, island_population_size=8)
+        plain = solve(problem, termination=6, **kwargs)
+        straight = solve(problem, termination=6, cache_dir=str(tmp_path / "c1"), **kwargs)
+        checkpointed = dict(cache_dir=str(tmp_path / "c2"),
+                            checkpoint_dir=str(tmp_path / "k"), checkpoint_interval=2)
+        solve(problem, termination=4, **checkpointed, **kwargs)
+        assert DiskCache(tmp_path / "c2").gc(max_entries=0) > 0
+        resumed = solve(problem, termination=6, **checkpointed, **kwargs)
+
+        assert resumed.checkpoint.restored_generation == 4
+        assert resumed.front_objectives().tobytes() == plain.front_objectives().tobytes()
+        assert resumed.front_decisions().tobytes() == plain.front_decisions().tobytes()
+        # The lost rows were evaluated again instead of answered by the L1.
+        assert resumed.ledger.total_cache_hits < straight.ledger.total_cache_hits
+        assert resumed.ledger.total_evaluations > straight.ledger.total_evaluations

@@ -222,3 +222,25 @@ class TestJobStore:
         assert store.latest_checkpoint_generation(record.id) is None
         assert store.truncate_events(record.id) is None
         assert store.read_events(record.id) == []
+
+
+class TestServedCheckpoints:
+    def test_a_cached_job_checkpoints_keys_not_the_evaluation_cache(self, tmp_path):
+        """The served photosynthesis budget: population 40 x 20 generations."""
+        from repro.runtime import CheckpointManager, cachekeys
+        from repro.serve.runner import run_job
+
+        store = JobStore(tmp_path / "data")
+        record = store.create(_spec(problem="photosynthesis", algorithm="nsga2", seed=2011,
+                                    population=40, generations=20))
+        assert run_job(store.job_dir(record.id), cache_dir=str(tmp_path / "cache")) == 0
+        manager = CheckpointManager(store.checkpoints_dir(record.id))
+        last = manager.latest()
+        assert last.name == "checkpoint-00000020.pkl"
+        # 239.5 KB while the checkpoint pickled every (F row, G row) entry.
+        assert last.stat().st_size <= 48_000
+        engine, _ = manager.load(last)
+        cache = engine.evaluator._cache
+        # The restore refilled every distinct row the job evaluated.
+        assert len(cache) == engine.evaluator.ledger.total_cache_misses > 40 * 20
+        assert all(len(key) == cachekeys.STORE_KEY_SIZE for key in cache)
