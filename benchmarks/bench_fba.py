@@ -1,8 +1,7 @@
 """Benchmark the vectorized FBA stack against the naive references.
 
-Times the batched violation screens, the shared-assembly FVA and the
-knockout scans of :mod:`repro.fba` against the per-call reference
-implementations preserved in ``tests/oracles/fba.py`` (asserting
+Times the batched violation screens and the shared-assembly FVA of
+:mod:`repro.fba` against the per-call reference implementations preserved in ``tests/oracles/fba.py`` (asserting
 element-for-element agreement on the way), on the paper's 608-reaction
 Geobacter model.  Writes a machine-readable ``BENCH_fba.json`` so the perf
 trajectory accumulates data points across commits.
@@ -18,9 +17,9 @@ steady-state screen computes the rows of ``S`` with at most two nonzeros as
 gathered products and keeps a per-row matrix-vector product only for the
 aligned 4-row blocks holding the longer rows, bitwise identical to the
 reference (a stacked GEMM accumulates differently); see
-:mod:`repro.fba.batch`.  The LP-bound operations (FVA, knockouts) ride
-along with more modest speedups since the solver itself dominates their
-cost.
+:mod:`repro.fba.batch`.  FVA rides along with a more modest speedup, since
+the LP solver itself dominates its cost; only the bound screen has a
+speedup floor.
 """
 
 from __future__ import annotations
@@ -34,14 +33,12 @@ from _harness import add_output_argument, best_of, environment, write_report
 from repro.fba import (
     bound_violations,
     flux_variability_analysis,
-    single_deletions,
     steady_state_violations,
 )
 from tests.oracles.fba import (
     reference_bound_violation,
     reference_constraint_violation,
     reference_flux_variability_analysis,
-    reference_single_deletions,
 )
 from repro.geobacter.model_builder import (
     BIOMASS_ID,
@@ -96,9 +93,8 @@ def _bench_screens(model, sweep: dict) -> list[dict]:
     return records
 
 
-def _bench_lp_scans(model, sweep: dict) -> list[dict]:
+def _bench_fva(model, sweep: dict) -> list[dict]:
     targets = model.reaction_ids[: sweep["lp_targets"]]
-    records = []
     t_fast, fast_fva = best_of(
         lambda: flux_variability_analysis(model, reactions=targets, fraction_of_optimum=0.5),
         1,
@@ -110,27 +106,14 @@ def _bench_lp_scans(model, sweep: dict) -> list[dict]:
         1,
     )
     assert fast_fva == slow_fva, "FVA disagreement"
-    records.append(_record("fva", len(targets), t_fast, t_reference))
-
-    candidates = [r.identifier for r in model.reactions if not r.is_exchange][
-        : sweep["lp_targets"]
-    ]
-    t_fast, fast_ko = best_of(
-        lambda: single_deletions(model, reactions=candidates), 1
-    )
-    t_reference, slow_ko = best_of(
-        lambda: reference_single_deletions(model, reactions=candidates), 1
-    )
-    assert fast_ko == slow_ko, "knockout disagreement"
-    records.append(_record("knockouts", len(candidates), t_fast, t_reference))
-    return records
+    return [_record("fva", len(targets), t_fast, t_reference)]
 
 
 def run_sweep(sweep: dict) -> list[dict]:
     """Benchmark every operation of the sweep on the Geobacter model."""
     model = build_geobacter_model()
     model.set_objective(BIOMASS_ID)
-    records = _bench_screens(model, sweep) + _bench_lp_scans(model, sweep)
+    records = _bench_screens(model, sweep) + _bench_fva(model, sweep)
     for record in records:
         print(
             "%-18s n=%5d  fast %8.2f ms  reference %9.2f ms  (%.0fx)"

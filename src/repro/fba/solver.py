@@ -1,23 +1,44 @@
 """Flux balance analysis on top of :func:`scipy.optimize.linprog`.
 
-Provides the linear-programming operations that the COBRA toolbox supplies in
-the paper's workflow: plain FBA (maximize one reaction flux subject to
-``S v = 0`` and the bounds), parsimonious FBA (minimize total flux at the
-optimal objective) and a helper to maximize/minimize an arbitrary linear
-combination of fluxes.
+Provides the linear programs that the COBRA toolbox supplies in the paper's
+workflow: plain FBA (maximize one reaction flux subject to ``S v = 0`` and
+the bounds) and the optimum of an arbitrary linear combination of fluxes.
+
+Every LP shares the model's steady-state constraint matrix ``S v = 0``; only
+the objective vector (and, for FVA, one optimality row) changes between
+solves.  :class:`LPAssembly` captures the shared structure once:
+
+* the stoichiometric matrix in CSC sparse form (what HiGHS consumes
+  natively — :func:`scipy.optimize.linprog` converts dense inputs to sparse
+  internally, so the sparse hand-off changes nothing numerically while
+  skipping the dense detour);
+* the bound vectors at assembly time;
+* the reaction-identifier -> column-index map.
+
+:meth:`LPAssembly.solve` then runs one LP with a per-call objective.
+Solutions are bitwise identical to the per-call dense assembly of
+``tests/oracles/fba.py`` (asserted by ``tests/fba/test_fba_equivalence.py``),
+because the constraint system handed to HiGHS is value-for-value the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.exceptions import InfeasibleProblemError
 from repro.fba.model import StoichiometricModel
 
-__all__ = ["FBASolution", "flux_balance_analysis", "optimize_combination", "parsimonious_fba"]
+__all__ = [
+    "FBASolution",
+    "LPAssembly",
+    "assemble_lp",
+    "flux_balance_analysis",
+    "optimize_combination",
+]
 
 
 @dataclass
@@ -37,7 +58,6 @@ class FBASolution:
     objective_value: float
     fluxes: dict[str, float]
     status: str = "optimal"
-    info: dict = field(default_factory=dict)
 
     def flux_vector(self, model: StoichiometricModel) -> np.ndarray:
         """Fluxes as a vector in the model's reaction order."""
@@ -47,44 +67,110 @@ class FBASolution:
         return self.fluxes[reaction_id]
 
 
-def _solve(
-    model: StoichiometricModel,
-    objective_coefficients: np.ndarray,
-    maximize: bool,
-    extra_equalities: list[tuple[np.ndarray, float]] | None = None,
-) -> FBASolution:
-    """Solve one LP over the model's flux polytope."""
-    # Imported lazily: repro.fba.assembly needs FBASolution from this module.
-    from repro.fba.assembly import assemble_lp
+@dataclass
+class LPAssembly:
+    """One-time constraint assembly of a model's flux polytope.
 
-    if extra_equalities:
-        # Extra equality rows densify the system; assemble the augmented
-        # constraint block per call exactly as the pre-assembly solver did.
-        stoichiometric = model.stoichiometric_matrix()
-        lower, upper = model.bounds()
-        n = model.n_reactions
+    Attributes
+    ----------
+    name:
+        Name of the source model (used in error messages).
+    reaction_ids:
+        Reaction identifiers in column order.
+    matrix:
+        The stoichiometric matrix as a CSC sparse matrix.
+    lower, upper:
+        Flux bound vectors snapshotted at assembly time.
+    index:
+        Reaction identifier -> column index.
+    """
+
+    name: str
+    reaction_ids: tuple[str, ...]
+    matrix: sparse.csc_matrix
+    lower: np.ndarray
+    upper: np.ndarray
+    index: dict[str, int]
+
+    @property
+    def n_reactions(self) -> int:
+        """Number of reactions (LP variables)."""
+        return len(self.reaction_ids)
+
+    def reaction_index(self, identifier: str) -> int:
+        """Column index of a reaction in the assembled system."""
+        try:
+            return self.index[identifier]
+        except KeyError as exc:
+            raise KeyError("unknown reaction %s" % identifier) from exc
+
+    def objective_vector(self, weights: dict[str, float]) -> np.ndarray:
+        """Dense objective vector from an identifier -> weight mapping."""
+        coefficients = np.zeros(self.n_reactions)
+        for identifier, weight in weights.items():
+            coefficients[self.reaction_index(identifier)] = weight
+        return coefficients
+
+    def solve(
+        self,
+        objective_coefficients: np.ndarray,
+        maximize: bool,
+        a_ub: np.ndarray | None = None,
+        b_ub: np.ndarray | None = None,
+    ) -> FBASolution:
+        """One LP over the assembled polytope.
+
+        Parameters
+        ----------
+        objective_coefficients:
+            Dense objective vector (natural sign; negated internally when
+            maximizing).
+        maximize:
+            Maximize (``True``) or minimize the objective.
+        a_ub, b_ub:
+            Optional inequality block (FVA's optimality constraint).
+        """
         c = -objective_coefficients if maximize else objective_coefficients
-        rows = [row for row, _ in extra_equalities]
-        values = [value for _, value in extra_equalities]
-        a_eq = np.vstack([stoichiometric] + rows)
-        b_eq = np.concatenate([np.zeros(stoichiometric.shape[0]), values])
         result = linprog(
             c,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=list(zip(lower, upper)),
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=self.matrix,
+            b_eq=np.zeros(self.matrix.shape[0]),
+            bounds=list(zip(self.lower, self.upper)),
             method="highs",
         )
         if not result.success:
             raise InfeasibleProblemError(
-                "FBA infeasible for model %s: %s" % (model.name, result.message)
+                "FBA infeasible for model %s: %s" % (self.name, result.message)
             )
-        fluxes = dict(zip(model.reaction_ids, result.x))
-        objective_value = float(objective_coefficients @ result.x)
         return FBASolution(
-            objective_value=objective_value, fluxes=fluxes, info={"n_variables": n}
+            objective_value=float(objective_coefficients @ result.x),
+            fluxes=dict(zip(self.reaction_ids, result.x)),
         )
-    return assemble_lp(model).solve(objective_coefficients, maximize)
+
+
+def assemble_lp(model: StoichiometricModel) -> LPAssembly:
+    """Build the shared LP assembly of a model (one matrix construction).
+
+    A scan that solves many LPs over one polytope (FVA) assembles once and
+    re-solves with per-call objectives::
+
+        assembly = assemble_lp(model)
+        for identifier in ("EX_ac_e", "BIOMASS"):
+            objective = assembly.objective_vector({identifier: 1.0})
+            highest = assembly.solve(objective, maximize=True)
+    """
+    reaction_ids = tuple(model.reaction_ids)
+    lower, upper = model.bounds()
+    return LPAssembly(
+        name=model.name,
+        reaction_ids=reaction_ids,
+        matrix=sparse.csc_matrix(model.stoichiometric_matrix()),
+        lower=lower,
+        upper=upper,
+        index={identifier: column for column, identifier in enumerate(reaction_ids)},
+    )
 
 
 def flux_balance_analysis(
@@ -106,9 +192,7 @@ def flux_balance_analysis(
     target = objective or model.objective
     if target is None:
         raise InfeasibleProblemError("no objective reaction selected")
-    coefficients = np.zeros(model.n_reactions)
-    coefficients[model.reaction_index(target)] = 1.0
-    return _solve(model, coefficients, maximize)
+    return optimize_combination(model, {target: 1.0}, maximize)
 
 
 def optimize_combination(
@@ -121,57 +205,5 @@ def optimize_combination(
     Used to scalarize the electron-versus-biomass trade-off when constructing
     reference points for the Geobacter benchmark.
     """
-    coefficients = np.zeros(model.n_reactions)
-    for identifier, weight in weights.items():
-        coefficients[model.reaction_index(identifier)] = weight
-    return _solve(model, coefficients, maximize)
-
-
-def parsimonious_fba(
-    model: StoichiometricModel,
-    objective: str | None = None,
-) -> FBASolution:
-    """Parsimonious FBA: minimal total flux among the FBA-optimal solutions.
-
-    First solves plain FBA, then fixes the objective flux at its optimum and
-    minimizes the sum of absolute fluxes (via flux splitting into positive and
-    negative parts).
-    """
-    target = objective or model.objective
-    if target is None:
-        raise InfeasibleProblemError("no objective reaction selected")
-    first = flux_balance_analysis(model, target, maximize=True)
-
-    stoichiometric = model.stoichiometric_matrix()
-    lower, upper = model.bounds()
-    n = model.n_reactions
-    target_index = model.reaction_index(target)
-
-    # Variables: v (n) and t (n) with t >= |v| enforced by t >= v and t >= -v.
-    c = np.concatenate([np.zeros(n), np.ones(n)])
-    a_eq = np.hstack([stoichiometric, np.zeros_like(stoichiometric)])
-    b_eq = np.zeros(stoichiometric.shape[0])
-    fix_row = np.zeros(2 * n)
-    fix_row[target_index] = 1.0
-    a_eq = np.vstack([a_eq, fix_row])
-    b_eq = np.concatenate([b_eq, [first.objective_value]])
-
-    a_ub = np.vstack(
-        [
-            np.hstack([np.eye(n), -np.eye(n)]),
-            np.hstack([-np.eye(n), -np.eye(n)]),
-        ]
-    )
-    b_ub = np.zeros(2 * n)
-    bounds = list(zip(lower, upper)) + [(0.0, None)] * n
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not result.success:
-        raise InfeasibleProblemError(
-            "parsimonious FBA infeasible for %s: %s" % (model.name, result.message)
-        )
-    fluxes = dict(zip(model.reaction_ids, result.x[:n]))
-    return FBASolution(
-        objective_value=first.objective_value,
-        fluxes=fluxes,
-        info={"total_flux": float(np.sum(result.x[n:]))},
-    )
+    assembly = assemble_lp(model)
+    return assembly.solve(assembly.objective_vector(weights), maximize)

@@ -6,26 +6,21 @@ assessing how constrained each flux is, and is used by the Geobacter case
 study to derive realistic per-flux bounds for the multi-objective search
 space.
 
-The scan is batched: the constraint system is assembled **once**
-(:func:`repro.fba.assembly.assemble_lp`) and every per-reaction sub-problem
+The constraint system is assembled **once**
+(:func:`repro.fba.solver.assemble_lp`) and every per-reaction sub-problem
 reuses it, instead of rebuilding the stoichiometric matrix ``2 n`` times as
-the scalar loop preserved in ``tests/oracles/fba.py`` does.  The rows are
-embarrassingly parallel, so ``n_workers > 1`` fans them out through
-:func:`repro.runtime.parallel.parallel_map`; serial and parallel scans return
-identical ranges.
+the scalar loop preserved in ``tests/oracles/fba.py`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.exceptions import InfeasibleProblemError
-from repro.fba.assembly import LPAssembly, assemble_lp
 from repro.fba.model import StoichiometricModel
-from repro.runtime.parallel import parallel_map
+from repro.fba.solver import LPAssembly, assemble_lp
 
 __all__ = ["FluxRange", "flux_variability_analysis"]
 
@@ -55,9 +50,7 @@ def _range_of(
     b_ub: np.ndarray | None,
 ) -> FluxRange:
     """Min/max flux of one reaction over the assembled polytope (two LPs)."""
-    index = assembly.reaction_index(identifier)
-    c = np.zeros(assembly.n_reactions)
-    c[index] = 1.0
+    c = assembly.objective_vector({identifier: 1.0})
     extremes = []
     for maximize in (False, True):
         try:
@@ -79,7 +72,6 @@ def flux_variability_analysis(
     reactions: list[str] | None = None,
     objective: str | None = None,
     fraction_of_optimum: float = 1.0,
-    n_workers: int = 1,
 ) -> dict[str, FluxRange]:
     """Min/max flux of each reaction at a fraction of the FBA optimum.
 
@@ -96,9 +88,6 @@ def flux_variability_analysis(
     fraction_of_optimum:
         The objective flux is constrained to at least this fraction of its
         FBA optimum (1.0 = classical FVA).
-    n_workers:
-        Worker processes for the per-reaction sub-problems; serial when 1.
-        Both paths return identical ranges.
     """
     if not 0.0 <= fraction_of_optimum <= 1.0:
         raise InfeasibleProblemError("fraction_of_optimum must be in [0, 1]")
@@ -114,7 +103,7 @@ def flux_variability_analysis(
         a_ub = row.reshape(1, -1)
         b_ub = np.array([-fraction_of_optimum * optimum])
 
-    targets = list(reactions) if reactions is not None else model.reaction_ids
-    job = partial(_range_of, assembly=assembly, a_ub=a_ub, b_ub=b_ub)
-    ranges = parallel_map(job, targets, n_workers=n_workers)
-    return {flux_range.reaction_id: flux_range for flux_range in ranges}
+    targets = reactions if reactions is not None else model.reaction_ids
+    return {
+        identifier: _range_of(identifier, assembly, a_ub, b_ub) for identifier in targets
+    }

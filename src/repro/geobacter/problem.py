@@ -31,7 +31,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.fba.batch import VIOLATION_NORMS, steady_state_violations
 from repro.fba.model import StoichiometricModel
-from repro.fba.solver import optimize_combination
 from repro.moo.individual import Individual, Population
 from repro.problems.base import Problem
 from repro.problems.batch import BatchEvaluation
@@ -141,6 +140,10 @@ class GeobacterDesignProblem(Problem):
         (electron, biomass) pair, so together they trace the true trade-off
         curve of the flux polytope.
         """
+        # Imported here: the LP solver loads scipy, which an unseeded
+        # build and solve never needs.
+        from repro.fba.solver import optimize_combination
+
         if n_seeds < 2:
             raise ConfigurationError("need at least two seeds")
         max_growth = optimize_combination(

@@ -20,10 +20,7 @@ engine, problem and benchmark fast at once:
   result objects;
 * :mod:`repro.runtime.checkpoint` — atomic periodic serialization of
   optimizer state, so a killed run resumes from its latest checkpoint and
-  reaches the same final archive as an uninterrupted one;
-* :mod:`repro.runtime.parallel` — the order-preserving
-  :func:`~repro.runtime.parallel_map` primitive behind the ``n_workers``
-  knobs of the FBA scans and the kinetic ensemble simulator.
+  reaches the same final archive as an uninterrupted one.
 
 The public names below resolve on first access, so a serial solve never
 loads the disk cache (``sqlite3``) or the worker pools
@@ -44,7 +41,6 @@ _EXPORTS = {
     "build_evaluator": "repro.runtime.evaluator",
     "EvaluationLedger": "repro.runtime.ledger",
     "PhaseStats": "repro.runtime.ledger",
-    "parallel_map": "repro.runtime.parallel",
 }
 
 

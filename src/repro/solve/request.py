@@ -30,7 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solve.events import Observer
     from repro.solve.result import SolveResult
 
-__all__ = ["SolveRequest", "REQUEST_PARAMETERS"]
+__all__ = ["SolveRequest", "REQUEST_PARAMETERS", "MAX_POPULATION", "MAX_BUDGET_ROWS"]
+
+#: The largest population (per island for ``pmo2``) a request may ask for.
+MAX_POPULATION = 10_000
+
+#: The most rows a request may budget: population × (generations + 1),
+#: times the island count for ``pmo2``.
+MAX_BUDGET_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,8 @@ class SolveRequest:
 
         Checks the seed and the floats, then builds the solver, the problem
         (whose box must be finite), the solver configuration and the
-        termination, so every bad field is
+        termination, and caps the population at :data:`MAX_POPULATION` and
+        the row budget at :data:`MAX_BUDGET_ROWS`, so every bad field is
         a :class:`~repro.exceptions.ConfigurationError`: one ``error:`` line
         from the CLI, a 400 from the service.
         """
@@ -121,7 +129,20 @@ class SolveRequest:
         except UnknownSolverError as error:
             raise ConfigurationError(error.args[0]) from None
         check_finite_box(build_problem(self.problem))
-        solver.config_cls(**solver.population_overrides(self.population)).validate()
+        config = solver.config_cls(**solver.population_overrides(self.population))
+        config.validate()
+        population = getattr(config, "population_size", None) or config.island_population_size
+        if population > MAX_POPULATION:
+            raise ConfigurationError(
+                "population %d is above the limit of %d (MAX_POPULATION)"
+                % (population, MAX_POPULATION)
+            )
+        rows = population * (self.generations + 1) * getattr(config, "n_islands", 1)
+        if rows > MAX_BUDGET_ROWS:
+            raise ConfigurationError(
+                "row budget %d (population x (generations + 1) x islands) is above the"
+                " limit of %d (MAX_BUDGET_ROWS)" % (rows, MAX_BUDGET_ROWS)
+            )
         self.termination()
 
     def termination(self) -> Termination:

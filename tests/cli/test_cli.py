@@ -410,6 +410,15 @@ class TestSolve:
         assert err.startswith("error: seed must be non-negative")
         assert "Traceback" not in err
 
+    def test_budget_above_the_cap_is_a_clean_error(self, capsys):
+        # 2 islands x 100 x (50,000 + 1) rows is above MAX_BUDGET_ROWS.
+        args = ["solve", "zdt1", "--algorithm", "pmo2", "--population", "100",
+                "--generations", "50000"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row budget 10000200 ")
+        assert err.count("\n") == 1 and "MAX_BUDGET_ROWS" in err
+
     def test_checkpoint_dir_refuses_a_different_solve_run(self, tmp_path, capsys):
         base = ["solve", "zdt1", "--algorithm", "nsga2", "--population", "8",
                 "--generations", "4", "--checkpoint-dir", str(tmp_path),

@@ -78,7 +78,7 @@ REQUIRED_EXAMPLES = [
     "repro.core.registry.get_experiment",
     "repro.core.report.render_design_report",
     "repro.core.report.render_selections",
-    "repro.fba.assembly.assemble_lp",
+    "repro.fba.solver.assemble_lp",
     "repro.fba.batch.steady_state_violations",
     "repro.moo.kernels",
     "repro.obs",
@@ -96,7 +96,6 @@ REQUIRED_EXAMPLES = [
     "repro.runtime.checkpoint",
     "repro.runtime.evaluator.build_evaluator",
     "repro.runtime.ledger.EvaluationLedger.summary",
-    "repro.runtime.parallel.parallel_map",
     "repro.serve",
     "repro.serve.app.ServeThread",
     "repro.serve.client.ServeClient",

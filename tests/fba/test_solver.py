@@ -1,4 +1,4 @@
-"""Tests for FBA, pFBA and flux variability analysis."""
+"""Tests for FBA and flux variability analysis."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.fba import (
     flux_balance_analysis,
     flux_variability_analysis,
     optimize_combination,
-    parsimonious_fba,
 )
 
 
@@ -30,18 +29,6 @@ def branched_model():
             Reaction("S2Q", {"s_c": -2, "q_c": 1}),
             Reaction("EX_p", {"p_c": -1}),
             Reaction("EX_q", {"q_c": -1}),
-        ]
-    )
-    return model
-
-
-def cyclic_model():
-    """Model with an internal futile cycle to exercise parsimonious FBA."""
-    model = branched_model()
-    model.add_reactions(
-        [
-            Reaction("CYC_F", {"p_c": -1, "q_c": 1}, lower_bound=0.0, upper_bound=100.0),
-            Reaction("CYC_R", {"q_c": -1, "p_c": 1}, lower_bound=0.0, upper_bound=100.0),
         ]
     )
     return model
@@ -108,17 +95,6 @@ class TestWeightedCombination:
         # still wins: 5 Q x 3 = 15 > 10 P x 1.
         assert combo.objective_value == pytest.approx(15.0)
         assert combo["EX_q"] == pytest.approx(5.0)
-
-
-class TestParsimoniousFBA:
-    def test_same_objective_with_no_futile_cycle_flux(self):
-        model = cyclic_model()
-        plain = flux_balance_analysis(model, "EX_p")
-        sparse = parsimonious_fba(model, "EX_p")
-        assert sparse.objective_value == pytest.approx(plain.objective_value)
-        assert sparse["CYC_F"] == pytest.approx(0.0, abs=1e-6)
-        assert sparse["CYC_R"] == pytest.approx(0.0, abs=1e-6)
-        assert sparse.info["total_flux"] <= sum(abs(v) for v in plain.fluxes.values()) + 1e-6
 
 
 class TestFVA:

@@ -9,7 +9,7 @@ justifies optimizing on the fast model.
 import numpy as np
 import pytest
 
-from repro.photosynthesis.conditions import condition
+from repro.photosynthesis.conditions import PAPER_CONDITIONS, condition
 from repro.photosynthesis.enzymes import enzyme_index, natural_activities
 from repro.photosynthesis.steady_state import EnzymeLimitedModel
 from tests.oracles.ode.calvin import CalvinCycleModel
@@ -21,9 +21,30 @@ def models():
     return EnzymeLimitedModel(env), CalvinCycleModel(env)
 
 
+#: At high triose export and the past or present CO2 level the ODE model's
+#: natural leaf collapses: carboxylation relaxes to about 1e-11 mM/s and its
+#: uptake reads -1.0 (dark respiration), against 12.96 and 15.63 from the
+#: enzyme-limited model.
+_ODE_COLLAPSES = pytest.mark.xfail(
+    strict=True, reason="the ODE oracle's natural leaf collapses to uptake -1.0 here"
+)
+
+
 class TestModelAgreement:
-    def test_natural_leaf_same_order_of_magnitude(self, models):
-        fast, ode = models
+    @pytest.mark.parametrize(
+        "era, export",
+        [
+            pytest.param(
+                *key,
+                id="-".join(key),
+                marks=[_ODE_COLLAPSES] if key in {("past", "high"), ("present", "high")} else [],
+            )
+            for key in PAPER_CONDITIONS
+        ],
+    )
+    def test_natural_leaf_same_order_of_magnitude(self, era, export):
+        env = condition(era, export)
+        fast, ode = EnzymeLimitedModel(env), CalvinCycleModel(env)
         fast_uptake = fast.natural_uptake()
         ode_uptake = ode.co2_uptake()
         assert fast_uptake > 0.0 and ode_uptake > 0.0

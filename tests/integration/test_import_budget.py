@@ -1,8 +1,9 @@
 """Paths that never solve an LP or an ODE never import scipy.
 
-scipy is loaded only by the Geobacter FBA model (``linprog``) and the kinetic
-ODE oracle's simulator (``solve_ivp``); a served photosynthesis job, the
-service's fork server, the CLI and the Table 2 pipeline skip it.
+scipy is loaded only by the FBA linear programs (``linprog``: Geobacter's
+seeds and flux variability analysis) and the kinetic ODE oracle's simulator
+(``solve_ivp``); a served photosynthesis job, the service's fork server, the
+CLI, the Table 2 pipeline and an unseeded Geobacter solve skip it.
 Each probe runs in a fresh interpreter, because in this process other test
 modules have already imported scipy.  The positive controls show the deferred
 imports still resolve there.
@@ -127,17 +128,19 @@ def test_table2_pipeline_imports_without_scipy():
     assert _probe(script) == "False"
 
 
-def test_geobacter_evaluation_loads_its_lp_solver():
+def test_geobacter_seeds_and_fva_load_their_lp_solver():
     script = (
         "import sys\n"
-        "import numpy as np\n"
-        "from repro.problems import build_problem\n"
-        "problem = build_problem('geobacter')\n"
-        "x = problem.random_solution(np.random.default_rng(0))\n"
-        "batch = problem.evaluate_matrix(x[None, :])\n"
-        "print(bool(np.all(np.isfinite(batch.F))), 'scipy.optimize' in sys.modules)\n"
+        "from repro.geobacter import GeobacterDesignProblem\n"
+        "problem = GeobacterDesignProblem()\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        "seeds = problem.fba_seed_vectors(n_seeds=2)\n"
+        "from repro.fba import flux_variability_analysis\n"
+        "ranges = flux_variability_analysis(problem.model, reactions=['BIOMASS'],"
+        " fraction_of_optimum=0.0)\n"
+        "print(before, len(seeds), list(ranges), 'scipy.optimize' in sys.modules)\n"
     )
-    assert _probe(script) == "True True"
+    assert _probe(script) == "False 2 ['BIOMASS'] True"
 
 
 def test_kinetic_simulation_loads_its_ode_solver():
@@ -156,22 +159,25 @@ def test_kinetic_simulation_loads_its_ode_solver():
         pytest.param("zdt1", [], id="zdt1"),
         # problem.py imports front_yields for the robust variant.
         pytest.param("photosynthesis", ["repro.moo.robustness"], id="photosynthesis"),
+        # geobacter/analysis.py imports the front-mining helpers.
+        pytest.param("geobacter", ["repro.moo.mining"], id="geobacter"),
     ],
 )
 def test_zdt1_solve_setup_loads_no_cache_pool_or_analysis_module(problem, loaded):
-    """A serial solve needs neither the disk cache nor worker pools.
+    """A serial 2-generation solve needs neither the disk cache nor worker pools.
 
-    ``repro.moo`` and ``repro.runtime`` resolve their exports lazily, and
-    the process pool imports ``multiprocessing`` when it is built, so
-    setting up a solve loads only the engines and the serial evaluator.
-    Building the photosynthesis problem loads no kinetic ODE module either.
+    ``repro.moo``, ``repro.runtime`` and ``repro.fba`` resolve their exports
+    lazily, and the process pool imports ``multiprocessing`` when it is
+    built, so a solve loads only the engines and the serial evaluator.
+    Building the photosynthesis problem loads no kinetic ODE module either,
+    and an unseeded Geobacter solve no LP solver (scipy).
     """
     script = (
         "import sys\n"
         "from repro.problems import build_problem\n"
         "from repro.solve import solve\n"
-        "build_problem(%r)\n"
-        "print(sorted(m for m in ('sqlite3', 'multiprocessing', 'repro.moo.robustness',"
+        "solve(build_problem(%r), 'nsga2', population_size=8, seed=0, termination=2)\n"
+        "print(sorted(m for m in ('scipy', 'sqlite3', 'multiprocessing', 'repro.moo.robustness',"
         " 'repro.moo.mining', 'repro.moo.metrics', 'repro.runtime.diskcache',"
         " 'repro.runtime.parallel') if m in sys.modules),"
         " sorted(m for m in sys.modules if 'kinetics' in m or 'calvin' in m or 'ode' in m.split('.')))\n"
@@ -181,10 +187,10 @@ def test_zdt1_solve_setup_loads_no_cache_pool_or_analysis_module(problem, loaded
 
 def test_lazy_package_exports_still_resolve():
     script = (
-        "import repro.moo, repro.runtime\n"
+        "import repro.fba, repro.moo, repro.runtime\n"
         "from repro.moo import hypervolume, NSGA2, kernels, Problem\n"
-        "from repro.runtime import DiskCache, parallel_map, ProcessPoolEvaluator\n"
-        "missing = [n for p in (repro.moo, repro.runtime) for n in p.__all__"
+        "from repro.runtime import DiskCache, ProcessPoolEvaluator\n"
+        "missing = [n for p in (repro.fba, repro.moo, repro.runtime) for n in p.__all__"
         " if getattr(p, n, None) is None]\n"
         "print(missing, ProcessPoolEvaluator(n_workers=1).mp_context is not None)\n"
     )

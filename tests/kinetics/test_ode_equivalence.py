@@ -277,17 +277,6 @@ class TestEnsembleSimulation:
             assert np.array_equal(result.concentrations, single.concentrations)
             assert result.fluxes == single.fluxes
 
-    def test_pooled_ensemble_is_bitwise_identical_to_serial(self):
-        simulator = KineticSimulator(source_sink_network())
-        ensemble_scales = [{"drain": 0.6 + 0.2 * k} for k in range(5)]
-        serial = simulator.simulate_ensemble(4.0, ensemble_scales, n_points=15)
-        pooled = simulator.simulate_ensemble(
-            4.0, ensemble_scales, n_points=15, n_workers=2
-        )
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.concentrations, b.concentrations)
-            assert a.fluxes == b.fluxes
-
 
 if __name__ == "__main__":
     GOLDEN_FIXTURE.parent.mkdir(parents=True, exist_ok=True)

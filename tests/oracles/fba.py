@@ -1,9 +1,8 @@
 """Naive reference implementations of the scalar FBA stack.
 
 These are the original per-call routines that the batched FBA paths
-(:mod:`repro.fba.assembly`, :mod:`repro.fba.batch` and the reworked
-:mod:`repro.fba.solver` / :mod:`repro.fba.variability` /
-:mod:`repro.fba.knockout`) replace.  Each function rebuilds the dense
+(:mod:`repro.fba.batch`, :mod:`repro.fba.solver` and
+:mod:`repro.fba.variability`) replace.  Each function rebuilds the dense
 stoichiometric matrix and the bound vectors from scratch on every call —
 exactly as the pre-vectorization code did — and is kept verbatim in
 algorithm as the executable specification of the fast paths:
@@ -11,7 +10,8 @@ algorithm as the executable specification of the fast paths:
 * ``tests/fba/test_fba_equivalence.py`` asserts agreement between every
   batched operation and its reference on feasible, infeasible and
   degenerate models, and locks the reference outputs themselves against
-  pre-recorded golden fixtures under ``tests/fba/data/``;
+  pre-recorded golden fixtures under ``tests/fba/data/``, whose knockout
+  sections only the references below still compute;
 * ``benchmarks/bench_fba.py`` times the batched paths against these
   loops and records the speedup trajectory in ``BENCH_fba.json``.
 
@@ -22,13 +22,12 @@ verification and measurement only.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from repro.exceptions import InfeasibleProblemError, ModelConsistencyError
-from repro.fba.knockout import KnockoutOutcome
 from repro.fba.model import StoichiometricModel
 from repro.fba.solver import FBASolution
 from repro.fba.variability import FluxRange
@@ -45,30 +44,28 @@ __all__ = [
 ]
 
 
+class KnockoutOutcome(NamedTuple):
+    """Phenotype of one knockout mutant (growth 0.0 and no production when lethal)."""
+
+    reactions: tuple[str, ...]
+    growth: float
+    production: float | None
+    lethal: bool
+
+
 def reference_solve(
     model: StoichiometricModel,
     objective_coefficients: np.ndarray,
     maximize: bool,
-    extra_equalities: list[tuple[np.ndarray, float]] | None = None,
 ) -> FBASolution:
     """One LP over the flux polytope, assembling dense constraints per call."""
     stoichiometric = model.stoichiometric_matrix()
     lower, upper = model.bounds()
-    n = model.n_reactions
     c = -objective_coefficients if maximize else objective_coefficients
-
-    a_eq = stoichiometric
-    b_eq = np.zeros(stoichiometric.shape[0])
-    if extra_equalities:
-        rows = [row for row, _ in extra_equalities]
-        values = [value for _, value in extra_equalities]
-        a_eq = np.vstack([a_eq] + rows)
-        b_eq = np.concatenate([b_eq, values])
-
     result = linprog(
         c,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_eq=stoichiometric,
+        b_eq=np.zeros(stoichiometric.shape[0]),
         bounds=list(zip(lower, upper)),
         method="highs",
     )
@@ -78,7 +75,7 @@ def reference_solve(
         )
     fluxes = dict(zip(model.reaction_ids, result.x))
     objective_value = float(objective_coefficients @ result.x)
-    return FBASolution(objective_value=objective_value, fluxes=fluxes, info={"n_variables": n})
+    return FBASolution(objective_value=objective_value, fluxes=fluxes)
 
 
 def reference_flux_balance_analysis(

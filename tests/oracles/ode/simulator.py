@@ -10,29 +10,14 @@ it, so building a network or evaluating its right-hand side never loads scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConvergenceError, EvaluationError
 from tests.oracles.ode.network import KineticNetwork
-from repro.runtime.parallel import parallel_map
 
 __all__ = ["SimulationResult", "KineticSimulator"]
-
-
-def _simulate_member(
-    member: tuple[Mapping[str, float] | None, np.ndarray | None],
-    simulator: "KineticSimulator",
-    t_end: float,
-    n_points: int,
-) -> "SimulationResult":
-    """One ensemble member's trajectory (module level so pools can pickle it)."""
-    enzyme_scales, initial_state = member
-    return simulator.simulate(
-        t_end, enzyme_scales=enzyme_scales, initial_state=initial_state, n_points=n_points
-    )
 
 
 @dataclass
@@ -142,16 +127,13 @@ class KineticSimulator:
         enzyme_scales: Sequence[Mapping[str, float] | None],
         initial_states: np.ndarray | None = None,
         n_points: int = 200,
-        n_workers: int = 1,
     ) -> list[SimulationResult]:
         """Integrate one trajectory per enzyme-scale mapping of a population.
 
         Members integrate independently (coupling a population into one
         stacked ODE system would let the adaptive step-size controller of one
         member perturb every other member's trajectory), so each result is
-        bitwise identical to the corresponding :meth:`simulate` call; the
-        members are embarrassingly parallel and fan out through
-        :func:`repro.runtime.parallel.parallel_map` when ``n_workers > 1``.
+        bitwise identical to the corresponding :meth:`simulate` call.
 
         Parameters
         ----------
@@ -164,29 +146,24 @@ class KineticSimulator:
             network's initial state when omitted.
         n_points:
             Stored time points per trajectory.
-        n_workers:
-            Worker processes; serial when 1.  Both paths return identical
-            trajectories.
 
         Sweep enzyme scalings across a population::
 
             scales = [{"rubisco": s} for s in (0.5, 1.0, 1.5)]
-            results = simulator.simulate_ensemble(60.0, scales, n_workers=2)
+            results = simulator.simulate_ensemble(60.0, scales)
         """
-        members: list[tuple[Mapping[str, float] | None, np.ndarray | None]]
         if initial_states is None:
-            members = [(scales, None) for scales in enzyme_scales]
+            initial_states = [None] * len(enzyme_scales)
         else:
             initial_states = np.asarray(initial_states, dtype=float)
             if initial_states.ndim != 2 or initial_states.shape[0] != len(enzyme_scales):
                 raise EvaluationError(
                     "initial_states must be (P, n_dyn) with one row per member"
                 )
-            members = [
-                (scales, state) for scales, state in zip(enzyme_scales, initial_states)
-            ]
-        job = partial(_simulate_member, simulator=self, t_end=t_end, n_points=n_points)
-        return parallel_map(job, members, n_workers=n_workers)
+        return [
+            self.simulate(t_end, enzyme_scales=scales, initial_state=state, n_points=n_points)
+            for scales, state in zip(enzyme_scales, initial_states)
+        ]
 
     def simulate_to_steady_state(
         self,

@@ -15,7 +15,6 @@ from repro.runtime import (
     ProcessPoolEvaluator,
     SerialEvaluator,
     build_evaluator,
-    parallel_map,
 )
 from tests.oracles.budget import BudgetCounting
 
@@ -39,10 +38,6 @@ class WorkerHostileProblem(Problem):
 def _matrix(problem, n, seed=0):
     rng = np.random.default_rng(seed)
     return np.vstack([problem.random_solution(rng) for _ in range(n)])
-
-
-def _square(x):
-    return float(np.sum(np.asarray(x) ** 2))
 
 
 class TestMatrixApi:
@@ -311,19 +306,6 @@ class TestLegacyEvaluatorSubclass:
 
         with pytest.raises(TypeError, match="Hookless"):
             Hookless()
-
-
-class TestParallelMap:
-    def test_matches_serial_map(self):
-        items = [np.array([float(i), float(i + 1)]) for i in range(10)]
-        serial = [_square(item) for item in items]
-        assert parallel_map(_square, items, n_workers=2) == serial
-
-    def test_unpicklable_function_falls_back(self):
-        items = list(range(5))
-        offset = 3.0
-        values = parallel_map(lambda v: v + offset, items, n_workers=2)
-        assert values == [v + offset for v in items]
 
 
 class TestLedger:

@@ -135,6 +135,20 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert "non-finite bounds on x" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "spec, limit",
+        [
+            ({"population": 10_002}, "MAX_POPULATION"),
+            ({"algorithm": "pmo2", "population": 100, "generations": 50_000}, "MAX_BUDGET_ROWS"),
+        ],
+        ids=["population", "row-budget"],
+    )
+    def test_budget_above_the_cap_is_400(self, service, spec, limit):
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(problem="zdt1", **spec)
+        assert excinfo.value.status == 400
+        assert limit in str(excinfo.value)
+
     def test_string_boolean_is_stored_as_boolean(self, service):
         record = service.submit(problem="zdt1", telemetry="false")
         assert record["spec"]["telemetry"] is False

@@ -19,7 +19,7 @@ from repro.exceptions import ConfigurationError
 from repro.serve.runner import run_job
 from repro.serve.store import JobStore
 from repro.solve import SolveRequest
-from repro.solve.request import REQUEST_PARAMETERS
+from repro.solve.request import MAX_BUDGET_ROWS, MAX_POPULATION, REQUEST_PARAMETERS
 
 _FIELDS = [parameter.name for parameter in REQUEST_PARAMETERS]
 
@@ -123,6 +123,55 @@ class TestValidate:
             "(MaxGenerations(100) | MaxEvaluations(64) | WallClock(30.000)"
             " | HypervolumeStagnation(patience=4, tolerance=1e-06))"
         )
+
+
+class TestBudgetCap:
+    """Both limits admit their own value and refuse one step past it."""
+
+    #: Islands per pmo2 run: the island count multiplies the row budget.
+    ISLANDS = {"nsga2": 1, "moead": 1, "pmo2": 2}
+
+    @staticmethod
+    def _request(algorithm, **fields):
+        return SolveRequest(problem="zdt1", algorithm=algorithm, **fields)
+
+    @pytest.mark.parametrize("algorithm", sorted(ISLANDS))
+    def test_population_at_the_limit_is_admitted(self, algorithm):
+        self._request(algorithm, population=MAX_POPULATION, generations=1).validate()
+
+    @pytest.mark.parametrize("algorithm", sorted(ISLANDS))
+    def test_population_above_the_limit_is_refused(self, algorithm):
+        request = self._request(algorithm, population=MAX_POPULATION + 2, generations=1)
+        with pytest.raises(ConfigurationError, match="population 10002 is above .*MAX_POPULATION"):
+            request.validate()
+
+    @pytest.mark.parametrize("algorithm", sorted(ISLANDS))
+    def test_row_budget_at_the_limit_is_admitted(self, algorithm):
+        generations = MAX_BUDGET_ROWS // (1000 * self.ISLANDS[algorithm]) - 1
+        self._request(algorithm, population=1000, generations=generations).validate()
+
+    @pytest.mark.parametrize("algorithm", sorted(ISLANDS))
+    def test_row_budget_one_generation_over_is_refused(self, algorithm):
+        generations = MAX_BUDGET_ROWS // (1000 * self.ISLANDS[algorithm])
+        request = self._request(algorithm, population=1000, generations=generations)
+        rows = 1000 * (generations + 1) * self.ISLANDS[algorithm]
+        with pytest.raises(ConfigurationError, match="row budget %d .*MAX_BUDGET_ROWS" % rows):
+            request.validate()
+
+    def test_islands_multiply_the_row_budget(self):
+        fields = {"population": 1000, "generations": MAX_BUDGET_ROWS // 2000}
+        self._request("nsga2", **fields).validate()
+        with pytest.raises(ConfigurationError, match="MAX_BUDGET_ROWS"):
+            self._request("pmo2", **fields).validate()
+
+    @pytest.mark.parametrize("algorithm", sorted(ISLANDS))
+    def test_every_default_request_is_admitted(self, algorithm):
+        self._request(algorithm).validate()
+
+    def test_the_serve_cache_job_is_admitted(self):
+        SolveRequest(
+            problem="photosynthesis", algorithm="nsga2", population=40, generations=20
+        ).validate()
 
 
 class TestStoredSpec:
