@@ -39,6 +39,7 @@ Record a toy run and load its front back::
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -329,12 +330,15 @@ class RunManifest:
         )
 
 
+@functools.cache
 def _git_revision() -> str | None:
     """Git revision of the *repro package's* checkout, or ``None``.
 
     Pinned to the package directory, not the caller's working directory: the
     manifest records the provenance of the code that ran, and a pip-installed
     package (site-packages is not a git repo) correctly records ``None``.
+    Memoized, since one process runs one code revision: ``git rev-parse``
+    runs once per process, and forked runners inherit the answer.
     """
     try:
         completed = subprocess.run(

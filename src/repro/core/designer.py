@@ -234,19 +234,14 @@ class RobustPathwayDesigner:
         """Matrix property function of the problem objective ``objective``.
 
         Maps an ``(n, n_var)`` decision matrix to the objective's natural
-        (reported) values through the designer's evaluator, which counts the
-        rows in its ledger and fans them out over its workers.
+        (reported) values through the designer's evaluator, which computes
+        that one objective, counts the rows in its ledger and fans them out
+        over its workers.  An unknown name fails here, before any trial.
         """
-        names = list(self.problem.objective_names)
-        if objective not in names:
-            raise ConfigurationError(
-                "unknown property objective %r; expected one of %s" % (objective, names)
-            )
-        column = names.index(objective)
+        self.problem.objective_index(objective)
 
         def values(X: np.ndarray) -> np.ndarray:
-            batch = self.evaluator.evaluate_matrix(self.problem, X)
-            return self.problem.reported_objectives(batch.F)[:, column]
+            return self.evaluator.evaluate_objective(self.problem, objective, X)
 
         return values
 

@@ -76,11 +76,6 @@ class Reaction:
         """Metabolites produced by the forward direction."""
         return [m for m, c in self.stoichiometry.items() if c > 0]
 
-    def knock_out(self) -> None:
-        """Set both bounds to zero (gene deletion in the OptKnock sense)."""
-        self.lower_bound = 0.0
-        self.upper_bound = 0.0
-
     def copy(self) -> "Reaction":
         """Deep copy of the reaction."""
         return Reaction(

@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass
 class FBASolution:
-    """Result of a flux balance analysis.
+    """Result of a flux balance analysis (an LP that fails raises instead).
 
     Attributes
     ----------
@@ -51,13 +51,10 @@ class FBASolution:
         Optimal value of the objective flux (or linear combination).
     fluxes:
         Mapping reaction identifier -> optimal flux.
-    status:
-        Solver status string (``"optimal"`` on success).
     """
 
     objective_value: float
     fluxes: dict[str, float]
-    status: str = "optimal"
 
     def flux_vector(self, model: StoichiometricModel) -> np.ndarray:
         """Fluxes as a vector in the model's reaction order."""

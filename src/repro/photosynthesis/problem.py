@@ -91,6 +91,12 @@ class PhotosynthesisProblem(Problem):
         """
         return self.model.co2_uptake_batch(self.validate_matrix(X))
 
+    def objective_matrix(self, name: str, X: np.ndarray) -> np.ndarray:
+        """Reported objective ``name`` of every row; ``co2_uptake`` skips the nitrogen."""
+        if name == "co2_uptake":
+            return self.uptake_matrix(X)
+        return super().objective_matrix(name, X)
+
     def nitrogen(self, activities: np.ndarray) -> float:
         """Total protein nitrogen of an activity vector (mg l⁻¹)."""
         return total_nitrogen(self.validate(activities))

@@ -229,17 +229,16 @@ class EnzymeLimitedModel:
             )
         return np.clip(arr, 0.0, None)
 
-    def breakdown_batch(self, activities: np.ndarray) -> dict[str, np.ndarray]:
-        """Capacity breakdown of an ``(n, 23)`` activity matrix, columnwise.
+    def co2_uptake_batch(self, activities: np.ndarray) -> np.ndarray:
+        """Net CO2 uptake of every row of an ``(n, 23)`` activity matrix.
 
-        Returns the fields of :class:`UptakeBreakdown` as ``(n,)`` columns
-        (``limiting_process`` as an object array of names).  Every column
-        entry is bitwise identical to the scalar :meth:`breakdown` of the
-        matching row: the arithmetic is elementwise in the same operation
+        Every entry is bitwise identical to the scalar :meth:`co2_uptake` of
+        the matching row: the arithmetic is elementwise in the same operation
         order, the group capacities use exact ``min`` reductions, and the
-        limiting process comes from ``argmin`` over the candidate columns in
+        carboxylation rate comes from ``argmin`` over the candidate columns in
         the same rubisco / regeneration / electron-transport / triose-use
         order the scalar dictionary enumerates (first minimum wins in both).
+        Only the net uptake is computed, none of the other breakdown fields.
         """
         X = self._validate_batch(activities)
         cond = self.condition
@@ -264,7 +263,6 @@ class EnzymeLimitedModel:
         wp = 3.0 * (export_flux + starch_flux + sucrose_flux)
 
         wp_gross = wp / max(cond.net_fraction, 1e-9)
-        names = ("rubisco", "regeneration", "electron_transport", "triose_phosphate_use")
         candidates = np.column_stack(
             [wc, wr, np.full(X.shape[0], wj), wp_gross]
         )
@@ -275,30 +273,11 @@ class EnzymeLimitedModel:
         pr_capacity = np.min(X[:, _PHOTORESPIRATION] / _DEMANDS[_PHOTORESPIRATION], axis=1)
         shortfall = np.maximum(0.0, oxygenation - pr_capacity)
 
-        net = (
+        return (
             vc * cond.net_fraction
             - cond.dark_respiration
             - self.photorespiration_penalty * shortfall
         )
-        return {
-            "net_uptake": net,
-            "gross_carboxylation": vc,
-            "oxygenation": oxygenation,
-            "rubisco_capacity": wc,
-            "regeneration_capacity": wr,
-            "electron_transport_capacity": np.full(X.shape[0], wj),
-            "triose_use_capacity": wp,
-            "photorespiration_capacity": pr_capacity,
-            "photorespiration_shortfall": shortfall,
-            "export_flux": np.full(X.shape[0], export_flux),
-            "starch_flux": starch_flux,
-            "sucrose_flux": sucrose_flux,
-            "limiting_process": np.array([names[w] for w in winner], dtype=object),
-        }
-
-    def co2_uptake_batch(self, activities: np.ndarray) -> np.ndarray:
-        """Net CO2 uptake of every row of an ``(n, 23)`` activity matrix."""
-        return self.breakdown_batch(activities)["net_uptake"]
 
     def co2_uptake(self, activities: np.ndarray) -> float:
         """Net CO2 uptake (µmol m⁻² s⁻¹) of one enzyme-activity vector."""

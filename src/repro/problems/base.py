@@ -196,6 +196,24 @@ class Problem:
         """The subclass hook: evaluate a validated, non-empty ``(n, n_var)`` matrix."""
         raise NotImplementedError
 
+    def objective_index(self, name: str) -> int:
+        """Column of the objective called ``name``; ConfigurationError if there is none."""
+        if name not in self.objective_names:
+            raise ConfigurationError(
+                "unknown objective %r; expected one of %s" % (name, self.objective_names)
+            )
+        return self.objective_names.index(name)
+
+    def objective_matrix(self, name: str, X: np.ndarray) -> np.ndarray:
+        """Reported (natural-sign) value of objective ``name`` for every row of ``X``.
+
+        The default keeps one column of :meth:`evaluate_matrix`.  An override
+        may compute the one objective alone, but must return that column
+        bitwise: callers use either path interchangeably.
+        """
+        column = self.objective_index(name)
+        return self.reported_objectives(self.evaluate_matrix(X).F)[:, column]
+
     # ------------------------------------------------------------------
     # Helpers shared by all problems
     # ------------------------------------------------------------------

@@ -239,10 +239,24 @@ class DiskCache:
         return f, g
 
     @staticmethod
-    def _decode(f: bytes, g: bytes):
-        objectives = np.array(np.frombuffer(f, dtype=float))
-        violations = np.array(np.frombuffer(g, dtype=float))
-        return objectives, violations
+    def _decode_rows(rows: list) -> dict:
+        """Decode fetched ``(key, f, g)`` rows into writable float64 entries keyed by ``key``.
+
+        Rows sharing their widths (all rows of one problem do) decode with
+        one ``frombuffer`` per column over one joined copy, each entry a row
+        view of it; mixed widths decode row by row.
+        """
+        widths = {(len(f), len(g)) for _, f, g in rows}
+        if len(widths) != 1:
+            return {
+                bytes(key): (np.frombuffer(bytearray(f)), np.frombuffer(bytearray(g)))
+                for key, f, g in rows
+            }
+        ((f_size, g_size),) = widths
+        n = len(rows)
+        F = np.frombuffer(bytearray().join(f for _, f, _ in rows)).reshape(n, f_size // 8)
+        G = np.frombuffer(bytearray().join(g for _, _, g in rows)).reshape(n, g_size // 8)
+        return {bytes(key): (F[i], G[i]) for i, (key, _, _) in enumerate(rows)}
 
     # ------------------------------------------------------------------
     # Batched lookups
@@ -263,12 +277,11 @@ class DiskCache:
             for start in range(0, len(distinct), _CHUNK):
                 chunk = distinct[start : start + _CHUNK]
                 marks = ",".join("?" * len(chunk))
-                cursor = conn.execute(
+                rows = conn.execute(
                     "SELECT key, f, g FROM entries WHERE key IN (%s)" % marks,
                     chunk,
-                )
-                for key, f, g in cursor:
-                    found[bytes(key)] = self._decode(f, g)
+                ).fetchall()
+                found.update(self._decode_rows(rows))
             return found
 
         return self._run(operation, found)

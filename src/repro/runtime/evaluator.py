@@ -29,6 +29,7 @@ and lazily rebuilt — which lets checkpointed optimizers carry their evaluator
 from __future__ import annotations
 
 import abc
+import functools
 import os
 import pickle
 from typing import TYPE_CHECKING
@@ -76,6 +77,15 @@ class Evaluator(abc.ABC):
     def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
         """Evaluate an ``(n, n_var)`` decision matrix, preserving row order."""
 
+    def evaluate_objective(self, problem: "Problem", name: str, X: np.ndarray) -> np.ndarray:
+        """Reported objective ``name`` of every row: :meth:`Problem.objective_matrix`, bitwise.
+
+        This default keeps one column of :meth:`evaluate_matrix`, so caches
+        answer it from, and count it in, their full-row entries.
+        """
+        column = problem.objective_index(name)
+        return problem.reported_objectives(self.evaluate_matrix(problem, X).F)[:, column]
+
     def close(self) -> None:
         """Release any held resources (worker pools); idempotent."""
 
@@ -86,16 +96,25 @@ class Evaluator(abc.ABC):
         self.close()
 
 
+def _in_process(ledger: EvaluationLedger, label: str, evaluate):
+    """Run ``evaluate()`` in one ``evaluator.batch`` span and count its rows."""
+    with get_tracer().span("evaluator.batch", evaluator=label) as span:
+        result = evaluate()
+        span.set(rows=len(result))
+    ledger.record(evaluations=len(result), batches=1)
+    return result
+
+
 class SerialEvaluator(Evaluator):
     """In-process evaluation through :meth:`Problem.evaluate_matrix`."""
 
     def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
         """Evaluate the matrix in-process and record the ledger counters."""
-        with get_tracer().span("evaluator.batch", evaluator="serial") as span:
-            batch = problem.evaluate_matrix(X)
-            span.set(rows=len(batch))
-        self.ledger.record(evaluations=len(batch), batches=1)
-        return batch
+        return _in_process(self.ledger, "serial", lambda: problem.evaluate_matrix(X))
+
+    def evaluate_objective(self, problem: "Problem", name: str, X: np.ndarray) -> np.ndarray:
+        """Compute the one objective in-process through :meth:`Problem.objective_matrix`."""
+        return _in_process(self.ledger, "serial", lambda: problem.objective_matrix(name, X))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +137,10 @@ def _pool_warmup(_: int) -> int:
     return os.getpid()
 
 
-def _pool_evaluate_chunk(chunk: np.ndarray) -> "BatchEvaluation":
+def _pool_apply(method: str, args: tuple, chunk: np.ndarray):
+    # ``evaluate_matrix`` (no args) or ``objective_matrix`` (the name first).
     assert _WORKER_PROBLEM is not None
-    return _WORKER_PROBLEM.evaluate_matrix(chunk)
+    return getattr(_WORKER_PROBLEM, method)(*args, chunk)
 
 
 class ProcessPoolEvaluator(Evaluator):
@@ -230,22 +250,17 @@ class ProcessPoolEvaluator(Evaluator):
         bounds = np.linspace(0, X.shape[0], n_chunks + 1).astype(int)
         return [X[bounds[i] : bounds[i + 1]] for i in range(n_chunks)]
 
-    def _serial(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
-        with get_tracer().span("evaluator.batch", evaluator="pool-serial-fallback") as span:
-            batch = problem.evaluate_matrix(X)
-            span.set(rows=len(batch))
-        self.ledger.record(evaluations=len(batch), batches=1)
-        return batch
+    def _fan_out(self, problem: "Problem", X: np.ndarray, method: str, args: tuple, concat):
+        """Map ``problem.<method>(*args, chunk)`` over row-chunks and ``concat`` them in order.
 
-    def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
-        """Fan the matrix out over the worker pool (serial fallback included)."""
-        from repro.problems.batch import BatchEvaluation
-
+        One row, one worker, an unpoolable problem or a failing pool run it in-process.
+        """
         X = problem.validate_matrix(X)
+        evaluate = functools.partial(getattr(problem, method), *args, X)
         if X.shape[0] == 0:
-            return BatchEvaluation.empty(problem.n_obj, problem.n_con)
+            return evaluate()
         if self.n_workers <= 1 or X.shape[0] == 1 or not self._ensure_pool(problem):
-            return self._serial(problem, X)
+            return _in_process(self.ledger, "pool-serial-fallback", evaluate)
         chunks = self._chunks(X)
         with get_tracer().span(
             "evaluator.batch",
@@ -254,7 +269,7 @@ class ProcessPoolEvaluator(Evaluator):
             chunks=len(chunks),
         ) as span:
             try:
-                chunk_batches = self._pool.map(_pool_evaluate_chunk, chunks)
+                parts = self._pool.map(functools.partial(_pool_apply, method, args), chunks)
             except Exception:
                 # A worker raised or the pool broke: tear it down and degrade
                 # to the in-process path, which reproduces any genuine
@@ -262,11 +277,22 @@ class ProcessPoolEvaluator(Evaluator):
                 span.set(fallback=True)
                 self.fallbacks += 1
                 self.close()
-                return self._serial(problem, X)
-            batch = BatchEvaluation.concat(chunk_batches)
-            span.set(rows=len(batch))
-        self.ledger.record(evaluations=len(batch), batches=1)
-        return batch
+                return _in_process(self.ledger, "pool-serial-fallback", evaluate)
+            result = concat(parts)
+            span.set(rows=len(result))
+        self.ledger.record(evaluations=len(result), batches=1)
+        return result
+
+    def evaluate_matrix(self, problem: "Problem", X: np.ndarray) -> "BatchEvaluation":
+        """Fan the matrix out over the worker pool (serial fallback included)."""
+        from repro.problems.batch import BatchEvaluation
+
+        return self._fan_out(problem, X, "evaluate_matrix", (), BatchEvaluation.concat)
+
+    def evaluate_objective(self, problem: "Problem", name: str, X: np.ndarray) -> np.ndarray:
+        """Fan the one-objective evaluation out over the same chunks."""
+        problem.objective_index(name)  # an unknown name fails here, not in every worker
+        return self._fan_out(problem, X, "objective_matrix", (name,), np.concatenate)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -205,16 +205,19 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
 
 
 def _preload() -> None:
-    """Import :data:`_PRELOAD` and take the variation operators' ``float_power`` verdict.
+    """Import :data:`_PRELOAD`, take the ``float_power`` verdict and the git revision.
 
     The fork server runs this once before its first fork, so every runner
-    inherits both instead of importing and probing again per job.
+    inherits all three instead of importing, probing and running
+    ``git rev-parse`` again per job.
     """
     for name in _PRELOAD:
         importlib.import_module(name)
+    from repro.core.artifacts import _git_revision
     from repro.moo.operators import float_power_guard
 
     float_power_guard()
+    _git_revision()
 
 
 def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:

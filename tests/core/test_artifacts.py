@@ -228,3 +228,59 @@ class TestDesignSpaceInManifests:
         run_dir = record_run(experiment, result, {"seed": 0}, base_dir=tmp_path)
         assert load_manifest(run_dir).design_space is None
         assert "design_space" not in load_json(run_dir / "manifest.json")
+
+
+class TestGitRevision:
+    @pytest.fixture
+    def git_calls(self, monkeypatch):
+        """Count ``subprocess.run`` calls, with the revision memo empty before and after."""
+        import subprocess
+
+        from repro.core import artifacts
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(artifacts.subprocess, "run", counting_run)
+        artifacts._git_revision.cache_clear()
+        yield calls
+        artifacts._git_revision.cache_clear()
+
+    def _record_twice(self, tmp_path):
+        from repro.core.artifacts import record_solve_run
+        from repro.problems import build_problem
+        from repro.solve import solve
+
+        problem = build_problem("zdt1")
+        result = solve(problem, algorithm="nsga2", termination=2, seed=0)
+        revisions = []
+        for seed in (0, 1):
+            run_dir = create_run_dir(tmp_path, "solve-zdt1", seed)
+            record_solve_run(run_dir, problem, result, {"seed": seed})
+            revisions.append(load_manifest(run_dir).git_revision)
+        return revisions
+
+    def test_two_recorded_runs_run_git_once(self, tmp_path, git_calls):
+        first, second = self._record_twice(tmp_path)
+        assert len(git_calls) == 1
+        assert first == second
+        assert first is None or (len(first) == 40 and int(first, 16) >= 0)
+
+    def test_outside_a_checkout_the_manifest_records_none(
+        self, tmp_path, git_calls, monkeypatch
+    ):
+        import subprocess
+
+        from repro.core import artifacts
+
+        def not_a_checkout(*args, **kwargs):
+            git_calls.append(args)
+            return subprocess.CompletedProcess(args, 128, stdout="", stderr="fatal")
+
+        monkeypatch.setattr(artifacts.subprocess, "run", not_a_checkout)
+        assert self._record_twice(tmp_path) == [None, None]
+        assert len(git_calls) == 1

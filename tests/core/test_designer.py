@@ -87,3 +87,33 @@ class TestPipelineOnPhotosynthesis:
             if s.criterion != "max_yield" and s.yield_percentage is not None
         ]
         assert max_yield >= max(others) - 1e-9
+
+
+class TestTrialsComputeOnlyTheProperty:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_uptake_trials_compute_no_nitrogen(self, n_workers, monkeypatch):
+        from repro.photosynthesis import problem as module
+
+        designer = RobustPathwayDesigner(
+            PhotosynthesisProblem(), small_config(), seed=0, n_workers=n_workers
+        )
+        with designer:
+            result = designer.optimize(generations=2)
+            selections = designer.mine(result)
+
+            def no_nitrogen(X):
+                raise AssertionError("a robustness trial computed nitrogen")
+
+            monkeypatch.setattr(module, "total_nitrogen_batch", no_nitrogen)
+            # Pool workers fork again on the next batch, so they see the patch.
+            designer.evaluator.close()
+            settings = RobustnessSettings(global_trials=10, seed=0)
+            updated, surface = designer.assess_robustness(
+                result, selections, "co2_uptake", settings=settings, surface_points=2
+            )
+            if n_workers > 1:
+                assert designer.evaluator.fallbacks == 0
+        assert all(design.yield_percentage is not None for design in updated)
+        assert len(surface) == 2
+        trial_rows = (len(selections) + 2) * (settings.global_trials + 1)
+        assert designer.ledger.total_evaluations == result.evaluations + trial_rows

@@ -40,6 +40,7 @@ from repro.fba import (
 from repro.fba.batch import ResidualPlan
 from repro.geobacter.problem import GeobacterDesignProblem
 from tests.oracles.fba import (
+    knock_out,
     reference_bound_violation,
     reference_constraint_violation,
     reference_double_deletions,
@@ -236,10 +237,11 @@ class TestGoldenFixture:
     )
     def test_knockout_recipe_reproduces_golden_mutants(self, recorded):
         # The recipe docs/problems.md gives for the removed scans: copy the
-        # model, knock the reactions out, solve with the fast FBA.
+        # model, knock the reactions out (the oracle's helper), solve with
+        # the fast FBA.
         mutant = growth_model().copy()
         for identifier in recorded["reactions"]:
-            mutant.get_reaction(identifier).knock_out()
+            knock_out(mutant.get_reaction(identifier))
         solution = flux_balance_analysis(mutant)
         growth = float(solution.objective_value)
         lethal = growth < 1e-6

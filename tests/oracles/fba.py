@@ -29,10 +29,12 @@ from scipy.optimize import linprog
 
 from repro.exceptions import InfeasibleProblemError, ModelConsistencyError
 from repro.fba.model import StoichiometricModel
+from repro.fba.reaction import Reaction
 from repro.fba.solver import FBASolution
 from repro.fba.variability import FluxRange
 
 __all__ = [
+    "knock_out",
     "reference_solve",
     "reference_flux_balance_analysis",
     "reference_optimize_combination",
@@ -42,6 +44,12 @@ __all__ = [
     "reference_single_deletions",
     "reference_double_deletions",
 ]
+
+
+def knock_out(reaction: Reaction) -> None:
+    """Set both bounds of ``reaction`` to zero (gene deletion in the OptKnock sense)."""
+    reaction.lower_bound = 0.0
+    reaction.upper_bound = 0.0
 
 
 class KnockoutOutcome(NamedTuple):
@@ -201,7 +209,7 @@ def _reference_evaluate_knockout(
     """One mutant phenotype via a full model copy plus a fresh FBA solve."""
     mutant = model.copy()
     for identifier in reactions:
-        mutant.get_reaction(identifier).knock_out()
+        knock_out(mutant.get_reaction(identifier))
     try:
         solution = reference_flux_balance_analysis(mutant, objective)
     except InfeasibleProblemError:

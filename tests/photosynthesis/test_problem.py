@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.robustness import RobustnessSettings, front_yields, local_yields, uptake_yield
-from repro.photosynthesis.conditions import REFERENCE_CONDITION, condition
+from repro.photosynthesis.conditions import PAPER_CONDITIONS, REFERENCE_CONDITION, condition
 from repro.photosynthesis.enzymes import natural_activities
 from repro.photosynthesis.nitrogen import NATURAL_NITROGEN, total_nitrogen, total_nitrogen_batch
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
@@ -170,3 +170,31 @@ class TestNitrogenBatch:
         uptake = problem.uptake_matrix(trials[:50])
         assert (-batch.F[:, 0]).tobytes() == uptake.tobytes()
         assert batch.F[:, 1].tobytes() == total_nitrogen_batch(trials[:50]).tobytes()
+
+
+class TestObjectiveMatrix:
+    """``objective_matrix`` is bitwise the column the full evaluation reports."""
+
+    @staticmethod
+    def _rows(problem):
+        rng = np.random.default_rng(36)
+        low, high = problem.lower_bounds, problem.upper_bounds
+        corners = np.where(rng.random((16, problem.n_var)) < 0.5, low, high)
+        return np.vstack(
+            [rng.uniform(low, high, size=(64, problem.n_var)), low, high, corners, problem.natural]
+        )
+
+    @pytest.mark.parametrize("key", sorted(PAPER_CONDITIONS), ids="-".join)
+    @pytest.mark.parametrize("name", ["co2_uptake", "nitrogen"])
+    def test_matches_the_reported_column_at_every_paper_condition(self, key, name):
+        problem = PhotosynthesisProblem(PAPER_CONDITIONS[key])
+        X = self._rows(problem)
+        column = problem.objective_names.index(name)
+        full = problem.reported_objectives(problem.evaluate_matrix(X).F)[:, column]
+        alone = problem.objective_matrix(name, X)
+        assert alone.shape == full.shape == (len(X),)
+        assert alone.tobytes() == full.tobytes()
+
+    def test_unknown_objective_is_refused(self, problem):
+        with pytest.raises(ConfigurationError, match="yield"):
+            problem.objective_matrix("yield", problem.natural)

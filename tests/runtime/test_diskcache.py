@@ -132,6 +132,33 @@ class TestDiskCacheStore:
             conn.execute("UPDATE meta SET value='0' WHERE key='format'")
         assert len(DiskCache(tmp_path)) == 0
 
+    def test_a_chunk_mixing_two_widths_round_trips_exactly(self, tmp_path):
+        store = DiskCache(tmp_path)
+        rng = np.random.default_rng(3)
+        entries = {
+            _key("w%d" % i): _entry(rng.normal(size=2 + i % 2), rng.normal(size=i % 2))
+            for i in range(10)
+        }
+        store.put_many(entries)
+        found = store.get_many(list(entries))
+        assert sorted(found) == sorted(entries)
+        for key, (F, G) in entries.items():
+            assert found[key][0].shape == F.shape and found[key][0].tobytes() == F.tobytes()
+            assert found[key][1].shape == G.shape and found[key][1].tobytes() == G.tobytes()
+
+    def test_a_shared_width_chunk_decodes_to_writable_independent_rows(self, tmp_path):
+        store = DiskCache(tmp_path)
+        entries = {_key("s%d" % i): _entry([float(i), -float(i)], [0.5 * i]) for i in range(5)}
+        store.put_many(entries)
+        found = store.get_many(list(entries))
+        for key, (F, G) in entries.items():
+            assert found[key][0].tobytes() == F.tobytes()
+            assert found[key][1].tobytes() == G.tobytes()
+        first, second = found[_key("s1")], found[_key("s2")]
+        first[0][:] = 99.0
+        assert second[0].tolist() == [2.0, -2.0]
+        assert store.get_many([_key("s1")])[_key("s1")][0].tolist() == [1.0, -1.0]
+
     def test_pickled_store_reconnects_lazily(self, tmp_path):
         import pickle
 
@@ -466,6 +493,19 @@ class TestOneCacheKey:
             for each in (evaluator, clone)
         ]
         assert counts[0] == counts[1] == (6, 6, 12)
+
+    def test_checkpoint_restore_gives_a_bitwise_equal_l1(self, tmp_path):
+        from repro.runtime.checkpoint import CheckpointManager
+
+        problem, X, evaluator = self._filled(tmp_path / "cache", rows=30)
+        manager = CheckpointManager(tmp_path / "checkpoints")
+        manager.save({"evaluator": evaluator}, generation=1)
+        restored = manager.load()[0]["evaluator"]
+        assert list(restored._cache) == list(evaluator._cache)
+        for key, (F, G) in evaluator._cache.items():
+            for saved, loaded in zip((F, G), restored._cache[key]):
+                assert loaded.dtype == saved.dtype and loaded.shape == saved.shape
+                assert loaded.tobytes() == saved.tobytes()
 
     def test_restore_drops_keys_the_store_lost(self, tmp_path):
         import pickle

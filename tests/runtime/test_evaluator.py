@@ -280,6 +280,82 @@ class TestCountedOnce:
             assert len(records) == 1
 
 
+def _counters(ledger):
+    """The ledger's counters without its wall clock."""
+    counters = ledger.as_dict()
+    for phase in counters["phases"].values():
+        del phase["wall_clock"]
+    return counters
+
+
+class TestEvaluateObjective:
+    """The one-objective path: the full path's column, and the full path's ledger."""
+
+    EVALUATORS = {
+        "serial": lambda: SerialEvaluator(),
+        "pool": lambda: ProcessPoolEvaluator(n_workers=2),
+        "cached": lambda: CachedEvaluator(),
+    }
+
+    @staticmethod
+    def _photosynthesis():
+        from repro.photosynthesis.problem import PhotosynthesisProblem
+
+        return PhotosynthesisProblem()
+
+    @pytest.mark.parametrize("kind", sorted(EVALUATORS))
+    @pytest.mark.parametrize("name", ["co2_uptake", "nitrogen"])
+    def test_values_and_ledger_match_the_full_path(self, kind, name):
+        problem = self._photosynthesis()
+        X = _matrix(problem, 30, seed=1)
+        X = np.vstack([X, X[:5]])  # duplicates: cache hits on the cached path
+        with self.EVALUATORS[kind]() as alone, self.EVALUATORS[kind]() as full:
+            values = alone.evaluate_objective(problem, name, X)
+            batch = full.evaluate_matrix(problem, X)
+            column = problem.objective_names.index(name)
+            expected = problem.reported_objectives(batch.F)[:, column]
+            assert values.tobytes() == expected.tobytes()
+            assert values.tobytes() == problem.objective_matrix(name, X).tobytes()
+            assert _counters(alone.ledger) == _counters(full.ledger)
+            if kind == "pool":
+                assert alone.fallbacks == full.fallbacks == 0
+
+    def test_default_keeps_one_column_for_any_problem(self):
+        problem = ZDT1(n_var=6)
+        X = _matrix(problem, 7)
+        for make in self.EVALUATORS.values():
+            with make() as evaluator:
+                values = evaluator.evaluate_objective(problem, "f2", X)
+            assert values.tobytes() == problem.evaluate_matrix(X).F[:, 1].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(EVALUATORS))
+    def test_unknown_objective_is_refused_before_evaluating(self, kind):
+        problem = ZDT1(n_var=4)
+        with self.EVALUATORS[kind]() as evaluator:
+            with pytest.raises(ConfigurationError, match="f9"):
+                evaluator.evaluate_objective(problem, "f9", _matrix(problem, 3))
+        assert evaluator.ledger.total_evaluations == 0
+        assert getattr(evaluator, "fallbacks", 0) == 0
+
+    @pytest.mark.parametrize("kind", sorted(EVALUATORS))
+    def test_empty_matrix(self, kind):
+        problem = self._photosynthesis()
+        empty = np.empty((0, problem.n_var))
+        with self.EVALUATORS[kind]() as alone, self.EVALUATORS[kind]() as full:
+            assert alone.evaluate_objective(problem, "co2_uptake", empty).shape == (0,)
+            full.evaluate_matrix(problem, empty)
+        assert _counters(alone.ledger) == _counters(full.ledger)
+
+    def test_pool_worker_failure_falls_back_to_serial(self):
+        problem = WorkerHostileProblem()
+        X = _matrix(problem, 8)
+        with ProcessPoolEvaluator(n_workers=2) as pool:
+            values = pool.evaluate_objective(problem, "f1", X)
+            assert pool.fallbacks == 1
+        assert values.tobytes() == X[:, 1].tobytes()
+        assert pool.ledger.total_evaluations == 8
+
+
 class TestBuildEvaluator:
     def test_serial_by_default(self):
         evaluator = build_evaluator()

@@ -299,3 +299,12 @@ class TestForkServerPreload:
         monkeypatch.setattr(operators, "_float_power_exact", None)
         runner._preload()
         assert operators._float_power_exact in (True, False)
+
+    def test_preload_resolves_the_git_revision(self):
+        """Runners fork after the preload, so no job runs ``git rev-parse``."""
+        from repro.core.artifacts import _git_revision
+        from repro.serve import runner
+
+        _git_revision.cache_clear()
+        runner._preload()
+        assert _git_revision.cache_info().currsize == 1
