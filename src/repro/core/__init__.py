@@ -33,7 +33,6 @@ _EXPORTS = {
     "get_experiment": "registry",
     "RunManifest": "artifacts",
     "individuals_from_front": "artifacts",
-    "list_runs": "artifacts",
     "load_front": "artifacts",
     "load_manifest": "artifacts",
     "load_result": "artifacts",
@@ -54,7 +53,6 @@ _EXPORTS = {
     "run_table2": "experiments",
     "format_table": "report",
     "paper_vs_measured": "report",
-    "render_design_report": "report",
     "render_selections": "report",
 }
 

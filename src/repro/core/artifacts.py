@@ -76,7 +76,6 @@ __all__ = [
     "load_front",
     "load_result",
     "telemetry_artifacts",
-    "list_runs",
 ]
 
 #: Schema version written into ``front.json``.
@@ -551,22 +550,3 @@ def telemetry_artifacts(run_dir: str | os.PathLike) -> list[str]:
     directory = Path(run_dir)
     return [name for name in _TELEMETRY_NAMES if (directory / name).is_file()]
 
-
-def list_runs(base_dir: str | os.PathLike, experiment: str | None = None) -> list[Path]:
-    """List recorded run directories under ``base_dir``, oldest first.
-
-    A directory counts as a run once its manifest exists (the manifest is
-    written last, so partially-written runs are skipped).
-    """
-    base = Path(base_dir)
-    if not base.exists():
-        return []
-    parents = [base / experiment] if experiment is not None else sorted(base.iterdir())
-    runs = []
-    for parent in parents:
-        if not parent.is_dir():
-            continue
-        for candidate in sorted(parent.iterdir()):
-            if (candidate / _MANIFEST_NAME).is_file():
-                runs.append(candidate)
-    return runs

@@ -68,30 +68,6 @@ class DesignReport:
                 return design
         raise KeyError("no selection named %r" % criterion)
 
-    def criteria(self) -> list[str]:
-        """Names of all selection criteria present in the report."""
-        return [design.criterion for design in self.selections]
-
-    def summary(self, timing: bool = False) -> str:
-        """Deterministic plain-text summary of the report.
-
-        A pure function of the dataclass fields (no timestamps, sorted ledger
-        phases, fixed column widths), so the CLI and the docs examples show
-        the same text for the same report even when the run itself fanned out
-        over worker processes.  ``timing=True`` adds the wall-clock column of
-        the ledger, the one machine-dependent quantity.
-
-        Example
-        -------
-        Print the front size, selection table and budget ledger::
-
-            report = designer.design(generations=40)
-            print(report.summary())
-        """
-        from repro.core.report import render_design_report
-
-        return render_design_report(self, timing=timing)
-
 
 class RobustPathwayDesigner:
     """The paper's design methodology as a single reusable object.
@@ -129,15 +105,16 @@ class RobustPathwayDesigner:
 
     Example
     -------
-    The full paper pipeline in four lines::
+    The full paper pipeline in a few lines::
 
+        from repro.core.report import render_selections
         from repro.photosynthesis.problem import PhotosynthesisProblem
 
         problem = PhotosynthesisProblem()
         with RobustPathwayDesigner(problem, seed=2011, n_workers=4) as designer:
             report = designer.design(generations=100,
                                      property_objective="co2_uptake")
-        print(report.summary())
+        print(render_selections(report.selections))
     """
 
     def __init__(

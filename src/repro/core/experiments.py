@@ -181,13 +181,6 @@ class Table2Result:
     #: JSON form of the problem's design space (recorded into manifests).
     design_space: dict | None = None
 
-    def row(self, criterion: str) -> SelectedDesign:
-        """Row of the table by its selection-criterion name."""
-        for selection in self.selections:
-            if selection.criterion == criterion:
-                return selection
-        raise KeyError(criterion)
-
 
 def run_table2(
     population: int = _DEFAULT_POPULATION,

@@ -24,7 +24,7 @@ List and run an experiment through the registry::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError
 from repro.naming import did_you_mean
@@ -90,23 +90,6 @@ class Experiment:
     )
 
     # ------------------------------------------------------------------
-    def parameter(self, name: str) -> Parameter:
-        """Look up one schema parameter by name.
-
-        Raises
-        ------
-        KeyError
-            If the experiment has no parameter of that name.
-        """
-        for parameter in self.parameters:
-            if parameter.name == name:
-                return parameter
-        raise KeyError("experiment %r has no parameter %r" % (self.name, name))
-
-    def defaults(self) -> dict[str, Any]:
-        """Schema defaults as a plain ``{name: value}`` dictionary."""
-        return {parameter.name: parameter.default for parameter in self.parameters}
-
     def validate_parameters(self, overrides: dict[str, Any]) -> dict[str, Any]:
         """Merge ``overrides`` into the schema defaults, rejecting unknown names.
 
@@ -144,8 +127,8 @@ class ExperimentRegistry:
     >>> _ = registry.register(Experiment(
     ...     name="demo", title="demo", description="", reference="",
     ...     function=lambda: None))
-    >>> "demo" in registry
-    True
+    >>> registry.names()
+    ['demo']
     """
 
     def __init__(self) -> None:
@@ -173,15 +156,6 @@ class ExperimentRegistry:
     def names(self) -> list[str]:
         """Sorted names of every registered experiment."""
         return sorted(self._experiments)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._experiments
-
-    def __iter__(self) -> Iterator[Experiment]:
-        return iter(self._experiments[name] for name in self.names())
-
-    def __len__(self) -> int:
-        return len(self._experiments)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ExperimentRegistry(%s)" % ", ".join(self.names())

@@ -5,12 +5,11 @@ The benchmark modules print the rows the paper's tables and figures report
 small formatting helpers they share, so the printed output is uniform across
 experiments and easy to diff against EXPERIMENTS.md.
 
-Every renderer here is a **pure function of its input dataclass**: no
-printing during runs, no timestamps, fixed column widths and sorted rows.
-Parallel runs therefore cannot interleave report text, and the CLI and the
-documentation examples show byte-identical output for identical results
-(pass ``timing=True`` where wall-clock seconds are wanted; they are off by
-default precisely because they are the one non-deterministic column).
+Every renderer here is a **pure function of its input**: no printing during
+runs, no timestamps, fixed column widths.  Parallel runs therefore cannot
+interleave report text, and the CLI and the documentation examples show
+byte-identical output for identical results.  The evaluation ledger renders
+itself (:meth:`~repro.runtime.ledger.EvaluationLedger.summary`).
 """
 
 from __future__ import annotations
@@ -18,16 +17,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.designer import DesignReport, SelectedDesign
-    from repro.runtime.ledger import EvaluationLedger
+    from repro.core.designer import SelectedDesign
 
 __all__ = [
     "format_table",
     "format_row",
     "paper_vs_measured",
-    "format_ledger",
     "render_selections",
-    "render_design_report",
 ]
 
 
@@ -69,19 +65,6 @@ def paper_vs_measured(
     return "[%s] paper vs measured\n%s" % (experiment, table)
 
 
-def format_ledger(ledger: "EvaluationLedger", timing: bool = True) -> str:
-    """Format an evaluation-budget ledger (per-phase table, totals, hit rate).
-
-    Shows where a run spent its objective evaluations and seconds — the data
-    behind the ``ledger`` field of :class:`~repro.solve.SolveResult` and
-    :class:`~repro.core.designer.DesignReport`.  Delegates to
-    :meth:`~repro.runtime.ledger.EvaluationLedger.summary`, the single
-    renderer of ledger data.  ``timing=False`` omits the (machine-dependent)
-    seconds column, yielding fully deterministic text for docs and tests.
-    """
-    return ledger.summary(timing=timing)
-
-
 def render_selections(selections: "Sequence[SelectedDesign]") -> str:
     """Format the Table 2-style selection rows as a deterministic table.
 
@@ -116,40 +99,3 @@ def render_selections(selections: "Sequence[SelectedDesign]") -> str:
         )
         rows.append(row)
     return format_table(headers, rows)
-
-
-def render_design_report(report: "DesignReport", timing: bool = False) -> str:
-    """Render a :class:`~repro.core.designer.DesignReport` as deterministic text.
-
-    A pure function of the report dataclass: header (problem, front size),
-    the selection table, the yield surface summary and the evaluation ledger.
-    Because nothing here prints during the run and the text depends only on
-    the report's fields, parallel runs cannot interleave their summaries and
-    two identical reports always render byte-identically (``timing=True``
-    adds the wall-clock column, the one machine-dependent quantity).
-
-    Example
-    -------
-    Render a finished design run::
-
-        report = designer.design(generations=40)
-        print(render_design_report(report))
-    """
-    lines = [
-        "design report: %s" % report.problem_name,
-        "front: %d non-dominated designs" % report.front_objectives.shape[0],
-    ]
-    if report.selections:
-        lines.append("")
-        lines.append(render_selections(report.selections))
-    if report.front_yields:
-        yields = [float(value) for value in report.front_yields]
-        lines.append("")
-        lines.append(
-            "yield surface: %d points, min %.3f %%, max %.3f %%"
-            % (len(yields), min(yields), max(yields))
-        )
-    if report.ledger is not None:
-        lines.append("")
-        lines.append(format_ledger(report.ledger, timing=timing))
-    return "\n".join(lines)

@@ -4,8 +4,7 @@ The Geobacter formulation (and any flux-space sampler) asks the same two
 questions of thousands of candidate flux vectors: how badly does each violate
 the steady-state constraint ``S v = 0``, and how far does each stray outside
 the box bounds?  This module screens a whole ``(n, n_reactions)`` population
-in one pass; :meth:`~repro.fba.model.StoichiometricModel.constraint_violation`
-is the same screen over one vector.
+in one pass (a 1-D vector is screened as a one-row population).
 
 Bitwise discipline: every residual equals the one the per-row GEMV
 ``S @ v`` gives, up to the sign of a zero (the norms take ``abs``).  A
@@ -167,10 +166,9 @@ def steady_state_violations(
 ) -> np.ndarray:
     """Violation of ``S v = 0`` for every row of a flux population.
 
-    Equivalent to calling
-    :meth:`~repro.fba.model.StoichiometricModel.constraint_violation` per
-    row, but with one residual pass and columnar reductions; ``norm`` may be
-    ``"l1"``, ``"l2"`` or ``"linf"`` exactly as in the scalar method.
+    One residual pass and columnar reductions; ``norm`` may be ``"l1"``,
+    ``"l2"`` or ``"linf"``.  ``tests/oracles/fba.py`` holds the per-vector
+    reference it reproduces.
 
     Screen a sampled flux population in one call::
 
@@ -199,10 +197,9 @@ _BOUND_BLOCK = 128
 def bound_violations(model: StoichiometricModel, X: np.ndarray) -> np.ndarray:
     """Total box-bound violation of every row of a flux population.
 
-    Equivalent to
-    :meth:`~repro.fba.model.StoichiometricModel.bound_violation` per row.
-    The screen reuses one block-sized scratch buffer for both clip passes
-    instead of materializing four population-sized temporaries.
+    The per-vector reference lives in ``tests/oracles/fba.py``.  The screen
+    reuses one block-sized scratch buffer for both clip passes instead of
+    materializing four population-sized temporaries.
     """
     X = _validate_population(model, X)
     lower, upper = model.bounds()

@@ -36,10 +36,5 @@ class Metabolite:
         if not self.name:
             object.__setattr__(self, "name", self.identifier)
 
-    @property
-    def is_external(self) -> bool:
-        """``True`` when the metabolite lives in the extracellular compartment."""
-        return self.compartment == "e"
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.identifier

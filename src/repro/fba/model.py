@@ -9,12 +9,12 @@ violation of an arbitrary flux vector, and (through
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.exceptions import ModelConsistencyError
-from repro.fba.batch import ResidualPlan, steady_state_violations
+from repro.fba.batch import ResidualPlan
 from repro.fba.metabolite import Metabolite
 from repro.fba.reaction import Reaction
 
@@ -96,11 +96,6 @@ class StoichiometricModel:
         return list(self._reactions.values())
 
     @property
-    def metabolite_ids(self) -> list[str]:
-        """Identifiers of all metabolites (insertion order)."""
-        return list(self._metabolites)
-
-    @property
     def reaction_ids(self) -> list[str]:
         """Identifiers of all reactions (insertion order)."""
         return list(self._reactions)
@@ -122,13 +117,6 @@ class StoichiometricModel:
         except KeyError as exc:
             raise KeyError("unknown reaction %s" % identifier) from exc
 
-    def get_metabolite(self, identifier: str) -> Metabolite:
-        """Look up a metabolite by identifier."""
-        try:
-            return self._metabolites[identifier]
-        except KeyError as exc:
-            raise KeyError("unknown metabolite %s" % identifier) from exc
-
     def reaction_index(self, identifier: str) -> int:
         """Column index of a reaction in the stoichiometric matrix."""
         if self._reaction_index_cache is None:
@@ -139,10 +127,6 @@ class StoichiometricModel:
             return self._reaction_index_cache[identifier]
         except KeyError as exc:
             raise KeyError("unknown reaction %s" % identifier) from exc
-
-    def exchanges(self) -> list[Reaction]:
-        """Boundary reactions of the model."""
-        return [r for r in self._reactions.values() if r.is_exchange]
 
     # ------------------------------------------------------------------
     # Numerical views
@@ -196,34 +180,6 @@ class StoichiometricModel:
         if identifier not in self._reactions:
             raise KeyError("unknown reaction %s" % identifier)
         self.objective = identifier
-
-    # ------------------------------------------------------------------
-    # Steady-state violation (used by the multi-objective formulation)
-    # ------------------------------------------------------------------
-    def constraint_violation(self, fluxes: Sequence[float], norm: str = "l1") -> float:
-        """Violation of ``S · v = 0`` for an arbitrary flux vector.
-
-        The paper's Geobacter formulation perturbs the 608 fluxes directly and
-        *minimizes* this violation while maximizing the two production
-        objectives; ``norm`` may be ``"l1"``, ``"l2"`` or ``"linf"``.  This is
-        :func:`~repro.fba.batch.steady_state_violations` over one vector.
-        """
-        fluxes = np.asarray(fluxes, dtype=float)
-        if fluxes.shape != (self.n_reactions,):
-            raise ModelConsistencyError(
-                "flux vector must have %d entries, got %r"
-                % (self.n_reactions, fluxes.shape)
-            )
-        return float(steady_state_violations(self, fluxes, norm)[0])
-
-    def bound_violation(self, fluxes: Sequence[float]) -> float:
-        """Total violation of the box bounds by a flux vector."""
-        fluxes = np.asarray(fluxes, dtype=float)
-        lower, upper = self.bounds()
-        return float(
-            np.sum(np.clip(lower - fluxes, 0.0, None))
-            + np.sum(np.clip(fluxes - upper, 0.0, None))
-        )
 
     # ------------------------------------------------------------------
     # Consistency checks and copies

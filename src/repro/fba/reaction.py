@@ -57,24 +57,11 @@ class Reaction:
 
     # ------------------------------------------------------------------
     @property
-    def is_reversible(self) -> bool:
-        """``True`` when the flux may be negative."""
-        return self.lower_bound < 0.0
-
-    @property
     def is_exchange(self) -> bool:
         """``True`` for boundary (exchange/demand/sink) reactions."""
         return self.identifier.startswith(("EX_", "DM_", "SK_")) or all(
             coefficient < 0 for coefficient in self.stoichiometry.values()
         ) or all(coefficient > 0 for coefficient in self.stoichiometry.values())
-
-    def reactants(self) -> list[str]:
-        """Metabolites consumed by the forward direction."""
-        return [m for m, c in self.stoichiometry.items() if c < 0]
-
-    def products(self) -> list[str]:
-        """Metabolites produced by the forward direction."""
-        return [m for m, c in self.stoichiometry.items() if c > 0]
 
     def copy(self) -> "Reaction":
         """Deep copy of the reaction."""
@@ -95,5 +82,5 @@ class Reaction:
         right = " + ".join(
             "%g %s" % (c, m) for m, c in self.stoichiometry.items() if c > 0
         )
-        arrow = "<=>" if self.is_reversible else "-->"
+        arrow = "<=>" if self.lower_bound < 0.0 else "-->"
         return "%s: %s %s %s" % (self.identifier, left, arrow, right)

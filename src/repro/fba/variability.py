@@ -33,15 +33,6 @@ class FluxRange:
     minimum: float
     maximum: float
 
-    @property
-    def span(self) -> float:
-        """Width of the interval."""
-        return self.maximum - self.minimum
-
-    def contains(self, value: float, tolerance: float = 1e-6) -> bool:
-        """``True`` when ``value`` lies inside the interval (with tolerance)."""
-        return self.minimum - tolerance <= value <= self.maximum + tolerance
-
 
 def _range_of(
     identifier: str,

@@ -13,9 +13,9 @@ The sub-package provides:
   :func:`build_pmo2`, the builder of the paper's archipelago;
 * :mod:`repro.moo.metrics` — hypervolume and the paper's Gp / Rp coverage
   indicators;
-* :mod:`repro.moo.mining` — closest-to-ideal, Pareto Relative Minimum, shadow
-  minima and equally spaced front sampling;
-* :mod:`repro.moo.robustness` — the robustness condition rho, the yield Gamma
+* :mod:`repro.moo.mining` — closest-to-ideal, shadow minima, knee point and
+  equally spaced front sampling;
+* :mod:`repro.moo.robustness` — the robustness yield Gamma (Eqs. 3-4)
   and the Monte-Carlo perturbation ensembles, evaluated through one matrix
   property function per call;
 * :mod:`repro.moo.kernels` — the vectorized, constraint-aware dominance /
@@ -71,7 +71,6 @@ _EXPORTS = {
     "ideal_point": "repro.moo.mining",
     "knee_point": "repro.moo.mining",
     "mine_front": "repro.moo.mining",
-    "pareto_relative_minimum": "repro.moo.mining",
     "shadow_minima": "repro.moo.mining",
     "MOEAD": "repro.moo.moead",
     "MOEADConfig": "repro.moo.moead",
@@ -87,13 +86,9 @@ _EXPORTS = {
     "RobustnessSettings": "repro.moo.robustness",
     "front_yields": "repro.moo.robustness",
     "local_yields": "repro.moo.robustness",
-    "robustness_condition": "repro.moo.robustness",
     "uptake_yield": "repro.moo.robustness",
     "AllToAllTopology": "repro.moo.topology",
     "IsolatedTopology": "repro.moo.topology",
-    "RandomTopology": "repro.moo.topology",
-    "RingTopology": "repro.moo.topology",
-    "StarTopology": "repro.moo.topology",
     "Topology": "repro.moo.topology",
     "topology_from_name": "repro.moo.topology",
 }

@@ -66,9 +66,6 @@ class ParetoArchive:
     def __iter__(self) -> Iterator[Individual]:
         return iter(self._members)
 
-    def __getitem__(self, index: int) -> Individual:
-        return self._members[index]
-
     @property
     def X(self) -> np.ndarray:
         """Read-only ``(n, n_var)`` decision matrix of the members."""
@@ -184,10 +181,6 @@ class ParetoArchive:
     def to_population(self) -> Population:
         """Copy the archive into a :class:`Population`."""
         return self._members.copy()
-
-    def clear(self) -> None:
-        """Remove every member."""
-        self._members = Population()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ParetoArchive(size=%d, capacity=%r)" % (len(self._members), self.capacity)

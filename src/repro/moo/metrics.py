@@ -7,10 +7,9 @@ Three indicators are defined by the paper and reproduced here:
   ``PA`` is the union front of all compared algorithms,
 * the **relative Pareto coverage** ``Rp(Pi, PA) = |Pi ∩ PA| / |Pi|``.
 
-A few additional indicators that are standard in the multi-objective
-literature (inverted generational distance, generational distance, spacing,
-front spread) are provided because the test-suite and the ablation benchmarks
-use them to validate the optimizers on problems with known Pareto fronts.
+Generational distance and its inverse (IGD) are provided too:
+:class:`~repro.obs.telemetry.RunTelemetry` records IGD per generation when
+given a ``reference_front``.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ __all__ = [
     "coverage_report",
     "generational_distance",
     "inverted_generational_distance",
-    "spacing",
-    "front_spread",
-    "epsilon_indicator",
     "normalize_fronts",
 ]
 
@@ -207,7 +203,7 @@ def normalize_fronts(fronts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Distance-based indicators (used for validation on ZDT/DTLZ)
+# Distance-based indicators
 # ---------------------------------------------------------------------------
 def generational_distance(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Average distance from each front point to the reference front.
@@ -232,50 +228,3 @@ def inverted_generational_distance(
 ) -> float:
     """Average distance from each reference point to the obtained front."""
     return generational_distance(reference_front, front)
-
-
-def spacing(front: np.ndarray) -> float:
-    """Schott's spacing metric: standard deviation of nearest-neighbour gaps.
-
-    Uses broadcast Manhattan-distance row blocks (memory-bounded) with the
-    diagonal masked out; duplicated front points (zero gaps) are fine and
-    raise no warnings.
-    """
-    front = _as_matrix(front)
-    n, m = front.shape
-    if n < 2:
-        return 0.0
-    chunk = _row_chunk(n, m)
-    gaps = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        manhattan = np.sum(np.abs(front[None, :, :] - front[start:stop, None, :]), axis=2)
-        manhattan[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        gaps[start:stop] = manhattan.min(axis=1)
-    return float(np.sqrt(np.mean((gaps - gaps.mean()) ** 2)))
-
-
-def front_spread(front: np.ndarray) -> float:
-    """Diagonal of the front's bounding box (a simple extent measure)."""
-    front = _as_matrix(front)
-    return float(np.linalg.norm(front.max(axis=0) - front.min(axis=0)))
-
-
-def epsilon_indicator(front: np.ndarray, reference_front: np.ndarray) -> float:
-    """Additive epsilon indicator of ``front`` against ``reference_front``.
-
-    The smallest value ``eps`` such that every reference point is weakly
-    dominated by some front point translated by ``eps``.  Computed as a
-    broadcast max-difference matrix (memory-bounded blocks over reference
-    points) reduced by min (best front point per reference point) then max.
-    """
-    front = _as_matrix(front)
-    reference_front = _as_matrix(reference_front)
-    n_ref, m = reference_front.shape
-    chunk = _row_chunk(front.shape[0], m)
-    eps = -np.inf
-    for start in range(0, n_ref, chunk):
-        block = reference_front[start : start + chunk]
-        worst_gap = np.max(front[:, None, :] - block[None, :, :], axis=2)
-        eps = max(eps, float(worst_gap.min(axis=0).max()))
-    return float(eps)

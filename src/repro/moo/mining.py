@@ -4,9 +4,9 @@ After an optimizer returns a (possibly large) set of non-dominated solutions,
 the paper applies automatic screening strategies to pick the candidates that
 are analysed further:
 
-* the **ideal point** and its empirical counterpart, the **Pareto Relative
-  Minimum (PRM)** — the best value achieved by the algorithm on each
-  objective;
+* the **Pareto Relative Minimum (PRM)** — the best value achieved by the
+  algorithm on each objective, the empirical counterpart of the ideal point
+  (:func:`ideal_point` of the obtained front);
 * the **closest-to-ideal** solution — the non-dominated point with the
   smallest distance to the ideal (or PRM) point;
 * the **shadow minima** — for each objective, the point achieving the lowest
@@ -30,8 +30,6 @@ from repro.exceptions import ConfigurationError, DimensionError
 
 __all__ = [
     "ideal_point",
-    "nadir_point",
-    "pareto_relative_minimum",
     "closest_to_ideal",
     "shadow_minima",
     "equally_spaced_selection",
@@ -51,22 +49,6 @@ def _as_front(front: np.ndarray) -> np.ndarray:
 def ideal_point(front: np.ndarray) -> np.ndarray:
     """Component-wise minimum of the front (the empirical ideal point)."""
     return _as_front(front).min(axis=0)
-
-
-def nadir_point(front: np.ndarray) -> np.ndarray:
-    """Component-wise maximum of the front (the empirical nadir point)."""
-    return _as_front(front).max(axis=0)
-
-
-def pareto_relative_minimum(front: np.ndarray) -> np.ndarray:
-    """Pareto Relative Minimum (PRM).
-
-    The paper defines the PRM as the minimum achieved by the algorithm on each
-    objective, used in place of the (unknown) true ideal point.  Numerically it
-    coincides with :func:`ideal_point` computed on the obtained front; it is
-    kept as a separate name to match the paper's terminology.
-    """
-    return ideal_point(front)
 
 
 def closest_to_ideal(

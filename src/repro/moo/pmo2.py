@@ -54,7 +54,8 @@ class PMO2Config:
     migration_interval, migration_rate, migration_count:
         The :class:`MigrationPolicy` knobs.
     topology:
-        Migration topology name (see :func:`repro.moo.topology.topology_from_name`).
+        Migration topology: ``"all-to-all"`` (the paper's broadcast
+        migration) or ``"isolated"`` (no migration; the migration ablation).
     archive_capacity:
         Per-island archive bound (``None`` = unbounded).
     """

@@ -21,7 +21,9 @@ routine: each nominal design is stacked with its ensemble and the whole stack
 goes through a single call of a *matrix* property function, ``(n, n_var) ->
 (n,)`` -- the same contract as :meth:`~repro.problems.Problem.evaluate_matrix`.
 :func:`uptake_yield`, :func:`front_yields` and :func:`local_yields` only differ
-in how they draw the ensembles.
+in how they draw the ensembles.  The count of robust trials is Eq. 3
+applied to the whole ensemble in one comparison; the scalar ``rho`` the tests
+hold it to lives in ``tests/oracles/robustness.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 __all__ = [
-    "robustness_condition",
     "PerturbationModel",
     "RobustnessSettings",
     "RobustnessReport",
@@ -47,32 +48,6 @@ __all__ = [
 #: A protected property evaluated on every row of a decision matrix:
 #: ``(n, n_var) -> (n,)``, in natural units (not the minimized objective).
 PropertyMatrix = Callable[[np.ndarray], np.ndarray]
-
-
-def robustness_condition(
-    nominal_value: float,
-    perturbed_value: float,
-    epsilon: float,
-    relative: bool = True,
-) -> int:
-    """Robustness condition ``rho`` (Eq. 3).
-
-    Parameters
-    ----------
-    nominal_value:
-        Property value of the unperturbed design, ``f(x)``.
-    perturbed_value:
-        Property value of the perturbed design, ``f(x*)``.
-    epsilon:
-        Robustness threshold.  With ``relative=True`` (the paper's convention:
-        "epsilon = 5 % of the nominal uptake rate") the threshold is
-        ``epsilon * |nominal_value|``; otherwise it is used as an absolute
-        tolerance.
-    """
-    if epsilon < 0:
-        raise ConfigurationError("epsilon must be non-negative")
-    threshold = epsilon * abs(nominal_value) if relative else epsilon
-    return 1 if abs(nominal_value - perturbed_value) <= threshold else 0
 
 
 @dataclass

@@ -3,9 +3,10 @@
 These classical problems (Schaffer, Fonseca-Fleming, ZDT family, DTLZ2,
 a constrained problem, and Kursawe) have known Pareto fronts and are used to
 validate PMO2, NSGA-II and MOEA/D before they are pointed at the metabolic
-case studies.  Each problem exposes :meth:`true_front`, an analytical sampling
-of its Pareto front, so that the test-suite can measure convergence with the
-distance indicators in :mod:`repro.moo.metrics`.
+case studies.  They are reached by name through the problem registry
+(:func:`repro.problems.build_problem`); the analytical samplings of their
+Pareto fronts that the test-suite measures convergence against live in
+``tests/oracles/fronts.py``.
 
 Every problem here implements the batch-first contract natively: a vectorized
 ``_evaluate_matrix`` that maps the whole ``(n, n_var)`` decision matrix to a
@@ -19,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.moo import kernels
 from repro.problems.base import Problem
 from repro.problems.batch import BatchEvaluation
 
@@ -33,7 +33,6 @@ __all__ = [
     "DTLZ2",
     "ConstrainedBNH",
     "Kursawe",
-    "available_test_problems",
 ]
 
 
@@ -55,11 +54,6 @@ class Schaffer(Problem):
             F=np.column_stack([values ** 2, (values - 2.0) ** 2])
         )
 
-    def true_front(self, n_points: int = 100) -> np.ndarray:
-        """Pareto front: images of ``x`` in ``[0, 2]``."""
-        xs = np.linspace(0.0, 2.0, n_points)
-        return np.column_stack([xs ** 2, (xs - 2.0) ** 2])
-
 
 class FonsecaFleming(Problem):
     """Fonseca & Fleming's problem with a concave Pareto front."""
@@ -78,14 +72,6 @@ class FonsecaFleming(Problem):
         f1 = 1.0 - np.exp(-np.sum((X - shift) ** 2, axis=1))
         f2 = 1.0 - np.exp(-np.sum((X + shift) ** 2, axis=1))
         return BatchEvaluation(F=np.column_stack([f1, f2]))
-
-    def true_front(self, n_points: int = 100) -> np.ndarray:
-        """Front obtained by sweeping the common coordinate in [-1/sqrt(n), 1/sqrt(n)]."""
-        shift = 1.0 / np.sqrt(self.n_var)
-        ts = np.linspace(-shift, shift, n_points)
-        f1 = 1.0 - np.exp(-self.n_var * (ts - shift) ** 2)
-        f2 = 1.0 - np.exp(-self.n_var * (ts + shift) ** 2)
-        return np.column_stack([f1, f2])
 
 
 class _ZDTBase(Problem):
@@ -115,10 +101,6 @@ class ZDT1(_ZDTBase):
         f2 = g * (1.0 - np.sqrt(f1 / g))
         return BatchEvaluation(F=np.column_stack([f1, f2]))
 
-    def true_front(self, n_points: int = 100) -> np.ndarray:
-        f1 = np.linspace(0.0, 1.0, n_points)
-        return np.column_stack([f1, 1.0 - np.sqrt(f1)])
-
 
 class ZDT2(_ZDTBase):
     """ZDT2: non-convex Pareto front ``f2 = 1 - f1^2``."""
@@ -131,10 +113,6 @@ class ZDT2(_ZDTBase):
         g = 1.0 + 9.0 * np.mean(X[:, 1:], axis=1)
         f2 = g * (1.0 - (f1 / g) ** 2)
         return BatchEvaluation(F=np.column_stack([f1, f2]))
-
-    def true_front(self, n_points: int = 100) -> np.ndarray:
-        f1 = np.linspace(0.0, 1.0, n_points)
-        return np.column_stack([f1, 1.0 - f1 ** 2])
 
 
 class ZDT3(_ZDTBase):
@@ -150,12 +128,6 @@ class ZDT3(_ZDTBase):
         f2 = g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
         return BatchEvaluation(F=np.column_stack([f1, f2]))
 
-    def true_front(self, n_points: int = 200) -> np.ndarray:
-        f1 = np.linspace(0.0, 0.852, n_points)
-        f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-        points = np.column_stack([f1, f2])
-        return points[kernels.non_dominated_mask(points)]
-
 
 class ZDT6(_ZDTBase):
     """ZDT6: non-uniformly distributed, non-convex front."""
@@ -168,10 +140,6 @@ class ZDT6(_ZDTBase):
         g = 1.0 + 9.0 * (np.sum(X[:, 1:], axis=1) / (self.n_var - 1)) ** 0.25
         f2 = g * (1.0 - (f1 / g) ** 2)
         return BatchEvaluation(F=np.column_stack([f1, f2]))
-
-    def true_front(self, n_points: int = 100) -> np.ndarray:
-        f1 = np.linspace(0.2807753191, 1.0, n_points)
-        return np.column_stack([f1, 1.0 - f1 ** 2])
 
 
 class DTLZ2(Problem):
@@ -205,12 +173,6 @@ class DTLZ2(Problem):
                 value = value * np.sin(X[:, m - 1 - i] * np.pi / 2.0)
             F[:, i] = value
         return BatchEvaluation(F=F)
-
-    def true_front(self, n_points: int = 200) -> np.ndarray:
-        """Uniform sampling of the unit sphere octant (exact for g = 0)."""
-        rng = np.random.default_rng(0)
-        raw = np.abs(rng.normal(size=(n_points, self.n_obj)))
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 class ConstrainedBNH(Problem):
@@ -256,18 +218,3 @@ class Kursawe(Problem):
         )
         f2 = np.sum(np.abs(X) ** 0.8 + 5.0 * np.sin(X ** 3), axis=1)
         return BatchEvaluation(F=np.column_stack([f1, f2]))
-
-
-def available_test_problems() -> dict[str, type[Problem]]:
-    """Registry of the synthetic problems, keyed by their conventional name."""
-    return {
-        "schaffer": Schaffer,
-        "fonseca": FonsecaFleming,
-        "zdt1": ZDT1,
-        "zdt2": ZDT2,
-        "zdt3": ZDT3,
-        "zdt6": ZDT6,
-        "dtlz2": DTLZ2,
-        "bnh": ConstrainedBNH,
-        "kursawe": Kursawe,
-    }

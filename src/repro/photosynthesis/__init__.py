@@ -33,11 +33,6 @@ from repro.photosynthesis.conditions import (
     EnvironmentalCondition,
     condition,
 )
-from repro.photosynthesis.control import (
-    ControlCoefficient,
-    control_coefficients,
-    most_influential_enzymes,
-)
 from repro.photosynthesis.enzymes import (
     ENZYME_NAMES,
     ENZYMES,
@@ -47,9 +42,7 @@ from repro.photosynthesis.enzymes import (
 )
 from repro.photosynthesis.nitrogen import (
     NATURAL_NITROGEN,
-    nitrogen_by_enzyme,
     nitrogen_cost_vector,
-    nitrogen_fractions,
     total_nitrogen,
 )
 from repro.photosynthesis.problem import PhotosynthesisProblem, RobustPhotosynthesisProblem
@@ -71,18 +64,13 @@ __all__ = [
     "TRIOSE_EXPORT_LOW",
     "EnvironmentalCondition",
     "condition",
-    "ControlCoefficient",
-    "control_coefficients",
-    "most_influential_enzymes",
     "ENZYME_NAMES",
     "ENZYMES",
     "Enzyme",
     "enzyme_index",
     "natural_activities",
     "NATURAL_NITROGEN",
-    "nitrogen_by_enzyme",
     "nitrogen_cost_vector",
-    "nitrogen_fractions",
     "total_nitrogen",
     "PhotosynthesisProblem",
     "RobustPhotosynthesisProblem",

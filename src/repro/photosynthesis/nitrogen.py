@@ -26,8 +26,6 @@ __all__ = [
     "nitrogen_cost_vector",
     "total_nitrogen",
     "total_nitrogen_batch",
-    "nitrogen_by_enzyme",
-    "nitrogen_fractions",
 ]
 
 #: Total protein nitrogen of the natural leaf (mg l⁻¹), from the paper.
@@ -73,25 +71,3 @@ def total_nitrogen_batch(activities: np.ndarray) -> np.ndarray:
             "expected an (n, %d) activity matrix, got %r" % (len(ENZYMES), X.shape)
         )
     return np.fromiter(map(nitrogen_cost_vector().dot, X), float, X.shape[0])
-
-
-def nitrogen_by_enzyme(activities: Sequence[float]) -> dict[str, float]:
-    """Per-enzyme nitrogen (mg l⁻¹) of an activity vector, keyed by enzyme name."""
-    activities = np.asarray(activities, dtype=float)
-    if activities.shape != (len(ENZYMES),):
-        raise DimensionError(
-            "expected %d enzyme activities, got %r" % (len(ENZYMES), activities.shape)
-        )
-    costs = nitrogen_cost_vector()
-    return {
-        enzyme.name: float(costs[i] * activities[i]) for i, enzyme in enumerate(ENZYMES)
-    }
-
-
-def nitrogen_fractions(activities: Sequence[float]) -> dict[str, float]:
-    """Fraction of the partition's nitrogen held by each enzyme."""
-    by_enzyme = nitrogen_by_enzyme(activities)
-    total = sum(by_enzyme.values())
-    if total <= 0:
-        return {name: 0.0 for name in by_enzyme}
-    return {name: value / total for name, value in by_enzyme.items()}

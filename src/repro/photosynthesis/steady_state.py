@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 from repro.photosynthesis.conditions import EnvironmentalCondition, PRESENT
-from repro.photosynthesis.enzymes import ENZYMES, enzyme_index, natural_activities
+from repro.photosynthesis.enzymes import ENZYMES, enzyme_index
 
 __all__ = ["UptakeBreakdown", "EnzymeLimitedModel"]
 
@@ -282,15 +282,3 @@ class EnzymeLimitedModel:
     def co2_uptake(self, activities: np.ndarray) -> float:
         """Net CO2 uptake (µmol m⁻² s⁻¹) of one enzyme-activity vector."""
         return self.breakdown(activities).net_uptake
-
-    def natural_uptake(self) -> float:
-        """Net CO2 uptake of the natural leaf under this model's condition."""
-        return self.co2_uptake(natural_activities())
-
-    def with_condition(self, condition: EnvironmentalCondition) -> "EnzymeLimitedModel":
-        """Copy of the model under a different environmental condition."""
-        return EnzymeLimitedModel(
-            condition=condition,
-            export_scale=self.export_scale,
-            photorespiration_penalty=self.photorespiration_penalty,
-        )

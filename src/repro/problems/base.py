@@ -268,15 +268,6 @@ class Problem:
         unit = np.asarray(unit, dtype=float)
         return self.lower_bounds + unit * (self.upper_bounds - self.lower_bounds)
 
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        """Map decision vector(s) onto ``[0, 1]^n_var`` (inverse of denormalize).
-
-        A zero-span variable is divided by 1 instead of 0.
-        """
-        span = self.upper_bounds - self.lower_bounds
-        span = np.where(span == 0.0, 1.0, span)
-        return (np.asarray(x, dtype=float) - self.lower_bounds) / span
-
     def design_space(self) -> dict:
         """JSON form of the decision box, recorded into run manifests.
 

@@ -109,10 +109,6 @@ class ProblemSpec:
     description: str = ""
     parameters: tuple[Parameter, ...] = ()
 
-    def defaults(self) -> dict[str, Any]:
-        """Schema defaults as a plain ``{name: value}`` dictionary."""
-        return {parameter.name: parameter.default for parameter in self.parameters}
-
     def build(self, **overrides: Any) -> Problem:
         """Build the problem with schema-validated parameter overrides.
 

@@ -160,11 +160,6 @@ class CheckpointManager:
         for path in self.checkpoints()[: -self.keep]:
             path.unlink(missing_ok=True)
 
-    def clear(self) -> None:
-        """Delete every checkpoint in the directory."""
-        for path in self.checkpoints():
-            path.unlink(missing_ok=True)
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------

@@ -497,10 +497,6 @@ class CachedEvaluator(Evaluator):
             "entries": len(self._cache),
         }
 
-    def clear(self) -> None:
-        """Drop every cached entry (counters are kept)."""
-        self._cache.clear()
-
     def close(self) -> None:
         self.inner.close()
 

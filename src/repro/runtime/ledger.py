@@ -192,8 +192,7 @@ class EvaluationLedger:
     def summary(self, timing: bool = True) -> str:
         """Human-readable table: one line per phase, totals, cache hit rate.
 
-        This is the single renderer of ledger data;
-        :func:`repro.core.report.format_ledger` delegates here.  The output is
+        This is the single renderer of ledger data.  The output is
         a pure function of the ledger's counters — phases are sorted, column
         widths fixed — so two ledgers with equal counters render identically
         regardless of insertion order or parallel interleaving.  Pass

@@ -162,11 +162,6 @@ class ServeThread:
         """The bound HTTP port (set once :meth:`start` returns)."""
         return self._app.port
 
-    @property
-    def coordinator(self) -> Coordinator:
-        """The app's coordinator (tests poke at its state directly)."""
-        return self._app.coordinator
-
     def _run(self) -> None:
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)

@@ -64,8 +64,8 @@ class ServeClient:
     Example
     -------
     >>> client = ServeClient(port=8765)
-    >>> client.base
-    '127.0.0.1:8765'
+    >>> client.host, client.port
+    ('127.0.0.1', 8765)
     """
 
     def __init__(
@@ -74,11 +74,6 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
-
-    @property
-    def base(self) -> str:
-        """The ``host:port`` this client talks to."""
-        return "%s:%d" % (self.host, self.port)
 
     # ------------------------------------------------------------------
     # Plumbing

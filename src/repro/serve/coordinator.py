@@ -25,6 +25,8 @@ Example
 -------
 Run a coordinator manually inside an event loop::
 
+    import asyncio
+
     from repro.serve import Coordinator, JobStore
     from repro.solve import SolveRequest
 
@@ -32,7 +34,8 @@ Run a coordinator manually inside an event loop::
         coordinator = Coordinator(JobStore(tmp_path), workers=2)
         await coordinator.start()
         record = await coordinator.submit(SolveRequest(problem="zdt1", generations=4))
-        await coordinator.wait(record.id)
+        while not coordinator.get(record.id).is_terminal:
+            await asyncio.sleep(0.1)
         await coordinator.stop()
 """
 
@@ -385,17 +388,6 @@ class Coordinator:
         channel = self.channels.get(job_id)
         if channel is not None:
             channel.unsubscribe(queue)
-
-    async def wait(self, job_id: str, timeout: "float | None" = None) -> JobRecord:
-        """Block until a job reaches a terminal state (tests and clients)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            record = self.get(job_id)
-            if record.is_terminal:
-                return record
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("job %s still %s after %.1fs" % (job_id, record.state, timeout))
-            await asyncio.sleep(EVENT_POLL_INTERVAL)
 
     def stats(self) -> dict[str, Any]:
         """Pool and queue introspection served by ``GET /stats``."""

@@ -86,9 +86,8 @@ class SolveResult:
         (:meth:`~repro.problems.base.Problem.design_space`, recorded into
         run manifests by :mod:`repro.core.artifacts`).
     extras:
-        Per-solver by-products (e.g. ``island_fronts`` for PMO2).  Entries are
-        also reachable as attributes: ``result.island_fronts`` looks up
-        ``result.extras["island_fronts"]``.
+        Per-solver by-products, read by key (PMO2's
+        ``result.extras["island_fronts"]``).
 
     Example
     -------
@@ -133,17 +132,6 @@ class SolveResult:
         return np.array(self.archive.X)
 
     # ------------------------------------------------------------------
-    def __getattr__(self, name: str) -> Any:
-        # Fall back into `extras` so per-solver by-products read like fields
-        # (result.island_fronts).  Guarded through __dict__ so unpickling and
-        # copying (which probe attributes before fields exist) cannot recurse.
-        extras = object.__getattribute__(self, "__dict__").get("extras")
-        if extras is not None and name in extras:
-            return extras[name]
-        raise AttributeError(
-            "%r object has no attribute %r" % (type(self).__name__, name)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SolveResult(algorithm=%r, generations=%d, evaluations=%d, front=%d)" % (
             self.algorithm,

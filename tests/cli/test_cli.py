@@ -7,6 +7,8 @@ The determinism and resume contracts of the artifact layer are asserted
 bitwise, exactly as the acceptance criteria demand.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.core.artifacts import (
     dumps_json,
     front_payload,
     individuals_from_front,
-    list_runs,
     load_front,
     load_front_payload,
     load_manifest,
@@ -23,6 +24,11 @@ from repro.core.artifacts import (
 )
 from repro.core.registry import experiment_names, get_experiment
 from repro.moo.metrics import hypervolume
+
+def _recorded_runs(base, experiment="*"):
+    """Run directories under ``base``, oldest first (a run has a manifest)."""
+    return [path.parent for path in sorted(Path(base).glob("%s/*/manifest.json" % experiment))]
+
 
 #: Toy budgets per experiment: fast enough for CI, big enough to be real runs.
 TOY_BUDGETS = {
@@ -90,7 +96,7 @@ def test_run_produces_manifest_and_loadable_front(name, tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    (run_dir,) = list_runs(tmp_path, experiment=name)
+    (run_dir,) = _recorded_runs(tmp_path, experiment=name)
     manifest = load_manifest(run_dir)
     assert manifest.experiment == name
     assert manifest.parameters["seed"] == 0
@@ -109,8 +115,8 @@ class TestDeterminism:
                 "--population", "8", "--generations", "3"]
         assert main(args + ["--output-dir", str(tmp_path / "a")]) == 0
         assert main(args + ["--output-dir", str(tmp_path / "b")]) == 0
-        (first,) = list_runs(tmp_path / "a")
-        (second,) = list_runs(tmp_path / "b")
+        (first,) = _recorded_runs(tmp_path / "a")
+        (second,) = _recorded_runs(tmp_path / "b")
         assert (first / "front.json").read_bytes() == (second / "front.json").read_bytes()
         assert (first / "front.csv").read_bytes() == (second / "front.csv").read_bytes()
         assert (first / "result.json").read_bytes() == (second / "result.json").read_bytes()
@@ -137,8 +143,8 @@ class TestResume:
             ["run"] + common + ["--generations", "5",
              "--output-dir", str(tmp_path / "fresh"), "--quiet"]
         ) == 0
-        (resumed,) = list_runs(tmp_path / "resumed")
-        (fresh,) = list_runs(tmp_path / "fresh")
+        (resumed,) = _recorded_runs(tmp_path / "resumed")
+        (fresh,) = _recorded_runs(tmp_path / "fresh")
         assert (resumed / "front.json").read_bytes() == (fresh / "front.json").read_bytes()
 
     def test_run_refuses_stale_checkpoint_directory(self, tmp_path, capsys):
@@ -202,7 +208,7 @@ class TestExport:
         assert main(["run", "migration-ablation", "--seed", "0", "--quiet",
                      "--population", "8", "--generations", "3",
                      "--output-dir", str(base)]) == 0
-        (run_dir,) = list_runs(base)
+        (run_dir,) = _recorded_runs(base)
         return run_dir
 
     def test_export_front_round_trips_bitwise(self, run_dir, capsys):
@@ -262,7 +268,7 @@ class TestExportFrontInfo:
         base = tmp_path_factory.mktemp("figure3-runs")
         assert main(["run", "photosynthesis-figure3", "--seed", "0", "--quiet",
                      "--output-dir", str(base)] + TOY_BUDGETS["photosynthesis-figure3"]) == 0
-        (run_dir,) = list_runs(base)
+        (run_dir,) = _recorded_runs(base)
         return run_dir
 
     def test_check_carries_the_info_list_through(self, run_dir, capsys):

@@ -11,7 +11,6 @@ from repro.core.artifacts import (
     dumps_json,
     front_payload,
     individuals_from_front,
-    list_runs,
     load_front,
     load_front_payload,
     load_json,
@@ -159,14 +158,6 @@ class TestRecordAndLoad:
         experiment, result = _stub_experiment()
         run_dir = record_run(experiment, result, {"seed": 0}, base_dir=tmp_path)
         assert len(load_front(run_dir / "front.json")) == 1
-
-    def test_list_runs_skips_manifestless_directories(self, tmp_path):
-        experiment, result = _stub_experiment()
-        run_dir = record_run(experiment, result, {"seed": 0}, base_dir=tmp_path)
-        (tmp_path / "stub" / "incomplete").mkdir()
-        assert list_runs(tmp_path) == [run_dir]
-        assert list_runs(tmp_path, experiment="stub") == [run_dir]
-        assert list_runs(tmp_path / "missing") == []
 
     def test_missing_artifact_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -48,7 +48,7 @@ class TestPipelineOnSyntheticProblem:
 class TestPipelineOnPhotosynthesis:
     def test_report_contains_table2_selection_criteria(self, photosynthesis_report):
         _, report = photosynthesis_report
-        criteria = set(report.criteria())
+        criteria = {design.criterion for design in report.selections}
         assert "closest_to_ideal" in criteria
         assert "max_co2_uptake" in criteria
         assert "min_nitrogen" in criteria

@@ -53,10 +53,9 @@ class TestCannedRegistrations:
         with pytest.raises(KeyError, match="table1"):
             get_experiment("table1")
 
-    def test_registry_contains_and_len(self):
-        assert "migration-ablation" in REGISTRY
-        assert len(REGISTRY) >= len(EXPECTED_NAMES)
-        assert [e.name for e in REGISTRY] == REGISTRY.names()
+    def test_registry_names_are_sorted(self):
+        assert "migration-ablation" in REGISTRY.names()
+        assert REGISTRY.names() == sorted(REGISTRY.names())
 
 
 class TestParameterSchema:
@@ -106,11 +105,7 @@ class TestParameterSchema:
     def test_run_passes_validated_parameters(self):
         assert self._demo().run(population=6) == (6, 0, False)
 
-    def test_parameter_lookup_and_cli_flag(self):
-        experiment = self._demo()
-        assert experiment.parameter("population").default == 4
-        with pytest.raises(KeyError):
-            experiment.parameter("missing")
+    def test_cli_flag(self):
         assert Parameter("n_workers", int, 1, "").cli_flag == "--n-workers"
 
     def test_none_passes_through_coercion(self):

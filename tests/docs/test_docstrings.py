@@ -71,12 +71,10 @@ REQUIRED_EXAMPLES = [
     "repro.core.artifacts.load_front",
     "repro.core.artifacts.load_manifest",
     "repro.core.designer.RobustPathwayDesigner",
-    "repro.core.designer.DesignReport.summary",
     "repro.core.registry",
     "repro.core.registry.Experiment",
     "repro.core.registry.Experiment.run",
     "repro.core.registry.get_experiment",
-    "repro.core.report.render_design_report",
     "repro.core.report.render_selections",
     "repro.fba.solver.assemble_lp",
     "repro.fba.batch.steady_state_violations",
@@ -91,9 +89,12 @@ REQUIRED_EXAMPLES = [
     "repro.problems.batch.BatchEvaluation",
     "repro.problems.registry",
     "repro.problems.registry.build_problem",
+    "repro.problems.registry.parse_problem_spec",
     "repro.problems.base.Problem.design_space",
     "repro.problems.transforms",
     "repro.runtime.checkpoint",
+    "repro.runtime.cachekeys",
+    "repro.runtime.diskcache.PersistentCachedEvaluator",
     "repro.runtime.evaluator.build_evaluator",
     "repro.runtime.ledger.EvaluationLedger.summary",
     "repro.serve",
@@ -107,9 +108,11 @@ REQUIRED_EXAMPLES = [
     "repro.solve.events",
     "repro.solve.registry",
     "repro.solve.registry.SolverSpec.build",
+    "repro.solve.registry.get_solver",
     "repro.solve.request.SolveRequest",
     "repro.solve.result.SolveResult",
     "repro.solve.termination",
+    "repro.solve.warmstart.load_warm_population",
     "tests.oracles.ode.network.KineticNetwork.build_rhs_batch",
     "tests.oracles.ode.simulator.KineticSimulator.simulate_ensemble",
 ]

@@ -62,9 +62,10 @@ class TestTable2:
         assert {"closest_to_ideal", "max_co2_uptake", "min_nitrogen", "max_yield"} <= criteria
 
     def test_selection_ordering_matches_paper_structure(self, table2):
-        max_uptake = table2.row("max_co2_uptake")
-        min_nitrogen = table2.row("min_nitrogen")
-        closest = table2.row("closest_to_ideal")
+        rows = {s.criterion: s for s in table2.selections}
+        max_uptake = rows["max_co2_uptake"]
+        min_nitrogen = rows["min_nitrogen"]
+        closest = rows["closest_to_ideal"]
         # Max-uptake design fixes the most CO2 and spends the most nitrogen;
         # the min-nitrogen design is the cheapest and the least productive.
         assert max_uptake.objectives[0] >= closest.objectives[0] >= min_nitrogen.objectives[0]
@@ -75,7 +76,8 @@ class TestTable2:
             assert 0.0 <= selection.yield_percentage <= 100.0
 
     def test_uptake_improves_over_natural_leaf(self, table2):
-        assert table2.row("max_co2_uptake").objectives[0] > table2.natural_uptake
+        rows = {s.criterion: s for s in table2.selections}
+        assert rows["max_co2_uptake"].objectives[0] > table2.natural_uptake
 
 
 class TestFigure1:

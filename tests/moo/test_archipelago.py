@@ -58,7 +58,7 @@ class TestArchipelagoRun:
         assert result.generations == 10
         assert result.evaluations == sum(island.evaluations for island in islands)
         assert len(result.front) > 0
-        assert len(result.island_archives) == 2
+        assert len(result.extras["island_archives"]) == 2
 
     def test_migration_happens_on_schedule(self):
         islands = [make_island(0), make_island(1)]

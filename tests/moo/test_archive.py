@@ -41,7 +41,7 @@ class TestArchiveBasics:
         archive.add(make([3.0, 1.0]))
         assert archive.add(make([1.0, 0.5]))
         assert len(archive) == 1
-        assert archive[0].objectives == pytest.approx([1.0, 0.5])
+        assert archive.F[0] == pytest.approx([1.0, 0.5])
 
     def test_duplicates_are_not_stored_twice(self):
         archive = ParetoArchive()
@@ -54,7 +54,7 @@ class TestArchiveBasics:
         original = make([1.0, 1.0])
         archive.add(original)
         original.objectives[0] = 99.0
-        assert archive[0].objectives[0] == 1.0
+        assert archive.F[0, 0] == 1.0
 
     def test_infeasible_dominated_by_feasible(self):
         archive = ParetoArchive()
@@ -134,12 +134,6 @@ class TestArchiveViews:
         np.testing.assert_array_equal(clone.X, archive.X)
         assert clone.add(make([0.5, 0.5]))
         assert len(clone) == 1 and len(archive) == 2
-
-    def test_clear(self):
-        archive = ParetoArchive()
-        archive.add(make([1.0, 1.0]))
-        archive.clear()
-        assert len(archive) == 0
 
     def test_add_population_returns_inserted_count(self):
         archive = ParetoArchive()

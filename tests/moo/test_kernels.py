@@ -20,7 +20,6 @@ import pytest
 from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
-from repro.moo.metrics import spacing
 from repro.moo.nsga2 import assign_ranks_and_crowding
 from tests.oracles import archive as archive_oracle
 from tests.oracles.kernels import (
@@ -184,8 +183,6 @@ class TestCrowding:
             assert np.all(distances[1:-1] == 0.0)
             zero_range = np.column_stack([np.arange(5.0), np.zeros(5)])
             kernels.crowding_distances(zero_range)
-            assert spacing(duplicated) == 0.0
-            spacing(zero_range)
 
     def test_small_fronts(self):
         assert kernels.crowding_distances(np.empty((0, 2))).size == 0

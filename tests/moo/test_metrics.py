@@ -6,15 +6,12 @@ import pytest
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.moo.metrics import (
     coverage_report,
-    epsilon_indicator,
-    front_spread,
     generational_distance,
     global_pareto_coverage,
     hypervolume,
     inverted_generational_distance,
     normalize_fronts,
     relative_pareto_coverage,
-    spacing,
     union_front,
 )
 
@@ -127,21 +124,3 @@ class TestDistanceIndicators:
         assert inverted_generational_distance(near, reference) < inverted_generational_distance(
             far, reference
         )
-
-    def test_spacing_zero_for_uniform_spread(self):
-        front = np.column_stack([np.linspace(0, 1, 5), 1 - np.linspace(0, 1, 5)])
-        assert spacing(front) == pytest.approx(0.0, abs=1e-12)
-
-    def test_spacing_positive_for_clustered_front(self):
-        front = np.array([[0.0, 1.0], [0.01, 0.99], [1.0, 0.0]])
-        assert spacing(front) > 0.0
-
-    def test_spread_is_bounding_box_diagonal(self):
-        front = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert front_spread(front) == pytest.approx(5.0)
-
-    def test_epsilon_indicator_zero_when_covering(self):
-        reference = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert epsilon_indicator(reference, reference) == pytest.approx(0.0)
-        shifted = reference + 0.2
-        assert epsilon_indicator(shifted, reference) == pytest.approx(0.2)

@@ -10,8 +10,6 @@ from repro.moo.mining import (
     ideal_point,
     knee_point,
     mine_front,
-    nadir_point,
-    pareto_relative_minimum,
     shadow_minima,
 )
 
@@ -23,14 +21,8 @@ def convex_front():
 
 
 class TestReferencePoints:
-    def test_ideal_and_nadir(self, convex_front):
+    def test_ideal_point(self, convex_front):
         assert ideal_point(convex_front) == pytest.approx([0.0, 0.0])
-        assert nadir_point(convex_front) == pytest.approx([1.0, 1.0])
-
-    def test_prm_equals_empirical_ideal(self, convex_front):
-        assert pareto_relative_minimum(convex_front) == pytest.approx(
-            ideal_point(convex_front)
-        )
 
     def test_rejects_empty_front(self):
         with pytest.raises(DimensionError):

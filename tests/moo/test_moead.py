@@ -16,6 +16,7 @@ from repro.problems import FunctionalProblem, build_problem
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
 from tests.oracles.budget import BudgetCounting
+from tests.oracles.fronts import true_front
 
 
 class TestWeightVectors:
@@ -101,7 +102,7 @@ class TestMOEADRun:
         problem = Schaffer()
         result = _moead(problem, 40, 2, population_size=30, neighborhood_size=8)
         igd = inverted_generational_distance(
-            result.archive.F, problem.true_front()
+            result.archive.F, true_front(problem)
         )
         assert igd < 0.3
 

@@ -17,6 +17,7 @@ from repro.moo.testproblems import ConstrainedBNH, Schaffer, ZDT1
 from repro.solve import CallbackObserver, solve
 from tests.helpers import solve_engine
 from tests.oracles.budget import BudgetCounting
+from tests.oracles.fronts import true_front
 
 
 class TestConfigValidation:
@@ -77,7 +78,7 @@ class TestNSGA2Run:
         problem = Schaffer()
         result = solve(problem, "nsga2", population_size=40, seed=2, termination=40)
         front = result.archive.F
-        igd = inverted_generational_distance(front, problem.true_front())
+        igd = inverted_generational_distance(front, true_front(problem))
         assert igd < 0.2
 
     def test_seed_reproducibility(self):

@@ -10,8 +10,9 @@ from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual
 from repro.moo.metrics import hypervolume
 from repro.moo.mining import closest_to_ideal, ideal_point
-from repro.moo.robustness import PerturbationModel, robustness_condition
+from repro.moo.robustness import PerturbationModel
 from tests.helpers import crossover_pair, mutate
+from tests.oracles.robustness import robustness_condition
 
 objective_matrices = arrays(
     dtype=float,

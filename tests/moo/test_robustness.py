@@ -1,5 +1,7 @@
 """Tests for the robustness framework (rho, Gamma, Monte-Carlo ensembles)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from repro.moo.robustness import (
     RobustnessSettings,
     front_yields,
     local_yields,
-    robustness_condition,
     uptake_yield,
 )
+from tests.oracles.robustness import robustness_condition
 
 
 class TestRobustnessCondition:
@@ -144,6 +146,115 @@ class TestYield:
         report = uptake_yield(np.ones(3), lambda X: X.sum(axis=1), trials=trials)
         assert report.n_trials == 10
         assert report.yield_fraction == pytest.approx(1.0)
+
+
+class TestYieldCountsTheCondition:
+    """Eq. 4's vectorized count is Eq. 3's ``rho`` summed over the ensemble."""
+
+    @staticmethod
+    def _epsilon_on(nominal, value):
+        """Relative epsilon whose threshold ``eps * |nominal|`` is exactly the gap."""
+        gap = abs(nominal - value)
+        epsilon = gap / abs(nominal)
+        for _ in range(8):
+            threshold = epsilon * abs(nominal)
+            if threshold == gap:
+                return epsilon
+            epsilon = np.nextafter(epsilon, np.inf if threshold < gap else -np.inf)
+        raise AssertionError("no epsilon places the trial on the threshold")
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["serial", "cached"])
+    def test_photosynthesis_yield_is_the_mean_of_rho(self, cache):
+        from repro.photosynthesis.problem import PhotosynthesisProblem
+        from repro.runtime.evaluator import build_evaluator
+
+        problem = PhotosynthesisProblem()
+        evaluator = build_evaluator(cache=cache)
+
+        def uptake(X):
+            return evaluator.evaluate_objective(problem, "co2_uptake", X)
+
+        rng = np.random.default_rng(11)
+        x = problem.random_solution(rng)
+        model = PerturbationModel(
+            magnitude=0.1, clip_lower=problem.lower_bounds, clip_upper=problem.upper_bounds
+        )
+        trials = model.perturb_all(x, 64, rng)
+        nominal = float(uptake(x[None, :])[0])
+        values = uptake(trials)
+        # Put the trial with the median gap exactly on the threshold.
+        boundary = int(np.argsort(np.abs(nominal - values))[len(values) // 2])
+        epsilon = self._epsilon_on(nominal, values[boundary])
+        settings = RobustnessSettings(epsilon=epsilon)
+
+        report = uptake_yield(x, uptake, settings=settings, trials=trials)
+        rho = [robustness_condition(nominal, value, epsilon) for value in values]
+        assert rho[boundary] == 1
+        assert report.nominal_value == nominal
+        assert report.robust_trials == sum(rho)
+        assert report.yield_fraction == sum(rho) / len(rho)
+        assert 0 < sum(rho) < len(rho)
+        # One ulp less epsilon drops exactly the trial on the threshold.
+        below = RobustnessSettings(epsilon=float(np.nextafter(epsilon, 0.0)))
+        assert uptake_yield(x, uptake, settings=below, trials=trials).robust_trials == (
+            sum(rho) - 1
+        )
+
+    @staticmethod
+    def _property(X):
+        # Products and sums only: the bits do not depend on how rows are batched.
+        return X[:, 0] ** 2 + 3.0 * X[:, 1] - X[:, 0] * X[:, 2]
+
+    @staticmethod
+    def _ensembles(path, decisions, settings):
+        """The trials each yield path draws, drawn again from the settings' seed."""
+        model = settings.perturbation_model()
+        if path == "local":
+            rng = np.random.default_rng(settings.seed)
+            x = decisions[0]
+            return [model.perturb_one(x, i, settings.local_trials, rng) for i in range(x.size)]
+        return [
+            model.perturb_all(row, settings.global_trials, np.random.default_rng(settings.seed))
+            for row in decisions
+        ]
+
+    def _reports(self, path, decisions, settings):
+        if path == "uptake":
+            return [uptake_yield(decisions[0], self._property, settings=settings)]
+        if path == "local":
+            return list(local_yields(decisions[0], self._property, settings=settings).values())
+        return front_yields(decisions, self._property, settings=settings)
+
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    @pytest.mark.parametrize("path", ["uptake", "local", "front"])
+    def test_every_yield_path_counts_rho(self, path, relative):
+        decisions = np.array([[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]])[: 2 if path == "front" else 1]
+        settings = RobustnessSettings(
+            global_trials=40, local_trials=40, seed=5, relative_epsilon=relative
+        )
+        ensembles = self._ensembles(path, decisions, settings)
+        # Put the first ensemble's trial with the median gap exactly on the threshold.
+        nominal = float(self._property(decisions[:1])[0])
+        values = self._property(ensembles[0])
+        boundary = int(np.argsort(np.abs(nominal - values))[len(values) // 2])
+        if relative:
+            epsilon = self._epsilon_on(nominal, values[boundary])
+        else:
+            epsilon = float(abs(nominal - values[boundary]))
+        assert robustness_condition(nominal, values[boundary], epsilon, relative=relative) == 1
+
+        reports = self._reports(path, decisions, dataclasses.replace(settings, epsilon=epsilon))
+        rows = decisions if path == "front" else np.repeat(decisions, len(ensembles), axis=0)
+        assert len(reports) == len(ensembles) == len(rows)
+        for report, row, trials in zip(reports, rows, ensembles):
+            nominal = float(self._property(row[None, :])[0])
+            values = self._property(trials)
+            rho = [robustness_condition(nominal, v, epsilon, relative=relative) for v in values]
+            assert report.nominal_value == nominal
+            assert np.array_equal(report.perturbed_values, values)
+            assert report.robust_trials == sum(rho)
+            assert report.yield_fraction == sum(rho) / len(rho)
+        assert 0 < reports[0].robust_trials < len(ensembles[0])
 
 
 class TestLocalAndFrontYields:

@@ -9,8 +9,10 @@ design through (scaled) flux control coefficients,
 
     C_i = (d A / A) / (d x_i / x_i),
 
-estimated by central finite differences of the uptake model, and provides a
-ranking helper used by reports and tests.
+estimated by central finite differences of the uptake model, and a ranking
+helper.  ``tests/photosynthesis/test_control.py`` holds the fast model to the
+paper's statement with them.  The module lives outside the installed
+package; it exists for verification only.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.photosynthesis.control import (
+from tests.oracles.control import (
     ControlCoefficient,
     control_coefficients,
     most_influential_enzymes,

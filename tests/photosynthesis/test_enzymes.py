@@ -12,9 +12,7 @@ from repro.photosynthesis.enzymes import (
 )
 from repro.photosynthesis.nitrogen import (
     NATURAL_NITROGEN,
-    nitrogen_by_enzyme,
     nitrogen_cost_vector,
-    nitrogen_fractions,
     total_nitrogen,
 )
 from repro.exceptions import ConfigurationError, DimensionError
@@ -47,9 +45,10 @@ class TestCatalogue:
         assert np.all(activities > 0.0)
 
     def test_rubisco_is_the_most_nitrogen_expensive_pool(self):
-        fractions = nitrogen_fractions(natural_activities())
-        assert max(fractions, key=fractions.get) == "Rubisco"
-        assert fractions["Rubisco"] > 0.3
+        by_enzyme = nitrogen_cost_vector() * natural_activities()
+        fractions = by_enzyme / by_enzyme.sum()
+        assert ENZYMES[int(np.argmax(fractions))].name == "Rubisco"
+        assert fractions.max() > 0.3
 
     def test_invalid_enzyme_definitions_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -75,15 +74,6 @@ class TestNitrogenAccounting:
         assert total_nitrogen(natural * 2.0) == pytest.approx(2.0 * NATURAL_NITROGEN)
         assert total_nitrogen(natural * 0.0) == pytest.approx(0.0)
 
-    def test_per_enzyme_breakdown_sums_to_total(self):
-        natural = natural_activities()
-        breakdown = nitrogen_by_enzyme(natural)
-        assert sum(breakdown.values()) == pytest.approx(total_nitrogen(natural))
-
-    def test_fractions_sum_to_one(self):
-        fractions = nitrogen_fractions(natural_activities())
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
     def test_cost_vector_follows_mw_over_kcat(self):
         costs = nitrogen_cost_vector()
         raw = np.array([e.molecular_weight / e.catalytic_number for e in ENZYMES])
@@ -93,9 +83,3 @@ class TestNitrogenAccounting:
     def test_dimension_checks(self):
         with pytest.raises(DimensionError):
             total_nitrogen(np.ones(5))
-        with pytest.raises(DimensionError):
-            nitrogen_by_enzyme(np.ones(5))
-
-    def test_zero_partition_fractions(self):
-        fractions = nitrogen_fractions(np.full(23, 1e-30))
-        assert all(np.isfinite(v) for v in fractions.values())

@@ -22,7 +22,7 @@ def natural():
 class TestNaturalLeafCalibration:
     def test_natural_uptake_near_paper_value(self, model):
         # Paper: natural leaf uptake ≈ 15.486 µmol m⁻² s⁻¹ at Ci = 270, low export.
-        assert model.natural_uptake() == pytest.approx(15.486, rel=0.10)
+        assert model.co2_uptake(natural_activities()) == pytest.approx(15.486, rel=0.10)
 
     def test_uptake_ordering_across_ci_scenarios(self, natural):
         past = EnzymeLimitedModel(condition("past", "low")).co2_uptake(natural)
@@ -102,11 +102,6 @@ class TestInterface:
         assert breakdown.oxygenation == pytest.approx(
             model.condition.oxygenation_ratio * breakdown.gross_carboxylation
         )
-
-    def test_with_condition_returns_new_model(self, model):
-        other = model.with_condition(condition("future", "high"))
-        assert other.condition.ci == 490.0
-        assert other is not model
 
     def test_evaluation_is_fast_enough_for_optimization(self, model, natural):
         import time

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionError
+from repro.moo.operators import latin_hypercube
 from repro.moo.testproblems import ConstrainedBNH
 from repro.problems import (
     BatchEvaluation,
@@ -266,7 +267,7 @@ class TestBoxConstruction:
 
     def test_zero_span_bounds_stay_legal(self):
         problem = _box([0.5], [0.5])
-        assert problem.normalize(np.array([0.5])) == pytest.approx([0.0])
+        assert problem.denormalize(np.array([0.7])) == pytest.approx([0.5])
 
     def test_bound_shape_must_match_n_var(self):
         with pytest.raises(DimensionError, match="bounds must have shape"):
@@ -307,13 +308,31 @@ class TestBoxConstruction:
         assert problem.clip(raw) == pytest.approx(np.array([[20.0, 5.0], [40.0, 1.0]]))
         assert problem.clip(raw[0]) == pytest.approx([20.0, 5.0])
 
-    def test_normalize_denormalize_roundtrip(self):
+    def test_denormalize_maps_the_unit_box_onto_the_bounds(self):
         problem = _box([-2.0, 0.0], [2.0, 10.0])
-        x = np.array([1.0, 7.5])
-        assert problem.normalize(x) == pytest.approx([0.75, 0.75])
-        assert problem.denormalize(problem.normalize(x)) == pytest.approx(x)
-        X = np.array([[-2.0, 0.0], [2.0, 10.0]])
-        assert problem.normalize(X) == pytest.approx(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert problem.denormalize(np.array([0.75, 0.75])) == pytest.approx([1.0, 7.5])
+        U = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert problem.denormalize(U) == pytest.approx(np.array([[-2.0, 0.0], [2.0, 10.0]]))
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_latin_hypercube_starts_are_stratified_inside_every_registered_box(self, name):
+        # The engines' default initialization is denormalize() of a stratified
+        # unit sample: every row inside the box, each stratum of each variable
+        # hit once, and a fixed variable (zero span) held at its bound.
+        problem = build_problem(name)
+        size = 16
+        lower, upper = problem.lower_bounds, problem.upper_bounds
+        assert np.array_equal(problem.denormalize(np.zeros(problem.n_var)), lower)
+        assert problem.denormalize(np.ones(problem.n_var)) == pytest.approx(upper, rel=1e-12)
+        X = latin_hypercube(problem, size, np.random.default_rng(3)).X
+        assert X.shape == (size, problem.n_var)
+        assert np.all((X >= lower) & (X <= upper))
+        span = upper - lower
+        fixed = span == 0
+        assert np.array_equal(X[:, fixed], np.broadcast_to(lower[fixed], (size, fixed.sum())))
+        strata = np.floor((X[:, ~fixed] - lower[~fixed]) / span[~fixed] * size).astype(int)
+        expected = np.tile(np.arange(size)[:, None], (1, strata.shape[1]))
+        assert np.array_equal(np.sort(strata, axis=0), expected)
 
     def test_design_space_json(self):
         problem = _box([0.5, -3.25], [1.5, np.inf], names=["a", "b"])

@@ -150,9 +150,6 @@ class TestProblemSpec:
         with pytest.raises(ConfigurationError):
             spec.build(shape=2)
 
-    def test_defaults_dictionary(self):
-        assert get_problem("zdt6").defaults() == {"n_var": 10}
-
 
 class TestDescribe:
     def test_payload_shape(self):

@@ -151,7 +151,7 @@ def _running_runner(client, app, job_id):
     """Wait until ``job_id`` runs in a child of the fork server; that child's pid."""
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        server = app.coordinator.fork_server
+        server = app._app.coordinator.fork_server
         if client.job(job_id)["state"] != "queued" and server is not None:
             children = _children_of(server.process.pid)
             if children:
@@ -167,7 +167,7 @@ class TestForkServerCrashPoints:
             job = client.submit(problem="zdt1?delay=0.02", generations=500,
                                 population=12, telemetry=False)
             runner = _running_runner(client, app, job["id"])
-            os.kill(app.coordinator.fork_server.process.pid, signal.SIGKILL)
+            os.kill(app._app.coordinator.fork_server.process.pid, signal.SIGKILL)
             record = client.wait(job["id"], timeout=30)
             assert record["state"] == "failed"
             assert "fork server exited with code -9" in record["error"]

@@ -136,13 +136,13 @@ class TestEngineParity:
 
 
 class TestSolveResult:
-    def test_pmo2_extras_reachable_as_attributes(self):
+    def test_pmo2_extras_are_read_by_key(self):
         result = solve(Schaffer(), "pmo2", seed=1, termination=3,
                        island_population_size=8, migration_interval=2)
-        assert len(result.island_fronts) == 2
+        assert len(result.extras["island_fronts"]) == 2
         assert len(result.extras["island_archives"]) == 2
         with pytest.raises(AttributeError):
-            result.no_such_field
+            result.island_fronts
 
     def test_ledger_attached_for_pmo2(self):
         result = solve(Schaffer(), "pmo2", seed=1, termination=3,
