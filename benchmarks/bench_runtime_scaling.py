@@ -27,7 +27,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.report import format_table, paper_vs_measured
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.photosynthesis.conditions import REFERENCE_CONDITION
 from repro.photosynthesis.problem import PhotosynthesisProblem
 from repro.runtime import ProcessPoolEvaluator, SerialEvaluator

@@ -153,7 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument(
         "--algorithm",
         default="pmo2",
-        help="registered solver name (default: pmo2); see `repro solve --help`",
+        help=(
+            "registered solver name (default: pmo2); pmo2 migrates every 200 "
+            "generations, the paper's interval, so a shorter run never migrates"
+        ),
     )
     solve_parser.add_argument(
         "--generations",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.moo.mining import closest_to_ideal, equally_spaced_selection, shadow_minima
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.moo.robustness import (
     PropertyMatrix,
     RobustnessSettings,
@@ -78,8 +78,8 @@ class RobustPathwayDesigner:
         The design problem (photosynthesis, Geobacter, or any
         :class:`~repro.problems.Problem`).
     pmo2_config:
-        PMO2 configuration; defaults to the paper's adopted configuration with
-        a migration interval scaled to the run length used here.
+        PMO2 configuration; defaults to the paper's adopted configuration
+        (``PMO2Config()``, which migrates every 200 generations).
     seed:
         Master random seed.
     n_workers:

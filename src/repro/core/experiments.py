@@ -27,7 +27,7 @@ from repro.moo.metrics import coverage_report
 from repro.moo.mining import equally_spaced_selection
 from repro.moo.moead import MOEADConfig
 from repro.moo.nsga2 import NSGA2Config
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.moo.robustness import RobustnessSettings, front_yields
 from repro.solve import MaxEvaluations, MaxGenerations, solve
 from repro.photosynthesis.candidates import (
@@ -59,18 +59,20 @@ __all__ = [
 # Default (laptop-friendly) budgets.
 _DEFAULT_POPULATION = 40
 _DEFAULT_GENERATIONS = 60
-_PAPER_MIGRATION_INTERVAL = 200
+
+
+def _scaled_interval(generations: int) -> int:
+    """The paper's 200-generation migration interval, cut to a third of shorter runs."""
+    return max(1, min(PMO2Config.migration_interval, generations // 3))
 
 
 def _pmo2_config(
     population: int, migration_interval: int, topology: str = "all-to-all"
 ) -> PMO2Config:
-    """PMO2 configuration following the paper, with a scaled migration interval."""
+    """The paper's PMO2 configuration with the given island size and interval."""
     return PMO2Config(
-        n_islands=2,
         island_population_size=population,
         migration_interval=migration_interval,
-        migration_rate=0.5,
         topology=topology,
     )
 
@@ -120,11 +122,10 @@ def run_table1(
     """
     base_problem = problem or PhotosynthesisProblem(REFERENCE_CONDITION)
 
-    migration_interval = max(1, min(_PAPER_MIGRATION_INTERVAL, generations // 3))
     pmo2_result = solve(
         base_problem,
         algorithm="pmo2",
-        config=_pmo2_config(population, migration_interval),
+        config=_pmo2_config(population, _scaled_interval(generations)),
         seed=seed,
         termination=MaxGenerations(generations),
         n_workers=n_workers,
@@ -202,13 +203,12 @@ def run_table2(
     ``checkpoint_dir`` makes the optimization phase resumable.
     """
     problem = PhotosynthesisProblem(REFERENCE_CONDITION)
-    migration_interval = max(1, min(_PAPER_MIGRATION_INTERVAL, generations // 3))
     settings = RobustnessSettings(
         epsilon=0.05, global_trials=robustness_trials, magnitude=0.10, seed=seed
     )
     with RobustPathwayDesigner(
         problem,
-        _pmo2_config(population, migration_interval),
+        _pmo2_config(population, _scaled_interval(generations)),
         seed=seed,
         n_workers=n_workers,
         cache=cache,
@@ -272,13 +272,12 @@ def run_figure1(
     decisions_low_present: np.ndarray | None = None
     front_low_present: np.ndarray | None = None
     raw_front_low_present: np.ndarray | None = None
-    migration_interval = max(1, min(_PAPER_MIGRATION_INTERVAL, generations // 3))
     for offset, (key, environmental_condition) in enumerate(sorted(chosen.items())):
         problem = PhotosynthesisProblem(environmental_condition)
         result = solve(
             problem,
             algorithm="pmo2",
-            config=_pmo2_config(population, migration_interval),
+            config=_pmo2_config(population, _scaled_interval(generations)),
             seed=seed + offset,
             termination=MaxGenerations(generations),
             n_workers=n_workers,
@@ -416,11 +415,10 @@ def run_figure3(
     settings = RobustnessSettings(
         epsilon=0.05, global_trials=robustness_trials, magnitude=0.10, seed=seed
     )
-    migration_interval = max(1, min(_PAPER_MIGRATION_INTERVAL, generations // 3))
     result = solve(
         problem,
         algorithm="pmo2",
-        config=_pmo2_config(population, migration_interval),
+        config=_pmo2_config(population, _scaled_interval(generations)),
         seed=seed,
         termination=MaxGenerations(generations),
         n_workers=n_workers,

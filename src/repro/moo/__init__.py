@@ -8,9 +8,8 @@ The sub-package provides:
   members in a population and shares its matrices;
 * :mod:`repro.moo.nsga2` / :mod:`repro.moo.moead` — the two evolutionary
   engines (NSGA-II is PMO2's island engine, MOEA/D the Table 1 baseline);
-* :mod:`repro.moo.archipelago` / :mod:`repro.moo.topology` — the island
-  model; :mod:`repro.moo.pmo2` — the PMO2 configuration and
-  :func:`build_pmo2`, the builder of the paper's archipelago;
+* :mod:`repro.moo.archipelago` — PMO2, the paper's island model:
+  :class:`PMO2Config` and the :class:`Archipelago` of NSGA-II islands;
 * :mod:`repro.moo.metrics` — hypervolume and the paper's Gp / Rp coverage
   indicators;
 * :mod:`repro.moo.mining` — closest-to-ideal, shadow minima, knee point and
@@ -45,8 +44,7 @@ from repro.moo import kernels
 #: Public name -> module defining it, resolved by :func:`__getattr__`.
 _EXPORTS = {
     "Archipelago": "repro.moo.archipelago",
-    "Island": "repro.moo.archipelago",
-    "MigrationPolicy": "repro.moo.archipelago",
+    "PMO2Config": "repro.moo.archipelago",
     "ParetoArchive": "repro.moo.archive",
     "archive_prune": "repro.moo.kernels",
     "constrained_domination_blocks": "repro.moo.kernels",
@@ -77,8 +75,6 @@ _EXPORTS = {
     "NSGA2": "repro.moo.nsga2",
     "NSGA2Config": "repro.moo.nsga2",
     "assign_ranks_and_crowding": "repro.moo.nsga2",
-    "PMO2Config": "repro.moo.pmo2",
-    "build_pmo2": "repro.moo.pmo2",
     "FunctionalProblem": "repro.problems.base",
     "Problem": "repro.problems.base",
     "PerturbationModel": "repro.moo.robustness",
@@ -87,10 +83,6 @@ _EXPORTS = {
     "front_yields": "repro.moo.robustness",
     "local_yields": "repro.moo.robustness",
     "uptake_yield": "repro.moo.robustness",
-    "AllToAllTopology": "repro.moo.topology",
-    "IsolatedTopology": "repro.moo.topology",
-    "Topology": "repro.moo.topology",
-    "topology_from_name": "repro.moo.topology",
 }
 
 

@@ -88,7 +88,7 @@ class ParetoArchive:
         Returns ``True`` when the candidate enters the archive (i.e. it is not
         dominated by any current member); dominated members are removed.
         """
-        return self._fold(candidate.copy()._population) == 1
+        return self._fold(Population([candidate])) == 1
 
     def add_population(self, population: Population | Iterable[Individual]) -> int:
         """Insert every individual of a population; returns how many entered.

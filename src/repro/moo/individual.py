@@ -35,7 +35,7 @@ class Individual:
     """One candidate solution: a view of one row of a :class:`Population`.
 
     Reading or setting an attribute reads or writes the population's row
-    (``rank`` and ``crowding`` are read-only here: sorting writes them into
+    (``crowding`` is read-only here: sorting writes it, and the rank, into
     the population's vectors).
     ``Individual(x)`` builds a free-standing candidate: the one row of a
     population of its own, holding a copy of ``x``.
@@ -80,12 +80,6 @@ class Individual:
         self._population._CV[self._row] = value
 
     @property
-    def rank(self) -> int | None:
-        """Non-domination rank (0 = best front), ``None`` until assigned."""
-        rank = int(self._population.rank[self._row])
-        return None if rank < 0 else rank
-
-    @property
     def crowding(self) -> float:
         """Crowding distance within its front."""
         return float(self._population.crowding[self._row])
@@ -99,10 +93,6 @@ class Individual:
     def is_feasible(self) -> bool:
         """``True`` when the aggregate constraint violation is zero."""
         return self.constraint_violation == 0.0
-
-    def copy(self) -> "Individual":
-        """Free-standing deep copy (decision vector and cached evaluation)."""
-        return Individual._view(self._population.take([self._row]), 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         objectives = self.objectives

@@ -30,12 +30,10 @@ from repro.moo.operators import (
     differential_variation,
     pcg64_generator,
     polynomial_mutation,
-    sbx_crossover,
 )
 from repro.moo.validation import (
     check,
     check_at_least,
-    check_choice,
     check_finite_box,
     check_positive,
     check_probability,
@@ -89,8 +87,6 @@ class MOEADConfig:
         Probability of restricting mating and replacement to the neighbourhood.
     max_replacements:
         Maximum number of solutions a single offspring may replace.
-    variation:
-        ``"de"`` for differential variation (MOEA/D-DE) or ``"sbx"``.
     constraint_penalty:
         Weight of the aggregate constraint violation added to the Tchebycheff
         value.
@@ -100,10 +96,8 @@ class MOEADConfig:
     neighborhood_size: int | None = None
     neighborhood_selection_probability: float = 0.9
     max_replacements: int = 2
-    variation: str = "de"
     de_scale: float = 0.5
     de_crossover_rate: float = 1.0
-    crossover_eta: float = 15.0
     mutation_eta: float = 20.0
     mutation_probability: float | None = None
     constraint_penalty: float = 1e3
@@ -119,12 +113,10 @@ class MOEADConfig:
                 "neighborhood_size cannot exceed population_size, got %s > %s"
                 % (self.neighborhood_size, self.population_size),
             )
-        check_choice("variation", self.variation, ("de", "sbx"))
         check_probability(
             "neighborhood_selection_probability", self.neighborhood_selection_probability
         )
         check_at_least("max_replacements", self.max_replacements, 1)
-        check_positive("crossover_eta", self.crossover_eta)
         check_positive("mutation_eta", self.mutation_eta)
 
     def resolved_neighborhood_size(self) -> int:
@@ -206,38 +198,32 @@ class MOEAD:
         return np.arange(self.config.population_size), False
 
     def _reproduce(self, index: int, pool: np.ndarray) -> np.ndarray:
-        """One child for sub-problem ``index``: a variation record of one pair."""
+        """One child for sub-problem ``index``: DE variation, then mutation."""
         config = self.config
         variation = Variation(
             self.problem.lower_bounds,
             self.problem.upper_bounds,
-            crossover_eta=config.crossover_eta,
             mutation_eta=config.mutation_eta,
             mutation_probability=config.mutation_probability,
         )
         picks = self.rng.choice(pool, size=2, replace=False)
         donor_a, donor_b = (self.population[int(pick)].x for pick in picks)
-        sbx = config.variation == "sbx"
-        if not sbx:
-            child = variation.add(
-                differential_variation(
-                    self.population[index].x,
-                    donor_a,
-                    donor_b,
-                    variation.lower,
-                    variation.upper,
-                    self.rng,
-                    scale=config.de_scale,
-                    crossover_rate=config.de_crossover_rate,
-                )
+        child = variation.add(
+            differential_variation(
+                self.population[index].x,
+                donor_a,
+                donor_b,
+                variation.lower,
+                variation.upper,
+                self.rng,
+                scale=config.de_scale,
+                crossover_rate=config.de_crossover_rate,
             )
-        # A cursor of one child, drawn at its worst case (SBX 1 + 3n words,
-        # mutation 2n): the choice, the DE draws and the permutation stay
-        # on the generator.
-        n = variation.n_var
-        with Draws(self.rng, chunk=5 * n + 1 if sbx else 2 * n) as draws:
-            if sbx:
-                child, _ = sbx_crossover(variation, donor_a, donor_b, draws)
+        )
+        # A cursor of one child's mutation, drawn at its worst case (2n
+        # words): the choice, the DE draws and the permutation stay on the
+        # generator.
+        with Draws(self.rng, chunk=2 * variation.n_var) as draws:
             polynomial_mutation(variation, child, draws)
         return variation.apply(draws)[child]
 

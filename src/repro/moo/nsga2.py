@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solve.result import SolveResult
 from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
-from repro.moo.individual import Individual, Population
+from repro.moo.individual import Population
 from repro.moo.operators import (
     Draws,
     Variation,
@@ -32,7 +32,6 @@ from repro.moo.operators import (
 )
 from repro.moo.validation import (
     check_at_least,
-    check_choice,
     check_even,
     check_finite_box,
     check_positive,
@@ -111,8 +110,6 @@ class NSGA2Config:
     mutation_probability, mutation_eta:
         Polynomial-mutation per-variable probability (``None`` = ``1/n_var``)
         and distribution index.
-    initialization:
-        ``"latin"`` (default) or ``"uniform"``.
     archive_capacity:
         Capacity of the external non-dominated archive (``None`` = unbounded).
     """
@@ -122,7 +119,6 @@ class NSGA2Config:
     crossover_eta: float = 15.0
     mutation_probability: float | None = None
     mutation_eta: float = 20.0
-    initialization: str = "latin"
     archive_capacity: int | None = None
 
     def validate(self) -> None:
@@ -133,7 +129,6 @@ class NSGA2Config:
         check_positive("crossover_eta", self.crossover_eta)
         check_probability("mutation_probability", self.mutation_probability, allow_none=True)
         check_positive("mutation_eta", self.mutation_eta)
-        check_choice("initialization", self.initialization, ("latin", "uniform"))
 
 
 class NSGA2:
@@ -180,22 +175,19 @@ class NSGA2:
         """Create (or adopt) and evaluate the initial population.
 
         An adopted population smaller than ``config.population_size`` (a
-        warm-start front, say) is topped up with the configured initializer
-        drawn from the run's seeded generator, so partially seeded runs stay
-        deterministic in the seed.  An adopted population must be finite and
-        inside the box.
+        warm-start front, say) is topped up with a Latin hypercube drawn
+        from the run's seeded generator, so partially seeded runs stay
+        deterministic in the seed.  An adopted population must be finite
+        and inside the box.
         """
-        sampler = (
-            latin_hypercube if self.config.initialization == "latin" else Population.random
-        )
         if population is not None:
             check_population_in_box(self.problem, population.X)
             self.population = population.copy()
             deficit = self.config.population_size - len(self.population)
             if deficit > 0:
-                self.population.extend(sampler(self.problem, deficit, self.rng))
+                self.population.extend(latin_hypercube(self.problem, deficit, self.rng))
         else:
-            self.population = sampler(self.problem, self.config.population_size, self.rng)
+            self.population = latin_hypercube(self.problem, self.config.population_size, self.rng)
         self.evaluations += self.population.evaluate(self.problem, self.evaluator)
         assign_ranks_and_crowding(self.population)
         self.archive.add_population(self.population)
@@ -294,31 +286,22 @@ class NSGA2:
     # ------------------------------------------------------------------
     # Migration support (used by the archipelago)
     # ------------------------------------------------------------------
-    def emigrants(self, count: int) -> list[Individual]:
-        """Select ``count`` migrants: the least crowded rank-0 individuals."""
-        assert self.population is not None
-        ranked = sorted(
-            self.population,
-            key=lambda ind: (ind.rank if ind.rank is not None else 0, -ind.crowding),
-        )
-        return [ind.copy() for ind in ranked[:count]]
+    def _best_first(self) -> np.ndarray:
+        """Row order by rank (unranked as 0), then descending crowding; stable."""
+        population = self.population
+        return np.lexsort((-population.crowding, np.maximum(population.rank, 0)))
 
-    def immigrate(self, immigrants: list[Individual]) -> None:
-        """Replace the worst individuals with incoming migrants."""
-        if not immigrants or self.population is None:
-            return
-        ranked = sorted(
-            range(len(self.population)),
-            key=lambda i: (
-                self.population[i].rank if self.population[i].rank is not None else 0,
-                -self.population[i].crowding,
-            ),
-        )
-        worst_first = list(reversed(ranked))
-        replacements = min(len(immigrants), len(self.population))
-        individuals = list(self.population)
-        for slot, migrant in zip(worst_first[:replacements], immigrants[:replacements]):
-            individuals[slot] = migrant
-        self.population = Population(individuals)  # copies every row
+    def emigrants(self, count: int) -> Population:
+        """Select ``count`` migrants: the least crowded rank-0 individuals."""
+        return self.population.take(self._best_first()[:count])
+
+    def immigrate(self, immigrants: Population) -> None:
+        """Replace the worst individuals with the first rows of ``immigrants``."""
+        population = self.population
+        n = len(population)
+        count = min(len(immigrants), n)
+        rows = np.arange(n)
+        rows[self._best_first()[::-1][:count]] = n + np.arange(count)
+        self.population = Population.concat([population, immigrants]).take(rows)
         assign_ranks_and_crowding(self.population)
         self.archive.add_population(self.population)

@@ -1,10 +1,8 @@
 """Shared configuration-validation helpers with uniform error messages.
 
 The solver configurations (``NSGA2Config``, ``MOEADConfig``, ``PMO2Config``)
-and the ``MigrationPolicy`` used to carry near-identical hand-written
-``validate()`` bodies; these helpers
-deduplicate the range/choice/probability checks and make every message read
-the same way (``"<field> must be ..., got <value>"``), so a misconfiguration
+share these range/choice/probability checks, so every message reads the
+same way (``"<field> must be ..., got <value>"``) and a misconfiguration
 reported by any solver looks identical to the user.
 
 The box checks hold a problem, or an initial population, to what the

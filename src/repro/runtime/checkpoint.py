@@ -55,7 +55,8 @@ _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{8})\.pkl$")
 #: Version 7: a ``Population`` and the evaluator cache hold no ``info``.
 #: Version 8: the file starts with a magic string and a blake2b digest of the
 #: pickle, and a ``PersistentCachedEvaluator`` pickles its L1 as store keys.
-_FORMAT_VERSION = 8
+#: Version 9: the PMO2 archipelago pickles its NSGA-II islands directly.
+_FORMAT_VERSION = 9
 
 #: First bytes of every checkpoint file, followed by the pickle's digest.
 _MAGIC = b"repro-checkpoint\n"

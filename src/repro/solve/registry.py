@@ -24,7 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.naming import did_you_mean
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.pmo2 import PMO2Config, build_pmo2
+from repro.moo.archipelago import Archipelago, PMO2Config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.problems.base import Problem
@@ -196,6 +196,6 @@ register_solver(
         name="pmo2",
         title="PMO2 archipelago (the paper's algorithm)",
         config_cls=PMO2Config,
-        factory=build_pmo2,
+        factory=Archipelago,
     )
 )

@@ -400,7 +400,7 @@ class TestSolve:
         data = pickle.dumps(payload)
         path.write_bytes(_header(data) + data)
         assert main(args + ["--generations", "6"]) == 2
-        assert "format version 1, expected 8" in capsys.readouterr().err
+        assert "format version 1, expected 9" in capsys.readouterr().err
 
     def test_unknown_algorithm_is_a_clean_error(self, capsys):
         assert main(["solve", "zdt1", "--algorithm", "nsga3"]) == 2

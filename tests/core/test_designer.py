@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.designer import RobustPathwayDesigner
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.moo.robustness import RobustnessSettings
 from repro.moo.testproblems import Schaffer
 from repro.photosynthesis.conditions import condition

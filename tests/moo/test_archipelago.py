@@ -1,128 +1,159 @@
-"""Tests for the island-model archipelago driver."""
+"""Tests for the PMO2 archipelago's migration."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.moo.archipelago import Archipelago, Island, MigrationPolicy
-from repro.moo.moead import MOEAD, MOEADConfig
+from repro.moo import kernels
+from repro.moo.archipelago import Archipelago, PMO2Config
+from repro.moo.individual import Population
 from repro.moo.nsga2 import NSGA2, NSGA2Config
-from repro.moo.testproblems import Schaffer
-from repro.moo.topology import AllToAllTopology, IsolatedTopology
+from repro.moo.testproblems import Schaffer, ZDT1
+from repro.runtime.evaluator import SerialEvaluator
+from repro.solve import solve
 from tests.helpers import solve_engine
 
 
-def make_island(seed, population_size=12):
-    return Island(
-        NSGA2(Schaffer(), NSGA2Config(population_size=population_size), seed=seed)
+def _pmo2(generations, seed=3, problem=None, **config):
+    """``solve()`` PMO2 with 12-row islands on ``problem`` (Schaffer by default)."""
+    config.setdefault("island_population_size", 12)
+    return solve(
+        problem or Schaffer(), "pmo2", seed=seed, termination=generations, **config
     )
 
 
-def run(archipelago, generations):
-    """Drive a hand-built archipelago through ``solve()``."""
-    return solve_engine(Schaffer(), archipelago, generations)
+def _island_seeds(seed, n_islands):
+    """The NSGA-II seeds an archipelago of ``n_islands`` derives from ``seed``."""
+    children = np.random.SeedSequence(seed).spawn(n_islands + 1)[:n_islands]
+    return [int(child.generate_state(1)[0]) for child in children]
 
 
-class TestMigrationPolicy:
-    def test_defaults_match_paper(self):
-        policy = MigrationPolicy()
-        assert policy.interval == 200
-        assert policy.rate == pytest.approx(0.5)
-        policy.validate()
+def _independent_archives(problem, seed, generations, n_islands, **island_config):
+    """Each island's archive as a NSGA-II solve of its own seed would leave it."""
+    return [
+        solve(
+            problem, "nsga2", seed=island_seed, termination=generations, **island_config
+        ).archive
+        for island_seed in _island_seeds(seed, n_islands)
+    ]
+
+
+def _same_rows(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("X", "F", "CV"))
+
+
+class TestMigrationAgainstIndependentIslands:
+    """Without migration the islands are the NSGA-II runs of their seeds."""
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"interval": 0}, {"rate": 1.5}, {"rate": -0.1}, {"count": 0}],
+        "config",
+        [
+            dict(topology="isolated", migration_rate=1.0),
+            dict(migration_rate=0.0),
+            dict(n_islands=3, topology="isolated", archive_capacity=6),
+        ],
+        ids=["isolated", "rate-0", "isolated-3-capped"],
     )
-    def test_invalid_policy_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            MigrationPolicy(**kwargs).validate()
+    def test_no_migration_equals_independent_solves(self, config):
+        problem = ZDT1(n_var=6)
+        result = _pmo2(8, seed=11, problem=problem, migration_interval=2, **config)
+        independent = _independent_archives(
+            problem, 11, 8, config.get("n_islands", 2),
+            population_size=12, archive_capacity=config.get("archive_capacity"),
+        )
+        assert len(result.extras["island_archives"]) == len(independent)
+        for island, reference in zip(result.extras["island_archives"], independent):
+            assert _same_rows(island.to_population(), reference.to_population())
+
+    def test_migration_departs_from_independent_solves(self):
+        problem = ZDT1(n_var=6)
+        result = _pmo2(8, seed=11, problem=problem, migration_interval=2, migration_rate=1.0)
+        independent = _independent_archives(problem, 11, 8, 2, population_size=12)
+        assert result.migrations == 4
+        assert not all(
+            _same_rows(island.to_population(), reference.to_population())
+            for island, reference in zip(result.extras["island_archives"], independent)
+        )
 
 
-class TestArchipelagoConstruction:
-    def test_requires_islands(self):
-        with pytest.raises(ConfigurationError):
-            Archipelago([])
+class TestMigrants:
+    """Migrants travel as population rows, best first; the worst rows make way."""
 
-    def test_topology_size_must_match(self):
-        with pytest.raises(ConfigurationError):
-            Archipelago([make_island(0), make_island(1)], topology=AllToAllTopology(3))
+    @staticmethod
+    def _engine(seed=0, size=12):
+        engine = NSGA2(ZDT1(n_var=4), NSGA2Config(population_size=size), seed=seed)
+        engine.initialize()
+        engine.step()
+        return engine
+
+    @staticmethod
+    def _reference_order(population):
+        """Rows sorted by (rank, -crowding), ties in row order."""
+        return sorted(
+            range(len(population)),
+            key=lambda i: (max(int(population.rank[i]), 0), -population.crowding[i]),
+        )
+
+    def test_emigrants_are_the_best_rows_in_order(self):
+        engine = self._engine()
+        migrants = engine.emigrants(5)
+        expected = engine.population.take(self._reference_order(engine.population)[:5])
+        assert len(migrants) == 5 and _same_rows(migrants, expected)
+        assert migrants.rank.tolist() == expected.rank.tolist()
+
+    def test_unranked_rows_count_as_rank_zero_and_ties_keep_row_order(self):
+        engine = self._engine()
+        engine.population.rank[:] = -1
+        engine.population.crowding[:] = 1.0
+        engine.population.crowding[[3, 7]] = np.inf
+        assert engine._best_first().tolist()[:3] == [3, 7, 0]
+
+    def test_immigrate_replaces_the_worst_rows(self):
+        engine, source = self._engine(seed=0), self._engine(seed=1)
+        before = engine.population.copy()
+        inbound = source.emigrants(3)
+        worst = self._reference_order(before)[::-1][:3]
+        engine.immigrate(inbound)
+        X = before.X.copy()
+        X[worst] = inbound.X
+        assert engine.population.X.tobytes() == X.tobytes()
+        expected = Population.from_matrix(X)
+        expected.evaluate(engine.problem, SerialEvaluator())
+        assert _same_rows(engine.population, expected)
+
+    def test_more_immigrants_than_rows_fill_the_island_in_order(self):
+        engine, source = self._engine(seed=0, size=4), self._engine(seed=1, size=8)
+        worst_first = self._reference_order(engine.population)[::-1]
+        inbound = source.emigrants(6)
+        engine.immigrate(inbound)
+        # Every row is replaced: the worst by the first migrant, and so on.
+        assert engine.population.X[worst_first].tobytes() == inbound.X[:4].tobytes()
 
 
 class TestArchipelagoRun:
     def test_runs_and_merges_archives(self):
-        islands = [make_island(0), make_island(1)]
-        archipelago = Archipelago(
-            islands, policy=MigrationPolicy(interval=5, rate=1.0, count=2), seed=3
-        )
-        result = run(archipelago, 10)
+        result = _pmo2(10, migration_interval=5, migration_rate=1.0, migration_count=2)
         assert result.generations == 10
-        assert result.evaluations == sum(island.evaluations for island in islands)
+        assert result.evaluations == 2 * 12 * 11
         assert len(result.front) > 0
         assert len(result.extras["island_archives"]) == 2
 
     def test_migration_happens_on_schedule(self):
-        islands = [make_island(0), make_island(1)]
-        archipelago = Archipelago(
-            islands, policy=MigrationPolicy(interval=3, rate=1.0, count=2), seed=3
-        )
-        run(archipelago, 9)
-        assert archipelago.migrations == 3
-        assert all(island.received_migrants > 0 for island in islands)
-
-    def test_no_migration_with_isolated_topology(self):
-        islands = [make_island(0), make_island(1)]
-        archipelago = Archipelago(
-            islands,
-            topology=IsolatedTopology(2),
-            policy=MigrationPolicy(interval=2, rate=1.0, count=2),
-            seed=3,
-        )
-        run(archipelago, 6)
-        assert all(island.received_migrants == 0 for island in islands)
-
-    def test_zero_migration_rate_sends_nothing(self):
-        islands = [make_island(0), make_island(1)]
-        archipelago = Archipelago(
-            islands, policy=MigrationPolicy(interval=2, rate=0.0, count=2), seed=3
-        )
-        run(archipelago, 6)
-        assert all(island.received_migrants == 0 for island in islands)
+        result = _pmo2(9, migration_interval=3, migration_rate=1.0, migration_count=2)
+        assert result.migrations == 3
 
     def test_negative_generations_rejected(self):
-        archipelago = Archipelago([make_island(0)])
         with pytest.raises(ConfigurationError):
-            run(archipelago, -1)
+            _pmo2(-1)
 
     def test_merged_archive_is_non_dominated(self):
-        from repro.moo import kernels
-
-        archipelago = Archipelago(
-            [make_island(0), make_island(1)],
-            policy=MigrationPolicy(interval=4, rate=0.5, count=2),
-            seed=9,
-        )
-        result = run(archipelago, 8)
-        matrix = result.archive.F
-        assert not kernels.domination_matrix(matrix).any()
-
-    def test_mixed_engine_archipelago(self):
-        """The framework 'encloses two optimization algorithms': NSGA-II and MOEA/D."""
-        nsga_island = make_island(0)
-        moead_island = Island(
-            MOEAD(Schaffer(), MOEADConfig(population_size=12, neighborhood_size=4), seed=1),
-            name="moead",
-        )
-        archipelago = Archipelago(
-            [nsga_island, moead_island],
-            policy=MigrationPolicy(interval=3, rate=1.0, count=2),
-            seed=2,
-        )
-        result = run(archipelago, 6)
-        assert len(result.front) > 0
-        assert moead_island.received_migrants > 0
+        result = _pmo2(8, seed=9, migration_interval=4, migration_count=2)
+        assert not kernels.domination_matrix(result.archive.F).any()
 
     def test_history_is_recorded(self):
-        archipelago = Archipelago([make_island(0)], topology=IsolatedTopology(1), seed=0)
-        result = run(archipelago, 4)
+        engine = Archipelago(
+            Schaffer(), PMO2Config(n_islands=1, island_population_size=12), seed=0
+        )
+        result = solve_engine(Schaffer(), engine, 4)
         assert len(result.history) == 4
         assert result.history[-1]["generation"] == 4

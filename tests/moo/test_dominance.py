@@ -138,8 +138,8 @@ class TestAssignRanks:
         rng = np.random.default_rng(1)
         population = Population([make_individual(rng.random(2)) for _ in range(20)])
         fronts = assign_ranks_and_crowding(population)
+        assert (population.rank >= 0).all()
         for individual in population:
-            assert individual.rank is not None
             assert individual.crowding is not None
         assert min(front_index for front_index, front in enumerate(fronts) if front) == 0
 
@@ -148,8 +148,7 @@ class TestAssignRanks:
             [make_individual([1.0, 1.0]), make_individual([2.0, 2.0])]
         )
         assign_ranks_and_crowding(population)
-        assert population[0].rank == 0
-        assert population[1].rank == 1
+        assert population.rank.tolist() == [0, 1]
 
     def test_empty_population_has_no_fronts(self):
         assert assign_ranks_and_crowding(Population()) == []

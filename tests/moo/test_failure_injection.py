@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EvaluationError
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.problems import BatchEvaluation, Problem
 from repro.solve import solve
 from tests.oracles.budget import BudgetCounting

@@ -27,15 +27,6 @@ class TestIndividual:
         assert individual.constraint_violation == pytest.approx(0.3)
         assert not individual.is_feasible
 
-    def test_copy_is_deep(self):
-        individual = Individual(np.array([1.0, 2.0]))
-        individual.objectives = np.array([3.0])
-        clone = individual.copy()
-        clone.x[0] = 99.0
-        clone.objectives[0] = 99.0
-        assert individual.x[0] == 1.0
-        assert individual.objectives[0] == 3.0
-
     def test_decision_vector_is_copied_on_construction(self):
         source = np.array([1.0, 2.0])
         individual = Individual(source)

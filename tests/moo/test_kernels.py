@@ -141,7 +141,7 @@ class TestNonDominatedSort:
         assert assign_ranks_and_crowding(population) == expected
         for rank, front in enumerate(expected):
             crowding = reference_crowding_distance(F[np.asarray(front)])
-            assert [population[i].rank for i in front] == [rank] * len(front)
+            assert [int(population.rank[i]) for i in front] == [rank] * len(front)
             assert [population[i].crowding for i in front] == crowding.tolist()
 
     def test_empty_and_singleton(self):

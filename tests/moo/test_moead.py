@@ -49,10 +49,8 @@ class TestConfigValidation:
             {"population_size": 2},
             {"neighborhood_size": 1},
             {"neighborhood_size": 200, "population_size": 20},
-            {"variation": "bogus"},
             {"neighborhood_selection_probability": 2.0},
             {"max_replacements": 0},
-            {"crossover_eta": 0.0},
             {"mutation_eta": -2.0},
         ],
     )
@@ -60,7 +58,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             MOEADConfig(**kwargs).validate()
 
-    @pytest.mark.parametrize("field", ["crossover_eta", "mutation_eta"])
+    @pytest.mark.parametrize("field", ["mutation_eta"])
     def test_nonpositive_eta_fails_before_any_evaluation(self, field):
         problem = BudgetCounting(ZDT1())
         with pytest.raises(ConfigurationError, match=field):
@@ -105,12 +103,6 @@ class TestMOEADRun:
             result.archive.F, true_front(problem)
         )
         assert igd < 0.3
-
-    def test_sbx_variation_mode_runs(self):
-        result = _moead(
-            ZDT1(n_var=6), 3, 3, population_size=12, neighborhood_size=4, variation="sbx"
-        )
-        assert len(result.front) > 0
 
     def test_three_objective_problem_runs(self):
         result = _moead(DTLZ2(n_obj=3, n_var=7), 5, 4, population_size=21, neighborhood_size=5)
@@ -205,10 +197,9 @@ class TestGenerationArchiveFold:
     archive and the incumbents byte-equal to folding each child in turn."""
 
     @pytest.mark.parametrize("spec", ["zdt1", "bnh", "dtlz2"])
-    @pytest.mark.parametrize("variation", ["de", "sbx"])
     @pytest.mark.parametrize("capacity", [None, 6])
-    def test_matches_per_child_folds(self, spec, variation, capacity):
-        config = MOEADConfig(population_size=24, variation=variation, archive_capacity=capacity)
+    def test_matches_per_child_folds(self, spec, capacity):
+        config = MOEADConfig(population_size=24, archive_capacity=capacity)
         engines = [cls(build_problem(spec), config, seed=3) for cls in (MOEAD, _PerChildMOEAD)]
         for engine in engines:
             engine.initialize()
@@ -248,17 +239,26 @@ def _constrained_functional():
     )
 
 
+#: PMO2 migration cases: name -> (problem spec, config fields beyond the
+#: shared 8-row islands migrating every 2 generations).
+_PMO2_CASES = {
+    "3-islands": ("zdt1", dict(n_islands=3)),
+    "isolated": ("zdt1", dict(n_islands=3, topology="isolated")),
+    # Two sources of 5 migrants each flood an 8-row island every event.
+    "rate=1-count=5": ("zdt1", dict(n_islands=3, migration_rate=1.0, migration_count=5)),
+    "archive_capacity=6": ("zdt1", dict(archive_capacity=6)),
+    "constrained": ("bnh", dict(migration_rate=1.0)),
+}
+
+
 def _golden_cases():
-    """Case name -> a zero-argument solve producing a :class:`SolveResult`."""
+    """Case name -> a zero-argument run returning the case's digests."""
     cases = {}
     for spec in ("zdt1", "bnh", "dtlz2", "zdt1?noise=0.01"):
-        for variation in ("de", "sbx"):
-            for seed in (0, 3):
-                cases["moead/%s/%s/seed=%d" % (spec, variation, seed)] = (
-                    lambda spec=spec, variation=variation, seed=seed: _moead(
-                        build_problem(spec), 6, seed, population_size=24, variation=variation
-                    )
-                )
+        for seed in (0, 3):
+            cases["moead/%s/de/seed=%d" % (spec, seed)] = lambda spec=spec, seed=seed: _digests(
+                _moead(build_problem(spec), 6, seed, population_size=24)
+            )
     configs = {
         "moead": dict(population_size=24),
         "nsga2": dict(population_size=24),
@@ -266,9 +266,15 @@ def _golden_cases():
     }
     for algorithm, config in configs.items():
         cases["%s/functional-constrained/cache" % algorithm] = (
-            lambda algorithm=algorithm, config=config: solve(
-                _constrained_functional(), algorithm, seed=1, termination=6, cache=True, **config
+            lambda algorithm=algorithm, config=config: _digests(
+                solve(_constrained_functional(), algorithm, seed=1, termination=6, cache=True,
+                      **config)
             )
+        )
+    for name, (spec, config) in _PMO2_CASES.items():
+        cases["pmo2/%s/%s" % (spec, name)] = lambda spec=spec, config=config: _island_digests(
+            solve(build_problem(spec), "pmo2", seed=5, termination=7,
+                  island_population_size=8, migration_interval=2, **config)
         )
     return cases
 
@@ -291,11 +297,22 @@ def _digests(result) -> dict:
     return digests
 
 
+def _island_digests(result) -> dict:
+    """:func:`_digests` plus every island front's X/F/CV and the migration count."""
+    digests = _digests(result)
+    digests["migrations"] = int(result.migrations)
+    for i, front in enumerate(result.extras["island_fronts"]):
+        for field in ("X", "F", "CV"):
+            digests["island%d.%s" % (i, field)] = _sha256(getattr(front, field))
+    return digests
+
+
 class TestGoldenDigests:
-    """MOEA/D (and the functional-problem path every engine shares) must
-    reproduce, bit for bit, the fronts and populations recorded in
-    ``data/golden_moead.json`` — regenerate it only for an intended change of
-    results, with ``PYTHONPATH=src python -m tests.moo.test_moead``."""
+    """MOEA/D, PMO2's migration (island fronts and migration counts) and the
+    functional-problem path every engine shares must reproduce, bit for bit,
+    the fronts and populations recorded in ``data/golden_moead.json`` —
+    regenerate it only for an intended change of results, with
+    ``PYTHONPATH=src python -m tests.moo.test_moead``."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -306,10 +323,10 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("case", sorted(_golden_cases()))
     def test_digests_match_golden(self, case, golden):
-        assert _digests(_golden_cases()[case]()) == golden[case]
+        assert _golden_cases()[case]() == golden[case]
 
 
 if __name__ == "__main__":  # regenerate the golden digests
-    golden = {name: _digests(run()) for name, run in sorted(_golden_cases().items())}
+    golden = {name: run() for name, run in sorted(_golden_cases().items())}
     GOLDEN_MOEAD.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print("wrote %d cases to %s" % (len(golden), GOLDEN_MOEAD))

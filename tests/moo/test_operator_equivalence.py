@@ -29,11 +29,11 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.moo import operators
 from repro.moo.individual import Population
-from repro.moo import moead, nsga2
-from repro.moo.moead import MOEAD, MOEADConfig
+from repro.moo import nsga2
+from repro.moo.archipelago import Archipelago, PMO2Config
+from repro.moo.moead import MOEAD
 from repro.moo.nsga2 import NSGA2, NSGA2Config
 from repro.moo.operators import Draws
-from repro.moo.pmo2 import PMO2Config, build_pmo2
 from repro.problems.base import FunctionalProblem
 from repro.solve import SolveRequest, solve
 from repro.solve.registry import get_solver
@@ -440,20 +440,6 @@ def test_nsga2_walks_rebuild_the_oracle_crossings(n, chunk, monkeypatch):
         assert any(start > 0 for start, _ in starts)
 
 
-@pytest.mark.parametrize("n", (1, 7, 30))
-def test_moead_sbx_walks_rebuild_the_oracle_crossings(n, monkeypatch):
-    steps = _spy_on_crossovers(monkeypatch, moead)
-    for seed in range(3):
-        config = MOEADConfig(population_size=12, neighborhood_size=4, variation="sbx")
-        engine = MOEAD(_problem(n), config, seed=seed)
-        engine.initialize()
-        engine.population = Population.from_matrix(_walk_population(seed, n, 12))
-        engine.population.evaluate(engine.problem, engine.evaluator)
-        engine.step()
-    starts, all_near, near_runs = _assert_walks_match_the_oracle(steps)
-    assert starts and all_near and (near_runs or n == 1)
-
-
 # ---------------------------------------------------------------------------
 # The Latin hypercube against its column loop.
 # ---------------------------------------------------------------------------
@@ -602,7 +588,7 @@ def test_non_finite_boxes_are_refused(lower, upper, named):
     for build in (
         lambda: NSGA2(problem),
         lambda: MOEAD(problem),
-        lambda: build_pmo2(problem, PMO2Config(island_population_size=8)),
+        lambda: Archipelago(problem, PMO2Config(island_population_size=8)),
         lambda: solve(problem, "nsga2", termination=1),
     ):
         with pytest.raises(ConfigurationError, match=message):

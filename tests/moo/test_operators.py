@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.individual import Population
-from repro.moo.nsga2 import NSGA2, NSGA2Config, assign_ranks_and_crowding
+from repro.moo.nsga2 import assign_ranks_and_crowding
 from repro.moo.operators import Draws, binary_tournament, differential_variation, latin_hypercube
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime.evaluator import SerialEvaluator
@@ -103,9 +103,9 @@ class TestTournament:
         population.evaluate(problem, SerialEvaluator())
         assign_ranks_and_crowding(population)
         with Draws(rng) as draws:
-            winners = [population[binary_tournament(population, draws)] for _ in range(100)]
-        mean_winner_rank = np.mean([w.rank for w in winners])
-        mean_population_rank = np.mean([i.rank for i in population])
+            winners = [binary_tournament(population, draws) for _ in range(100)]
+        mean_winner_rank = np.mean(population.rank[winners])
+        mean_population_rank = np.mean(population.rank)
         assert mean_winner_rank <= mean_population_rank
 
     def test_requires_ranked_population(self):
@@ -150,12 +150,3 @@ class TestInitialization:
     def test_latin_hypercube_requires_positive_size(self):
         with pytest.raises(ConfigurationError):
             latin_hypercube(ZDT1(), 0, np.random.default_rng(0))
-
-    def test_uniform_initialization_is_population_random(self):
-        problem = Schaffer()
-        optimizer = NSGA2(problem, NSGA2Config(population_size=8, initialization="uniform"), seed=0)
-        optimizer.initialize()
-        expected = Population.random(problem, 8, np.random.default_rng(0))
-        np.testing.assert_array_equal(optimizer.population.X, expected.X)
-        assert np.all(expected.X >= problem.lower_bounds)
-        assert np.all(expected.X <= problem.upper_bounds)

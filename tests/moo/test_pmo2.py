@@ -5,12 +5,9 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.moo.metrics import inverted_generational_distance
-from repro.moo.pmo2 import PMO2Config, build_pmo2
+from repro.moo.archipelago import Archipelago, PMO2Config
+from repro.moo.nsga2 import NSGA2
 from repro.moo.testproblems import Schaffer, ZDT1
-from repro.moo.topology import (
-    AllToAllTopology,
-    IsolatedTopology,
-)
 from repro.runtime.evaluator import SerialEvaluator
 from repro.solve import MaxEvaluations, get_solver, solve
 from tests.oracles.fronts import true_front
@@ -35,6 +32,7 @@ class TestConfig:
             {"migration_rate": -0.1},
             {"migration_interval": 0},
             {"migration_count": 0},
+            {"topology": "ring"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -44,33 +42,31 @@ class TestConfig:
 
 class TestPaperConfiguration:
     def test_builds_two_nsga2_islands_with_broadcast(self):
-        archipelago = build_pmo2(Schaffer(), PMO2Config(island_population_size=12), seed=0)
-        assert len(archipelago.islands) == 2
-        assert isinstance(archipelago.topology, AllToAllTopology)
-        assert archipelago.policy.interval == 200
-        assert archipelago.policy.rate == pytest.approx(0.5)
+        archipelago = Archipelago(Schaffer(), PMO2Config(island_population_size=12), seed=0)
+        assert [type(island) for island in archipelago.islands] == [NSGA2, NSGA2]
+        assert archipelago.destinations == [[1], [0]]
+        assert archipelago.config.migration_interval == 200
+        assert archipelago.config.migration_rate == pytest.approx(0.5)
 
 
 def _build(seed=0, **config):
-    return build_pmo2(Schaffer(), PMO2Config(island_population_size=8, **config), seed=seed)
+    return Archipelago(Schaffer(), PMO2Config(island_population_size=8, **config), seed=seed)
 
 
 def _generator_states(archipelago):
-    return [island.optimizer.rng.bit_generator.state for island in archipelago.islands] + [
+    return [island.rng.bit_generator.state for island in archipelago.islands] + [
         archipelago.rng.bit_generator.state
     ]
 
 
-class TestBuildPMO2:
+class TestArchipelagoBuild:
     def test_is_the_registered_pmo2_factory(self):
-        assert get_solver("pmo2").factory is build_pmo2
+        assert get_solver("pmo2").factory is Archipelago
 
-    def test_islands_are_nsga2_named_by_index(self):
+    def test_islands_follow_the_config(self):
         archipelago = _build(n_islands=3)
-        assert [island.name for island in archipelago.islands] == ["nsga2-0", "nsga2-1", "nsga2-2"]
-        assert all(
-            island.optimizer.config.population_size == 8 for island in archipelago.islands
-        )
+        assert len(archipelago.islands) == 3
+        assert all(island.config.population_size == 8 for island in archipelago.islands)
 
     def test_seed_fixes_every_island_and_the_driver(self):
         assert _generator_states(_build(seed=5)) == _generator_states(_build(seed=5))
@@ -79,39 +75,27 @@ class TestBuildPMO2:
         # Each island and the migration driver draw from their own stream.
         assert len({str(state) for state in states}) == len(states)
 
-    def test_policy_follows_the_config(self):
-        policy = _build(migration_interval=3, migration_rate=0.25, migration_count=2).policy
-        assert (policy.interval, policy.rate, policy.count) == (3, 0.25, 2)
-
     def test_archive_capacity_reaches_every_island(self):
         archipelago = _build(archive_capacity=10)
-        assert all(island.optimizer.config.archive_capacity == 10 for island in archipelago.islands)
+        assert all(island.config.archive_capacity == 10 for island in archipelago.islands)
 
     def test_one_evaluator_is_shared_by_every_island(self):
         evaluator = SerialEvaluator()
-        archipelago = build_pmo2(
+        archipelago = Archipelago(
             Schaffer(), PMO2Config(island_population_size=8), seed=0, evaluator=evaluator
         )
-        assert all(island.optimizer.evaluator is evaluator for island in archipelago.islands)
+        assert archipelago.evaluator is evaluator
+        assert all(island.evaluator is evaluator for island in archipelago.islands)
 
     def test_invalid_config_rejected_before_building(self):
         with pytest.raises(ConfigurationError):
             _build(n_islands=0)
 
-    @pytest.mark.parametrize(
-        "name,topology_class",
-        [
-            ("all-to-all", AllToAllTopology),
-            ("isolated", IsolatedTopology),
-        ],
-    )
-    def test_topology_is_built_by_name(self, name, topology_class):
-        archipelago = _build(n_islands=3, topology=name)
-        assert isinstance(archipelago.topology, topology_class)
-        assert archipelago.topology.n_islands == 3
+    def test_isolated_islands_have_no_destinations(self):
+        assert _build(n_islands=3, topology="isolated").destinations == [[], [], []]
 
     def test_unknown_topology_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown topology"):
+        with pytest.raises(ConfigurationError, match="topology must be one of"):
             _build(topology="mesh")
 
 

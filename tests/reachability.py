@@ -73,7 +73,6 @@ ALLOWLIST: dict[str, str] = {
         "tests/oracles/fba.py: the reference deletion scans skip exchange reactions"
     ),
     "repro.moo.archipelago.Archipelago.__repr__": _REPR,
-    "repro.moo.archipelago.Island.__repr__": _REPR,
     "repro.moo.archive.ParetoArchive.__repr__": _REPR,
     "repro.moo.archive.ParetoArchive.add": (
         "tests/moo/test_archive_equivalence.py: the one-at-a-time fold add_population is held to"
@@ -88,8 +87,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.moo.metrics.inverted_generational_distance": (
         "RunTelemetry(reference_front=) records IGD per generation"
     ),
-    "repro.moo.topology.Topology.__repr__": _REPR,
-    "repro.moo.topology.Topology._build": _ABSTRACT,
     "repro.moo.validation._names": "error path: names the variables of a non-finite box",
     "repro.obs.telemetry.RunTelemetry.__repr__": _REPR,
     "repro.obs.trace.InMemorySink.__init__": "documented in docs/observability.md",

@@ -2,18 +2,26 @@
 
 import os
 import pickle
+import shutil
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.moo.testproblems import ZDT1
+from repro.problems import build_problem
 from repro.runtime import CheckpointManager
 from repro.runtime.checkpoint import _header, list_checkpoints
 from repro.solve import solve
+
+#: A PMO2 checkpoint that release 19.0 wrote (checkpoint format 8).
+FORMAT_8_PMO2_CHECKPOINT = (
+    Path(__file__).parent / "data" / "pmo2-format8-checkpoint-00000002.pkl"
+)
 
 
 class TestManager:
@@ -79,13 +87,13 @@ class TestManager:
 
     def test_state_naming_a_deleted_class_raises_checkpoint_error(self, tmp_path, monkeypatch):
         # A 4.x PMO2 state: the class existed when the checkpoint was saved.
-        import repro.moo.pmo2
+        import repro.moo.archipelago
 
         class PMO2:
             pass
 
-        PMO2.__module__, PMO2.__qualname__ = "repro.moo.pmo2", "PMO2"
-        monkeypatch.setattr(repro.moo.pmo2, "PMO2", PMO2, raising=False)
+        PMO2.__module__, PMO2.__qualname__ = "repro.moo.archipelago", "PMO2"
+        monkeypatch.setattr(repro.moo.archipelago, "PMO2", PMO2, raising=False)
         manager = CheckpointManager(tmp_path)
         manager.save(PMO2(), generation=4)
         monkeypatch.undo()
@@ -107,16 +115,16 @@ class TestManager:
         with pytest.raises(CheckpointError, match="dominance"):
             manager.load()
 
-    def test_save_writes_format_version_8(self, tmp_path):
+    def test_save_writes_format_version_9(self, tmp_path):
         path = CheckpointManager(tmp_path).save("state", generation=3)
         written = path.read_bytes()
         magic = b"repro-checkpoint\n"
         data = written[len(magic) + 32:]  # the header is the magic and a 32-byte digest
         assert written.startswith(magic) and written == _header(data) + data
         payload = pickle.loads(data)
-        assert payload == {"format_version": 8, "generation": 3, "state": "state"}
+        assert payload == {"format_version": 9, "generation": 3, "state": "state"}
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, None, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, None, 10])
     def test_other_format_versions_are_refused(self, tmp_path, version):
         payload = {"generation": 3, "state": "state"}
         if version is not None:
@@ -125,8 +133,8 @@ class TestManager:
         (tmp_path / "checkpoint-00000003.pkl").write_bytes(_header(data) + data)
         with pytest.raises(CheckpointError) as raised:
             CheckpointManager(tmp_path).load()
-        assert "format version %r, expected 8" % version in str(raised.value)
-        with pytest.raises(CheckpointError, match="expected 8"):
+        assert "format version %r, expected 9" % version in str(raised.value)
+        with pytest.raises(CheckpointError, match="expected 9"):
             CheckpointManager(tmp_path).load_latest()
 
     def test_a_file_without_the_header_is_unreadable(self, tmp_path):
@@ -242,6 +250,17 @@ class TestPMO2Resume:
         resumed = _pmo2(6, checkpoint=manager)
         assert resumed.ledger is not None
         assert resumed.ledger.total_evaluations > partial.ledger.total_evaluations
+
+    def test_a_format_8_checkpoint_is_refused(self, tmp_path):
+        # Written by 19.0 (`repro solve bnh --algorithm pmo2 --population 8
+        # --seed 0 --checkpoint-interval 2`): format 8 pickled the islands in
+        # Island wrappers, with a Topology and a MigrationPolicy.
+        shutil.copy(FORMAT_8_PMO2_CHECKPOINT, tmp_path / "checkpoint-00000002.pkl")
+        with pytest.raises(CheckpointError, match="cannot read checkpoint .*Island"):
+            CheckpointManager(tmp_path).load()
+        with pytest.raises(CheckpointError, match="Island"):
+            solve(build_problem("bnh"), "pmo2", island_population_size=8, seed=0,
+                  termination=4, checkpoint_dir=str(tmp_path))
 
 
 class TestNSGA2Resume:

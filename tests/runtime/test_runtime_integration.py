@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.designer import RobustPathwayDesigner
 from repro.exceptions import ConfigurationError
-from repro.moo.pmo2 import PMO2Config
+from repro.moo.archipelago import PMO2Config
 from repro.moo.robustness import RobustnessSettings
 from repro.moo.testproblems import ZDT1, Schaffer
 from repro.runtime import ProcessPoolEvaluator, build_evaluator

@@ -12,7 +12,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.moo.moead import MOEAD, MOEADConfig
 from repro.moo.nsga2 import NSGA2Config
-from repro.moo.pmo2 import PMO2Config, build_pmo2
+from repro.moo.archipelago import Archipelago, PMO2Config
 from repro.moo.testproblems import Schaffer, ZDT1
 from repro.problems import build_problem, problem_names
 from repro.runtime.evaluator import ProcessPoolEvaluator, build_evaluator
@@ -95,9 +95,9 @@ class TestOneCodePath:
         assert len(result.history) == 4
 
     def test_result_algorithm_is_the_spec_name(self):
-        # An archipelago labels its own result "archipelago"; solve() stamps
-        # the name of the spec that built the engine over it.
-        engine = build_pmo2(Schaffer(), PMO2Config(island_population_size=8), seed=1)
+        # An engine labels its own result with its registry name; solve()
+        # stamps the name of the spec that built the engine over it.
+        engine = Archipelago(Schaffer(), PMO2Config(island_population_size=8), seed=1)
         result = solve_engine(Schaffer(), engine, MaxGenerations(2))
         assert result.algorithm == "hand-built"
 
