@@ -88,7 +88,7 @@ class MOEADConfig:
     max_replacements:
         Maximum number of solutions a single offspring may replace.
     constraint_penalty:
-        Weight of the aggregate constraint violation added to the Tchebycheff
+        Non-negative weight of the aggregate constraint violation added to the Tchebycheff
         value.
     """
 
@@ -117,7 +117,11 @@ class MOEADConfig:
             "neighborhood_selection_probability", self.neighborhood_selection_probability
         )
         check_at_least("max_replacements", self.max_replacements, 1)
+        check_positive("de_scale", self.de_scale)
+        check_probability("de_crossover_rate", self.de_crossover_rate)
         check_positive("mutation_eta", self.mutation_eta)
+        check_probability("mutation_probability", self.mutation_probability, allow_none=True)
+        check_at_least("constraint_penalty", self.constraint_penalty, 0)
 
     def resolved_neighborhood_size(self) -> int:
         """Neighbourhood size with the adaptive default applied."""

@@ -12,6 +12,7 @@ from repro.moo.testproblems import Schaffer, ZDT1
 from repro.runtime.evaluator import SerialEvaluator
 from repro.solve import solve
 from tests.helpers import solve_engine
+from tests.oracles.budget import BudgetCounting
 
 
 def _pmo2(generations, seed=3, problem=None, **config):
@@ -40,6 +41,31 @@ def _independent_archives(problem, seed, generations, n_islands, **island_config
 
 def _same_rows(a, b):
     return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("X", "F", "CV"))
+
+
+class TestMigrationPolicy:
+    def test_defaults_match_paper(self):
+        config = PMO2Config()
+        assert (config.n_islands, config.topology) == (2, "all-to-all")
+        assert config.migration_interval == 200
+        assert config.migration_rate == pytest.approx(0.5)
+        config.validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"migration_interval": 0},
+            {"migration_rate": 1.5},
+            {"migration_rate": -0.1},
+            {"migration_count": 0},
+        ],
+    )
+    def test_invalid_policy_rejected(self, kwargs):
+        problem = BudgetCounting(Schaffer())
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=field):
+            solve(problem, "pmo2", seed=0, termination=2, island_population_size=8, **kwargs)
+        assert problem.evaluations == 0
 
 
 class TestMigrationAgainstIndependentIslands:
@@ -141,6 +167,38 @@ class TestArchipelagoRun:
     def test_migration_happens_on_schedule(self):
         result = _pmo2(9, migration_interval=3, migration_rate=1.0, migration_count=2)
         assert result.migrations == 3
+
+    @staticmethod
+    def _stepped(**config):
+        """A 12-row, 2-migrant archipelago two generations in (no migration yet)."""
+        archipelago = Archipelago(
+            Schaffer(), PMO2Config(island_population_size=12, migration_count=2, **config), seed=3
+        )
+        for _ in range(2):
+            archipelago.step()
+        return archipelago
+
+    def _assert_migration_moves_nothing(self, archipelago):
+        before = [island.population.copy() for island in archipelago.islands]
+        assert archipelago.migrate() == 0
+        for island, population in zip(archipelago.islands, before):
+            assert _same_rows(island.population, population)
+
+    def test_no_migration_with_isolated_topology(self):
+        self._assert_migration_moves_nothing(
+            self._stepped(topology="isolated", migration_rate=1.0)
+        )
+
+    def test_zero_migration_rate_sends_nothing(self):
+        self._assert_migration_moves_nothing(self._stepped(migration_rate=0.0))
+
+    def test_full_rate_sends_each_island_the_others_best_rows(self):
+        archipelago = self._stepped(migration_rate=1.0)
+        outgoing = [island.emigrants(2) for island in archipelago.islands]
+        assert archipelago.migrate() == 2
+        for island, migrants in zip(archipelago.islands, outgoing[::-1]):
+            rows = {row.tobytes() for row in island.population.X}
+            assert all(row.tobytes() in rows for row in migrants.X)
 
     def test_negative_generations_rejected(self):
         with pytest.raises(ConfigurationError):

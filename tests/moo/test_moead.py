@@ -51,7 +51,11 @@ class TestConfigValidation:
             {"neighborhood_size": 200, "population_size": 20},
             {"neighborhood_selection_probability": 2.0},
             {"max_replacements": 0},
+            {"de_scale": 0.0},
+            {"de_crossover_rate": 1.5},
             {"mutation_eta": -2.0},
+            {"mutation_probability": -0.1},
+            {"constraint_penalty": -1.0},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
@@ -197,9 +201,15 @@ class TestGenerationArchiveFold:
     archive and the incumbents byte-equal to folding each child in turn."""
 
     @pytest.mark.parametrize("spec", ["zdt1", "bnh", "dtlz2"])
+    # 0.0: every child mates and replaces over the whole population.
+    @pytest.mark.parametrize("neighborhood", [0.9, 0.0])
     @pytest.mark.parametrize("capacity", [None, 6])
-    def test_matches_per_child_folds(self, spec, capacity):
-        config = MOEADConfig(population_size=24, archive_capacity=capacity)
+    def test_matches_per_child_folds(self, spec, neighborhood, capacity):
+        config = MOEADConfig(
+            population_size=24,
+            neighborhood_selection_probability=neighborhood,
+            archive_capacity=capacity,
+        )
         engines = [cls(build_problem(spec), config, seed=3) for cls in (MOEAD, _PerChildMOEAD)]
         for engine in engines:
             engine.initialize()
@@ -254,11 +264,19 @@ _PMO2_CASES = {
 def _golden_cases():
     """Case name -> a zero-argument run returning the case's digests."""
     cases = {}
+    # "de-global": every child mates and replaces over the whole population.
+    variants = {"de": 0.9, "de-global": 0.0}
     for spec in ("zdt1", "bnh", "dtlz2", "zdt1?noise=0.01"):
-        for seed in (0, 3):
-            cases["moead/%s/de/seed=%d" % (spec, seed)] = lambda spec=spec, seed=seed: _digests(
-                _moead(build_problem(spec), 6, seed, population_size=24)
-            )
+        for variant, neighborhood in variants.items():
+            for seed in (0, 3):
+                cases["moead/%s/%s/seed=%d" % (spec, variant, seed)] = (
+                    lambda spec=spec, neighborhood=neighborhood, seed=seed: _digests(
+                        _moead(
+                            build_problem(spec), 6, seed, population_size=24,
+                            neighborhood_selection_probability=neighborhood,
+                        )
+                    )
+                )
     configs = {
         "moead": dict(population_size=24),
         "nsga2": dict(population_size=24),
