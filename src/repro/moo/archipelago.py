@@ -192,13 +192,17 @@ class Archipelago:
         return active_edges
 
     def step(self) -> None:
-        """Advance every island by one generation, migrating when scheduled."""
+        """Advance every island by one generation, migrating when scheduled.
+
+        An archipelago without edges (``isolated``, or one island) never
+        migrates, so it counts no migrations and fires no migration events.
+        """
         if not self.is_initialized:
             self.initialize()
         for island in self.islands:
             island.step()
         self.generation += 1
-        if self.generation % self.config.migration_interval == 0:
+        if self.generation % self.config.migration_interval == 0 and any(self.destinations):
             self.migrate()
 
     # ------------------------------------------------------------------

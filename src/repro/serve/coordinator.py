@@ -99,12 +99,11 @@ class JobChannel:
     1
     """
 
-    def __init__(self, history: "list[dict] | None" = None) -> None:
+    def __init__(self, history: "list[dict] | None" = None, offset: int = 0) -> None:
         self.history: list[dict] = list(history or ())
-        #: Count of *file* events already published — the tail's cursor into
-        #: ``events.jsonl``.  Kept separately because the history also holds
-        #: synthesized ``state`` events that never touch the file.
-        self.consumed = len(self.history)
+        #: Byte offset in ``events.jsonl`` just past the last complete line
+        #: already published — the tail's cursor into the file.
+        self.offset = offset
         self.subscribers: list[asyncio.Queue] = []
         self.closed = False
 
@@ -412,7 +411,7 @@ class Coordinator:
     def _channel(self, job_id: str) -> JobChannel:
         channel = self.channels.get(job_id)
         if channel is None:
-            channel = JobChannel(history=self.store.read_events(job_id))
+            channel = JobChannel(*self.store.read_events(job_id))
             record = self.records.get(job_id)
             if record is not None and record.is_terminal:
                 channel.close()
@@ -466,8 +465,7 @@ class Coordinator:
         job_id = record.id
         restored = self.store.truncate_events(job_id)
         channel = self._channel(job_id)
-        channel.history = self.store.read_events(job_id)
-        channel.consumed = len(channel.history)
+        channel.history, channel.offset = self.store.read_events(job_id)
         record.transition(RUNNING)
         if restored is not None:
             record.generation = restored
@@ -512,10 +510,8 @@ class Coordinator:
             await asyncio.sleep(EVENT_POLL_INTERVAL)
 
     def _consume_events(self, record: JobRecord, channel: JobChannel) -> None:
-        """Publish event-log lines not yet in the channel history."""
-        events = self.store.read_events(record.id)
-        fresh = events[channel.consumed:]
-        channel.consumed = len(events)
+        """Publish the event-log lines appended since the channel's offset."""
+        fresh, channel.offset = self.store.read_events(record.id, channel.offset)
         dirty = False
         for event in fresh:
             generation = event.get("generation")

@@ -1,25 +1,32 @@
-"""The job runner: one forked process, one job, the plain ``solve()`` driver.
+"""The job runner: warm forked workers, one job at a time, the plain ``solve()`` driver.
 
 The coordinator starts one long-lived **fork server**, ``python -m
 repro.serve.runner <data_dir> [--cache-dir DIR]``, which imports the
-runner's stack (:data:`_PRELOAD`) once and then forks one child per
-job; the child calls :func:`run_job`.  Running each job in its own
-process buys the service three properties threads cannot give it:
+runner's stack (:data:`_PRELOAD`) once and then forks **workers**; a
+worker calls :func:`run_job` for one job after another.  The server never
+runs a job itself, so every worker is forked from the same state, however
+many jobs other workers have run.  Running jobs in worker processes buys
+the service three properties threads cannot give it:
 
-* **crash isolation** — an evaluation that segfaults or raises kills only
-  its runner; the coordinator sees a non-zero exit and marks the job
-  ``failed`` with the tail of the runner's ``runner.stderr`` as detail;
-* **real cancellation** — cancel terminates the runner mid-generation
+* **crash isolation** — an evaluation that segfaults or raises ends only
+  its worker; the coordinator sees a non-zero exit and marks the job
+  ``failed`` with the tail of the job's ``runner.stderr`` as detail, and
+  the next job gets a freshly forked worker;
+* **real cancellation** — cancel terminates the worker mid-generation
   instead of waiting for cooperative checks;
-* **parallel throughput** — N workers are N independent processes, so
-  CPU-bound jobs scale without fighting one GIL.
+* **parallel throughput** — N busy workers are N independent processes,
+  so CPU-bound jobs scale without fighting one GIL.
 
-Forking a warm parent instead of starting a fresh interpreter per job skips
-re-importing numpy and ``repro`` for every job.  The fork server speaks one
-text line per message: it reads ``run <job_id>`` and ``kill <job_id>`` on
-stdin and writes ``exited <job_id> <code>`` on stdout, where ``<code>`` is
+A worker is reused only after a job that returned 0: it is then already
+warm (its pages are touched, its lazy imports done), which a freshly
+forked child is not, and :func:`run_job` leaves no process state behind
+for the next job.  The fork server forks a worker only when none is idle,
+so the pool grows to the coordinator's concurrent jobs and no further.
+It speaks one text line per message: it reads ``run <job_id>`` and ``kill
+<job_id>`` on stdin and writes ``exited <job_id> <code>`` on stdout, where
+``<code>`` is 0 for a job that returned 0 and otherwise the worker's
 :func:`os.waitstatus_to_exitcode` (negative for a signal).  It is
-Linux-only: it waits on its children through :func:`os.pidfd_open`.
+Linux-only: it waits on its workers through :func:`os.pidfd_open`.
 
 The runner itself is deliberately thin: it re-reads the job's ``job.json``
 and runs its :class:`~repro.solve.request.SolveRequest` — the same code
@@ -52,7 +59,7 @@ import signal
 import sys
 import traceback
 import warnings
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from pathlib import Path
 from typing import Any, NoReturn, Sequence, TextIO
 
@@ -165,11 +172,13 @@ def run_job(job_dir: "str | Path", cache_dir: "str | None" = None) -> int:
     Reads ``job.json``, runs :func:`repro.solve.solve` with checkpointing
     into the job directory, records the solve artifacts (front, ledger,
     manifest — plus telemetry when enabled) and returns the process exit
-    code.  Raises whatever the solve raises: the forked child turns
-    exceptions into exit code 1, which the coordinator maps to ``failed``.
-    When ``cache_dir`` is given the solve runs behind the persistent
-    evaluation cache stored there, shared with every other runner the
-    service forks.
+    code.  Raises whatever the solve raises: the worker prints the
+    traceback and exits with code 1, which the coordinator maps to
+    ``failed``.  When ``cache_dir`` is given the solve runs behind the
+    persistent evaluation cache stored there, shared with every other
+    worker the service forks.  It leaves no process state behind (tracer,
+    warnings filters, numpy error state, open files, working directory,
+    cache connection), so a worker runs its next job as a fresh one would.
 
     Example
     -------
@@ -220,16 +229,51 @@ def _preload() -> None:
     _git_revision()
 
 
+class _Worker:
+    """The fork server's end of one warm worker: its pid, pidfd and two pipes.
+
+    The server writes job ids to ``inbox``; the worker writes ``0`` to
+    ``outbox`` (read non-blocking here) after each job that returned 0.
+    """
+
+    def __init__(self, pid: int, inbox: int, outbox: int) -> None:
+        self.pid = pid
+        self.pidfd = os.pidfd_open(pid)
+        self.inbox = inbox
+        self.outbox = outbox
+        #: The job the worker runs, ``None`` while it is idle.
+        self.job_id: "str | None" = None
+        #: Sent SIGTERM: the worker never gets another job.
+        self.doomed = False
+
+    def report(self) -> "bytes | None":
+        """What the worker wrote to its outbox: ``b""`` at EOF, ``None`` for nothing yet."""
+        try:
+            return os.read(self.outbox, 64)
+        except BlockingIOError:
+            return None
+
+    def close(self) -> None:
+        """Close this process's ends of the worker's pipes and its pidfd."""
+        for fd in (self.pidfd, self.inbox, self.outbox):
+            os.close(fd)
+
+
 def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:
-    """Run the fork server: preload, then fork one :func:`run_job` child per job.
+    """Run the fork server: preload, then run each job in a warm forked worker.
 
     Reads ``run <job_id>`` / ``kill <job_id>`` lines on stdin and answers
-    ``exited <job_id> <code>`` on stdout once it has reaped the child.  A
-    ``run`` is accepted only for a directory directly under
-    ``<data_dir>/jobs``; anything else is answered with code 2.  ``kill``
-    SIGTERMs a child that has not been reaped yet, so a recycled pid is
-    never hit.  On EOF on stdin (the coordinator stopped or died) every
-    remaining child is SIGTERMed and reaped, and the server exits 0.
+    ``exited <job_id> <code>`` on stdout once the job is over.  A ``run``
+    is accepted only for a directory directly under ``<data_dir>/jobs``;
+    anything else is answered with code 2.  It goes to the worker that went
+    idle last, and a worker is forked only when none is idle, so the pool
+    never outgrows the jobs the coordinator runs at once.  A job that
+    returns 0 leaves its worker idle for the next one; a job that raises,
+    dies of a signal or is killed ends its worker, and the server answers
+    with the worker's exit code once it has reaped it.  ``kill`` SIGTERMs
+    the worker of a job still running, so an idle worker or a recycled pid
+    is never hit.  On EOF on stdin (the coordinator stopped or died) every
+    worker, busy or idle, is SIGTERMed and reaped, and the server exits 0.
     """
     _preload()
     # numpy's OpenBLAS pool is the only other thread here; OpenBLAS's own
@@ -238,7 +282,9 @@ def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:
         "ignore", r"This process .*is multi-threaded", DeprecationWarning
     )
     jobs_dir = Path(data_dir) / "jobs"
-    children: dict[str, tuple[int, int]] = {}  # job id -> (pid, pidfd)
+    workers: dict[int, _Worker] = {}  # pid -> every worker not reaped yet
+    idle: list[_Worker] = []  # the most recently idle last
+    busy: dict[str, _Worker] = {}  # job id -> its worker
     selector = selectors.DefaultSelector()
     selector.register(0, selectors.EVENT_READ)
     pending = b""
@@ -247,54 +293,116 @@ def serve_forks(data_dir: "str | Path", cache_dir: "str | None" = None) -> int:
         sys.stdout.write("exited %s %d\n" % (job_id, code))
         sys.stdout.flush()
 
+    def fork() -> _Worker:
+        inbox_read, inbox_write = os.pipe()
+        outbox_read, outbox_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            selector.close()
+            for worker in workers.values():
+                worker.close()
+            os.close(inbox_write)
+            os.close(outbox_read)
+            _work(inbox_read, outbox_write, jobs_dir, cache_dir)
+        os.close(inbox_read)
+        os.close(outbox_write)
+        os.set_blocking(outbox_read, False)
+        worker = workers[pid] = _Worker(pid, inbox_write, outbox_read)
+        selector.register(worker.pidfd, selectors.EVENT_READ, (worker, True))
+        selector.register(worker.outbox, selectors.EVENT_READ, (worker, False))
+        return worker
+
+    def finish(worker: _Worker, code: int) -> None:
+        del busy[worker.job_id]
+        reply(worker.job_id, code)
+        worker.job_id = None
+        if code == 0 and not worker.doomed:
+            idle.append(worker)
+
+    def reap(worker: _Worker) -> None:
+        del workers[worker.pid]
+        worker.doomed = True
+        selector.unregister(worker.pidfd)
+        if worker.outbox in selector.get_map():
+            selector.unregister(worker.outbox)
+        code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+        if worker.job_id is not None:
+            # A worker killed right after its report still finished its job.
+            finish(worker, 0 if worker.report() else code)
+        if worker in idle:
+            idle.remove(worker)
+        worker.close()
+
     while True:
         for key, _ in selector.select():
-            if key.data is not None:  # a child's pidfd: it has exited
-                pid, pidfd = children.pop(key.data)
-                selector.unregister(pidfd)
-                os.close(pidfd)
-                reply(key.data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            if key.data is not None:
+                worker, exited = key.data
+                if workers.get(worker.pid) is not worker:
+                    continue  # reaped earlier in this batch
+                if exited:
+                    reap(worker)
+                    continue
+                report = worker.report()
+                if report:
+                    finish(worker, 0)
+                elif report == b"":  # the worker is exiting; its pidfd tells
+                    selector.unregister(worker.outbox)
                 continue
             chunk = os.read(0, 4096)
             if not chunk:
-                for pid, _ in children.values():
-                    os.kill(pid, signal.SIGTERM)
-                for pid, _ in children.values():
-                    os.waitpid(pid, 0)
+                for worker in workers.values():
+                    os.kill(worker.pid, signal.SIGTERM)
+                for worker in workers.values():
+                    os.waitpid(worker.pid, 0)
                 return 0
             *lines, pending = (pending + chunk).split(b"\n")
             for line in lines:
                 command, _, job_id = line.decode("utf-8", "replace").strip().partition(" ")
-                if command == "kill" and job_id in children:
-                    os.kill(children[job_id][0], signal.SIGTERM)
+                if command == "kill" and job_id in busy:
+                    busy[job_id].doomed = True
+                    os.kill(busy[job_id].pid, signal.SIGTERM)
                 elif command == "run":
                     if job_id not in os.listdir(jobs_dir) or not (jobs_dir / job_id).is_dir():
                         print("fork server: no job directory %r" % job_id, file=sys.stderr)
                         reply(job_id, 2)
                         continue
-                    pid = os.fork()
-                    if pid == 0:
-                        selector.close()
-                        for _, pidfd in children.values():
-                            os.close(pidfd)
-                        _run_child(jobs_dir / job_id, cache_dir)
-                    pidfd = os.pidfd_open(pid)
-                    children[job_id] = (pid, pidfd)
-                    selector.register(pidfd, selectors.EVENT_READ, job_id)
+                    worker = idle.pop() if idle else fork()
+                    worker.job_id = job_id
+                    busy[job_id] = worker
+                    # A worker that died since its last job fails this one
+                    # through its pidfd instead.
+                    with suppress(BrokenPipeError):
+                        os.write(worker.inbox, job_id.encode("utf-8") + b"\n")
 
 
-def _run_child(job_dir: Path, cache_dir: "str | None") -> NoReturn:
-    """The forked runner: stdio to ``/dev/null`` and ``runner.stderr``, then :func:`run_job`."""
+def _work(inbox: int, outbox: int, jobs_dir: Path, cache_dir: "str | None") -> NoReturn:
+    """A warm worker: run each job id read from ``inbox``, report ``0`` on ``outbox``.
+
+    Stdin and stdout are ``/dev/null``; stderr is the running job's
+    ``runner.stderr`` and ``/dev/null`` between jobs.  The first job that
+    does not return 0 ends the worker with that code, and one that raises
+    prints its traceback to its ``runner.stderr`` and ends it with code 1.
+    EOF on ``inbox`` (the fork server exited) ends the worker with code 0.
+    """
     code = 1
     try:
         null = os.open(os.devnull, os.O_RDWR)
-        stderr = os.open(job_dir / STDERR_NAME, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         os.dup2(null, 0)
         os.dup2(null, 1)
-        os.dup2(stderr, 2)
-        os.close(null)
-        os.close(stderr)
-        code = run_job(job_dir, cache_dir=cache_dir)
+        for line in open(inbox, encoding="utf-8"):
+            job_dir = jobs_dir / line.strip()
+            stderr = os.open(job_dir / STDERR_NAME, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            os.dup2(stderr, 2)
+            os.close(stderr)
+            returned = run_job(job_dir, cache_dir=cache_dir)
+            if returned != 0:
+                code = returned
+                break
+            sys.stderr.flush()
+            os.dup2(null, 2)
+            os.write(outbox, b"0\n")
+        else:
+            code = 0
     except BaseException:
         traceback.print_exc()
     finally:

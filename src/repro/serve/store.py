@@ -169,26 +169,32 @@ class JobStore:
         records.sort(key=lambda record: record.sequence)
         return records
 
-    def read_events(self, job_id: str) -> list[dict]:
-        """Parse one job's ``events.jsonl`` (empty when none was written).
+    def read_events(self, job_id: str, offset: int = 0) -> tuple[list[dict], int]:
+        """Parse the complete lines of one job's ``events.jsonl`` from byte ``offset`` on.
 
-        Torn trailing lines (a kill mid-write) are ignored, so recovery
-        never trips over a partial record.
+        Returns the events (none when no log was written) and the offset
+        just past the last complete line, so a poll reads only what was
+        appended since the previous one.  A torn last line (a runner killed
+        or caught mid-write) is left for the next read, and complete lines
+        that are not JSON are skipped, so recovery never trips over a
+        partial record.
         """
-        path = self.events_path(job_id)
-        if not path.is_file():
-            return []
+        try:
+            with open(self.events_path(job_id), "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except FileNotFoundError:
+            return [], offset
+        complete = data.rfind(b"\n") + 1
         events = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-        return events
+        for line in data[:complete].splitlines():
+            if not line.strip():
+                continue
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                continue
+        return events, offset + complete
 
     # ------------------------------------------------------------------
     # Restart recovery
@@ -225,7 +231,7 @@ class JobStore:
             return None
         kept = [
             event
-            for event in self.read_events(job_id)
+            for event in self.read_events(job_id)[0]
             if event.get("generation", 0) <= restored
         ]
         with open(path, "w", encoding="utf-8") as handle:

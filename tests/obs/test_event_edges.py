@@ -21,12 +21,11 @@ class Recorder(Observer):
 
 
 class TestSingleIslandArchipelago:
-    def test_migration_events_fire_with_zero_active_edges(self):
-        """A one-island archipelago still exchanges (with nobody) on schedule.
+    def test_no_migration_events_without_edges(self):
+        """A one-island archipelago has nobody to exchange with: it never migrates.
 
-        ``migrate()`` counts the event even when the topology has no edges,
-        so observers see the same MigrationEvent cadence regardless of island
-        count — a dashboard for a 1-island smoke run renders like any other.
+        No migration is counted and no MigrationEvent fires, so a migration
+        count always means that some island had a destination.
         """
         recorder = Recorder()
         result = solve(
@@ -39,9 +38,9 @@ class TestSingleIslandArchipelago:
             migration_interval=2,
             observers=[recorder],
         )
-        migrations = [e for e in recorder.events if isinstance(e, MigrationEvent)]
-        assert [e.generation for e in migrations] == [2, 4]
-        assert result.migrations == 2
+        assert not [e for e in recorder.events if isinstance(e, MigrationEvent)]
+        assert [e.generation for e in recorder.events] == [1, 2, 3, 4]
+        assert result.migrations == 0
 
     def test_single_island_front_matches_population_work(self):
         recorder = Recorder()
@@ -55,9 +54,9 @@ class TestSingleIslandArchipelago:
             migration_interval=1,
             observers=[recorder],
         )
-        # Migration events expose a usable front snapshot even with no edges.
-        migration = next(e for e in recorder.events if isinstance(e, MigrationEvent))
-        assert len(migration.front) >= 1
+        # Generation events expose a usable front snapshot of the one island.
+        generation = next(e for e in recorder.events if isinstance(e, GenerationEvent))
+        assert len(generation.front) >= 1
 
 
 class TestEventOrdering:

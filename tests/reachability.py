@@ -50,7 +50,7 @@ _ABSTRACT = "abstract method of the contract; every concrete class overrides it"
 _NO_OP = "no-op default that the observers and sinks in use override"
 _POOL = "--n-workers: runs inside the ProcessPoolEvaluator worker processes"
 _SERVE = "repro serve: blocks until interrupted; the sweep runs the same ServeApp in a ServeThread"
-_FORKED = "repro serve: runs in the job process the fork server (python -m repro.serve.runner) forks"
+_FORKED = "repro serve: runs in the fork server (python -m repro.serve.runner) or a worker it forks"
 _BENCH = "benchmarks/bench_fig*, bench_table*, bench_ablation* (the CI paper-claims job)"
 
 #: Functions no entry point of the sweep runs, each with what needs it.
@@ -144,11 +144,17 @@ ALLOWLIST: dict[str, str] = {
     "repro.serve.runner.EventLogObserver.on_checkpoint": _FORKED,
     "repro.serve.runner.EventLogObserver.on_generation": _FORKED,
     "repro.serve.runner.EventLogObserver.on_migration": _FORKED,
+    "repro.serve.runner._Worker.__init__": _FORKED,
+    "repro.serve.runner._Worker.close": _FORKED,
+    "repro.serve.runner._Worker.report": _FORKED,
     "repro.serve.runner._preload": _FORKED,
-    "repro.serve.runner._run_child": _FORKED,
+    "repro.serve.runner._work": _FORKED,
     "repro.serve.runner.main": _FORKED,
     "repro.serve.runner.run_job": _FORKED,
     "repro.serve.runner.serve_forks": _FORKED,
+    "repro.serve.runner.serve_forks.<locals>.finish": _FORKED,
+    "repro.serve.runner.serve_forks.<locals>.fork": _FORKED,
+    "repro.serve.runner.serve_forks.<locals>.reap": _FORKED,
     "repro.serve.runner.serve_forks.<locals>.reply": _FORKED,
     "repro.solve.api.Solver.initialize": _ABSTRACT,
     "repro.solve.api.Solver.is_initialized": _ABSTRACT,

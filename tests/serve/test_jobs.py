@@ -154,7 +154,23 @@ class TestJobStore:
             '{"type": "generation", "generation": 1}\n{"type": "gen',
             encoding="utf-8",
         )
-        assert store.read_events(record.id) == [{"type": "generation", "generation": 1}]
+        assert store.read_events(record.id)[0] == [{"type": "generation", "generation": 1}]
+
+    def test_read_events_from_an_offset_rereads_a_torn_line(self, tmp_path):
+        store = JobStore(tmp_path)
+        record = store.create(_spec())
+        path = store.events_path(record.id)
+        assert store.read_events(record.id, 0) == ([], 0)
+        first = '{"type": "generation", "generation": 1}\n'
+        path.write_text(first + '{"type": "gen', encoding="utf-8")
+        events, offset = store.read_events(record.id, 0)
+        assert (events, offset) == ([{"type": "generation", "generation": 1}], len(first))
+        assert store.read_events(record.id, offset) == ([], offset)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('eration", "generation": 2}\n')
+        events, offset = store.read_events(record.id, offset)
+        assert events == [{"type": "generation", "generation": 2}]
+        assert offset == path.stat().st_size
 
     def test_recover_requeues_interrupted_jobs_in_order(self, tmp_path):
         store = JobStore(tmp_path)
@@ -186,7 +202,7 @@ class TestJobStore:
             "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
         )
         assert store.truncate_events(record.id) == 2
-        assert [e["generation"] for e in store.read_events(record.id)] == [1, 2]
+        assert [e["generation"] for e in store.read_events(record.id)[0]] == [1, 2]
 
     def test_truncate_without_checkpoint_clears_the_log(self, tmp_path):
         store = JobStore(tmp_path)
@@ -195,7 +211,7 @@ class TestJobStore:
             '{"type": "generation", "generation": 1}\n', encoding="utf-8"
         )
         assert store.truncate_events(record.id) is None
-        assert store.read_events(record.id) == []
+        assert store.read_events(record.id) == ([], 0)
 
     def test_latest_checkpoint_generation_ignores_foreign_files(self, tmp_path):
         store = JobStore(tmp_path)
@@ -221,7 +237,7 @@ class TestJobStore:
         )
         assert store.latest_checkpoint_generation(record.id) is None
         assert store.truncate_events(record.id) is None
-        assert store.read_events(record.id) == []
+        assert store.read_events(record.id) == ([], 0)
 
 
 class TestServedCheckpoints:
@@ -244,3 +260,32 @@ class TestServedCheckpoints:
         # The restore refilled every distinct row the job evaluated.
         assert len(cache) == engine.evaluator.ledger.total_cache_misses > 40 * 20
         assert all(len(key) == cachekeys.STORE_KEY_SIZE for key in cache)
+
+
+class TestEventTail:
+    """The coordinator publishes each event-log line once, torn lines once complete."""
+
+    def test_partial_line_is_published_once_it_is_complete(self, tmp_path):
+        from repro.serve import Coordinator
+
+        store = JobStore(tmp_path)
+        coordinator = Coordinator(store, workers=0)
+        record = store.create(_spec())
+        record.transition(RUNNING)
+        channel = coordinator._channel(record.id)
+        path = store.events_path(record.id)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "generation", "generation": 1, "evaluations": 8}\n')
+            handle.write('{"type": "checkpoint", "generation": 1,')
+        coordinator._consume_events(record, channel)
+        assert [event["type"] for event in channel.history] == ["generation"]
+        assert record.state == RUNNING
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(' "evaluations": 8, "path": "c"}\n')
+        coordinator._consume_events(record, channel)
+        coordinator._consume_events(record, channel)
+        assert [event["type"] for event in channel.history] == ["generation", "checkpoint"]
+        assert record.state == CHECKPOINTED
+        assert channel.offset == path.stat().st_size
+        # A late subscriber's replay is the same history.
+        assert store.read_events(record.id)[0] == channel.history

@@ -206,6 +206,14 @@ class TestObservers:
               observers=[CallbackObserver(on_migration=migrations.append)])
         assert [event.migrations for event in migrations] == [1, 2, 3]
 
+    def test_isolated_archipelago_migrates_nothing(self):
+        migrations = []
+        result = solve(Schaffer(), "pmo2", seed=1, termination=6, topology="isolated",
+                       island_population_size=8, migration_interval=2,
+                       observers=[CallbackObserver(on_migration=migrations.append)])
+        assert result.migrations == 0
+        assert migrations == []
+
     def test_no_migration_events_for_single_population_solvers(self):
         migrations = []
         solve(Schaffer(), "nsga2", seed=1, population_size=8, termination=4,
