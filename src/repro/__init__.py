@@ -34,6 +34,6 @@ The library is organised in these sub-packages:
   describe, run, resume and export registered experiments (see docs/cli.md).
 """
 
-__version__ = "21.0.0"
+__version__ = "21.1.0"
 
 __all__ = ["__version__"]

@@ -23,8 +23,12 @@ with no side effect: a row whose ``F``, ``CV`` and ``X`` equal a live
 member's, when no offered row dominates that member.  Only a dominating
 candidate evicts a member of an unbounded archive, so the member is still
 live when the row's turn comes, and the fold rejects the row as its twin.
-NSGA-II offers its whole surviving population every generation, so about
-half the offered rows are such repeats.  A bounded archive folds every row
+NSGA-II offers its whole surviving population every generation, but how
+many rows skip depends on the problem.  In a 20-generation NSGA-II solve
+(seed 0), photosynthesis at population 40 skips 373 of the 800 rows
+offered after the initial population, and zdt1 at population 100 only 101
+of 2,000: most of zdt1's repeats twin a member that a fresh offered row
+dominates, so they take the fold.  A bounded archive folds every row
 (crowding truncation can evict the member and let its repeat back in), and
 so does a row holding a NaN or an infinity.
 """

@@ -153,6 +153,56 @@ def non_dominated_mask(F: np.ndarray) -> np.ndarray:
     return ~domination_matrix(F).any(axis=0)
 
 
+def _pareto_fronts(F: np.ndarray, cover: int | None) -> list[list[int]]:
+    """Bookkeeping non-dominated sort of rows that are all feasible.
+
+    Plain Pareto dominance; fronts and their order as in
+    :func:`nondominated_sort`, and so is ``cover``.
+    """
+    dominates = _pareto_blocks(F, F)
+    counts = dominates.sum(axis=0).astype(np.int64)
+    assigned = np.zeros(F.shape[0], dtype=bool)
+    current = np.flatnonzero(counts == 0)
+    fronts: list[list[int]] = []
+    covered = 0
+    while current.size:
+        fronts.append(current.tolist())
+        covered += current.size
+        if cover is not None and covered >= cover:
+            break
+        assigned[current] = True
+        counts -= dominates[current].sum(axis=0)
+        candidates = np.flatnonzero((counts == 0) & ~assigned)
+        if candidates.size == 0:
+            break
+        # A candidate enters the next front at the moment its last
+        # dominator (scanning the current front in order) releases it;
+        # ties within one dominator's scan fall in ascending index order.
+        released_by = dominates[np.ix_(current, candidates)]
+        last_dominator = current.size - 1 - np.argmax(released_by[::-1, :], axis=0)
+        current = candidates[np.lexsort((candidates, last_dominator))]
+    return fronts
+
+
+def _violation_levels(rows: np.ndarray, CV: np.ndarray) -> list[list[int]]:
+    """The infeasible ``rows`` (ascending) grouped by their violations ``CV``.
+
+    Levels come smallest violation first, each in ascending index order.  A
+    NaN violation joins the lowest level (it forms the only one when every
+    violation is NaN); infinite violations are ordinary levels.
+    """
+    unordered = np.isnan(CV)
+    if unordered.all():
+        CV = np.zeros_like(CV)
+    elif unordered.any():
+        CV = np.where(unordered, CV[~unordered].min(), CV)
+    order = np.argsort(CV, kind="stable")
+    levels = CV[order]
+    bounds = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
+    listed = rows[order].tolist()
+    return [listed[a:b] for a, b in zip([0, *bounds], [*bounds, len(listed)])]
+
+
 def nondominated_sort(
     F: np.ndarray, CV: np.ndarray | None = None, cover: int | None = None
 ) -> list[list[int]]:
@@ -166,6 +216,24 @@ def nondominated_sort(
     ordered by these fronts evolve bitwise-identically to the original
     pure-Python sort.
 
+    The sort splits by feasibility (``CV == 0``), and the split is exact:
+
+    * a feasible row is dominated only by feasible rows, and every feasible
+      row dominates every infeasible one, so the feasible fronts come first
+      and are the bookkeeping sort of the feasible rows alone under plain
+      Pareto dominance;
+    * infeasible rows dominate each other by violation alone, so they form
+      one front per violation level, smallest first.  A row of level ``k``
+      is released when the last row of level ``k - 1`` (or the last
+      feasible row) leaves; every candidate shares that last dominator, so
+      each level is in ascending index order;
+    * a NaN violation neither dominates nor is dominated by another
+      infeasible row, so it joins the lowest level; ``±inf`` violations are
+      ordinary levels.
+
+    Infeasible rows therefore cost one sort of their violations, not one
+    pass of the bookkeeping loop per level.
+
     With ``cover`` set, sorting stops after the front that brings the number
     of sorted rows to at least ``cover``: the result is the shortest prefix
     of the full sort's fronts holding ``cover`` rows (all of them when there
@@ -177,28 +245,18 @@ def nondominated_sort(
         return []
     with get_tracer().span("kernels.nondominated_sort", rows=n) as span:
         CV = np.zeros(n) if CV is None else np.asarray(CV, dtype=float)
-        dominates = constrained_domination_matrix(F, CV)
-        counts = dominates.sum(axis=0).astype(np.int64)
-        assigned = np.zeros(n, dtype=bool)
-        current = np.flatnonzero(counts == 0)
-        fronts: list[list[int]] = []
-        covered = 0
-        while current.size:
-            fronts.append(current.tolist())
-            covered += current.size
-            if cover is not None and covered >= cover:
-                break
-            assigned[current] = True
-            counts -= dominates[current].sum(axis=0)
-            candidates = np.flatnonzero((counts == 0) & ~assigned)
-            if candidates.size == 0:
-                break
-            # A candidate enters the next front at the moment its last
-            # dominator (scanning the current front in order) releases it;
-            # ties within one dominator's scan fall in ascending index order.
-            released_by = dominates[np.ix_(current, candidates)]
-            last_dominator = current.size - 1 - np.argmax(released_by[::-1, :], axis=0)
-            current = candidates[np.lexsort((candidates, last_dominator))]
+        feasible = CV == 0.0
+        fronts = _pareto_fronts(F[feasible], cover)
+        if not feasible.all():
+            rows = np.flatnonzero(feasible)
+            fronts = [rows[front].tolist() for front in fronts]
+            covered = sum(len(front) for front in fronts)
+            infeasible = np.flatnonzero(~feasible)
+            for level in _violation_levels(infeasible, CV[infeasible]):
+                if fronts and cover is not None and covered >= cover:
+                    break
+                fronts.append(level)
+                covered += len(level)
         span.set(fronts=len(fronts))
     return fronts
 

@@ -51,7 +51,9 @@ def assign_ranks_and_crowding(
 
     Runs :func:`repro.moo.kernels.nondominated_sort` on ``population.F`` /
     ``population.CV`` and :func:`repro.moo.kernels.crowding_distances` per
-    front.  Returns the fronts (lists of indices, rank 0 first) so callers
+    front of more than two rows; the rows of a smaller front are all
+    boundary rows, at infinite distance, which is what the kernel would
+    return.  Returns the fronts (lists of indices, rank 0 first) so callers
     can reuse them without re-sorting.  With ``cover`` set, only the
     shortest prefix of fronts holding ``cover`` individuals is sorted and
     annotated; the rest keep whatever rank and crowding they had.
@@ -60,10 +62,12 @@ def assign_ranks_and_crowding(
         return []
     objectives = population.F
     fronts = kernels.nondominated_sort(objectives, population.CV, cover=cover)
-    for rank, front in enumerate(fronts):
-        rows = np.asarray(front)
-        population.rank[rows] = rank
-        population.crowding[rows] = kernels.crowding_distances(objectives[rows])
+    rows = [row for front in fronts for row in front]
+    population.rank[rows] = np.repeat(np.arange(len(fronts)), [len(front) for front in fronts])
+    population.crowding[rows] = np.inf
+    for front in fronts:
+        if len(front) > 2:
+            population.crowding[front] = kernels.crowding_distances(objectives[front])
     return fronts
 
 

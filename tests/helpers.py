@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import numpy as np
+
 from repro.solve import SolverSpec, solve
 
 
@@ -33,3 +35,44 @@ def mutate(x, lower, upper, rng, eta=20.0, probability=None):
     with Draws(rng) as draws:
         polynomial_mutation(variation, variation.add(x), draws)
     return variation.apply(draws)[0]
+
+
+def evaluated_population(F, CV):
+    """A population with objectives ``F`` and violations ``CV`` (decisions zero)."""
+    from repro.moo.individual import Individual, Population
+
+    individuals = []
+    for row, violation in zip(F, CV):
+        individual = Individual(np.zeros(2))
+        individual.objectives = np.array(row, dtype=float)
+        individual.constraint_violation = float(violation)
+        individuals.append(individual)
+    return Population(individuals)
+
+
+def covering_prefix(fronts, cover):
+    """The shortest prefix of ``fronts`` holding ``cover`` rows (all when they run out)."""
+    sizes = np.cumsum([len(front) for front in fronts])
+    return fronts[: min(int(np.searchsorted(sizes, cover)) + 1, len(fronts))]
+
+
+def assert_ranked_like_reference(F, CV):
+    """``assign_ranks_and_crowding`` of ``(F, CV)`` equals the reference, bit for bit.
+
+    The fronts are the reference sort's, in its order, and every member
+    carries its front's rank and the reference crowding of its front.
+    """
+    from repro.moo.nsga2 import assign_ranks_and_crowding
+    from tests.oracles.kernels import (
+        reference_crowding_distance,
+        reference_fast_non_dominated_sort,
+    )
+
+    expected = reference_fast_non_dominated_sort(F, CV)
+    population = evaluated_population(F, CV)
+    assert assign_ranks_and_crowding(population) == expected
+    for rank, front in enumerate(expected):
+        assert population.rank[front].tolist() == [rank] * len(front)
+        np.testing.assert_array_equal(
+            population.crowding[front], reference_crowding_distance(F[np.asarray(front)])
+        )

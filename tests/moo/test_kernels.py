@@ -21,6 +21,11 @@ from repro.moo import kernels
 from repro.moo.archive import ParetoArchive
 from repro.moo.individual import Individual, Population
 from repro.moo.nsga2 import assign_ranks_and_crowding
+from tests.helpers import (
+    assert_ranked_like_reference,
+    covering_prefix,
+    evaluated_population,
+)
 from tests.oracles import archive as archive_oracle
 from tests.oracles.kernels import (
     reference_archive_prune,
@@ -59,14 +64,35 @@ def _with_duplicates(F, CV, X, rng):
     return F, CV, X
 
 
-def _population(F, CV):
-    individuals = []
-    for row, violation in zip(F, CV):
-        individual = Individual(np.zeros(2))
-        individual.objectives = np.array(row, dtype=float)
-        individual.constraint_violation = float(violation)
-        individuals.append(individual)
-    return Population(individuals)
+def _violation_case(seed: int, n: int, regime: str):
+    """Seeded ``(F, CV)`` with tied objectives and violations.
+
+    Objectives come from a small integer grid, so feasible rows tie and
+    dominate each other often.  ``regime`` picks the violations:
+    ``"infeasible"`` draws every row from four positive levels (the
+    constrained Geobacter regime), ``"mixed"`` makes about a third of the
+    rows feasible, ``"nonfinite"`` mixes zeros, levels, NaN, ``+inf`` and
+    ``-inf``, and ``"nan"`` makes every violation NaN.
+    """
+    rng = np.random.default_rng(seed)
+    F = rng.integers(0, 5, size=(n, 2)).astype(float)
+    levels = np.array([0.25, 0.5, 1.0, 3.0])
+    if regime == "infeasible":
+        CV = rng.choice(levels, size=n)
+    elif regime == "mixed":
+        CV = np.where(rng.random(n) < 1 / 3, 0.0, rng.choice(levels, size=n))
+    elif regime == "nonfinite":
+        CV = rng.choice(np.array([0.0, 0.5, 2.0, np.nan, np.inf, -np.inf]), size=n)
+    else:
+        CV = np.full(n, np.nan)
+    return F, CV
+
+
+VIOLATION_CASES = [
+    (seed, regime)
+    for regime in ("infeasible", "mixed", "nonfinite", "nan")
+    for seed in range(3)
+]
 
 
 CASES = [
@@ -136,13 +162,29 @@ class TestNonDominatedSort:
 
     def test_assign_ranks_and_crowding_matches_reference(self):
         F, CV, _ = _random_case(7, n=30, feasibility="mixed")
-        expected = reference_fast_non_dominated_sort(F, CV)
-        population = _population(F, CV)
-        assert assign_ranks_and_crowding(population) == expected
-        for rank, front in enumerate(expected):
-            crowding = reference_crowding_distance(F[np.asarray(front)])
-            assert [int(population.rank[i]) for i in front] == [rank] * len(front)
-            assert [population[i].crowding for i in front] == crowding.tolist()
+        assert_ranked_like_reference(F, CV)
+
+    @pytest.mark.parametrize("seed,regime", VIOLATION_CASES)
+    def test_violation_levels_match_reference(self, seed, regime):
+        # The infeasible rows are sorted by violation instead of by the
+        # bookkeeping loop; the fronts and their order must not change.
+        F, CV = _violation_case(seed, n=60, regime=regime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fronts = kernels.nondominated_sort(F, CV)
+        assert fronts == reference_fast_non_dominated_sort(F, CV)
+
+    @pytest.mark.parametrize("seed,regime", VIOLATION_CASES)
+    def test_cover_is_the_shortest_prefix_of_the_reference(self, seed, regime):
+        F, CV = _violation_case(seed, n=30, regime=regime)
+        full = reference_fast_non_dominated_sort(F, CV)
+        for cover in range(F.shape[0] + 2):
+            assert kernels.nondominated_sort(F, CV, cover=cover) == covering_prefix(full, cover)
+
+    @pytest.mark.parametrize("seed,regime", VIOLATION_CASES)
+    def test_ranks_and_crowding_of_violation_levels_match_reference(self, seed, regime):
+        F, CV = _violation_case(seed, n=40, regime=regime)
+        assert_ranked_like_reference(F, CV)
 
     def test_empty_and_singleton(self):
         assert kernels.nondominated_sort(np.empty((0, 2))) == []
@@ -294,14 +336,14 @@ class TestGoldenFront:
 class TestColumnarViews:
     def test_views_match_stacked_columns_and_are_cached(self):
         F, CV, _ = _random_case(4, n=12, feasibility="mixed")
-        population = _population(F, CV)
+        population = evaluated_population(F, CV)
         np.testing.assert_array_equal(population.F, F)
         np.testing.assert_array_equal(population.CV, CV)
         assert population.F is population.F  # cached between accesses
 
     def test_views_are_readonly(self):
         F, CV, _ = _random_case(4, n=6, feasibility="feasible")
-        population = _population(F, CV)
+        population = evaluated_population(F, CV)
         with pytest.raises(ValueError):
             population.F[0, 0] = 99.0
         with pytest.raises(ValueError):
@@ -309,7 +351,7 @@ class TestColumnarViews:
 
     def test_mutation_invalidates_views(self):
         F, CV, _ = _random_case(4, n=6, feasibility="feasible")
-        population = _population(F, CV)
+        population = evaluated_population(F, CV)
         assert population.F.shape[0] == 6
         extra = Individual(np.zeros(2))
         extra.objectives = np.array([-5.0] * F.shape[1])

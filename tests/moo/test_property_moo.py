@@ -11,7 +11,13 @@ from repro.moo.individual import Individual
 from repro.moo.metrics import hypervolume
 from repro.moo.mining import closest_to_ideal, ideal_point
 from repro.moo.robustness import PerturbationModel
-from tests.helpers import crossover_pair, mutate
+from tests.helpers import (
+    assert_ranked_like_reference,
+    covering_prefix,
+    crossover_pair,
+    mutate,
+)
+from tests.oracles.kernels import reference_fast_non_dominated_sort
 from tests.oracles.robustness import robustness_condition
 
 objective_matrices = arrays(
@@ -33,6 +39,20 @@ def constrained_populations(draw):
     F = draw(objective_matrices)
     violation = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0))
     CV = np.array(draw(st.lists(violation, min_size=F.shape[0], max_size=F.shape[0])))
+    return F, CV
+
+
+@st.composite
+def violation_populations(draw):
+    """``(F, CV)`` on a small objective grid, violations tied and non-finite.
+
+    Violations come from a handful of levels (so rows tie), with NaN and
+    ``±inf`` among them; every row may be infeasible, or every one NaN.
+    """
+    n = draw(st.integers(1, 12))
+    F = draw(arrays(dtype=float, shape=(n, 2), elements=st.integers(0, 3).map(float)))
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.0, np.nan, np.inf, -np.inf])
+    CV = np.array(draw(st.lists(level, min_size=n, max_size=n)))
     return F, CV
 
 
@@ -79,11 +99,18 @@ class TestConstrainedSortProperties:
     ):
         F, CV = population
         full = kernels.nondominated_sort(F, CV)
-        sizes = np.cumsum([len(front) for front in full])
-        # Fronts up to and including the first whose running total reaches
-        # ``cover``; every front when the rows run out first.
-        length = min(int(np.searchsorted(sizes, cover)) + 1, len(full))
-        assert kernels.nondominated_sort(F, CV, cover=cover) == full[:length]
+        assert kernels.nondominated_sort(F, CV, cover=cover) == covering_prefix(full, cover)
+
+    @given(violation_populations(), st.integers(0, 13))
+    @settings(max_examples=150, deadline=None)
+    def test_sort_matches_the_reference_on_tied_and_non_finite_violations(
+        self, population, cover
+    ):
+        F, CV = population
+        full = reference_fast_non_dominated_sort(F, CV)
+        assert kernels.nondominated_sort(F, CV) == full
+        assert kernels.nondominated_sort(F, CV, cover=cover) == covering_prefix(full, cover)
+        assert_ranked_like_reference(F, CV)
 
     @given(constrained_populations())
     @settings(max_examples=60, deadline=None)

@@ -83,6 +83,9 @@ ALLOWLIST: dict[str, str] = {
     "repro.moo.individual.Population.__repr__": _REPR,
     "repro.moo.individual.Population.append": "documented in docs/solving.md",
     "repro.moo.individual.Population.from_vectors": "documented in docs/solving.md",
+    "repro.moo.kernels.constrained_domination_matrix": (
+        "perfbench/workloads.py: the mutual non-dominance check of every unit's front"
+    ),
     "repro.moo.metrics.generational_distance": "RunTelemetry(reference_front=) records IGD",
     "repro.moo.metrics.inverted_generational_distance": (
         "RunTelemetry(reference_front=) records IGD per generation"

@@ -37,16 +37,24 @@ def _start_server(data_dir):
     )
     line = process.stdout.readline()
     match = re.search(r"http://[^:]+:(\d+)", line)
-    assert match, "server did not announce a port: %r (stderr: %s)" % (
-        line, process.stderr.read() if process.poll() is not None else "",
-    )
+    if not match:
+        stderr = process.stderr.read() if process.poll() is not None else ""
+        _kill(process)
+        pytest.fail("server did not announce a port: %r (stderr: %s)" % (line, stderr))
     return process, int(match.group(1))
 
 
 def _kill(process):
+    """SIGKILL the server if it still runs, reap it and close its pipes.
+
+    The pipes are closed unread: orphaned runners may still hold their
+    write ends, so reading them to the end could block.
+    """
     if process.poll() is None:
         os.kill(process.pid, signal.SIGKILL)
         process.wait()
+    process.stdout.close()
+    process.stderr.close()
 
 
 def _kill_orphan_runners(data_dir):

@@ -147,15 +147,30 @@ def _is_running(pid):
     return state not in ("Z", "X")
 
 
+def _runs_job(pid, job_id):
+    """Whether ``pid`` is a worker running ``job_id``: its stderr is the job's ``runner.stderr``.
+
+    The fork server's other children, such as the ``git rev-parse`` of its
+    preload, run while a job is already marked running.
+    """
+    try:
+        stderr = os.readlink(Path("/proc", str(pid), "fd", "2"))
+    except OSError:
+        return False
+    return stderr.endswith(os.path.join(job_id, "runner.stderr"))
+
+
 def _running_runner(client, app, job_id):
-    """Wait until ``job_id`` runs in a child of the fork server; that child's pid."""
+    """Wait until ``job_id`` runs in a worker of the fork server; that worker's pid."""
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         server = app._app.coordinator.fork_server
         if client.job(job_id)["state"] != "queued" and server is not None:
-            children = _children_of(server.process.pid)
-            if children:
-                return children[0]
+            workers = [
+                pid for pid in _children_of(server.process.pid) if _runs_job(pid, job_id)
+            ]
+            if workers:
+                return workers[0]
         time.sleep(0.02)
     pytest.fail("job %s never started a runner" % job_id)
 
